@@ -28,8 +28,8 @@
 #include "batch/batched_run.hpp"
 #include "batch/plan.hpp"
 #include "core/parallel_sttsv.hpp"
+#include "hier/make_exchanger.hpp"
 #include "obs/metrics.hpp"
-#include "onesided/make_exchanger.hpp"
 #include "onesided/onesided_exchange.hpp"
 #include "partition/tetra_partition.hpp"
 #include "partition/vector_distribution.hpp"

@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <utility>
 
+#include "hier/make_exchanger.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "onesided/make_exchanger.hpp"
 #include "support/check.hpp"
 
 namespace sttsv::batch {

@@ -68,57 +68,15 @@ std::size_t PlanKeyHash::operator()(const PlanKey& k) const noexcept {
 
 Plan::Plan(PlanKey key, std::unique_ptr<partition::TetraPartition> part,
            std::unique_ptr<partition::VectorDistribution> dist)
-    : key_(key), part_(std::move(part)), dist_(std::move(dist)) {
-  const std::size_t P = part_->num_processors();
-  const std::size_t m = part_->num_row_blocks();
-
-  // Peers of p and the blocks shared with each: by the Steiner property
-  // two distinct subsets R_p, R_peer meet in at most 2 points, so every
-  // PeerExchange carries 1 or 2 slices (Section 7.2.2).
-  exchanges_.resize(P);
-  owned_.resize(P);
-  local_index_.assign(P, std::vector<std::size_t>(m, SIZE_MAX));
-  for (std::size_t p = 0; p < P; ++p) {
-    owned_[p] = part_->owned_blocks(p);
-    const auto& rp = part_->R(p);
-    for (std::size_t pos = 0; pos < rp.size(); ++pos) {
-      local_index_[p][rp[pos]] = pos;
-    }
-    std::vector<std::size_t> peers;
-    for (const std::size_t i : rp) {
-      for (const std::size_t other : part_->Q(i)) {
-        if (other != p) peers.push_back(other);
-      }
-    }
-    std::sort(peers.begin(), peers.end());
-    peers.erase(std::unique(peers.begin(), peers.end()), peers.end());
-    for (const std::size_t peer : peers) {
-      PeerExchange ex;
-      ex.peer = peer;
-      const auto& rq = part_->R(peer);
-      std::vector<std::size_t> common;
-      std::set_intersection(rp.begin(), rp.end(), rq.begin(), rq.end(),
-                            std::back_inserter(common));
-      for (const std::size_t i : common) {
-        BlockSlice slice;
-        slice.block = i;
-        slice.sender = dist_->share(i, p);
-        slice.receiver = dist_->share(i, peer);
-        ex.x_words += slice.sender.length;
-        ex.y_words += slice.receiver.length;
-        ex.slices.push_back(slice);
-      }
-      if (ex.x_words > 0 || ex.y_words > 0) {
-        exchanges_[p].push_back(std::move(ex));
-      }
-    }
-  }
-}
+    : key_(key),
+      part_(std::move(part)),
+      dist_(std::move(dist)),
+      walk_(*part_, *dist_) {}
 
 void Plan::prewarm_pool(simt::BufferPool& pool, std::size_t lanes) const {
   STTSV_REQUIRE(lanes >= 1, "prewarm needs at least one lane");
   constexpr std::size_t kRexHeaderWords = 8;  // >= data-frame header
-  for (std::size_t p = 0; p < exchanges_.size(); ++p) {
+  for (std::size_t p = 0; p < walk_.num_processors(); ++p) {
     // Bucket -> simultaneous buffers rank p needs in the worst phase.
     // x and y phases never overlap, so the requirement is the per-phase
     // max, not the sum. Each message may exist twice at once under
@@ -126,7 +84,7 @@ void Plan::prewarm_pool(simt::BufferPool& pool, std::size_t lanes) const {
     // frame rides in the header bucket of payload + header words.
     std::unordered_map<std::size_t, std::size_t> x_need;
     std::unordered_map<std::size_t, std::size_t> y_need;
-    for (const PeerExchange& ex : exchanges_[p]) {
+    for (const PeerExchange& ex : walk_.exchanges(p)) {
       if (ex.x_words > 0) {
         ++x_need[simt::BufferPool::bucket_capacity(ex.x_words * lanes)];
         ++x_need[simt::BufferPool::bucket_capacity(ex.x_words * lanes +
@@ -148,26 +106,6 @@ void Plan::prewarm_pool(simt::BufferPool& pool, std::size_t lanes) const {
       if (!x_need.contains(capacity)) pool.reserve(p, capacity, count);
     }
   }
-}
-
-const Plan::PeerExchange& Plan::exchange_between(std::size_t from,
-                                                 std::size_t to) const {
-  STTSV_REQUIRE(from < exchanges_.size(), "rank out of range");
-  const auto& exs = exchanges_[from];
-  const auto it = std::lower_bound(
-      exs.begin(), exs.end(), to,
-      [](const PeerExchange& e, std::size_t peer) { return e.peer < peer; });
-  STTSV_REQUIRE(it != exs.end() && it->peer == to,
-                "ranks do not exchange data under this plan");
-  return *it;
-}
-
-std::size_t Plan::local_index(std::size_t p, std::size_t i) const {
-  STTSV_REQUIRE(p < local_index_.size(), "rank out of range");
-  STTSV_REQUIRE(i < local_index_[p].size(), "row block out of range");
-  const std::size_t pos = local_index_[p][i];
-  STTSV_REQUIRE(pos != SIZE_MAX, "row block not in R_p");
-  return pos;
 }
 
 std::shared_ptr<const Plan> Plan::build(const PlanKey& key) {

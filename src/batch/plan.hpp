@@ -17,6 +17,7 @@
 #include <utility>
 #include <vector>
 
+#include "partition/exchange_walk.hpp"
 #include "partition/tetra_partition.hpp"
 #include "partition/vector_distribution.hpp"
 #include "simt/machine.hpp"
@@ -63,29 +64,12 @@ struct PlanKeyHash {
 };
 
 /// An immutable, shareable plan: partition + distribution + the exchange
-/// walk of Algorithm 5 precomputed per ordered rank pair. parallel_sttsv
-/// rederives this walk (peer sets, R_p intersections, shares) on every
-/// call; batched runs read it straight from the plan.
+/// walk of Algorithm 5 (partition::ExchangeWalk), built once and read by
+/// every batched run.
 class Plan {
  public:
-  /// One row-block share inside one aggregated message for the ordered
-  /// pair (p, peer): `sender` is p's share of row block `block` (what a
-  /// phase-1 x message carries), `receiver` is the peer's share (what a
-  /// phase-3 partial-y message carries).
-  struct BlockSlice {
-    std::size_t block = 0;
-    partition::Share sender;
-    partition::Share receiver;
-  };
-
-  /// All traffic between p and one peer, slices in ascending block order
-  /// (the deterministic walk both endpoints replay).
-  struct PeerExchange {
-    std::size_t peer = 0;
-    std::vector<BlockSlice> slices;
-    std::size_t x_words = 0;  // per-vector words sent p -> peer in phase 1
-    std::size_t y_words = 0;  // per-vector words sent p -> peer in phase 3
-  };
+  using BlockSlice = partition::ExchangeWalk::BlockSlice;
+  using PeerExchange = partition::ExchangeWalk::PeerExchange;
 
   /// Builds the plan for `key` (constructs the Steiner system, partition,
   /// distribution, and exchange walks). Throws PreconditionError on an
@@ -104,22 +88,26 @@ class Plan {
   /// Exchanges of rank p, ascending peer order; only peers with traffic.
   [[nodiscard]] const std::vector<PeerExchange>& exchanges(
       std::size_t p) const {
-    return exchanges_[p];
+    return walk_.exchanges(p);
   }
 
   /// The exchange record for the ordered pair (from, to); both ranks must
   /// actually exchange data (throws otherwise).
   [[nodiscard]] const PeerExchange& exchange_between(std::size_t from,
-                                                     std::size_t to) const;
+                                                     std::size_t to) const {
+    return walk_.exchange_between(from, to);
+  }
 
   /// Owned blocks of p (cached copy of partition().owned_blocks(p)).
   [[nodiscard]] const std::vector<partition::BlockCoord>& owned(
       std::size_t p) const {
-    return owned_[p];
+    return walk_.owned(p);
   }
 
   /// Position of row block i within R_p (p's local block numbering).
-  [[nodiscard]] std::size_t local_index(std::size_t p, std::size_t i) const;
+  [[nodiscard]] std::size_t local_index(std::size_t p, std::size_t i) const {
+    return walk_.local_index(p, i);
+  }
 
   /// A machine sized for this plan.
   [[nodiscard]] simt::Machine make_machine() const {
@@ -140,10 +128,7 @@ class Plan {
   PlanKey key_;
   std::unique_ptr<partition::TetraPartition> part_;
   std::unique_ptr<partition::VectorDistribution> dist_;
-  std::vector<std::vector<PeerExchange>> exchanges_;
-  std::vector<std::vector<partition::BlockCoord>> owned_;
-  // local_index lookup: per rank, row block -> position in R_p (or npos).
-  std::vector<std::vector<std::size_t>> local_index_;
+  partition::ExchangeWalk walk_;  // built from *part_, *dist_
 };
 
 /// LRU-memoized Plan::build. Hits return the cached shared_ptr (pointer

@@ -1,79 +1,38 @@
 #include "core/comm_only.hpp"
 
-#include <algorithm>
+#include <utility>
+#include <vector>
 
+#include "partition/exchange_walk.hpp"
 #include "support/check.hpp"
 
 namespace sttsv::core {
 
-namespace {
-
-using partition::TetraPartition;
-using partition::VectorDistribution;
-using simt::Envelope;
-
-std::vector<std::size_t> common_blocks(const TetraPartition& part,
-                                       std::size_t p, std::size_t peer) {
-  const auto& a = part.R(p);
-  const auto& b = part.R(peer);
-  std::vector<std::size_t> out;
-  std::set_intersection(a.begin(), a.end(), b.begin(), b.end(),
-                        std::back_inserter(out));
-  return out;
-}
-
-std::vector<std::size_t> peers_of(const TetraPartition& part,
-                                  std::size_t p) {
-  std::vector<std::size_t> peers;
-  for (const std::size_t i : part.R(p)) {
-    for (const std::size_t other : part.Q(i)) {
-      if (other != p) peers.push_back(other);
-    }
-  }
-  std::sort(peers.begin(), peers.end());
-  peers.erase(std::unique(peers.begin(), peers.end()), peers.end());
-  return peers;
-}
-
-}  // namespace
-
 void simulate_communication(simt::Machine& machine,
-                            const TetraPartition& part,
-                            const VectorDistribution& dist,
+                            const partition::TetraPartition& part,
+                            const partition::VectorDistribution& dist,
                             simt::Transport transport) {
   const std::size_t P = part.num_processors();
   STTSV_REQUIRE(machine.num_ranks() == P,
                 "machine rank count must match partition");
+  const partition::ExchangeWalk walk(part, dist);
 
-  // Phase 1: x shares — sender p ships its own share of each common block.
-  std::vector<std::vector<Envelope>> x_out(P);
-  for (std::size_t p = 0; p < P; ++p) {
-    for (const std::size_t peer : peers_of(part, p)) {
-      std::size_t words = 0;
-      for (const std::size_t i : common_blocks(part, p, peer)) {
-        words += dist.share(i, p).length;
-      }
-      if (words > 0) {
-        x_out[p].push_back(Envelope{peer, std::vector<double>(words, 0.0)});
+  // Phase 1 carries the sender's shares of the common blocks (x_words),
+  // phase 3 the receiver's (y_words).
+  for (const bool y_phase : {false, true}) {
+    std::vector<std::vector<simt::Envelope>> out(P);
+    for (std::size_t p = 0; p < P; ++p) {
+      for (const partition::ExchangeWalk::PeerExchange& ex :
+           walk.exchanges(p)) {
+        const std::size_t words = y_phase ? ex.y_words : ex.x_words;
+        if (words > 0) {
+          out[p].push_back(
+              simt::Envelope{ex.peer, std::vector<double>(words, 0.0)});
+        }
       }
     }
+    (void)machine.exchange(std::move(out), transport);
   }
-  (void)machine.exchange(std::move(x_out), transport);
-
-  // Phase 3: partial y — sender p ships the *receiver's* share sizes.
-  std::vector<std::vector<Envelope>> y_out(P);
-  for (std::size_t p = 0; p < P; ++p) {
-    for (const std::size_t peer : peers_of(part, p)) {
-      std::size_t words = 0;
-      for (const std::size_t i : common_blocks(part, p, peer)) {
-        words += dist.share(i, peer).length;
-      }
-      if (words > 0) {
-        y_out[p].push_back(Envelope{peer, std::vector<double>(words, 0.0)});
-      }
-    }
-  }
-  (void)machine.exchange(std::move(y_out), transport);
   machine.ledger().verify_conservation();
 }
 

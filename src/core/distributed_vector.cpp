@@ -1,9 +1,9 @@
 #include "core/distributed_vector.hpp"
 
 #include <algorithm>
-#include <map>
+#include <utility>
 
-#include "core/block_kernels.hpp"
+#include "core/parallel_sttsv.hpp"
 #include "simt/collective.hpp"
 #include "support/check.hpp"
 
@@ -14,31 +14,6 @@ namespace {
 using partition::Share;
 using partition::TetraPartition;
 using partition::VectorDistribution;
-using simt::Delivery;
-using simt::Envelope;
-
-std::vector<std::size_t> common_blocks(const TetraPartition& part,
-                                       std::size_t p, std::size_t peer) {
-  const auto& a = part.R(p);
-  const auto& b = part.R(peer);
-  std::vector<std::size_t> out;
-  std::set_intersection(a.begin(), a.end(), b.begin(), b.end(),
-                        std::back_inserter(out));
-  return out;
-}
-
-std::vector<std::size_t> peers_of(const TetraPartition& part,
-                                  std::size_t p) {
-  std::vector<std::size_t> peers;
-  for (const std::size_t i : part.R(p)) {
-    for (const std::size_t other : part.Q(i)) {
-      if (other != p) peers.push_back(other);
-    }
-  }
-  std::sort(peers.begin(), peers.end());
-  peers.erase(std::unique(peers.begin(), peers.end()), peers.end());
-  return peers;
-}
 
 }  // namespace
 
@@ -178,117 +153,13 @@ DistributedVector parallel_sttsv_dist(
     simt::Machine& machine, const TetraPartition& part,
     const tensor::SymTensor3& a, const DistributedVector& x,
     simt::Transport transport, std::vector<std::uint64_t>* ternary_out) {
+  // Gather and scatter are free in the paper's I/O model; all traffic is
+  // the Algorithm-5 run in between.
   const VectorDistribution& dist = x.distribution();
-  const std::size_t P = part.num_processors();
-  const std::size_t b = dist.block_length_b();
-  STTSV_REQUIRE(machine.num_ranks() == P,
-                "machine rank count must match partition");
-  STTSV_REQUIRE(a.dim() == dist.logical_n(),
-                "tensor dimension must match distribution");
-
-  // Phase 1: gather full row blocks of x per rank from the shares.
-  std::vector<std::vector<Envelope>> outboxes(P);
-  for (std::size_t p = 0; p < P; ++p) {
-    for (const std::size_t peer : peers_of(part, p)) {
-      Envelope env;
-      env.to = peer;
-      for (const std::size_t i : common_blocks(part, p, peer)) {
-        const auto& slice = x.share(p, i);
-        env.data.insert(env.data.end(), slice.begin(), slice.end());
-      }
-      if (!env.data.empty()) outboxes[p].push_back(std::move(env));
-    }
-  }
-  auto inboxes = machine.exchange(std::move(outboxes), transport);
-
-  std::vector<std::map<std::size_t, std::vector<double>>> x_loc(P);
-  for (std::size_t p = 0; p < P; ++p) {
-    for (const std::size_t i : part.R(p)) {
-      auto& blockvec = x_loc[p][i];
-      blockvec.assign(b, 0.0);
-      const Share s = dist.share(i, p);
-      const auto& own = x.share(p, i);
-      std::copy(own.begin(), own.end(), blockvec.begin() +
-                                            static_cast<long>(s.offset));
-    }
-    for (const Delivery& d : inboxes[p]) {
-      std::size_t cursor = 0;
-      for (const std::size_t i : common_blocks(part, p, d.from)) {
-        const Share s = dist.share(i, d.from);
-        STTSV_CHECK(cursor + s.length <= d.data.size(),
-                    "x delivery shorter than expected");
-        std::copy_n(d.data.data() + cursor, s.length,
-                    x_loc[p][i].data() + s.offset);
-        cursor += s.length;
-      }
-      STTSV_CHECK(cursor == d.data.size(), "x delivery longer than expected");
-    }
-  }
-  inboxes.clear();
-
-  // Phase 2: block kernels. Rank programs are independent between the two
-  // exchanges, so they run on host threads (ledger untouched).
-  std::vector<std::map<std::size_t, std::vector<double>>> y_loc(P);
-  if (ternary_out != nullptr) ternary_out->assign(P, 0);
-  machine.run_ranks([&](std::size_t p) {
-    for (const std::size_t i : part.R(p)) y_loc[p][i].assign(b, 0.0);
-    for (const partition::BlockCoord& c : part.owned_blocks(p)) {
-      BlockBuffers buf;
-      buf.x[0] = x_loc[p].at(c.i).data();
-      buf.x[1] = x_loc[p].at(c.j).data();
-      buf.x[2] = x_loc[p].at(c.k).data();
-      buf.y[0] = y_loc[p].at(c.i).data();
-      buf.y[1] = y_loc[p].at(c.j).data();
-      buf.y[2] = y_loc[p].at(c.k).data();
-      const auto mults = apply_block(a, c, b, buf);
-      if (ternary_out != nullptr) (*ternary_out)[p] += mults;
-    }
-    x_loc[p].clear();
-  });
-
-  // Phase 3: exchange receiver shares of the partial y and reduce into a
-  // fresh distributed vector.
-  std::vector<std::vector<Envelope>> y_out(P);
-  for (std::size_t p = 0; p < P; ++p) {
-    for (const std::size_t peer : peers_of(part, p)) {
-      Envelope env;
-      env.to = peer;
-      for (const std::size_t i : common_blocks(part, p, peer)) {
-        const Share s = dist.share(i, peer);
-        const double* base = y_loc[p].at(i).data() + s.offset;
-        env.data.insert(env.data.end(), base, base + s.length);
-      }
-      if (!env.data.empty()) y_out[p].push_back(std::move(env));
-    }
-  }
-  auto y_in = machine.exchange(std::move(y_out), transport);
-
-  DistributedVector y(dist);
-  for (std::size_t p = 0; p < P; ++p) {
-    for (const std::size_t i : part.R(p)) {
-      const Share s = dist.share(i, p);
-      auto& own = y.share(p, i);
-      for (std::size_t off = 0; off < s.length; ++off) {
-        own[off] += y_loc[p].at(i)[s.offset + off];
-      }
-    }
-    for (const Delivery& d : y_in[p]) {
-      std::size_t cursor = 0;
-      for (const std::size_t i : common_blocks(part, p, d.from)) {
-        const Share s = dist.share(i, p);
-        STTSV_CHECK(cursor + s.length <= d.data.size(),
-                    "y delivery shorter than expected");
-        auto& own = y.share(p, i);
-        for (std::size_t off = 0; off < s.length; ++off) {
-          own[off] += d.data[cursor + off];
-        }
-        cursor += s.length;
-      }
-      STTSV_CHECK(cursor == d.data.size(), "y delivery longer than expected");
-    }
-  }
-  machine.ledger().verify_conservation();
-  return y;
+  ParallelRunResult run =
+      parallel_sttsv(machine, part, dist, a, x.gather(), transport);
+  if (ternary_out != nullptr) *ternary_out = std::move(run.ternary_mults);
+  return DistributedVector::scatter(dist, run.y);
 }
 
 }  // namespace sttsv::core

@@ -71,17 +71,13 @@ class DistributedVector {
     std::vector<std::vector<double>> slices;      // parallel to row_blocks
   };
   std::vector<RankShares> shares_;
-
-  friend DistributedVector parallel_sttsv_dist(
-      simt::Machine&, const partition::TetraPartition&,
-      const tensor::SymTensor3&, const DistributedVector&, simt::Transport,
-      std::vector<std::uint64_t>*);
 };
 
 /// Algorithm 5 with persistent distribution: input and output vectors
-/// stay in shares. Communication is identical to parallel_sttsv (the
-/// gather/scatter in that wrapper are free by the paper's I/O model).
-/// Optionally reports per-rank ternary multiplication counts.
+/// stay in shares. Runs gather -> parallel_sttsv -> scatter; gather and
+/// scatter are free in the paper's I/O model, so communication is
+/// exactly parallel_sttsv's. Optionally reports per-rank ternary
+/// multiplication counts.
 DistributedVector parallel_sttsv_dist(
     simt::Machine& machine, const partition::TetraPartition& part,
     const tensor::SymTensor3& a, const DistributedVector& x,

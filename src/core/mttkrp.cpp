@@ -1,44 +1,23 @@
 #include "core/mttkrp.hpp"
 
 #include <algorithm>
-#include <map>
+#include <utility>
 
 #include "core/block_kernels.hpp"
 #include "core/sttsv_seq.hpp"
+#include "partition/exchange_walk.hpp"
 #include "support/check.hpp"
 
 namespace sttsv::core {
 
 namespace {
 
+using partition::ExchangeWalk;
 using partition::Share;
 using partition::TetraPartition;
 using partition::VectorDistribution;
 using simt::Delivery;
 using simt::Envelope;
-
-std::vector<std::size_t> common_blocks(const TetraPartition& part,
-                                       std::size_t p, std::size_t peer) {
-  const auto& a = part.R(p);
-  const auto& b = part.R(peer);
-  std::vector<std::size_t> out;
-  std::set_intersection(a.begin(), a.end(), b.begin(), b.end(),
-                        std::back_inserter(out));
-  return out;
-}
-
-std::vector<std::size_t> peers_of(const TetraPartition& part,
-                                  std::size_t p) {
-  std::vector<std::size_t> peers;
-  for (const std::size_t i : part.R(p)) {
-    for (const std::size_t other : part.Q(i)) {
-      if (other != p) peers.push_back(other);
-    }
-  }
-  std::sort(peers.begin(), peers.end());
-  peers.erase(std::unique(peers.begin(), peers.end()), peers.end());
-  return peers;
-}
 
 }  // namespace
 
@@ -78,48 +57,52 @@ std::vector<std::vector<double>> parallel_symmetric_mttkrp(
     std::copy(columns[l].begin(), columns[l].end(), x_pad[l].begin());
   }
 
+  // Local row blocks per rank: block i of rank p at walk.local_index(p,
+  // i)*r*b, column l of it at offset l*b.
+  const ExchangeWalk walk(part, dist);
+  const auto at = [&](std::vector<double>& blocks, std::size_t p,
+                      std::size_t i, std::size_t l) {
+    return blocks.data() + (walk.local_index(p, i) * r + l) * b;
+  };
+
   // Phase 1: batched x exchange — for each (pair, common block, column)
   // the sender's share, columns innermost so unpacking is deterministic.
   std::vector<std::vector<Envelope>> outboxes(P);
   for (std::size_t p = 0; p < P; ++p) {
-    for (const std::size_t peer : peers_of(part, p)) {
-      Envelope env;
-      env.to = peer;
-      for (const std::size_t i : common_blocks(part, p, peer)) {
-        const Share s = dist.share(i, p);
+    for (const ExchangeWalk::PeerExchange& ex : walk.exchanges(p)) {
+      if (ex.x_words == 0) continue;
+      simt::PooledBuffer buf = machine.pool().acquire(p, ex.x_words * r);
+      for (const ExchangeWalk::BlockSlice& s : ex.slices) {
         for (std::size_t l = 0; l < r; ++l) {
-          const double* base = x_pad[l].data() + i * b + s.offset;
-          env.data.insert(env.data.end(), base, base + s.length);
+          buf.append(x_pad[l].data() + s.block * b + s.sender.offset,
+                     s.sender.length);
         }
       }
-      if (!env.data.empty()) outboxes[p].push_back(std::move(env));
+      outboxes[p].push_back(Envelope{ex.peer, std::move(buf)});
     }
   }
   auto inboxes = machine.exchange(std::move(outboxes), transport);
 
-  // Assemble full local row blocks per column: x_loc[p][i] has r*b words,
-  // column l at offset l*b.
-  std::vector<std::map<std::size_t, std::vector<double>>> x_loc(P);
+  std::vector<std::vector<double>> x_loc(P);
   for (std::size_t p = 0; p < P; ++p) {
+    x_loc[p].assign(part.R(p).size() * r * b, 0.0);
     for (const std::size_t i : part.R(p)) {
-      auto& buf = x_loc[p][i];
-      buf.assign(r * b, 0.0);
       const Share s = dist.share(i, p);
       for (std::size_t l = 0; l < r; ++l) {
         std::copy_n(x_pad[l].data() + i * b + s.offset, s.length,
-                    buf.data() + l * b + s.offset);
+                    at(x_loc[p], p, i, l) + s.offset);
       }
     }
     for (const Delivery& d : inboxes[p]) {
       std::size_t cursor = 0;
-      for (const std::size_t i : common_blocks(part, p, d.from)) {
-        const Share s = dist.share(i, d.from);
+      for (const ExchangeWalk::BlockSlice& s :
+           walk.exchange_between(d.from, p).slices) {
         for (std::size_t l = 0; l < r; ++l) {
-          STTSV_CHECK(cursor + s.length <= d.data.size(),
+          STTSV_CHECK(cursor + s.sender.length <= d.data.size(),
                       "x delivery shorter than expected");
-          std::copy_n(d.data.data() + cursor, s.length,
-                      x_loc[p][i].data() + l * b + s.offset);
-          cursor += s.length;
+          std::copy_n(d.data.data() + cursor, s.sender.length,
+                      at(x_loc[p], p, s.block, l) + s.sender.offset);
+          cursor += s.sender.length;
         }
       }
       STTSV_CHECK(cursor == d.data.size(), "x delivery longer than expected");
@@ -129,40 +112,37 @@ std::vector<std::vector<double>> parallel_symmetric_mttkrp(
 
   // Phase 2: block kernels per column. Per-rank compute is independent,
   // so it runs on host threads (ledger untouched).
-  std::vector<std::map<std::size_t, std::vector<double>>> y_loc(P);
+  std::vector<std::vector<double>> y_loc(P);
   machine.run_ranks([&](std::size_t p) {
-    for (const std::size_t i : part.R(p)) {
-      y_loc[p][i].assign(r * b, 0.0);
-    }
-    for (const partition::BlockCoord& c : part.owned_blocks(p)) {
+    y_loc[p].assign(part.R(p).size() * r * b, 0.0);
+    for (const partition::BlockCoord& c : walk.owned(p)) {
       for (std::size_t l = 0; l < r; ++l) {
         BlockBuffers buf;
-        buf.x[0] = x_loc[p].at(c.i).data() + l * b;
-        buf.x[1] = x_loc[p].at(c.j).data() + l * b;
-        buf.x[2] = x_loc[p].at(c.k).data() + l * b;
-        buf.y[0] = y_loc[p].at(c.i).data() + l * b;
-        buf.y[1] = y_loc[p].at(c.j).data() + l * b;
-        buf.y[2] = y_loc[p].at(c.k).data() + l * b;
+        buf.x[0] = at(x_loc[p], p, c.i, l);
+        buf.x[1] = at(x_loc[p], p, c.j, l);
+        buf.x[2] = at(x_loc[p], p, c.k, l);
+        buf.y[0] = at(y_loc[p], p, c.i, l);
+        buf.y[1] = at(y_loc[p], p, c.j, l);
+        buf.y[2] = at(y_loc[p], p, c.k, l);
         (void)apply_block(a, c, b, buf);
       }
     }
-    x_loc[p].clear();
+    x_loc[p] = std::vector<double>();
   });
 
   // Phase 3: batched partial-y exchange and reduction.
   std::vector<std::vector<Envelope>> y_out(P);
   for (std::size_t p = 0; p < P; ++p) {
-    for (const std::size_t peer : peers_of(part, p)) {
-      Envelope env;
-      env.to = peer;
-      for (const std::size_t i : common_blocks(part, p, peer)) {
-        const Share s = dist.share(i, peer);
+    for (const ExchangeWalk::PeerExchange& ex : walk.exchanges(p)) {
+      if (ex.y_words == 0) continue;
+      simt::PooledBuffer buf = machine.pool().acquire(p, ex.y_words * r);
+      for (const ExchangeWalk::BlockSlice& s : ex.slices) {
         for (std::size_t l = 0; l < r; ++l) {
-          const double* base = y_loc[p].at(i).data() + l * b + s.offset;
-          env.data.insert(env.data.end(), base, base + s.length);
+          buf.append(at(y_loc[p], p, s.block, l) + s.receiver.offset,
+                     s.receiver.length);
         }
       }
-      if (!env.data.empty()) y_out[p].push_back(std::move(env));
+      y_out[p].push_back(Envelope{ex.peer, std::move(buf)});
     }
   }
   auto y_in = machine.exchange(std::move(y_out), transport);
@@ -173,23 +153,24 @@ std::vector<std::vector<double>> parallel_symmetric_mttkrp(
     for (const std::size_t i : part.R(p)) {
       const Share s = dist.share(i, p);
       for (std::size_t l = 0; l < r; ++l) {
+        const double* src = at(y_loc[p], p, i, l) + s.offset;
         for (std::size_t off = 0; off < s.length; ++off) {
-          y_pad[l][i * b + s.offset + off] +=
-              y_loc[p].at(i)[l * b + s.offset + off];
+          y_pad[l][i * b + s.offset + off] += src[off];
         }
       }
     }
     for (const Delivery& d : y_in[p]) {
       std::size_t cursor = 0;
-      for (const std::size_t i : common_blocks(part, p, d.from)) {
-        const Share s = dist.share(i, p);
+      for (const ExchangeWalk::BlockSlice& s :
+           walk.exchange_between(d.from, p).slices) {
         for (std::size_t l = 0; l < r; ++l) {
-          STTSV_CHECK(cursor + s.length <= d.data.size(),
+          STTSV_CHECK(cursor + s.receiver.length <= d.data.size(),
                       "y delivery shorter than expected");
-          for (std::size_t off = 0; off < s.length; ++off) {
-            y_pad[l][i * b + s.offset + off] += d.data[cursor + off];
+          for (std::size_t off = 0; off < s.receiver.length; ++off) {
+            y_pad[l][s.block * b + s.receiver.offset + off] +=
+                d.data[cursor + off];
           }
-          cursor += s.length;
+          cursor += s.receiver.length;
         }
       }
       STTSV_CHECK(cursor == d.data.size(), "y delivery longer than expected");

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <map>
+#include <utility>
 
 #include "core/block_kernels.hpp"
 #include "obs/trace.hpp"
+#include "partition/exchange_walk.hpp"
 #include "simt/pipeline.hpp"
 #include "support/check.hpp"
 
@@ -12,37 +14,39 @@ namespace sttsv::core {
 
 namespace {
 
+using partition::ExchangeWalk;
 using partition::Share;
 using partition::TetraPartition;
 using partition::VectorDistribution;
 using simt::Delivery;
 using simt::Envelope;
 
-/// The row blocks both p and peer require: R_p ∩ R_peer (ascending).
-/// By the Steiner property two distinct subsets share at most 2 points,
-/// which is why a pair exchanges at most 2 row-block shares (Section 7.2.2).
-std::vector<std::size_t> common_blocks(const TetraPartition& part,
-                                       std::size_t p, std::size_t peer) {
-  const auto& a = part.R(p);
-  const auto& b = part.R(peer);
-  std::vector<std::size_t> out;
-  std::set_intersection(a.begin(), a.end(), b.begin(), b.end(),
-                        std::back_inserter(out));
-  return out;
-}
+/// One walk record carried by a host-pair envelope: the sending role and
+/// its exchange with the receiving role (ex->peer).
+struct Leg {
+  std::size_t role = 0;
+  const ExchangeWalk::PeerExchange* ex = nullptr;
+};
 
-/// Peers of p: every other member of Q_i for some i ∈ R_p, ascending.
-std::vector<std::size_t> peers_of(const TetraPartition& part, std::size_t p) {
-  std::vector<std::size_t> peers;
-  for (const std::size_t i : part.R(p)) {
-    for (const std::size_t other : part.Q(i)) {
-      if (other != p) peers.push_back(other);
-    }
-  }
-  std::sort(peers.begin(), peers.end());
-  peers.erase(std::unique(peers.begin(), peers.end()), peers.end());
-  return peers;
-}
+/// Everything one host sends one other host per phase, in the layout
+/// both ends replay: sending roles ascending, then receiving roles
+/// ascending, then common blocks ascending. At the identity placement
+/// every route is exactly one walk record.
+struct Route {
+  std::size_t to = 0;
+  std::vector<Leg> legs;
+  std::size_t x_words = 0;
+  std::size_t y_words = 0;
+};
+
+/// A partial-y contribution into one receiving role. `data` points at
+/// the leg's packed receiver shares inside a delivery; nullptr marks a
+/// co-hosted sender whose partials are read in place from its y blocks.
+struct Contribution {
+  std::size_t from = 0;
+  const double* data = nullptr;
+  const ExchangeWalk::PeerExchange* ex = nullptr;
+};
 
 }  // namespace
 
@@ -63,7 +67,8 @@ ParallelRunResult parallel_sttsv(simt::Exchanger& exchanger,
                                  const tensor::SymTensor3& a,
                                  const std::vector<double>& x,
                                  simt::Transport transport,
-                                 simt::PipelineMode pipeline) {
+                                 simt::PipelineMode pipeline,
+                                 const std::vector<std::size_t>& placement) {
   simt::Machine& machine = exchanger.machine();
   const std::size_t P = part.num_processors();
   const std::size_t b = dist.block_length_b();
@@ -72,75 +77,142 @@ ParallelRunResult parallel_sttsv(simt::Exchanger& exchanger,
                 "machine rank count must match partition");
   STTSV_REQUIRE(a.dim() == n, "tensor dimension must match distribution");
   STTSV_REQUIRE(x.size() == n, "input vector length mismatch");
+  STTSV_REQUIRE(placement.empty() || placement.size() == P,
+                "placement must host every partition role");
+
+  // roles_by_host[h]: the roles rank h runs, ascending (empty off the
+  // live set). Every walk below iterates these.
+  std::vector<std::vector<std::size_t>> roles_by_host(P);
+  bool identity = true;
+  for (std::size_t role = 0; role < P; ++role) {
+    const std::size_t h = placement.empty() ? role : placement[role];
+    STTSV_REQUIRE(h < P && machine.alive(h),
+                  "every role must be placed on a live rank");
+    roles_by_host[h].push_back(role);
+    identity = identity && h == role;
+  }
+  std::vector<std::size_t> hosts;
+  for (std::size_t h = 0; h < P; ++h) {
+    if (!roles_by_host[h].empty()) hosts.push_back(h);
+  }
 
   // Each communication phase is one logical exchange split into pair-block
   // chunks: chunk t+1 packs (or computes) while chunk t is on the wire.
   // The ledger cannot tell the difference (DESIGN.md §12).
   const std::size_t chunks =
-      pipeline == simt::PipelineMode::kDoubleBuffered && P > 1 ? 2 : 1;
+      pipeline == simt::PipelineMode::kDoubleBuffered && hosts.size() > 1
+          ? 2
+          : 1;
 
-  std::vector<std::vector<std::size_t>> peers(P);
-  for (std::size_t p = 0; p < P; ++p) peers[p] = peers_of(part, p);
+  // Lift the role-pair walk onto host pairs. Role pairs on one host
+  // become local legs and never touch the wire or the ledger.
+  const ExchangeWalk walk(part, dist);
+  std::vector<std::vector<Route>> routes(P);  // per host, ascending `to`
+  std::vector<std::vector<Leg>> local(P);
+  for (const std::size_t hf : hosts) {
+    std::map<std::size_t, Route> by_host;
+    for (const std::size_t sp : roles_by_host[hf]) {
+      for (const ExchangeWalk::PeerExchange& ex : walk.exchanges(sp)) {
+        const std::size_t ht =
+            placement.empty() ? ex.peer : placement[ex.peer];
+        if (ht == hf) {
+          local[hf].push_back(Leg{sp, &ex});
+          continue;
+        }
+        Route& r = by_host[ht];
+        r.to = ht;
+        r.legs.push_back(Leg{sp, &ex});
+        r.x_words += ex.x_words;
+        r.y_words += ex.y_words;
+      }
+    }
+    for (auto& [ht, r] : by_host) routes[hf].push_back(std::move(r));
+  }
+  const auto route_between = [&](std::size_t from,
+                                 std::size_t to) -> const Route& {
+    const auto& rs = routes[from];
+    const auto it = std::lower_bound(
+        rs.begin(), rs.end(), to,
+        [](const Route& r, std::size_t host) { return r.to < host; });
+    STTSV_CHECK(it != rs.end() && it->to == to,
+                "delivery from a host outside the walk");
+    return *it;
+  };
+  // Role-local row blocks: block i of role r at walk.local_index(r, i)*b.
+  const auto at = [&](std::vector<double>& blocks, std::size_t role,
+                      std::size_t i) {
+    return blocks.data() + walk.local_index(role, i) * b;
+  };
 
   // Padded copy of x: row block i occupies [i*b, (i+1)*b).
   std::vector<double> x_pad(dist.padded_n(), 0.0);
   std::copy(x.begin(), x.end(), x_pad.begin());
 
   // ---- Phase 1: exchange x shares (Algorithm 5 lines 10-21). ----------
-  // Local row blocks x_loc[p][i] (length b each) are seeded with the
-  // rank's own share up front, so each pipeline part's deliveries can be
+  // Local row blocks are seeded with the role's own share (and co-hosted
+  // roles' shares) up front, so each pipeline part's deliveries can be
   // unpacked the moment it completes: every delivery writes a disjoint
   // (block, sender-share) slice, making the landing order irrelevant.
-  // Seeding runs on the worker threads (run_ranks) so each rank's block
+  // Seeding runs on the worker threads (run_ranks) so each host's block
   // storage is first-touched by the thread that will feed it to the
-  // kernels — the NUMA placement half of DESIGN.md §17. Rank programs
-  // stay disjoint (rank p writes only x_loc[p]), so the parallel seed is
-  // bitwise identical to the sequential one.
+  // kernels — the NUMA placement half of DESIGN.md §17. Host programs
+  // stay disjoint (host h writes only its roles' blocks), so the
+  // parallel seed is bitwise identical to the sequential one.
   obs::Span x_phase("sttsv.x-shares", obs::Category::kSuperstep);
-  std::vector<std::map<std::size_t, std::vector<double>>> x_loc(P);
-  machine.run_ranks([&](std::size_t p) {
-    for (const std::size_t i : part.R(p)) {
-      auto& blockvec = x_loc[p][i];
-      blockvec.assign(b, 0.0);
-      const Share s = dist.share(i, p);
-      std::copy_n(x_pad.data() + i * b + s.offset, s.length,
-                  blockvec.data() + s.offset);
+  std::vector<std::vector<double>> x_loc(P);
+  machine.run_ranks(hosts, [&](std::size_t h) {
+    for (const std::size_t role : roles_by_host[h]) {
+      x_loc[role].assign(part.R(role).size() * b, 0.0);
+      for (const std::size_t i : part.R(role)) {
+        const Share s = dist.share(i, role);
+        std::copy_n(x_pad.data() + i * b + s.offset, s.length,
+                    at(x_loc[role], role, i) + s.offset);
+      }
+    }
+    for (const Leg& leg : local[h]) {
+      for (const ExchangeWalk::BlockSlice& s : leg.ex->slices) {
+        std::copy_n(x_pad.data() + s.block * b + s.sender.offset,
+                    s.sender.length,
+                    at(x_loc[leg.ex->peer], leg.ex->peer, s.block) +
+                        s.sender.offset);
+      }
     }
   });
 
-  // Pack: for each peer, the shares of common row blocks in (row block,
-  // sender-share) order — receivers unpack with the same deterministic
-  // walk. Buffers are leased exactly sized from the sender's pool shard.
+  // Pack: one envelope per host pair carrying the sender's share of every
+  // common row block, in the route's walk order — receivers unpack with
+  // the same walk. Buffers are leased exactly sized from the sender's
+  // pool shard.
   const auto pack_x = [&](std::size_t c) {
     std::vector<std::vector<Envelope>> outboxes(P);
-    for (std::size_t p = 0; p < P; ++p) {
-      for (const std::size_t peer : peers[p]) {
-        if ((p + peer) % chunks != c) continue;
-        const std::vector<std::size_t> common = common_blocks(part, p, peer);
-        std::size_t words = 0;
-        for (const std::size_t i : common) words += dist.share(i, p).length;
-        if (words == 0) continue;
-        simt::PooledBuffer buf = machine.pool().acquire(p, words);
-        for (const std::size_t i : common) {
-          const Share s = dist.share(i, p);
-          buf.append(x_pad.data() + i * b + s.offset, s.length);
+    for (const std::size_t hf : hosts) {
+      for (const Route& r : routes[hf]) {
+        if (r.x_words == 0 || (hf + r.to) % chunks != c) continue;
+        simt::PooledBuffer buf = machine.pool().acquire(hf, r.x_words);
+        for (const Leg& leg : r.legs) {
+          for (const ExchangeWalk::BlockSlice& s : leg.ex->slices) {
+            buf.append(x_pad.data() + s.block * b + s.sender.offset,
+                       s.sender.length);
+          }
         }
-        outboxes[p].push_back(Envelope{peer, std::move(buf)});
+        outboxes[hf].push_back(Envelope{r.to, std::move(buf)});
       }
     }
     return outboxes;
   };
   const auto consume_x = [&](std::vector<std::vector<Delivery>> in) {
-    for (std::size_t p = 0; p < in.size(); ++p) {
-      for (const Delivery& d : in[p]) {
+    for (std::size_t ht = 0; ht < in.size(); ++ht) {
+      for (const Delivery& d : in[ht]) {
         std::size_t cursor = 0;
-        for (const std::size_t i : common_blocks(part, p, d.from)) {
-          const Share s = dist.share(i, d.from);
-          STTSV_CHECK(cursor + s.length <= d.data.size(),
-                      "x delivery shorter than expected");
-          std::copy_n(d.data.data() + cursor, s.length,
-                      x_loc[p][i].data() + s.offset);
-          cursor += s.length;
+        for (const Leg& leg : route_between(d.from, ht).legs) {
+          const std::size_t rp = leg.ex->peer;
+          for (const ExchangeWalk::BlockSlice& s : leg.ex->slices) {
+            STTSV_CHECK(cursor + s.sender.length <= d.data.size(),
+                        "x delivery shorter than expected");
+            std::copy_n(d.data.data() + cursor, s.sender.length,
+                        at(x_loc[rp], rp, s.block) + s.sender.offset);
+            cursor += s.sender.length;
+          }
         }
         STTSV_CHECK(cursor == d.data.size(), "x delivery longer than expected");
       }
@@ -152,69 +224,103 @@ ParallelRunResult parallel_sttsv(simt::Exchanger& exchanger,
   x_phase.close();
 
   // ---- Phases 2+3: block kernels feeding the partial-y exchange. ------
-  // Ranks are split into `chunks` groups; each pack runs one group's
-  // kernels (rank programs stay independent — rank p reads x_loc[p],
-  // writes y_loc[p]) and posts that group's partial-y messages, so the
-  // other group's kernels overlap the wire time. The reduction below is
-  // deferred until every part has landed and re-sorted by sender, which
-  // pins the exact floating-point order of the serialized schedule.
-  std::vector<std::map<std::size_t, std::vector<double>>> y_loc(P);
+  // Hosts are split into `chunks` groups; each pack runs one group's
+  // kernels (host programs stay independent — host h reads and writes
+  // only its roles' blocks) and posts that group's partial-y messages,
+  // so the other group's kernels overlap the wire time. The reduction
+  // below is deferred until every part has landed and re-sorted by
+  // sending role, which pins the exact floating-point order of the
+  // serialized identity schedule at every placement.
+  std::vector<std::vector<double>> y_loc(P);
   ParallelRunResult result;
   result.ternary_mults.assign(P, 0);
 
-  std::vector<std::vector<std::size_t>> rank_chunks(chunks);
-  for (std::size_t p = 0; p < P; ++p) rank_chunks[p % chunks].push_back(p);
+  std::vector<std::vector<std::size_t>> host_chunks(chunks);
+  for (std::size_t idx = 0; idx < hosts.size(); ++idx) {
+    host_chunks[idx % chunks].push_back(hosts[idx]);
+  }
 
   // Active-message transports run the reduction at the target instead of
   // returning deliveries (DESIGN.md §16): local partials are seeded into
   // y_pad as soon as each rank's kernels finish (disjoint own-share
   // slices, so the host-threaded kernel groups never collide), and a
-  // handler registered below replays the common-block walk for every
-  // landed payload. Both happen in the local-first, senders-ascending
-  // order of the two-sided reduction, so y is bitwise identical.
-  const bool am_reduce = exchanger.supports_handler_delivery();
+  // handler registered below replays the walk for every landed payload.
+  // Both happen in the local-first, senders-ascending order of the
+  // two-sided reduction, so y is bitwise identical. Only at the identity
+  // placement: there every host is one role, so landing order is role
+  // order.
+  const bool am_reduce = identity && exchanger.supports_handler_delivery();
   std::vector<double> y_pad(dist.padded_n(), 0.0);
+  const auto add_own_share = [&](std::size_t role) {
+    for (const std::size_t i : part.R(role)) {
+      const Share s = dist.share(i, role);
+      const double* src = at(y_loc[role], role, i) + s.offset;
+      double* dst = y_pad.data() + i * b + s.offset;
+      for (std::size_t off = 0; off < s.length; ++off) dst[off] += src[off];
+    }
+  };
+  // Adds one contribution's receiver shares into y_pad, slices ascending.
+  const auto add_contribution = [&](const Contribution& c) {
+    std::size_t cursor = 0;
+    for (const ExchangeWalk::BlockSlice& s : c.ex->slices) {
+      const double* src = c.data != nullptr
+                              ? c.data + cursor
+                              : at(y_loc[c.from], c.from, s.block) +
+                                    s.receiver.offset;
+      double* dst = y_pad.data() + s.block * b + s.receiver.offset;
+      for (std::size_t off = 0; off < s.receiver.length; ++off) {
+        dst[off] += src[off];
+      }
+      cursor += s.receiver.length;
+    }
+  };
+  // Splits one y payload from host `from` into per-leg contributions.
+  const auto for_each_leg = [&](std::size_t from, std::size_t to,
+                                const double* data, std::size_t words,
+                                const auto& visit) {
+    std::size_t cursor = 0;
+    for (const Leg& leg : route_between(from, to).legs) {
+      STTSV_CHECK(cursor + leg.ex->y_words <= words,
+                  "y delivery shorter than expected");
+      visit(Contribution{leg.role, data + cursor, leg.ex});
+      cursor += leg.ex->y_words;
+    }
+    STTSV_CHECK(cursor == words, "y delivery longer than expected");
+  };
 
   obs::Span y_phase("sttsv.y-partials", obs::Category::kSuperstep);
   const auto pack_y = [&](std::size_t c) {
-    machine.run_ranks(rank_chunks[c], [&](std::size_t p) {
-      for (const std::size_t i : part.R(p)) {
-        y_loc[p][i].assign(b, 0.0);
-      }
-      for (const partition::BlockCoord& coord : part.owned_blocks(p)) {
-        BlockBuffers buf;
-        buf.x[0] = x_loc[p].at(coord.i).data();
-        buf.x[1] = x_loc[p].at(coord.j).data();
-        buf.x[2] = x_loc[p].at(coord.k).data();
-        buf.y[0] = y_loc[p].at(coord.i).data();
-        buf.y[1] = y_loc[p].at(coord.j).data();
-        buf.y[2] = y_loc[p].at(coord.k).data();
-        result.ternary_mults[p] += apply_block(a, coord, b, buf);
-      }
-      x_loc[p].clear();  // frees the gathered inputs early
-      if (am_reduce) {
-        for (const std::size_t i : part.R(p)) {
-          const Share s = dist.share(i, p);
-          for (std::size_t off = 0; off < s.length; ++off) {
-            y_pad[i * b + s.offset + off] += y_loc[p].at(i)[s.offset + off];
-          }
+    machine.run_ranks(host_chunks[c], [&](std::size_t h) {
+      for (const std::size_t role : roles_by_host[h]) {
+        y_loc[role].assign(part.R(role).size() * b, 0.0);
+        for (const partition::BlockCoord& coord : walk.owned(role)) {
+          BlockBuffers buf;
+          buf.x[0] = at(x_loc[role], role, coord.i);
+          buf.x[1] = at(x_loc[role], role, coord.j);
+          buf.x[2] = at(x_loc[role], role, coord.k);
+          buf.y[0] = at(y_loc[role], role, coord.i);
+          buf.y[1] = at(y_loc[role], role, coord.j);
+          buf.y[2] = at(y_loc[role], role, coord.k);
+          result.ternary_mults[role] += apply_block(a, coord, b, buf);
         }
+        x_loc[role] = std::vector<double>();  // frees the inputs early
+        if (am_reduce) add_own_share(role);
       }
     });
     std::vector<std::vector<Envelope>> y_out(P);
-    for (const std::size_t p : rank_chunks[c]) {
-      for (const std::size_t peer : peers[p]) {
-        // Send the *receiver's* share of each common row block.
-        const std::vector<std::size_t> common = common_blocks(part, p, peer);
-        std::size_t words = 0;
-        for (const std::size_t i : common) words += dist.share(i, peer).length;
-        if (words == 0) continue;
-        simt::PooledBuffer buf = machine.pool().acquire(p, words);
-        for (const std::size_t i : common) {
-          const Share s = dist.share(i, peer);
-          buf.append(y_loc[p].at(i).data() + s.offset, s.length);
+    for (const std::size_t hf : host_chunks[c]) {
+      for (const Route& r : routes[hf]) {
+        if (r.y_words == 0) continue;
+        // Send the *receiving role's* share of each common row block.
+        simt::PooledBuffer buf = machine.pool().acquire(hf, r.y_words);
+        for (const Leg& leg : r.legs) {
+          for (const ExchangeWalk::BlockSlice& s : leg.ex->slices) {
+            buf.append(at(y_loc[leg.role], leg.role, s.block) +
+                           s.receiver.offset,
+                       s.receiver.length);
+          }
         }
-        y_out[p].push_back(Envelope{peer, std::move(buf)});
+        y_out[hf].push_back(Envelope{r.to, std::move(buf)});
       }
     }
     return y_out;
@@ -231,17 +337,7 @@ ParallelRunResult parallel_sttsv(simt::Exchanger& exchanger,
     exchanger.set_delivery_handler(
         [&](std::size_t target, std::size_t from, const double* data,
             std::size_t words) {
-          std::size_t cursor = 0;
-          for (const std::size_t i : common_blocks(part, target, from)) {
-            const Share s = dist.share(i, target);
-            STTSV_CHECK(cursor + s.length <= words,
-                        "y delivery shorter than expected");
-            for (std::size_t off = 0; off < s.length; ++off) {
-              y_pad[i * b + s.offset + off] += data[cursor + off];
-            }
-            cursor += s.length;
-          }
-          STTSV_CHECK(cursor == words, "y delivery longer than expected");
+          for_each_leg(from, target, data, words, add_contribution);
         });
   }
   exchanger.set_phase("y-partials");
@@ -250,36 +346,31 @@ ParallelRunResult parallel_sttsv(simt::Exchanger& exchanger,
   if (am_reduce) {
     exchanger.set_delivery_handler({});
   }
-  for (auto& inbox : y_in) {
-    std::stable_sort(inbox.begin(), inbox.end(),
-                     [](const Delivery& da, const Delivery& db) {
-                       return da.from < db.from;
-                     });
-  }
 
-  // Own share = local partial + sum of received partials, senders
-  // ascending — the serialized reduction order, bit for bit. In AM mode
-  // the handler above already did both halves and y_in stays empty.
-  for (std::size_t p = 0; p < P && !am_reduce; ++p) {
-    // Seed with this rank's local partials on its own shares.
-    for (const std::size_t i : part.R(p)) {
-      const Share s = dist.share(i, p);
-      for (std::size_t off = 0; off < s.length; ++off) {
-        y_pad[i * b + s.offset + off] += y_loc[p].at(i)[s.offset + off];
+  // Own share = local partial + every contribution, sending roles
+  // ascending — wire-delivered and co-hosted alike. In AM mode the
+  // handler above already did both halves and y_in stays empty.
+  if (!am_reduce) {
+    std::vector<std::vector<Contribution>> contrib(P);
+    for (std::size_t ht = 0; ht < P; ++ht) {
+      for (const Delivery& d : y_in[ht]) {
+        for_each_leg(d.from, ht, d.data.data(), d.data.size(),
+                     [&](const Contribution& c) {
+                       contrib[c.ex->peer].push_back(c);
+                     });
+      }
+      for (const Leg& leg : local[ht]) {
+        contrib[leg.ex->peer].push_back(
+            Contribution{leg.role, nullptr, leg.ex});
       }
     }
-    for (const Delivery& d : y_in[p]) {
-      std::size_t cursor = 0;
-      for (const std::size_t i : common_blocks(part, p, d.from)) {
-        const Share s = dist.share(i, p);
-        STTSV_CHECK(cursor + s.length <= d.data.size(),
-                    "y delivery shorter than expected");
-        for (std::size_t off = 0; off < s.length; ++off) {
-          y_pad[i * b + s.offset + off] += d.data[cursor + off];
-        }
-        cursor += s.length;
-      }
-      STTSV_CHECK(cursor == d.data.size(), "y delivery longer than expected");
+    for (std::size_t rp = 0; rp < P; ++rp) {
+      std::stable_sort(contrib[rp].begin(), contrib[rp].end(),
+                       [](const Contribution& ca, const Contribution& cb) {
+                         return ca.from < cb.from;
+                       });
+      add_own_share(rp);
+      for (const Contribution& c : contrib[rp]) add_contribution(c);
     }
   }
 

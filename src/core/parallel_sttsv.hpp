@@ -24,7 +24,8 @@ namespace sttsv::core {
 struct ParallelRunResult {
   /// Assembled output, logical length n (padding dropped).
   std::vector<double> y;
-  /// Ternary multiplications per rank (Section 7.1 load balance).
+  /// Ternary multiplications per rank — per role under a placement
+  /// (Section 7.1 load balance).
   std::vector<std::uint64_t> ternary_mults;
   /// Convenience: max over ranks of words sent during this run
   /// (the quantity bounded by Theorem 5.2). Also available via the ledger.
@@ -35,7 +36,7 @@ struct ParallelRunResult {
 /// Runs y = A ×₂ x ×₃ x on `machine` using the given partition and vector
 /// distribution. Requirements: machine.num_ranks() == part.num_processors(),
 /// dist built over the same partition, x.size() == dist.logical_n(),
-/// a.dim() == dist.logical_n().
+/// a.dim() == dist.logical_n(), every rank alive.
 /// `pipeline` selects the phase schedule: kDoubleBuffered (default)
 /// overlaps each chunk's pack/kernels with the previous chunk's wire
 /// time; kSerialized is the historical pack-all-then-exchange order.
@@ -56,10 +57,21 @@ ParallelRunResult parallel_sttsv(
 /// the retry budget raises simt::FaultError (kFailFast) or is healed by
 /// owner-compute replay (kDegrade); phases are labeled "x-shares" and
 /// "y-partials" in any FaultReport.
+///
+/// `placement` hosts the partition's P roles on ranks of the machine
+/// (DESIGN.md §15): placement[role] is the rank running that role; empty
+/// means the identity. Kernels, x shares and the reduction stay keyed by
+/// role, envelopes by host — one aggregated envelope per ordered host
+/// pair and phase chunk, with co-hosted role pairs copied locally, off
+/// the wire and the ledger. Contributions are reduced in sending-role
+/// order, so y is bitwise identical at every placement. Every host must
+/// be a live rank (PreconditionError otherwise: a dead host's traffic is
+/// dropped uncharged, so running would return a silently wrong y).
 ParallelRunResult parallel_sttsv(
     simt::Exchanger& exchanger, const partition::TetraPartition& part,
     const partition::VectorDistribution& dist, const tensor::SymTensor3& a,
     const std::vector<double>& x, simt::Transport transport,
-    simt::PipelineMode pipeline = simt::PipelineMode::kDoubleBuffered);
+    simt::PipelineMode pipeline = simt::PipelineMode::kDoubleBuffered,
+    const std::vector<std::size_t>& placement = {});
 
 }  // namespace sttsv::core

@@ -27,8 +27,7 @@ namespace sttsv::elastic {
 class BlockAssignment {
  public:
   /// Every role hosted by its own rank — the P-rank fault-free layout,
-  /// under which the elastic driver reproduces core::parallel_sttsv
-  /// bit for bit.
+  /// core::parallel_sttsv's default placement.
   static BlockAssignment identity(std::size_t num_roles);
 
   /// A new assignment with `dead` ranks (sorted or not, duplicates fine)
@@ -40,6 +39,12 @@ class BlockAssignment {
 
   [[nodiscard]] std::size_t num_roles() const { return hosts_.size(); }
   [[nodiscard]] std::size_t host(std::size_t role) const;
+
+  /// role -> host for every role: the placement argument of
+  /// core::parallel_sttsv.
+  [[nodiscard]] const std::vector<std::size_t>& hosts() const {
+    return hosts_;
+  }
 
   /// Roles hosted by `rank`, ascending (empty for dead ranks).
   [[nodiscard]] std::vector<std::size_t> roles_of(std::size_t rank) const;

@@ -145,8 +145,9 @@ RecoveryOutcome run_with_recovery(simt::Machine& machine,
                                simt::RecoveryPolicy::kFailFast,
                                opts.liveness);
     try {
-      out.result = elastic_sttsv(rex, part, dist, a, x, out.assignment,
-                                 opts.transport, opts.pipeline);
+      out.result =
+          core::parallel_sttsv(rex, part, dist, a, x, opts.transport,
+                               opts.pipeline, out.assignment.hosts());
       return out;
     } catch (const simt::RankLossError& e) {
       if (out.shrinks >= opts.max_shrinks) throw;

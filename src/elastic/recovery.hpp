@@ -20,7 +20,6 @@
 
 #include "core/parallel_sttsv.hpp"
 #include "elastic/assignment.hpp"
-#include "elastic/elastic_run.hpp"
 #include "partition/tetra_partition.hpp"
 #include "partition/vector_distribution.hpp"
 #include "simt/machine.hpp"
@@ -97,9 +96,10 @@ struct RecoveryOutcome {
   std::size_t detection_attempts = 0;
 };
 
-/// The recovery loop. Runs elastic_sttsv under kFailFast + the given
-/// liveness policy; on RankLossError shrinks to the machine's survivor
-/// set, plans + executes + verifies redistribution, and retries. After
+/// The recovery loop. Runs core::parallel_sttsv at the assignment's
+/// placement under kFailFast + the given liveness policy; on
+/// RankLossError shrinks to the machine's survivor set, plans + executes
+/// + verifies redistribution, and retries. After
 /// `max_shrinks` verdicts the next RankLossError propagates. Other
 /// FaultErrors (link faults past the retry budget) always propagate.
 RecoveryOutcome run_with_recovery(

@@ -173,47 +173,6 @@ TEST(Plan, KeyComputesProcessorCount) {
             10u);  // C(5,3)
 }
 
-TEST(Plan, ExchangeWalkIsConsistent) {
-  const auto plan = Plan::build(plan_key(53, Family::kSpherical, 2,
-                                         simt::Transport::kPointToPoint));
-  const std::size_t P = plan->num_processors();
-  for (std::size_t p = 0; p < P; ++p) {
-    std::size_t prev_peer = 0;
-    bool first = true;
-    for (const Plan::PeerExchange& ex : plan->exchanges(p)) {
-      if (!first) {
-        EXPECT_GT(ex.peer, prev_peer) << "peers ascending";
-      }
-      first = false;
-      prev_peer = ex.peer;
-      EXPECT_NE(ex.peer, p);
-
-      std::size_t x_words = 0;
-      std::size_t y_words = 0;
-      std::size_t prev_block = 0;
-      bool first_slice = true;
-      for (const Plan::BlockSlice& s : ex.slices) {
-        if (!first_slice) {
-          EXPECT_GT(s.block, prev_block);
-        }
-        first_slice = false;
-        prev_block = s.block;
-        x_words += s.sender.length;
-        y_words += s.receiver.length;
-      }
-      EXPECT_EQ(ex.x_words, x_words);
-      EXPECT_EQ(ex.y_words, y_words);
-
-      // Phase-3 traffic p -> peer carries the peer's shares, i.e. what
-      // the peer sends p in phase 1: the reverse record must agree.
-      const Plan::PeerExchange& rev = plan->exchange_between(ex.peer, p);
-      EXPECT_EQ(ex.y_words, rev.x_words);
-      EXPECT_EQ(ex.x_words, rev.y_words);
-      EXPECT_EQ(ex.slices.size(), rev.slices.size());
-    }
-  }
-}
-
 TEST(PlanCacheTest, HitReturnsPointerIdenticalPlan) {
   PlanCache cache;
   const PlanKey key = plan_key(60, Family::kSpherical, 2,

@@ -16,8 +16,8 @@
 #include "batch/plan.hpp"
 #include "core/parallel_sttsv.hpp"
 #include "core/sttsv_seq.hpp"
+#include "hier/make_exchanger.hpp"
 #include "obs/metrics.hpp"
-#include "onesided/make_exchanger.hpp"
 #include "onesided/onesided_exchange.hpp"
 #include "onesided/segment_registry.hpp"
 #include "partition/tetra_partition.hpp"

@@ -18,11 +18,14 @@
 #include "core/parallel_sttsv.hpp"
 #include "elastic/assignment.hpp"
 #include "elastic/recovery.hpp"
+#include "hier/make_exchanger.hpp"
+#include "hier/topology.hpp"
 #include "partition/tetra_partition.hpp"
 #include "partition/vector_distribution.hpp"
 #include "simt/fault_injector.hpp"
 #include "simt/machine.hpp"
 #include "simt/reliable_exchange.hpp"
+#include "simt/transport_kind.hpp"
 #include "steiner/constructions.hpp"
 #include "support/check.hpp"
 #include "support/rng.hpp"
@@ -40,6 +43,7 @@ using simt::RecoveryPolicy;
 using simt::ReliableExchange;
 using simt::RetryPolicy;
 using simt::Transport;
+using simt::TransportKind;
 
 struct Fixture {
   std::unique_ptr<partition::TetraPartition> part_ptr;
@@ -260,10 +264,9 @@ TEST(Recovery, ElasticIdentityMatchesParallelBitwise) {
                               simt::PipelineMode::kSerialized}) {
     simt::Machine machine(P);
     simt::DirectExchange dex(machine);
-    const auto got =
-        elastic::elastic_sttsv(dex, s.part(), s.dist(), s.a, s.x,
-                               BlockAssignment::identity(P),
-                               Transport::kPointToPoint, pipeline);
+    const auto got = core::parallel_sttsv(
+        dex, s.part(), s.dist(), s.a, s.x, Transport::kPointToPoint, pipeline,
+        BlockAssignment::identity(P).hosts());
     expect_bitwise(got.y, ref.y);
   }
 }
@@ -283,9 +286,9 @@ TEST(Recovery, ShrunkenAssignmentsAreBitwiseInvariant) {
     shrunk.validate();
     simt::Machine machine(P);
     simt::DirectExchange dex(machine);
-    const auto got = elastic::elastic_sttsv(dex, s.part(), s.dist(), s.a,
-                                            s.x, shrunk,
-                                            Transport::kPointToPoint);
+    const auto got = core::parallel_sttsv(
+        dex, s.part(), s.dist(), s.a, s.x, Transport::kPointToPoint,
+        simt::PipelineMode::kDoubleBuffered, shrunk.hosts());
     expect_bitwise(got.y, ref.y);
     // Fewer hosts, same data: the survivors' kernels cover every role.
     std::uint64_t mults = 0;
@@ -293,7 +296,77 @@ TEST(Recovery, ShrunkenAssignmentsAreBitwiseInvariant) {
     std::uint64_t ref_mults = 0;
     for (const std::uint64_t m : ref.ternary_mults) ref_mults += m;
     EXPECT_EQ(mults, ref_mults);
+
+    // The same placement over every backend and both pipeline modes. At
+    // a non-identity placement AM installs no handler, so its results
+    // come back as Put views; hier splits the wire over two nodes.
+    for (const TransportKind kind :
+         {TransportKind::kDirect, TransportKind::kReliable,
+          TransportKind::kOneSidedPut, TransportKind::kActiveMessage,
+          TransportKind::kHierarchical}) {
+      for (const auto pipeline : {simt::PipelineMode::kDoubleBuffered,
+                                  simt::PipelineMode::kSerialized}) {
+        simt::Machine m(P);
+        simt::ExchangerConfig config;
+        config.kind = kind;
+        if (kind == TransportKind::kHierarchical) {
+          config.node_of = hier::Topology::uniform(P, 2).node_map();
+        }
+        const auto ex = simt::make_exchanger(m, config);
+        const auto run =
+            core::parallel_sttsv(*ex, s.part(), s.dist(), s.a, s.x,
+                                 Transport::kPointToPoint, pipeline,
+                                 shrunk.hosts());
+        SCOPED_TRACE(simt::transport_kind_name(kind));
+        expect_bitwise(run.y, ref.y);
+        m.ledger().verify_conservation();
+      }
+    }
   }
+}
+
+TEST(Recovery, DeadHostIsRejectedAtEntry) {
+  // A dead host's frames are dropped uncharged, so a run placed on one
+  // would return a silently wrong y; parallel_sttsv must refuse it up
+  // front.
+  Fixture s = make_setup(60, 37);
+  const std::size_t P = s.part().num_processors();
+  const BlockAssignment id = BlockAssignment::identity(P);
+  const auto run = [&](simt::Machine& machine,
+                       const std::vector<std::size_t>& placement) {
+    simt::DirectExchange dex(machine);
+    (void)core::parallel_sttsv(dex, s.part(), s.dist(), s.a, s.x,
+                               Transport::kPointToPoint,
+                               simt::PipelineMode::kDoubleBuffered,
+                               placement);
+  };
+
+  simt::Machine machine(P);
+  machine.mark_dead(3);
+  EXPECT_THROW(run(machine, {}), PreconditionError);
+  EXPECT_THROW(run(machine, id.hosts()), PreconditionError);
+  const BlockAssignment shrunk = id.shrink({3});
+  machine.mark_dead(7);  // still hosts its own role under `shrunk`
+  EXPECT_THROW(run(machine, shrunk.hosts()), PreconditionError);
+  EXPECT_EQ(machine.ledger().total_words(), 0u) << "nothing may be sent";
+
+  // Malformed placements: wrong length, host out of range.
+  simt::Machine fresh(P);
+  EXPECT_THROW(run(fresh, std::vector<std::size_t>(P - 1, 0)),
+               PreconditionError);
+  std::vector<std::size_t> out_of_range = id.hosts();
+  out_of_range[2] = P;
+  EXPECT_THROW(run(fresh, out_of_range), PreconditionError);
+  // Off the dead host, the same machine runs cleanly.
+  const BlockAssignment survivors = id.shrink({3, 7});
+  simt::DirectExchange dex(machine);
+  const auto got = core::parallel_sttsv(
+      dex, s.part(), s.dist(), s.a, s.x, Transport::kPointToPoint,
+      simt::PipelineMode::kDoubleBuffered, survivors.hosts());
+  simt::Machine clean(P);
+  const auto ref = core::parallel_sttsv(clean, s.part(), s.dist(), s.a, s.x,
+                                        Transport::kPointToPoint);
+  expect_bitwise(got.y, ref.y);
 }
 
 // ---------------------------------------------------------------------
@@ -405,9 +478,9 @@ TEST(Recovery, CrashRecoveryPropertySweep) {
         expect_bitwise(out.result.y, ref.y);
         simt::Machine degraded(P);
         simt::DirectExchange dex(degraded);
-        const auto at_pprime =
-            elastic::elastic_sttsv(dex, s.part(), s.dist(), s.a, s.x,
-                                   out.assignment, Transport::kPointToPoint);
+        const auto at_pprime = core::parallel_sttsv(
+            dex, s.part(), s.dist(), s.a, s.x, Transport::kPointToPoint,
+            simt::PipelineMode::kDoubleBuffered, out.assignment.hosts());
         expect_bitwise(out.result.y, at_pprime.y);
 
         // Three-way ledger conservation, and the recovery channel holds
