@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <map>
+#include <ostream>
 
 #include "core/costs.hpp"
 #include "partition/blocks.hpp"
@@ -73,9 +74,6 @@ TEST(TernaryMultsInBlock, SumMatchesAlgorithm4Count) {
   EXPECT_EQ(total, core::symmetric_ternary_mults(n));
 }
 
-class PartitionFamilies
-    : public ::testing::TestWithParam<steiner::SteinerSystem (*)()> {};
-
 steiner::SteinerSystem make_spherical2() {
   return steiner::spherical_system(2);
 }
@@ -92,13 +90,24 @@ steiner::SteinerSystem make_boolean4() {
   return steiner::boolean_quadruple_system(4);
 }
 
+struct FamilyCase {
+  const char* name;
+  steiner::SteinerSystem (*system)();
+};
+
+// Names each case in test listings (and so in ctest's test names); a bare
+// function pointer would print as its load address, which changes per run.
+void PrintTo(const FamilyCase& c, std::ostream* os) { *os << c.name; }
+
+class PartitionFamilies : public ::testing::TestWithParam<FamilyCase> {};
+
 TEST_P(PartitionFamilies, FullValidation) {
-  const TetraPartition part = TetraPartition::build(GetParam()());
+  const TetraPartition part = TetraPartition::build(GetParam().system());
   part.validate();
 }
 
 TEST_P(PartitionFamilies, OwnedBlocksPartitionTheTetrahedron) {
-  const TetraPartition part = TetraPartition::build(GetParam()());
+  const TetraPartition part = TetraPartition::build(GetParam().system());
   const std::size_t m = part.num_row_blocks();
   std::map<BlockCoord, std::size_t> seen;
   for (std::size_t p = 0; p < part.num_processors(); ++p) {
@@ -117,7 +126,7 @@ TEST_P(PartitionFamilies, OwnedBlocksPartitionTheTetrahedron) {
 TEST_P(PartitionFamilies, DiagonalCompatibility) {
   // The paper's key property: N_p and D_p blocks need no vector data
   // beyond the row blocks R_p already requires.
-  const TetraPartition part = TetraPartition::build(GetParam()());
+  const TetraPartition part = TetraPartition::build(GetParam().system());
   for (std::size_t p = 0; p < part.num_processors(); ++p) {
     const auto& Rp = part.R(p);
     auto in_r = [&](std::size_t v) {
@@ -132,10 +141,13 @@ TEST_P(PartitionFamilies, DiagonalCompatibility) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Families, PartitionFamilies,
-                         ::testing::Values(&make_spherical2, &make_spherical3,
-                                           &make_spherical4, &make_boolean3,
-                                           &make_boolean4));
+INSTANTIATE_TEST_SUITE_P(
+    Families, PartitionFamilies,
+    ::testing::Values(FamilyCase{"spherical_q2", &make_spherical2},
+                      FamilyCase{"spherical_q3", &make_spherical3},
+                      FamilyCase{"spherical_q4", &make_spherical4},
+                      FamilyCase{"boolean_k3", &make_boolean3},
+                      FamilyCase{"boolean_k4", &make_boolean4}));
 
 TEST(SphericalPartition, QuotasExact) {
   // Spherical family: |N_p| == q for every p, |D_p| <= 1 with exactly
