@@ -37,7 +37,10 @@ struct BatchRunResult {
 /// Runs the batch {x_0..x_{B-1}} (B >= 1) through one aggregated
 /// Algorithm-5 pass using `plan`'s precomputed partition, distribution
 /// and exchange walk. Lane v of the result is bitwise identical to
-/// core::parallel_sttsv(machine, ..., x_v, plan.key().transport).
+/// core::parallel_sttsv(machine, ..., x_v, plan.key().transport) while
+/// core::kernel_options().math is KernelMath::kStandard (the default).
+/// Panel kernels always use standard math, so under a process-wide
+/// kCompressed the two differ by rounding on interior blocks.
 /// Requirements: machine.num_ranks() == plan.num_processors(),
 /// a.dim() == plan.key().n, every x_v of length n.
 /// `pipeline` selects the phase schedule (see core::parallel_sttsv):

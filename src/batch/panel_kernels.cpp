@@ -1,8 +1,10 @@
 #include "batch/panel_kernels.hpp"
 
 #include <algorithm>
+#include <vector>
 
 #include "batch/panel_kernels_impl.hpp"
+#include "core/block_kernels.hpp"
 #include "obs/trace.hpp"
 #include "support/check.hpp"
 
@@ -33,6 +35,53 @@ const PanelVTable& vtable_for(simt::KernelIsa isa) {
   return scalar_vtable();
 }
 
+/// Runs panel lane v through core::apply_block_ex. At lanes == 1 the
+/// panel is already the contiguous single-vector layout and runs in
+/// place; otherwise the lane's first len[s] elements of each distinct
+/// slot are gathered into per-thread scratch (aliased diagonal slots stay
+/// aliased), and the y slices are scattered back afterwards.
+void run_lane_on_core(const tensor::SymTensor3& a,
+                      const partition::BlockCoord& c, std::size_t b,
+                      std::size_t lanes, const PanelBuffers& buf,
+                      std::size_t v, const std::size_t (&len)[3],
+                      const core::KernelOptions& opts) {
+  core::BlockBuffers lane;
+  if (lanes == 1) {
+    std::copy_n(buf.x, 3, lane.x);
+    std::copy_n(buf.y, 3, lane.y);
+    core::apply_block_ex(a, c, b, lane, opts);
+    return;
+  }
+  thread_local std::vector<double> scratch;
+  if (scratch.size() < 6 * b) scratch.resize(6 * b);
+  const std::size_t block[3] = {c.i, c.j, c.k};
+  const auto aliased = [&](std::size_t s) {
+    return s > 0 && block[s] == block[s - 1];
+  };
+  for (std::size_t s = 0; s < 3; ++s) {
+    if (aliased(s)) {
+      lane.x[s] = lane.x[s - 1];
+      lane.y[s] = lane.y[s - 1];
+      continue;
+    }
+    double* xs = scratch.data() + s * b;
+    double* ys = scratch.data() + (3 + s) * b;
+    for (std::size_t l = 0; l < len[s]; ++l) {
+      xs[l] = buf.x[s][l * lanes + v];
+      ys[l] = buf.y[s][l * lanes + v];
+    }
+    lane.x[s] = xs;
+    lane.y[s] = ys;
+  }
+  core::apply_block_ex(a, c, b, lane, opts);
+  for (std::size_t s = 0; s < 3; ++s) {
+    if (aliased(s)) continue;
+    for (std::size_t l = 0; l < len[s]; ++l) {
+      buf.y[s][l * lanes + v] = lane.y[s][l];
+    }
+  }
+}
+
 }  // namespace
 
 std::uint64_t apply_block_panel_isa(const tensor::SymTensor3& a,
@@ -59,66 +108,57 @@ std::uint64_t apply_block_panel_isa(const tensor::SymTensor3& a,
   const PanelVTable& vt = vtable_for(isa);
   constexpr std::size_t kW = simt::simd::kLanes;
 
-  // Walk the panel in vector-width lane chunks; the last chunk may be a
-  // masked partial one. Chunks are independent (lane arithmetic never
-  // crosses lanes), so the order is irrelevant to the bitwise contract.
-  const auto for_chunks = [&](const auto& full, const auto& part) {
-    std::size_t v0 = 0;
-    for (; v0 + kW <= lanes; v0 += kW) full(v0);
-    if (v0 < lanes) part(v0, lanes - v0);
-  };
-
-  std::uint64_t mults = 0;
+  // Whole vector-width lane chunks run the panel kernels; the lanes % kW
+  // left over run one by one on the core kernels. Lanes never mix
+  // arithmetically, so the split is invisible to the bitwise contract.
+  const std::size_t whole = lanes - lanes % kW;
+  std::uint64_t mults = 0;  // per lane
   if (c.i > c.j && c.j > c.k) {
-    const auto run = [&](auto fn, std::size_t v0, std::size_t m) {
-      fn(a.data(), i0, i_end, j0, j_end, k0, k_end, buf.x[0] + v0,
-         buf.x[1] + v0, buf.x[2] + v0, buf.y[0] + v0, buf.y[1] + v0,
-         buf.y[2] + v0, lanes, m);
-    };
-    for_chunks([&](std::size_t v0) { run(vt.interior_full, v0, kW); },
-               [&](std::size_t v0, std::size_t m) {
-                 run(vt.interior_part, v0, m);
-               });
+    for (std::size_t v0 = 0; v0 < whole; v0 += kW) {
+      vt.interior(a.data(), i0, i_end, j0, j_end, k0, k_end, buf.x[0] + v0,
+                  buf.x[1] + v0, buf.x[2] + v0, buf.y[0] + v0, buf.y[1] + v0,
+                  buf.y[2] + v0, lanes);
+    }
     mults = 3 * static_cast<std::uint64_t>(i_end - i0) * (j_end - j0) *
-            (k_end - k0) * lanes;
+            (k_end - k0);
   } else if (c.i == c.j && c.j > c.k) {
     // Slots 0 and 1 view the same row block (aliased by contract).
-    const auto run = [&](auto fn, std::size_t v0, std::size_t m) {
-      fn(a.data(), i0, i_end, k0, k_end, buf.x[0] + v0, buf.x[2] + v0,
-         buf.y[0] + v0, buf.y[2] + v0, lanes, m);
-    };
-    for_chunks([&](std::size_t v0) { run(vt.face_ij_full, v0, kW); },
-               [&](std::size_t v0, std::size_t m) {
-                 run(vt.face_ij_part, v0, m);
-               });
+    for (std::size_t v0 = 0; v0 < whole; v0 += kW) {
+      vt.face_ij(a.data(), i0, i_end, k0, k_end, buf.x[0] + v0,
+                 buf.x[2] + v0, buf.y[0] + v0, buf.y[2] + v0, lanes);
+    }
     const std::uint64_t ni = i_end - i0;
-    mults = (k_end - k0) * (3 * (ni * (ni - 1) / 2) + 2 * ni) * lanes;
+    mults = (k_end - k0) * (3 * (ni * (ni - 1) / 2) + 2 * ni);
   } else if (c.i > c.j && c.j == c.k) {
     // Slots 1 and 2 view the same row block (aliased by contract).
-    const auto run = [&](auto fn, std::size_t v0, std::size_t m) {
-      fn(a.data(), i0, i_end, j0, j_end, buf.x[0] + v0, buf.x[1] + v0,
-         buf.y[0] + v0, buf.y[1] + v0, lanes, m);
-    };
-    for_chunks([&](std::size_t v0) { run(vt.face_jk_full, v0, kW); },
-               [&](std::size_t v0, std::size_t m) {
-                 run(vt.face_jk_part, v0, m);
-               });
+    for (std::size_t v0 = 0; v0 < whole; v0 += kW) {
+      vt.face_jk(a.data(), i0, i_end, j0, j_end, buf.x[0] + v0,
+                 buf.x[1] + v0, buf.y[0] + v0, buf.y[1] + v0, lanes);
+    }
     const std::uint64_t ni = i_end - i0;
     const std::uint64_t nj = j_end - j0;
-    mults = ni * (3 * (nj * (nj - 1) / 2) + 2 * nj) * lanes;
+    mults = ni * (3 * (nj * (nj - 1) / 2) + 2 * nj);
   } else {
     // Central diagonal block: all three slots alias one panel pair.
-    const auto run = [&](auto fn, std::size_t v0, std::size_t m) {
-      fn(a.data(), i0, i_end, buf.x[0] + v0, buf.y[0] + v0, lanes, m);
-    };
-    for_chunks([&](std::size_t v0) { run(vt.central_full, v0, kW); },
-               [&](std::size_t v0, std::size_t m) {
-                 run(vt.central_part, v0, m);
-               });
+    for (std::size_t v0 = 0; v0 < whole; v0 += kW) {
+      vt.central(a.data(), i0, i_end, buf.x[0] + v0, buf.y[0] + v0, lanes);
+    }
     // 3·C(e,3) strict + 2·2·C(e,2) face + e central elements per lane.
     const std::uint64_t e = i_end - i0;
-    mults = (e * (e - 1) * (e - 2) / 2 + 2 * e * (e - 1) + e) * lanes;
+    mults = e * (e - 1) * (e - 2) / 2 + 2 * e * (e - 1) + e;
   }
+  if (whole < lanes) {
+    // Pinned to standard math: a process-wide kCompressed would
+    // reassociate these lanes away from their whole-chunk siblings.
+    core::KernelOptions opts = core::kernel_options();
+    opts.isa = isa;
+    opts.math = core::KernelMath::kStandard;
+    const std::size_t len[3] = {i_end - i0, j_end - j0, k_end - k0};
+    for (std::size_t v = whole; v < lanes; ++v) {
+      run_lane_on_core(a, c, b, lanes, buf, v, len, opts);
+    }
+  }
+  mults *= lanes;
   span.set_arg(mults);
   return mults;
 }

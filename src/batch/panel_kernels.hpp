@@ -5,11 +5,14 @@
 // innermost lane loop is a contiguous SIMD-friendly run and every packed
 // tensor entry is loaded once per block instead of once per vector.
 //
+// Whole 4-lane chunks run the panel kernels; the lanes % 4 left over
+// (every lane when B < 4) run one by one on the core kernels.
+//
 // Contract: lane v of the output is bitwise identical to running the
-// single-vector kernels (core::apply_block) on lane v alone. Both sides
-// follow the canonical arithmetic order of DESIGN.md §13.1, so the
-// contract holds across the scalar and AVX2 instantiations in any
-// combination (core scalar vs. panel AVX2 and vice versa).
+// standard-math core kernels (core::apply_block_ex, kStandard) on lane v
+// alone, whatever core::kernel_options() holds. Both sides follow the
+// canonical arithmetic order of DESIGN.md §13.1, so the contract holds
+// across the scalar and AVX2 instantiations in any combination.
 
 #include <cstddef>
 #include <cstdint>
@@ -41,8 +44,7 @@ std::uint64_t apply_block_panel_isa(const tensor::SymTensor3& a,
 /// Accumulates the contributions of block c into the y panels for all
 /// `lanes` vectors. Returns the ternary multiplication count summed over
 /// lanes (lanes × the single-vector count). Dispatches by block class
-/// like core::apply_block, with the ISA from simt::preferred_isa();
-/// lanes are processed in vector-width chunks with a masked partial tail.
+/// like core::apply_block, with the ISA from simt::preferred_isa().
 std::uint64_t apply_block_panel(const tensor::SymTensor3& a,
                                 const partition::BlockCoord& c,
                                 std::size_t b, std::size_t lanes,

@@ -3,9 +3,10 @@
 //
 // Panels are lane-interleaved — element l of lane v lives at l*stride+v —
 // so a chunk of simd::kLanes panel lanes is one contiguous vector load.
-// Each kernel is a template over the 4-lane vector type V and a Full flag
-// (Full = a whole lane chunk; !Full = a masked partial chunk of m < 4
-// lanes), instantiated in panel_kernels.cpp (VecScalar, always built) and
+// Each kernel is a template over the 4-lane vector type V and runs one
+// whole lane chunk; lanes left over after the last whole chunk run on
+// the single-vector core kernels instead (panel_kernels.cpp). The bodies
+// are instantiated in panel_kernels.cpp (VecScalar, always built) and
 // panel_kernels_avx2.cpp (VecAvx2, -mavx2 -mfma). Both TUs are compiled
 // with -ffp-contract=off.
 //
@@ -33,80 +34,54 @@ inline std::size_t packed_row_base(std::size_t gi, std::size_t gj) {
   return gi * (gi + 1) * (gi + 2) / 6 + gj * (gj + 1) / 2;
 }
 
-template <class V, bool Full>
-inline V lane_load(const double* p, std::size_t m) {
-  if constexpr (Full) {
-    (void)m;
-    return V::load(p);
-  } else {
-    return V::load_partial(p, m);
-  }
-}
-
-template <class V, bool Full>
-inline void lane_store(double* p, std::size_t m, V v) {
-  if constexpr (Full) {
-    (void)m;
-    v.store(p);
-  } else {
-    v.store_partial(p, m);
-  }
-}
-
 /// One strict row over a k-run of length kb for one lane chunk: returns
 /// the per-lane dot product Σ_lk row[lk]·xk[lk] in the canonical partial
 /// order and applies yk[lk] += cy·row[lk] elementwise. Per lane this is
 /// exactly core::detail::strict_rows with RJ = 1.
-template <class V, bool Full>
+template <class V>
 inline V panel_strict_row(const double* STTSV_RESTRICT row, std::size_t kb,
                           V cy, const double* STTSV_RESTRICT xk,
-                          double* STTSV_RESTRICT yk, std::size_t stride,
-                          std::size_t m) {
+                          double* STTSV_RESTRICT yk, std::size_t stride) {
   V acc[simt::simd::kLanes];
   for (auto& a : acc) a = V::zero();
   std::size_t lk = 0;
   for (; lk + simt::simd::kLanes <= kb; lk += simt::simd::kLanes) {
     for (std::size_t p = 0; p < simt::simd::kLanes; ++p) {
       const V vv = V::broadcast(row[lk + p]);
-      const double* xp = xk + (lk + p) * stride;
       double* yp = yk + (lk + p) * stride;
-      acc[p] = acc[p] + vv * lane_load<V, Full>(xp, m);
-      lane_store<V, Full>(yp, m, lane_load<V, Full>(yp, m) + cy * vv);
+      acc[p] = acc[p] + vv * V::load(xk + (lk + p) * stride);
+      (V::load(yp) + cy * vv).store(yp);
     }
   }
   // Canonical combine, then sequential leftovers (cf. VecScalar::reduce).
   V accv = (acc[0] + acc[1]) + (acc[2] + acc[3]);
   for (; lk < kb; ++lk) {
     const V vv = V::broadcast(row[lk]);
-    const double* xp = xk + lk * stride;
     double* yp = yk + lk * stride;
-    accv = accv + vv * lane_load<V, Full>(xp, m);
-    lane_store<V, Full>(yp, m, lane_load<V, Full>(yp, m) + cy * vv);
+    accv = accv + vv * V::load(xk + lk * stride);
+    (V::load(yp) + cy * vv).store(yp);
   }
   return accv;
 }
 
 /// One face_jk/central row: strict run of lj elements plus the gk == gj
 /// tail element at row[lj]; mirrors core::detail::face_jk_row.
-template <class V, bool Full>
+template <class V>
 inline void panel_face_jk_row(const double* STTSV_RESTRICT row,
                               std::size_t lj, V xiv, V xjv,
                               const double* STTSV_RESTRICT xjk,
                               double* STTSV_RESTRICT yjk, V& yi_row,
-                              std::size_t stride, std::size_t m) {
+                              std::size_t stride) {
   const V two = V::broadcast(2.0);
   const V cy = (two * xiv) * xjv;
-  const V acc = panel_strict_row<V, Full>(row, lj, cy, xjk, yjk, stride, m);
+  const V acc = panel_strict_row<V>(row, lj, cy, xjk, yjk, stride);
   const V vt = V::broadcast(row[lj]);
   yi_row = yi_row + ((two * xjv) * acc + (vt * xjv) * xjv);
   double* yp = yjk + lj * stride;
-  lane_store<V, Full>(
-      yp, m,
-      lane_load<V, Full>(yp, m) +
-          ((two * xiv) * acc + ((two * vt) * xiv) * xjv));
+  (V::load(yp) + ((two * xiv) * acc + ((two * vt) * xiv) * xjv)).store(yp);
 }
 
-template <class V, bool Full>
+template <class V>
 void interior_panel(const double* STTSV_RESTRICT data, std::size_t i0,
                     std::size_t i_end, std::size_t j0, std::size_t j_end,
                     std::size_t k0, std::size_t k_end,
@@ -114,84 +89,80 @@ void interior_panel(const double* STTSV_RESTRICT data, std::size_t i0,
                     const double* STTSV_RESTRICT xj,
                     const double* STTSV_RESTRICT xk,
                     double* STTSV_RESTRICT yi, double* STTSV_RESTRICT yj,
-                    double* STTSV_RESTRICT yk, std::size_t stride,
-                    std::size_t m) {
+                    double* STTSV_RESTRICT yk, std::size_t stride) {
   const std::size_t kb = k_end - k0;
   const V two = V::broadcast(2.0);
   for (std::size_t gi = i0; gi < i_end; ++gi) {
     const std::size_t li = gi - i0;
-    const V xiv = lane_load<V, Full>(xi + li * stride, m);
+    const V xiv = V::load(xi + li * stride);
     V yi_row = V::zero();
     for (std::size_t gj = j0; gj < j_end; ++gj) {
       const std::size_t lj = gj - j0;
-      const V xjv = lane_load<V, Full>(xj + lj * stride, m);
+      const V xjv = V::load(xj + lj * stride);
       const double* row = data + packed_row_base(gi, gj) + k0;
       const V cy = (two * xiv) * xjv;
-      const V acc = panel_strict_row<V, Full>(row, kb, cy, xk, yk, stride, m);
+      const V acc = panel_strict_row<V>(row, kb, cy, xk, yk, stride);
       yi_row = yi_row + xjv * acc;
       double* yp = yj + lj * stride;
-      lane_store<V, Full>(yp, m,
-                          lane_load<V, Full>(yp, m) + (two * xiv) * acc);
+      (V::load(yp) + (two * xiv) * acc).store(yp);
     }
     double* yp = yi + li * stride;
-    lane_store<V, Full>(yp, m, lane_load<V, Full>(yp, m) + two * yi_row);
+    (V::load(yp) + two * yi_row).store(yp);
   }
 }
 
-template <class V, bool Full>
+template <class V>
 void face_ij_panel(const double* STTSV_RESTRICT data, std::size_t i0,
                    std::size_t i_end, std::size_t k0, std::size_t k_end,
                    const double* STTSV_RESTRICT xij,
                    const double* STTSV_RESTRICT xk,
                    double* STTSV_RESTRICT yij, double* STTSV_RESTRICT yk,
-                   std::size_t stride, std::size_t m) {
+                   std::size_t stride) {
   const std::size_t kb = k_end - k0;
   const V two = V::broadcast(2.0);
   for (std::size_t gi = i0; gi < i_end; ++gi) {
     const std::size_t li = gi - i0;
-    const V xiv = lane_load<V, Full>(xij + li * stride, m);
+    const V xiv = V::load(xij + li * stride);
     V yi_row = V::zero();
     for (std::size_t gj = i0; gj < gi; ++gj) {
       const std::size_t lj = gj - i0;
-      const V xjv = lane_load<V, Full>(xij + lj * stride, m);
+      const V xjv = V::load(xij + lj * stride);
       const double* row = data + packed_row_base(gi, gj) + k0;
       const V cy = (two * xiv) * xjv;
-      const V acc = panel_strict_row<V, Full>(row, kb, cy, xk, yk, stride, m);
+      const V acc = panel_strict_row<V>(row, kb, cy, xk, yk, stride);
       yi_row = yi_row + xjv * acc;
       double* yp = yij + lj * stride;
-      lane_store<V, Full>(yp, m,
-                          lane_load<V, Full>(yp, m) + (two * xiv) * acc);
+      (V::load(yp) + (two * xiv) * acc).store(yp);
     }
     // gj == gi diagonal row, hoisted exactly as in the single kernel.
     const double* row = data + packed_row_base(gi, gi) + k0;
     const V cy = xiv * xiv;
-    const V acc = panel_strict_row<V, Full>(row, kb, cy, xk, yk, stride, m);
+    const V acc = panel_strict_row<V>(row, kb, cy, xk, yk, stride);
     double* yp = yij + li * stride;
-    lane_store<V, Full>(yp, m,
-                        lane_load<V, Full>(yp, m) + two * (yi_row + xiv * acc));
+    (V::load(yp) + two * (yi_row + xiv * acc)).store(yp);
   }
 }
 
-template <class V, bool Full>
+template <class V>
 void face_jk_panel(const double* STTSV_RESTRICT data, std::size_t i0,
                    std::size_t i_end, std::size_t j0, std::size_t j_end,
                    const double* STTSV_RESTRICT xi,
                    const double* STTSV_RESTRICT xjk,
                    double* STTSV_RESTRICT yi, double* STTSV_RESTRICT yjk,
-                   std::size_t stride, std::size_t m) {
+                   std::size_t stride) {
   for (std::size_t gi = i0; gi < i_end; ++gi) {
     const std::size_t li = gi - i0;
     const std::size_t gi_base = gi * (gi + 1) * (gi + 2) / 6;
-    const V xiv = lane_load<V, Full>(xi + li * stride, m);
+    const V xiv = V::load(xi + li * stride);
     V yi_row = V::zero();
     for (std::size_t gj = j0; gj < j_end; ++gj) {
       const std::size_t lj = gj - j0;
-      panel_face_jk_row<V, Full>(data + gi_base + gj * (gj + 1) / 2 + j0, lj,
-                                 xiv, lane_load<V, Full>(xjk + lj * stride, m),
-                                 xjk, yjk, yi_row, stride, m);
+      panel_face_jk_row<V>(data + gi_base + gj * (gj + 1) / 2 + j0, lj, xiv,
+                           V::load(xjk + lj * stride), xjk, yjk, yi_row,
+                           stride);
     }
     double* yp = yi + li * stride;
-    lane_store<V, Full>(yp, m, lane_load<V, Full>(yp, m) + yi_row);
+    (V::load(yp) + yi_row).store(yp);
   }
 }
 
@@ -199,72 +170,55 @@ void face_jk_panel(const double* STTSV_RESTRICT data, std::size_t i0,
 /// Mirrors core::detail::central_kernel (face_jk rows below the diagonal
 /// row plus the central element) — replacing the seed's element-wise
 /// generic panel walk so central lanes stay bitwise-tied to the core.
-template <class V, bool Full>
+template <class V>
 void central_panel(const double* STTSV_RESTRICT data, std::size_t i0,
                    std::size_t i_end, const double* STTSV_RESTRICT x,
-                   double* STTSV_RESTRICT y, std::size_t stride,
-                   std::size_t m) {
+                   double* STTSV_RESTRICT y, std::size_t stride) {
   const V two = V::broadcast(2.0);
   for (std::size_t gi = i0; gi < i_end; ++gi) {
     const std::size_t li = gi - i0;
     const std::size_t gi_base = gi * (gi + 1) * (gi + 2) / 6;
-    const V xiv = lane_load<V, Full>(x + li * stride, m);
+    const V xiv = V::load(x + li * stride);
     V yi_row = V::zero();
     for (std::size_t gj = i0; gj < gi; ++gj) {
       const std::size_t lj = gj - i0;
-      panel_face_jk_row<V, Full>(data + gi_base + gj * (gj + 1) / 2 + i0, lj,
-                                 xiv, lane_load<V, Full>(x + lj * stride, m),
-                                 x, y, yi_row, stride, m);
+      panel_face_jk_row<V>(data + gi_base + gj * (gj + 1) / 2 + i0, lj, xiv,
+                           V::load(x + lj * stride), x, y, yi_row, stride);
     }
     const double* row = data + gi_base + gi * (gi + 1) / 2 + i0;
     const V cy = xiv * xiv;
-    const V acc = panel_strict_row<V, Full>(row, li, cy, x, y, stride, m);
+    const V acc = panel_strict_row<V>(row, li, cy, x, y, stride);
     const V vt = V::broadcast(row[li]);
     double* yp = y + li * stride;
-    lane_store<V, Full>(
-        yp, m,
-        lane_load<V, Full>(yp, m) +
-            ((yi_row + (two * xiv) * acc) + (vt * xiv) * xiv));
+    (V::load(yp) + ((yi_row + (two * xiv) * acc) + (vt * xiv) * xiv))
+        .store(yp);
   }
 }
 
-/// Function-pointer table of one ISA instantiation; one full-chunk and
-/// one masked partial-chunk entry point per block class.
+/// Function-pointer table of one ISA instantiation: one whole-chunk
+/// entry point per block class.
 struct PanelVTable {
   using InteriorFn = void (*)(const double*, std::size_t, std::size_t,
                               std::size_t, std::size_t, std::size_t,
                               std::size_t, const double*, const double*,
                               const double*, double*, double*, double*,
-                              std::size_t, std::size_t);
-  using FaceIjFn = void (*)(const double*, std::size_t, std::size_t,
-                            std::size_t, std::size_t, const double*,
-                            const double*, double*, double*, std::size_t,
-                            std::size_t);
-  using FaceJkFn = void (*)(const double*, std::size_t, std::size_t,
-                            std::size_t, std::size_t, const double*,
-                            const double*, double*, double*, std::size_t,
-                            std::size_t);
+                              std::size_t);
+  /// Both face classes: one aliased slot pair plus one distinct slot.
+  using FaceFn = void (*)(const double*, std::size_t, std::size_t,
+                          std::size_t, std::size_t, const double*,
+                          const double*, double*, double*, std::size_t);
   using CentralFn = void (*)(const double*, std::size_t, std::size_t,
-                             const double*, double*, std::size_t,
-                             std::size_t);
-  InteriorFn interior_full, interior_part;
-  FaceIjFn face_ij_full, face_ij_part;
-  FaceJkFn face_jk_full, face_jk_part;
-  CentralFn central_full, central_part;
+                             const double*, double*, std::size_t);
+  InteriorFn interior;
+  FaceFn face_ij;
+  FaceFn face_jk;
+  CentralFn central;
 };
 
 template <class V>
 PanelVTable make_panel_vtable() {
-  PanelVTable t;
-  t.interior_full = &interior_panel<V, true>;
-  t.interior_part = &interior_panel<V, false>;
-  t.face_ij_full = &face_ij_panel<V, true>;
-  t.face_ij_part = &face_ij_panel<V, false>;
-  t.face_jk_full = &face_jk_panel<V, true>;
-  t.face_jk_part = &face_jk_panel<V, false>;
-  t.central_full = &central_panel<V, true>;
-  t.central_part = &central_panel<V, false>;
-  return t;
+  return {&interior_panel<V>, &face_ij_panel<V>, &face_jk_panel<V>,
+          &central_panel<V>};
 }
 
 /// Defined in panel_kernels_avx2.cpp when STTSV_HAVE_AVX2_KERNELS.

@@ -103,13 +103,14 @@ TEST(BatchedRun, BitwiseEqualToSingleVectorLoop) {
 }
 
 TEST(BatchedRun, LaneWidthsOneThroughSixteen) {
-  // Exercises every register-blocked lane chunk (8/4/2/1 and mixes).
+  // Whole 4-lane chunks run the panel kernels and the 1-3 lanes left
+  // over run the core kernels: every tail size, alone and after chunks.
   const auto plan = Plan::build(plan_key(60, Family::kSpherical, 2,
                                          simt::Transport::kPointToPoint));
   simt::Machine machine = plan->make_machine();
   Rng rng(5);
   const auto a = tensor::random_symmetric(60, rng);
-  for (const std::size_t lanes : {1u, 2u, 3u, 7u, 8u, 13u, 16u}) {
+  for (const std::size_t lanes : {1u, 2u, 3u, 5u, 6u, 7u, 8u, 13u, 16u}) {
     const auto x = make_panel(60, lanes, 900);
     const auto want = run_loop(machine, *plan, a, x);
     const BatchRunResult got = parallel_sttsv_batch(machine, *plan, a, x);

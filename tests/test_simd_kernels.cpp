@@ -72,12 +72,13 @@ TEST(CpuFeatures, IsaNames) {
 
 /// Applies one block under the given options into a fresh padded y and
 /// returns (y, mults). Buffer slots alias exactly as the tiling drivers
-/// alias them for diagonal blocks.
+/// alias them for diagonal blocks. A non-empty `y_pad` replaces the
+/// fresh zero y as the starting value.
 std::pair<std::vector<double>, std::uint64_t> run_block(
     const tensor::SymTensor3& a, const partition::BlockCoord& c,
     std::size_t m, std::size_t b, const std::vector<double>& x_pad,
-    const core::KernelOptions& opts) {
-  std::vector<double> y_pad(m * b, 0.0);
+    const core::KernelOptions& opts, std::vector<double> y_pad = {}) {
+  if (y_pad.empty()) y_pad.assign(m * b, 0.0);
   core::BlockBuffers buf;
   buf.x[0] = x_pad.data() + c.i * b;
   buf.x[1] = x_pad.data() + c.j * b;
@@ -275,51 +276,68 @@ TEST(PanelSimd, MatchesCoreBitwisePerLaneBothIsas) {
   const std::size_t m = 3, b = 13, n = m * b - 2;  // padded tail
   Rng rng(31);
   const auto a = tensor::random_symmetric(n, rng);
-  for (const std::size_t lanes :
-       {std::size_t{1}, std::size_t{2}, std::size_t{3}, std::size_t{4},
-        std::size_t{5}, std::size_t{8}, std::size_t{11}}) {
-    std::vector<double> x_pan(m * b * lanes, 0.0);
-    for (std::size_t l = 0; l < n; ++l) {
-      for (std::size_t v = 0; v < lanes; ++v) {
-        x_pan[l * lanes + v] = rng.next_in(-1.0, 1.0);
-      }
-    }
-    for (const auto& c : kClassBlocks) {
-      for (const simt::KernelIsa isa :
-           {simt::KernelIsa::kScalar, simt::KernelIsa::kAvx2}) {
-        std::vector<double> y_pan(m * b * lanes, 0.0);
-        batch::PanelBuffers pbuf;
-        pbuf.x[0] = x_pan.data() + c.i * b * lanes;
-        pbuf.x[1] = x_pan.data() + c.j * b * lanes;
-        pbuf.x[2] = x_pan.data() + c.k * b * lanes;
-        pbuf.y[0] = y_pan.data() + c.i * b * lanes;
-        pbuf.y[1] = y_pan.data() + c.j * b * lanes;
-        pbuf.y[2] = y_pan.data() + c.k * b * lanes;
-        const std::uint64_t pm =
-            batch::apply_block_panel_isa(a, c, b, lanes, pbuf, isa);
-
-        // Per lane: deinterleave x, run the scalar single-vector kernel,
-        // compare the lane's slice of the panel output bitwise.
-        std::uint64_t sm = 0;
+  // Lanes past the last whole 4-chunk run on the core kernels. A
+  // process-wide kCompressed must not reach them: under either installed
+  // math every lane still matches the standard-math core kernel.
+  const core::KernelOptions saved = core::kernel_options();
+  core::KernelOptions compressed = saved;
+  compressed.math = core::KernelMath::kCompressed;
+  for (const core::KernelOptions& installed : {saved, compressed}) {
+    core::set_kernel_options(installed);
+    for (const std::size_t lanes :
+         {std::size_t{1}, std::size_t{2}, std::size_t{3}, std::size_t{4},
+          std::size_t{5}, std::size_t{6}, std::size_t{7}, std::size_t{8},
+          std::size_t{11}}) {
+      SCOPED_TRACE(testing::Message() << "lanes=" << lanes << " math="
+                                      << static_cast<int>(installed.math));
+      std::vector<double> x_pan(m * b * lanes, 0.0);
+      for (std::size_t l = 0; l < n; ++l) {
         for (std::size_t v = 0; v < lanes; ++v) {
-          std::vector<double> x_pad(m * b, 0.0);
-          for (std::size_t l = 0; l < m * b; ++l) {
-            x_pad[l] = x_pan[l * lanes + v];
-          }
-          core::KernelOptions opts;
-          opts.isa = simt::KernelIsa::kScalar;
-          const auto [y_ref, mults] = run_block(a, c, m, b, x_pad, opts);
-          sm += mults;
-          std::vector<double> y_lane(m * b, 0.0);
-          for (std::size_t l = 0; l < m * b; ++l) {
-            y_lane[l] = y_pan[l * lanes + v];
-          }
-          expect_bitwise_equal(y_lane, y_ref, "panel lane vs core");
+          x_pan[l * lanes + v] = rng.next_in(-1.0, 1.0);
         }
-        EXPECT_EQ(pm, sm);
+      }
+      // Nonzero starting y, so a y slice a lane never reads shows up.
+      std::vector<double> y_start(m * b * lanes);
+      for (double& e : y_start) e = rng.next_in(-1.0, 1.0);
+      for (const auto& c : kClassBlocks) {
+        for (const simt::KernelIsa isa :
+             {simt::KernelIsa::kScalar, simt::KernelIsa::kAvx2}) {
+          std::vector<double> y_pan = y_start;
+          batch::PanelBuffers pbuf;
+          pbuf.x[0] = x_pan.data() + c.i * b * lanes;
+          pbuf.x[1] = x_pan.data() + c.j * b * lanes;
+          pbuf.x[2] = x_pan.data() + c.k * b * lanes;
+          pbuf.y[0] = y_pan.data() + c.i * b * lanes;
+          pbuf.y[1] = y_pan.data() + c.j * b * lanes;
+          pbuf.y[2] = y_pan.data() + c.k * b * lanes;
+          const std::uint64_t pm =
+              batch::apply_block_panel_isa(a, c, b, lanes, pbuf, isa);
+
+          // Per lane: deinterleave x and the starting y, run the scalar
+          // standard-math kernel, compare the lane's output bitwise.
+          std::uint64_t sm = 0;
+          for (std::size_t v = 0; v < lanes; ++v) {
+            std::vector<double> x_pad(m * b), y_lane_start(m * b);
+            std::vector<double> y_lane(m * b);
+            for (std::size_t l = 0; l < m * b; ++l) {
+              x_pad[l] = x_pan[l * lanes + v];
+              y_lane_start[l] = y_start[l * lanes + v];
+              y_lane[l] = y_pan[l * lanes + v];
+            }
+            core::KernelOptions opts;
+            opts.isa = simt::KernelIsa::kScalar;
+            opts.math = core::KernelMath::kStandard;
+            const auto [y_ref, mults] =
+                run_block(a, c, m, b, x_pad, opts, y_lane_start);
+            sm += mults;
+            expect_bitwise_equal(y_lane, y_ref, "panel lane vs core");
+          }
+          EXPECT_EQ(pm, sm);
+        }
       }
     }
   }
+  core::set_kernel_options(saved);  // leave process-wide state as found
 }
 
 // ---------------------------------------------------------------------------
