@@ -1,21 +1,6 @@
 #include "batch/batched_run.hpp"
 
-#include <algorithm>
-
-#include "batch/panel_kernels.hpp"
-#include "obs/trace.hpp"
-#include "simt/pipeline.hpp"
-#include "support/check.hpp"
-
 namespace sttsv::batch {
-
-namespace {
-
-using partition::Share;
-using simt::Delivery;
-using simt::Envelope;
-
-}  // namespace
 
 BatchRunResult parallel_sttsv_batch(
     simt::Machine& machine, const Plan& plan, const tensor::SymTensor3& a,
@@ -27,228 +12,9 @@ BatchRunResult parallel_sttsv_batch(
 BatchRunResult parallel_sttsv_batch(
     simt::Exchanger& exchanger, const Plan& plan, const tensor::SymTensor3& a,
     const std::vector<std::vector<double>>& x, simt::PipelineMode pipeline) {
-  simt::Machine& machine = exchanger.machine();
-  const partition::TetraPartition& part = plan.partition();
-  const partition::VectorDistribution& dist = plan.distribution();
-  const std::size_t P = part.num_processors();
-  const std::size_t b = dist.block_length_b();
-  const std::size_t n = dist.logical_n();
-  const std::size_t B = x.size();
-  const simt::Transport transport = plan.key().transport;
-  STTSV_REQUIRE(machine.num_ranks() == P,
-                "machine rank count must match plan");
-  STTSV_REQUIRE(a.dim() == n, "tensor dimension must match plan");
-  STTSV_REQUIRE(B >= 1, "batch must contain at least one vector");
-  for (const auto& xv : x) {
-    STTSV_REQUIRE(xv.size() == n, "input vector length mismatch");
-  }
-
-  // Pair-block chunking as in core::parallel_sttsv (DESIGN.md §12).
-  const std::size_t chunks =
-      pipeline == simt::PipelineMode::kDoubleBuffered && P > 1 ? 2 : 1;
-
-  // Lane-interleaved padded panel: element g of lane v at g*B + v.
-  std::vector<double> x_pad(dist.padded_n() * B, 0.0);
-  for (std::size_t v = 0; v < B; ++v) {
-    for (std::size_t g = 0; g < n; ++g) x_pad[g * B + v] = x[v][g];
-  }
-
-  // ---- Phase 1: one aggregated x message per (rank, peer) pair. -------
-  // Per-rank panels are seeded with own shares before the exchange so
-  // every pipeline part's deliveries land into disjoint panel slices.
-  // Seeded on the worker threads (run_ranks) so each rank's panel is
-  // first-touched where its kernels will run (DESIGN.md §17); rank
-  // programs stay disjoint, so the output is bitwise unchanged.
-  obs::Span x_phase("batch.x-panel", obs::Category::kSuperstep, B);
-  std::vector<std::vector<double>> x_loc(P);
-  machine.run_ranks([&](std::size_t p) {
-    x_loc[p].assign(part.R(p).size() * b * B, 0.0);
-    for (const std::size_t i : part.R(p)) {
-      const Share s = dist.share(i, p);
-      std::copy_n(x_pad.data() + (i * b + s.offset) * B, s.length * B,
-                  x_loc[p].data() +
-                      (plan.local_index(p, i) * b + s.offset) * B);
-    }
-  });
-
-  const auto pack_x = [&](std::size_t c) {
-    std::vector<std::vector<Envelope>> outboxes(P);
-    for (std::size_t p = 0; p < P; ++p) {
-      for (const Plan::PeerExchange& ex : plan.exchanges(p)) {
-        if (ex.x_words == 0) continue;
-        if ((p + ex.peer) % chunks != c) continue;
-        simt::PooledBuffer buf = machine.pool().acquire(p, ex.x_words * B);
-        for (const Plan::BlockSlice& s : ex.slices) {
-          const double* base =
-              x_pad.data() + (s.block * b + s.sender.offset) * B;
-          buf.append(base, s.sender.length * B);
-        }
-        outboxes[p].push_back(Envelope{ex.peer, std::move(buf)});
-      }
-    }
-    return outboxes;
-  };
-  const auto consume_x = [&](std::vector<std::vector<Delivery>> in) {
-    for (std::size_t p = 0; p < in.size(); ++p) {
-      for (const Delivery& d : in[p]) {
-        const Plan::PeerExchange& ex = plan.exchange_between(d.from, p);
-        std::size_t cursor = 0;
-        for (const Plan::BlockSlice& s : ex.slices) {
-          STTSV_CHECK(cursor + s.sender.length * B <= d.data.size(),
-                      "x delivery shorter than expected");
-          std::copy_n(d.data.data() + cursor, s.sender.length * B,
-                      x_loc[p].data() +
-                          (plan.local_index(p, s.block) * b +
-                           s.sender.offset) *
-                              B);
-          cursor += s.sender.length * B;
-        }
-        STTSV_CHECK(cursor == d.data.size(), "x delivery longer than expected");
-      }
-    }
-  };
-  exchanger.set_phase("x-panel");
-  simt::pipelined_exchange(exchanger, transport, chunks, pipeline, pack_x,
-                           consume_x);
-  x_phase.close();
-
-  // ---- Phases 2+3: panel kernels feeding the partial-y exchange. ------
-  // One rank group per chunk: its kernels run, its aggregated partial-y
-  // messages go on the wire, and the next group's kernels overlap that
-  // wire time. The reduction is deferred and sender-sorted below so the
-  // floating-point order matches the serialized schedule exactly.
-  std::vector<std::vector<double>> y_loc(P);
-  BatchRunResult result;
-  result.ternary_mults.assign(P, 0);
-
-  std::vector<std::vector<std::size_t>> rank_chunks(chunks);
-  for (std::size_t p = 0; p < P; ++p) rank_chunks[p % chunks].push_back(p);
-
-  // Active-message transports reduce at the target (DESIGN.md §16): seed
-  // local partials into y_pad as each rank's kernels finish (disjoint
-  // own-share panel slices per rank), then the handler below replays the
-  // plan's slice walk per landed payload in the same local-first,
-  // senders-ascending order as the two-sided reduction — bit for bit.
-  const bool am_reduce = exchanger.supports_handler_delivery();
-  std::vector<double> y_pad(dist.padded_n() * B, 0.0);
-
-  obs::Span y_phase("batch.y-panel", obs::Category::kSuperstep, B);
-  const auto pack_y = [&](std::size_t c) {
-    machine.run_ranks(rank_chunks[c], [&](std::size_t p) {
-      y_loc[p].assign(part.R(p).size() * b * B, 0.0);
-      for (const partition::BlockCoord& coord : plan.owned(p)) {
-        PanelBuffers buf;
-        buf.x[0] = x_loc[p].data() + plan.local_index(p, coord.i) * b * B;
-        buf.x[1] = x_loc[p].data() + plan.local_index(p, coord.j) * b * B;
-        buf.x[2] = x_loc[p].data() + plan.local_index(p, coord.k) * b * B;
-        buf.y[0] = y_loc[p].data() + plan.local_index(p, coord.i) * b * B;
-        buf.y[1] = y_loc[p].data() + plan.local_index(p, coord.j) * b * B;
-        buf.y[2] = y_loc[p].data() + plan.local_index(p, coord.k) * b * B;
-        result.ternary_mults[p] += apply_block_panel(a, coord, b, B, buf);
-      }
-      x_loc[p] = {};  // frees the gathered inputs early
-      if (am_reduce) {
-        for (const std::size_t i : part.R(p)) {
-          const Share s = dist.share(i, p);
-          const double* src =
-              y_loc[p].data() + (plan.local_index(p, i) * b + s.offset) * B;
-          double* dst = y_pad.data() + (i * b + s.offset) * B;
-          for (std::size_t e = 0; e < s.length * B; ++e) dst[e] += src[e];
-        }
-      }
-    });
-    std::vector<std::vector<Envelope>> y_out(P);
-    for (const std::size_t p : rank_chunks[c]) {
-      for (const Plan::PeerExchange& ex : plan.exchanges(p)) {
-        if (ex.y_words == 0) continue;
-        simt::PooledBuffer buf = machine.pool().acquire(p, ex.y_words * B);
-        // Send the *receiver's* share of each common row block.
-        for (const Plan::BlockSlice& s : ex.slices) {
-          const double* base =
-              y_loc[p].data() +
-              (plan.local_index(p, s.block) * b + s.receiver.offset) * B;
-          buf.append(base, s.receiver.length * B);
-        }
-        y_out[p].push_back(Envelope{ex.peer, std::move(buf)});
-      }
-    }
-    return y_out;
-  };
-  std::vector<std::vector<Delivery>> y_in(P);
-  const auto collect_y = [&](std::vector<std::vector<Delivery>> in) {
-    for (std::size_t p = 0; p < in.size(); ++p) {
-      for (Delivery& d : in[p]) y_in[p].push_back(std::move(d));
-    }
-  };
-  if (am_reduce) {
-    // Remote-reduce handler: targets then origins ascending, the same
-    // slice walk as the two-sided loop below.
-    exchanger.set_delivery_handler(
-        [&](std::size_t target, std::size_t from, const double* data,
-            std::size_t words) {
-          const Plan::PeerExchange& ex = plan.exchange_between(from, target);
-          std::size_t cursor = 0;
-          for (const Plan::BlockSlice& s : ex.slices) {
-            STTSV_CHECK(cursor + s.receiver.length * B <= words,
-                        "y delivery shorter than expected");
-            double* dst =
-                y_pad.data() + (s.block * b + s.receiver.offset) * B;
-            for (std::size_t e = 0; e < s.receiver.length * B; ++e) {
-              dst[e] += data[cursor + e];
-            }
-            cursor += s.receiver.length * B;
-          }
-          STTSV_CHECK(cursor == words, "y delivery longer than expected");
-        });
-  }
-  exchanger.set_phase("y-panel");
-  simt::pipelined_exchange(exchanger, transport, chunks, pipeline, pack_y,
-                           collect_y);
-  if (am_reduce) {
-    exchanger.set_delivery_handler({});
-  }
-  for (auto& inbox : y_in) {
-    std::stable_sort(inbox.begin(), inbox.end(),
-                     [](const Delivery& da, const Delivery& db) {
-                       return da.from < db.from;
-                     });
-  }
-
-  // Own share = local partial + sum of received partials, in the same
-  // rank-major, sender-ascending order as the single-vector run. In AM
-  // mode the handler above already did both halves and y_in stays empty.
-  for (std::size_t p = 0; p < P && !am_reduce; ++p) {
-    for (const std::size_t i : part.R(p)) {
-      const Share s = dist.share(i, p);
-      const double* src =
-          y_loc[p].data() + (plan.local_index(p, i) * b + s.offset) * B;
-      double* dst = y_pad.data() + (i * b + s.offset) * B;
-      for (std::size_t e = 0; e < s.length * B; ++e) dst[e] += src[e];
-    }
-    for (const Delivery& d : y_in[p]) {
-      const Plan::PeerExchange& ex = plan.exchange_between(d.from, p);
-      std::size_t cursor = 0;
-      for (const Plan::BlockSlice& s : ex.slices) {
-        // For the pair (d.from -> p) the receiver's share is p's share.
-        STTSV_CHECK(cursor + s.receiver.length * B <= d.data.size(),
-                    "y delivery shorter than expected");
-        double* dst = y_pad.data() + (s.block * b + s.receiver.offset) * B;
-        for (std::size_t e = 0; e < s.receiver.length * B; ++e) {
-          dst[e] += d.data[cursor + e];
-        }
-        cursor += s.receiver.length * B;
-      }
-      STTSV_CHECK(cursor == d.data.size(), "y delivery longer than expected");
-    }
-  }
-
-  machine.ledger().verify_conservation();
-  result.y.assign(B, std::vector<double>(n));
-  for (std::size_t v = 0; v < B; ++v) {
-    for (std::size_t g = 0; g < n; ++g) result.y[v][g] = y_pad[g * B + v];
-  }
-  result.maxima = machine.ledger().maxima();
-  return result;
+  return core::parallel_sttsv_panel(exchanger, plan.partition(),
+                                    plan.distribution(), plan.walk(), a, x,
+                                    plan.key().transport, pipeline);
 }
 
 }  // namespace sttsv::batch

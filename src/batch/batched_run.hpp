@@ -7,17 +7,17 @@
 // B × the single-vector ledger value — the per-vector word count stays
 // at the paper's optimum and the per-vector latency term drops ~B×.
 //
+// These are thin calls into core::parallel_sttsv_panel, the one
+// Algorithm-5 driver, with the Plan's cached exchange walk and transport.
 // Wire format: a phase-1 message from p to peer is the concatenation,
 // over common row blocks ascending, of p's share slice of each block,
 // each slice lane-interleaved (element-major, lane index innermost).
 // Phase-3 messages carry the receiver's share slices in the same layout.
-// Receivers replay the identical deterministic walk from the Plan.
 
-#include <cstdint>
 #include <vector>
 
 #include "batch/plan.hpp"
-#include "simt/ledger.hpp"
+#include "core/parallel_sttsv.hpp"
 #include "simt/machine.hpp"
 #include "simt/pipeline.hpp"
 #include "simt/reliable_exchange.hpp"
@@ -25,24 +25,17 @@
 
 namespace sttsv::batch {
 
-struct BatchRunResult {
-  /// y[v] is the assembled output for input vector v, logical length n.
-  std::vector<std::vector<double>> y;
-  /// Ternary multiplications per rank, summed over the batch.
-  std::vector<std::uint64_t> ternary_mults;
-  /// Ledger maxima after this run (CommLedger::maxima()).
-  simt::LedgerMaxima maxima;
-};
+/// y[v] per input vector, ternary multiplications per rank summed over
+/// the batch, and the ledger maxima after the run.
+using BatchRunResult = core::PanelRunResult;
 
 /// Runs the batch {x_0..x_{B-1}} (B >= 1) through one aggregated
 /// Algorithm-5 pass using `plan`'s precomputed partition, distribution
 /// and exchange walk. Lane v of the result is bitwise identical to
-/// core::parallel_sttsv(machine, ..., x_v, plan.key().transport) while
-/// core::kernel_options().math is KernelMath::kStandard (the default).
-/// Panel kernels always use standard math, so under a process-wide
-/// kCompressed the two differ by rounding on interior blocks.
+/// core::parallel_sttsv(machine, ..., x_v, plan.key().transport): both
+/// run the one driver, whose panel kernels pin standard math.
 /// Requirements: machine.num_ranks() == plan.num_processors(),
-/// a.dim() == plan.key().n, every x_v of length n.
+/// a.dim() == plan.key().n, every x_v of length n, every rank alive.
 /// `pipeline` selects the phase schedule (see core::parallel_sttsv):
 /// kDoubleBuffered overlaps pair-block chunks, kSerialized is the
 /// historical order; lanes and ledger are identical either way.

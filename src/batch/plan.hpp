@@ -91,12 +91,8 @@ class Plan {
     return walk_.exchanges(p);
   }
 
-  /// The exchange record for the ordered pair (from, to); both ranks must
-  /// actually exchange data (throws otherwise).
-  [[nodiscard]] const PeerExchange& exchange_between(std::size_t from,
-                                                     std::size_t to) const {
-    return walk_.exchange_between(from, to);
-  }
+  /// The cached exchange walk every batched run replays.
+  [[nodiscard]] const partition::ExchangeWalk& walk() const { return walk_; }
 
   /// Owned blocks of p (cached copy of partition().owned_blocks(p)).
   [[nodiscard]] const std::vector<partition::BlockCoord>& owned(

@@ -76,6 +76,9 @@ struct KernelOptions {
 /// Process-wide kernel options used by apply_block (thread-safe).
 KernelOptions kernel_options();
 /// Installs new process-wide options. Requires rj_* ∈ {1, 2, 4}.
+/// `math` reaches only direct apply_block callers: the distributed
+/// Algorithm-5 driver runs core::apply_block_panel, which pins kStandard
+/// at every lane count (the ISA and register-block shapes still apply).
 void set_kernel_options(const KernelOptions& opts);
 
 /// Accumulates all contributions of the lower-tetra entries of block c

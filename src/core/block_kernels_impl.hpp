@@ -8,10 +8,10 @@
 // runtime). Both TUs are compiled with -ffp-contract=off.
 //
 // §13.1 Canonical arithmetic order. The bitwise contract — scalar
-// fallback, AVX2 path, every register-block shape RJ, and each panel
-// lane in src/batch/ all produce bit-identical y — holds because every
-// implementation performs the same rounded operations per element in the
-// same order:
+// fallback, AVX2 path, every register-block shape RJ, and each lane of
+// the panel kernels (panel_kernels.hpp) all produce bit-identical y —
+// holds because every implementation performs the same rounded
+// operations per element in the same order:
 //
 //   * dot products over a k-run: 4 partial sums over the full 4-chunks
 //     (partial p accumulates elements lk ≡ p mod 4), combined as

@@ -6,10 +6,12 @@
 // the paper plans to generalize its bounds to it. We provide:
 //
 //  * symmetric_mttkrp          — sequential, one packed pass per column;
-//  * parallel_symmetric_mttkrp — batched Algorithm 5: the r columns'
-//    shares travel in ONE pair of exchanges (r× the words of a single
-//    STTSV but the same message/step count — an r-fold latency saving
-//    over r separate STTSV runs).
+//  * parallel_symmetric_mttkrp — batched Algorithm 5: the r columns run
+//    as r lanes of core::parallel_sttsv_panel (arXiv 1708.07401), so
+//    their shares travel in ONE pair of exchanges (r× the words of a
+//    single STTSV but the same message/step count — an r-fold latency
+//    saving over r separate STTSV runs), and column ℓ is bitwise
+//    identical to parallel_sttsv on x_ℓ.
 
 #include <vector>
 
@@ -25,8 +27,9 @@ std::vector<std::vector<double>> symmetric_mttkrp(
     const tensor::SymTensor3& a,
     const std::vector<std::vector<double>>& columns);
 
-/// Batched parallel MTTKRP on the simulated machine. Requirements mirror
-/// parallel_sttsv; every column must have length dist.logical_n().
+/// Batched parallel MTTKRP on the simulated machine over DirectExchange.
+/// Requirements mirror parallel_sttsv (every rank alive); there must be
+/// at least one column, each of length dist.logical_n().
 std::vector<std::vector<double>> parallel_symmetric_mttkrp(
     simt::Machine& machine, const partition::TetraPartition& part,
     const partition::VectorDistribution& dist, const tensor::SymTensor3& a,

@@ -1,0 +1,56 @@
+#pragma once
+// Panel variants of the local block kernels (DESIGN.md §9): apply one
+// b×b×b tensor block to a *panel* of B vectors at once. Panels are
+// lane-interleaved — element l of lane v lives at l*lanes + v — so the
+// innermost lane loop is a contiguous SIMD-friendly run and every packed
+// tensor entry is loaded once per block instead of once per vector. At
+// B = 1 the panel is the contiguous single-vector layout; the
+// Algorithm-5 driver (core::parallel_sttsv_panel) runs every lane count
+// through these kernels.
+//
+// Whole 4-lane chunks run the panel kernels; the lanes % 4 left over
+// (every lane when B < 4) run one by one on the core kernels.
+//
+// Contract: lane v of the output is bitwise identical to running the
+// standard-math core kernels (core::apply_block_ex, kStandard) on lane v
+// alone, whatever core::kernel_options() holds. Both sides follow the
+// canonical arithmetic order of DESIGN.md §13.1, so the contract holds
+// across the scalar and AVX2 instantiations in any combination.
+
+#include <cstddef>
+#include <cstdint>
+
+#include "partition/blocks.hpp"
+#include "simt/simd.hpp"
+#include "tensor/sym_tensor.hpp"
+
+namespace sttsv::core {
+
+/// Row-block-local panel views. Slot 0 corresponds to row block c.i,
+/// slot 1 to c.j, slot 2 to c.k; each is a b×lanes lane-interleaved
+/// panel. For diagonal blocks the caller passes aliased pointers, as in
+/// core::BlockBuffers.
+struct PanelBuffers {
+  const double* x[3] = {nullptr, nullptr, nullptr};
+  double* y[3] = {nullptr, nullptr, nullptr};
+};
+
+/// apply_block_panel with an explicit kernel ISA (tests pin this to
+/// compare instantiations; requesting kAvx2 on a host or build without
+/// AVX2 kernels silently falls back to scalar — bitwise identical).
+std::uint64_t apply_block_panel_isa(const tensor::SymTensor3& a,
+                                    const partition::BlockCoord& c,
+                                    std::size_t b, std::size_t lanes,
+                                    const PanelBuffers& buf,
+                                    simt::KernelIsa isa);
+
+/// Accumulates the contributions of block c into the y panels for all
+/// `lanes` vectors. Returns the ternary multiplication count summed over
+/// lanes (lanes × the single-vector count). Dispatches by block class
+/// like core::apply_block, with the ISA from simt::preferred_isa().
+std::uint64_t apply_block_panel(const tensor::SymTensor3& a,
+                                const partition::BlockCoord& c,
+                                std::size_t b, std::size_t lanes,
+                                const PanelBuffers& buf);
+
+}  // namespace sttsv::core

@@ -4,9 +4,8 @@
 #include <map>
 #include <utility>
 
-#include "core/block_kernels.hpp"
+#include "core/panel_kernels.hpp"
 #include "obs/trace.hpp"
-#include "partition/exchange_walk.hpp"
 #include "simt/pipeline.hpp"
 #include "support/check.hpp"
 
@@ -69,14 +68,40 @@ ParallelRunResult parallel_sttsv(simt::Exchanger& exchanger,
                                  simt::Transport transport,
                                  simt::PipelineMode pipeline,
                                  const std::vector<std::size_t>& placement) {
+  PanelRunResult run =
+      parallel_sttsv_panel(exchanger, part, dist, ExchangeWalk(part, dist), a,
+                           {x}, transport, pipeline, placement);
+  ParallelRunResult result;
+  result.y = std::move(run.y[0]);
+  result.ternary_mults = std::move(run.ternary_mults);
+  result.max_words_sent = run.maxima.words_sent;
+  result.max_words_received = run.maxima.words_received;
+  return result;
+}
+
+PanelRunResult parallel_sttsv_panel(simt::Exchanger& exchanger,
+                                    const TetraPartition& part,
+                                    const VectorDistribution& dist,
+                                    const ExchangeWalk& walk,
+                                    const tensor::SymTensor3& a,
+                                    const std::vector<std::vector<double>>& x,
+                                    simt::Transport transport,
+                                    simt::PipelineMode pipeline,
+                                    const std::vector<std::size_t>& placement) {
   simt::Machine& machine = exchanger.machine();
   const std::size_t P = part.num_processors();
   const std::size_t b = dist.block_length_b();
   const std::size_t n = dist.logical_n();
+  const std::size_t B = x.size();
   STTSV_REQUIRE(machine.num_ranks() == P,
                 "machine rank count must match partition");
+  STTSV_REQUIRE(walk.num_processors() == P,
+                "exchange walk must match partition");
   STTSV_REQUIRE(a.dim() == n, "tensor dimension must match distribution");
-  STTSV_REQUIRE(x.size() == n, "input vector length mismatch");
+  STTSV_REQUIRE(B >= 1, "panel must contain at least one vector");
+  for (const auto& xv : x) {
+    STTSV_REQUIRE(xv.size() == n, "input vector length mismatch");
+  }
   STTSV_REQUIRE(placement.empty() || placement.size() == P,
                 "placement must host every partition role");
 
@@ -106,7 +131,6 @@ ParallelRunResult parallel_sttsv(simt::Exchanger& exchanger,
 
   // Lift the role-pair walk onto host pairs. Role pairs on one host
   // become local legs and never touch the wire or the ledger.
-  const ExchangeWalk walk(part, dist);
   std::vector<std::vector<Route>> routes(P);  // per host, ascending `to`
   std::vector<std::vector<Leg>> local(P);
   for (const std::size_t hf : hosts) {
@@ -138,15 +162,23 @@ ParallelRunResult parallel_sttsv(simt::Exchanger& exchanger,
                 "delivery from a host outside the walk");
     return *it;
   };
-  // Role-local row blocks: block i of role r at walk.local_index(r, i)*b.
+  // Every word count below is per vector and scales by B. Element g of
+  // lane v sits at g*B + v in the padded panels, and element e of row
+  // block i of role r at (walk.local_index(r, i)*b + e)*B in its blocks.
+  const auto pad = [&](std::vector<double>& panel, std::size_t i,
+                       std::size_t e) {
+    return panel.data() + (i * b + e) * B;
+  };
   const auto at = [&](std::vector<double>& blocks, std::size_t role,
-                      std::size_t i) {
-    return blocks.data() + walk.local_index(role, i) * b;
+                      std::size_t i, std::size_t e) {
+    return blocks.data() + (walk.local_index(role, i) * b + e) * B;
   };
 
-  // Padded copy of x: row block i occupies [i*b, (i+1)*b).
-  std::vector<double> x_pad(dist.padded_n(), 0.0);
-  std::copy(x.begin(), x.end(), x_pad.begin());
+  // Padded lane-interleaved copy of the panel.
+  std::vector<double> x_pad(dist.padded_n() * B, 0.0);
+  for (std::size_t v = 0; v < B; ++v) {
+    for (std::size_t g = 0; g < n; ++g) x_pad[g * B + v] = x[v][g];
+  }
 
   // ---- Phase 1: exchange x shares (Algorithm 5 lines 10-21). ----------
   // Local row blocks are seeded with the role's own share (and co-hosted
@@ -158,23 +190,22 @@ ParallelRunResult parallel_sttsv(simt::Exchanger& exchanger,
   // kernels — the NUMA placement half of DESIGN.md §17. Host programs
   // stay disjoint (host h writes only its roles' blocks), so the
   // parallel seed is bitwise identical to the sequential one.
-  obs::Span x_phase("sttsv.x-shares", obs::Category::kSuperstep);
+  obs::Span x_phase("sttsv.x-panel", obs::Category::kSuperstep, B);
   std::vector<std::vector<double>> x_loc(P);
   machine.run_ranks(hosts, [&](std::size_t h) {
     for (const std::size_t role : roles_by_host[h]) {
-      x_loc[role].assign(part.R(role).size() * b, 0.0);
+      x_loc[role].assign(part.R(role).size() * b * B, 0.0);
       for (const std::size_t i : part.R(role)) {
         const Share s = dist.share(i, role);
-        std::copy_n(x_pad.data() + i * b + s.offset, s.length,
-                    at(x_loc[role], role, i) + s.offset);
+        std::copy_n(pad(x_pad, i, s.offset), s.length * B,
+                    at(x_loc[role], role, i, s.offset));
       }
     }
     for (const Leg& leg : local[h]) {
+      const std::size_t rp = leg.ex->peer;
       for (const ExchangeWalk::BlockSlice& s : leg.ex->slices) {
-        std::copy_n(x_pad.data() + s.block * b + s.sender.offset,
-                    s.sender.length,
-                    at(x_loc[leg.ex->peer], leg.ex->peer, s.block) +
-                        s.sender.offset);
+        std::copy_n(pad(x_pad, s.block, s.sender.offset), s.sender.length * B,
+                    at(x_loc[rp], rp, s.block, s.sender.offset));
       }
     }
   });
@@ -188,11 +219,11 @@ ParallelRunResult parallel_sttsv(simt::Exchanger& exchanger,
     for (const std::size_t hf : hosts) {
       for (const Route& r : routes[hf]) {
         if (r.x_words == 0 || (hf + r.to) % chunks != c) continue;
-        simt::PooledBuffer buf = machine.pool().acquire(hf, r.x_words);
+        simt::PooledBuffer buf = machine.pool().acquire(hf, r.x_words * B);
         for (const Leg& leg : r.legs) {
           for (const ExchangeWalk::BlockSlice& s : leg.ex->slices) {
-            buf.append(x_pad.data() + s.block * b + s.sender.offset,
-                       s.sender.length);
+            buf.append(pad(x_pad, s.block, s.sender.offset),
+                       s.sender.length * B);
           }
         }
         outboxes[hf].push_back(Envelope{r.to, std::move(buf)});
@@ -207,18 +238,19 @@ ParallelRunResult parallel_sttsv(simt::Exchanger& exchanger,
         for (const Leg& leg : route_between(d.from, ht).legs) {
           const std::size_t rp = leg.ex->peer;
           for (const ExchangeWalk::BlockSlice& s : leg.ex->slices) {
-            STTSV_CHECK(cursor + s.sender.length <= d.data.size(),
+            const std::size_t words = s.sender.length * B;
+            STTSV_CHECK(cursor + words <= d.data.size(),
                         "x delivery shorter than expected");
-            std::copy_n(d.data.data() + cursor, s.sender.length,
-                        at(x_loc[rp], rp, s.block) + s.sender.offset);
-            cursor += s.sender.length;
+            std::copy_n(d.data.data() + cursor, words,
+                        at(x_loc[rp], rp, s.block, s.sender.offset));
+            cursor += words;
           }
         }
         STTSV_CHECK(cursor == d.data.size(), "x delivery longer than expected");
       }
     }
   };
-  exchanger.set_phase("x-shares");
+  exchanger.set_phase("x-panel");
   simt::pipelined_exchange(exchanger, transport, chunks, pipeline, pack_x,
                            consume_x);
   x_phase.close();
@@ -232,7 +264,7 @@ ParallelRunResult parallel_sttsv(simt::Exchanger& exchanger,
   // sending role, which pins the exact floating-point order of the
   // serialized identity schedule at every placement.
   std::vector<std::vector<double>> y_loc(P);
-  ParallelRunResult result;
+  PanelRunResult result;
   result.ternary_mults.assign(P, 0);
 
   std::vector<std::vector<std::size_t>> host_chunks(chunks);
@@ -250,28 +282,27 @@ ParallelRunResult parallel_sttsv(simt::Exchanger& exchanger,
   // placement: there every host is one role, so landing order is role
   // order.
   const bool am_reduce = identity && exchanger.supports_handler_delivery();
-  std::vector<double> y_pad(dist.padded_n(), 0.0);
+  std::vector<double> y_pad(dist.padded_n() * B, 0.0);
   const auto add_own_share = [&](std::size_t role) {
     for (const std::size_t i : part.R(role)) {
       const Share s = dist.share(i, role);
-      const double* src = at(y_loc[role], role, i) + s.offset;
-      double* dst = y_pad.data() + i * b + s.offset;
-      for (std::size_t off = 0; off < s.length; ++off) dst[off] += src[off];
+      const double* src = at(y_loc[role], role, i, s.offset);
+      double* dst = pad(y_pad, i, s.offset);
+      for (std::size_t e = 0; e < s.length * B; ++e) dst[e] += src[e];
     }
   };
   // Adds one contribution's receiver shares into y_pad, slices ascending.
   const auto add_contribution = [&](const Contribution& c) {
     std::size_t cursor = 0;
     for (const ExchangeWalk::BlockSlice& s : c.ex->slices) {
-      const double* src = c.data != nullptr
-                              ? c.data + cursor
-                              : at(y_loc[c.from], c.from, s.block) +
-                                    s.receiver.offset;
-      double* dst = y_pad.data() + s.block * b + s.receiver.offset;
-      for (std::size_t off = 0; off < s.receiver.length; ++off) {
-        dst[off] += src[off];
-      }
-      cursor += s.receiver.length;
+      const std::size_t words = s.receiver.length * B;
+      const double* src =
+          c.data != nullptr
+              ? c.data + cursor
+              : at(y_loc[c.from], c.from, s.block, s.receiver.offset);
+      double* dst = pad(y_pad, s.block, s.receiver.offset);
+      for (std::size_t e = 0; e < words; ++e) dst[e] += src[e];
+      cursor += words;
     }
   };
   // Splits one y payload from host `from` into per-leg contributions.
@@ -280,28 +311,28 @@ ParallelRunResult parallel_sttsv(simt::Exchanger& exchanger,
                                 const auto& visit) {
     std::size_t cursor = 0;
     for (const Leg& leg : route_between(from, to).legs) {
-      STTSV_CHECK(cursor + leg.ex->y_words <= words,
+      STTSV_CHECK(cursor + leg.ex->y_words * B <= words,
                   "y delivery shorter than expected");
       visit(Contribution{leg.role, data + cursor, leg.ex});
-      cursor += leg.ex->y_words;
+      cursor += leg.ex->y_words * B;
     }
     STTSV_CHECK(cursor == words, "y delivery longer than expected");
   };
 
-  obs::Span y_phase("sttsv.y-partials", obs::Category::kSuperstep);
+  obs::Span y_phase("sttsv.y-panel", obs::Category::kSuperstep, B);
   const auto pack_y = [&](std::size_t c) {
     machine.run_ranks(host_chunks[c], [&](std::size_t h) {
       for (const std::size_t role : roles_by_host[h]) {
-        y_loc[role].assign(part.R(role).size() * b, 0.0);
+        y_loc[role].assign(part.R(role).size() * b * B, 0.0);
         for (const partition::BlockCoord& coord : walk.owned(role)) {
-          BlockBuffers buf;
-          buf.x[0] = at(x_loc[role], role, coord.i);
-          buf.x[1] = at(x_loc[role], role, coord.j);
-          buf.x[2] = at(x_loc[role], role, coord.k);
-          buf.y[0] = at(y_loc[role], role, coord.i);
-          buf.y[1] = at(y_loc[role], role, coord.j);
-          buf.y[2] = at(y_loc[role], role, coord.k);
-          result.ternary_mults[role] += apply_block(a, coord, b, buf);
+          PanelBuffers buf;
+          buf.x[0] = at(x_loc[role], role, coord.i, 0);
+          buf.x[1] = at(x_loc[role], role, coord.j, 0);
+          buf.x[2] = at(x_loc[role], role, coord.k, 0);
+          buf.y[0] = at(y_loc[role], role, coord.i, 0);
+          buf.y[1] = at(y_loc[role], role, coord.j, 0);
+          buf.y[2] = at(y_loc[role], role, coord.k, 0);
+          result.ternary_mults[role] += apply_block_panel(a, coord, b, B, buf);
         }
         x_loc[role] = std::vector<double>();  // frees the inputs early
         if (am_reduce) add_own_share(role);
@@ -312,12 +343,12 @@ ParallelRunResult parallel_sttsv(simt::Exchanger& exchanger,
       for (const Route& r : routes[hf]) {
         if (r.y_words == 0) continue;
         // Send the *receiving role's* share of each common row block.
-        simt::PooledBuffer buf = machine.pool().acquire(hf, r.y_words);
+        simt::PooledBuffer buf = machine.pool().acquire(hf, r.y_words * B);
         for (const Leg& leg : r.legs) {
           for (const ExchangeWalk::BlockSlice& s : leg.ex->slices) {
-            buf.append(at(y_loc[leg.role], leg.role, s.block) +
-                           s.receiver.offset,
-                       s.receiver.length);
+            buf.append(at(y_loc[leg.role], leg.role, s.block,
+                          s.receiver.offset),
+                       s.receiver.length * B);
           }
         }
         y_out[hf].push_back(Envelope{r.to, std::move(buf)});
@@ -340,7 +371,7 @@ ParallelRunResult parallel_sttsv(simt::Exchanger& exchanger,
           for_each_leg(from, target, data, words, add_contribution);
         });
   }
-  exchanger.set_phase("y-partials");
+  exchanger.set_phase("y-panel");
   simt::pipelined_exchange(exchanger, transport, chunks, pipeline, pack_y,
                            collect_y);
   if (am_reduce) {
@@ -375,10 +406,11 @@ ParallelRunResult parallel_sttsv(simt::Exchanger& exchanger,
   }
 
   machine.ledger().verify_conservation();
-  result.y.assign(y_pad.begin(), y_pad.begin() + static_cast<long>(n));
-  const simt::LedgerMaxima maxima = machine.ledger().maxima();
-  result.max_words_sent = maxima.words_sent;
-  result.max_words_received = maxima.words_received;
+  result.y.assign(B, std::vector<double>(n));
+  for (std::size_t v = 0; v < B; ++v) {
+    for (std::size_t g = 0; g < n; ++g) result.y[v][g] = y_pad[g * B + v];
+  }
+  result.maxima = machine.ledger().maxima();
   return result;
 }
 

@@ -8,12 +8,19 @@
 // local block kernels, exchange + reduction of partial y shares.
 //
 // Only vector data moves; the tensor is never communicated (owner-compute).
+//
+// parallel_sttsv_panel is the one driver of these phases (DESIGN.md §9):
+// it runs a panel of B >= 1 vectors, so a single-vector run is B = 1,
+// batch::parallel_sttsv_batch a Plan's cached walk, and
+// parallel_symmetric_mttkrp its r columns as r lanes.
 
 #include <cstdint>
 #include <vector>
 
+#include "partition/exchange_walk.hpp"
 #include "partition/tetra_partition.hpp"
 #include "partition/vector_distribution.hpp"
+#include "simt/ledger.hpp"
 #include "simt/machine.hpp"
 #include "simt/pipeline.hpp"
 #include "simt/reliable_exchange.hpp"
@@ -32,6 +39,34 @@ struct ParallelRunResult {
   std::uint64_t max_words_sent = 0;
   std::uint64_t max_words_received = 0;
 };
+
+struct PanelRunResult {
+  /// y[v] is the assembled output for input vector v, logical length n.
+  std::vector<std::vector<double>> y;
+  /// Ternary multiplications per role, summed over the panel.
+  std::vector<std::uint64_t> ternary_mults;
+  /// Ledger maxima after this run (CommLedger::maxima()).
+  simt::LedgerMaxima maxima;
+};
+
+/// Runs y_v = A ×₂ x_v ×₃ x_v for the panel {x_0..x_{B-1}} (B >= 1) in
+/// one Algorithm-5 pass over `walk` (built from part and dist). The B
+/// shares travelling between two hosts ride in one aggregated message
+/// per phase and chunk: messages are those of a single-vector run, words
+/// are B times its words. Panels are lane-interleaved (element g of lane
+/// v at g·B + v), so B = 1 is the contiguous single-vector layout. Block
+/// kernels are core::apply_block_panel, which pins standard math: lane v
+/// is bitwise identical whatever B is and whatever kernel_options()
+/// holds. Pipeline modes, transports and placements behave as described
+/// for parallel_sttsv below; phases are labeled "x-panel" and "y-panel"
+/// in any FaultReport.
+PanelRunResult parallel_sttsv_panel(
+    simt::Exchanger& exchanger, const partition::TetraPartition& part,
+    const partition::VectorDistribution& dist,
+    const partition::ExchangeWalk& walk, const tensor::SymTensor3& a,
+    const std::vector<std::vector<double>>& x, simt::Transport transport,
+    simt::PipelineMode pipeline = simt::PipelineMode::kDoubleBuffered,
+    const std::vector<std::size_t>& placement = {});
 
 /// Runs y = A ×₂ x ×₃ x on `machine` using the given partition and vector
 /// distribution. Requirements: machine.num_ranks() == part.num_processors(),
@@ -55,8 +90,8 @@ ParallelRunResult parallel_sttsv(
 /// run and the ledger's goodput channel stays at the fault-free value,
 /// with retransmission/ACK cost accounted as overhead. A rank exceeding
 /// the retry budget raises simt::FaultError (kFailFast) or is healed by
-/// owner-compute replay (kDegrade); phases are labeled "x-shares" and
-/// "y-partials" in any FaultReport.
+/// owner-compute replay (kDegrade); phases are labeled "x-panel" and
+/// "y-panel" in any FaultReport. This is parallel_sttsv_panel at B = 1.
 ///
 /// `placement` hosts the partition's P roles on ranks of the machine
 /// (DESIGN.md §15): placement[role] is the rank running that role; empty

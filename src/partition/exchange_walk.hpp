@@ -6,9 +6,10 @@
 // by the Steiner property. Phase 1 sends p's own share of each common
 // block (x); phase 3 sends the peer's share of p's partial sums (y). Both
 // endpoints replay the same slice order, so aggregated messages need no
-// framing. Every Algorithm-5 run (core::parallel_sttsv, the batched
-// run via batch::Plan, MTTKRP, the communication-only replay) reads
-// peers and slices from here.
+// framing. The one Algorithm-5 driver, core::parallel_sttsv_panel,
+// replays a walk built here (per call for single-vector and MTTKRP runs,
+// cached in batch::Plan for batched runs), and so does the
+// communication-only replay.
 
 #include <cstddef>
 #include <vector>

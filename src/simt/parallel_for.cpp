@@ -58,6 +58,9 @@ class Pool {
     done_cv_.wait(lk, [&] {
       return running_ == 0 && next_.load(std::memory_order_relaxed) >= count_;
     });
+    // A helper that never woke for this job must not claim it later: its
+    // work() would read count_ and body_ while the next run() rewrites them.
+    helper_slots_ = 0;
     body_ = nullptr;
     if (error_ != nullptr) {
       std::exception_ptr err = error_;

@@ -1,17 +1,21 @@
 // Batched STTSV subsystem tests (DESIGN.md §9): the aggregated panel run
-// must be bitwise identical to the B-iteration single-vector loop for
-// every Steiner family (covering every block-kernel class), both
-// transports, padded and divisible sizes; the plan cache must memoize
-// with pointer identity and rebuild after eviction; the engine must cut
-// deterministic batches and preserve submission order.
+// must be bitwise identical to the B-iteration single-vector loop (lanes
+// are independent) and to the message-free reference of
+// algorithm5_reference.hpp (both sides of the loop comparison run the
+// one driver) for every Steiner family (covering every block-kernel
+// class), both transports, padded and divisible sizes; the plan cache
+// must memoize with pointer identity and rebuild after eviction; the
+// engine must cut deterministic batches and preserve submission order.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstring>
 #include <memory>
+#include <ostream>
 #include <vector>
 
+#include "algorithm5_reference.hpp"
 #include "apps/cp_gradient.hpp"
 #include "batch/batched_run.hpp"
 #include "batch/engine.hpp"
@@ -79,6 +83,84 @@ constexpr Case kCases[] = {
     {"boolean k=3 n=48", Family::kBoolean, 3, 48},
     {"trivial m=5 n=36 (padded)", Family::kTrivial, 5, 36},
 };
+
+// Names each case in ctest listings.
+void PrintTo(const Case& c, std::ostream* os) {
+  constexpr const char* kFamily[] = {"spherical_q", "boolean_k", "trivial_m"};
+  *os << kFamily[static_cast<int>(c.family)] << c.param << "_n" << c.n;
+}
+
+class Algorithm5Reference : public ::testing::TestWithParam<Case> {};
+
+TEST_P(Algorithm5Reference, EveryLaneMatchesBitwise) {
+  const Case& s = GetParam();
+  Rng rng(41);
+  const auto a = tensor::random_symmetric(s.n, rng);
+  for (const simt::Transport transport :
+       {simt::Transport::kPointToPoint, simt::Transport::kAllToAll}) {
+    const auto plan = Plan::build(plan_key(s.n, s.family, s.param, transport));
+    for (const simt::PipelineMode pipeline :
+         {simt::PipelineMode::kDoubleBuffered,
+          simt::PipelineMode::kSerialized}) {
+      for (const std::size_t lanes : {1u, 3u, 4u, 5u, 16u}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "transport " << static_cast<int>(transport)
+                     << " pipeline " << static_cast<int>(pipeline)
+                     << " lanes " << lanes);
+        const auto x = make_panel(s.n, lanes, 500 + lanes);
+        simt::Machine machine = plan->make_machine();
+        const BatchRunResult got =
+            parallel_sttsv_batch(machine, *plan, a, x, pipeline);
+        ASSERT_EQ(got.y.size(), lanes);
+        for (std::size_t v = 0; v < lanes; ++v) {
+          expect_bitwise(got.y[v],
+                         test::algorithm5_reference(plan->partition(),
+                                                    plan->distribution(), a,
+                                                    x[v]),
+                         s.name);
+        }
+        if (lanes == 1) {
+          simt::Machine single = plan->make_machine();
+          expect_bitwise(core::parallel_sttsv(single, plan->partition(),
+                                              plan->distribution(), a, x[0],
+                                              transport, pipeline)
+                             .y,
+                         got.y[0], "single-vector entry point");
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Cases, Algorithm5Reference,
+                         ::testing::ValuesIn(kCases));
+
+TEST(Algorithm5Reference, ShrunkPlacementOverDirect) {
+  // Rank 3 is dead and role 3 runs on rank 4: co-hosted role pairs are
+  // local legs, the rest ride host-pair envelopes.
+  const auto plan = Plan::build(plan_key(53, Family::kSpherical, 2,
+                                         simt::Transport::kPointToPoint));
+  std::vector<std::size_t> placement(plan->num_processors());
+  for (std::size_t role = 0; role < placement.size(); ++role) {
+    placement[role] = role == 3 ? 4 : role;
+  }
+  Rng rng(43);
+  const auto a = tensor::random_symmetric(53, rng);
+  const auto x = make_panel(53, 5, 700);
+  simt::Machine machine = plan->make_machine();
+  machine.mark_dead(3);
+  simt::DirectExchange direct(machine);
+  const core::PanelRunResult got = core::parallel_sttsv_panel(
+      direct, plan->partition(), plan->distribution(), plan->walk(), a, x,
+      simt::Transport::kPointToPoint, simt::PipelineMode::kDoubleBuffered,
+      placement);
+  for (std::size_t v = 0; v < x.size(); ++v) {
+    expect_bitwise(got.y[v],
+                   test::algorithm5_reference(plan->partition(),
+                                              plan->distribution(), a, x[v]),
+                   "shrunk placement");
+  }
+}
 
 TEST(BatchedRun, BitwiseEqualToSingleVectorLoop) {
   for (const Case& s : kCases) {
@@ -157,6 +239,14 @@ TEST(BatchedRun, ValidatesInputs) {
   EXPECT_THROW(
       parallel_sttsv_batch(wrong, *plan, a, make_panel(60, 2, 1)),
       PreconditionError);
+  // A dead rank's traffic would be dropped uncharged: rejected at entry,
+  // before anything moves.
+  simt::Machine degraded = plan->make_machine();
+  degraded.mark_dead(3);
+  EXPECT_THROW(
+      parallel_sttsv_batch(degraded, *plan, a, make_panel(60, 3, 1)),
+      PreconditionError);
+  EXPECT_EQ(degraded.ledger().total_words(), 0u);
 }
 
 TEST(Plan, KeyComputesProcessorCount) {

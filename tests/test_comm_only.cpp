@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "core/comm_only.hpp"
 #include "core/parallel_sttsv.hpp"
 #include "partition/tetra_partition.hpp"
@@ -39,6 +41,13 @@ struct Case {
   std::size_t n;
   simt::Transport transport;
 };
+
+// Names each case in ctest listings; the raw bytes gtest would print
+// include the struct's uninitialised padding.
+void PrintTo(const Case& c, std::ostream* os) {
+  *os << "q" << c.q << "_n" << c.n
+      << (c.transport == simt::Transport::kAllToAll ? "_a2a" : "_p2p");
+}
 
 class CommOnlyEquivalence : public ::testing::TestWithParam<Case> {};
 

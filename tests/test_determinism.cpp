@@ -202,6 +202,23 @@ TEST(ParallelFor, PropagatesFirstException) {
   }
 }
 
+TEST(ParallelFor, BackToBackShortJobs) {
+  // Trivial bodies let the caller drain a job before its helpers wake; a
+  // helper waking late must not join the next job with stale fields
+  // (under -fsanitize=thread this is the pool's race check).
+  simt::ConcurrencyGuard guard(4);
+  std::vector<std::atomic<int>> hits(64);
+  for (int job = 0; job < 2000; ++job) {
+    const std::size_t count = job % 2 == 0 ? 2 : hits.size();
+    for (auto& h : hits) h.store(0, std::memory_order_relaxed);
+    simt::parallel_for(count, [&](std::size_t i) { ++hits[i]; });
+    for (std::size_t i = 0; i < hits.size(); ++i) {
+      ASSERT_EQ(hits[i].load(), i < count ? 1 : 0)
+          << "job " << job << " i=" << i;
+    }
+  }
+}
+
 TEST(ParallelFor, ConcurrencyGuardRestores) {
   const std::size_t before = simt::host_concurrency();
   {

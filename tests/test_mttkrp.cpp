@@ -4,8 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <memory>
 
+#include "algorithm5_reference.hpp"
 #include "core/costs.hpp"
 #include "core/mttkrp.hpp"
 #include "core/parallel_sttsv.hpp"
@@ -112,6 +114,39 @@ TEST(ParallelMttkrp, PaddedSizes) {
   }
 }
 
+TEST(ParallelMttkrp, ColumnsMatchReferenceBitwise) {
+  // The r columns run as r lanes of the one driver: each column is bit
+  // for bit the message-free reference, and the single-vector run.
+  Rng rng(13);
+  const std::size_t n = 53;
+  const auto a = tensor::random_symmetric(n, rng);
+  std::vector<std::vector<double>> cols(5);
+  for (auto& c : cols) c = rng.uniform_vector(n);
+  const auto part =
+      partition::TetraPartition::build(steiner::spherical_system(2));
+  const partition::VectorDistribution dist(part, n);
+  simt::Machine machine(part.num_processors());
+  const auto y_par = parallel_symmetric_mttkrp(
+      machine, part, dist, a, cols, simt::Transport::kPointToPoint);
+  ASSERT_EQ(y_par.size(), cols.size());
+  const auto same_bits = [](const std::vector<double>& u,
+                            const std::vector<double>& v) {
+    return u.size() == v.size() &&
+           std::memcmp(u.data(), v.data(), u.size() * sizeof(double)) == 0;
+  };
+  for (std::size_t l = 0; l < cols.size(); ++l) {
+    EXPECT_TRUE(same_bits(y_par[l],
+                          test::algorithm5_reference(part, dist, a, cols[l])))
+        << "column " << l;
+    simt::Machine single(part.num_processors());
+    EXPECT_TRUE(same_bits(y_par[l],
+                          parallel_sttsv(single, part, dist, a, cols[l],
+                                         simt::Transport::kPointToPoint)
+                              .y))
+        << "column " << l;
+  }
+}
+
 TEST(ParallelMttkrp, RejectsBadInputs) {
   tensor::SymTensor3 a(10);
   const auto part =
@@ -126,6 +161,14 @@ TEST(ParallelMttkrp, RejectsBadInputs) {
                                 {std::vector<double>(9, 0.0)},
                                 simt::Transport::kPointToPoint),
       PreconditionError);
+  // A dead rank is rejected at entry, before anything moves.
+  machine.mark_dead(3);
+  EXPECT_THROW(
+      parallel_symmetric_mttkrp(machine, part, dist, a,
+                                {std::vector<double>(10, 1.0)},
+                                simt::Transport::kPointToPoint),
+      PreconditionError);
+  EXPECT_EQ(machine.ledger().total_words(), 0u);
 }
 
 }  // namespace

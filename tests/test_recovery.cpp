@@ -389,7 +389,7 @@ TEST(Recovery, LivenessVerdictProducesStructuredReport) {
   } catch (const simt::RankLossError& e) {
     const simt::RankLossReport& loss = e.rank_loss();
     EXPECT_EQ(loss.dead_ranks, (std::vector<std::size_t>{4}));
-    EXPECT_EQ(loss.phase, "x-shares");
+    EXPECT_EQ(loss.phase, "x-panel");
     EXPECT_GE(loss.silent_attempts, 2u);
     EXPECT_GT(loss.undelivered_frames, 0u);
     EXPECT_EQ(loss.membership_epoch, 1u);

@@ -179,7 +179,7 @@ TEST(Resilience, FailFastThrowsStructuredReport) {
     FAIL() << "expected FaultError";
   } catch (const simt::FaultError& e) {
     const simt::FaultReport& r = e.report();
-    EXPECT_EQ(r.phase, "x-shares");
+    EXPECT_EQ(r.phase, "x-panel");
     EXPECT_EQ(r.attempts_used, 3u);
     EXPECT_FALSE(r.degraded);
     EXPECT_FALSE(r.undelivered.empty());

@@ -15,9 +15,9 @@
 #include <limits>
 #include <vector>
 
-#include "batch/panel_kernels.hpp"
 #include "core/block_kernels.hpp"
 #include "core/kernel_autotune.hpp"
+#include "core/panel_kernels.hpp"
 #include "partition/blocks.hpp"
 #include "simt/simd.hpp"
 #include "support/rng.hpp"
@@ -303,7 +303,7 @@ TEST(PanelSimd, MatchesCoreBitwisePerLaneBothIsas) {
         for (const simt::KernelIsa isa :
              {simt::KernelIsa::kScalar, simt::KernelIsa::kAvx2}) {
           std::vector<double> y_pan = y_start;
-          batch::PanelBuffers pbuf;
+          core::PanelBuffers pbuf;
           pbuf.x[0] = x_pan.data() + c.i * b * lanes;
           pbuf.x[1] = x_pan.data() + c.j * b * lanes;
           pbuf.x[2] = x_pan.data() + c.k * b * lanes;
@@ -311,7 +311,7 @@ TEST(PanelSimd, MatchesCoreBitwisePerLaneBothIsas) {
           pbuf.y[1] = y_pan.data() + c.j * b * lanes;
           pbuf.y[2] = y_pan.data() + c.k * b * lanes;
           const std::uint64_t pm =
-              batch::apply_block_panel_isa(a, c, b, lanes, pbuf, isa);
+              core::apply_block_panel_isa(a, c, b, lanes, pbuf, isa);
 
           // Per lane: deinterleave x and the starting y, run the scalar
           // standard-math kernel, compare the lane's output bitwise.
