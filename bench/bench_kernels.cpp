@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "core/block_kernels.hpp"
-#include "core/kernel_autotune.hpp"
 #include "core/parallel_sttsv.hpp"
 #include "core/sttsv_seq.hpp"
 #include "core/sttv_d.hpp"
@@ -213,11 +212,9 @@ struct ClassTiming {
   std::size_t blocks = 0;
   std::uint64_t entries = 0;
   std::uint64_t mults = 0;
-  std::uint64_t compressed_mults = 0;  // 0 when not measured
   double seed_s = 0.0;
-  double spec_s = 0.0;        // current kernel options (ISA + tuning)
-  double scalar_s = 0.0;      // same options pinned to the scalar ISA
-  double compressed_s = 0.0;  // interior only; 0 elsewhere
+  double spec_s = 0.0;    // apply_block (preferred ISA)
+  double scalar_s = 0.0;  // the same kernels pinned to the scalar ISA
 };
 
 /// Applies `kernel` once to every block of `blocks` (the usual padded
@@ -304,48 +301,19 @@ std::vector<ClassTiming> sweep_block_classes(std::size_t n) {
     t.spec_s = time_per_rep([&] {
       return time_class_once(core::apply_block, a, blocks, b, x_pad, y_pad);
     });
-    // The same tuned shapes pinned to the portable scalar ISA, so the
+    // The same kernels pinned to the portable scalar ISA, so the
     // artifact records the vectorization gain separately from the
     // class-specialization gain.
-    core::KernelOptions scalar_opts = core::kernel_options();
-    scalar_opts.isa = simt::KernelIsa::kScalar;
-    const auto scalar_kernel = [&](const tensor::SymTensor3& ten,
-                                   const partition::BlockCoord& c,
-                                   std::size_t bb,
-                                   const core::BlockBuffers& buf) {
-      return core::apply_block_ex(ten, c, bb, buf, scalar_opts);
+    const auto scalar_kernel = [](const tensor::SymTensor3& ten,
+                                  const partition::BlockCoord& c,
+                                  std::size_t bb,
+                                  const core::BlockBuffers& buf) {
+      return core::apply_block_isa(ten, c, bb, buf, simt::KernelIsa::kScalar);
     };
     std::fill(y_pad.begin(), y_pad.end(), 0.0);
     t.scalar_s = time_per_rep([&] {
       return time_class_once(scalar_kernel, a, blocks, b, x_pad, y_pad);
     });
-    if (t.cls == "interior") {
-      // Opt-in symmetry-compressed bilinear math (DESIGN.md §13.4) —
-      // reassociating, so it is benchmarked but never the default.
-      core::KernelOptions comp_opts = core::kernel_options();
-      comp_opts.math = core::KernelMath::kCompressed;
-      const auto comp_kernel = [&](const tensor::SymTensor3& ten,
-                                   const partition::BlockCoord& c,
-                                   std::size_t bb,
-                                   const core::BlockBuffers& buf) {
-        return core::apply_block_ex(ten, c, bb, buf, comp_opts);
-      };
-      std::fill(y_pad.begin(), y_pad.end(), 0.0);
-      for (const auto& c : blocks) {
-        core::BlockBuffers buf;
-        buf.x[0] = x_pad.data() + c.i * b;
-        buf.x[1] = x_pad.data() + c.j * b;
-        buf.x[2] = x_pad.data() + c.k * b;
-        buf.y[0] = y_pad.data() + c.i * b;
-        buf.y[1] = y_pad.data() + c.j * b;
-        buf.y[2] = y_pad.data() + c.k * b;
-        t.compressed_mults += comp_kernel(a, c, b, buf);
-      }
-      std::fill(y_pad.begin(), y_pad.end(), 0.0);
-      t.compressed_s = time_per_rep([&] {
-        return time_class_once(comp_kernel, a, blocks, b, x_pad, y_pad);
-      });
-    }
     out.push_back(t);
   }
   return out;
@@ -411,10 +379,9 @@ ExecutorTiming sweep_executor(std::size_t q, std::size_t n) {
   return t;
 }
 
-void write_json(const char* path, bool tuned, bool quick) {
+void write_json(const char* path, bool quick) {
   std::ofstream out(path);
   repro::JsonWriter w(out);
-  const core::KernelOptions opts = core::kernel_options();
   w.begin_object();
   w.field("schema", "sttsv.bench/v1");
   w.field("bench", "bench_kernels");
@@ -423,9 +390,6 @@ void write_json(const char* path, bool tuned, bool quick) {
   w.field("kernel_isa", simt::isa_name(simt::preferred_isa()));
   w.field("cpu_features", simt::cpu_features_string());
   w.field("simd_compiled", simt::simd_compiled());
-  w.field("tuned", tuned);
-  w.field("rj_interior", static_cast<std::uint64_t>(opts.rj_interior));
-  w.field("rj_face_ij", static_cast<std::uint64_t>(opts.rj_face_ij));
   w.begin_array("block_classes");
   const std::vector<std::size_t> class_sizes =
       quick ? std::vector<std::size_t>{96} : std::vector<std::size_t>{96, 192, 256, 384};
@@ -458,10 +422,6 @@ void write_json(const char* path, bool tuned, bool quick) {
       w.field("specialized_gbytes_per_s", bytes / t.spec_s / 1e9);
       w.field("speedup", t.seed_s / t.spec_s);
       w.field("simd_speedup", t.scalar_s / t.spec_s);
-      if (t.compressed_s > 0.0) {
-        w.field("compressed_seconds", t.compressed_s);
-        w.field("compressed_ternary_mults", t.compressed_mults);
-      }
       w.end_object();
     }
   }
@@ -511,14 +471,11 @@ void write_json(const char* path, bool tuned, bool quick) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // `--tune` and `--quick` are ours, not google-benchmark's: strip them
-  // before Initialize.
-  bool tune = false;
+  // `--quick` is ours, not google-benchmark's: strip it before Initialize.
   bool quick = false;
   for (int i = 1; i < argc;) {
-    if (std::strcmp(argv[i], "--tune") == 0 ||
-        std::strcmp(argv[i], "--quick") == 0) {
-      (std::strcmp(argv[i], "--tune") == 0 ? tune : quick) = true;
+    if (std::strcmp(argv[i], "--quick") == 0) {
+      quick = true;
       for (int j = i; j + 1 < argc; ++j) argv[j] = argv[j + 1];
       --argc;
     } else {
@@ -528,29 +485,8 @@ int main(int argc, char** argv) {
   std::cout << "kernel ISA   : " << simt::isa_name(simt::preferred_isa())
             << " (compiled-in SIMD: " << (simt::simd_compiled() ? "yes" : "no")
             << ")\n"
-            << "cpu features : " << simt::cpu_features_string() << "\n";
-  if (tune) {
-    const auto cal = core::autotune_kernels();
-    std::cout << "autotune (b=" << cal.b << ", isa=" << simt::isa_name(cal.isa)
-              << "):\n";
-    const auto show = [](const char* cls,
-                         const std::vector<core::ShapeTiming>& shapes,
-                         unsigned winner) {
-      std::cout << "  " << cls << " :";
-      for (const auto& s : shapes) {
-        std::cout << " rj=" << static_cast<unsigned>(s.rj) << " "
-                  << s.seconds * 1e6 << "us";
-      }
-      std::cout << "  -> rj=" << winner << "\n";
-    };
-    show("interior", cal.interior, cal.rj_interior);
-    show("face_ij ", cal.face_ij, cal.rj_face_ij);
-  }
-  const core::KernelOptions opts = core::kernel_options();
-  std::cout << "reg blocking : rj_interior="
-            << static_cast<unsigned>(opts.rj_interior)
-            << " rj_face_ij=" << static_cast<unsigned>(opts.rj_face_ij)
-            << (tune ? " (autotuned)" : " (defaults)") << "\n";
+            << "cpu features : " << simt::cpu_features_string() << "\n"
+            << "reg blocking : rj_interior=4 rj_face_ij=2 (fixed)\n";
   // Quick mode: run each google-benchmark case briefly (CI smoke) and
   // reduce the fixed JSON sweeps; the artifact keeps the same schema.
   std::vector<char*> bench_args(argv, argv + argc);
@@ -563,6 +499,6 @@ int main(int argc, char** argv) {
   }
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  write_json("BENCH_kernels.json", tune, quick);
+  write_json("BENCH_kernels.json", quick);
   return 0;
 }

@@ -33,7 +33,7 @@ using BatchRunResult = core::PanelRunResult;
 /// Algorithm-5 pass using `plan`'s precomputed partition, distribution
 /// and exchange walk. Lane v of the result is bitwise identical to
 /// core::parallel_sttsv(machine, ..., x_v, plan.key().transport): both
-/// run the one driver, whose panel kernels pin standard math.
+/// run the one driver and its panel kernels.
 /// Requirements: machine.num_ranks() == plan.num_processors(),
 /// a.dim() == plan.key().n, every x_v of length n, every rank alive.
 /// `pipeline` selects the phase schedule (see core::parallel_sttsv):

@@ -1,7 +1,6 @@
 #include "core/block_kernels.hpp"
 
 #include <algorithm>
-#include <atomic>
 
 #include "core/block_kernels_impl.hpp"
 #include "obs/trace.hpp"
@@ -27,63 +26,18 @@ const KernelVTable& scalar_vtable() {
 
 const KernelVTable& vtable_for(simt::KernelIsa isa) {
 #ifdef STTSV_HAVE_AVX2_KERNELS
-  if (isa == simt::KernelIsa::kAvx2 && simt::cpu_features().avx2 &&
-      simt::cpu_features().fma) {
+  if (isa == simt::KernelIsa::kAvx2 && simt::cpu_features().avx2) {
     return detail::avx2_kernel_vtable();
   }
 #else
   (void)isa;
 #endif
   // Requesting kAvx2 without compiled-in AVX2 kernels (or on a host
-  // without AVX2+FMA) silently falls back — bitwise identical anyway.
+  // without AVX2) silently falls back — bitwise identical anyway.
   return scalar_vtable();
 }
 
-/// interior/face_ij vtable index for a register-block shape.
-std::size_t rj_index(std::uint8_t rj) { return rj == 4 ? 2 : (rj == 2 ? 1 : 0); }
-
-std::uint32_t encode(const KernelOptions& o) {
-  return static_cast<std::uint32_t>(o.isa) |
-         (static_cast<std::uint32_t>(o.math) << 8) |
-         (static_cast<std::uint32_t>(o.rj_interior) << 16) |
-         (static_cast<std::uint32_t>(o.rj_face_ij) << 24);
-}
-
-KernelOptions decode(std::uint32_t bits) {
-  KernelOptions o;
-  o.isa = static_cast<simt::KernelIsa>(bits & 0xff);
-  o.math = static_cast<KernelMath>((bits >> 8) & 0xff);
-  o.rj_interior = static_cast<std::uint8_t>((bits >> 16) & 0xff);
-  o.rj_face_ij = static_cast<std::uint8_t>((bits >> 24) & 0xff);
-  return o;
-}
-
-std::atomic<std::uint32_t>& options_cell() {
-  // Initialized on first use so the default picks up preferred_isa()
-  // (which reads the STTSV_SIMD environment switch).
-  static std::atomic<std::uint32_t> cell{encode(KernelOptions{})};
-  return cell;
-}
-
-detail::CompressedScratch& compressed_scratch() {
-  thread_local detail::CompressedScratch scr;
-  return scr;
-}
-
 }  // namespace
-
-KernelOptions kernel_options() {
-  return decode(options_cell().load(std::memory_order_relaxed));
-}
-
-void set_kernel_options(const KernelOptions& opts) {
-  const auto valid_rj = [](std::uint8_t rj) {
-    return rj == 1 || rj == 2 || rj == 4;
-  };
-  STTSV_REQUIRE(valid_rj(opts.rj_interior) && valid_rj(opts.rj_face_ij),
-                "register-block shape must be 1, 2 or 4");
-  options_cell().store(encode(opts), std::memory_order_relaxed);
-}
 
 std::uint64_t apply_block_generic(const tensor::SymTensor3& a,
                                   const partition::BlockCoord& c,
@@ -171,10 +125,9 @@ std::uint64_t apply_block_generic(const tensor::SymTensor3& a,
   return count;
 }
 
-std::uint64_t apply_block_ex(const tensor::SymTensor3& a,
-                             const partition::BlockCoord& c, std::size_t b,
-                             const BlockBuffers& buf,
-                             const KernelOptions& opts) {
+std::uint64_t apply_block_isa(const tensor::SymTensor3& a,
+                              const partition::BlockCoord& c, std::size_t b,
+                              const BlockBuffers& buf, simt::KernelIsa isa) {
   STTSV_REQUIRE(c.i >= c.j && c.j >= c.k, "block coordinate must be sorted");
   for (int s = 0; s < 3; ++s) {
     STTSV_REQUIRE(buf.x[s] != nullptr && buf.y[s] != nullptr,
@@ -192,23 +145,15 @@ std::uint64_t apply_block_ex(const tensor::SymTensor3& a,
   const std::size_t k_end = std::min(k0 + b, n);
 
   obs::Span span("kernel.block", obs::Category::kKernel);
-  const KernelVTable& vt = vtable_for(opts.isa);
+  const KernelVTable& vt = vtable_for(isa);
   std::uint64_t mults = 0;
   if (c.i > c.j && c.j > c.k) {
-    if (opts.math == KernelMath::kCompressed) {
-      mults = vt.interior_compressed(a.data(), i0, i_end, j0, j_end, k0, k_end,
-                                     buf.x[0], buf.x[1], buf.x[2], buf.y[0],
-                                     buf.y[1], buf.y[2], compressed_scratch());
-    } else {
-      mults = vt.interior[rj_index(opts.rj_interior)](
-          a.data(), i0, i_end, j0, j_end, k0, k_end, buf.x[0], buf.x[1],
-          buf.x[2], buf.y[0], buf.y[1], buf.y[2]);
-    }
+    mults = vt.interior(a.data(), i0, i_end, j0, j_end, k0, k_end, buf.x[0],
+                        buf.x[1], buf.x[2], buf.y[0], buf.y[1], buf.y[2]);
   } else if (c.i == c.j && c.j > c.k) {
     // Slots 0 and 1 view the same row block (aliased by contract).
-    mults = vt.face_ij[rj_index(opts.rj_face_ij)](a.data(), i0, i_end, k0,
-                                                  k_end, buf.x[0], buf.x[2],
-                                                  buf.y[0], buf.y[2]);
+    mults = vt.face_ij(a.data(), i0, i_end, k0, k_end, buf.x[0], buf.x[2],
+                       buf.y[0], buf.y[2]);
   } else if (c.i > c.j && c.j == c.k) {
     // Slots 1 and 2 view the same row block (aliased by contract).
     mults = vt.face_jk(a.data(), i0, i_end, j0, j_end, buf.x[0], buf.x[1],
@@ -224,7 +169,7 @@ std::uint64_t apply_block_ex(const tensor::SymTensor3& a,
 std::uint64_t apply_block(const tensor::SymTensor3& a,
                           const partition::BlockCoord& c, std::size_t b,
                           const BlockBuffers& buf) {
-  return apply_block_ex(a, c, b, buf, kernel_options());
+  return apply_block_isa(a, c, b, buf, simt::preferred_isa());
 }
 
 }  // namespace sttsv::core

@@ -25,8 +25,7 @@ const PanelVTable& scalar_vtable() {
 
 const PanelVTable& vtable_for(simt::KernelIsa isa) {
 #ifdef STTSV_HAVE_AVX2_KERNELS
-  if (isa == simt::KernelIsa::kAvx2 && simt::cpu_features().avx2 &&
-      simt::cpu_features().fma) {
+  if (isa == simt::KernelIsa::kAvx2 && simt::cpu_features().avx2) {
     return detail::avx2_panel_vtable();
   }
 #else
@@ -35,7 +34,7 @@ const PanelVTable& vtable_for(simt::KernelIsa isa) {
   return scalar_vtable();
 }
 
-/// Runs panel lane v through apply_block_ex. At lanes == 1 the
+/// Runs panel lane v through apply_block_isa. At lanes == 1 the
 /// panel is already the contiguous single-vector layout and runs in
 /// place; otherwise the lane's first len[s] elements of each distinct
 /// slot are gathered into per-thread scratch (aliased diagonal slots stay
@@ -44,12 +43,12 @@ void run_lane_on_core(const tensor::SymTensor3& a,
                       const partition::BlockCoord& c, std::size_t b,
                       std::size_t lanes, const PanelBuffers& buf,
                       std::size_t v, const std::size_t (&len)[3],
-                      const KernelOptions& opts) {
+                      simt::KernelIsa isa) {
   BlockBuffers lane;
   if (lanes == 1) {
     std::copy_n(buf.x, 3, lane.x);
     std::copy_n(buf.y, 3, lane.y);
-    apply_block_ex(a, c, b, lane, opts);
+    apply_block_isa(a, c, b, lane, isa);
     return;
   }
   thread_local std::vector<double> scratch;
@@ -73,7 +72,7 @@ void run_lane_on_core(const tensor::SymTensor3& a,
     lane.x[s] = xs;
     lane.y[s] = ys;
   }
-  apply_block_ex(a, c, b, lane, opts);
+  apply_block_isa(a, c, b, lane, isa);
   for (std::size_t s = 0; s < 3; ++s) {
     if (aliased(s)) continue;
     for (std::size_t l = 0; l < len[s]; ++l) {
@@ -148,14 +147,9 @@ std::uint64_t apply_block_panel_isa(const tensor::SymTensor3& a,
     mults = e * (e - 1) * (e - 2) / 2 + 2 * e * (e - 1) + e;
   }
   if (whole < lanes) {
-    // Pinned to standard math: a process-wide kCompressed would
-    // reassociate these lanes away from their whole-chunk siblings.
-    KernelOptions opts = kernel_options();
-    opts.isa = isa;
-    opts.math = KernelMath::kStandard;
     const std::size_t len[3] = {i_end - i0, j_end - j0, k_end - k0};
     for (std::size_t v = whole; v < lanes; ++v) {
-      run_lane_on_core(a, c, b, lanes, buf, v, len, opts);
+      run_lane_on_core(a, c, b, lanes, buf, v, len, isa);
     }
   }
   mults *= lanes;

@@ -12,10 +12,9 @@
 // (every lane when B < 4) run one by one on the core kernels.
 //
 // Contract: lane v of the output is bitwise identical to running the
-// standard-math core kernels (core::apply_block_ex, kStandard) on lane v
-// alone, whatever core::kernel_options() holds. Both sides follow the
-// canonical arithmetic order of DESIGN.md §13.1, so the contract holds
-// across the scalar and AVX2 instantiations in any combination.
+// core kernels (core::apply_block_isa) on lane v alone. Both sides follow
+// the canonical arithmetic order of DESIGN.md §13.1, so the contract
+// holds across the scalar and AVX2 instantiations in any combination.
 
 #include <cstddef>
 #include <cstdint>

@@ -1,5 +1,5 @@
-// AVX2/FMA instantiation of the panel kernels. Compiled only when
-// STTSV_ENABLE_SIMD resolves, with -mavx2 -mfma -ffp-contract=off (the
+// AVX2 instantiation of the panel kernels. Compiled only when
+// STTSV_ENABLE_SIMD resolves, with -mavx2 -ffp-contract=off (the
 // contraction ban keeps the bitwise contract with the scalar
 // instantiation — see panel_kernels_impl.hpp).
 

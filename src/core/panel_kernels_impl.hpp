@@ -7,7 +7,7 @@
 // whole lane chunk; lanes left over after the last whole chunk run on
 // the single-vector core kernels instead (panel_kernels.cpp). The bodies
 // are instantiated in panel_kernels.cpp (VecScalar, always built) and
-// panel_kernels_avx2.cpp (VecAvx2, -mavx2 -mfma). Both TUs are compiled
+// panel_kernels_avx2.cpp (VecAvx2, -mavx2). Both TUs are compiled
 // with -ffp-contract=off.
 //
 // Bitwise contract: lane v of the output equals running the single-vector

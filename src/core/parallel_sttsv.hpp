@@ -55,11 +55,10 @@ struct PanelRunResult {
 /// per phase and chunk: messages are those of a single-vector run, words
 /// are B times its words. Panels are lane-interleaved (element g of lane
 /// v at g·B + v), so B = 1 is the contiguous single-vector layout. Block
-/// kernels are core::apply_block_panel, which pins standard math: lane v
-/// is bitwise identical whatever B is and whatever kernel_options()
-/// holds. Pipeline modes, transports and placements behave as described
-/// for parallel_sttsv below; phases are labeled "x-panel" and "y-panel"
-/// in any FaultReport.
+/// kernels are core::apply_block_panel: lane v is bitwise identical
+/// whatever B is. Pipeline modes, transports and placements behave as
+/// described for parallel_sttsv below; phases are labeled "x-panel" and
+/// "y-panel" in any FaultReport.
 PanelRunResult parallel_sttsv_panel(
     simt::Exchanger& exchanger, const partition::TetraPartition& part,
     const partition::VectorDistribution& dist,

@@ -1,6 +1,7 @@
 #include "hier/topology.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdlib>
 #include <string>
 
@@ -64,14 +65,19 @@ Topology Topology::parse(std::string_view text, std::size_t num_ranks) {
     if (part.empty()) fail("empty integer");
     for (const char c : part) {
       if (c < '0' || c > '9') fail("non-digit character");
-      value = value * 10 + static_cast<std::size_t>(c - '0');
+      const auto digit = static_cast<std::size_t>(c - '0');
+      if (value > (SIZE_MAX - digit) / 10) fail("integer overflow");
+      value = value * 10 + digit;
     }
     return value;
   };
   const std::size_t nodes = parse_int(text.substr(0, x));
   const std::size_t per_node = parse_int(text.substr(x + 1));
   if (nodes == 0 || per_node == 0) fail("zero dimension");
-  if (nodes * per_node != num_ranks) fail("N*M != num_ranks");
+  // Division, not N*M: the product can wrap.
+  if (num_ranks % per_node != 0 || nodes != num_ranks / per_node) {
+    fail("N*M != num_ranks");
+  }
   return uniform(num_ranks, nodes);
 }
 

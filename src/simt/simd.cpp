@@ -84,10 +84,7 @@ bool simd_enabled() {
 }
 
 KernelIsa preferred_isa() {
-  // FMA is required alongside AVX2: the AVX2 kernel TU is compiled with
-  // -mfma, so its compressed-math kernels emit FMA instructions.
-  if (simd_compiled() && simd_enabled() && cpu_features().avx2 &&
-      cpu_features().fma) {
+  if (simd_compiled() && simd_enabled() && cpu_features().avx2) {
     return KernelIsa::kAvx2;
   }
   return KernelIsa::kScalar;

@@ -4,7 +4,7 @@
 // Two pieces live here:
 //
 //  1. Runtime CPU-feature detection and kernel-ISA selection. The build
-//     may compile AVX2/FMA kernel translation units (STTSV_ENABLE_SIMD,
+//     may compile AVX2 kernel translation units (STTSV_ENABLE_SIMD,
 //     defines STTSV_HAVE_AVX2_KERNELS); whether they are *used* is decided
 //     at runtime from a cached CPUID probe plus an explicit kill switch
 //     (set_simd_enabled / environment variable STTSV_SIMD=off). Scalar
@@ -15,14 +15,10 @@
 //     once as templates over a vector type V and instantiated twice:
 //     VecScalar (plain double[4], compiles everywhere) in the portable
 //     translation unit, and VecAvx2 (__m256d) in a TU compiled with
-//     -mavx2 -mfma. Both types implement each operation with the same
-//     IEEE arithmetic per lane and the same combination order, so the two
+//     -mavx2. Both types implement each operation with the same IEEE
+//     arithmetic per lane and the same combination order, so the two
 //     instantiations produce bitwise-identical results — the repo's
 //     bitwise-`y` invariant holds whichever path the dispatcher picks.
-//     The only deliberately looser operation is fmadd(), which contracts
-//     to a single-rounding FMA on the AVX2 path; it is used exclusively
-//     by the opt-in compressed-math kernels whose results are documented
-//     as reassociating (DESIGN.md §13.4).
 //
 // Both kernel TUs are compiled with -ffp-contract=off so the compiler
 // cannot fuse the mul/add pairs below behind our back and silently break
@@ -61,8 +57,8 @@ enum class KernelIsa : std::uint8_t { kScalar = 0, kAvx2 = 1 };
 
 const char* isa_name(KernelIsa isa);
 
-/// True when the AVX2/FMA kernel translation units were compiled into
-/// this binary (STTSV_ENABLE_SIMD build option).
+/// True when the AVX2 kernel translation units were compiled into this
+/// binary (STTSV_ENABLE_SIMD build option).
 bool simd_compiled();
 
 /// Runtime kill switch. Starts from the environment: STTSV_SIMD=off|0|
@@ -72,8 +68,8 @@ void set_simd_enabled(bool enabled);
 bool simd_enabled();
 
 /// The ISA the kernel dispatchers use by default: kAvx2 iff the AVX2
-/// kernels are compiled in, the CPU reports AVX2 *and* FMA, and the
-/// runtime switch is on; kScalar otherwise.
+/// kernels are compiled in, the CPU reports AVX2, and the runtime switch
+/// is on; kScalar otherwise.
 KernelIsa preferred_isa();
 
 namespace simd {
@@ -109,19 +105,9 @@ struct VecScalar {
     return {{a.v[0] + b.v[0], a.v[1] + b.v[1], a.v[2] + b.v[2],
              a.v[3] + b.v[3]}};
   }
-  friend VecScalar operator-(VecScalar a, VecScalar b) {
-    return {{a.v[0] - b.v[0], a.v[1] - b.v[1], a.v[2] - b.v[2],
-             a.v[3] - b.v[3]}};
-  }
   friend VecScalar operator*(VecScalar a, VecScalar b) {
     return {{a.v[0] * b.v[0], a.v[1] * b.v[1], a.v[2] * b.v[2],
              a.v[3] * b.v[3]}};
-  }
-  /// a*b + c. On this instantiation: two roundings (mul then add) — the
-  /// TU is compiled with -ffp-contract=off so this can never silently
-  /// become an FMA. Only the compressed-math kernels may call this.
-  static VecScalar fmadd(VecScalar a, VecScalar b, VecScalar c) {
-    return (a * b) + c;
   }
   /// Canonical horizontal sum: (v0 + v1) + (v2 + v3). Every
   /// instantiation must combine in exactly this order.
@@ -131,7 +117,7 @@ struct VecScalar {
 #ifdef STTSV_SIMD_TU_HAS_AVX2
 
 /// AVX2 instantiation: one ymm register. Compiled only in TUs built with
-/// -mavx2 -mfma; executed only when preferred_isa() == kAvx2.
+/// -mavx2; executed only when preferred_isa() == kAvx2.
 struct VecAvx2 {
   __m256d v;
 
@@ -156,19 +142,8 @@ struct VecAvx2 {
   friend VecAvx2 operator+(VecAvx2 a, VecAvx2 b) {
     return {_mm256_add_pd(a.v, b.v)};
   }
-  friend VecAvx2 operator-(VecAvx2 a, VecAvx2 b) {
-    return {_mm256_sub_pd(a.v, b.v)};
-  }
   friend VecAvx2 operator*(VecAvx2 a, VecAvx2 b) {
     return {_mm256_mul_pd(a.v, b.v)};
-  }
-  /// Single-rounding FMA (compressed-math kernels only; see VecScalar).
-  static VecAvx2 fmadd(VecAvx2 a, VecAvx2 b, VecAvx2 c) {
-#ifdef __FMA__
-    return {_mm256_fmadd_pd(a.v, b.v, c.v)};
-#else
-    return (a * b) + c;
-#endif
   }
   /// (v0 + v1) + (v2 + v3), bitwise identical to VecScalar::reduce.
   double reduce() const {

@@ -37,7 +37,10 @@ std::uint64_t parse_u64(const std::string& s) {
   for (const char ch : t) {
     STTSV_REQUIRE(ch >= '0' && ch <= '9',
                   "parse_u64: non-digit in '" + t + "'");
-    value = value * 10 + static_cast<std::uint64_t>(ch - '0');
+    const auto digit = static_cast<std::uint64_t>(ch - '0');
+    STTSV_REQUIRE(value <= (UINT64_MAX - digit) / 10,
+                  "parse_u64: '" + t + "' does not fit in 64 bits");
+    value = value * 10 + digit;
   }
   return value;
 }

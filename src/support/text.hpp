@@ -13,7 +13,8 @@ std::vector<std::string> split(const std::string& s, char delim);
 /// Trims ASCII whitespace from both ends.
 std::string trim(const std::string& s);
 
-/// Parses a nonnegative integer; throws PreconditionError on junk.
+/// Parses a nonnegative integer; throws PreconditionError on junk or on
+/// a value that does not fit in 64 bits.
 std::uint64_t parse_u64(const std::string& s);
 
 /// "1, 4, 6, 8" -> "{1,4,6,8}" style rendering of index sets (1-based in

@@ -1,5 +1,6 @@
 #include "tensor/io.hpp"
 
+#include <algorithm>
 #include <fstream>
 #include <iomanip>
 #include <istream>
@@ -7,12 +8,34 @@
 #include <ostream>
 
 #include "support/check.hpp"
+#include "support/text.hpp"
 
 namespace sttsv::tensor {
 
 namespace {
 constexpr const char* kTensorMagic = "sttsv-symtensor3";
 constexpr const char* kVectorMagic = "sttsv-vector";
+
+/// The count after the magic line, digits only: operator>> into an
+/// unsigned type would accept "-1" as 2^64 - 1.
+std::size_t read_count(std::istream& is, const char* what) {
+  std::string token;
+  is >> token;
+  STTSV_REQUIRE(static_cast<bool>(is), what);
+  return parse_u64(token);
+}
+
+/// Reads `count` values, growing the buffer only as values arrive, so a
+/// short stream that claims a huge count fails as truncated instead of
+/// allocating the claim.
+std::vector<double> read_values(std::istream& is, std::size_t count,
+                                const char* what) {
+  std::vector<double> values;
+  double v = 0.0;
+  while (values.size() < count && is >> v) values.push_back(v);
+  STTSV_REQUIRE(values.size() == count, what);
+  return values;
+}
 }  // namespace
 
 void write_tensor(std::ostream& os, const SymTensor3& a) {
@@ -29,14 +52,12 @@ SymTensor3 read_tensor(std::istream& is) {
   is >> magic >> version;
   STTSV_REQUIRE(magic == kTensorMagic && version == "v1",
                 "not an sttsv-symtensor3 v1 stream");
-  std::size_t n = 0;
-  is >> n;
-  STTSV_REQUIRE(is && n >= 1, "bad tensor dimension");
+  const std::size_t n = read_count(is, "bad tensor dimension");
+  STTSV_REQUIRE(n >= 1, "bad tensor dimension");
+  const std::vector<double> packed =
+      read_values(is, tetra_count(n), "truncated tensor stream");
   SymTensor3 a(n);
-  for (std::size_t idx = 0; idx < a.packed_size(); ++idx) {
-    is >> a.data()[idx];
-  }
-  STTSV_REQUIRE(static_cast<bool>(is), "truncated tensor stream");
+  std::copy(packed.begin(), packed.end(), a.data());
   return a;
 }
 
@@ -66,13 +87,8 @@ std::vector<double> read_vector(std::istream& is) {
   is >> magic >> version;
   STTSV_REQUIRE(magic == kVectorMagic && version == "v1",
                 "not an sttsv-vector v1 stream");
-  std::size_t n = 0;
-  is >> n;
-  STTSV_REQUIRE(static_cast<bool>(is), "bad vector length");
-  std::vector<double> v(n);
-  for (auto& x : v) is >> x;
-  STTSV_REQUIRE(static_cast<bool>(is), "truncated vector stream");
-  return v;
+  const std::size_t n = read_count(is, "bad vector length");
+  return read_values(is, n, "truncated vector stream");
 }
 
 }  // namespace sttsv::tensor

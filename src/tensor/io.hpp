@@ -7,6 +7,9 @@
 //   <packed values, whitespace separated, tetra_index order>
 //
 // Values are written with max_digits10 precision and round-trip exactly.
+// The readers throw PreconditionError on a wrong magic line, a signed or
+// overflowing count, or a stream holding fewer values than its count;
+// they allocate only for values the stream actually holds.
 
 #include <iosfwd>
 #include <string>

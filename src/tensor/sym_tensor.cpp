@@ -2,13 +2,19 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 
 #include "support/check.hpp"
 
 namespace sttsv::tensor {
 
 std::size_t tetra_count(std::size_t n) {
-  return n * (n + 1) * (n + 2) / 6;
+  std::size_t product = 0;
+  STTSV_REQUIRE(n <= SIZE_MAX - 2 &&
+                    !__builtin_mul_overflow(n, n + 1, &product) &&
+                    !__builtin_mul_overflow(product, n + 2, &product),
+                "tensor dimension too large: packed count overflows");
+  return product / 6;
 }
 
 std::size_t strict_tetra_count(std::size_t n) {

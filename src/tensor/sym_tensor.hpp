@@ -12,7 +12,8 @@
 namespace sttsv::tensor {
 
 /// Entries in the (non-strict) lower tetrahedron of an n×n×n symmetric
-/// tensor: n(n+1)(n+2)/6.
+/// tensor: n(n+1)(n+2)/6. Throws PreconditionError if n(n+1)(n+2)
+/// overflows std::size_t.
 std::size_t tetra_count(std::size_t n);
 
 /// Entries in the *strict* lower tetrahedron (i > j > k): n(n-1)(n-2)/6.
@@ -29,7 +30,8 @@ void tetra_unindex(std::size_t idx, std::size_t& i, std::size_t& j,
 
 class SymTensor3 {
  public:
-  /// Zero-initialized symmetric tensor of dimension n (n >= 1).
+  /// Zero-initialized symmetric tensor of dimension n (n >= 1, and
+  /// tetra_count(n) representable).
   explicit SymTensor3(std::size_t n);
 
   [[nodiscard]] std::size_t dim() const { return n_; }

@@ -1,9 +1,9 @@
 #pragma once
 // Message-free reference for the Algorithm-5 driver (tests only). Every
-// rank runs its owned blocks, in order, through the standard-math core
-// kernels on its own padded copy of x; each element of rank p's share of
-// row block i is then 0.0 + p's partial + the partials of the other
-// ranks of Q_i, ascending — the driver's reduction order. No exchange
+// rank runs its owned blocks, in order, through the core kernels on its
+// own padded copy of x; each element of rank p's share of row block i
+// is then 0.0 + p's partial + the partials of the other ranks of Q_i,
+// ascending — the driver's reduction order. No exchange
 // walk, no exchanger and no packing, so a driver that matches this bit
 // for bit has moved, unpacked and reduced every share correctly.
 
@@ -24,8 +24,6 @@ inline std::vector<double> algorithm5_reference(
   const std::size_t b = dist.block_length_b();
   std::vector<double> x_pad(dist.padded_n(), 0.0);
   std::copy(x.begin(), x.end(), x_pad.begin());
-  core::KernelOptions opts = core::kernel_options();
-  opts.math = core::KernelMath::kStandard;
 
   // partial[p]: rank p's partial y, laid out like the padded vector.
   std::vector<std::vector<double>> partial(
@@ -38,7 +36,7 @@ inline std::vector<double> algorithm5_reference(
         buf.x[s] = x_pad.data() + rows[s];
         buf.y[s] = partial[p].data() + rows[s];
       }
-      (void)core::apply_block_ex(a, c, b, buf, opts);
+      (void)core::apply_block(a, c, b, buf);
     }
   }
 

@@ -101,6 +101,11 @@ TEST(Topology, ParsesNxMAgainstTheRankCount) {
   EXPECT_THROW((void)Topology::parse("x5", 10), PreconditionError);
   EXPECT_THROW((void)Topology::parse("ten", 10), PreconditionError);
   EXPECT_THROW((void)Topology::parse("2x5x1", 10), PreconditionError);
+  // Neither the digit loop nor N*M may wrap to a valid 2x5.
+  EXPECT_THROW((void)Topology::parse("18446744073709551618x5", 10),
+               PreconditionError);
+  EXPECT_THROW((void)Topology::parse("2x9223372036854775813", 10),
+               PreconditionError);
 }
 
 TEST(Topology, EnvOverrideRoundTrip) {

@@ -50,6 +50,16 @@ TEST(TensorIo, RejectsTruncatedStream) {
   text.resize(text.size() / 2);
   std::stringstream cut(text);
   EXPECT_THROW(read_tensor(cut), PreconditionError);
+  // Hostile dimensions: a sign (which operator>> would wrap to 2^64 - 1),
+  // a packed count that overflows, and a huge count the stream does not
+  // hold. None may allocate the claimed count.
+  for (const char* header :
+       {"sttsv-symtensor3 v1\n-1\n", "sttsv-symtensor3 v1\n-1\n0\n",
+        "sttsv-symtensor3 v1\n18446744073709551614\n",
+        "sttsv-symtensor3 v1\n2097152\n0 1 2\n"}) {
+    std::stringstream hostile(header);
+    EXPECT_THROW(read_tensor(hostile), PreconditionError) << header;
+  }
 }
 
 TEST(TensorIo, FileRoundTrip) {
@@ -85,6 +95,13 @@ TEST(VectorIo, EmptyVector) {
 TEST(VectorIo, RejectsWrongMagic) {
   std::stringstream ss("sttsv-symtensor3 v1\n1\n0\n");
   EXPECT_THROW(read_vector(ss), PreconditionError);
+  // Hostile lengths: a sign, and a huge count the stream does not hold.
+  for (const char* text :
+       {"sttsv-vector v1\n-1\n", "sttsv-vector v1\n-1\n0.5\n",
+        "sttsv-vector v1\n1000000000000\n0.5 0.25\n"}) {
+    std::stringstream hostile(text);
+    EXPECT_THROW(read_vector(hostile), PreconditionError) << text;
+  }
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
 #include <string>
 
@@ -153,6 +154,11 @@ TEST(Text, ParseU64) {
   EXPECT_EQ(parse_u64(" 42 "), 42u);
   EXPECT_THROW(parse_u64("4x2"), PreconditionError);
   EXPECT_THROW(parse_u64(""), PreconditionError);
+  // 2^64 - 1 is the largest value; one past it (and beyond) must not wrap.
+  EXPECT_EQ(parse_u64("18446744073709551615"), UINT64_MAX);
+  EXPECT_THROW(parse_u64("18446744073709551616"), PreconditionError);
+  EXPECT_THROW(parse_u64("18446744073709551617"), PreconditionError);
+  EXPECT_THROW(parse_u64("99999999999999999999999"), PreconditionError);
 }
 
 TEST(Text, BraceSetAndTriple) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 
 #include "support/check.hpp"
 #include "support/rng.hpp"
@@ -62,6 +63,8 @@ TEST(SymTensor3, PackedSizeAndBounds) {
   EXPECT_EQ(a.packed_size(), tetra_count(6));
   EXPECT_THROW(a.at(6, 0, 0), PreconditionError);
   EXPECT_THROW(static_cast<void>(a.packed(a.packed_size())), PreconditionError);
+  // n(n+1)(n+2)/6 wraps to 0 at SIZE_MAX; the constructor must refuse.
+  EXPECT_THROW(SymTensor3{SIZE_MAX}, PreconditionError);
 }
 
 TEST(Dense3, SymmetryDetection) {
