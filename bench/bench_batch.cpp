@@ -10,14 +10,15 @@
 //   * plan-cache warm lookups orders of magnitude under a cold build,
 //
 // and times both paths. The full sweep requires >= 2x vectors/s at the
-// widest panel (panel kernels amortize every tensor-element load over
-// the whole batch) and >= 0.7x the loop's vectors/s at every B < 4
-// (narrow panels run the single-vector core kernels). Widths 3 and 6
-// leave 3 and 2 lanes past the last whole 4-lane chunk, so the checks
-// cover the tail lanes too. Results go to BENCH_batch.json in the working
-// directory. `--quick` runs a reduced sweep for CI smoke. `--trace
-// <path>` records one traced batched run and writes a Chrome trace_event
-// JSON there.
+// widest panel (the panel kernels walk each tensor block once for all of
+// the panel's whole 4-lane chunks, so every tensor-element load serves
+// them all) and >= 0.7x the loop's vectors/s at every B < 4 (narrow
+// panels run the single-vector core kernels, one block walk per lane).
+// Widths 3 and 6 leave 3 and 2 lanes past the last whole 4-lane chunk,
+// so the checks cover the tail lanes too. Results go to BENCH_batch.json
+// in the working directory. `--quick` runs a reduced sweep without the
+// throughput checks, for a fast smoke. `--trace <path>` records one
+// traced batched run and writes a Chrome trace_event JSON there.
 
 #include <cstdint>
 #include <cstring>

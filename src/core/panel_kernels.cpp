@@ -107,41 +107,35 @@ std::uint64_t apply_block_panel_isa(const tensor::SymTensor3& a,
   const PanelVTable& vt = vtable_for(isa);
   constexpr std::size_t kW = simt::simd::kLanes;
 
-  // Whole vector-width lane chunks run the panel kernels; the lanes % kW
-  // left over run one by one on the core kernels. Lanes never mix
-  // arithmetically, so the split is invisible to the bitwise contract.
-  const std::size_t whole = lanes - lanes % kW;
+  // Whole vector-width lane chunks run the panel kernels in one walk of
+  // the block; the lanes % kW left over run one by one on the core
+  // kernels. Lanes never mix arithmetically, so the split is invisible to
+  // the bitwise contract.
+  const std::size_t chunks = lanes / kW;
+  const std::size_t whole = chunks * kW;
   std::uint64_t mults = 0;  // per lane
   if (c.i > c.j && c.j > c.k) {
-    for (std::size_t v0 = 0; v0 < whole; v0 += kW) {
-      vt.interior(a.data(), i0, i_end, j0, j_end, k0, k_end, buf.x[0] + v0,
-                  buf.x[1] + v0, buf.x[2] + v0, buf.y[0] + v0, buf.y[1] + v0,
-                  buf.y[2] + v0, lanes);
-    }
+    vt.interior(a.data(), i0, i_end, j0, j_end, k0, k_end, buf.x[0],
+                buf.x[1], buf.x[2], buf.y[0], buf.y[1], buf.y[2], lanes,
+                chunks);
     mults = 3 * static_cast<std::uint64_t>(i_end - i0) * (j_end - j0) *
             (k_end - k0);
   } else if (c.i == c.j && c.j > c.k) {
     // Slots 0 and 1 view the same row block (aliased by contract).
-    for (std::size_t v0 = 0; v0 < whole; v0 += kW) {
-      vt.face_ij(a.data(), i0, i_end, k0, k_end, buf.x[0] + v0,
-                 buf.x[2] + v0, buf.y[0] + v0, buf.y[2] + v0, lanes);
-    }
+    vt.face_ij(a.data(), i0, i_end, k0, k_end, buf.x[0], buf.x[2], buf.y[0],
+               buf.y[2], lanes, chunks);
     const std::uint64_t ni = i_end - i0;
     mults = (k_end - k0) * (3 * (ni * (ni - 1) / 2) + 2 * ni);
   } else if (c.i > c.j && c.j == c.k) {
     // Slots 1 and 2 view the same row block (aliased by contract).
-    for (std::size_t v0 = 0; v0 < whole; v0 += kW) {
-      vt.face_jk(a.data(), i0, i_end, j0, j_end, buf.x[0] + v0,
-                 buf.x[1] + v0, buf.y[0] + v0, buf.y[1] + v0, lanes);
-    }
+    vt.face_jk(a.data(), i0, i_end, j0, j_end, buf.x[0], buf.x[1], buf.y[0],
+               buf.y[1], lanes, chunks);
     const std::uint64_t ni = i_end - i0;
     const std::uint64_t nj = j_end - j0;
     mults = ni * (3 * (nj * (nj - 1) / 2) + 2 * nj);
   } else {
     // Central diagonal block: all three slots alias one panel pair.
-    for (std::size_t v0 = 0; v0 < whole; v0 += kW) {
-      vt.central(a.data(), i0, i_end, buf.x[0] + v0, buf.y[0] + v0, lanes);
-    }
+    vt.central(a.data(), i0, i_end, buf.x[0], buf.y[0], lanes, chunks);
     // 3·C(e,3) strict + 2·2·C(e,2) face + e central elements per lane.
     const std::uint64_t e = i_end - i0;
     mults = e * (e - 1) * (e - 2) / 2 + 2 * e * (e - 1) + e;

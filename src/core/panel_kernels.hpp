@@ -2,14 +2,15 @@
 // Panel variants of the local block kernels (DESIGN.md §9): apply one
 // b×b×b tensor block to a *panel* of B vectors at once. Panels are
 // lane-interleaved — element l of lane v lives at l*lanes + v — so the
-// innermost lane loop is a contiguous SIMD-friendly run and every packed
-// tensor entry is loaded once per block instead of once per vector. At
-// B = 1 the panel is the contiguous single-vector layout; the
-// Algorithm-5 driver (core::parallel_sttsv_panel) runs every lane count
-// through these kernels.
+// innermost lane loop is a contiguous SIMD-friendly run. At B = 1 the
+// panel is the contiguous single-vector layout; the Algorithm-5 driver
+// (core::parallel_sttsv_panel) runs every lane count through these
+// kernels.
 //
-// Whole 4-lane chunks run the panel kernels; the lanes % 4 left over
-// (every lane when B < 4) run one by one on the core kernels.
+// All whole 4-lane chunks run the panel kernels in one walk of the
+// block, so every packed tensor entry is loaded from memory once for all
+// of them. The lanes % 4 left over (every lane when B < 4) run one by
+// one on the core kernels, one block walk each.
 //
 // Contract: lane v of the output is bitwise identical to running the
 // core kernels (core::apply_block_isa) on lane v alone. Both sides follow

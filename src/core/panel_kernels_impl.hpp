@@ -3,12 +3,16 @@
 //
 // Panels are lane-interleaved — element l of lane v lives at l*stride+v —
 // so a chunk of simd::kLanes panel lanes is one contiguous vector load.
-// Each kernel is a template over the 4-lane vector type V and runs one
-// whole lane chunk; lanes left over after the last whole chunk run on
-// the single-vector core kernels instead (panel_kernels.cpp). The bodies
-// are instantiated in panel_kernels.cpp (VecScalar, always built) and
-// panel_kernels_avx2.cpp (VecAvx2, -mavx2). Both TUs are compiled
-// with -ffp-contract=off.
+// Each kernel is a template over the 4-lane vector type V and runs
+// `chunks` whole lane chunks in one walk of the block: for each row gi,
+// every chunk in turn sweeps that row's slab (at most b×b entries) while
+// it is still in L1/L2, so the block streams from memory once per panel
+// rather than once per chunk. Chunks never mix, and each lane meets the
+// block entries in the same order as a one-chunk walk. Lanes left over
+// after the last whole chunk run on the single-vector core kernels
+// instead (panel_kernels.cpp). The bodies are instantiated in
+// panel_kernels.cpp (VecScalar, always built) and panel_kernels_avx2.cpp
+// (VecAvx2, -mavx2). Both TUs are compiled with -ffp-contract=off.
 //
 // Bitwise contract: lane v of the output equals running the single-vector
 // core kernels on lane v alone, bit for bit. The core kernels follow the
@@ -81,25 +85,30 @@ void interior_panel(const double* STTSV_RESTRICT data, std::size_t i0,
                     const double* STTSV_RESTRICT xj,
                     const double* STTSV_RESTRICT xk,
                     double* STTSV_RESTRICT yi, double* STTSV_RESTRICT yj,
-                    double* STTSV_RESTRICT yk, std::size_t stride) {
+                    double* STTSV_RESTRICT yk, std::size_t stride,
+                    std::size_t chunks) {
   const std::size_t kb = k_end - k0;
+  const std::size_t width = chunks * simt::simd::kLanes;
   const V two = V::broadcast(2.0);
   for (std::size_t gi = i0; gi < i_end; ++gi) {
     const std::size_t li = gi - i0;
-    const V xiv = V::load(xi + li * stride);
-    V yi_row = V::zero();
-    for (std::size_t gj = j0; gj < j_end; ++gj) {
-      const std::size_t lj = gj - j0;
-      const V xjv = V::load(xj + lj * stride);
-      const double* row = data + packed_row_base(gi, gj) + k0;
-      const V cy = (two * xiv) * xjv;
-      const V acc = panel_strict_row<V>(row, kb, cy, xk, yk, stride);
-      yi_row = yi_row + xjv * acc;
-      double* yp = yj + lj * stride;
-      (V::load(yp) + (two * xiv) * acc).store(yp);
+    for (std::size_t v0 = 0; v0 < width; v0 += simt::simd::kLanes) {
+      const V xiv = V::load(xi + li * stride + v0);
+      V yi_row = V::zero();
+      for (std::size_t gj = j0; gj < j_end; ++gj) {
+        const std::size_t lj = gj - j0;
+        const V xjv = V::load(xj + lj * stride + v0);
+        const double* row = data + packed_row_base(gi, gj) + k0;
+        const V cy = (two * xiv) * xjv;
+        const V acc =
+            panel_strict_row<V>(row, kb, cy, xk + v0, yk + v0, stride);
+        yi_row = yi_row + xjv * acc;
+        double* yp = yj + lj * stride + v0;
+        (V::load(yp) + (two * xiv) * acc).store(yp);
+      }
+      double* yp = yi + li * stride + v0;
+      (V::load(yp) + two * yi_row).store(yp);
     }
-    double* yp = yi + li * stride;
-    (V::load(yp) + two * yi_row).store(yp);
   }
 }
 
@@ -109,29 +118,34 @@ void face_ij_panel(const double* STTSV_RESTRICT data, std::size_t i0,
                    const double* STTSV_RESTRICT xij,
                    const double* STTSV_RESTRICT xk,
                    double* STTSV_RESTRICT yij, double* STTSV_RESTRICT yk,
-                   std::size_t stride) {
+                   std::size_t stride, std::size_t chunks) {
   const std::size_t kb = k_end - k0;
+  const std::size_t width = chunks * simt::simd::kLanes;
   const V two = V::broadcast(2.0);
   for (std::size_t gi = i0; gi < i_end; ++gi) {
     const std::size_t li = gi - i0;
-    const V xiv = V::load(xij + li * stride);
-    V yi_row = V::zero();
-    for (std::size_t gj = i0; gj < gi; ++gj) {
-      const std::size_t lj = gj - i0;
-      const V xjv = V::load(xij + lj * stride);
-      const double* row = data + packed_row_base(gi, gj) + k0;
-      const V cy = (two * xiv) * xjv;
-      const V acc = panel_strict_row<V>(row, kb, cy, xk, yk, stride);
-      yi_row = yi_row + xjv * acc;
-      double* yp = yij + lj * stride;
-      (V::load(yp) + (two * xiv) * acc).store(yp);
+    for (std::size_t v0 = 0; v0 < width; v0 += simt::simd::kLanes) {
+      const V xiv = V::load(xij + li * stride + v0);
+      V yi_row = V::zero();
+      for (std::size_t gj = i0; gj < gi; ++gj) {
+        const std::size_t lj = gj - i0;
+        const V xjv = V::load(xij + lj * stride + v0);
+        const double* row = data + packed_row_base(gi, gj) + k0;
+        const V cy = (two * xiv) * xjv;
+        const V acc =
+            panel_strict_row<V>(row, kb, cy, xk + v0, yk + v0, stride);
+        yi_row = yi_row + xjv * acc;
+        double* yp = yij + lj * stride + v0;
+        (V::load(yp) + (two * xiv) * acc).store(yp);
+      }
+      // gj == gi diagonal row, hoisted exactly as in the single kernel.
+      const double* row = data + packed_row_base(gi, gi) + k0;
+      const V cy = xiv * xiv;
+      const V acc =
+          panel_strict_row<V>(row, kb, cy, xk + v0, yk + v0, stride);
+      double* yp = yij + li * stride + v0;
+      (V::load(yp) + two * (yi_row + xiv * acc)).store(yp);
     }
-    // gj == gi diagonal row, hoisted exactly as in the single kernel.
-    const double* row = data + packed_row_base(gi, gi) + k0;
-    const V cy = xiv * xiv;
-    const V acc = panel_strict_row<V>(row, kb, cy, xk, yk, stride);
-    double* yp = yij + li * stride;
-    (V::load(yp) + two * (yi_row + xiv * acc)).store(yp);
   }
 }
 
@@ -141,20 +155,23 @@ void face_jk_panel(const double* STTSV_RESTRICT data, std::size_t i0,
                    const double* STTSV_RESTRICT xi,
                    const double* STTSV_RESTRICT xjk,
                    double* STTSV_RESTRICT yi, double* STTSV_RESTRICT yjk,
-                   std::size_t stride) {
+                   std::size_t stride, std::size_t chunks) {
+  const std::size_t width = chunks * simt::simd::kLanes;
   for (std::size_t gi = i0; gi < i_end; ++gi) {
     const std::size_t li = gi - i0;
     const std::size_t gi_base = gi * (gi + 1) * (gi + 2) / 6;
-    const V xiv = V::load(xi + li * stride);
-    V yi_row = V::zero();
-    for (std::size_t gj = j0; gj < j_end; ++gj) {
-      const std::size_t lj = gj - j0;
-      panel_face_jk_row<V>(data + gi_base + gj * (gj + 1) / 2 + j0, lj, xiv,
-                           V::load(xjk + lj * stride), xjk, yjk, yi_row,
-                           stride);
+    for (std::size_t v0 = 0; v0 < width; v0 += simt::simd::kLanes) {
+      const V xiv = V::load(xi + li * stride + v0);
+      V yi_row = V::zero();
+      for (std::size_t gj = j0; gj < j_end; ++gj) {
+        const std::size_t lj = gj - j0;
+        panel_face_jk_row<V>(data + gi_base + gj * (gj + 1) / 2 + j0, lj,
+                             xiv, V::load(xjk + lj * stride + v0), xjk + v0,
+                             yjk + v0, yi_row, stride);
+      }
+      double* yp = yi + li * stride + v0;
+      (V::load(yp) + yi_row).store(yp);
     }
-    double* yp = yi + li * stride;
-    (V::load(yp) + yi_row).store(yp);
   }
 }
 
@@ -165,42 +182,50 @@ void face_jk_panel(const double* STTSV_RESTRICT data, std::size_t i0,
 template <class V>
 void central_panel(const double* STTSV_RESTRICT data, std::size_t i0,
                    std::size_t i_end, const double* STTSV_RESTRICT x,
-                   double* STTSV_RESTRICT y, std::size_t stride) {
+                   double* STTSV_RESTRICT y, std::size_t stride,
+                   std::size_t chunks) {
+  const std::size_t width = chunks * simt::simd::kLanes;
   const V two = V::broadcast(2.0);
   for (std::size_t gi = i0; gi < i_end; ++gi) {
     const std::size_t li = gi - i0;
     const std::size_t gi_base = gi * (gi + 1) * (gi + 2) / 6;
-    const V xiv = V::load(x + li * stride);
-    V yi_row = V::zero();
-    for (std::size_t gj = i0; gj < gi; ++gj) {
-      const std::size_t lj = gj - i0;
-      panel_face_jk_row<V>(data + gi_base + gj * (gj + 1) / 2 + i0, lj, xiv,
-                           V::load(x + lj * stride), x, y, yi_row, stride);
+    for (std::size_t v0 = 0; v0 < width; v0 += simt::simd::kLanes) {
+      const V xiv = V::load(x + li * stride + v0);
+      V yi_row = V::zero();
+      for (std::size_t gj = i0; gj < gi; ++gj) {
+        const std::size_t lj = gj - i0;
+        panel_face_jk_row<V>(data + gi_base + gj * (gj + 1) / 2 + i0, lj,
+                             xiv, V::load(x + lj * stride + v0), x + v0,
+                             y + v0, yi_row, stride);
+      }
+      const double* row = data + gi_base + gi * (gi + 1) / 2 + i0;
+      const V cy = xiv * xiv;
+      const V acc = panel_strict_row<V>(row, li, cy, x + v0, y + v0, stride);
+      const V vt = V::broadcast(row[li]);
+      double* yp = y + li * stride + v0;
+      (V::load(yp) + ((yi_row + (two * xiv) * acc) + (vt * xiv) * xiv))
+          .store(yp);
     }
-    const double* row = data + gi_base + gi * (gi + 1) / 2 + i0;
-    const V cy = xiv * xiv;
-    const V acc = panel_strict_row<V>(row, li, cy, x, y, stride);
-    const V vt = V::broadcast(row[li]);
-    double* yp = y + li * stride;
-    (V::load(yp) + ((yi_row + (two * xiv) * acc) + (vt * xiv) * xiv))
-        .store(yp);
   }
 }
 
-/// Function-pointer table of one ISA instantiation: one whole-chunk
-/// entry point per block class.
+/// Function-pointer table of one ISA instantiation: one entry point per
+/// block class. Every entry ends with the panel stride and the number of
+/// whole lane chunks to run.
 struct PanelVTable {
   using InteriorFn = void (*)(const double*, std::size_t, std::size_t,
                               std::size_t, std::size_t, std::size_t,
                               std::size_t, const double*, const double*,
                               const double*, double*, double*, double*,
-                              std::size_t);
+                              std::size_t, std::size_t);
   /// Both face classes: one aliased slot pair plus one distinct slot.
   using FaceFn = void (*)(const double*, std::size_t, std::size_t,
                           std::size_t, std::size_t, const double*,
-                          const double*, double*, double*, std::size_t);
+                          const double*, double*, double*, std::size_t,
+                          std::size_t);
   using CentralFn = void (*)(const double*, std::size_t, std::size_t,
-                             const double*, double*, std::size_t);
+                             const double*, double*, std::size_t,
+                             std::size_t);
   InteriorFn interior;
   FaceFn face_ij;
   FaceFn face_jk;

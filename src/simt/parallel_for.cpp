@@ -9,16 +9,21 @@
 #include <thread>
 #include <vector>
 
+#include "support/check.hpp"
+#include "support/text.hpp"
+
 namespace sttsv::simt {
 
 namespace {
 
+/// STTSV_HOST_THREADS is read as decimal digits only (parse_u64): a sign,
+/// any other character, 0 or a value past 64 bits means automatic.
 std::size_t env_or_hardware_concurrency() {
   if (const char* env = std::getenv("STTSV_HOST_THREADS")) {
-    char* end = nullptr;
-    const unsigned long v = std::strtoul(env, &end, 10);
-    if (end != env && *end == '\0' && v > 0) {
-      return static_cast<std::size_t>(v);
+    try {
+      const std::uint64_t v = parse_u64(env);
+      if (v > 0) return static_cast<std::size_t>(v);
+    } catch (const PreconditionError&) {
     }
   }
   const unsigned hw = std::thread::hardware_concurrency();

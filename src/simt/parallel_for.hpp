@@ -20,7 +20,8 @@ namespace sttsv::simt {
 
 /// Number of host threads parallel_for may use. Resolution order: the
 /// last set_host_concurrency(n > 0) value, else the STTSV_HOST_THREADS
-/// environment variable, else std::thread::hardware_concurrency().
+/// environment variable if it is a positive decimal number, else
+/// std::thread::hardware_concurrency().
 std::size_t host_concurrency();
 
 /// Overrides the host thread count; 0 restores automatic resolution.

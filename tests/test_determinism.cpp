@@ -7,8 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
 #include <memory>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "core/baselines.hpp"
@@ -231,6 +234,28 @@ TEST(ParallelFor, ConcurrencyGuardRestores) {
     EXPECT_EQ(simt::host_concurrency(), 3u);
   }
   EXPECT_EQ(simt::host_concurrency(), before);
+}
+
+TEST(ParallelFor, HostThreadsEnvAcceptsDecimalDigitsOnly) {
+  const char* raw = std::getenv("STTSV_HOST_THREADS");
+  const bool had = raw != nullptr;
+  const std::string saved = had ? raw : "";
+  simt::ConcurrencyGuard automatic(0);  // no override: the env decides
+  const unsigned hw = std::thread::hardware_concurrency();
+  const std::size_t fallback = hw == 0 ? 1 : hw;
+  // strtoul would read each of these as about 2^64 threads.
+  for (const char* junk :
+       {"-1", "-4", "18446744073709551617", "99999999999999999999"}) {
+    ::setenv("STTSV_HOST_THREADS", junk, 1);
+    EXPECT_EQ(simt::host_concurrency(), fallback) << "value " << junk;
+  }
+  ::setenv("STTSV_HOST_THREADS", "4", 1);
+  EXPECT_EQ(simt::host_concurrency(), 4u);
+  if (had) {
+    ::setenv("STTSV_HOST_THREADS", saved.c_str(), 1);
+  } else {
+    ::unsetenv("STTSV_HOST_THREADS");
+  }
 }
 
 }  // namespace

@@ -182,28 +182,32 @@ TEST_P(SimdGolden, Avx2MatchesScalarBitwise) {
 }
 
 // The core kernels fuse strict rows (RJ = 4 interior, RJ = 2 face_ij);
-// the panel kernels run every row alone (RJ = 1). Per lane they must
-// agree bit for bit — the contract that lets the panel path hand
-// left-over lanes to the core kernels (panel_kernels.hpp).
+// the panel kernels run every row alone (RJ = 1), for one whole chunk or
+// for two chunks sharing one walk of the block. Per lane they must agree
+// bit for bit — the contract that lets the panel path hand left-over
+// lanes to the core kernels (panel_kernels.hpp).
 TEST_P(SimdGolden, RegisterBlockShapeIsBitwiseInvariant) {
   const std::size_t b = GetParam();
   const std::size_t m = 3;
   const std::size_t n = m * b > 1 ? m * b - 1 : 1;  // padded tail too
-  const std::size_t lanes = simt::simd::kLanes;     // one whole panel chunk
   Rng rng(11 * b + 3);
   const auto a = tensor::random_symmetric(n, rng);
-  std::vector<double> x_pan(m * b * lanes, 0.0);
-  for (std::size_t i = 0; i < n * lanes; ++i) {
-    x_pan[i] = rng.next_in(-1.0, 1.0);
-  }
-  std::vector<double> y_start(m * b * lanes);
-  for (double& e : y_start) e = rng.next_in(-1.0, 1.0);
+  for (const std::size_t lanes :
+       {simt::simd::kLanes, 2 * simt::simd::kLanes}) {
+    SCOPED_TRACE(testing::Message() << "lanes=" << lanes);
+    std::vector<double> x_pan(m * b * lanes, 0.0);
+    for (std::size_t i = 0; i < n * lanes; ++i) {
+      x_pan[i] = rng.next_in(-1.0, 1.0);
+    }
+    std::vector<double> y_start(m * b * lanes);
+    for (double& e : y_start) e = rng.next_in(-1.0, 1.0);
 
-  for (const simt::KernelIsa isa :
-       {simt::KernelIsa::kScalar, simt::KernelIsa::kAvx2}) {
-    for (const auto& c : kClassBlocks) {
-      expect_panel_lanes_match_core(a, c, m, b, lanes, x_pan, y_start, isa,
-                                    isa);
+    for (const simt::KernelIsa isa :
+         {simt::KernelIsa::kScalar, simt::KernelIsa::kAvx2}) {
+      for (const auto& c : kClassBlocks) {
+        expect_panel_lanes_match_core(a, c, m, b, lanes, x_pan, y_start, isa,
+                                      isa);
+      }
     }
   }
 }
@@ -241,12 +245,14 @@ TEST(PanelSimd, MatchesCoreBitwisePerLaneBothIsas) {
   const std::size_t m = 3, b = 13, n = m * b - 2;  // padded tail
   Rng rng(31);
   const auto a = tensor::random_symmetric(n, rng);
-  // Lanes past the last whole 4-chunk run on the core kernels; every
-  // lane must match the scalar core kernel either way.
+  // Whole 4-chunks share one walk of the block (up to 4 chunks here);
+  // lanes past the last whole chunk run on the core kernels. Every lane
+  // must match the scalar core kernel either way.
   for (const std::size_t lanes :
        {std::size_t{1}, std::size_t{2}, std::size_t{3}, std::size_t{4},
         std::size_t{5}, std::size_t{6}, std::size_t{7}, std::size_t{8},
-        std::size_t{11}}) {
+        std::size_t{11}, std::size_t{12}, std::size_t{16},
+        std::size_t{19}}) {
     SCOPED_TRACE(testing::Message() << "lanes=" << lanes);
     std::vector<double> x_pan(m * b * lanes, 0.0);
     for (std::size_t l = 0; l < n; ++l) {
