@@ -1,11 +1,11 @@
 // Exchange-path microbenchmark (DESIGN.md §12): pump the Algorithm-5
 // x-panel exchange pattern (spherical q=2, P=10, n=256, B-lane panels)
-// through two schedules and compare
+// through two packing paths, each one exchange per superstep, and compare
 //
 //   * baseline — the pre-pool path: every message packed into freshly
-//     heap-allocated storage, one serialized exchange per superstep;
-//   * pooled   — pool-leased slabs and the double-buffered pipeline
-//     (pack chunk t+1 while the wire carries chunk t).
+//     heap-allocated storage;
+//   * pooled   — every message packed into a slab leased from the
+//     sender's pool shard.
 //
 // Verifies the subsystem's contract before timing anything: both paths
 // deliver identical bytes, both charge identical ledger words, messages
@@ -29,7 +29,6 @@
 #include "repro_common.hpp"
 #include "simt/buffer_pool.hpp"
 #include "simt/machine.hpp"
-#include "simt/pipeline.hpp"
 #include "simt/reliable_exchange.hpp"
 #include "support/rng.hpp"
 #include "support/table.hpp"
@@ -47,22 +46,19 @@ struct Workload {
   std::uint64_t words_per_superstep = 0;
 };
 
-/// Packs rank p's aggregated x messages for pair-block chunk `c` of
-/// `chunks`, appending each slice of the padded panel. `acquire` decides
-/// where the bytes live — the pool (hot path) or fresh heap storage
-/// (baseline) — and is the ONLY difference between the two packers.
+/// Packs every rank's aggregated x messages, appending each slice of the
+/// padded panel. `acquire` decides where the bytes live — the pool (hot
+/// path) or fresh heap storage (baseline) — and is the ONLY difference
+/// between the two packers.
 template <class Acquire>
-std::vector<std::vector<simt::Envelope>> pack_chunk(const Workload& w,
-                                                    std::size_t chunks,
-                                                    std::size_t c,
-                                                    Acquire&& acquire) {
+std::vector<std::vector<simt::Envelope>> pack(const Workload& w,
+                                              Acquire&& acquire) {
   const std::size_t P = w.plan->num_processors();
   const std::size_t B = w.lanes;
   std::vector<std::vector<simt::Envelope>> outboxes(P);
   for (std::size_t p = 0; p < P; ++p) {
     for (const batch::Plan::PeerExchange& ex : w.plan->exchanges(p)) {
       if (ex.x_words == 0) continue;
-      if ((p + ex.peer) % chunks != c) continue;
       simt::PooledBuffer buf = acquire(p, ex.x_words * B);
       for (const batch::Plan::BlockSlice& s : ex.slices) {
         buf.append(
@@ -115,7 +111,7 @@ void collect(std::vector<Arrival>& out,
 /// reserve), so its realloc-and-copy churn is charged to the baseline.
 double baseline_superstep(simt::Machine& machine, const Workload& w,
                           std::vector<Arrival>* arrivals = nullptr) {
-  auto outboxes = pack_chunk(w, 1, 0, [](std::size_t, std::size_t) {
+  auto outboxes = pack(w, [](std::size_t, std::size_t) {
     return simt::PooledBuffer();  // unpooled, grows on demand
   });
   auto in =
@@ -124,24 +120,17 @@ double baseline_superstep(simt::Machine& machine, const Workload& w,
   return consume_touch(in);
 }
 
-/// One pooled superstep: pool-leased pack, double-buffered 2-chunk wire.
+/// One pooled superstep: pool-leased pack, one exchange.
 double pooled_superstep(simt::Exchanger& exchanger, const Workload& w,
                         std::vector<Arrival>* arrivals = nullptr) {
   simt::Machine& machine = exchanger.machine();
-  double sum = 0.0;
-  simt::pipelined_exchange(
-      exchanger, simt::Transport::kPointToPoint, 2,
-      simt::PipelineMode::kDoubleBuffered,
-      [&](std::size_t c) {
-        return pack_chunk(w, 2, c, [&](std::size_t p, std::size_t words) {
-          return machine.pool().acquire(p, words);
-        });
-      },
-      [&](std::vector<std::vector<simt::Delivery>> in) {
-        if (arrivals != nullptr) collect(*arrivals, in);
-        sum += consume_touch(in);
-      });
-  return sum;
+  auto outboxes = pack(w, [&](std::size_t p, std::size_t words) {
+    return machine.pool().acquire(p, words);
+  });
+  auto in =
+      exchanger.exchange(std::move(outboxes), simt::Transport::kPointToPoint);
+  if (arrivals != nullptr) collect(*arrivals, in);
+  return consume_touch(in);
 }
 
 }  // namespace
@@ -152,9 +141,9 @@ int main(int argc, char** argv) {
     if (std::string(argv[i]) == "--quick") quick = true;
   }
 
-  repro::banner(quick ? "Exchange path: pooled+pipelined (quick smoke)"
-                      : "Exchange path: pooled+pipelined vs serialized "
-                        "baseline (n = 256, P = 10)");
+  repro::banner(quick ? "Exchange path: pooled (quick smoke)"
+                      : "Exchange path: pooled vs unpooled baseline "
+                        "(n = 256, P = 10)");
   repro::Checker check;
 
   const std::size_t n = quick ? 60 : 256;
@@ -192,14 +181,14 @@ int main(int argc, char** argv) {
   std::sort(base_arrivals.begin(), base_arrivals.end());
   std::sort(pool_arrivals.begin(), pool_arrivals.end());
   check.check(base_arrivals == pool_arrivals,
-              "identical bytes delivered by both schedules (bitwise)");
+              "identical bytes delivered by both paths (bitwise)");
   check.check(base_machine.ledger().total_words() ==
                       pool_machine.ledger().total_words() &&
                   base_machine.ledger().total_messages() ==
                       pool_machine.ledger().total_messages() &&
                   base_machine.ledger().rounds() ==
                       pool_machine.ledger().rounds(),
-              "ledger words/messages/rounds invariant under pipelining");
+              "ledger words/messages/rounds identical on both paths");
   base_machine.ledger().verify_conservation();
   pool_machine.ledger().verify_conservation();
 
@@ -258,9 +247,9 @@ int main(int argc, char** argv) {
 
   TextTable table({"path", "seconds", "words/s", "allocs/superstep"},
                   {Align::kLeft, Align::kRight, Align::kRight, Align::kRight});
-  table.add_row({"serialized baseline", format_double(base_s, 4),
+  table.add_row({"unpooled baseline", format_double(base_s, 4),
                  format_double(base_wps, 0), std::to_string(baseline_allocs)});
-  table.add_row({"pooled + pipelined", format_double(pool_s, 4),
+  table.add_row({"pooled", format_double(pool_s, 4),
                  format_double(pool_wps, 0), "0"});
   std::cout << table << "\n  exchange-path speedup: "
             << format_double(speedup, 2) << "x over " << supersteps
@@ -268,7 +257,7 @@ int main(int argc, char** argv) {
 
   if (!quick) {
     check.check(speedup >= 1.5,
-                "pooled+pipelined exchange path >= 1.5x serialized baseline");
+                "pooled exchange path >= 1.5x unpooled baseline");
   }
 
   // --- Machine-readable artifact. --------------------------------------
@@ -289,7 +278,7 @@ int main(int argc, char** argv) {
     jw.field("words_per_s", base_wps);
     jw.field("allocations_per_superstep", baseline_allocs);
     jw.end_object();
-    jw.begin_object("pooled_pipelined");
+    jw.begin_object("pooled");
     jw.field("seconds", pool_s);
     jw.field("words_per_s", pool_wps);
     jw.field("steady_state_slab_allocations", steady_slab);

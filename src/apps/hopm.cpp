@@ -19,6 +19,7 @@ using SttsvFn =
 
 HopmResult hopm_loop(const tensor::SymTensor3& a, const HopmOptions& opts,
                      const SttsvFn& sttsv) {
+  STTSV_REQUIRE(std::isfinite(opts.shift), "HOPM shift must be finite");
   const std::size_t n = a.dim();
   Rng rng(opts.seed);
   std::vector<double> x = rng.uniform_vector(n, -1.0, 1.0);
@@ -81,6 +82,7 @@ HopmResult hopm_fully_distributed(simt::Machine& machine,
   using core::DistributedVector;
   STTSV_REQUIRE(dist.logical_n() == a.dim(),
                 "distribution/tensor dimension mismatch");
+  STTSV_REQUIRE(std::isfinite(opts.shift), "HOPM shift must be finite");
   const std::size_t n = a.dim();
   Rng rng(opts.seed);
 

@@ -23,7 +23,7 @@ namespace sttsv::apps {
 struct HopmOptions {
   std::size_t max_iterations = 500;
   double tolerance = 1e-12;  // sign-invariant iterate distance
-  double shift = 0.0;        // SS-HOPM shift α (0 = plain HOPM)
+  double shift = 0.0;        // SS-HOPM shift α (0 = plain HOPM), finite
   std::uint64_t seed = 42;   // random unit start vector
 };
 

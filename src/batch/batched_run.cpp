@@ -4,17 +4,17 @@ namespace sttsv::batch {
 
 BatchRunResult parallel_sttsv_batch(
     simt::Machine& machine, const Plan& plan, const tensor::SymTensor3& a,
-    const std::vector<std::vector<double>>& x, simt::PipelineMode pipeline) {
+    const std::vector<std::vector<double>>& x) {
   simt::DirectExchange direct(machine);
-  return parallel_sttsv_batch(direct, plan, a, x, pipeline);
+  return parallel_sttsv_batch(direct, plan, a, x);
 }
 
 BatchRunResult parallel_sttsv_batch(
     simt::Exchanger& exchanger, const Plan& plan, const tensor::SymTensor3& a,
-    const std::vector<std::vector<double>>& x, simt::PipelineMode pipeline) {
+    const std::vector<std::vector<double>>& x) {
   return core::parallel_sttsv_panel(exchanger, plan.partition(),
                                     plan.distribution(), plan.walk(), a, x,
-                                    plan.key().transport, pipeline);
+                                    plan.key().transport);
 }
 
 }  // namespace sttsv::batch

@@ -19,7 +19,6 @@
 #include "batch/plan.hpp"
 #include "core/parallel_sttsv.hpp"
 #include "simt/machine.hpp"
-#include "simt/pipeline.hpp"
 #include "simt/reliable_exchange.hpp"
 #include "tensor/sym_tensor.hpp"
 
@@ -36,13 +35,9 @@ using BatchRunResult = core::PanelRunResult;
 /// run the one driver and its panel kernels.
 /// Requirements: machine.num_ranks() == plan.num_processors(),
 /// a.dim() == plan.key().n, every x_v of length n, every rank alive.
-/// `pipeline` selects the phase schedule (see core::parallel_sttsv):
-/// kDoubleBuffered overlaps pair-block chunks, kSerialized is the
-/// historical order; lanes and ledger are identical either way.
 BatchRunResult parallel_sttsv_batch(
     simt::Machine& machine, const Plan& plan, const tensor::SymTensor3& a,
-    const std::vector<std::vector<double>>& x,
-    simt::PipelineMode pipeline = simt::PipelineMode::kDoubleBuffered);
+    const std::vector<std::vector<double>>& x);
 
 /// Same batch, communication routed through `exchanger` (DESIGN.md §10):
 /// with simt::ReliableExchange the aggregated panel exchanges survive
@@ -51,7 +46,6 @@ BatchRunResult parallel_sttsv_batch(
 /// Phases are labeled "x-panel" and "y-panel" in any FaultReport.
 BatchRunResult parallel_sttsv_batch(
     simt::Exchanger& exchanger, const Plan& plan, const tensor::SymTensor3& a,
-    const std::vector<std::vector<double>>& x,
-    simt::PipelineMode pipeline = simt::PipelineMode::kDoubleBuffered);
+    const std::vector<std::vector<double>>& x);
 
 }  // namespace sttsv::batch

@@ -105,9 +105,8 @@ void Engine::run_one_batch() {
   // consumed).
   BatchRunResult result =
       opts_.exchanger != nullptr
-          ? parallel_sttsv_batch(*opts_.exchanger, *plan_, a_, x,
-                                 opts_.pipeline)
-          : parallel_sttsv_batch(machine_, *plan_, a_, x, opts_.pipeline);
+          ? parallel_sttsv_batch(*opts_.exchanger, *plan_, a_, x)
+          : parallel_sttsv_batch(machine_, *plan_, a_, x);
 
   std::vector<Request> batch;
   batch.reserve(B);

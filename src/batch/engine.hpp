@@ -50,9 +50,6 @@ struct EngineOptions {
   /// (serve::FrontendOptions and STTSV_TRANSPORT forward to this).
   /// Ignored when an explicit `exchanger` is supplied.
   simt::TransportKind transport = simt::TransportKind::kDirect;
-  /// Phase schedule for every batch (see core::parallel_sttsv): outputs
-  /// and ledger channels are identical under both modes (DESIGN.md §12).
-  simt::PipelineMode pipeline = simt::PipelineMode::kDoubleBuffered;
   /// Rank -> node map (DESIGN.md §17). Non-empty: the engine installs it
   /// on the machine's ledger (per-level accounting) and, when `transport`
   /// is kHierarchical, builds the hierarchical backend over it. Empty

@@ -6,7 +6,6 @@
 
 #include "core/panel_kernels.hpp"
 #include "obs/trace.hpp"
-#include "simt/pipeline.hpp"
 #include "support/check.hpp"
 
 namespace sttsv::core {
@@ -54,10 +53,9 @@ ParallelRunResult parallel_sttsv(simt::Machine& machine,
                                  const VectorDistribution& dist,
                                  const tensor::SymTensor3& a,
                                  const std::vector<double>& x,
-                                 simt::Transport transport,
-                                 simt::PipelineMode pipeline) {
+                                 simt::Transport transport) {
   simt::DirectExchange direct(machine);
-  return parallel_sttsv(direct, part, dist, a, x, transport, pipeline);
+  return parallel_sttsv(direct, part, dist, a, x, transport);
 }
 
 ParallelRunResult parallel_sttsv(simt::Exchanger& exchanger,
@@ -66,11 +64,10 @@ ParallelRunResult parallel_sttsv(simt::Exchanger& exchanger,
                                  const tensor::SymTensor3& a,
                                  const std::vector<double>& x,
                                  simt::Transport transport,
-                                 simt::PipelineMode pipeline,
                                  const std::vector<std::size_t>& placement) {
   PanelRunResult run =
       parallel_sttsv_panel(exchanger, part, dist, ExchangeWalk(part, dist), a,
-                           {x}, transport, pipeline, placement);
+                           {x}, transport, placement);
   ParallelRunResult result;
   result.y = std::move(run.y[0]);
   result.ternary_mults = std::move(run.ternary_mults);
@@ -86,7 +83,6 @@ PanelRunResult parallel_sttsv_panel(simt::Exchanger& exchanger,
                                     const tensor::SymTensor3& a,
                                     const std::vector<std::vector<double>>& x,
                                     simt::Transport transport,
-                                    simt::PipelineMode pipeline,
                                     const std::vector<std::size_t>& placement) {
   simt::Machine& machine = exchanger.machine();
   const std::size_t P = part.num_processors();
@@ -120,14 +116,6 @@ PanelRunResult parallel_sttsv_panel(simt::Exchanger& exchanger,
   for (std::size_t h = 0; h < P; ++h) {
     if (!roles_by_host[h].empty()) hosts.push_back(h);
   }
-
-  // Each communication phase is one logical exchange split into pair-block
-  // chunks: chunk t+1 packs (or computes) while chunk t is on the wire.
-  // The ledger cannot tell the difference (DESIGN.md §12).
-  const std::size_t chunks =
-      pipeline == simt::PipelineMode::kDoubleBuffered && hosts.size() > 1
-          ? 2
-          : 1;
 
   // Lift the role-pair walk onto host pairs. Role pairs on one host
   // become local legs and never touch the wire or the ledger.
@@ -182,12 +170,11 @@ PanelRunResult parallel_sttsv_panel(simt::Exchanger& exchanger,
 
   // ---- Phase 1: exchange x shares (Algorithm 5 lines 10-21). ----------
   // Local row blocks are seeded with the role's own share (and co-hosted
-  // roles' shares) up front, so each pipeline part's deliveries can be
-  // unpacked the moment it completes: every delivery writes a disjoint
-  // (block, sender-share) slice, making the landing order irrelevant.
-  // Seeding runs on the worker threads (run_ranks) so each host's block
-  // storage is first-touched by the thread that will feed it to the
-  // kernels — the NUMA placement half of DESIGN.md §17. Host programs
+  // roles' shares); every delivery then writes a disjoint (block,
+  // sender-share) slice, so the landing order is irrelevant. Seeding
+  // runs on the worker threads (run_ranks) so each host's block storage
+  // is first-touched by the thread that will feed it to the kernels —
+  // the NUMA placement half of DESIGN.md §17. Host programs
   // stay disjoint (host h writes only its roles' blocks), so the
   // parallel seed is bitwise identical to the sequential one.
   obs::Span x_phase("sttsv.x-panel", obs::Category::kSuperstep, B);
@@ -213,27 +200,29 @@ PanelRunResult parallel_sttsv_panel(simt::Exchanger& exchanger,
   // Pack: one envelope per host pair carrying the sender's share of every
   // common row block, in the route's walk order — receivers unpack with
   // the same walk. Buffers are leased exactly sized from the sender's
-  // pool shard.
-  const auto pack_x = [&](std::size_t c) {
-    std::vector<std::vector<Envelope>> outboxes(P);
-    for (const std::size_t hf : hosts) {
-      for (const Route& r : routes[hf]) {
-        if (r.x_words == 0 || (hf + r.to) % chunks != c) continue;
-        simt::PooledBuffer buf = machine.pool().acquire(hf, r.x_words * B);
-        for (const Leg& leg : r.legs) {
-          for (const ExchangeWalk::BlockSlice& s : leg.ex->slices) {
-            buf.append(pad(x_pad, s.block, s.sender.offset),
-                       s.sender.length * B);
-          }
+  // pool shard. The whole phase is one exchange (DESIGN.md §12).
+  exchanger.set_phase("x-panel");
+  std::vector<std::vector<Envelope>> x_out(P);
+  for (const std::size_t hf : hosts) {
+    for (const Route& r : routes[hf]) {
+      if (r.x_words == 0) continue;
+      simt::PooledBuffer buf = machine.pool().acquire(hf, r.x_words * B);
+      for (const Leg& leg : r.legs) {
+        for (const ExchangeWalk::BlockSlice& s : leg.ex->slices) {
+          buf.append(pad(x_pad, s.block, s.sender.offset),
+                     s.sender.length * B);
         }
-        outboxes[hf].push_back(Envelope{r.to, std::move(buf)});
       }
+      x_out[hf].push_back(Envelope{r.to, std::move(buf)});
     }
-    return outboxes;
-  };
-  const auto consume_x = [&](std::vector<std::vector<Delivery>> in) {
-    for (std::size_t ht = 0; ht < in.size(); ++ht) {
-      for (const Delivery& d : in[ht]) {
+  }
+  {
+    // Scoped so the delivered slabs return to their pool shards before
+    // the y phase leases its buffers.
+    const std::vector<std::vector<Delivery>> x_in =
+        exchanger.exchange(std::move(x_out), transport);
+    for (std::size_t ht = 0; ht < x_in.size(); ++ht) {
+      for (const Delivery& d : x_in[ht]) {
         std::size_t cursor = 0;
         for (const Leg& leg : route_between(d.from, ht).legs) {
           const std::size_t rp = leg.ex->peer;
@@ -246,36 +235,27 @@ PanelRunResult parallel_sttsv_panel(simt::Exchanger& exchanger,
             cursor += words;
           }
         }
-        STTSV_CHECK(cursor == d.data.size(), "x delivery longer than expected");
+        STTSV_CHECK(cursor == d.data.size(),
+                    "x delivery longer than expected");
       }
     }
-  };
-  exchanger.set_phase("x-panel");
-  simt::pipelined_exchange(exchanger, transport, chunks, pipeline, pack_x,
-                           consume_x);
+  }
   x_phase.close();
 
   // ---- Phases 2+3: block kernels feeding the partial-y exchange. ------
-  // Hosts are split into `chunks` groups; each pack runs one group's
-  // kernels (host programs stay independent — host h reads and writes
-  // only its roles' blocks) and posts that group's partial-y messages,
-  // so the other group's kernels overlap the wire time. The reduction
-  // below is deferred until every part has landed and re-sorted by
-  // sending role, which pins the exact floating-point order of the
-  // serialized identity schedule at every placement.
+  // Every host runs its kernels in one superstep (host programs stay
+  // independent — host h reads and writes only its roles' blocks), then
+  // the partial-y messages go out in one exchange. The reduction below
+  // re-sorts contributions by sending role, which pins the exact
+  // floating-point order of the identity schedule at every placement.
   std::vector<std::vector<double>> y_loc(P);
   PanelRunResult result;
   result.ternary_mults.assign(P, 0);
 
-  std::vector<std::vector<std::size_t>> host_chunks(chunks);
-  for (std::size_t idx = 0; idx < hosts.size(); ++idx) {
-    host_chunks[idx % chunks].push_back(hosts[idx]);
-  }
-
   // Active-message transports run the reduction at the target instead of
   // returning deliveries (DESIGN.md §16): local partials are seeded into
   // y_pad as soon as each rank's kernels finish (disjoint own-share
-  // slices, so the host-threaded kernel groups never collide), and a
+  // slices, so the host-threaded rank programs never collide), and a
   // handler registered below replays the walk for every landed payload.
   // Both happen in the local-first, senders-ascending order of the
   // two-sided reduction, so y is bitwise identical. Only at the identity
@@ -320,48 +300,40 @@ PanelRunResult parallel_sttsv_panel(simt::Exchanger& exchanger,
   };
 
   obs::Span y_phase("sttsv.y-panel", obs::Category::kSuperstep, B);
-  const auto pack_y = [&](std::size_t c) {
-    machine.run_ranks(host_chunks[c], [&](std::size_t h) {
-      for (const std::size_t role : roles_by_host[h]) {
-        y_loc[role].assign(part.R(role).size() * b * B, 0.0);
-        for (const partition::BlockCoord& coord : walk.owned(role)) {
-          PanelBuffers buf;
-          buf.x[0] = at(x_loc[role], role, coord.i, 0);
-          buf.x[1] = at(x_loc[role], role, coord.j, 0);
-          buf.x[2] = at(x_loc[role], role, coord.k, 0);
-          buf.y[0] = at(y_loc[role], role, coord.i, 0);
-          buf.y[1] = at(y_loc[role], role, coord.j, 0);
-          buf.y[2] = at(y_loc[role], role, coord.k, 0);
-          result.ternary_mults[role] += apply_block_panel(a, coord, b, B, buf);
-        }
-        x_loc[role] = std::vector<double>();  // frees the inputs early
-        if (am_reduce) add_own_share(role);
+  exchanger.set_phase("y-panel");
+  machine.run_ranks(hosts, [&](std::size_t h) {
+    for (const std::size_t role : roles_by_host[h]) {
+      y_loc[role].assign(part.R(role).size() * b * B, 0.0);
+      for (const partition::BlockCoord& coord : walk.owned(role)) {
+        PanelBuffers buf;
+        buf.x[0] = at(x_loc[role], role, coord.i, 0);
+        buf.x[1] = at(x_loc[role], role, coord.j, 0);
+        buf.x[2] = at(x_loc[role], role, coord.k, 0);
+        buf.y[0] = at(y_loc[role], role, coord.i, 0);
+        buf.y[1] = at(y_loc[role], role, coord.j, 0);
+        buf.y[2] = at(y_loc[role], role, coord.k, 0);
+        result.ternary_mults[role] += apply_block_panel(a, coord, b, B, buf);
       }
-    });
-    std::vector<std::vector<Envelope>> y_out(P);
-    for (const std::size_t hf : host_chunks[c]) {
-      for (const Route& r : routes[hf]) {
-        if (r.y_words == 0) continue;
-        // Send the *receiving role's* share of each common row block.
-        simt::PooledBuffer buf = machine.pool().acquire(hf, r.y_words * B);
-        for (const Leg& leg : r.legs) {
-          for (const ExchangeWalk::BlockSlice& s : leg.ex->slices) {
-            buf.append(at(y_loc[leg.role], leg.role, s.block,
-                          s.receiver.offset),
-                       s.receiver.length * B);
-          }
+      x_loc[role] = std::vector<double>();  // frees the inputs early
+      if (am_reduce) add_own_share(role);
+    }
+  });
+  std::vector<std::vector<Envelope>> y_out(P);
+  for (const std::size_t hf : hosts) {
+    for (const Route& r : routes[hf]) {
+      if (r.y_words == 0) continue;
+      // Send the *receiving role's* share of each common row block.
+      simt::PooledBuffer buf = machine.pool().acquire(hf, r.y_words * B);
+      for (const Leg& leg : r.legs) {
+        for (const ExchangeWalk::BlockSlice& s : leg.ex->slices) {
+          buf.append(
+              at(y_loc[leg.role], leg.role, s.block, s.receiver.offset),
+              s.receiver.length * B);
         }
-        y_out[hf].push_back(Envelope{r.to, std::move(buf)});
       }
+      y_out[hf].push_back(Envelope{r.to, std::move(buf)});
     }
-    return y_out;
-  };
-  std::vector<std::vector<Delivery>> y_in(P);
-  const auto collect_y = [&](std::vector<std::vector<Delivery>> in) {
-    for (std::size_t p = 0; p < in.size(); ++p) {
-      for (Delivery& d : in[p]) y_in[p].push_back(std::move(d));
-    }
-  };
+  }
   if (am_reduce) {
     // Remote-reduce handler: ran once per landed payload, targets then
     // origins ascending — the same walk as the two-sided loop below.
@@ -371,9 +343,8 @@ PanelRunResult parallel_sttsv_panel(simt::Exchanger& exchanger,
           for_each_leg(from, target, data, words, add_contribution);
         });
   }
-  exchanger.set_phase("y-panel");
-  simt::pipelined_exchange(exchanger, transport, chunks, pipeline, pack_y,
-                           collect_y);
+  const std::vector<std::vector<Delivery>> y_in =
+      exchanger.exchange(std::move(y_out), transport);
   if (am_reduce) {
     exchanger.set_delivery_handler({});
   }

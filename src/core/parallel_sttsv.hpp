@@ -22,7 +22,6 @@
 #include "partition/vector_distribution.hpp"
 #include "simt/ledger.hpp"
 #include "simt/machine.hpp"
-#include "simt/pipeline.hpp"
 #include "simt/reliable_exchange.hpp"
 #include "tensor/sym_tensor.hpp"
 
@@ -50,37 +49,31 @@ struct PanelRunResult {
 };
 
 /// Runs y_v = A ×₂ x_v ×₃ x_v for the panel {x_0..x_{B-1}} (B >= 1) in
-/// one Algorithm-5 pass over `walk` (built from part and dist). The B
+/// one Algorithm-5 pass over `walk` (built from part and dist). Each
+/// phase is one Exchanger::exchange() call (DESIGN.md §12), and the B
 /// shares travelling between two hosts ride in one aggregated message
-/// per phase and chunk: messages are those of a single-vector run, words
-/// are B times its words. Panels are lane-interleaved (element g of lane
-/// v at g·B + v), so B = 1 is the contiguous single-vector layout. Block
+/// per phase: messages are those of a single-vector run, words are B
+/// times its words. Panels are lane-interleaved (element g of lane v at
+/// g·B + v), so B = 1 is the contiguous single-vector layout. Block
 /// kernels are core::apply_block_panel: lane v is bitwise identical
-/// whatever B is. Pipeline modes, transports and placements behave as
-/// described for parallel_sttsv below; phases are labeled "x-panel" and
-/// "y-panel" in any FaultReport.
+/// whatever B is. Transports and placements behave as described for
+/// parallel_sttsv below; phases are labeled "x-panel" and "y-panel" in
+/// any FaultReport.
 PanelRunResult parallel_sttsv_panel(
     simt::Exchanger& exchanger, const partition::TetraPartition& part,
     const partition::VectorDistribution& dist,
     const partition::ExchangeWalk& walk, const tensor::SymTensor3& a,
     const std::vector<std::vector<double>>& x, simt::Transport transport,
-    simt::PipelineMode pipeline = simt::PipelineMode::kDoubleBuffered,
     const std::vector<std::size_t>& placement = {});
 
 /// Runs y = A ×₂ x ×₃ x on `machine` using the given partition and vector
 /// distribution. Requirements: machine.num_ranks() == part.num_processors(),
 /// dist built over the same partition, x.size() == dist.logical_n(),
 /// a.dim() == dist.logical_n(), every rank alive.
-/// `pipeline` selects the phase schedule: kDoubleBuffered (default)
-/// overlaps each chunk's pack/kernels with the previous chunk's wire
-/// time; kSerialized is the historical pack-all-then-exchange order.
-/// Both produce bitwise-identical y and identical ledger channels
-/// (DESIGN.md §12).
 ParallelRunResult parallel_sttsv(
     simt::Machine& machine, const partition::TetraPartition& part,
     const partition::VectorDistribution& dist, const tensor::SymTensor3& a,
-    const std::vector<double>& x, simt::Transport transport,
-    simt::PipelineMode pipeline = simt::PipelineMode::kDoubleBuffered);
+    const std::vector<double>& x, simt::Transport transport);
 
 /// Same run, but communication goes through `exchanger` (the resilience
 /// seam, DESIGN.md §10). With simt::DirectExchange this is the raw run
@@ -96,7 +89,7 @@ ParallelRunResult parallel_sttsv(
 /// (DESIGN.md §15): placement[role] is the rank running that role; empty
 /// means the identity. Kernels, x shares and the reduction stay keyed by
 /// role, envelopes by host — one aggregated envelope per ordered host
-/// pair and phase chunk, with co-hosted role pairs copied locally, off
+/// pair and phase, with co-hosted role pairs copied locally, off
 /// the wire and the ledger. Contributions are reduced in sending-role
 /// order, so y is bitwise identical at every placement. Every host must
 /// be a live rank (PreconditionError otherwise: a dead host's traffic is
@@ -105,7 +98,6 @@ ParallelRunResult parallel_sttsv(
     simt::Exchanger& exchanger, const partition::TetraPartition& part,
     const partition::VectorDistribution& dist, const tensor::SymTensor3& a,
     const std::vector<double>& x, simt::Transport transport,
-    simt::PipelineMode pipeline = simt::PipelineMode::kDoubleBuffered,
     const std::vector<std::size_t>& placement = {});
 
 }  // namespace sttsv::core

@@ -147,7 +147,7 @@ RecoveryOutcome run_with_recovery(simt::Machine& machine,
     try {
       out.result =
           core::parallel_sttsv(rex, part, dist, a, x, opts.transport,
-                               opts.pipeline, out.assignment.hosts());
+                               out.assignment.hosts());
       return out;
     } catch (const simt::RankLossError& e) {
       if (out.shrinks >= opts.max_shrinks) throw;

@@ -23,7 +23,6 @@
 #include "partition/tetra_partition.hpp"
 #include "partition/vector_distribution.hpp"
 #include "simt/machine.hpp"
-#include "simt/pipeline.hpp"
 #include "simt/reliable_exchange.hpp"
 #include "tensor/sym_tensor.hpp"
 
@@ -35,7 +34,6 @@ struct RecoveryOptions {
   /// Distinct rank-loss verdicts survived before giving up (rethrow).
   std::size_t max_shrinks = 4;
   simt::Transport transport = simt::Transport::kPointToPoint;
-  simt::PipelineMode pipeline = simt::PipelineMode::kDoubleBuffered;
 };
 
 /// One orphaned role re-homed: its x shares (words) travel from the

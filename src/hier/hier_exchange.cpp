@@ -35,92 +35,11 @@ void HierarchicalExchange::set_phase(const char* phase) {
   inter_->set_phase(phase);
 }
 
-void HierarchicalExchange::open_epoch(EpochState& st) {
-  st.node_touched.assign(topo_.num_nodes(), 0);
-  st.onesided_words = 0;
-  st.recovery_words = 0;
-  registry_.open_epoch();
-}
-
-std::vector<std::vector<Envelope>> HierarchicalExchange::route_part(
-    std::vector<std::vector<Envelope>> outboxes, EpochState& st) {
-  const std::size_t P = machine_.num_ranks();
-  STTSV_REQUIRE(outboxes.size() == P,
-                "outboxes must cover every rank exactly once");
-  // Validate the whole part before the first hand-off, so a precondition
-  // failure leaves segments and ledger untouched.
-  for (std::size_t from = 0; from < P; ++from) {
-    for (const Envelope& env : outboxes[from]) {
-      STTSV_REQUIRE(env.to < P, "envelope destination out of range");
-      STTSV_REQUIRE(env.to != from,
-                    "self-messages are local copies, not comm");
-      if (topo_.same_node(from, env.to)) {
-        STTSV_REQUIRE(env.overhead_words == 0,
-                      "shared-segment transfers carry no protocol framing");
-        STTSV_REQUIRE(!env.data.empty(),
-                      "shared-segment transfers need a payload");
-      }
-    }
-  }
-
-  std::vector<std::vector<Envelope>> inter_out(P);
-  for (std::size_t from = 0; from < P; ++from) {
-    for (Envelope& env : outboxes[from]) {
-      if (!topo_.same_node(from, env.to)) {
-        stats_.inter_words += env.data.size() - env.overhead_words;
-        ++stats_.inter_envelopes;
-        inter_out[from].push_back(std::move(env));
-        continue;
-      }
-      // Membership truth mirrors Machine: traffic touching a dead rank
-      // is dropped uncharged — shared memory or not, a corpse neither
-      // posts nor fences.
-      if (!machine_.alive(from) || !machine_.alive(env.to)) continue;
-      const std::size_t words = env.data.size();
-      const simt::Channel channel = env.recovery ? simt::Channel::kRecovery
-                                                 : simt::Channel::kOneSided;
-      machine_.ledger().record(channel, from, env.to, words);
-      if (env.recovery) {
-        st.recovery_words += words;
-      } else {
-        st.onesided_words += words;
-      }
-      st.node_touched[topo_.node_of(from)] = 1;
-      ++stats_.shared_puts;
-      stats_.shared_words += words;
-      registry_.put_shared(from, env.to, std::move(env.data));
-    }
-  }
-  return inter_out;
-}
-
-void HierarchicalExchange::settle_intra(EpochState& st) {
-  if (st.settled) return;
-  st.settled = true;
-  registry_.close_epoch();
-  ++stats_.epochs;
-  std::size_t fences = 0;
-  for (const char touched : st.node_touched) {
-    if (touched != 0) ++fences;
-  }
-  if (fences == 0) return;
-  // The whole α-term of the intra path: one exposure fence per node that
-  // moved anything, regardless of how many pairs inside it communicated.
-  machine_.ledger().add_sync_ops(simt::Level::kIntra, fences);
-  stats_.node_fences += fences;
-  // The hand-off itself is one parallel step of each node's crossbar.
-  const simt::Channel channel = st.onesided_words > 0
-                                    ? simt::Channel::kOneSided
-                                    : simt::Channel::kRecovery;
-  machine_.ledger().add_rounds(channel, simt::Level::kIntra, 1);
-}
-
 std::vector<std::vector<Delivery>> HierarchicalExchange::merge_deliveries(
     std::vector<std::vector<Delivery>> inter_inboxes) {
   const std::size_t P = machine_.num_ranks();
-  // Protocol inner backends may defer nothing to finish() and hand back
-  // an empty inbox vector (the Parts contract allows it).
-  inter_inboxes.resize(P);
+  STTSV_CHECK(inter_inboxes.size() == P,
+              "inner backend must return one inbox per rank");
   std::vector<std::vector<Delivery>> merged(P);
   for (std::size_t p = 0; p < P; ++p) {
     auto& shared = registry_.shared(p);
@@ -154,77 +73,93 @@ std::vector<std::vector<Delivery>> HierarchicalExchange::merge_deliveries(
 std::vector<std::vector<Delivery>> HierarchicalExchange::exchange(
     std::vector<std::vector<Envelope>> outboxes, simt::Transport transport) {
   obs::Span span("hier.epoch", obs::Category::kExchange);
-  EpochState st;
-  open_epoch(st);
-  std::vector<std::vector<Envelope>> inter_out;
-  try {
-    inter_out = route_part(std::move(outboxes), st);
-  } catch (...) {
-    settle_intra(st);
-    throw;
+  const std::size_t P = machine_.num_ranks();
+  STTSV_REQUIRE(outboxes.size() == P,
+                "outboxes must cover every rank exactly once");
+  // Validate every envelope before the epoch opens, so a precondition
+  // failure leaves segments and ledger untouched.
+  for (std::size_t from = 0; from < P; ++from) {
+    for (const Envelope& env : outboxes[from]) {
+      STTSV_REQUIRE(env.to < P, "envelope destination out of range");
+      STTSV_REQUIRE(env.to != from,
+                    "self-messages are local copies, not comm");
+      if (topo_.same_node(from, env.to)) {
+        STTSV_REQUIRE(env.overhead_words == 0,
+                      "shared-segment transfers carry no protocol framing");
+        STTSV_REQUIRE(!env.data.empty(),
+                      "shared-segment transfers need a payload");
+      }
+    }
   }
+
+  // Intra envelopes land in the shared segments (and on the ledger) right
+  // away; inter envelopes are collected for the inner backend.
+  registry_.open_epoch();
+  std::vector<char> node_touched(topo_.num_nodes(), 0);
+  std::uint64_t onesided_words = 0;
+  std::uint64_t recovery_words = 0;
+  std::vector<std::vector<Envelope>> inter_out(P);
+  for (std::size_t from = 0; from < P; ++from) {
+    for (Envelope& env : outboxes[from]) {
+      if (!topo_.same_node(from, env.to)) {
+        stats_.inter_words += env.data.size() - env.overhead_words;
+        ++stats_.inter_envelopes;
+        inter_out[from].push_back(std::move(env));
+        continue;
+      }
+      // Membership truth mirrors Machine: traffic touching a dead rank
+      // is dropped uncharged — shared memory or not, a corpse neither
+      // posts nor fences.
+      if (!machine_.alive(from) || !machine_.alive(env.to)) continue;
+      const std::size_t words = env.data.size();
+      const simt::Channel channel = env.recovery ? simt::Channel::kRecovery
+                                                 : simt::Channel::kOneSided;
+      machine_.ledger().record(channel, from, env.to, words);
+      if (env.recovery) {
+        recovery_words += words;
+      } else {
+        onesided_words += words;
+      }
+      node_touched[topo_.node_of(from)] = 1;
+      ++stats_.shared_puts;
+      stats_.shared_words += words;
+      registry_.put_shared(from, env.to, std::move(env.data));
+    }
+  }
+
+  // Fences the shared segments: one sync op per touched node, one intra
+  // round for the epoch's hand-off step.
+  const auto settle_intra = [&]() {
+    registry_.close_epoch();
+    ++stats_.epochs;
+    std::size_t fences = 0;
+    for (const char touched : node_touched) {
+      if (touched != 0) ++fences;
+    }
+    if (fences == 0) return;
+    // The whole α-term of the intra path: one exposure fence per node
+    // that moved anything, regardless of how many pairs inside it
+    // communicated.
+    machine_.ledger().add_sync_ops(simt::Level::kIntra, fences);
+    stats_.node_fences += fences;
+    // The hand-off itself is one parallel step of each node's crossbar.
+    const simt::Channel channel = onesided_words > 0
+                                      ? simt::Channel::kOneSided
+                                      : simt::Channel::kRecovery;
+    machine_.ledger().add_rounds(channel, simt::Level::kIntra, 1);
+  };
   std::vector<std::vector<Delivery>> inter_in;
   try {
     inter_in = inter_->exchange(std::move(inter_out), transport);
   } catch (...) {
     // The fabric failed mid-exchange; the intra epoch still settles its
     // accounting (those hand-offs happened) before the fault propagates.
-    settle_intra(st);
+    settle_intra();
     throw;
   }
-  settle_intra(st);
-  span.set_arg(st.onesided_words + st.recovery_words);
+  settle_intra();
+  span.set_arg(onesided_words + recovery_words);
   return merge_deliveries(std::move(inter_in));
-}
-
-class HierarchicalExchange::PartsImpl final : public simt::Exchanger::Parts {
- public:
-  PartsImpl(HierarchicalExchange& ex, simt::Transport transport)
-      : ex_(ex),
-        inner_(ex.inter_->begin_parts(transport)),
-        span_("hier.epoch", obs::Category::kExchange) {
-    ex_.open_epoch(st_);
-  }
-
-  ~PartsImpl() override {
-    // Backstop: an abandoned epoch settles its accounting; deliveries
-    // are discarded (the inner Parts' own destructor does the same).
-    ex_.settle_intra(st_);
-  }
-
-  PartsImpl(const PartsImpl&) = delete;
-  PartsImpl& operator=(const PartsImpl&) = delete;
-
-  std::vector<std::vector<Delivery>> part(
-      std::vector<std::vector<Envelope>> outboxes) override {
-    STTSV_CHECK(!finished_, "hierarchical parts already finished");
-    // Intra hand-offs land immediately; inter envelopes stream into the
-    // inner backend's Parts (DirectExchange puts them on the wire now —
-    // the overlap the pipeline wants). Shared deliveries stay sealed
-    // until the fence at finish().
-    return inner_->part(ex_.route_part(std::move(outboxes), st_));
-  }
-
-  std::vector<std::vector<Delivery>> finish() override {
-    STTSV_CHECK(!finished_, "hierarchical parts already finished");
-    finished_ = true;
-    std::vector<std::vector<Delivery>> inter_in = inner_->finish();
-    ex_.settle_intra(st_);
-    span_.set_arg(st_.onesided_words + st_.recovery_words);
-    return ex_.merge_deliveries(std::move(inter_in));
-  }
-
- private:
-  HierarchicalExchange& ex_;
-  std::unique_ptr<simt::Exchanger::Parts> inner_;
-  EpochState st_;
-  obs::Span span_;
-  bool finished_ = false;
-};
-
-std::unique_ptr<simt::Exchanger::Parts> HierarchicalExchange::begin_parts(
-    simt::Transport transport) {
-  return std::make_unique<PartsImpl>(*this, transport);
 }
 
 void HierarchicalExchange::publish_metrics(obs::MetricsRegistry& out,

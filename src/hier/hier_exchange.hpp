@@ -75,14 +75,6 @@ class HierarchicalExchange final : public simt::Exchanger {
       std::vector<std::vector<simt::Envelope>> outboxes,
       simt::Transport transport) override;
 
-  /// Pipelined form: each part() hands intra traffic to the segments and
-  /// inter traffic to the inner backend's own Parts immediately (the
-  /// overlap the pipeline wants); deliveries from both paths are merged
-  /// at finish(). An abandoned Parts settles accounting, delivers
-  /// nothing.
-  [[nodiscard]] std::unique_ptr<Exchanger::Parts> begin_parts(
-      simt::Transport transport) override;
-
   void set_phase(const char* phase) override;
 
   [[nodiscard]] const Topology& topology() const { return topo_; }
@@ -95,27 +87,6 @@ class HierarchicalExchange final : public simt::Exchanger {
                        const std::string& prefix = "hier") const;
 
  private:
-  class PartsImpl;
-  friend class PartsImpl;
-
-  /// Intra-side accounting accumulated across parts, settled at the
-  /// node fence.
-  struct EpochState {
-    std::vector<char> node_touched;  ///< node had an intra endpoint
-    std::uint64_t onesided_words = 0;
-    std::uint64_t recovery_words = 0;
-    bool settled = false;  ///< settle_intra ran (it runs at most once)
-  };
-
-  void open_epoch(EpochState& st);
-  /// Splits one part: intra envelopes land in the shared segments (and
-  /// on the ledger) right away; inter envelopes are returned for the
-  /// inner backend. Validates the whole part before touching anything.
-  std::vector<std::vector<simt::Envelope>> route_part(
-      std::vector<std::vector<simt::Envelope>> outboxes, EpochState& st);
-  /// Fences the shared segments: one sync op per touched node, one intra
-  /// round for the epoch's hand-off step.
-  void settle_intra(EpochState& st);
   /// Merges the fenced shared deliveries into the inner inboxes,
   /// origin-ascending per target (both inputs arrive origin-sorted).
   std::vector<std::vector<simt::Delivery>> merge_deliveries(

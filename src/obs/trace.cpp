@@ -69,8 +69,6 @@ const char* category_name(Category c) {
       return "plan-cache";
     case Category::kEngineFlush:
       return "engine-flush";
-    case Category::kPipeline:
-      return "pipeline";
     case Category::kServe:
       return "serve";
     case Category::kRecovery:

@@ -47,7 +47,6 @@ enum class Category : std::uint8_t {
   kRetry,
   kPlanCache,
   kEngineFlush,
-  kPipeline,
   kServe,
   kRecovery,
   kOneSided,

@@ -1,6 +1,8 @@
 #include "onesided/onesided_exchange.hpp"
 
 #include <algorithm>
+#include <array>
+#include <unordered_map>
 #include <utility>
 
 #include "obs/metrics.hpp"
@@ -21,24 +23,15 @@ std::uint64_t pair_key(std::size_t from, std::size_t to) {
 OneSidedExchange::OneSidedExchange(simt::Machine& machine, Mode mode)
     : Exchanger(machine), mode_(mode), registry_(machine) {}
 
-void OneSidedExchange::open_epoch(EpochState& st) {
-  const std::size_t P = machine_.num_ranks();
-  for (auto& level : st.puts_issued) level.assign(P, 0);
-  for (auto& level : st.puts_received) level.assign(P, 0);
-  st.pair_words.clear();
-  st.max_pair_words = 0;
-  st.onesided_words = 0;
-  st.recovery_words = 0;
-  registry_.open_epoch();
-}
-
-void OneSidedExchange::put_part(
-    std::vector<std::vector<simt::Envelope>> outboxes, EpochState& st) {
+std::vector<std::vector<simt::Delivery>> OneSidedExchange::exchange(
+    std::vector<std::vector<simt::Envelope>> outboxes,
+    simt::Transport transport) {
+  obs::Span span("onesided.epoch", obs::Category::kOneSided);
   const std::size_t P = machine_.num_ranks();
   STTSV_REQUIRE(outboxes.size() == P,
                 "outboxes must cover every rank exactly once");
-  // Validate the whole part before the first Put lands, so a
-  // precondition failure leaves windows and ledger untouched.
+  // Validate every envelope before the epoch opens, so a precondition
+  // failure leaves windows and ledger untouched.
   for (std::size_t from = 0; from < P; ++from) {
     for (const simt::Envelope& env : outboxes[from]) {
       STTSV_REQUIRE(env.to < P, "envelope destination out of range");
@@ -49,6 +42,21 @@ void OneSidedExchange::put_part(
       STTSV_REQUIRE(!env.data.empty(), "one-sided puts need a payload");
     }
   }
+
+  // Put counts are kept per topology level (DESIGN.md §17) so fences,
+  // notifications and König rounds are charged to the network that
+  // actually carried each Put; a flat machine puts everything on kIntra
+  // and the totals match the historical single-level charge.
+  std::array<std::vector<std::size_t>, simt::kNumLevels> puts_issued;
+  std::array<std::vector<std::size_t>, simt::kNumLevels> puts_received;
+  for (auto& level : puts_issued) level.assign(P, 0);
+  for (auto& level : puts_received) level.assign(P, 0);
+  std::unordered_map<std::uint64_t, std::size_t> pair_words;
+  std::size_t max_pair_words = 0;
+  std::uint64_t onesided_words = 0;
+  std::uint64_t recovery_words = 0;
+
+  registry_.open_epoch();
   // Deterministic landing order: origins ascending, each origin's
   // envelopes sorted by destination (stable), like the mailbox path.
   for (std::size_t from = 0; from < P; ++from) {
@@ -65,19 +73,18 @@ void OneSidedExchange::put_part(
       if (env.recovery) {
         machine_.ledger().record(simt::Channel::kRecovery, from, env.to,
                                  words);
-        st.recovery_words += words;
+        recovery_words += words;
       } else {
         machine_.ledger().record(simt::Channel::kOneSided, from, env.to,
                                  words);
-        st.onesided_words += words;
+        onesided_words += words;
       }
       const auto lvl = static_cast<std::size_t>(
           machine_.ledger().level_of(from, env.to));
-      ++st.puts_issued[lvl][from];
-      ++st.puts_received[lvl][env.to];
-      const std::size_t pair =
-          (st.pair_words[pair_key(from, env.to)] += words);
-      st.max_pair_words = std::max(st.max_pair_words, pair);
+      ++puts_issued[lvl][from];
+      ++puts_received[lvl][env.to];
+      const std::size_t pair = (pair_words[pair_key(from, env.to)] += words);
+      max_pair_words = std::max(max_pair_words, pair);
       ++stats_.puts;
       stats_.put_words += words;
       // The sender's slab frees here (back to its shard) — the window
@@ -85,17 +92,13 @@ void OneSidedExchange::put_part(
       env.data.release();
     }
   }
-}
+  span.set_arg(onesided_words + recovery_words);
 
-std::vector<std::vector<simt::Delivery>> OneSidedExchange::settle(
-    simt::Transport transport, EpochState& st, bool deliver) {
-  const std::size_t P = machine_.num_ranks();
+  // The fence: close the epoch, charge sync ops and rounds.
   registry_.close_epoch();
   ++stats_.epochs;
-
-  std::vector<std::vector<simt::Delivery>> inboxes(P);
   std::size_t total_puts = 0;
-  for (const auto& level : st.puts_issued) {
+  for (const auto& level : puts_issued) {
     for (const std::size_t k : level) total_puts += k;
   }
   if (total_puts > 0) {
@@ -103,7 +106,7 @@ std::vector<std::vector<simt::Delivery>> OneSidedExchange::settle(
     // per active target, charged per level (DESIGN.md §17) — a rank that
     // Put on both networks fences each of them. On a flat machine every
     // Put lands on kIntra and the totals match the historical charge.
-    const simt::Channel channel = st.onesided_words > 0
+    const simt::Channel channel = onesided_words > 0
                                       ? simt::Channel::kOneSided
                                       : simt::Channel::kRecovery;
     for (std::size_t lvl = 0; lvl < simt::kNumLevels; ++lvl) {
@@ -111,10 +114,9 @@ std::vector<std::vector<simt::Delivery>> OneSidedExchange::settle(
       std::size_t notifications = 0;
       std::size_t delta = 0;
       for (std::size_t p = 0; p < P; ++p) {
-        if (st.puts_issued[lvl][p] > 0) ++fences;
-        if (st.puts_received[lvl][p] > 0) ++notifications;
-        delta = std::max(
-            {delta, st.puts_issued[lvl][p], st.puts_received[lvl][p]});
+        if (puts_issued[lvl][p] > 0) ++fences;
+        if (puts_received[lvl][p] > 0) ++notifications;
+        delta = std::max({delta, puts_issued[lvl][p], puts_received[lvl][p]});
       }
       if (fences + notifications > 0) {
         machine_.ledger().add_sync_ops(static_cast<simt::Level>(lvl),
@@ -135,18 +137,17 @@ std::vector<std::vector<simt::Delivery>> OneSidedExchange::settle(
       bool any_inter = false;
       const std::size_t inter = static_cast<std::size_t>(simt::Level::kInter);
       for (std::size_t p = 0; p < P; ++p) {
-        any_inter = any_inter || st.puts_issued[inter][p] > 0;
+        any_inter = any_inter || puts_issued[inter][p] > 0;
       }
       machine_.ledger().add_rounds(
           channel, any_inter ? simt::Level::kInter : simt::Level::kIntra,
           P - 1);
       machine_.ledger().add_modeled_collective_words((P - 1) *
-                                                     st.max_pair_words);
+                                                     max_pair_words);
     }
   }
 
-  if (!deliver) return inboxes;
-
+  std::vector<std::vector<simt::Delivery>> inboxes(P);
   if (mode_ == Mode::kActiveMessage && handler_) {
     // Remote reduce: targets ascending, origins ascending within each
     // target (the registry sorted extents at the fence) — bitwise the
@@ -171,70 +172,6 @@ std::vector<std::vector<simt::Delivery>> OneSidedExchange::settle(
     }
   }
   return inboxes;
-}
-
-std::vector<std::vector<simt::Delivery>> OneSidedExchange::exchange(
-    std::vector<std::vector<simt::Envelope>> outboxes,
-    simt::Transport transport) {
-  obs::Span span("onesided.epoch", obs::Category::kOneSided);
-  EpochState st;
-  open_epoch(st);
-  try {
-    put_part(std::move(outboxes), st);
-  } catch (...) {
-    // Settle the abandoned epoch (charging whatever already landed, like
-    // an abandoned machine session) and re-raise.
-    settle(transport, st, /*deliver=*/false);
-    throw;
-  }
-  span.set_arg(st.onesided_words + st.recovery_words);
-  return settle(transport, st, /*deliver=*/true);
-}
-
-class OneSidedExchange::PartsImpl final : public simt::Exchanger::Parts {
- public:
-  PartsImpl(OneSidedExchange& ex, simt::Transport transport)
-      : ex_(ex),
-        transport_(transport),
-        span_("onesided.epoch", obs::Category::kOneSided) {
-    ex_.open_epoch(st_);
-  }
-
-  ~PartsImpl() override {
-    // Backstop, mirroring Machine::ExchangeSession's destructor: an
-    // abandoned epoch settles its accounting; deliveries are discarded.
-    if (!finished_) ex_.settle(transport_, st_, /*deliver=*/false);
-  }
-
-  PartsImpl(const PartsImpl&) = delete;
-  PartsImpl& operator=(const PartsImpl&) = delete;
-
-  std::vector<std::vector<simt::Delivery>> part(
-      std::vector<std::vector<simt::Envelope>> outboxes) override {
-    STTSV_CHECK(!finished_, "one-sided parts already finished");
-    ex_.put_part(std::move(outboxes), st_);
-    return std::vector<std::vector<simt::Delivery>>(
-        ex_.machine().num_ranks());
-  }
-
-  std::vector<std::vector<simt::Delivery>> finish() override {
-    STTSV_CHECK(!finished_, "one-sided parts already finished");
-    finished_ = true;
-    span_.set_arg(st_.onesided_words + st_.recovery_words);
-    return ex_.settle(transport_, st_, /*deliver=*/true);
-  }
-
- private:
-  OneSidedExchange& ex_;
-  simt::Transport transport_;
-  EpochState st_;
-  obs::Span span_;
-  bool finished_ = false;
-};
-
-std::unique_ptr<simt::Exchanger::Parts> OneSidedExchange::begin_parts(
-    simt::Transport transport) {
-  return std::make_unique<PartsImpl>(*this, transport);
 }
 
 void OneSidedExchange::publish_metrics(obs::MetricsRegistry& out,

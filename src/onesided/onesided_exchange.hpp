@@ -7,7 +7,7 @@
 // one copy, no mailbox hop, no per-pair framing round. A logical exchange
 // is one access epoch on the SegmentRegistry:
 //
-//   begin (open_epoch) -> Puts, any number of parts -> fence (close_epoch)
+//   begin (open_epoch) -> Puts -> fence (close_epoch)
 //
 // Accounting (CommLedger, DESIGN.md §16): every Put's payload words go to
 // the ledger's onesided channel (recovery-flagged envelopes to the
@@ -41,16 +41,12 @@
 // honoured: Puts to or from a dead rank are dropped uncharged, mirroring
 // Machine's membership semantics.
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "onesided/segment_registry.hpp"
-#include "simt/ledger.hpp"
 #include "simt/reliable_exchange.hpp"
 
 namespace sttsv::obs {
@@ -85,14 +81,6 @@ class OneSidedExchange final : public simt::Exchanger {
       std::vector<std::vector<simt::Envelope>> outboxes,
       simt::Transport transport) override;
 
-  /// One epoch fed in parts: each part() Puts immediately (the wire-side
-  /// work the pipeline overlaps) and returns empty inboxes; finish() is
-  /// the fence and returns every delivery. An abandoned Parts settles
-  /// the accounting but delivers nothing, like an abandoned machine
-  /// session.
-  [[nodiscard]] std::unique_ptr<Exchanger::Parts> begin_parts(
-      simt::Transport transport) override;
-
   void set_phase(const char* phase) override { phase_ = phase; }
 
   [[nodiscard]] bool supports_handler_delivery() const override {
@@ -113,36 +101,6 @@ class OneSidedExchange final : public simt::Exchanger {
                        const std::string& prefix = "onesided") const;
 
  private:
-  class PartsImpl;
-  friend class PartsImpl;
-
-  /// Per-epoch accounting accumulated across parts and settled at the
-  /// fence — the analogue of Machine::ExchangeSession's deferred rounds.
-  /// Put counts are kept per topology level (DESIGN.md §17) so fences,
-  /// notifications and König rounds are charged to the network that
-  /// actually carried each Put; a flat machine puts everything on kIntra
-  /// and the totals match the historical single-level charge.
-  struct EpochState {
-    /// [level][rank] Puts issued by / received at the rank.
-    std::array<std::vector<std::size_t>, simt::kNumLevels> puts_issued;
-    std::array<std::vector<std::size_t>, simt::kNumLevels> puts_received;
-    std::unordered_map<std::uint64_t, std::size_t> pair_words;
-    std::size_t max_pair_words = 0;
-    std::uint64_t onesided_words = 0;
-    std::uint64_t recovery_words = 0;
-  };
-
-  void open_epoch(EpochState& st);
-  /// Validates one part's outboxes (strong guarantee: throws before any
-  /// Put), then writes every payload into its destination window.
-  void put_part(std::vector<std::vector<simt::Envelope>> outboxes,
-                EpochState& st);
-  /// The fence: closes the epoch, charges sync ops and rounds, and (when
-  /// `deliver`) runs the handler or builds the view inboxes.
-  std::vector<std::vector<simt::Delivery>> settle(simt::Transport transport,
-                                                  EpochState& st,
-                                                  bool deliver);
-
   Mode mode_;
   SegmentRegistry registry_;
   DeliveryHandler handler_;

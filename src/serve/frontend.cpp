@@ -27,7 +27,6 @@ Frontend::Frontend(simt::Machine& machine,
               batch::EngineOptions{.max_batch_size = opts.batch_width,
                                    .exchanger = opts.exchanger,
                                    .transport = opts.transport,
-                                   .pipeline = opts.pipeline,
                                    .topology = opts.topology,
                                    .hier_inter = opts.hier_inter}),
       base_beta_ns_(opts.service_beta_ns) {

@@ -41,7 +41,6 @@
 #include "serve/drr.hpp"
 #include "serve/tenant.hpp"
 #include "simt/machine.hpp"
-#include "simt/pipeline.hpp"
 #include "tensor/sym_tensor.hpp"
 
 namespace sttsv::obs {
@@ -61,8 +60,6 @@ struct FrontendOptions {
   /// throughput of batch_width / (alpha + beta * batch_width) jobs/ns.
   std::uint64_t service_alpha_ns = 2'000'000;
   std::uint64_t service_beta_ns = 250'000;
-  /// Phase schedule forwarded to the engine (outputs identical either way).
-  simt::PipelineMode pipeline = simt::PipelineMode::kDoubleBuffered;
   /// Optional resilience seam forwarded to the engine (must wrap the
   /// front end's machine; non-owning, must outlive the front end). With
   /// a fail-fast ReliableExchange, a faulted batch raises simt::FaultError

@@ -1,7 +1,9 @@
 #include "simt/machine.hpp"
 
 #include <algorithm>
+#include <array>
 
+#include "obs/trace.hpp"
 #include "simt/fault_injector.hpp"
 #include "simt/parallel_for.hpp"
 #include "support/check.hpp"
@@ -38,30 +40,19 @@ void Machine::record_rank_loss(RankLossReport report) {
   rank_loss_reports_.push_back(std::move(report));
 }
 
-Machine::ExchangeSession::ExchangeSession(Machine& machine, Transport transport)
-    : machine_(machine), transport_(transport) {
-  for (auto& level : sends_per_rank_) level.assign(machine.P_, 0);
-  for (auto& level : recvs_per_rank_) level.assign(machine.P_, 0);
-  // The span's category is settled at finish(): an exchange moving no
-  // goodput is pure protocol traffic and lands on the overhead channel
-  // (kRetry) in any exported trace. Opened here, on the driver thread, so
-  // begin/close both run where the trace buffers live.
-  span_.emplace("machine.exchange", obs::Category::kExchange);
-}
-
-Machine::ExchangeSession::~ExchangeSession() { finish(); }
-
-std::vector<std::vector<Delivery>> Machine::ExchangeSession::part(
-    std::vector<std::vector<Envelope>> outboxes) {
-  STTSV_CHECK(!finished_, "exchange session already finished");
-  const std::size_t P = machine_.P_;
-  STTSV_REQUIRE(outboxes.size() == P, "one outbox per rank required");
+std::vector<std::vector<Delivery>> Machine::exchange(
+    std::vector<std::vector<Envelope>> outboxes, Transport transport) {
+  // The span's category is settled below: an exchange moving no goodput
+  // is pure protocol traffic and lands on the overhead channel (kRetry)
+  // in any exported trace.
+  obs::Span span("machine.exchange", obs::Category::kExchange);
+  STTSV_REQUIRE(outboxes.size() == P_, "one outbox per rank required");
 
   // Validate every envelope before touching the ledger or moving any
   // payload: a malformed outbox must fail with the machine state intact.
-  for (std::size_t from = 0; from < P; ++from) {
+  for (std::size_t from = 0; from < P_; ++from) {
     for (const Envelope& env : outboxes[from]) {
-      STTSV_REQUIRE(env.to < P, "envelope destination out of range");
+      STTSV_REQUIRE(env.to < P_, "envelope destination out of range");
       STTSV_REQUIRE(env.to != from,
                     "self-sends must be handled as local copies");
       STTSV_REQUIRE(env.overhead_words <= env.data.size(),
@@ -71,35 +62,40 @@ std::vector<std::vector<Delivery>> Machine::ExchangeSession::part(
     }
   }
 
-  FaultInjector* injector = machine_.injector_;
-  if (injector != nullptr && !injector_started_) {
-    // One injector epoch per logical exchange, regardless of part count:
-    // stall rolls and the injection-log window cover the whole session.
-    injector->begin_exchange();
-    injector_started_ = true;
-  }
-  if (injector != nullptr) {
+  if (injector_ != nullptr) {
+    // One injector epoch per exchange: stall rolls and the injection-log
+    // window cover the whole exchange.
+    injector_->begin_exchange();
     // Sync injector-rolled crashes into machine membership. Deaths rolled
     // mid-exchange by on_frame are picked up here at the next exchange:
     // death is detected at exchange granularity (interim frames are still
     // dropped by the injector's own is_dead check).
-    for (const std::size_t r : injector->dead_ranks()) {
-      machine_.mark_dead(r);
-    }
+    for (const std::size_t r : injector_->dead_ranks()) mark_dead(r);
   }
 
-  CommLedger& ledger = machine_.ledger_;
-  std::vector<std::vector<Delivery>> inboxes(P);
+  std::vector<std::vector<Delivery>> inboxes(P_);
+  // Per-level König degrees (DESIGN.md §17): the intra networks of the
+  // nodes and the inter-node network schedule independently, so each
+  // level gets its own Δ. On a flat machine everything lands on kIntra
+  // and the totals match the historical single-level charge.
+  std::array<std::vector<std::size_t>, kNumLevels> sends_per_rank;
+  std::array<std::vector<std::size_t>, kNumLevels> recvs_per_rank;
+  for (auto& level : sends_per_rank) level.assign(P_, 0);
+  for (auto& level : recvs_per_rank) level.assign(P_, 0);
+  std::size_t max_pair_words = 0;
+  std::size_t total_goodput = 0;
+  std::size_t total_overhead = 0;
+  std::size_t total_recovery = 0;
 
   // Round slots accumulate per level: the frame occupies a step of its
   // own network (node-local crossbar or inter-node fabric).
   const auto count_slot = [&](std::size_t from, std::size_t to) {
-    const auto lvl = static_cast<std::size_t>(ledger.level_of(from, to));
-    ++sends_per_rank_[lvl][from];
-    ++recvs_per_rank_[lvl][to];
+    const auto lvl = static_cast<std::size_t>(ledger_.level_of(from, to));
+    ++sends_per_rank[lvl][from];
+    ++recvs_per_rank[lvl][to];
   };
 
-  for (std::size_t from = 0; from < P; ++from) {
+  for (std::size_t from = 0; from < P_; ++from) {
     // Deterministic delivery order: by destination, then insertion order.
     std::stable_sort(outboxes[from].begin(), outboxes[from].end(),
                      [](const Envelope& a, const Envelope& b) {
@@ -112,21 +108,18 @@ std::vector<std::vector<Delivery>> Machine::ExchangeSession::part(
       // increments sender and receiver atomically). This sits below the
       // injector, so a degraded replay with the injector detached still
       // cannot reach a dead peer.
-      if (machine_.dead_flags_[from] != 0 ||
-          machine_.dead_flags_[env.to] != 0) {
-        continue;
-      }
+      if (dead_flags_[from] != 0 || dead_flags_[env.to] != 0) continue;
       if (env.recovery) {
-        ledger.record_recovery(from, env.to, env.data.size());
-        total_recovery_ += env.data.size();
-        max_pair_words_ = std::max(max_pair_words_, env.data.size());
+        ledger_.record_recovery(from, env.to, env.data.size());
+        total_recovery += env.data.size();
+        max_pair_words = std::max(max_pair_words, env.data.size());
         count_slot(from, env.to);
-        if (injector != nullptr) {
-          switch (injector->on_frame(from, env.to, env.data)) {
+        if (injector_ != nullptr) {
+          switch (injector_->on_frame(from, env.to, env.data)) {
             case FaultInjector::Action::kDrop:
               continue;
             case FaultInjector::Action::kDuplicate:
-              ledger.record_recovery(from, env.to, env.data.size());
+              ledger_.record_recovery(from, env.to, env.data.size());
               inboxes[env.to].push_back(Delivery{from, env.data.clone()});
               break;
             case FaultInjector::Action::kDeliver:
@@ -137,23 +130,23 @@ std::vector<std::vector<Delivery>> Machine::ExchangeSession::part(
         continue;
       }
       const std::size_t goodput = env.data.size() - env.overhead_words;
-      if (goodput > 0) ledger.record_message(from, env.to, goodput);
+      if (goodput > 0) ledger_.record_message(from, env.to, goodput);
       if (env.overhead_words > 0) {
-        ledger.record_overhead(from, env.to, env.overhead_words);
+        ledger_.record_overhead(from, env.to, env.overhead_words);
       }
-      total_goodput_ += goodput;
-      total_overhead_ += env.overhead_words;
-      max_pair_words_ = std::max(max_pair_words_, env.data.size());
+      total_goodput += goodput;
+      total_overhead += env.overhead_words;
+      max_pair_words = std::max(max_pair_words, env.data.size());
       // Rounds reflect the intended schedule: a dropped frame still held
       // its slot, an injected duplicate rides along without one.
       count_slot(from, env.to);
 
-      if (injector != nullptr) {
-        switch (injector->on_frame(from, env.to, env.data)) {
+      if (injector_ != nullptr) {
+        switch (injector_->on_frame(from, env.to, env.data)) {
           case FaultInjector::Action::kDrop:
             continue;  // charged, never delivered
           case FaultInjector::Action::kDuplicate:
-            ledger.record_overhead(from, env.to, env.data.size());
+            ledger_.record_overhead(from, env.to, env.data.size());
             inboxes[env.to].push_back(Delivery{from, env.data.clone()});
             break;
           case FaultInjector::Action::kDeliver:
@@ -169,61 +162,42 @@ std::vector<std::vector<Delivery>> Machine::ExchangeSession::part(
                        return a.from < b.from;
                      });
   }
-  if (injector != nullptr) {
-    for (std::size_t p = 0; p < P; ++p) {
-      injector->maybe_reorder(p, inboxes[p]);
+  if (injector_ != nullptr) {
+    for (std::size_t p = 0; p < P_; ++p) {
+      injector_->maybe_reorder(p, inboxes[p]);
     }
   }
-  ++parts_;
-  return inboxes;
-}
 
-void Machine::ExchangeSession::finish() {
-  if (finished_) return;
-  finished_ = true;
-  if (parts_ == 0) {
-    // Nothing ever flowed (the only part failed validation, or the
-    // session was abandoned): the ledger must stay untouched so the
-    // strong exception guarantee of exchange() holds.
-    span_.reset();
-    return;
-  }
-
-  CommLedger& ledger = machine_.ledger_;
   // Round classification follows the dominant channel: an exchange that
   // moves goodput is an algorithm step; one that moves only recovery
   // traffic is a redistribution step; one that moves only protocol
   // overhead (ACK rounds, retransmissions) is resilience overhead.
-  const bool goodput_rounds = total_goodput_ > 0;
-  const bool recovery_rounds = !goodput_rounds && total_recovery_ > 0;
+  const bool goodput_rounds = total_goodput > 0;
+  const bool recovery_rounds = !goodput_rounds && total_recovery > 0;
   const bool overhead_only =
-      !goodput_rounds && !recovery_rounds && total_overhead_ > 0;
-  if (span_.has_value()) {
-    span_->set_arg(total_goodput_ + total_overhead_ + total_recovery_);
-    if (recovery_rounds) span_->set_category(obs::Category::kRecovery);
-    if (overhead_only) span_->set_category(obs::Category::kRetry);
-  }
+      !goodput_rounds && !recovery_rounds && total_overhead > 0;
+  span.set_arg(total_goodput + total_overhead + total_recovery);
+  if (recovery_rounds) span.set_category(obs::Category::kRecovery);
+  if (overhead_only) span.set_category(obs::Category::kRetry);
   const Channel round_channel = recovery_rounds ? Channel::kRecovery
                                 : overhead_only ? Channel::kOverhead
                                                 : Channel::kGoodput;
-  switch (transport_) {
+  switch (transport) {
     case Transport::kPointToPoint: {
       // König: a bipartite multigraph with max degree Δ is Δ-edge-
       // colorable, so the exchange completes in Δ steps where
-      // Δ = max over ranks of max(#sends, #receives). The degrees are
-      // summed over every part, so a pipelined session charges exactly
-      // the rounds of the equivalent single exchange. Each level is
+      // Δ = max over ranks of max(#sends, #receives). Each level is
       // colored independently (DESIGN.md §17): node-local frames occupy
       // intra steps, cross-node frames inter steps. A flat machine puts
       // every frame on kIntra, reproducing the historical single charge.
       for (std::size_t lvl = 0; lvl < kNumLevels; ++lvl) {
         std::size_t delta = 0;
-        for (std::size_t p = 0; p < machine_.P_; ++p) {
+        for (std::size_t p = 0; p < P_; ++p) {
           delta = std::max(
-              {delta, sends_per_rank_[lvl][p], recvs_per_rank_[lvl][p]});
+              {delta, sends_per_rank[lvl][p], recvs_per_rank[lvl][p]});
         }
         if (delta > 0) {
-          ledger.add_rounds(round_channel, static_cast<Level>(lvl), delta);
+          ledger_.add_rounds(round_channel, static_cast<Level>(lvl), delta);
         }
       }
       break;
@@ -234,33 +208,19 @@ void Machine::ExchangeSession::finish() {
       // The collective is one machine-wide operation, so its steps are
       // charged once, to the slowest level it touched (inter if any
       // frame crossed nodes, intra otherwise).
-      if (machine_.P_ > 1) {
+      if (P_ > 1) {
         bool any_inter = false;
         const std::size_t inter = static_cast<std::size_t>(Level::kInter);
-        for (std::size_t p = 0; p < machine_.P_; ++p) {
-          any_inter = any_inter || sends_per_rank_[inter][p] > 0;
+        for (std::size_t p = 0; p < P_; ++p) {
+          any_inter = any_inter || sends_per_rank[inter][p] > 0;
         }
-        ledger.add_rounds(round_channel,
-                          any_inter ? Level::kInter : Level::kIntra,
-                          machine_.P_ - 1);
-        ledger.add_modeled_collective_words((machine_.P_ - 1) *
-                                            max_pair_words_);
+        ledger_.add_rounds(round_channel,
+                           any_inter ? Level::kInter : Level::kIntra, P_ - 1);
+        ledger_.add_modeled_collective_words((P_ - 1) * max_pair_words);
       }
       break;
     }
   }
-  span_.reset();  // closes the span
-}
-
-Machine::ExchangeSession Machine::begin_session(Transport transport) {
-  return ExchangeSession(*this, transport);
-}
-
-std::vector<std::vector<Delivery>> Machine::exchange(
-    std::vector<std::vector<Envelope>> outboxes, Transport transport) {
-  ExchangeSession session = begin_session(transport);
-  auto inboxes = session.part(std::move(outboxes));
-  session.finish();
   return inboxes;
 }
 

@@ -29,15 +29,12 @@
 // dead peer. Detected losses are recorded as RankLossReports here, and
 // each death bumps a membership epoch that invalidates cached plans.
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <string>
 #include <vector>
 
-#include "obs/trace.hpp"
 #include "simt/buffer_pool.hpp"
 #include "simt/ledger.hpp"
 
@@ -107,57 +104,6 @@ class Machine {
 
   [[nodiscard]] std::size_t num_ranks() const { return P_; }
 
-  /// One logical machine-wide exchange delivered in parts, so a driver
-  /// can put pair-block t+1 on the wire while kernels consume pair-block
-  /// t (DESIGN.md §12). Ledger accounting is deferred to finish(): sends,
-  /// receives, and per-pair maxima accumulate across parts and the
-  /// rounds/modeled-cost/overhead-only classification are computed over
-  /// their union — exactly what a single exchange() of the concatenated
-  /// outboxes would charge, which is why the pipeline leaves the ledger
-  /// bitwise unchanged.
-  class ExchangeSession {
-   public:
-    ~ExchangeSession();
-    ExchangeSession(const ExchangeSession&) = delete;
-    ExchangeSession& operator=(const ExchangeSession&) = delete;
-
-    /// Validates and delivers one partial outbox set. A validation
-    /// failure throws PreconditionError and charges nothing for the
-    /// offending part (earlier parts stay charged — they were sent).
-    std::vector<std::vector<Delivery>> part(
-        std::vector<std::vector<Envelope>> outboxes);
-
-    /// Settles rounds/modeled cost over the union of all parts. Runs at
-    /// most once; the destructor calls it as a backstop.
-    void finish();
-
-    [[nodiscard]] bool finished() const { return finished_; }
-
-   private:
-    friend class Machine;
-    ExchangeSession(Machine& machine, Transport transport);
-
-    Machine& machine_;
-    Transport transport_;
-    std::optional<obs::Span> span_;
-    bool injector_started_ = false;
-    bool finished_ = false;
-    std::size_t parts_ = 0;
-    /// Per-level König degrees (DESIGN.md §17): the intra networks of the
-    /// nodes and the inter-node network schedule independently, so each
-    /// level gets its own Δ. On a flat machine everything lands on
-    /// kIntra and the totals match the historical single-level charge.
-    std::array<std::vector<std::size_t>, kNumLevels> sends_per_rank_;
-    std::array<std::vector<std::size_t>, kNumLevels> recvs_per_rank_;
-    std::size_t max_pair_words_ = 0;
-    std::size_t total_goodput_ = 0;
-    std::size_t total_overhead_ = 0;
-    std::size_t total_recovery_ = 0;
-  };
-
-  /// Opens a multi-part exchange session on this machine.
-  [[nodiscard]] ExchangeSession begin_session(Transport transport);
-
   /// Executes one machine-wide exchange: outboxes[p] holds rank p's
   /// outgoing messages. Returns inboxes[p]. Every outbox is validated
   /// up front — destinations in range, no self-sends, overhead_words
@@ -165,8 +111,8 @@ class Machine {
   /// all payloads untouched. Ledger records every word (split into
   /// goodput and overhead channels); rounds/modeled cost depend on the
   /// transport and are charged to the overhead channel when the exchange
-  /// carries no goodput at all (pure protocol traffic). Equivalent to a
-  /// one-part session.
+  /// carries no goodput at all (pure protocol traffic). The Algorithm-5
+  /// driver makes one such exchange per phase (DESIGN.md §12).
   std::vector<std::vector<Delivery>> exchange(
       std::vector<std::vector<Envelope>> outboxes, Transport transport);
 
@@ -177,8 +123,8 @@ class Machine {
   /// identical to the sequential rank-order schedule.
   void run_ranks(const std::function<void(std::size_t)>& body) const;
 
-  /// Same, over an explicit subset of ranks — the pipelined drivers run
-  /// one half-superstep per pair-block chunk.
+  /// Same, over an explicit subset of ranks — the driver runs only the
+  /// ranks that host a partition role.
   void run_ranks(const std::vector<std::size_t>& ranks,
                  const std::function<void(std::size_t)>& body) const;
 

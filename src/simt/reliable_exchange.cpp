@@ -223,37 +223,10 @@ class BufferedParts final : public Exchanger::Parts {
   bool finished_ = false;
 };
 
-/// DirectExchange Parts: a live Machine::ExchangeSession, so each part
-/// hits the wire (and the ledger's word counters) as soon as it is
-/// produced while rounds settle over the union at finish().
-class DirectParts final : public Exchanger::Parts {
- public:
-  DirectParts(Machine& machine, Transport transport)
-      : session_(machine.begin_session(transport)) {}
-
-  std::vector<std::vector<Delivery>> part(
-      std::vector<std::vector<Envelope>> outboxes) override {
-    return session_.part(std::move(outboxes));
-  }
-
-  std::vector<std::vector<Delivery>> finish() override {
-    session_.finish();
-    return {};
-  }
-
- private:
-  Machine::ExchangeSession session_;
-};
-
 }  // namespace
 
 std::unique_ptr<Exchanger::Parts> Exchanger::begin_parts(Transport transport) {
   return std::make_unique<BufferedParts>(*this, transport);
-}
-
-std::unique_ptr<Exchanger::Parts> DirectExchange::begin_parts(
-    Transport transport) {
-  return std::make_unique<DirectParts>(machine_, transport);
 }
 
 ReliableExchange::ReliableExchange(Machine& machine, RetryPolicy retry,

@@ -75,12 +75,13 @@ class Exchanger {
   virtual std::vector<std::vector<Delivery>> exchange(
       std::vector<std::vector<Envelope>> outboxes, Transport transport) = 0;
 
-  /// One logical exchange fed in parts, the seam the pipelined drivers
-  /// overlap on (DESIGN.md §12). Each part() hands over a partial outbox
-  /// set (every envelope exactly once across all parts); finish() ends
-  /// the logical exchange and returns any deliveries the protocol
-  /// deferred. Ledger totals are identical to one exchange() of the
-  /// concatenated outboxes.
+  /// One logical exchange fed in parts. Each part() hands over a partial
+  /// outbox set (every envelope exactly once across all parts); finish()
+  /// ends the logical exchange and returns any deliveries deferred to it.
+  /// Ledger totals are identical to one exchange() of the concatenated
+  /// outboxes. No driver calls this seam — every Algorithm-5 phase is
+  /// one exchange() (DESIGN.md §12) — it stays only because perfbench's
+  /// TimingExchanger overrides it.
   class Parts {
    public:
     virtual ~Parts() = default;
@@ -89,13 +90,11 @@ class Exchanger {
     virtual std::vector<std::vector<Delivery>> finish() = 0;
   };
 
-  /// Opens a multi-part logical exchange. The default implementation
-  /// buffers every part and runs one exchange() at finish() — protocol
-  /// exchangers (ReliableExchange) keep their wire behaviour, sequence
-  /// numbers, and fault consumption bit-identical to the serialized
-  /// path. DirectExchange overrides it with a true streaming machine
-  /// session so parts hit the wire as they are produced. An abandoned
-  /// Parts (destroyed unfinished) discards buffered traffic.
+  /// Opens a multi-part logical exchange. The one implementation buffers
+  /// every part and runs one exchange() at finish(), so every backend
+  /// keeps its wire behaviour, sequence numbers and fault consumption
+  /// bit-identical to a single exchange(). An abandoned Parts (destroyed
+  /// unfinished) discards buffered traffic.
   [[nodiscard]] virtual std::unique_ptr<Parts> begin_parts(
       Transport transport);
 
@@ -141,9 +140,6 @@ class DirectExchange final : public Exchanger {
       Transport transport) override {
     return machine_.exchange(std::move(outboxes), transport);
   }
-  /// Streams parts through one Machine::ExchangeSession.
-  [[nodiscard]] std::unique_ptr<Parts> begin_parts(
-      Transport transport) override;
 };
 
 /// Bounded retry with exponential backoff: attempt k >= 1 waits

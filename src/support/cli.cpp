@@ -57,6 +57,11 @@ std::uint64_t ArgParser::get_u64_or(const std::string& key,
   return parse_u64(get(key));
 }
 
+double ArgParser::get_f64_or(const std::string& key, double fallback) const {
+  if (!has(key)) return fallback;
+  return parse_f64(get(key));
+}
+
 std::vector<std::string> ArgParser::unused() const {
   std::vector<std::string> out;
   for (const auto& [key, value] : options_) {

@@ -34,6 +34,9 @@ class ArgParser {
   [[nodiscard]] std::uint64_t get_u64(const std::string& key) const;
   [[nodiscard]] std::uint64_t get_u64_or(const std::string& key,
                                          std::uint64_t fallback) const;
+  /// --key as a finite number (parse_f64), or `fallback` when absent.
+  [[nodiscard]] double get_f64_or(const std::string& key,
+                                  double fallback) const;
 
   /// Keys that were provided but never queried — for typo detection.
   [[nodiscard]] std::vector<std::string> unused() const;

@@ -1,7 +1,10 @@
 #include "support/text.hpp"
 
 #include <cctype>
+#include <charconv>
+#include <cmath>
 #include <sstream>
+#include <system_error>
 
 #include "support/check.hpp"
 
@@ -42,6 +45,16 @@ std::uint64_t parse_u64(const std::string& s) {
                   "parse_u64: '" + t + "' does not fit in 64 bits");
     value = value * 10 + digit;
   }
+  return value;
+}
+
+double parse_f64(const std::string& s) {
+  double value = 0.0;
+  const char* last = s.data() + s.size();
+  const auto [end, ec] = std::from_chars(s.data(), last, value);
+  STTSV_REQUIRE(ec == std::errc() && end == last,
+                "parse_f64: '" + s + "' is not a number");
+  STTSV_REQUIRE(std::isfinite(value), "parse_f64: '" + s + "' is not finite");
   return value;
 }
 

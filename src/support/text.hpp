@@ -17,6 +17,11 @@ std::string trim(const std::string& s);
 /// a value that does not fit in 64 bits.
 std::uint64_t parse_u64(const std::string& s);
 
+/// Parses a finite decimal floating-point number. The whole token must be
+/// the number (no surrounding whitespace or trailing text); nan, inf, an
+/// out-of-range magnitude or junk throw PreconditionError.
+double parse_f64(const std::string& s);
+
 /// "1, 4, 6, 8" -> "{1,4,6,8}" style rendering of index sets (1-based in
 /// the paper's tables; callers pass already-shifted values).
 std::string brace_set(const std::vector<std::size_t>& v);

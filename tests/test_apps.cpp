@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "apps/cp_decompose.hpp"
 #include "apps/cp_gradient.hpp"
@@ -15,6 +16,7 @@
 #include "partition/vector_distribution.hpp"
 #include "simt/machine.hpp"
 #include "steiner/constructions.hpp"
+#include "support/check.hpp"
 #include "support/rng.hpp"
 #include "tensor/generators.hpp"
 
@@ -86,6 +88,29 @@ TEST(Hopm, ShiftedVariantConvergesOnHardTensor) {
   const auto res = hopm(a, opts);
   EXPECT_TRUE(res.converged);
   EXPECT_LT(res.residual, 1e-7);
+}
+
+TEST(Hopm, NonFiniteShiftIsRejected) {
+  Rng rng(5);
+  const std::size_t n = 12;
+  const auto a = tensor::random_symmetric(n, rng);
+  auto part = partition::TetraPartition::build(steiner::spherical_system(2));
+  partition::VectorDistribution dist(part, n);
+  simt::Machine machine(part.num_processors());
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double shift :
+       {std::numeric_limits<double>::quiet_NaN(), kInf, -kInf}) {
+    HopmOptions opts;
+    opts.shift = shift;
+    EXPECT_THROW((void)hopm(a, opts), PreconditionError) << shift;
+    EXPECT_THROW((void)hopm_parallel(machine, part, dist, a, opts),
+                 PreconditionError)
+        << shift;
+    EXPECT_THROW((void)hopm_fully_distributed(machine, part, dist, a, opts),
+                 PreconditionError)
+        << shift;
+  }
+  EXPECT_EQ(machine.ledger().total_words(), 0u) << "rejected at entry";
 }
 
 TEST(Hopm, ParallelMatchesSequential) {

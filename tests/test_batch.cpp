@@ -99,34 +99,28 @@ TEST_P(Algorithm5Reference, EveryLaneMatchesBitwise) {
   for (const simt::Transport transport :
        {simt::Transport::kPointToPoint, simt::Transport::kAllToAll}) {
     const auto plan = Plan::build(plan_key(s.n, s.family, s.param, transport));
-    for (const simt::PipelineMode pipeline :
-         {simt::PipelineMode::kDoubleBuffered,
-          simt::PipelineMode::kSerialized}) {
-      for (const std::size_t lanes : {1u, 3u, 4u, 5u, 16u}) {
-        SCOPED_TRACE(::testing::Message()
-                     << "transport " << static_cast<int>(transport)
-                     << " pipeline " << static_cast<int>(pipeline)
-                     << " lanes " << lanes);
-        const auto x = make_panel(s.n, lanes, 500 + lanes);
-        simt::Machine machine = plan->make_machine();
-        const BatchRunResult got =
-            parallel_sttsv_batch(machine, *plan, a, x, pipeline);
-        ASSERT_EQ(got.y.size(), lanes);
-        for (std::size_t v = 0; v < lanes; ++v) {
-          expect_bitwise(got.y[v],
-                         test::algorithm5_reference(plan->partition(),
-                                                    plan->distribution(), a,
-                                                    x[v]),
-                         s.name);
-        }
-        if (lanes == 1) {
-          simt::Machine single = plan->make_machine();
-          expect_bitwise(core::parallel_sttsv(single, plan->partition(),
-                                              plan->distribution(), a, x[0],
-                                              transport, pipeline)
-                             .y,
-                         got.y[0], "single-vector entry point");
-        }
+    for (const std::size_t lanes : {1u, 3u, 4u, 5u, 16u}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "transport " << static_cast<int>(transport)
+                   << " lanes " << lanes);
+      const auto x = make_panel(s.n, lanes, 500 + lanes);
+      simt::Machine machine = plan->make_machine();
+      const BatchRunResult got = parallel_sttsv_batch(machine, *plan, a, x);
+      ASSERT_EQ(got.y.size(), lanes);
+      for (std::size_t v = 0; v < lanes; ++v) {
+        expect_bitwise(got.y[v],
+                       test::algorithm5_reference(plan->partition(),
+                                                  plan->distribution(), a,
+                                                  x[v]),
+                       s.name);
+      }
+      if (lanes == 1) {
+        simt::Machine single = plan->make_machine();
+        expect_bitwise(core::parallel_sttsv(single, plan->partition(),
+                                            plan->distribution(), a, x[0],
+                                            transport)
+                           .y,
+                       got.y[0], "single-vector entry point");
       }
     }
   }
@@ -152,8 +146,7 @@ TEST(Algorithm5Reference, ShrunkPlacementOverDirect) {
   simt::DirectExchange direct(machine);
   const core::PanelRunResult got = core::parallel_sttsv_panel(
       direct, plan->partition(), plan->distribution(), plan->walk(), a, x,
-      simt::Transport::kPointToPoint, simt::PipelineMode::kDoubleBuffered,
-      placement);
+      simt::Transport::kPointToPoint, placement);
   for (std::size_t v = 0; v < x.size(); ++v) {
     expect_bitwise(got.y[v],
                    test::algorithm5_reference(plan->partition(),

@@ -1,8 +1,7 @@
-// Buffer pool and pipelined exchange tests (DESIGN.md §12): PooledBuffer
-// semantics, slab recycling and exhaustion, zero-word messages through
-// the pooled wire, the allocation guard's proof that warmed supersteps
-// stay off the heap, and bitwise equality of the serialized vs
-// double-buffered phase schedules (outputs and every ledger channel).
+// Buffer pool tests (DESIGN.md §12): PooledBuffer semantics, slab
+// recycling and exhaustion, zero-word messages through the pooled wire,
+// and the allocation guard's proof that warmed supersteps stay off the
+// heap.
 
 #include <gtest/gtest.h>
 
@@ -13,12 +12,10 @@
 #include "batch/batched_run.hpp"
 #include "batch/plan.hpp"
 #include "core/parallel_sttsv.hpp"
-#include "obs/trace.hpp"
 #include "partition/tetra_partition.hpp"
 #include "partition/vector_distribution.hpp"
 #include "simt/buffer_pool.hpp"
 #include "simt/machine.hpp"
-#include "simt/pipeline.hpp"
 #include "simt/reliable_exchange.hpp"
 #include "steiner/constructions.hpp"
 #include "support/check.hpp"
@@ -32,7 +29,6 @@ using simt::AllocationGuard;
 using simt::BufferPool;
 using simt::Delivery;
 using simt::Envelope;
-using simt::PipelineMode;
 using simt::PooledBuffer;
 
 TEST(PooledBuffer, UnpooledBasicsAndGrowth) {
@@ -188,34 +184,23 @@ TEST(Exchange, ZeroWordMessagesTravelThePooledPath) {
   machine.ledger().verify_conservation();
 }
 
-TEST(Exchange, EmptyOutboxSessionLeavesLedgerUntouched) {
-  simt::Machine machine(2);
-  {
-    auto session = machine.begin_session(simt::Transport::kAllToAll);
-    auto in = session.part(std::vector<std::vector<Envelope>>(2));
-    EXPECT_TRUE(in[0].empty() && in[1].empty());
-    session.finish();
-  }
-  // A part did run (with nothing in it), so All-to-All still charges its
-  // P-1 schedule slots; no words move on any channel.
+TEST(Exchange, EmptyOutboxesChargeScheduleSlotsButNoWords) {
+  simt::Machine machine(4);
+  auto in = machine.exchange(std::vector<std::vector<Envelope>>(4),
+                             simt::Transport::kAllToAll);
+  ASSERT_EQ(in.size(), 4u);
+  for (const auto& inbox : in) EXPECT_TRUE(inbox.empty());
+  // The collective still runs its P-1 schedule slots; no words move on
+  // any channel.
+  EXPECT_EQ(machine.ledger().rounds(), 3u);
   EXPECT_EQ(machine.ledger().total_words(), 0u);
   EXPECT_EQ(machine.ledger().total_overhead_words(), 0u);
   EXPECT_EQ(machine.ledger().modeled_collective_words(), 0u);
-}
-
-TEST(Exchange, AbandonedSessionChargesNothing) {
-  simt::Machine machine(4);
-  {
-    auto session = machine.begin_session(simt::Transport::kPointToPoint);
-    (void)session;  // destroyed without a single part
-  }
-  EXPECT_EQ(machine.ledger().rounds(), 0u);
-  EXPECT_EQ(machine.ledger().total_words(), 0u);
+  machine.ledger().verify_conservation();
 }
 
 // ---------------------------------------------------------------------------
-// Pipeline equivalence and steady-state allocation behaviour on the real
-// Algorithm-5 drivers.
+// Steady-state allocation behaviour on the real Algorithm-5 drivers.
 // ---------------------------------------------------------------------------
 
 struct RunSetup {
@@ -233,110 +218,6 @@ RunSetup make_setup(std::size_t n, std::uint64_t seed) {
   auto a = tensor::random_symmetric(n, rng);
   auto x = rng.uniform_vector(n);
   return RunSetup{std::move(part), std::move(dist), std::move(a), std::move(x)};
-}
-
-void expect_ledgers_identical(const simt::CommLedger& lhs,
-                              const simt::CommLedger& rhs) {
-  ASSERT_EQ(lhs.num_ranks(), rhs.num_ranks());
-  for (std::size_t p = 0; p < lhs.num_ranks(); ++p) {
-    EXPECT_EQ(lhs.words_sent(p), rhs.words_sent(p)) << "p=" << p;
-    EXPECT_EQ(lhs.words_received(p), rhs.words_received(p)) << "p=" << p;
-    EXPECT_EQ(lhs.messages_sent(p), rhs.messages_sent(p)) << "p=" << p;
-    EXPECT_EQ(lhs.messages_received(p), rhs.messages_received(p)) << "p=" << p;
-    EXPECT_EQ(lhs.overhead_words_sent(p), rhs.overhead_words_sent(p));
-    EXPECT_EQ(lhs.overhead_words_received(p), rhs.overhead_words_received(p));
-  }
-  EXPECT_EQ(lhs.total_messages(), rhs.total_messages());
-  EXPECT_EQ(lhs.overhead_messages(), rhs.overhead_messages());
-  EXPECT_EQ(lhs.rounds(), rhs.rounds());
-  EXPECT_EQ(lhs.overhead_rounds(), rhs.overhead_rounds());
-  EXPECT_EQ(lhs.modeled_collective_words(), rhs.modeled_collective_words());
-}
-
-TEST(Pipeline, SingleVectorBitwiseEqualAndLedgerInvariant) {
-  for (const auto transport :
-       {simt::Transport::kPointToPoint, simt::Transport::kAllToAll}) {
-    for (const std::size_t n : {60u, 37u}) {
-      const RunSetup s = make_setup(n, 7 + n);
-      simt::Machine serial(s.part->num_processors());
-      simt::Machine piped(s.part->num_processors());
-      const auto r0 =
-          core::parallel_sttsv(serial, *s.part, *s.dist, s.a, s.x, transport,
-                               PipelineMode::kSerialized);
-      const auto r1 =
-          core::parallel_sttsv(piped, *s.part, *s.dist, s.a, s.x, transport,
-                               PipelineMode::kDoubleBuffered);
-      EXPECT_EQ(r0.y, r1.y);  // bitwise, not approximate
-      EXPECT_EQ(r0.ternary_mults, r1.ternary_mults);
-      expect_ledgers_identical(serial.ledger(), piped.ledger());
-    }
-  }
-}
-
-TEST(Pipeline, ResilientRunBitwiseEqualAcrossModes) {
-  const RunSetup s = make_setup(60, 11);
-  const std::size_t P = s.part->num_processors();
-  std::vector<double> y[2];
-  for (int mode = 0; mode < 2; ++mode) {
-    simt::Machine machine(P);
-    simt::ReliableExchange rex(machine);
-    const auto r = core::parallel_sttsv(
-        rex, *s.part, *s.dist, s.a, s.x, simt::Transport::kPointToPoint,
-        mode == 0 ? PipelineMode::kSerialized : PipelineMode::kDoubleBuffered);
-    y[mode] = r.y;
-    if (mode == 1) {
-      // Protocol cost must not depend on the schedule either.
-      simt::Machine serial(P);
-      simt::ReliableExchange rex0(serial);
-      (void)core::parallel_sttsv(rex0, *s.part, *s.dist, s.a, s.x,
-                                 simt::Transport::kPointToPoint,
-                                 PipelineMode::kSerialized);
-      expect_ledgers_identical(serial.ledger(), machine.ledger());
-    }
-  }
-  EXPECT_EQ(y[0], y[1]);
-}
-
-TEST(Pipeline, BatchedRunBitwiseEqualAcrossModes) {
-  const std::size_t n = 60;
-  const auto key =
-      batch::plan_key(n, batch::Family::kSpherical, 2,
-                      simt::Transport::kPointToPoint);
-  const auto plan = batch::Plan::build(key);
-  Rng rng(21);
-  const auto a = tensor::random_symmetric(n, rng);
-  std::vector<std::vector<double>> x(3);
-  for (auto& xv : x) xv = rng.uniform_vector(n);
-
-  simt::Machine serial = plan->make_machine();
-  simt::Machine piped = plan->make_machine();
-  const auto r0 = batch::parallel_sttsv_batch(serial, *plan, a, x,
-                                              PipelineMode::kSerialized);
-  const auto r1 = batch::parallel_sttsv_batch(piped, *plan, a, x,
-                                              PipelineMode::kDoubleBuffered);
-  EXPECT_EQ(r0.y, r1.y);
-  EXPECT_EQ(r0.ternary_mults, r1.ternary_mults);
-  expect_ledgers_identical(serial.ledger(), piped.ledger());
-}
-
-TEST(Pipeline, EmitsPipelineSpansWhenTraced) {
-  if (!obs::kTracingCompiledIn) GTEST_SKIP() << "tracing compiled out";
-  const RunSetup s = make_setup(60, 3);
-  simt::Machine machine(s.part->num_processors());
-  obs::tracer().configure({.tracing = true});
-  obs::tracer().clear();
-  (void)core::parallel_sttsv(machine, *s.part, *s.dist, s.a, s.x,
-                             simt::Transport::kPointToPoint,
-                             PipelineMode::kDoubleBuffered);
-  std::size_t pipeline_spans = 0;
-  for (const auto& span : obs::tracer().snapshot()) {
-    if (span.category == obs::Category::kPipeline) ++pipeline_spans;
-  }
-  obs::tracer().configure({.tracing = false});
-  obs::tracer().clear();
-  // Two pipelined phases, each with pack/post/wait/consume per chunk plus
-  // a finish span: the exact count is schedule detail, presence is not.
-  EXPECT_GE(pipeline_spans, 8u);
 }
 
 TEST(AllocationGuard, WarmedSingleVectorRunIsAllocationFree) {

@@ -67,5 +67,18 @@ TEST(ArgParser, BadNumbersThrow) {
   EXPECT_THROW(static_cast<void>(args.get_u64("n")), PreconditionError);
 }
 
+TEST(ArgParser, FloatOptions) {
+  const auto args = make({"prog", "--shift", "-2.5", "--bad", "1.0abc",
+                          "--nan", "nan", "--flag"});
+  EXPECT_EQ(args.get_f64_or("shift", 1.0), -2.5);
+  EXPECT_EQ(args.get_f64_or("missing", 1.0), 1.0);
+  EXPECT_THROW(static_cast<void>(args.get_f64_or("bad", 1.0)),
+               PreconditionError);
+  EXPECT_THROW(static_cast<void>(args.get_f64_or("nan", 1.0)),
+               PreconditionError);
+  EXPECT_THROW(static_cast<void>(args.get_f64_or("flag", 1.0)),
+               PreconditionError);  // bare flag, no value
+}
+
 }  // namespace
 }  // namespace sttsv

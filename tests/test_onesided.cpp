@@ -10,13 +10,16 @@
 #include <cstdlib>
 #include <memory>
 #include <numeric>
+#include <string>
 #include <vector>
 
+#include "batch/batched_run.hpp"
 #include "batch/engine.hpp"
 #include "batch/plan.hpp"
 #include "core/parallel_sttsv.hpp"
 #include "core/sttsv_seq.hpp"
 #include "hier/make_exchanger.hpp"
+#include "hier/topology.hpp"
 #include "obs/metrics.hpp"
 #include "onesided/onesided_exchange.hpp"
 #include "onesided/segment_registry.hpp"
@@ -263,41 +266,30 @@ DriverSetup make_setup(steiner::SteinerSystem sys, std::size_t n,
 }
 
 std::vector<double> run_with(const DriverSetup& s, TransportKind kind,
-                             simt::Transport transport,
-                             simt::PipelineMode pipeline) {
+                             simt::Transport transport) {
   Machine machine(s.part->num_processors());
   auto ex = simt::make_exchanger(machine, kind);
-  return core::parallel_sttsv(*ex, *s.part, *s.dist, s.a, s.x, transport,
-                              pipeline)
-      .y;
+  return core::parallel_sttsv(*ex, *s.part, *s.dist, s.a, s.x, transport).y;
 }
 
 TEST(DriverEquivalence, PutAndAmMatchDirectBitwise) {
   const DriverSetup s = make_setup(steiner::spherical_system(2), 61, 11);
   for (const simt::Transport transport :
        {simt::Transport::kPointToPoint, simt::Transport::kAllToAll}) {
-    for (const simt::PipelineMode pipeline :
-         {simt::PipelineMode::kSerialized,
-          simt::PipelineMode::kDoubleBuffered}) {
-      const auto want =
-          run_with(s, TransportKind::kDirect, transport, pipeline);
-      const auto put =
-          run_with(s, TransportKind::kOneSidedPut, transport, pipeline);
-      const auto am =
-          run_with(s, TransportKind::kActiveMessage, transport, pipeline);
-      ASSERT_EQ(want.size(), put.size());
-      for (std::size_t i = 0; i < want.size(); ++i) {
-        ASSERT_EQ(put[i], want[i]) << "put i=" << i;
-        ASSERT_EQ(am[i], want[i]) << "am i=" << i;
-      }
+    const auto want = run_with(s, TransportKind::kDirect, transport);
+    const auto put = run_with(s, TransportKind::kOneSidedPut, transport);
+    const auto am = run_with(s, TransportKind::kActiveMessage, transport);
+    ASSERT_EQ(want.size(), put.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      ASSERT_EQ(put[i], want[i]) << "put i=" << i;
+      ASSERT_EQ(am[i], want[i]) << "am i=" << i;
     }
   }
 }
 
 TEST(DriverEquivalence, ThirtyTwoSeedCrossTransportSweep) {
-  // Satellite 3: 32 seeds, all four backends, y bitwise identical and
-  // per-channel conservation after every run. Double-buffered throughout,
-  // serialized re-checked on a subset (the pipeline must be unobservable).
+  // 32 seeds, all four backends, y bitwise identical and per-channel
+  // conservation after every run.
   const struct {
     steiner::SteinerSystem sys;
     std::size_t n;
@@ -315,8 +307,7 @@ TEST(DriverEquivalence, ThirtyTwoSeedCrossTransportSweep) {
       Machine machine(s.part->num_processors());
       auto ex = simt::make_exchanger(machine, kind);
       const auto result = core::parallel_sttsv(
-          *ex, *s.part, *s.dist, s.a, s.x, simt::Transport::kPointToPoint,
-          simt::PipelineMode::kDoubleBuffered);
+          *ex, *s.part, *s.dist, s.a, s.x, simt::Transport::kPointToPoint);
       machine.ledger().verify_conservation();
       for (const Channel ch : {Channel::kGoodput, Channel::kOverhead,
                                Channel::kRecovery, Channel::kOneSided}) {
@@ -337,16 +328,6 @@ TEST(DriverEquivalence, ThirtyTwoSeedCrossTransportSweep) {
           ASSERT_EQ(result.y[i], want[i])
               << "seed=" << seed << " kind="
               << simt::transport_kind_name(kind) << " i=" << i;
-        }
-      }
-      if (seed % 8 == 0) {  // serialized subset
-        Machine machine2(s.part->num_processors());
-        auto ex2 = simt::make_exchanger(machine2, kind);
-        const auto serial = core::parallel_sttsv(
-            *ex2, *s.part, *s.dist, s.a, s.x, simt::Transport::kPointToPoint,
-            simt::PipelineMode::kSerialized);
-        for (std::size_t i = 0; i < want.size(); ++i) {
-          ASSERT_EQ(serial.y[i], want[i]) << "serialized seed=" << seed;
         }
       }
     }
@@ -397,6 +378,83 @@ TEST(DriverEquivalence, WarmedOneSidedRunIsAllocationFree) {
   EXPECT_EQ(guard.new_slab_allocations(), 0u);
   // Windows reached steady state during warm-up: no mid-epoch growth.
   EXPECT_EQ(ex.registry().stats().window_grows, grows_after_warmup);
+}
+
+/// Forwards every call to `inner` and records what the driver asked of
+/// it: the phase label current at each exchange(), every set_phase()
+/// label, and how many multi-part exchanges were opened.
+class CountingExchanger final : public simt::Exchanger {
+ public:
+  explicit CountingExchanger(simt::Exchanger& inner)
+      : Exchanger(inner.machine()), inner_(inner) {}
+
+  std::vector<std::vector<Delivery>> exchange(
+      std::vector<std::vector<Envelope>> outboxes,
+      simt::Transport transport) override {
+    exchanges.push_back(phase_);
+    return inner_.exchange(std::move(outboxes), transport);
+  }
+  std::unique_ptr<Parts> begin_parts(simt::Transport transport) override {
+    ++begin_parts_calls;
+    return inner_.begin_parts(transport);
+  }
+  void set_phase(const char* phase) override {
+    phase_ = phase;
+    phases.push_back(phase);
+    inner_.set_phase(phase);
+  }
+  [[nodiscard]] bool supports_handler_delivery() const override {
+    return inner_.supports_handler_delivery();
+  }
+  void set_delivery_handler(DeliveryHandler handler) override {
+    inner_.set_delivery_handler(std::move(handler));
+  }
+
+  std::vector<std::string> exchanges;
+  std::vector<std::string> phases;
+  std::size_t begin_parts_calls = 0;
+
+ private:
+  simt::Exchanger& inner_;
+  std::string phase_ = "unlabeled";
+};
+
+TEST(DriverEquivalence, OneExchangePerPhaseOnEveryBackend) {
+  const std::size_t n = 53;
+  const DriverSetup s = make_setup(steiner::spherical_system(2), n, 31);
+  const std::size_t P = s.part->num_processors();
+  const auto plan = batch::Plan::build(batch::plan_key(
+      n, batch::Family::kSpherical, 2, simt::Transport::kPointToPoint));
+  Rng rng(32);
+  std::vector<std::vector<double>> panel(3);
+  for (auto& xv : panel) xv = rng.uniform_vector(n);
+  const std::vector<std::string> want = {"x-panel", "y-panel"};
+  for (const TransportKind kind :
+       {TransportKind::kDirect, TransportKind::kReliable,
+        TransportKind::kOneSidedPut, TransportKind::kActiveMessage,
+        TransportKind::kHierarchical}) {
+    SCOPED_TRACE(simt::transport_kind_name(kind));
+    simt::ExchangerConfig config;
+    config.kind = kind;
+    if (kind == TransportKind::kHierarchical) {
+      config.node_of = hier::Topology::uniform(P, 2).node_map();
+    }
+    for (const bool batched : {false, true}) {
+      SCOPED_TRACE(batched ? "parallel_sttsv_batch" : "parallel_sttsv");
+      Machine machine(P);
+      const auto inner = simt::make_exchanger(machine, config);
+      CountingExchanger counting(*inner);
+      if (batched) {
+        (void)batch::parallel_sttsv_batch(counting, *plan, s.a, panel);
+      } else {
+        (void)core::parallel_sttsv(counting, *s.part, *s.dist, s.a, s.x,
+                                   simt::Transport::kPointToPoint);
+      }
+      EXPECT_EQ(counting.exchanges, want);
+      EXPECT_EQ(counting.phases, want);
+      EXPECT_EQ(counting.begin_parts_calls, 0u);
+    }
+  }
 }
 
 // --- Ledger channels --------------------------------------------------------

@@ -260,15 +260,13 @@ TEST(Recovery, ElasticIdentityMatchesParallelBitwise) {
   const auto ref = core::parallel_sttsv(clean, s.part(), s.dist(), s.a, s.x,
                                         Transport::kPointToPoint);
 
-  for (const auto pipeline : {simt::PipelineMode::kDoubleBuffered,
-                              simt::PipelineMode::kSerialized}) {
-    simt::Machine machine(P);
-    simt::DirectExchange dex(machine);
-    const auto got = core::parallel_sttsv(
-        dex, s.part(), s.dist(), s.a, s.x, Transport::kPointToPoint, pipeline,
-        BlockAssignment::identity(P).hosts());
-    expect_bitwise(got.y, ref.y);
-  }
+  simt::Machine machine(P);
+  simt::DirectExchange dex(machine);
+  const auto got =
+      core::parallel_sttsv(dex, s.part(), s.dist(), s.a, s.x,
+                           Transport::kPointToPoint,
+                           BlockAssignment::identity(P).hosts());
+  expect_bitwise(got.y, ref.y);
 }
 
 TEST(Recovery, ShrunkenAssignmentsAreBitwiseInvariant) {
@@ -286,9 +284,9 @@ TEST(Recovery, ShrunkenAssignmentsAreBitwiseInvariant) {
     shrunk.validate();
     simt::Machine machine(P);
     simt::DirectExchange dex(machine);
-    const auto got = core::parallel_sttsv(
-        dex, s.part(), s.dist(), s.a, s.x, Transport::kPointToPoint,
-        simt::PipelineMode::kDoubleBuffered, shrunk.hosts());
+    const auto got =
+        core::parallel_sttsv(dex, s.part(), s.dist(), s.a, s.x,
+                             Transport::kPointToPoint, shrunk.hosts());
     expect_bitwise(got.y, ref.y);
     // Fewer hosts, same data: the survivors' kernels cover every role.
     std::uint64_t mults = 0;
@@ -297,30 +295,26 @@ TEST(Recovery, ShrunkenAssignmentsAreBitwiseInvariant) {
     for (const std::uint64_t m : ref.ternary_mults) ref_mults += m;
     EXPECT_EQ(mults, ref_mults);
 
-    // The same placement over every backend and both pipeline modes. At
-    // a non-identity placement AM installs no handler, so its results
-    // come back as Put views; hier splits the wire over two nodes.
+    // The same placement over every backend. At a non-identity
+    // placement AM installs no handler, so its results come back as Put
+    // views; hier splits the wire over two nodes.
     for (const TransportKind kind :
          {TransportKind::kDirect, TransportKind::kReliable,
           TransportKind::kOneSidedPut, TransportKind::kActiveMessage,
           TransportKind::kHierarchical}) {
-      for (const auto pipeline : {simt::PipelineMode::kDoubleBuffered,
-                                  simt::PipelineMode::kSerialized}) {
-        simt::Machine m(P);
-        simt::ExchangerConfig config;
-        config.kind = kind;
-        if (kind == TransportKind::kHierarchical) {
-          config.node_of = hier::Topology::uniform(P, 2).node_map();
-        }
-        const auto ex = simt::make_exchanger(m, config);
-        const auto run =
-            core::parallel_sttsv(*ex, s.part(), s.dist(), s.a, s.x,
-                                 Transport::kPointToPoint, pipeline,
-                                 shrunk.hosts());
-        SCOPED_TRACE(simt::transport_kind_name(kind));
-        expect_bitwise(run.y, ref.y);
-        m.ledger().verify_conservation();
+      simt::Machine m(P);
+      simt::ExchangerConfig config;
+      config.kind = kind;
+      if (kind == TransportKind::kHierarchical) {
+        config.node_of = hier::Topology::uniform(P, 2).node_map();
       }
+      const auto ex = simt::make_exchanger(m, config);
+      const auto run = core::parallel_sttsv(*ex, s.part(), s.dist(), s.a, s.x,
+                                            Transport::kPointToPoint,
+                                            shrunk.hosts());
+      SCOPED_TRACE(simt::transport_kind_name(kind));
+      expect_bitwise(run.y, ref.y);
+      m.ledger().verify_conservation();
     }
   }
 }
@@ -336,9 +330,7 @@ TEST(Recovery, DeadHostIsRejectedAtEntry) {
                        const std::vector<std::size_t>& placement) {
     simt::DirectExchange dex(machine);
     (void)core::parallel_sttsv(dex, s.part(), s.dist(), s.a, s.x,
-                               Transport::kPointToPoint,
-                               simt::PipelineMode::kDoubleBuffered,
-                               placement);
+                               Transport::kPointToPoint, placement);
   };
 
   simt::Machine machine(P);
@@ -360,9 +352,9 @@ TEST(Recovery, DeadHostIsRejectedAtEntry) {
   // Off the dead host, the same machine runs cleanly.
   const BlockAssignment survivors = id.shrink({3, 7});
   simt::DirectExchange dex(machine);
-  const auto got = core::parallel_sttsv(
-      dex, s.part(), s.dist(), s.a, s.x, Transport::kPointToPoint,
-      simt::PipelineMode::kDoubleBuffered, survivors.hosts());
+  const auto got =
+      core::parallel_sttsv(dex, s.part(), s.dist(), s.a, s.x,
+                           Transport::kPointToPoint, survivors.hosts());
   simt::Machine clean(P);
   const auto ref = core::parallel_sttsv(clean, s.part(), s.dist(), s.a, s.x,
                                         Transport::kPointToPoint);
@@ -478,9 +470,10 @@ TEST(Recovery, CrashRecoveryPropertySweep) {
         expect_bitwise(out.result.y, ref.y);
         simt::Machine degraded(P);
         simt::DirectExchange dex(degraded);
-        const auto at_pprime = core::parallel_sttsv(
-            dex, s.part(), s.dist(), s.a, s.x, Transport::kPointToPoint,
-            simt::PipelineMode::kDoubleBuffered, out.assignment.hosts());
+        const auto at_pprime =
+            core::parallel_sttsv(dex, s.part(), s.dist(), s.a, s.x,
+                                 Transport::kPointToPoint,
+                                 out.assignment.hosts());
         expect_bitwise(out.result.y, at_pprime.y);
 
         // Three-way ledger conservation, and the recovery channel holds

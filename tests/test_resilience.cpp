@@ -223,19 +223,17 @@ TEST(Resilience, DegradedModeRecoversBitwise) {
   machine.ledger().verify_conservation();
 }
 
-// Degraded-mode recovery under the double-buffered phase schedule: the
-// owner-compute replay must compose with pipelining exactly as it does
-// with the serialized order — bitwise output, goodput untouched — across
-// a seed sweep that mixes fault classes at rates high enough to exhaust
-// the small retry budget regularly.
-TEST(Resilience, DegradeUnderDoubleBufferingSeedSweep) {
+// Degraded-mode recovery across a seed sweep that mixes fault classes at
+// rates high enough to exhaust the small retry budget regularly: the
+// owner-compute replay must keep the output bitwise and goodput
+// untouched.
+TEST(Resilience, DegradeSeedSweep) {
   const std::size_t n = 60;
   Fixture s = make_setup(n, 43);
   const std::size_t P = s.part().num_processors();
   simt::Machine clean(P);
   const auto ref = core::parallel_sttsv(clean, s.part(), s.dist(), s.a, s.x,
-                                        Transport::kPointToPoint,
-                                        simt::PipelineMode::kDoubleBuffered);
+                                        Transport::kPointToPoint);
 
   std::uint64_t degraded_runs = 0;
   for (std::uint64_t seed = 0; seed < 16; ++seed) {
@@ -250,8 +248,7 @@ TEST(Resilience, DegradeUnderDoubleBufferingSeedSweep) {
     ReliableExchange rex(machine, RetryPolicy{2, 1, 4},
                          RecoveryPolicy::kDegrade);
     const auto got = core::parallel_sttsv(rex, s.part(), s.dist(), s.a, s.x,
-                                          Transport::kPointToPoint,
-                                          simt::PipelineMode::kDoubleBuffered);
+                                          Transport::kPointToPoint);
     expect_bitwise(got.y, ref.y);
     for (std::size_t p = 0; p < P; ++p) {
       EXPECT_EQ(machine.ledger().words_sent(p), clean.ledger().words_sent(p))

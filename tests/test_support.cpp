@@ -161,6 +161,16 @@ TEST(Text, ParseU64) {
   EXPECT_THROW(parse_u64("99999999999999999999999"), PreconditionError);
 }
 
+TEST(Text, ParseF64) {
+  EXPECT_EQ(parse_f64("1"), 1.0);
+  EXPECT_EQ(parse_f64("-0.5"), -0.5);
+  EXPECT_EQ(parse_f64("1e-3"), 1e-3);
+  for (const char* junk :
+       {"", "1.0abc", "abc", "nan", "inf", "-inf", " 1", "1 ", "1e999"}) {
+    EXPECT_THROW(parse_f64(junk), PreconditionError) << "'" << junk << "'";
+  }
+}
+
 TEST(Text, BraceSetAndTriple) {
   EXPECT_EQ(brace_set({1, 4, 6, 8}), "{1,4,6,8}");
   EXPECT_EQ(brace_set({}), "{}");

@@ -243,7 +243,7 @@ int cmd_hopm(const ArgParser& args) {
 
   apps::HopmOptions opts;
   opts.seed = seed + 1;
-  opts.shift = std::stod(args.get_or("shift", "1.0"));
+  opts.shift = args.get_f64_or("shift", 1.0);
   opts.max_iterations = args.get_u64_or("max-iters", 3000);
   const auto res = apps::hopm(a, opts);
   std::cout << "HOPM on a rank-" << rank << " symmetric tensor (n = " << n
@@ -300,7 +300,7 @@ int cmd_search(const ArgParser& args) {
 
   apps::EigenSearchOptions opts;
   opts.num_starts = args.get_u64_or("starts", 16);
-  opts.hopm.shift = std::stod(args.get_or("shift", "1.0"));
+  opts.hopm.shift = args.get_f64_or("shift", 1.0);
   opts.hopm.max_iterations = 3000;
   const auto pairs = apps::find_eigenpairs(a, opts);
   std::cout << "found " << pairs.size() << " distinct eigenpairs from "
