@@ -12,10 +12,12 @@
 // and times both paths. The full sweep requires >= 2x vectors/s at the
 // widest panel (the panel kernels walk each tensor block once for all of
 // the panel's whole 4-lane chunks, so every tensor-element load serves
-// them all) and >= 0.7x the loop's vectors/s at every B < 4 (narrow
-// panels run the single-vector core kernels, one block walk per lane).
-// Widths 3 and 6 leave 3 and 2 lanes past the last whole 4-lane chunk,
-// so the checks cover the tail lanes too. Results go to BENCH_batch.json
+// them all), and at the narrow widths B = 2 >= 1.3x and B = 3 >= 1.5x
+// the loop's vectors/s (the lanes past the last whole chunk share one
+// walk of each block on the core kernels). B = 1 runs the same kernels
+// on both paths and only has to keep >= 0.7x. Widths 3 and 6 leave 3
+// and 2 lanes past the last whole 4-lane chunk, so the bitwise checks
+// cover the tail lanes too. Results go to BENCH_batch.json
 // in the working directory. `--quick` runs a reduced sweep without the
 // throughput checks, for a fast smoke. `--trace <path>` records one
 // traced batched run and writes a Chrome trace_event JSON there.
@@ -222,11 +224,15 @@ int main(int argc, char** argv) {
   if (!quick) {
     check.check(widest.loop_s / widest.batched_s >= 2.0,
                 "B=16 batched throughput >= 2x the single-vector loop");
+    // Narrow-width minimum ratios, indexed by B: one walk per block
+    // serves every tail lane, so B = 2 and 3 must beat the loop's B walks.
+    const double narrow_min[] = {0.0, 0.7, 1.3, 1.5};
     for (const SweepPoint& pt : points) {
       if (pt.lanes >= simt::simd::kLanes) continue;
-      check.check(pt.loop_s / pt.batched_s >= 0.7,
-                  "B=" + std::to_string(pt.lanes) +
-                      ": batched throughput >= 0.7x the single-vector loop");
+      const double min_ratio = narrow_min[pt.lanes];
+      check.check(pt.loop_s / pt.batched_s >= min_ratio,
+                  "B=" + std::to_string(pt.lanes) + ": batched throughput >= " +
+                      format_double(min_ratio, 1) + "x the single-vector loop");
     }
   }
   check.check(warm_s < cold_s, "warm plan lookup cheaper than cold build");

@@ -39,10 +39,40 @@ const KernelVTable& vtable_for(simt::KernelIsa isa) {
 
 }  // namespace
 
+namespace detail {
+
+void require_block_slots(const partition::BlockCoord& c,
+                         const double* const (&x)[3],
+                         double* const (&y)[3]) {
+  STTSV_REQUIRE(c.i >= c.j && c.j >= c.k, "block coordinate must be sorted");
+  for (int s = 0; s < 3; ++s) {
+    STTSV_REQUIRE(x[s] != nullptr && y[s] != nullptr,
+                  "kernel buffers must be bound");
+  }
+  // The class kernels read and write an equal coordinate through one
+  // slot only, so a second buffer there would be silently ignored.
+  STTSV_REQUIRE(c.i != c.j || (x[0] == x[1] && y[0] == y[1]),
+                "slots 0 and 1 of a block with c.i == c.j must alias");
+  STTSV_REQUIRE(c.j != c.k || (x[1] == x[2] && y[1] == y[2]),
+                "slots 1 and 2 of a block with c.j == c.k must alias");
+}
+
+std::uint64_t block_lane_mults(const partition::BlockCoord& c, std::uint64_t ni,
+                               std::uint64_t nj, std::uint64_t nk) {
+  if (c.i > c.j && c.j > c.k) return 3 * ni * nj * nk;
+  if (c.j > c.k) return nk * (3 * (ni * (ni - 1) / 2) + 2 * ni);  // face_ij
+  if (c.i > c.j) return ni * (3 * (nj * (nj - 1) / 2) + 2 * nj);  // face_jk
+  // Central: 3·C(e,3) strict + 2·2·C(e,2) face + e central elements.
+  return ni * (ni - 1) * (ni - 2) / 2 + 2 * ni * (ni - 1) + ni;
+}
+
+}  // namespace detail
+
 std::uint64_t apply_block_generic(const tensor::SymTensor3& a,
                                   const partition::BlockCoord& c,
                                   std::size_t b, const BlockBuffers& buf) {
   STTSV_REQUIRE(c.i >= c.j && c.j >= c.k, "block coordinate must be sorted");
+  STTSV_REQUIRE(buf.lanes == 1, "the generic kernel takes one lane");
   for (int s = 0; s < 3; ++s) {
     STTSV_REQUIRE(buf.x[s] != nullptr && buf.y[s] != nullptr,
                   "kernel buffers must be bound");
@@ -128,11 +158,11 @@ std::uint64_t apply_block_generic(const tensor::SymTensor3& a,
 std::uint64_t apply_block_isa(const tensor::SymTensor3& a,
                               const partition::BlockCoord& c, std::size_t b,
                               const BlockBuffers& buf, simt::KernelIsa isa) {
-  STTSV_REQUIRE(c.i >= c.j && c.j >= c.k, "block coordinate must be sorted");
-  for (int s = 0; s < 3; ++s) {
-    STTSV_REQUIRE(buf.x[s] != nullptr && buf.y[s] != nullptr,
-                  "kernel buffers must be bound");
-  }
+  detail::require_block_slots(c, buf.x, buf.y);
+  STTSV_REQUIRE(buf.lanes >= 1 && buf.lanes <= kMaxBlockLanes,
+                "core kernels take 1 to 3 lanes");
+  STTSV_REQUIRE(buf.lanes == 1 || buf.lane_stride >= b,
+                "lanes of one slot must not overlap");
   const std::size_t n = a.dim();
   const std::size_t i0 = c.i * b;
   const std::size_t j0 = c.j * b;
@@ -146,22 +176,26 @@ std::uint64_t apply_block_isa(const tensor::SymTensor3& a,
 
   obs::Span span("kernel.block", obs::Category::kKernel);
   const KernelVTable& vt = vtable_for(isa);
-  std::uint64_t mults = 0;
+  const std::size_t l = buf.lanes - 1;
+  const std::size_t stride = buf.lane_stride;
   if (c.i > c.j && c.j > c.k) {
-    mults = vt.interior(a.data(), i0, i_end, j0, j_end, k0, k_end, buf.x[0],
-                        buf.x[1], buf.x[2], buf.y[0], buf.y[1], buf.y[2]);
+    vt.interior[l](a.data(), i0, i_end, j0, j_end, k0, k_end, buf.x[0],
+                   buf.x[1], buf.x[2], buf.y[0], buf.y[1], buf.y[2], stride);
   } else if (c.i == c.j && c.j > c.k) {
     // Slots 0 and 1 view the same row block (aliased by contract).
-    mults = vt.face_ij(a.data(), i0, i_end, k0, k_end, buf.x[0], buf.x[2],
-                       buf.y[0], buf.y[2]);
+    vt.face_ij[l](a.data(), i0, i_end, k0, k_end, buf.x[0], buf.x[2],
+                  buf.y[0], buf.y[2], stride);
   } else if (c.i > c.j && c.j == c.k) {
     // Slots 1 and 2 view the same row block (aliased by contract).
-    mults = vt.face_jk(a.data(), i0, i_end, j0, j_end, buf.x[0], buf.x[1],
-                       buf.y[0], buf.y[1]);
+    vt.face_jk[l](a.data(), i0, i_end, j0, j_end, buf.x[0], buf.x[1],
+                  buf.y[0], buf.y[1], stride);
   } else {
     // Central diagonal block: all three slots alias one buffer.
-    mults = vt.central(a.data(), i0, i_end, buf.x[0], buf.y[0]);
+    vt.central[l](a.data(), i0, i_end, buf.x[0], buf.y[0], stride);
   }
+  const std::uint64_t mults =
+      buf.lanes *
+      detail::block_lane_mults(c, i_end - i0, j_end - j0, k_end - k0);
   span.set_arg(mults);
   return mults;
 }

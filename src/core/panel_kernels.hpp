@@ -9,8 +9,8 @@
 //
 // All whole 4-lane chunks run the panel kernels in one walk of the
 // block, so every packed tensor entry is loaded from memory once for all
-// of them. The lanes % 4 left over (every lane when B < 4) run one by
-// one on the core kernels, one block walk each.
+// of them. The lanes % 4 left over (every lane when B < 4) run together
+// on the core kernels, in one more walk of the block.
 //
 // Contract: lane v of the output is bitwise identical to running the
 // core kernels (core::apply_block_isa) on lane v alone. Both sides follow

@@ -8,11 +8,12 @@
 // every chunk in turn sweeps that row's slab (at most b×b entries) while
 // it is still in L1/L2, so the block streams from memory once per panel
 // rather than once per chunk. Chunks never mix, and each lane meets the
-// block entries in the same order as a one-chunk walk. Lanes left over
-// after the last whole chunk run on the single-vector core kernels
-// instead (panel_kernels.cpp). The bodies are instantiated in
-// panel_kernels.cpp (VecScalar, always built) and panel_kernels_avx2.cpp
-// (VecAvx2, -mavx2). Both TUs are compiled with -ffp-contract=off.
+// block entries in the same order as a one-chunk walk. The 1–3 lanes
+// left over after the last whole chunk run on the core kernels instead,
+// all of them in one walk of the block (panel_kernels.cpp). The bodies
+// are instantiated in panel_kernels.cpp (VecScalar, always built) and
+// panel_kernels_avx2.cpp (VecAvx2, -mavx2). Both TUs are compiled with
+// -ffp-contract=off.
 //
 // Bitwise contract: lane v of the output equals running the single-vector
 // core kernels on lane v alone, bit for bit. The core kernels follow the

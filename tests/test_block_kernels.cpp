@@ -9,6 +9,7 @@
 
 #include "core/block_kernels.hpp"
 #include "core/costs.hpp"
+#include "core/panel_kernels.hpp"
 #include "core/sttsv_seq.hpp"
 #include "partition/blocks.hpp"
 #include "support/check.hpp"
@@ -195,6 +196,74 @@ TEST(BlockKernel, AliasedDiagonalBuffersSingleBlock) {
           << "block (" << c.i << "," << c.j << "," << c.k << ") i=" << i;
     }
   }
+}
+
+TEST(BlockKernel, RejectsNonAliasedDiagonalSlots) {
+  // The class kernels read and write an equal coordinate through one
+  // slot only, so a diagonal block whose equal-coordinate slots hold two
+  // buffers would silently skip one. Both entry points refuse that
+  // binding, for a separate x or a separate y; the element-wise generic
+  // kernel reads and writes every slot and keeps accepting it.
+  const std::size_t b = 6;
+  const std::size_t lanes = 2;
+  Rng rng(78);
+  const auto a = tensor::random_symmetric(3 * b, rng);
+  const auto x = rng.uniform_vector(3 * b * lanes);
+  const auto x_copy = x;
+  std::vector<double> y(3 * b * lanes, 0.0);
+  std::vector<double> y_apart(3 * b * lanes, 0.0);
+
+  const partition::BlockCoord diag_cases[] = {
+      {1, 1, 0},   // face_ij: slots 0 and 1 must alias
+      {2, 0, 0},   // face_jk: slots 1 and 2 must alias
+      {1, 1, 1}};  // central: all three slots must alias
+  for (const auto& c : diag_cases) {
+    const std::size_t blocks[3] = {c.i, c.j, c.k};
+    const std::size_t apart = c.i == c.j ? 1 : 2;  // an equal-coordinate slot
+    for (const bool x_apart : {true, false}) {
+      SCOPED_TRACE(testing::Message() << "block (" << c.i << "," << c.j << ","
+                                      << c.k << "), separate "
+                                      << (x_apart ? "x" : "y"));
+      BlockBuffers core;
+      PanelBuffers panel;
+      for (std::size_t s = 0; s < 3; ++s) {
+        const auto& xs = s == apart && x_apart ? x_copy : x;
+        auto& ys = s == apart && !x_apart ? y_apart : y;
+        core.x[s] = xs.data() + blocks[s] * b;
+        core.y[s] = ys.data() + blocks[s] * b;
+        panel.x[s] = xs.data() + blocks[s] * b * lanes;
+        panel.y[s] = ys.data() + blocks[s] * b * lanes;
+      }
+      EXPECT_THROW(apply_block(a, c, b, core), PreconditionError);
+      EXPECT_THROW(apply_block_panel(a, c, b, lanes, panel),
+                   PreconditionError);
+      EXPECT_EQ(apply_block_generic(a, c, b, core),
+                partition::ternary_mults_in_block(partition::classify(c), b));
+    }
+  }
+  // The generic kernel wrote the separate y slot it was given.
+  EXPECT_TRUE(std::any_of(y_apart.begin(), y_apart.end(),
+                          [](double v) { return v != 0.0; }));
+}
+
+TEST(BlockKernel, RejectsBadLaneCounts) {
+  tensor::SymTensor3 a(4);
+  std::vector<double> x(8, 0.0), y(8, 0.0);
+  BlockBuffers buf;
+  buf.x[0] = buf.x[1] = buf.x[2] = x.data();
+  buf.y[0] = buf.y[1] = buf.y[2] = y.data();
+  buf.lanes = 0;
+  EXPECT_THROW(apply_block(a, {0, 0, 0}, 2, buf), PreconditionError);
+  buf.lanes = kMaxBlockLanes + 1;
+  EXPECT_THROW(apply_block(a, {0, 0, 0}, 2, buf), PreconditionError);
+  buf.lanes = 2;
+  buf.lane_stride = 1;  // lanes of one slot would overlap
+  EXPECT_THROW(apply_block(a, {0, 0, 0}, 2, buf), PreconditionError);
+  EXPECT_THROW(apply_block_generic(a, {0, 0, 0}, 2, buf), PreconditionError);
+  buf.lane_stride = 2;
+  EXPECT_EQ(apply_block(a, {0, 0, 0}, 2, buf),
+            2 * partition::ternary_mults_in_block(
+                    partition::classify({0, 0, 0}), 2));
 }
 
 TEST(BlockKernel, FullyPaddedBlockIsFree) {

@@ -181,11 +181,14 @@ TEST_P(SimdGolden, Avx2MatchesScalarBitwise) {
   }
 }
 
-// The core kernels fuse strict rows (RJ = 4 interior, RJ = 2 face_ij);
-// the panel kernels run every row alone (RJ = 1), for one whole chunk or
-// for two chunks sharing one walk of the block. Per lane they must agree
-// bit for bit — the contract that lets the panel path hand left-over
-// lanes to the core kernels (panel_kernels.hpp).
+// The core kernels fuse strict rows (RJ = 4 for interior and face_ij
+// rows) and carry up to 3 lanes per walk of the block; the panel kernels
+// run every row alone (RJ = 1), for one whole chunk or for two chunks
+// sharing one walk. Every lane of 4 and 8 (whole chunks only), 2 and 3
+// (tail lanes alone) and 6 and 7 (tail lanes after a whole chunk) must
+// agree bit for bit with the one-lane core kernel — the contract that
+// lets the panel path hand left-over lanes to the core kernels
+// (panel_kernels.hpp).
 TEST_P(SimdGolden, RegisterBlockShapeIsBitwiseInvariant) {
   const std::size_t b = GetParam();
   const std::size_t m = 3;
@@ -193,7 +196,8 @@ TEST_P(SimdGolden, RegisterBlockShapeIsBitwiseInvariant) {
   Rng rng(11 * b + 3);
   const auto a = tensor::random_symmetric(n, rng);
   for (const std::size_t lanes :
-       {simt::simd::kLanes, 2 * simt::simd::kLanes}) {
+       {std::size_t{2}, std::size_t{3}, std::size_t{4}, std::size_t{6},
+        std::size_t{7}, std::size_t{8}}) {
     SCOPED_TRACE(testing::Message() << "lanes=" << lanes);
     std::vector<double> x_pan(m * b * lanes, 0.0);
     for (std::size_t i = 0; i < n * lanes; ++i) {
@@ -214,6 +218,50 @@ TEST_P(SimdGolden, RegisterBlockShapeIsBitwiseInvariant) {
 
 INSTANTIATE_TEST_SUITE_P(BlockEdges, SimdGolden,
                          ::testing::Values(1, 3, 8, 13, 16, 17));
+
+// One core call carries 1–3 lanes of any stride: each lane must equal a
+// one-lane call on that lane alone, bit for bit, and the count must be
+// lanes × the one-lane count. The stride is not a multiple of the vector
+// width, so every lane but the first starts unaligned.
+TEST(SimdGolden, CoreLanesMatchOneLaneBitwise) {
+  const std::size_t m = 3, b = 13, n = m * b - 2;  // padded tail
+  const std::size_t stride = m * b + 3;
+  Rng rng(41);
+  const auto a = tensor::random_symmetric(n, rng);
+  std::vector<double> x_lanes(core::kMaxBlockLanes * stride, 0.0);
+  std::vector<double> y_start(x_lanes.size());
+  for (std::size_t v = 0; v < core::kMaxBlockLanes; ++v) {
+    for (std::size_t l = 0; l < n; ++l) {
+      x_lanes[v * stride + l] = rng.next_in(-1.0, 1.0);
+    }
+  }
+  for (double& e : y_start) e = rng.next_in(-1.0, 1.0);
+  for (std::size_t lanes = 1; lanes <= core::kMaxBlockLanes; ++lanes) {
+    SCOPED_TRACE(testing::Message() << "lanes=" << lanes);
+    for (const simt::KernelIsa isa :
+         {simt::KernelIsa::kScalar, simt::KernelIsa::kAvx2}) {
+      for (const auto& c : kClassBlocks) {
+        std::vector<double> y_lanes = y_start;
+        core::BlockBuffers buf = bind_block(c, b, x_lanes, y_lanes);
+        buf.lanes = lanes;
+        buf.lane_stride = stride;
+        const std::uint64_t mults = core::apply_block_isa(a, c, b, buf, isa);
+        for (std::size_t v = 0; v < lanes; ++v) {
+          const auto lane = [&](const std::vector<double>& full) {
+            const auto first =
+                full.begin() + static_cast<std::ptrdiff_t>(v * stride);
+            return std::vector<double>(
+                first, first + static_cast<std::ptrdiff_t>(m * b));
+          };
+          const auto [y_ref, one] =
+              run_block(a, c, m, b, lane(x_lanes), isa, lane(y_start));
+          EXPECT_EQ(mults, lanes * one);
+          expect_bitwise_equal(lane(y_lanes), y_ref, "core lane vs one lane");
+        }
+      }
+    }
+  }
+}
 
 // The default dispatch must route every class through the same
 // arithmetic as the explicit scalar request — the ISA is a speed knob,
