@@ -45,8 +45,6 @@ PooledBuffer::PooledBuffer(std::size_t count, double value) {
   std::fill(begin(), end(), value);
 }
 
-PooledBuffer::~PooledBuffer() { release(); }
-
 PooledBuffer PooledBuffer::attach_view(double* storage, std::size_t words) {
   STTSV_REQUIRE(storage != nullptr || words == 0,
                 "view needs storage unless empty");
@@ -58,52 +56,12 @@ PooledBuffer PooledBuffer::attach_view(double* storage, std::size_t words) {
   return buf;
 }
 
-PooledBuffer::PooledBuffer(PooledBuffer&& other) noexcept
-    : base_(other.base_),
-      offset_(other.offset_),
-      size_(other.size_),
-      capacity_(other.capacity_),
-      pool_(other.pool_),
-      shard_(other.shard_),
-      bucket_(other.bucket_),
-      view_(other.view_) {
-  other.base_ = nullptr;
-  other.offset_ = other.size_ = other.capacity_ = 0;
-  other.pool_ = nullptr;
-  other.view_ = false;
-}
-
-PooledBuffer& PooledBuffer::operator=(PooledBuffer&& other) noexcept {
-  if (this != &other) {
-    release();
-    base_ = other.base_;
-    offset_ = other.offset_;
-    size_ = other.size_;
-    capacity_ = other.capacity_;
-    pool_ = other.pool_;
-    shard_ = other.shard_;
-    bucket_ = other.bucket_;
-    view_ = other.view_;
-    other.base_ = nullptr;
-    other.offset_ = other.size_ = other.capacity_ = 0;
-    other.pool_ = nullptr;
-    other.view_ = false;
+void PooledBuffer::free_storage() {
+  if (pool_ != nullptr) {
+    pool_->release_slab(shard_, bucket_, base_);
+  } else {
+    free_aligned(base_);
   }
-  return *this;
-}
-
-void PooledBuffer::release() {
-  if (base_ != nullptr && !view_) {
-    if (pool_ != nullptr) {
-      pool_->release_slab(shard_, bucket_, base_);
-    } else {
-      free_aligned(base_);
-    }
-  }
-  base_ = nullptr;
-  offset_ = size_ = capacity_ = 0;
-  pool_ = nullptr;
-  view_ = false;
 }
 
 void PooledBuffer::grow(std::size_t min_capacity) {

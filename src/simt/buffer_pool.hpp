@@ -7,7 +7,7 @@
 // shard. Slabs are size-bucketed in powers of two and returned to their
 // shard's free list on destruction, so a steady-state superstep (same
 // partition, same message sizes) recycles the slabs of the previous one
-// and performs zero heap allocations on the message path. The pool only
+// and allocates no slab on the message path. The pool only
 // manages storage; the CommLedger keeps counting every word exactly as
 // before — pooling changes where bytes live, never how many move.
 //
@@ -40,7 +40,7 @@ class PooledBuffer {
   /// `Envelope{peer, some_vector}` and pay one copy, exactly as before.
   PooledBuffer(const std::vector<double>& values);  // NOLINT(google-explicit-constructor)
   PooledBuffer(std::size_t count, double value);
-  ~PooledBuffer();
+  ~PooledBuffer() { release(); }
 
   /// Non-owning window onto externally owned storage — how one-sided
   /// deliveries expose a slice of a registered segment without copying
@@ -54,8 +54,34 @@ class PooledBuffer {
                                                 std::size_t words);
   [[nodiscard]] bool is_view() const { return view_; }
 
-  PooledBuffer(PooledBuffer&& other) noexcept;
-  PooledBuffer& operator=(PooledBuffer&& other) noexcept;
+  // Moves and release() are inline: every Envelope and Delivery sort or
+  // vector growth moves these handles. Only freeing storage is out of line.
+  PooledBuffer(PooledBuffer&& other) noexcept
+      : base_(other.base_),
+        offset_(other.offset_),
+        size_(other.size_),
+        capacity_(other.capacity_),
+        pool_(other.pool_),
+        shard_(other.shard_),
+        bucket_(other.bucket_),
+        view_(other.view_) {
+    other.reset();
+  }
+  PooledBuffer& operator=(PooledBuffer&& other) noexcept {
+    if (this != &other) {
+      release();
+      base_ = other.base_;
+      offset_ = other.offset_;
+      size_ = other.size_;
+      capacity_ = other.capacity_;
+      pool_ = other.pool_;
+      shard_ = other.shard_;
+      bucket_ = other.bucket_;
+      view_ = other.view_;
+      other.reset();
+    }
+    return *this;
+  }
   PooledBuffer(const PooledBuffer&) = delete;
   PooledBuffer& operator=(const PooledBuffer&) = delete;
 
@@ -97,7 +123,10 @@ class PooledBuffer {
 
   /// Releases the storage immediately (pooled slabs go back to their
   /// shard); the buffer becomes empty and unpooled.
-  void release();
+  void release() {
+    if (base_ != nullptr && !view_) free_storage();
+    reset();
+  }
 
   friend bool operator==(const PooledBuffer& a, const PooledBuffer& b);
   friend bool operator==(const PooledBuffer& a, const std::vector<double>& b);
@@ -108,6 +137,15 @@ class PooledBuffer {
 
   /// Moves the contents into storage with room for `min_capacity` words.
   void grow(std::size_t min_capacity);
+  /// Returns owned storage to its pool shard, or frees it if unpooled.
+  void free_storage();
+  /// Forgets the storage without freeing it: empty and unpooled.
+  void reset() {
+    base_ = nullptr;
+    offset_ = size_ = capacity_ = 0;
+    pool_ = nullptr;
+    view_ = false;
+  }
   [[noreturn]] static void insert_position_error();
 
   double* base_ = nullptr;

@@ -8,8 +8,8 @@
 //  * duplicate it (deliver a second copy, charged as overhead),
 //  * stall a rank (straggler model: every frame the rank sends in the
 //    current exchange misses the round and is lost),
-//  * reorder an inbox (permute delivery order after the deterministic
-//    by-sender sort), or
+//  * reorder an inbox (permute the deterministic by-sender delivery
+//    order), or
 //  * crash a rank (permanent: from its crash exchange on, every frame the
 //    rank sends or should receive silently vanishes — the fail-stop model,
 //    distinct from the transient stall). Crashes can be scheduled at an
@@ -108,7 +108,7 @@ class FaultInjector {
   /// in place (corrupt). Stalled senders lose every frame this exchange.
   Action on_frame(std::size_t from, std::size_t to, PooledBuffer& data);
 
-  /// Possibly permutes rank's inbox (called after the by-sender sort).
+  /// Possibly permutes rank's inbox (delivered in by-sender order).
   void maybe_reorder(std::size_t rank, std::vector<Delivery>& inbox);
 
   [[nodiscard]] const FaultConfig& config() const { return config_; }

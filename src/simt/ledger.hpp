@@ -53,7 +53,6 @@
 #include <cstdint>
 #include <array>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace sttsv::obs {
@@ -341,8 +340,8 @@ class CommLedger {
   [[nodiscard]] std::uint64_t pair_words(std::size_t from,
                                          std::size_t to) const;
 
-  /// Distinct ordered pairs that exchanged at least one goodput word.
-  [[nodiscard]] std::size_t active_pairs() const { return pair_.size(); }
+  /// Distinct ordered pairs recorded at least once on the goodput channel.
+  [[nodiscard]] std::size_t active_pairs() const { return active_pairs_; }
 
   /// Publishes the full ledger state into `out` under `prefix` (DESIGN.md
   /// §11): per channel the maxima, totals, message counts and rounds plus
@@ -411,7 +410,13 @@ class CommLedger {
 
   std::size_t num_ranks_;
   std::array<std::array<ChannelCounters, kNumLevels>, kNumChannels> chan_;
-  std::unordered_map<std::uint64_t, std::uint64_t> pair_;
+  /// Goodput per ordered pair, row-major P x P (from * P + to).
+  struct PairCount {
+    std::uint64_t words = 0;
+    bool recorded = false;
+  };
+  std::vector<PairCount> pair_;
+  std::size_t active_pairs_ = 0;
   std::array<std::uint64_t, kNumLevels> sync_ops_ = {0, 0};
   std::uint64_t modeled_words_ = 0;
   std::vector<std::uint32_t> node_of_;  ///< empty: flat machine

@@ -10,6 +10,15 @@
 
 namespace sttsv::simt {
 
+void sort_by_destination(std::vector<Envelope>& outbox) {
+  const auto by_destination = [](const Envelope& a, const Envelope& b) {
+    return a.to < b.to;
+  };
+  if (!std::is_sorted(outbox.begin(), outbox.end(), by_destination)) {
+    std::stable_sort(outbox.begin(), outbox.end(), by_destination);
+  }
+}
+
 Machine::Machine(std::size_t num_ranks)
     : P_(num_ranks),
       ledger_(num_ranks),
@@ -97,10 +106,7 @@ std::vector<std::vector<Delivery>> Machine::exchange(
 
   for (std::size_t from = 0; from < P_; ++from) {
     // Deterministic delivery order: by destination, then insertion order.
-    std::stable_sort(outboxes[from].begin(), outboxes[from].end(),
-                     [](const Envelope& a, const Envelope& b) {
-                       return a.to < b.to;
-                     });
+    sort_by_destination(outboxes[from]);
     for (auto& env : outboxes[from]) {
       // Dead endpoints: the frame silently vanishes, charging nothing and
       // holding no round slot. Skipping both the send and the receive
@@ -156,12 +162,17 @@ std::vector<std::vector<Delivery>> Machine::exchange(
       inboxes[env.to].push_back(Delivery{from, std::move(env.data)});
     }
   }
-  for (auto& inbox : inboxes) {
-    std::stable_sort(inbox.begin(), inbox.end(),
-                     [](const Delivery& a, const Delivery& b) {
-                       return a.from < b.from;
-                     });
-  }
+  // Senders were walked ascending, so every inbox is already sorted by
+  // sender.
+  STTSV_DCHECK(std::all_of(inboxes.begin(), inboxes.end(),
+                           [](const std::vector<Delivery>& inbox) {
+                             return std::is_sorted(
+                                 inbox.begin(), inbox.end(),
+                                 [](const Delivery& a, const Delivery& b) {
+                                   return a.from < b.from;
+                                 });
+                           }),
+               "inbox out of sender order");
   if (injector_ != nullptr) {
     for (std::size_t p = 0; p < P_; ++p) {
       injector_->maybe_reorder(p, inboxes[p]);

@@ -11,7 +11,7 @@
 //
 // Payloads live in PooledBuffers drawn from the machine's per-rank
 // BufferPool (DESIGN.md §12): mailbox traffic moves slabs, never copies,
-// and a steady-state superstep performs zero heap allocations.
+// and a steady-state superstep allocates no slab.
 //
 // An optional FaultInjector (DESIGN.md §10) sits on the wire: frames may
 // be dropped, corrupted, duplicated, delayed by a stalled sender, or
@@ -55,6 +55,10 @@ struct Envelope {
   std::size_t overhead_words = 0;
   bool recovery = false;
 };
+
+/// Puts an outbox in delivery order: by destination, insertion order kept
+/// among envelopes to the same rank. Sorts only an outbox out of order.
+void sort_by_destination(std::vector<Envelope>& outbox);
 
 /// One delivered message: source rank plus payload words. Deliveries are
 /// handed to the receiver sorted by sender, so execution is deterministic

@@ -2,9 +2,8 @@
 
 #include <algorithm>
 #include <bit>
-#include <map>
+#include <span>
 #include <sstream>
-#include <unordered_set>
 #include <utility>
 
 #include "obs/metrics.hpp"
@@ -46,11 +45,6 @@ std::uint64_t payload_checksum(const double* words, std::size_t n) {
   return finalize(h);
 }
 
-std::uint64_t pair_id(std::size_t from, std::size_t to) {
-  return (static_cast<std::uint64_t>(from) << 32) |
-         static_cast<std::uint64_t>(to);
-}
-
 std::uint64_t data_header_checksum(std::uint64_t seq, std::uint64_t len,
                                    std::uint64_t payload_sum,
                                    std::size_t from, std::size_t to) {
@@ -63,12 +57,18 @@ std::uint64_t data_header_checksum(std::uint64_t seq, std::uint64_t len,
   return finalize(h);
 }
 
+/// One logical frame of an exchange. The exchange's frames sit in one
+/// vector in (sender, destination, sequence) order with consecutive
+/// sequence numbers per pair, so that order is the index for ACK
+/// settlement, duplicate detection and inbox assembly.
 struct PendingFrame {
   std::size_t from = 0;
   std::size_t to = 0;
   std::uint64_t seq = 0;
-  PooledBuffer payload;
+  PooledBuffer payload;    // the sender's copy, kept for retransmission
+  PooledBuffer delivered;  // the receiver's accepted copy
   bool acked = false;
+  bool accepted = false;
   std::size_t attempts = 0;
 };
 
@@ -88,17 +88,16 @@ PooledBuffer encode_data(BufferPool& pool, const PendingFrame& f) {
   return wire;
 }
 
-struct DecodedData {
+struct DataHeader {
   std::uint64_t seq = 0;
   bool payload_ok = false;
-  PooledBuffer payload;
 };
 
 /// False => frame unparseable (header damaged): no ACK/NACK possible, the
-/// sender recovers it via retry on the missing ACK. On a valid payload
-/// the delivery's buffer is stolen and the header consumed in place — the
-/// payload is never copied off the wire.
-bool decode_data(Delivery& d, std::size_t to, DecodedData& out) {
+/// sender recovers it via retry on the missing ACK. The frame is read in
+/// place; on acceptance the caller steals the delivery's buffer and
+/// consumes the header, so the payload is never copied off the wire.
+bool decode_data(const Delivery& d, std::size_t to, DataHeader& out) {
   if (d.data.size() < kDataHeaderWords) return false;
   if (dec(d.data[0]) != kMagicData) return false;
   const std::uint64_t seq = dec(d.data[1]);
@@ -111,25 +110,19 @@ bool decode_data(Delivery& d, std::size_t to, DecodedData& out) {
   out.seq = seq;
   out.payload_ok =
       payload_checksum(d.data.data() + kDataHeaderWords, len) == psum;
-  if (out.payload_ok) {
-    out.payload = std::move(d.data);
-    out.payload.consume_front(kDataHeaderWords);
-  }
   return true;
 }
 
-struct AckEntry {
-  std::uint64_t seq = 0;
-  bool ok = false;
-};
+/// (sender of the acknowledged frame, entry word). An entry word is
+/// (seq << 1) | ok_bit.
+using AckWord = std::pair<std::size_t, std::uint64_t>;
 
 PooledBuffer encode_ack(BufferPool& pool, std::size_t from, std::size_t to,
-                        const std::vector<AckEntry>& entries) {
+                        std::span<const AckWord> entries) {
   std::uint64_t h = mix(mix(mix(kMagicAck, entries.size()), from), to);
   PooledBuffer wire = pool.acquire(from, kAckHeaderWords + entries.size());
   wire.resize(kAckHeaderWords);
-  for (const AckEntry& e : entries) {
-    const std::uint64_t w = (e.seq << 1) | (e.ok ? 1ULL : 0ULL);
+  for (const auto& [sender, w] : entries) {
     h = mix(h, w);
     wire.push_back(enc(w));
   }
@@ -139,8 +132,8 @@ PooledBuffer encode_ack(BufferPool& pool, std::size_t from, std::size_t to,
   return wire;
 }
 
-bool decode_ack(const Delivery& d, std::size_t to,
-                std::vector<AckEntry>& out) {
+/// Validates an ACK frame in place; its entry words follow the header.
+bool decode_ack(const Delivery& d, std::size_t to) {
   if (d.data.size() < kAckHeaderWords) return false;
   if (dec(d.data[0]) != kMagicAck) return false;
   const std::uint64_t count = dec(d.data[1]);
@@ -152,14 +145,7 @@ bool decode_ack(const Delivery& d, std::size_t to,
   for (std::size_t i = 0; i < count; ++i) {
     h = mix(h, dec(d.data[kAckHeaderWords + i]));
   }
-  if (finalize(h) != dec(d.data[2])) return false;
-  out.clear();
-  out.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    const std::uint64_t w = dec(d.data[kAckHeaderWords + i]);
-    out.push_back(AckEntry{w >> 1, (w & 1ULL) != 0});
-  }
-  return true;
+  return finalize(h) == dec(d.data[2]);
 }
 
 std::string describe(const FaultReport& report) {
@@ -235,7 +221,8 @@ ReliableExchange::ReliableExchange(Machine& machine, RetryPolicy retry,
     : Exchanger(machine),
       retry_(retry),
       recovery_(recovery),
-      liveness_(liveness) {
+      liveness_(liveness),
+      next_seq_(machine.num_ranks() * machine.num_ranks(), 0) {
   STTSV_REQUIRE(retry_.max_attempts >= 1,
                 "retry policy needs at least one attempt");
   STTSV_REQUIRE(!liveness_.enabled || liveness_.suspect_after_attempts >= 1,
@@ -255,10 +242,7 @@ std::vector<std::vector<Delivery>> ReliableExchange::exchange(
   const std::size_t log_begin =
       injector != nullptr ? injector->log().size() : 0;
 
-  // Frame the outboxes in the raw machine's deterministic order (stable
-  // by destination) so per-pair sequence numbers reproduce the fault-free
-  // delivery order exactly.
-  std::vector<PendingFrame> frames;
+  std::size_t num_frames = 0;
   for (std::size_t from = 0; from < P; ++from) {
     for (const Envelope& env : outboxes[from]) {
       STTSV_REQUIRE(env.to < P, "envelope destination out of range");
@@ -266,52 +250,63 @@ std::vector<std::vector<Delivery>> ReliableExchange::exchange(
                     "self-sends must be handled as local copies");
       STTSV_REQUIRE(env.overhead_words == 0,
                     "reliable exchange frames raw payloads only");
+      // Framing would charge the payload as goodput; recovery traffic
+      // goes over the raw exchange until the protocol accounts for it.
+      STTSV_REQUIRE(!env.recovery,
+                    "reliable exchange does not carry recovery envelopes");
     }
-    std::stable_sort(outboxes[from].begin(), outboxes[from].end(),
-                     [](const Envelope& a, const Envelope& b) {
-                       return a.to < b.to;
-                     });
+    num_frames += outboxes[from].size();
+  }
+
+  // Frame the outboxes in the raw machine's deterministic order (stable
+  // by destination) so per-pair sequence numbers reproduce the fault-free
+  // delivery order exactly. Sender s owns frames [sender_begin[s],
+  // sender_begin[s + 1]).
+  std::vector<PendingFrame> frames;
+  frames.reserve(num_frames);
+  std::vector<std::size_t> sender_begin(P + 1, 0);
+  for (std::size_t from = 0; from < P; ++from) {
+    sort_by_destination(outboxes[from]);
+    sender_begin[from] = frames.size();
     for (Envelope& env : outboxes[from]) {
-      PendingFrame f;
+      PendingFrame& f = frames.emplace_back();
       f.from = from;
       f.to = env.to;
-      f.seq = next_seq_[pair_id(from, env.to)]++;
+      f.seq = next_seq_[from * P + env.to]++;
       f.payload = std::move(env.data);
-      frames.push_back(std::move(f));
     }
   }
+  sender_begin[P] = frames.size();
   stats_.data_frames += frames.size();
   protocol_span.set_arg(frames.size());
 
-  // (pair, seq) -> frame index, for settling ACKs.
-  std::unordered_map<std::uint64_t,
-                     std::unordered_map<std::uint64_t, std::size_t>>
-      frame_index;
-  for (std::size_t i = 0; i < frames.size(); ++i) {
-    frame_index[pair_id(frames[i].from, frames[i].to)][frames[i].seq] = i;
-  }
-
-  struct Accepted {
-    std::size_t from = 0;
-    std::uint64_t seq = 0;
-    PooledBuffer payload;
+  // The frame (from, to, seq) of this exchange, or nullptr: the pair's
+  // frames start at the lower bound of `to` in the sender's range and
+  // carry consecutive sequence numbers.
+  const auto find_frame = [&](std::size_t from, std::size_t to,
+                              std::uint64_t seq) -> PendingFrame* {
+    PendingFrame* const first = frames.data() + sender_begin[from];
+    PendingFrame* const last = frames.data() + sender_begin[from + 1];
+    PendingFrame* const pair = std::lower_bound(
+        first, last, to,
+        [](const PendingFrame& f, std::size_t t) { return f.to < t; });
+    if (pair == last || seq < pair->seq) return nullptr;
+    const std::uint64_t offset = seq - pair->seq;
+    if (offset >= static_cast<std::uint64_t>(last - pair)) return nullptr;
+    PendingFrame* const f = pair + offset;
+    return f->to == to && f->seq == seq ? f : nullptr;
   };
-  std::vector<std::vector<Accepted>> accepted(P);
-  std::unordered_map<std::uint64_t, std::unordered_set<std::uint64_t>>
-      accepted_seqs;
 
-  auto accept_frame = [&](std::size_t receiver, std::size_t sender,
-                          std::uint64_t seq,
-                          PooledBuffer&& payload) -> bool {
-    auto& seen = accepted_seqs[pair_id(sender, receiver)];
-    if (seen.contains(seq)) {
+  // Accepts a data frame at most once; the delivery's buffer is stolen
+  // and its header consumed in place.
+  const auto accept_frame = [&](PendingFrame& f, Delivery& d) {
+    if (f.accepted) {
       ++stats_.duplicate_frames_ignored;
-      return false;
+      return;
     }
-    seen.insert(seq);
-    accepted[receiver].push_back(
-        Accepted{sender, seq, std::move(payload)});
-    return true;
+    f.accepted = true;
+    f.delivered = std::move(d.data);
+    f.delivered.consume_front(kDataHeaderWords);
   };
 
   // Liveness evidence: consecutive protocol attempts in which a probed
@@ -320,13 +315,16 @@ std::vector<std::vector<Delivery>> ReliableExchange::exchange(
   // decode — proves it alive, because wire metadata (Delivery::from) is
   // trustworthy in the simulator.
   std::vector<std::size_t> silent(P, 0);
+  std::vector<char> probed(P);
+  std::vector<char> heard(P);
+  std::vector<AckWord> ack_words;
 
   // One protocol attempt: transmit the given frames, then run an ACK/NACK
   // round. Both wire trips pass through the fault injector.
   auto run_attempt = [&](const std::vector<std::size_t>& send_idx,
                          bool first, Transport t) {
-    std::vector<char> probed(P, 0);
-    std::vector<char> heard(P, 0);
+    std::fill(probed.begin(), probed.end(), 0);
+    std::fill(heard.begin(), heard.end(), 0);
     for (const std::size_t idx : send_idx) {
       probed[frames[idx].from] = 1;
       probed[frames[idx].to] = 1;
@@ -358,29 +356,56 @@ std::vector<std::vector<Delivery>> ReliableExchange::exchange(
     }
     auto wire_in = machine_.exchange(std::move(wire_out), t);
 
-    std::vector<std::map<std::size_t, std::vector<AckEntry>>> acks(P);
+    // Each receiver answers every sender it heard a decodable frame from
+    // with one ACK frame, senders ascending, entries in arrival order.
+    std::vector<std::vector<Envelope>> ack_out(P);
+    bool any_acks = false;
+    const auto by_sender = [](const AckWord& a, const AckWord& b) {
+      return a.first < b.first;
+    };
     for (std::size_t r = 0; r < P; ++r) {
+      ack_words.clear();
       for (Delivery& d : wire_in[r]) {
         heard[d.from] = 1;
-        DecodedData dd;
-        if (!decode_data(d, r, dd)) {
+        DataHeader h;
+        PendingFrame* f =
+            decode_data(d, r, h) ? find_frame(d.from, r, h.seq) : nullptr;
+        if (f == nullptr) {
+          // Header damaged — or, after a header-checksum collision,
+          // naming no frame of this exchange: silence, the retry
+          // recovers it.
           ++stats_.corrupt_frames_detected;
-          continue;  // header damaged: silence, the retry recovers it
-        }
-        if (!dd.payload_ok) {
-          ++stats_.corrupt_frames_detected;
-          ++stats_.nack_entries;
-          acks[r][d.from].push_back(AckEntry{dd.seq, false});
           continue;
         }
-        accept_frame(r, d.from, dd.seq, std::move(dd.payload));
+        if (!h.payload_ok) {
+          ++stats_.corrupt_frames_detected;
+          ++stats_.nack_entries;
+          ack_words.emplace_back(d.from, h.seq << 1);
+          continue;
+        }
+        accept_frame(*f, d);
         // Accept and duplicate alike are (re-)ACKed, so a lost ACK heals.
-        acks[r][d.from].push_back(AckEntry{dd.seq, true});
+        ack_words.emplace_back(d.from, (h.seq << 1) | 1ULL);
+      }
+      // Only a reordered inbox leaves the senders out of order.
+      if (!std::is_sorted(ack_words.begin(), ack_words.end(), by_sender)) {
+        std::stable_sort(ack_words.begin(), ack_words.end(), by_sender);
+      }
+      for (auto run = ack_words.begin(); run != ack_words.end();) {
+        const std::size_t sender = run->first;
+        const auto run_end = std::find_if(
+            run, ack_words.end(),
+            [sender](const AckWord& w) { return w.first != sender; });
+        Envelope env;
+        env.to = sender;
+        env.data = encode_ack(machine_.pool(), r, sender, {run, run_end});
+        env.overhead_words = env.data.size();
+        ack_out[r].push_back(std::move(env));
+        ++stats_.ack_frames;
+        any_acks = true;
+        run = run_end;
       }
     }
-
-    bool any_acks = false;
-    for (const auto& per_rank : acks) any_acks |= !per_rank.empty();
     if (!any_acks) {
       settle_silence();
       return;
@@ -389,46 +414,38 @@ std::vector<std::vector<Delivery>> ReliableExchange::exchange(
     // ACK/NACK traffic is pure protocol: the round lands on the overhead
     // channel in any exported trace.
     obs::Span ack_span("rex.ack-round", obs::Category::kRetry);
-    std::vector<std::vector<Envelope>> ack_out(P);
-    for (std::size_t r = 0; r < P; ++r) {
-      for (const auto& [sender, entries] : acks[r]) {
-        Envelope env;
-        env.to = sender;
-        env.data = encode_ack(machine_.pool(), r, sender, entries);
-        env.overhead_words = env.data.size();
-        ack_out[r].push_back(std::move(env));
-        ++stats_.ack_frames;
-      }
-    }
     auto ack_in = machine_.exchange(std::move(ack_out),
                                     Transport::kPointToPoint);
     for (std::size_t s = 0; s < P; ++s) {
       for (const Delivery& d : ack_in[s]) {
         heard[d.from] = 1;
-        std::vector<AckEntry> entries;
-        if (!decode_ack(d, s, entries)) {
+        if (!decode_ack(d, s)) {
           ++stats_.corrupt_frames_detected;
           continue;
         }
-        const auto pit = frame_index.find(pair_id(s, d.from));
-        if (pit == frame_index.end()) continue;
-        for (const AckEntry& e : entries) {
-          if (!e.ok) continue;  // NACK: stays pending, retried next loop
-          const auto fit = pit->second.find(e.seq);
-          if (fit != pit->second.end()) frames[fit->second].acked = true;
+        for (std::size_t i = kAckHeaderWords; i < d.data.size(); ++i) {
+          const std::uint64_t w = dec(d.data[i]);
+          // A NACK leaves its frame pending, retried next loop.
+          if ((w & 1ULL) == 0) continue;
+          PendingFrame* f = find_frame(s, d.from, w >> 1);
+          if (f != nullptr) f->acked = true;
         }
       }
     }
     settle_silence();
   };
 
-  std::size_t attempt = 0;
-  while (attempt < retry_.max_attempts) {
-    std::vector<std::size_t> unacked;
+  std::vector<std::size_t> unacked;
+  unacked.reserve(frames.size());
+  const auto collect_unacked = [&] {
+    unacked.clear();
     for (std::size_t i = 0; i < frames.size(); ++i) {
       if (!frames[i].acked) unacked.push_back(i);
     }
-    if (unacked.empty()) break;
+  };
+  std::size_t attempt = 0;
+  for (collect_unacked(); !unacked.empty() && attempt < retry_.max_attempts;
+       collect_unacked()) {
     if (attempt > 0) {
       // Exponential backoff: base << (attempt-1), saturating at the cap.
       std::size_t backoff = retry_.backoff_base_rounds;
@@ -451,10 +468,7 @@ std::vector<std::vector<Delivery>> ReliableExchange::exchange(
     ++attempt;
   }
 
-  std::vector<std::size_t> undelivered;
-  for (std::size_t i = 0; i < frames.size(); ++i) {
-    if (!frames[i].acked) undelivered.push_back(i);
-  }
+  const std::vector<std::size_t>& undelivered = unacked;
   if (!undelivered.empty()) {
     FaultReport report;
     report.phase = phase_;
@@ -537,12 +551,14 @@ std::vector<std::vector<Delivery>> ReliableExchange::exchange(
     machine_.set_fault_injector(injector);
     for (std::size_t r = 0; r < P; ++r) {
       for (Delivery& d : replay_in[r]) {
-        DecodedData dd;
-        STTSV_CHECK(decode_data(d, r, dd) && dd.payload_ok,
+        DataHeader h;
+        PendingFrame* f =
+            decode_data(d, r, h) ? find_frame(d.from, r, h.seq) : nullptr;
+        STTSV_CHECK(f != nullptr && h.payload_ok,
                     "degraded replay corrupted on a clean channel");
         // A frame whose ACK (not data) was lost is already accepted;
         // the idempotent accept path absorbs the replay copy.
-        accept_frame(r, d.from, dd.seq, std::move(dd.payload));
+        accept_frame(*f, d);
       }
     }
     stats_.degraded_deliveries += undelivered.size();
@@ -550,20 +566,15 @@ std::vector<std::vector<Delivery>> ReliableExchange::exchange(
     reports_.push_back(std::move(report));
   }
 
-  // Assemble inboxes in the fault-free machine's order: by sender, then
-  // by sequence number (== the sender's post-sort envelope order).
+  // Assemble inboxes in the fault-free machine's order: walking the frame
+  // table hands each receiver its senders ascending and, per sender,
+  // sequence numbers ascending (== the sender's post-sort envelope order).
   std::vector<std::vector<Delivery>> inboxes(P);
   std::size_t delivered = 0;
-  for (std::size_t r = 0; r < P; ++r) {
-    std::sort(accepted[r].begin(), accepted[r].end(),
-              [](const Accepted& a, const Accepted& b) {
-                return a.from != b.from ? a.from < b.from : a.seq < b.seq;
-              });
-    inboxes[r].reserve(accepted[r].size());
-    for (Accepted& a : accepted[r]) {
-      inboxes[r].push_back(Delivery{a.from, std::move(a.payload)});
-      ++delivered;
-    }
+  for (PendingFrame& f : frames) {
+    if (!f.accepted) continue;
+    inboxes[f.to].push_back(Delivery{f.from, std::move(f.delivered)});
+    ++delivered;
   }
   if (delivered != frames.size()) {
     // Only reachable when a dead endpoint swallowed frames on the clean
@@ -576,7 +587,7 @@ std::vector<std::vector<Delivery>> ReliableExchange::exchange(
     incomplete.attempts_used = retry_.max_attempts;
     incomplete.degraded = true;
     for (const PendingFrame& f : frames) {
-      if (!accepted_seqs[pair_id(f.from, f.to)].contains(f.seq)) {
+      if (!f.accepted) {
         incomplete.undelivered.push_back(
             FrameFault{f.from, f.to, f.seq, f.payload.size(), f.attempts});
         incomplete.affected_ranks.push_back(f.from);

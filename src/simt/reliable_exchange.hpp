@@ -50,7 +50,6 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "simt/machine.hpp"
@@ -264,8 +263,9 @@ class ReliableExchange final : public Exchanger {
   LivenessPolicy liveness_;
   std::string phase_ = "unlabeled";
   std::uint64_t exchange_counter_ = 0;
-  // Next sequence number per ordered rank pair, monotone over the session.
-  std::unordered_map<std::uint64_t, std::uint64_t> next_seq_;
+  // Next sequence number per ordered rank pair (row-major P x P, indexed
+  // from * P + to), monotone over the session.
+  std::vector<std::uint64_t> next_seq_;
   Stats stats_;
   std::vector<FaultReport> reports_;
 };

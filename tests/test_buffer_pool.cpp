@@ -1,11 +1,15 @@
 // Buffer pool tests (DESIGN.md §12): PooledBuffer semantics, slab
 // recycling and exhaustion, zero-word messages through the pooled wire,
-// and the allocation guard's proof that warmed supersteps stay off the
-// heap.
+// the allocation guard's proof that warmed supersteps allocate no slab,
+// and a bound on the resilient protocol's remaining heap allocations.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdint>
+#include <cstdlib>
 #include <memory>
+#include <new>
 #include <utility>
 #include <vector>
 
@@ -21,6 +25,85 @@
 #include "support/check.hpp"
 #include "support/rng.hpp"
 #include "tensor/generators.hpp"
+
+// Every heap allocation in this binary is counted: each form of the global
+// operator new is replaced by a malloc-backed version that only counts, so
+// a test can bound what a code path allocates beyond pool slabs.
+namespace {
+
+std::atomic<std::uint64_t> g_heap_allocations{0};
+
+void* counted_alloc(std::size_t size) {
+  g_heap_allocations.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size == 0 ? 1 : size);
+}
+
+void* counted_alloc(std::size_t size, std::align_val_t align) {
+  g_heap_allocations.fetch_add(1, std::memory_order_relaxed);
+  const auto a = static_cast<std::size_t>(align);
+  // aligned_alloc wants a size that is a multiple of the alignment.
+  return std::aligned_alloc(a, (size + a - 1) / a * a + (size == 0 ? a : 0));
+}
+
+void* counted_alloc_or_throw(std::size_t size) {
+  void* p = counted_alloc(size);
+  if (p == nullptr) throw std::bad_alloc();
+  return p;
+}
+
+void* counted_alloc_or_throw(std::size_t size, std::align_val_t align) {
+  void* p = counted_alloc(size, align);
+  if (p == nullptr) throw std::bad_alloc();
+  return p;
+}
+
+}  // namespace
+
+void* operator new(std::size_t size) { return counted_alloc_or_throw(size); }
+void* operator new[](std::size_t size) { return counted_alloc_or_throw(size); }
+void* operator new(std::size_t size, std::align_val_t align) {
+  return counted_alloc_or_throw(size, align);
+}
+void* operator new[](std::size_t size, std::align_val_t align) {
+  return counted_alloc_or_throw(size, align);
+}
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  return counted_alloc(size);
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return counted_alloc(size);
+}
+void* operator new(std::size_t size, std::align_val_t align,
+                   const std::nothrow_t&) noexcept {
+  return counted_alloc(size, align);
+}
+void* operator new[](std::size_t size, std::align_val_t align,
+                     const std::nothrow_t&) noexcept {
+  return counted_alloc(size, align);
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+void operator delete(void* p, std::align_val_t, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::align_val_t,
+                       const std::nothrow_t&) noexcept {
+  std::free(p);
+}
 
 namespace sttsv {
 namespace {
@@ -248,6 +331,43 @@ TEST(AllocationGuard, WarmedResilientRunIsAllocationFree) {
                              simt::Transport::kPointToPoint);
   EXPECT_EQ(guard.new_slab_allocations(), 0u);
   EXPECT_EQ(guard.new_unpooled_allocations(), 0u);
+}
+
+// Beyond pool slabs: the protocol's own bookkeeping (frame table, ACK
+// scratch, wire and ACK outboxes, the ACK exchange) must stay a small
+// constant per data frame on a warmed, fault-free batch.
+TEST(AllocationGuard, ResilientBatchHeapAllocationsPerFrameAreBounded) {
+  const std::size_t n = 60;
+  const std::size_t B = 4;
+  const auto plan = batch::Plan::build(batch::plan_key(
+      n, batch::Family::kSpherical, 2, simt::Transport::kPointToPoint));
+  Rng rng(12);
+  const auto a = tensor::random_symmetric(n, rng);
+  std::vector<std::vector<double>> x(B);
+  for (auto& xv : x) xv = rng.uniform_vector(n);
+
+  // Heap allocations of the second batch on a fresh machine.
+  const auto warmed_batch_allocations = [&](simt::Exchanger& exchanger) {
+    (void)batch::parallel_sttsv_batch(exchanger, *plan, a, x);
+    const std::uint64_t before = g_heap_allocations.load();
+    (void)batch::parallel_sttsv_batch(exchanger, *plan, a, x);
+    return g_heap_allocations.load() - before;
+  };
+  simt::Machine direct_machine = plan->make_machine();
+  simt::DirectExchange direct(direct_machine);
+  const std::uint64_t direct_allocs = warmed_batch_allocations(direct);
+
+  simt::Machine rex_machine = plan->make_machine();
+  simt::ReliableExchange rex(rex_machine);
+  const std::uint64_t rex_allocs = warmed_batch_allocations(rex);
+  const std::uint64_t frames = rex.stats().data_frames / 2;  // per batch
+
+  EXPECT_GT(direct_allocs, 0u) << "allocation counter not linked in";
+  ASSERT_GT(frames, 0u);
+  ASSERT_GE(rex_allocs, direct_allocs);
+  EXPECT_LT(rex_allocs - direct_allocs, 4 * frames)
+      << "direct=" << direct_allocs << " reliable=" << rex_allocs
+      << " frames=" << frames;
 }
 
 TEST(AllocationGuard, PrewarmedPlanMakesFirstBatchAllocationFree) {

@@ -24,6 +24,7 @@
 #include "simt/machine.hpp"
 #include "simt/reliable_exchange.hpp"
 #include "steiner/constructions.hpp"
+#include "support/check.hpp"
 #include "support/rng.hpp"
 #include "tensor/generators.hpp"
 
@@ -354,6 +355,99 @@ TEST(Resilience, FaultFreeProtocolOverheadIsAccounted) {
   EXPECT_GT(machine.ledger().total_overhead_words(), 0u);
   EXPECT_EQ(rex.stats().retransmitted_frames, 0u);
   EXPECT_EQ(rex.stats().duplicate_frames_ignored, 0u);
+}
+
+// Framing must not turn redistribution traffic into goodput: the protocol
+// rejects recovery envelopes before it frames anything or charges the
+// ledger.
+TEST(Resilience, RejectsRecoveryEnvelopes) {
+  simt::Machine machine(3);
+  ReliableExchange rex(machine);
+  std::vector<std::vector<simt::Envelope>> out(3);
+  out[0].push_back(simt::Envelope{1, {1.0, 2.0, 3.0}, 0, true});
+  EXPECT_THROW(rex.exchange(std::move(out), Transport::kPointToPoint),
+               PreconditionError);
+  const simt::CommLedger& ledger = machine.ledger();
+  EXPECT_EQ(ledger.total_words(), 0u);
+  EXPECT_EQ(ledger.total_overhead_words(), 0u);
+  EXPECT_EQ(ledger.total_recovery_words(), 0u);
+  EXPECT_EQ(ledger.rounds() + ledger.overhead_rounds() +
+                ledger.recovery_rounds(),
+            0u);
+  EXPECT_EQ(rex.stats().data_frames, 0u);
+}
+
+// Several frames per ordered pair, an outbox out of destination order,
+// and later exchanges whose sequence numbers start past zero: under drops,
+// corruption, duplicates and reordered inboxes every inbox must equal the
+// clean machine's, sender by sender and bit for bit.
+TEST(Resilience, ManyFramesPerPairMatchRawDelivery) {
+  constexpr std::size_t P = 4;
+  // (from, to, words) in each outbox's insertion order; rank 0 interleaves
+  // its destinations.
+  struct Send {
+    std::size_t from, to, words;
+  };
+  const std::vector<Send> sends = {
+      {0, 2, 2}, {0, 1, 1}, {0, 3, 3}, {0, 1, 4}, {0, 2, 1}, {0, 1, 2},
+      {2, 0, 3}, {2, 0, 1}, {1, 3, 2}, {3, 1, 1}, {3, 1, 3}};
+  const auto make_outboxes = [&](std::size_t exchange) {
+    std::vector<std::vector<simt::Envelope>> out(P);
+    for (std::size_t i = 0; i < sends.size(); ++i) {
+      std::vector<double> payload(sends[i].words);
+      for (std::size_t w = 0; w < payload.size(); ++w) {
+        payload[w] = static_cast<double>(1000 * exchange + 10 * i + w) + 0.5;
+      }
+      out[sends[i].from].push_back(simt::Envelope{sends[i].to, payload});
+    }
+    return out;
+  };
+  const auto expect_same_inboxes =
+      [](const std::vector<std::vector<simt::Delivery>>& got,
+         const std::vector<std::vector<simt::Delivery>>& want) {
+        ASSERT_EQ(got.size(), want.size());
+        for (std::size_t r = 0; r < want.size(); ++r) {
+          ASSERT_EQ(got[r].size(), want[r].size()) << "r=" << r;
+          for (std::size_t i = 0; i < want[r].size(); ++i) {
+            EXPECT_EQ(got[r][i].from, want[r][i].from);
+            ASSERT_EQ(got[r][i].data.size(), want[r][i].data.size());
+            EXPECT_EQ(0, std::memcmp(got[r][i].data.data(),
+                                     want[r][i].data.data(),
+                                     want[r][i].data.size() * sizeof(double)))
+                << "r=" << r << " i=" << i;
+          }
+        }
+      };
+
+  std::uint64_t retransmits = 0;
+  std::uint64_t duplicates = 0;
+  std::uint64_t reorders = 0;
+  for (std::uint64_t seed = 0; seed < 64; ++seed) {
+    FaultInjector injector({.drop = 0.2, .corrupt = 0.2, .duplicate = 0.2,
+                            .reorder = 0.5, .seed = 0x5E0 + seed});
+    simt::Machine machine(P);
+    machine.set_fault_injector(&injector);
+    ReliableExchange rex(machine, RetryPolicy{64, 1, 64},
+                         RecoveryPolicy::kFailFast);
+    simt::Machine clean(P);
+    for (std::size_t k = 0; k < 3; ++k) {
+      const auto want =
+          clean.exchange(make_outboxes(k), Transport::kPointToPoint);
+      const auto got = rex.exchange(make_outboxes(k), Transport::kPointToPoint);
+      expect_same_inboxes(got, want);
+    }
+    for (std::size_t p = 0; p < P; ++p) {
+      EXPECT_EQ(machine.ledger().words_sent(p), clean.ledger().words_sent(p));
+    }
+    retransmits += rex.stats().retransmitted_frames;
+    duplicates += rex.stats().duplicate_frames_ignored;
+    for (const simt::FaultEvent& e : injector.log()) {
+      if (e.kind == simt::FaultKind::kReorder) ++reorders;
+    }
+  }
+  EXPECT_GT(retransmits, 0u);
+  EXPECT_GT(duplicates, 0u);
+  EXPECT_GT(reorders, 0u);
 }
 
 TEST(Resilience, BatchedRunSurvivesFaultsBitwise) {
