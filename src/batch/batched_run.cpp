@@ -13,8 +13,8 @@ BatchRunResult parallel_sttsv_batch(
     simt::Exchanger& exchanger, const Plan& plan, const tensor::SymTensor3& a,
     const std::vector<std::vector<double>>& x) {
   return core::parallel_sttsv_panel(exchanger, plan.partition(),
-                                    plan.distribution(), plan.walk(), a, x,
-                                    plan.key().transport);
+                                    plan.distribution(), plan.schedule(), a,
+                                    x, plan.key().transport);
 }
 
 }  // namespace sttsv::batch

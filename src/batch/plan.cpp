@@ -71,7 +71,8 @@ Plan::Plan(PlanKey key, std::unique_ptr<partition::TetraPartition> part,
     : key_(key),
       part_(std::move(part)),
       dist_(std::move(dist)),
-      walk_(*part_, *dist_) {}
+      walk_(*part_, *dist_),
+      schedule_(walk_) {}
 
 void Plan::prewarm_pool(simt::BufferPool& pool, std::size_t lanes) const {
   STTSV_REQUIRE(lanes >= 1, "prewarm needs at least one lane");
@@ -84,6 +85,11 @@ void Plan::prewarm_pool(simt::BufferPool& pool, std::size_t lanes) const {
     // frame rides in the header bucket of payload + header words.
     std::unordered_map<std::size_t, std::size_t> x_need;
     std::unordered_map<std::size_t, std::size_t> y_need;
+    // Row blocks: x alone in the x phase, x and y around the kernels.
+    const std::size_t blocks = simt::BufferPool::bucket_capacity(
+        part_->R(p).size() * dist_->block_length_b() * lanes);
+    ++x_need[blocks];
+    y_need[blocks] += 2;
     for (const PeerExchange& ex : walk_.exchanges(p)) {
       if (ex.x_words > 0) {
         ++x_need[simt::BufferPool::bucket_capacity(ex.x_words * lanes)];

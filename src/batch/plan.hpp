@@ -17,6 +17,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/parallel_sttsv.hpp"
 #include "partition/exchange_walk.hpp"
 #include "partition/tetra_partition.hpp"
 #include "partition/vector_distribution.hpp"
@@ -64,8 +65,8 @@ struct PlanKeyHash {
 };
 
 /// An immutable, shareable plan: partition + distribution + the exchange
-/// walk of Algorithm 5 (partition::ExchangeWalk), built once and read by
-/// every batched run.
+/// walk of Algorithm 5 (partition::ExchangeWalk) and its identity host
+/// schedule, built once and read by every batched run.
 class Plan {
  public:
   using BlockSlice = partition::ExchangeWalk::BlockSlice;
@@ -94,6 +95,9 @@ class Plan {
   /// The cached exchange walk every batched run replays.
   [[nodiscard]] const partition::ExchangeWalk& walk() const { return walk_; }
 
+  /// The walk lifted onto hosts at the identity placement.
+  [[nodiscard]] const core::HostSchedule& schedule() const { return schedule_; }
+
   /// Owned blocks of p (cached copy of partition().owned_blocks(p)).
   [[nodiscard]] const std::vector<partition::BlockCoord>& owned(
       std::size_t p) const {
@@ -114,7 +118,7 @@ class Plan {
   /// every (rank, peer) message of up to `lanes` aggregated vectors, the
   /// serving slab bucket is topped up, so the first batch — not just the
   /// second — runs the message path allocation-free (DESIGN.md §12).
-  /// Also covers ReliableExchange's framed copies (header + payload).
+  /// Also covers ReliableExchange's framed copies and each rank's row blocks.
   void prewarm_pool(simt::BufferPool& pool, std::size_t lanes) const;
 
  private:
@@ -125,6 +129,7 @@ class Plan {
   std::unique_ptr<partition::TetraPartition> part_;
   std::unique_ptr<partition::VectorDistribution> dist_;
   partition::ExchangeWalk walk_;  // built from *part_, *dist_
+  core::HostSchedule schedule_;   // built from walk_
 };
 
 /// LRU-memoized Plan::build. Hits return the cached shared_ptr (pointer

@@ -1,7 +1,6 @@
 #include "core/parallel_sttsv.hpp"
 
 #include <algorithm>
-#include <map>
 #include <utility>
 
 #include "core/panel_kernels.hpp"
@@ -18,35 +17,92 @@ using partition::TetraPartition;
 using partition::VectorDistribution;
 using simt::Delivery;
 using simt::Envelope;
-
-/// One walk record carried by a host-pair envelope: the sending role and
-/// its exchange with the receiving role (ex->peer).
-struct Leg {
-  std::size_t role = 0;
-  const ExchangeWalk::PeerExchange* ex = nullptr;
-};
-
-/// Everything one host sends one other host per phase, in the layout
-/// both ends replay: sending roles ascending, then receiving roles
-/// ascending, then common blocks ascending. At the identity placement
-/// every route is exactly one walk record.
-struct Route {
-  std::size_t to = 0;
-  std::vector<Leg> legs;
-  std::size_t x_words = 0;
-  std::size_t y_words = 0;
-};
-
-/// A partial-y contribution into one receiving role. `data` points at
-/// the leg's packed receiver shares inside a delivery; nullptr marks a
-/// co-hosted sender whose partials are read in place from its y blocks.
-struct Contribution {
-  std::size_t from = 0;
-  const double* data = nullptr;
-  const ExchangeWalk::PeerExchange* ex = nullptr;
-};
+using Leg = HostSchedule::Leg;
+using Route = HostSchedule::Route;
 
 }  // namespace
+
+HostSchedule::HostSchedule(const ExchangeWalk& w,
+                           const std::vector<std::size_t>& placement)
+    : walk(w),
+      host_of(w.num_processors()),
+      roles(w.num_processors()),
+      routes(w.num_processors()),
+      local(w.num_processors()),
+      x_inbox(w.num_processors()),
+      y_inbox(w.num_processors()),
+      contributions(w.num_processors()) {
+  const std::size_t P = w.num_processors();
+  STTSV_REQUIRE(placement.empty() || placement.size() == P,
+                "placement must host every partition role");
+  for (std::size_t role = 0; role < P; ++role) {
+    const std::size_t h = placement.empty() ? role : placement[role];
+    STTSV_REQUIRE(h < P, "every role must be placed on a live rank");
+    host_of[role] = h;
+    roles[h].push_back(role);
+    identity = identity && h == role;
+    contributions[role].reserve(w.exchanges(role).size());
+  }
+  // Lift the role-pair walk onto host pairs: co-hosted role pairs are
+  // local legs, off the wire and the ledger; the rest form one route per
+  // destination host. As many wire legs enter a host as leave it, which
+  // bounds its inboxes.
+  std::vector<Leg> legs;
+  for (std::size_t hf = 0; hf < P; ++hf) {
+    if (roles[hf].empty()) continue;
+    hosts.push_back(hf);
+    legs.clear();
+    for (const std::size_t sp : roles[hf]) {
+      for (const ExchangeWalk::PeerExchange& ex : walk.exchanges(sp)) {
+        (host_of[ex.peer] == hf ? local[hf] : legs).push_back(Leg{sp, &ex});
+      }
+    }
+    std::ranges::stable_sort(
+        legs, {}, [&](const Leg& l) { return host_of[l.ex->peer]; });
+    routes[hf].reserve(legs.size());
+    x_inbox[hf].reserve(legs.size());
+    y_inbox[hf].reserve(legs.size());
+    for (const Leg& leg : legs) {
+      const std::size_t ht = host_of[leg.ex->peer];
+      if (routes[hf].empty() || routes[hf].back().to != ht) {
+        routes[hf].push_back(Route{hf, ht, {}, 0, 0});
+      }
+      routes[hf].back().legs.push_back(leg);
+      routes[hf].back().x_words += leg.ex->x_words;
+      routes[hf].back().y_words += leg.ex->y_words;
+    }
+  }
+  // Walking sending hosts ascending fills every inbox in sender order.
+  // Contributions reduce in sending-role order at every placement, so y
+  // stays bitwise identical.
+  for (const std::size_t hf : hosts) {
+    for (const Leg& leg : local[hf]) contributions[leg.ex->peer].push_back(leg);
+    for (Route& r : routes[hf]) {
+      if (r.x_words > 0) x_inbox[r.to].push_back(&r);
+      if (r.y_words > 0) y_inbox[r.to].push_back(&r);
+      std::size_t offset = 0;
+      for (Leg& leg : r.legs) {
+        if (r.y_words > 0) leg.slot = y_inbox[r.to].size() - 1;
+        leg.offset = offset;
+        offset += leg.ex->y_words;
+        contributions[leg.ex->peer].push_back(leg);
+      }
+    }
+  }
+  for (std::vector<Leg>& into : contributions) {
+    std::ranges::sort(into, {}, &Leg::role);
+  }
+}
+
+const HostSchedule::Route& HostSchedule::route_between(std::size_t from,
+                                                       std::size_t to) const {
+  const auto it = std::lower_bound(
+      routes[from].begin(), routes[from].end(), to,
+      [](const Route& r, std::size_t host) { return r.to < host; });
+  STTSV_CHECK(it != routes[from].end() && it->to == to,
+              "delivery from a host outside the walk");
+  return *it;
+}
 
 ParallelRunResult parallel_sttsv(simt::Machine& machine,
                                  const TetraPartition& part,
@@ -84,7 +140,19 @@ PanelRunResult parallel_sttsv_panel(simt::Exchanger& exchanger,
                                     const std::vector<std::vector<double>>& x,
                                     simt::Transport transport,
                                     const std::vector<std::size_t>& placement) {
+  return parallel_sttsv_panel(exchanger, part, dist,
+                              HostSchedule(walk, placement), a, x, transport);
+}
+
+PanelRunResult parallel_sttsv_panel(simt::Exchanger& exchanger,
+                                    const TetraPartition& part,
+                                    const VectorDistribution& dist,
+                                    const HostSchedule& schedule,
+                                    const tensor::SymTensor3& a,
+                                    const std::vector<std::vector<double>>& x,
+                                    simt::Transport transport) {
   simt::Machine& machine = exchanger.machine();
+  const ExchangeWalk& walk = schedule.walk;
   const std::size_t P = part.num_processors();
   const std::size_t b = dist.block_length_b();
   const std::size_t n = dist.logical_n();
@@ -98,58 +166,12 @@ PanelRunResult parallel_sttsv_panel(simt::Exchanger& exchanger,
   for (const auto& xv : x) {
     STTSV_REQUIRE(xv.size() == n, "input vector length mismatch");
   }
-  STTSV_REQUIRE(placement.empty() || placement.size() == P,
-                "placement must host every partition role");
-
-  // roles_by_host[h]: the roles rank h runs, ascending (empty off the
-  // live set). Every walk below iterates these.
-  std::vector<std::vector<std::size_t>> roles_by_host(P);
-  bool identity = true;
-  for (std::size_t role = 0; role < P; ++role) {
-    const std::size_t h = placement.empty() ? role : placement[role];
-    STTSV_REQUIRE(h < P && machine.alive(h),
-                  "every role must be placed on a live rank");
-    roles_by_host[h].push_back(role);
-    identity = identity && h == role;
-  }
-  std::vector<std::size_t> hosts;
-  for (std::size_t h = 0; h < P; ++h) {
-    if (!roles_by_host[h].empty()) hosts.push_back(h);
+  // Membership can change between runs: liveness is checked every run.
+  const std::vector<std::size_t>& hosts = schedule.hosts;
+  for (const std::size_t h : hosts) {
+    STTSV_REQUIRE(machine.alive(h), "every role must be placed on a live rank");
   }
 
-  // Lift the role-pair walk onto host pairs. Role pairs on one host
-  // become local legs and never touch the wire or the ledger.
-  std::vector<std::vector<Route>> routes(P);  // per host, ascending `to`
-  std::vector<std::vector<Leg>> local(P);
-  for (const std::size_t hf : hosts) {
-    std::map<std::size_t, Route> by_host;
-    for (const std::size_t sp : roles_by_host[hf]) {
-      for (const ExchangeWalk::PeerExchange& ex : walk.exchanges(sp)) {
-        const std::size_t ht =
-            placement.empty() ? ex.peer : placement[ex.peer];
-        if (ht == hf) {
-          local[hf].push_back(Leg{sp, &ex});
-          continue;
-        }
-        Route& r = by_host[ht];
-        r.to = ht;
-        r.legs.push_back(Leg{sp, &ex});
-        r.x_words += ex.x_words;
-        r.y_words += ex.y_words;
-      }
-    }
-    for (auto& [ht, r] : by_host) routes[hf].push_back(std::move(r));
-  }
-  const auto route_between = [&](std::size_t from,
-                                 std::size_t to) -> const Route& {
-    const auto& rs = routes[from];
-    const auto it = std::lower_bound(
-        rs.begin(), rs.end(), to,
-        [](const Route& r, std::size_t host) { return r.to < host; });
-    STTSV_CHECK(it != rs.end() && it->to == to,
-                "delivery from a host outside the walk");
-    return *it;
-  };
   // Every word count below is per vector and scales by B. Element g of
   // lane v sits at g*B + v in the padded panels, and element e of row
   // block i of role r at (walk.local_index(r, i)*b + e)*B in its blocks.
@@ -157,9 +179,31 @@ PanelRunResult parallel_sttsv_panel(simt::Exchanger& exchanger,
                        std::size_t e) {
     return panel.data() + (i * b + e) * B;
   };
-  const auto at = [&](std::vector<double>& blocks, std::size_t role,
-                      std::size_t i, std::size_t e) {
-    return blocks.data() + (walk.local_index(role, i) * b + e) * B;
+  const auto at = [&](std::vector<simt::PooledBuffer>& blocks,
+                      std::size_t role, std::size_t i, std::size_t e) {
+    return blocks[role].data() + (walk.local_index(role, i) * b + e) * B;
+  };
+  // Leases a role's zeroed row blocks from its host's pool shard.
+  const auto lease = [&](simt::PooledBuffer& blk, std::size_t h,
+                         std::size_t role) {
+    blk = machine.pool().acquire(h, part.R(role).size() * b * B);
+    blk.resize(part.R(role).size() * b * B);
+  };
+  // A phase's inboxes must match the schedule's, sender by sender and size
+  // by size, before any is read: a lost delivery would leave a wrong y.
+  const auto check_inboxes = [&](const std::vector<std::vector<Delivery>>& in,
+                                 bool y_phase) {
+    STTSV_CHECK(in.size() == P, "exchange must return one inbox per rank");
+    for (std::size_t h = 0; h < P; ++h) {
+      const auto& want = y_phase ? schedule.y_inbox[h] : schedule.x_inbox[h];
+      STTSV_CHECK(in[h].size() == want.size(), "lost or extra delivery");
+      for (std::size_t i = 0; i < want.size(); ++i) {
+        const std::size_t words = y_phase ? want[i]->y_words : want[i]->x_words;
+        STTSV_CHECK(in[h][i].from == want[i]->from &&
+                        in[h][i].data.size() == words * B,
+                    "delivery differs from its route's sender or size");
+      }
+    }
   };
 
   // Padded lane-interleaved copy of the panel.
@@ -171,28 +215,29 @@ PanelRunResult parallel_sttsv_panel(simt::Exchanger& exchanger,
   // ---- Phase 1: exchange x shares (Algorithm 5 lines 10-21). ----------
   // Local row blocks are seeded with the role's own share (and co-hosted
   // roles' shares); every delivery then writes a disjoint (block,
-  // sender-share) slice, so the landing order is irrelevant. Seeding
-  // runs on the worker threads (run_ranks) so each host's block storage
-  // is first-touched by the thread that will feed it to the kernels —
-  // the NUMA placement half of DESIGN.md §17. Host programs
+  // sender-share) slice, so the landing order is irrelevant. Leasing and
+  // seeding run on the worker threads (run_ranks) so each host's block
+  // storage is first-touched by the thread that will feed it to the
+  // kernels — the NUMA placement half of DESIGN.md §17. Host programs
   // stay disjoint (host h writes only its roles' blocks), so the
   // parallel seed is bitwise identical to the sequential one.
   obs::Span x_phase("sttsv.x-panel", obs::Category::kSuperstep, B);
-  std::vector<std::vector<double>> x_loc(P);
+  std::vector<simt::PooledBuffer> x_blk(P);
+  std::vector<simt::PooledBuffer> y_blk(P);
   machine.run_ranks(hosts, [&](std::size_t h) {
-    for (const std::size_t role : roles_by_host[h]) {
-      x_loc[role].assign(part.R(role).size() * b * B, 0.0);
+    for (const std::size_t role : schedule.roles[h]) {
+      lease(x_blk[role], h, role);
       for (const std::size_t i : part.R(role)) {
         const Share s = dist.share(i, role);
         std::copy_n(pad(x_pad, i, s.offset), s.length * B,
-                    at(x_loc[role], role, i, s.offset));
+                    at(x_blk, role, i, s.offset));
       }
     }
-    for (const Leg& leg : local[h]) {
+    for (const Leg& leg : schedule.local[h]) {
       const std::size_t rp = leg.ex->peer;
       for (const ExchangeWalk::BlockSlice& s : leg.ex->slices) {
         std::copy_n(pad(x_pad, s.block, s.sender.offset), s.sender.length * B,
-                    at(x_loc[rp], rp, s.block, s.sender.offset));
+                    at(x_blk, rp, s.block, s.sender.offset));
       }
     }
   });
@@ -204,7 +249,8 @@ PanelRunResult parallel_sttsv_panel(simt::Exchanger& exchanger,
   exchanger.set_phase("x-panel");
   std::vector<std::vector<Envelope>> x_out(P);
   for (const std::size_t hf : hosts) {
-    for (const Route& r : routes[hf]) {
+    x_out[hf].reserve(schedule.routes[hf].size());
+    for (const Route& r : schedule.routes[hf]) {
       if (r.x_words == 0) continue;
       simt::PooledBuffer buf = machine.pool().acquire(hf, r.x_words * B);
       for (const Leg& leg : r.legs) {
@@ -221,22 +267,17 @@ PanelRunResult parallel_sttsv_panel(simt::Exchanger& exchanger,
     // the y phase leases its buffers.
     const std::vector<std::vector<Delivery>> x_in =
         exchanger.exchange(std::move(x_out), transport);
-    for (std::size_t ht = 0; ht < x_in.size(); ++ht) {
-      for (const Delivery& d : x_in[ht]) {
-        std::size_t cursor = 0;
-        for (const Leg& leg : route_between(d.from, ht).legs) {
-          const std::size_t rp = leg.ex->peer;
+    check_inboxes(x_in, false);
+    for (std::size_t ht = 0; ht < P; ++ht) {
+      for (std::size_t slot = 0; slot < x_in[ht].size(); ++slot) {
+        const double* src = x_in[ht][slot].data.data();
+        for (const Leg& leg : schedule.x_inbox[ht][slot]->legs) {
           for (const ExchangeWalk::BlockSlice& s : leg.ex->slices) {
-            const std::size_t words = s.sender.length * B;
-            STTSV_CHECK(cursor + words <= d.data.size(),
-                        "x delivery shorter than expected");
-            std::copy_n(d.data.data() + cursor, words,
-                        at(x_loc[rp], rp, s.block, s.sender.offset));
-            cursor += words;
+            std::copy_n(src, s.sender.length * B,
+                        at(x_blk, leg.ex->peer, s.block, s.sender.offset));
+            src += s.sender.length * B;
           }
         }
-        STTSV_CHECK(cursor == d.data.size(),
-                    "x delivery longer than expected");
       }
     }
   }
@@ -246,9 +287,9 @@ PanelRunResult parallel_sttsv_panel(simt::Exchanger& exchanger,
   // Every host runs its kernels in one superstep (host programs stay
   // independent — host h reads and writes only its roles' blocks), then
   // the partial-y messages go out in one exchange. The reduction below
-  // re-sorts contributions by sending role, which pins the exact
-  // floating-point order of the identity schedule at every placement.
-  std::vector<std::vector<double>> y_loc(P);
+  // walks each role's contributions in sending-role order, which pins
+  // the exact floating-point order of the identity schedule at every
+  // placement.
   PanelRunResult result;
   result.ternary_mults.assign(P, 0);
 
@@ -261,74 +302,64 @@ PanelRunResult parallel_sttsv_panel(simt::Exchanger& exchanger,
   // two-sided reduction, so y is bitwise identical. Only at the identity
   // placement: there every host is one role, so landing order is role
   // order.
-  const bool am_reduce = identity && exchanger.supports_handler_delivery();
+  const bool am_reduce =
+      schedule.identity && exchanger.supports_handler_delivery();
   std::vector<double> y_pad(dist.padded_n() * B, 0.0);
   const auto add_own_share = [&](std::size_t role) {
     for (const std::size_t i : part.R(role)) {
       const Share s = dist.share(i, role);
-      const double* src = at(y_loc[role], role, i, s.offset);
+      const double* src = at(y_blk, role, i, s.offset);
       double* dst = pad(y_pad, i, s.offset);
       for (std::size_t e = 0; e < s.length * B; ++e) dst[e] += src[e];
     }
   };
-  // Adds one contribution's receiver shares into y_pad, slices ascending.
-  const auto add_contribution = [&](const Contribution& c) {
-    std::size_t cursor = 0;
-    for (const ExchangeWalk::BlockSlice& s : c.ex->slices) {
+  // Adds the receiver shares of the walk record `ex` from role `from`
+  // into y_pad, slices ascending: packed at `data` inside a delivery, or
+  // read in place from the sender's y blocks when `data` is null.
+  const auto add_contribution = [&](std::size_t from,
+                                    const ExchangeWalk::PeerExchange& ex,
+                                    const double* data) {
+    for (const ExchangeWalk::BlockSlice& s : ex.slices) {
       const std::size_t words = s.receiver.length * B;
-      const double* src =
-          c.data != nullptr
-              ? c.data + cursor
-              : at(y_loc[c.from], c.from, s.block, s.receiver.offset);
+      const double* src = data != nullptr
+                              ? data
+                              : at(y_blk, from, s.block, s.receiver.offset);
       double* dst = pad(y_pad, s.block, s.receiver.offset);
       for (std::size_t e = 0; e < words; ++e) dst[e] += src[e];
-      cursor += words;
+      if (data != nullptr) data += words;
     }
-  };
-  // Splits one y payload from host `from` into per-leg contributions.
-  const auto for_each_leg = [&](std::size_t from, std::size_t to,
-                                const double* data, std::size_t words,
-                                const auto& visit) {
-    std::size_t cursor = 0;
-    for (const Leg& leg : route_between(from, to).legs) {
-      STTSV_CHECK(cursor + leg.ex->y_words * B <= words,
-                  "y delivery shorter than expected");
-      visit(Contribution{leg.role, data + cursor, leg.ex});
-      cursor += leg.ex->y_words * B;
-    }
-    STTSV_CHECK(cursor == words, "y delivery longer than expected");
   };
 
   obs::Span y_phase("sttsv.y-panel", obs::Category::kSuperstep, B);
   exchanger.set_phase("y-panel");
   machine.run_ranks(hosts, [&](std::size_t h) {
-    for (const std::size_t role : roles_by_host[h]) {
-      y_loc[role].assign(part.R(role).size() * b * B, 0.0);
+    for (const std::size_t role : schedule.roles[h]) {
+      lease(y_blk[role], h, role);
       for (const partition::BlockCoord& coord : walk.owned(role)) {
         PanelBuffers buf;
-        buf.x[0] = at(x_loc[role], role, coord.i, 0);
-        buf.x[1] = at(x_loc[role], role, coord.j, 0);
-        buf.x[2] = at(x_loc[role], role, coord.k, 0);
-        buf.y[0] = at(y_loc[role], role, coord.i, 0);
-        buf.y[1] = at(y_loc[role], role, coord.j, 0);
-        buf.y[2] = at(y_loc[role], role, coord.k, 0);
+        buf.x[0] = at(x_blk, role, coord.i, 0);
+        buf.x[1] = at(x_blk, role, coord.j, 0);
+        buf.x[2] = at(x_blk, role, coord.k, 0);
+        buf.y[0] = at(y_blk, role, coord.i, 0);
+        buf.y[1] = at(y_blk, role, coord.j, 0);
+        buf.y[2] = at(y_blk, role, coord.k, 0);
         result.ternary_mults[role] += apply_block_panel(a, coord, b, B, buf);
       }
-      x_loc[role] = std::vector<double>();  // frees the inputs early
+      x_blk[role].release();  // frees the inputs early
       if (am_reduce) add_own_share(role);
     }
   });
   std::vector<std::vector<Envelope>> y_out(P);
   for (const std::size_t hf : hosts) {
-    for (const Route& r : routes[hf]) {
+    y_out[hf].reserve(schedule.routes[hf].size());
+    for (const Route& r : schedule.routes[hf]) {
       if (r.y_words == 0) continue;
       // Send the *receiving role's* share of each common row block.
       simt::PooledBuffer buf = machine.pool().acquire(hf, r.y_words * B);
       for (const Leg& leg : r.legs) {
         for (const ExchangeWalk::BlockSlice& s : leg.ex->slices) {
-          buf.append(
-              at(y_loc[leg.role], leg.role, s.block, s.receiver.offset),
-              s.receiver.length * B);
+          buf.append(at(y_blk, leg.role, s.block, s.receiver.offset),
+                     s.receiver.length * B);
         }
       }
       y_out[hf].push_back(Envelope{r.to, std::move(buf)});
@@ -340,7 +371,13 @@ PanelRunResult parallel_sttsv_panel(simt::Exchanger& exchanger,
     exchanger.set_delivery_handler(
         [&](std::size_t target, std::size_t from, const double* data,
             std::size_t words) {
-          for_each_leg(from, target, data, words, add_contribution);
+          const Route& r = schedule.route_between(from, target);
+          STTSV_CHECK(words == r.y_words * B,
+                      "delivery size differs from its route");
+          for (const Leg& leg : r.legs) {
+            add_contribution(leg.role, *leg.ex, data);
+            data += leg.ex->y_words * B;
+          }
         });
   }
   const std::vector<std::vector<Delivery>> y_in =
@@ -353,26 +390,16 @@ PanelRunResult parallel_sttsv_panel(simt::Exchanger& exchanger,
   // ascending — wire-delivered and co-hosted alike. In AM mode the
   // handler above already did both halves and y_in stays empty.
   if (!am_reduce) {
-    std::vector<std::vector<Contribution>> contrib(P);
-    for (std::size_t ht = 0; ht < P; ++ht) {
-      for (const Delivery& d : y_in[ht]) {
-        for_each_leg(d.from, ht, d.data.data(), d.data.size(),
-                     [&](const Contribution& c) {
-                       contrib[c.ex->peer].push_back(c);
-                     });
-      }
-      for (const Leg& leg : local[ht]) {
-        contrib[leg.ex->peer].push_back(
-            Contribution{leg.role, nullptr, leg.ex});
-      }
-    }
+    check_inboxes(y_in, true);
     for (std::size_t rp = 0; rp < P; ++rp) {
-      std::stable_sort(contrib[rp].begin(), contrib[rp].end(),
-                       [](const Contribution& ca, const Contribution& cb) {
-                         return ca.from < cb.from;
-                       });
       add_own_share(rp);
-      for (const Contribution& c : contrib[rp]) add_contribution(c);
+      const std::vector<Delivery>& inbox = y_in[schedule.host_of[rp]];
+      for (const Leg& c : schedule.contributions[rp]) {
+        add_contribution(c.role, *c.ex,
+                         c.slot == HostSchedule::kInPlace
+                             ? nullptr
+                             : inbox[c.slot].data.data() + c.offset * B);
+      }
     }
   }
 

@@ -11,7 +11,7 @@
 //
 // parallel_sttsv_panel is the one driver of these phases (DESIGN.md §9):
 // it runs a panel of B >= 1 vectors, so a single-vector run is B = 1,
-// batch::parallel_sttsv_batch a Plan's cached walk, and
+// batch::parallel_sttsv_batch a Plan's cached schedule, and
 // parallel_symmetric_mttkrp its r columns as r lanes.
 
 #include <cstdint>
@@ -48,17 +48,73 @@ struct PanelRunResult {
   simt::LedgerMaxima maxima;
 };
 
+/// Algorithm 5's message pattern lifted from roles onto hosts (DESIGN.md
+/// §9.2), built once from a walk and a role placement, since none of it
+/// depends on x. It points into `walk`, which must outlive it.
+struct HostSchedule {
+  static constexpr std::size_t kInPlace = static_cast<std::size_t>(-1);
+  /// One walk record, role `role` to role ex->peer. Its partial y sits at
+  /// per-vector word `offset` of delivery `slot` in the receiving host's y
+  /// inbox, or (kInPlace: co-hosted, no y words) in the sender's y blocks.
+  struct Leg {
+    std::size_t role = 0;
+    const partition::ExchangeWalk::PeerExchange* ex = nullptr;
+    std::size_t slot = kInPlace;
+    std::size_t offset = 0;
+  };
+  /// Everything host `from` sends host `to` per phase, in the order both
+  /// ends replay: sending roles, then receiving roles ascending.
+  struct Route {
+    std::size_t from = 0;
+    std::size_t to = 0;
+    std::vector<Leg> legs;
+    std::size_t x_words = 0;
+    std::size_t y_words = 0;
+  };
+
+  /// placement[role] hosts that role (empty: the identity); a wrong length
+  /// or a host past walk.num_processors() is a PreconditionError.
+  explicit HostSchedule(const partition::ExchangeWalk& walk,
+                        const std::vector<std::size_t>& placement = {});
+  HostSchedule(const HostSchedule&) = delete;  // inboxes point at routes
+
+  /// The route from host `from` to host `to`; InternalError if none.
+  [[nodiscard]] const Route& route_between(std::size_t from,
+                                           std::size_t to) const;
+
+  const partition::ExchangeWalk& walk;
+  bool identity = true;
+  std::vector<std::size_t> hosts;               // ranks with a role, ascending
+  std::vector<std::size_t> host_of;             // per role
+  std::vector<std::vector<std::size_t>> roles;  // per host, ascending
+  std::vector<std::vector<Route>> routes;       // per host, `to` ascending
+  std::vector<std::vector<Leg>> local;          // per host: co-hosted legs
+  /// Per host, the routes with words for it in each phase, senders ascending.
+  std::vector<std::vector<const Route*>> x_inbox;
+  std::vector<std::vector<const Route*>> y_inbox;
+  /// Per receiving role, every walk record into it, sending roles ascending.
+  std::vector<std::vector<Leg>> contributions;
+};
+
 /// Runs y_v = A ×₂ x_v ×₃ x_v for the panel {x_0..x_{B-1}} (B >= 1) in
-/// one Algorithm-5 pass over `walk` (built from part and dist). Each
+/// one Algorithm-5 pass over `schedule` (of a walk of part and dist). Each
 /// phase is one Exchanger::exchange() call (DESIGN.md §12), and the B
 /// shares travelling between two hosts ride in one aggregated message
 /// per phase: messages are those of a single-vector run, words are B
-/// times its words. Panels are lane-interleaved (element g of lane v at
-/// g·B + v), so B = 1 is the contiguous single-vector layout. Block
-/// kernels are core::apply_block_panel: lane v is bitwise identical
-/// whatever B is. Transports and placements behave as described for
-/// parallel_sttsv below; phases are labeled "x-panel" and "y-panel" in
-/// any FaultReport.
+/// times its words. An inbox that differs from the schedule's (a lost or
+/// resized delivery) is an InternalError, never a wrong y. Panels are
+/// lane-interleaved (element g of lane v at g·B + v), so B = 1 is the
+/// contiguous single-vector layout. Block kernels are
+/// core::apply_block_panel: lane v is bitwise identical whatever B is.
+/// Transports and placements behave as described for parallel_sttsv
+/// below; phases are labeled "x-panel" and "y-panel" in any FaultReport.
+PanelRunResult parallel_sttsv_panel(
+    simt::Exchanger& exchanger, const partition::TetraPartition& part,
+    const partition::VectorDistribution& dist, const HostSchedule& schedule,
+    const tensor::SymTensor3& a, const std::vector<std::vector<double>>& x,
+    simt::Transport transport);
+
+/// The same run over a schedule built for this call from walk, placement.
 PanelRunResult parallel_sttsv_panel(
     simt::Exchanger& exchanger, const partition::TetraPartition& part,
     const partition::VectorDistribution& dist,

@@ -288,15 +288,15 @@ void CommLedger::verify_conservation() const {
         r += c.received[p];
       }
       // Keep the historical message for the goodput channel's default
-      // (flat) arm; the others name themselves down to the level.
-      const std::string what =
-          ch == Channel::kGoodput && lv == Level::kIntra
-              ? std::string(
-                    "ledger conservation violated (sent != received)")
-              : std::string("ledger conservation violated (") +
-                    channel_name(ch) + " " + level_name(lv) +
-                    " sent != received)";
-      STTSV_CHECK(s == r, what.c_str());
+      // (flat) arm; the others name themselves down to the level. The
+      // message is built only when the check fails.
+      STTSV_CHECK(s == r,
+                  ch == Channel::kGoodput && lv == Level::kIntra
+                      ? std::string(
+                            "ledger conservation violated (sent != received)")
+                      : std::string("ledger conservation violated (") +
+                            channel_name(ch) + " " + level_name(lv) +
+                            " sent != received)");
     }
   }
 }

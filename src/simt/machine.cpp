@@ -59,6 +59,7 @@ std::vector<std::vector<Delivery>> Machine::exchange(
 
   // Validate every envelope before touching the ledger or moving any
   // payload: a malformed outbox must fail with the machine state intact.
+  std::vector<std::size_t> inbound(P_, 0);  // per inbox, to reserve once
   for (std::size_t from = 0; from < P_; ++from) {
     for (const Envelope& env : outboxes[from]) {
       STTSV_REQUIRE(env.to < P_, "envelope destination out of range");
@@ -68,6 +69,7 @@ std::vector<std::vector<Delivery>> Machine::exchange(
                     "envelope overhead exceeds payload size");
       STTSV_REQUIRE(!env.recovery || env.overhead_words == 0,
                     "recovery envelopes carry no protocol overhead");
+      ++inbound[env.to];
     }
   }
 
@@ -83,6 +85,7 @@ std::vector<std::vector<Delivery>> Machine::exchange(
   }
 
   std::vector<std::vector<Delivery>> inboxes(P_);
+  for (std::size_t p = 0; p < P_; ++p) inboxes[p].reserve(inbound[p]);
   // Per-level König degrees (DESIGN.md §17): the intra networks of the
   // nodes and the inter-node network schedule independently, so each
   // level gets its own Δ. On a flat machine everything lands on kIntra

@@ -17,7 +17,8 @@ namespace sttsv::simt {
 namespace {
 
 /// STTSV_HOST_THREADS is read as decimal digits only (parse_u64): a sign,
-/// any other character, 0 or a value past 64 bits means automatic.
+/// any other character, 0 or a value past 64 bits means automatic. The
+/// hardware count is read once: glibc reads it from /sys on every call.
 std::size_t env_or_hardware_concurrency() {
   if (const char* env = std::getenv("STTSV_HOST_THREADS")) {
     try {
@@ -26,7 +27,7 @@ std::size_t env_or_hardware_concurrency() {
     } catch (const PreconditionError&) {
     }
   }
-  const unsigned hw = std::thread::hardware_concurrency();
+  static const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<std::size_t>(hw);
 }
 
@@ -43,13 +44,13 @@ class Pool {
   }
 
   /// Precondition: threads >= 2 and count >= 1 (caller runs count <= 1 or
-  /// single-threaded loops inline).
+  /// single-threaded loops inline). `automatic` (no override) caps helpers.
   void run(std::size_t count, const std::function<void(std::size_t)>& body,
-           std::size_t threads) {
+           std::size_t threads, std::size_t automatic) {
     std::size_t helpers = std::min(threads, count) - 1;
     {
       std::lock_guard<std::mutex> lk(mu_);
-      spawn_up_to(helpers);
+      spawn_up_to(helpers, automatic);
       helpers = std::min(helpers, workers_.size());
       body_ = &body;
       count_ = count;
@@ -87,11 +88,10 @@ class Pool {
     for (std::thread& t : workers_) t.join();
   }
 
-  void spawn_up_to(std::size_t helpers) {
+  void spawn_up_to(std::size_t helpers, std::size_t automatic) {
     // Never more helpers than the machine could run; the cap also bounds
     // the cost of an absurd set_host_concurrency value.
-    const std::size_t cap =
-        std::max<std::size_t>(env_or_hardware_concurrency(), 1) * 4;
+    const std::size_t cap = automatic * 4;
     helpers = std::min(helpers, std::max<std::size_t>(cap, 8));
     while (workers_.size() < helpers) {
       workers_.emplace_back([this] { worker_loop(); });
@@ -155,12 +155,14 @@ void set_host_concurrency(std::size_t n) {
 
 void parallel_for(std::size_t count,
                   const std::function<void(std::size_t)>& body) {
-  const std::size_t threads = host_concurrency();
+  const std::size_t automatic = env_or_hardware_concurrency();
+  const std::size_t n = g_override.load(std::memory_order_relaxed);
+  const std::size_t threads = n > 0 ? n : automatic;
   if (threads <= 1 || count <= 1) {
     for (std::size_t i = 0; i < count; ++i) body(i);
     return;
   }
-  Pool::instance().run(count, body, threads);
+  Pool::instance().run(count, body, threads, automatic);
 }
 
 ConcurrencyGuard::ConcurrencyGuard(std::size_t n)

@@ -11,8 +11,10 @@
 
 #include <cstdint>
 #include <cstring>
+#include <map>
 #include <memory>
 #include <ostream>
+#include <utility>
 #include <vector>
 
 #include "algorithm5_reference.hpp"
@@ -152,6 +154,122 @@ TEST(Algorithm5Reference, ShrunkPlacementOverDirect) {
                    test::algorithm5_reference(plan->partition(),
                                               plan->distribution(), a, x[v]),
                    "shrunk placement");
+  }
+}
+
+TEST(Algorithm5Reference, ScheduleAtFoldedPlacements) {
+  // Identity; role 3 on rank 4; every odd role on the even rank below it;
+  // every role on rank 0. Ranks left without a role stay idle.
+  const auto plan = Plan::build(plan_key(53, Family::kSpherical, 2,
+                                         simt::Transport::kPointToPoint));
+  const partition::ExchangeWalk& walk = plan->walk();
+  const std::size_t P = plan->num_processors();
+  std::vector<std::vector<std::size_t>> placements(
+      4, std::vector<std::size_t>(P, 0));
+  for (std::size_t role = 0; role < P; ++role) {
+    placements[0][role] = role;
+    placements[1][role] = role == 3 ? 4 : role;
+    placements[2][role] = role - role % 2;
+  }
+  Rng rng(47);
+  const auto a = tensor::random_symmetric(53, rng);
+  const auto x = make_panel(53, 5, 710);
+  for (std::size_t k = 0; k < placements.size(); ++k) {
+    SCOPED_TRACE(::testing::Message() << "placement " << k);
+    const core::HostSchedule schedule(walk, placements[k]);
+    // Every walk record is exactly one route leg or co-hosted leg.
+    std::map<std::pair<std::size_t, std::size_t>, int> legs;
+    for (const std::size_t h : schedule.hosts) {
+      for (const core::HostSchedule::Route& r : schedule.routes[h]) {
+        for (const core::HostSchedule::Leg& leg : r.legs) {
+          EXPECT_EQ(schedule.host_of[leg.role], h);
+          EXPECT_EQ(schedule.host_of[leg.ex->peer], r.to);
+          ++legs[{leg.role, leg.ex->peer}];
+        }
+      }
+      for (const core::HostSchedule::Leg& leg : schedule.local[h]) {
+        EXPECT_EQ(schedule.host_of[leg.ex->peer], h);
+        ++legs[{leg.role, leg.ex->peer}];
+      }
+    }
+    std::size_t records = 0;
+    std::vector<std::vector<std::size_t>> senders(P);
+    for (std::size_t p = 0; p < P; ++p) {
+      for (const Plan::PeerExchange& ex : walk.exchanges(p)) {
+        ++records;
+        EXPECT_EQ((legs[{p, ex.peer}]), 1) << p << " -> " << ex.peer;
+        senders[ex.peer].push_back(p);  // ascending sending role
+      }
+    }
+    EXPECT_EQ(legs.size(), records);
+    // Each role's contributions: every record into it, senders ascending;
+    // co-hosted ones read in place, wire ones from a y delivery.
+    for (std::size_t rp = 0; rp < P; ++rp) {
+      std::vector<std::size_t> from;
+      for (const core::HostSchedule::Leg& c :
+           schedule.contributions[rp]) {
+        from.push_back(c.role);
+        EXPECT_EQ(c.ex, &walk.exchange_between(c.role, rp));
+        if (schedule.host_of[c.role] == schedule.host_of[rp]) {
+          EXPECT_EQ(c.slot, core::HostSchedule::kInPlace);
+        } else if (c.ex->y_words > 0) {
+          EXPECT_LT(c.slot, schedule.y_inbox[schedule.host_of[rp]].size());
+        }
+      }
+      EXPECT_EQ(from, senders[rp]) << "role " << rp;
+    }
+    simt::Machine machine = plan->make_machine();
+    simt::DirectExchange direct(machine);
+    const core::PanelRunResult got = core::parallel_sttsv_panel(
+        direct, plan->partition(), plan->distribution(), schedule, a, x,
+        simt::Transport::kPointToPoint);
+    for (std::size_t v = 0; v < x.size(); ++v) {
+      expect_bitwise(got.y[v],
+                     test::algorithm5_reference(plan->partition(),
+                                                plan->distribution(), a, x[v]),
+                     "folded placement");
+    }
+  }
+}
+
+/// Forwards to DirectExchange, then loses the first delivery of the first
+/// non-empty inbox in exchange call `lose_at` (0: x phase, 1: y phase).
+class LosingExchange final : public simt::Exchanger {
+ public:
+  LosingExchange(simt::Machine& machine, std::size_t lose_at)
+      : Exchanger(machine), direct_(machine), lose_at_(lose_at) {}
+  std::vector<std::vector<simt::Delivery>> exchange(
+      std::vector<std::vector<simt::Envelope>> outboxes,
+      simt::Transport transport) override {
+    auto inboxes = direct_.exchange(std::move(outboxes), transport);
+    if (calls_++ == lose_at_) {
+      for (auto& inbox : inboxes) {
+        if (inbox.empty()) continue;
+        inbox.erase(inbox.begin());
+        break;
+      }
+    }
+    return inboxes;
+  }
+
+ private:
+  simt::DirectExchange direct_;
+  std::size_t lose_at_;
+  std::size_t calls_ = 0;
+};
+
+TEST(Algorithm5Reference, LostDeliveryIsAnErrorNotAWrongY) {
+  const auto plan = Plan::build(plan_key(60, Family::kSpherical, 2,
+                                         simt::Transport::kPointToPoint));
+  Rng rng(53);
+  const auto a = tensor::random_symmetric(60, rng);
+  const auto x = make_panel(60, 4, 720);
+  for (const std::size_t phase : {0u, 1u}) {
+    simt::Machine machine = plan->make_machine();
+    LosingExchange losing(machine, phase);
+    EXPECT_THROW((void)parallel_sttsv_batch(losing, *plan, a, x),
+                 InternalError)
+        << (phase == 0 ? "x" : "y") << " phase";
   }
 }
 

@@ -370,6 +370,37 @@ TEST(AllocationGuard, ResilientBatchHeapAllocationsPerFrameAreBounded) {
       << " frames=" << frames;
 }
 
+// The plan's host schedule is built once, role blocks come from the pool
+// and inboxes are sized once, so a warmed Direct batch allocates only the
+// O(P) envelope and delivery containers and the B returned lanes — not
+// per leg of the walk.
+TEST(AllocationGuard, WarmedDirectBatchHeapAllocationsScaleWithRanks) {
+  const std::size_t n_lanes = 4;
+  struct Shape {
+    batch::Family family;
+    std::uint64_t param;
+    std::size_t n;
+  };
+  for (const Shape& shape : {Shape{batch::Family::kSpherical, 2, 60},
+                             Shape{batch::Family::kTrivial, 6, 120}}) {
+    const auto plan = batch::Plan::build(batch::plan_key(
+        shape.n, shape.family, shape.param, simt::Transport::kPointToPoint));
+    Rng rng(17);
+    const auto a = tensor::random_symmetric(shape.n, rng);
+    std::vector<std::vector<double>> x(n_lanes);
+    for (auto& xv : x) xv = rng.uniform_vector(shape.n);
+    simt::Machine machine = plan->make_machine();
+    simt::DirectExchange direct(machine);
+    (void)batch::parallel_sttsv_batch(direct, *plan, a, x);
+    const std::uint64_t before = g_heap_allocations.load();
+    (void)batch::parallel_sttsv_batch(direct, *plan, a, x);
+    const std::uint64_t allocs = g_heap_allocations.load() - before;
+    const std::size_t P = plan->num_processors();
+    EXPECT_GT(allocs, 0u) << "allocation counter not linked in";
+    EXPECT_LE(allocs, 6 * P + n_lanes + 16) << "P=" << P;
+  }
+}
+
 TEST(AllocationGuard, PrewarmedPlanMakesFirstBatchAllocationFree) {
   const std::size_t n = 60;
   const std::size_t B = 4;
