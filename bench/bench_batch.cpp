@@ -11,17 +11,24 @@
 //
 // and times both paths. The full sweep requires >= 2x vectors/s at the
 // widest panel (the panel kernels walk each tensor block once for all of
-// the panel's whole 4-lane chunks, so every tensor-element load serves
-// them all), and at the narrow widths B = 2 >= 1.3x and B = 3 >= 1.5x
-// the loop's vectors/s (the lanes past the last whole chunk share one
-// walk of each block on the core kernels). B = 1 runs the same kernels
-// on both paths and only has to keep >= 0.7x. Widths 3 and 6 leave 3
-// and 2 lanes past the last whole 4-lane chunk, so the bitwise checks
-// cover the tail lanes too. Results go to BENCH_batch.json
-// in the working directory. `--quick` runs a reduced sweep without the
-// throughput checks, for a fast smoke. `--trace <path>` records one
-// traced batched run and writes a Chrome trace_event JSON there.
+// the panel's whole chunks, so every tensor-element load serves them
+// all), and at the narrow widths B = 2 >= 1.3x and B = 3 >= 1.5x the
+// loop's vectors/s (the lanes past the last whole chunk share one walk
+// of each block on the core kernels). B = 1 runs the same kernels on
+// both paths and only has to keep >= 0.7x. Each side is timed in process
+// CPU time (CLOCK_PROCESS_CPUTIME_ID), the median of 9 interleaved
+// repetitions: a batch takes 1-3 ms at the narrow widths, and on a shared
+// host that steals vCPUs its wall time swings more than the gates allow.
+// Widths 3 and 6 leave 3 and 2 lanes past the last whole 4-lane chunk, so
+// the bitwise checks cover the tail lanes too. Results go to
+// BENCH_batch.json in the working directory. `--quick` runs a reduced
+// sweep without the throughput checks, for a fast smoke. `--trace <path>`
+// records one traced batched run and writes a Chrome trace_event JSON
+// there.
 
+#include <time.h>
+
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
@@ -48,6 +55,21 @@ namespace {
 
 using namespace sttsv;
 
+/// CPU time of the whole process, every host thread included.
+double cpu_seconds() {
+  timespec ts{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) +
+         1e-9 * static_cast<double>(ts.tv_nsec);
+}
+
+double median(std::vector<double> samples) {
+  const auto mid =
+      samples.begin() + static_cast<std::ptrdiff_t>(samples.size() / 2);
+  std::nth_element(samples.begin(), mid, samples.end());
+  return *mid;
+}
+
 struct SweepPoint {
   std::size_t lanes = 0;
   double loop_s = 0.0;
@@ -64,8 +86,9 @@ struct SweepPoint {
 
 /// Runs the first `lanes` panel columns through both paths: the
 /// B-iteration core::parallel_sttsv loop and one aggregated batch pass.
-/// Timing is best-of-`reps`; ledger counters come from a dedicated
-/// (untimed) run of each path after a reset_ledger().
+/// Timing is the median process CPU time of `reps` interleaved
+/// repetitions; ledger counters come from a dedicated (untimed) run of
+/// each path after a reset_ledger().
 SweepPoint run_point(simt::Machine& machine, const batch::Plan& plan,
                      const tensor::SymTensor3& a,
                      const std::vector<std::vector<double>>& panel,
@@ -111,20 +134,22 @@ SweepPoint run_point(simt::Machine& machine, const batch::Plan& plan,
                              y_loop[v].size() * sizeof(double)) == 0;
   }
 
-  // Best-of-reps wall clock for each path.
-  pt.loop_s = 1e300;
-  pt.batched_s = 1e300;
+  // Median CPU time of each path over interleaved repetitions.
+  std::vector<double> loop_s;
+  std::vector<double> batched_s;
   for (std::size_t r = 0; r < reps; ++r) {
     machine.reset_ledger();
-    Timer t;
+    double t0 = cpu_seconds();
     run_loop();
-    pt.loop_s = std::min(pt.loop_s, t.seconds());
+    loop_s.push_back(cpu_seconds() - t0);
 
     machine.reset_ledger();
-    t.reset();
+    t0 = cpu_seconds();
     batch::parallel_sttsv_batch(machine, plan, a, x);
-    pt.batched_s = std::min(pt.batched_s, t.seconds());
+    batched_s.push_back(cpu_seconds() - t0);
   }
+  pt.loop_s = median(std::move(loop_s));
+  pt.batched_s = median(std::move(batched_s));
   return pt;
 }
 
@@ -150,7 +175,7 @@ int main(int argc, char** argv) {
 
   const std::size_t q = 2;
   const std::size_t n = quick ? 60 : 256;
-  const std::size_t reps = quick ? 1 : 3;
+  const std::size_t reps = quick ? 1 : 9;
   const std::vector<std::size_t> widths =
       quick ? std::vector<std::size_t>{1, 3, 4, 6, 16}
             : std::vector<std::size_t>{1, 2, 3, 4, 6, 8, 16};
@@ -194,8 +219,8 @@ int main(int argc, char** argv) {
     points.push_back(run_point(machine, *plan, a, panel, lanes, reps));
   }
 
-  TextTable table({"B", "loop s", "batched s", "speedup", "words ratio",
-                   "msgs loop", "msgs batched", "bitwise"},
+  TextTable table({"B", "loop cpu s", "batched cpu s", "speedup",
+                   "words ratio", "msgs loop", "msgs batched", "bitwise"},
                   std::vector<Align>(8, Align::kRight));
   for (const SweepPoint& pt : points) {
     table.add_row({std::to_string(pt.lanes), format_double(pt.loop_s, 4),

@@ -26,7 +26,8 @@ const KernelVTable& scalar_vtable() {
 
 const KernelVTable& vtable_for(simt::KernelIsa isa) {
 #ifdef STTSV_HAVE_AVX2_KERNELS
-  if (isa == simt::KernelIsa::kAvx2 && simt::cpu_features().avx2) {
+  // The core kernels have no 8-wide form: kAvx512 runs them as kAvx2.
+  if (isa != simt::KernelIsa::kScalar && simt::cpu_features().avx2) {
     return detail::avx2_kernel_vtable();
   }
 #else

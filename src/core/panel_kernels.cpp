@@ -23,13 +23,19 @@ const PanelVTable& scalar_vtable() {
   return t;
 }
 
-const PanelVTable& vtable_for(simt::KernelIsa isa) {
+/// The panel table of `isa`, falling back to the widest one that is
+/// compiled in and that the host runs (bitwise identical anyway).
+const PanelVTable& vtable_for([[maybe_unused]] simt::KernelIsa isa) {
+  [[maybe_unused]] const simt::CpuFeatures& cpu = simt::cpu_features();
+#ifdef STTSV_HAVE_AVX512_KERNELS
+  if (isa == simt::KernelIsa::kAvx512 && cpu.avx2 && cpu.avx512f) {
+    return detail::avx512_panel_vtable();
+  }
+#endif
 #ifdef STTSV_HAVE_AVX2_KERNELS
-  if (isa == simt::KernelIsa::kAvx2 && simt::cpu_features().avx2) {
+  if (isa != simt::KernelIsa::kScalar && cpu.avx2) {
     return detail::avx2_panel_vtable();
   }
-#else
-  (void)isa;
 #endif
   return scalar_vtable();
 }
@@ -92,6 +98,51 @@ void run_tail_on_core(const tensor::SymTensor3& a,
 
 }  // namespace
 
+namespace detail {
+
+const PanelVTable& unfused_panel_vtable() {
+  static const PanelVTable t = make_panel_vtable<simt::simd::VecScalar, 1>();
+  return t;
+}
+
+void PanelVTable::run(const tensor::SymTensor3& a,
+                      const partition::BlockCoord& c, std::size_t b,
+                      std::size_t lanes, const PanelBuffers& buf,
+                      std::size_t first, std::size_t chunks) const {
+  const std::size_t n = a.dim();
+  const std::size_t i0 = c.i * b;
+  const std::size_t j0 = c.j * b;
+  const std::size_t k0 = c.k * b;
+  if (i0 >= n) return;  // fully padded block
+  const std::size_t i_end = std::min(i0 + b, n);
+  const std::size_t j_end = std::min(j0 + b, n);
+  const std::size_t k_end = std::min(k0 + b, n);
+  // Lane `first` of every slot; the panel stride stays `lanes`.
+  const double* x[3];
+  double* y[3];
+  for (std::size_t s = 0; s < 3; ++s) {
+    x[s] = buf.x[s] + first;
+    y[s] = buf.y[s] + first;
+  }
+  if (c.i > c.j && c.j > c.k) {
+    interior(a.data(), i0, i_end, j0, j_end, k0, k_end, x[0], x[1], x[2],
+             y[0], y[1], y[2], lanes, chunks);
+  } else if (c.i == c.j && c.j > c.k) {
+    // Slots 0 and 1 view the same row block (aliased by contract).
+    face_ij(a.data(), i0, i_end, k0, k_end, x[0], x[2], y[0], y[2], lanes,
+            chunks);
+  } else if (c.i > c.j && c.j == c.k) {
+    // Slots 1 and 2 view the same row block (aliased by contract).
+    face_jk(a.data(), i0, i_end, j0, j_end, x[0], x[1], y[0], y[1], lanes,
+            chunks);
+  } else {
+    // Central diagonal block: all three slots alias one panel pair.
+    central(a.data(), i0, i_end, x[0], y[0], lanes, chunks);
+  }
+}
+
+}  // namespace detail
+
 std::uint64_t apply_block_panel_isa(const tensor::SymTensor3& a,
                                     const partition::BlockCoord& c,
                                     std::size_t b, std::size_t lanes,
@@ -109,36 +160,26 @@ std::uint64_t apply_block_panel_isa(const tensor::SymTensor3& a,
   const std::size_t k_end = std::min(k0 + b, n);
 
   obs::Span span("kernel.panel", obs::Category::kKernel);
-  const PanelVTable& vt = vtable_for(isa);
-  constexpr std::size_t kW = simt::simd::kLanes;
 
-  // Whole vector-width lane chunks run the panel kernels in one walk of
-  // the block; the lanes % kW left over run in one more walk, on the core
-  // kernels. Lanes never mix arithmetically, so the split is invisible to
-  // the bitwise contract.
-  const std::size_t chunks = lanes / kW;
-  const std::size_t whole = chunks * kW;
-  if (chunks > 0) {
-    if (c.i > c.j && c.j > c.k) {
-      vt.interior(a.data(), i0, i_end, j0, j_end, k0, k_end, buf.x[0],
-                  buf.x[1], buf.x[2], buf.y[0], buf.y[1], buf.y[2], lanes,
-                  chunks);
-    } else if (c.i == c.j && c.j > c.k) {
-      // Slots 0 and 1 view the same row block (aliased by contract).
-      vt.face_ij(a.data(), i0, i_end, k0, k_end, buf.x[0], buf.x[2],
-                 buf.y[0], buf.y[2], lanes, chunks);
-    } else if (c.i > c.j && c.j == c.k) {
-      // Slots 1 and 2 view the same row block (aliased by contract).
-      vt.face_jk(a.data(), i0, i_end, j0, j_end, buf.x[0], buf.x[1],
-                 buf.y[0], buf.y[1], lanes, chunks);
-    } else {
-      // Central diagonal block: all three slots alias one panel pair.
-      vt.central(a.data(), i0, i_end, buf.x[0], buf.y[0], lanes, chunks);
-    }
+  // Chunk tiers, widest first: whole chunks of the ISA's own width, then
+  // whole 4-lane chunks at that lane offset, each tier in one walk of the
+  // block; the last 0–3 lanes run in one more walk, on the core kernels.
+  // Lanes never mix arithmetically, so the split is invisible to the
+  // bitwise contract.
+  const PanelVTable* tiers[] = {
+      &vtable_for(isa),
+      &vtable_for(isa == simt::KernelIsa::kAvx512 ? simt::KernelIsa::kAvx2
+                                                  : isa)};
+  std::size_t first = 0;
+  for (const PanelVTable* vt : tiers) {
+    const std::size_t chunks = (lanes - first) / vt->width;
+    if (chunks == 0) continue;
+    vt->run(a, c, b, lanes, buf, first, chunks);
+    first += chunks * vt->width;
   }
-  if (whole < lanes) {
+  if (first < lanes) {
     const std::size_t len[3] = {i_end - i0, j_end - j0, k_end - k0};
-    run_tail_on_core(a, c, b, lanes, buf, whole, len, isa);
+    run_tail_on_core(a, c, b, lanes, buf, first, len, isa);
   }
   const std::uint64_t mults =
       lanes * detail::block_lane_mults(c, i_end - i0, j_end - j0, k_end - k0);

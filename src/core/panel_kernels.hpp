@@ -7,15 +7,20 @@
 // (core::parallel_sttsv_panel) runs every lane count through these
 // kernels.
 //
-// All whole 4-lane chunks run the panel kernels in one walk of the
-// block, so every packed tensor entry is loaded from memory once for all
-// of them. The lanes % 4 left over (every lane when B < 4) run together
-// on the core kernels, in one more walk of the block.
+// The lanes run in chunk tiers, widest first. Whole chunks of the ISA's
+// vector width (8 lanes with AVX-512, else 4) run the panel kernels in
+// one walk of the block, so every packed tensor entry is loaded from
+// memory once for all of them; whole 4-lane chunks of the lanes left
+// over take one more walk (B = 12 is 8 + 4). The last 0–3 lanes (every
+// lane when B < 4) run together on the core kernels, in one more walk.
+// Interior and face_ij strict rows run in fused groups of 4, as in the
+// core kernels (DESIGN.md §13.3).
 //
 // Contract: lane v of the output is bitwise identical to running the
 // core kernels (core::apply_block_isa) on lane v alone. Both sides follow
 // the canonical arithmetic order of DESIGN.md §13.1, so the contract
-// holds across the scalar and AVX2 instantiations in any combination.
+// holds across the scalar, AVX2 and AVX-512 instantiations in any
+// combination.
 
 #include <cstddef>
 #include <cstdint>
@@ -36,8 +41,8 @@ struct PanelBuffers {
 };
 
 /// apply_block_panel with an explicit kernel ISA (tests pin this to
-/// compare instantiations; requesting kAvx2 on a host or build without
-/// AVX2 kernels silently falls back to scalar — bitwise identical).
+/// compare instantiations; requesting an ISA the host or build lacks
+/// silently falls back to the widest one it has — bitwise identical).
 std::uint64_t apply_block_panel_isa(const tensor::SymTensor3& a,
                                     const partition::BlockCoord& c,
                                     std::size_t b, std::size_t lanes,

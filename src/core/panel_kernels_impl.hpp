@@ -2,63 +2,138 @@
 // Templated bodies of the lane-blocked panel kernels (DESIGN.md §9, §13).
 //
 // Panels are lane-interleaved — element l of lane v lives at l*stride+v —
-// so a chunk of simd::kLanes panel lanes is one contiguous vector load.
-// Each kernel is a template over the 4-lane vector type V and runs
-// `chunks` whole lane chunks in one walk of the block: for each row gi,
-// every chunk in turn sweeps that row's slab (at most b×b entries) while
-// it is still in L1/L2, so the block streams from memory once per panel
-// rather than once per chunk. Chunks never mix, and each lane meets the
-// block entries in the same order as a one-chunk walk. The 1–3 lanes
-// left over after the last whole chunk run on the core kernels instead,
-// all of them in one walk of the block (panel_kernels.cpp). The bodies
-// are instantiated in panel_kernels.cpp (VecScalar, always built) and
-// panel_kernels_avx2.cpp (VecAvx2, -mavx2). Both TUs are compiled with
-// -ffp-contract=off.
+// so a chunk of V::kWidth panel lanes is one contiguous vector load. Each
+// kernel is a template over the vector type V and runs `chunks` whole
+// lane chunks in one walk of the block: for each row gi, every chunk in
+// turn sweeps that row's slab (at most b×b entries) while it is still in
+// L1/L2, so the block streams from memory once per panel rather than once
+// per chunk. Chunks never mix, and each lane meets the block entries in
+// the same order as a one-chunk walk. The bodies are instantiated in
+// panel_kernels.cpp (VecScalar, 4 lanes, always built),
+// panel_kernels_avx2.cpp (VecAvx2, 4 lanes, -mavx2) and
+// panel_kernels_avx512.cpp (VecAvx512, 8 lanes, -mavx512f). All three TUs
+// are compiled with -ffp-contract=off. The dispatcher runs the widest
+// chunks first, then 4-lane chunks, and hands the last 0–3 lanes to the
+// core kernels (panel_kernels.cpp).
+//
+// Register shape: the strict rows of interior and face_ij blocks run in
+// fused groups of kRowBlock rows per chunk, like the core kernels
+// (DESIGN.md §13.3); the remainder rows, face_ij's diagonal row and every
+// face_jk and central row run alone.
 //
 // Bitwise contract: lane v of the output equals running the single-vector
 // core kernels on lane v alone, bit for bit. The core kernels follow the
 // canonical arithmetic order of DESIGN.md §13.1 (4 k-partial sums over
 // full 4-chunks combined as (p0+p1)+(p2+p3), sequential leftovers, one
-// rounded mul+add per elementwise update); the panel kernels replay that
-// exact per-lane scalar sequence with the k-partials held as 4 lane
-// vectors — vector lane = panel lane, partial index = k position mod 4.
+// rounded mul+add per elementwise update, rows applied to y in ascending
+// j order); the panel kernels replay that exact per-lane scalar sequence
+// with the k-partials held as 4 lane vectors per row — vector lane =
+// panel lane, partial index = k position mod 4 — so the vector width and
+// the row fusion change speed, never bits.
 
 #include <cstddef>
 #include <cstdint>
 
 #include "core/block_kernels_impl.hpp"
+#include "core/panel_kernels.hpp"
 #include "simt/simd.hpp"
 
 namespace sttsv::core::detail {
 
-/// One strict row over a k-run of length kb for one lane chunk: returns
-/// the per-lane dot product Σ_lk row[lk]·xk[lk] in the canonical partial
-/// order and applies yk[lk] += cy·row[lk] elementwise. Per lane this is
-/// exactly core::detail::strict_rows with RJ = 1.
-template <class V>
-inline V panel_strict_row(const double* STTSV_RESTRICT row, std::size_t kb,
-                          V cy, const double* STTSV_RESTRICT xk,
-                          double* STTSV_RESTRICT yk, std::size_t stride) {
-  V acc[simt::simd::kLanes];
-  for (auto& a : acc) a = V::zero();
+/// RJ fused strict rows over a k-run of length kb for one lane chunk: for
+/// each row r returns acc[r] = Σ_lk rows[r][lk]·xk[lk] per lane in the
+/// canonical partial order, and applies yk[lk] += cy[r]·rows[r][lk]
+/// elementwise in ascending r. Each x_k and y_k lane vector is loaded
+/// once for all RJ rows and y_k is stored once. Per lane this is exactly
+/// core::detail::strict_rows.
+template <class V, std::size_t RJ>
+inline void panel_strict_rows(const double* const* rows, std::size_t kb,
+                              const V (&cy)[RJ],
+                              const double* STTSV_RESTRICT xk,
+                              double* STTSV_RESTRICT yk, std::size_t stride,
+                              V (&acc)[RJ]) {
+  constexpr std::size_t kP = simt::simd::kLanes;
+  V part[RJ][kP];
+  for (auto& row : part) {
+    for (auto& p : row) p = V::zero();
+  }
   std::size_t lk = 0;
-  for (; lk + simt::simd::kLanes <= kb; lk += simt::simd::kLanes) {
-    for (std::size_t p = 0; p < simt::simd::kLanes; ++p) {
-      const V vv = V::broadcast(row[lk + p]);
+  for (; lk + kP <= kb; lk += kP) {
+    for (std::size_t p = 0; p < kP; ++p) {
+      const V xv = V::load(xk + (lk + p) * stride);
       double* yp = yk + (lk + p) * stride;
-      acc[p] = acc[p] + vv * V::load(xk + (lk + p) * stride);
-      (V::load(yp) + cy * vv).store(yp);
+      V yv = V::load(yp);
+      for (std::size_t r = 0; r < RJ; ++r) {
+        const V vv = V::broadcast(rows[r][lk + p]);
+        part[r][p] = part[r][p] + vv * xv;
+        yv = yv + cy[r] * vv;
+      }
+      yv.store(yp);
     }
   }
   // Canonical combine, then sequential leftovers (cf. VecScalar::reduce).
-  V accv = (acc[0] + acc[1]) + (acc[2] + acc[3]);
-  for (; lk < kb; ++lk) {
-    const V vv = V::broadcast(row[lk]);
-    double* yp = yk + lk * stride;
-    accv = accv + vv * V::load(xk + lk * stride);
-    (V::load(yp) + cy * vv).store(yp);
+  for (std::size_t r = 0; r < RJ; ++r) {
+    acc[r] = (part[r][0] + part[r][1]) + (part[r][2] + part[r][3]);
   }
-  return accv;
+  for (; lk < kb; ++lk) {
+    const V xv = V::load(xk + lk * stride);
+    double* yp = yk + lk * stride;
+    V yv = V::load(yp);
+    for (std::size_t r = 0; r < RJ; ++r) {
+      const V vv = V::broadcast(rows[r][lk]);
+      acc[r] = acc[r] + vv * xv;
+      yv = yv + cy[r] * vv;
+    }
+    yv.store(yp);
+  }
+}
+
+/// The strict rows gj ∈ [gj, gj_end) of row gi (packed base gi_base) over
+/// the k-run [k0, k0 + kb) for one lane chunk, in ascending j order:
+/// groups of RJ fused rows, then the remainder one row at a time. Slot
+/// j's lane vectors xj/yj are indexed from j_base; yi_row collects
+/// Σ x_j·acc. Mirrors core::detail::strict_row_run.
+template <class V, std::size_t RJ>
+inline void panel_strict_row_run(const double* STTSV_RESTRICT data,
+                                 std::size_t gi_base, std::size_t gj,
+                                 std::size_t gj_end, std::size_t j_base,
+                                 std::size_t k0, std::size_t kb, V xiv,
+                                 const double* STTSV_RESTRICT xj,
+                                 const double* STTSV_RESTRICT xk,
+                                 double* STTSV_RESTRICT yj,
+                                 double* STTSV_RESTRICT yk,
+                                 std::size_t stride, V& yi_row) {
+  const V two_xi = V::broadcast(2.0) * xiv;
+  for (; gj + RJ <= gj_end; gj += RJ) {
+    const double* rows[RJ];
+    V xjv[RJ];
+    V cy[RJ];
+    V acc[RJ];
+    for (std::size_t r = 0; r < RJ; ++r) {
+      rows[r] = data + gi_base + (gj + r) * (gj + r + 1) / 2 + k0;
+      xjv[r] = V::load(xj + (gj + r - j_base) * stride);
+      cy[r] = two_xi * xjv[r];
+    }
+    // Next group's row heads, as in core::detail::strict_row_run.
+    if (RJ > 1 && gj + 2 * RJ <= gj_end) {
+      for (std::size_t r = 0; r < RJ; ++r) {
+        const double* next =
+            data + gi_base + (gj + RJ + r) * (gj + RJ + r + 1) / 2 + k0;
+        __builtin_prefetch(next);
+        __builtin_prefetch(next + 8);
+      }
+    }
+    panel_strict_rows<V, RJ>(rows, kb, cy, xk, yk, stride, acc);
+    for (std::size_t r = 0; r < RJ; ++r) {
+      yi_row = yi_row + xjv[r] * acc[r];
+      double* yp = yj + (gj + r - j_base) * stride;
+      (V::load(yp) + two_xi * acc[r]).store(yp);
+    }
+  }
+  if constexpr (RJ > 1) {  // remainder rows: RJ = 1, same order
+    panel_strict_row_run<V, 1>(data, gi_base, gj, gj_end, j_base, k0, kb,
+                               xiv, xj, xk, yj, yk, stride, yi_row);
+  }
 }
 
 /// One face_jk/central row: strict run of lj elements plus the gk == gj
@@ -70,15 +145,20 @@ inline void panel_face_jk_row(const double* STTSV_RESTRICT row,
                               double* STTSV_RESTRICT yjk, V& yi_row,
                               std::size_t stride) {
   const V two = V::broadcast(2.0);
-  const V cy = (two * xiv) * xjv;
-  const V acc = panel_strict_row<V>(row, lj, cy, xjk, yjk, stride);
+  const double* rows[1] = {row};
+  const V cy[1] = {(two * xiv) * xjv};
+  V acc[1];
+  panel_strict_rows<V, 1>(rows, lj, cy, xjk, yjk, stride, acc);
   const V vt = V::broadcast(row[lj]);
-  yi_row = yi_row + ((two * xjv) * acc + (vt * xjv) * xjv);
+  yi_row = yi_row + ((two * xjv) * acc[0] + (vt * xjv) * xjv);
   double* yp = yjk + lj * stride;
-  (V::load(yp) + ((two * xiv) * acc + ((two * vt) * xiv) * xjv)).store(yp);
+  (V::load(yp) + ((two * xiv) * acc[0] + ((two * vt) * xiv) * xjv))
+      .store(yp);
 }
 
-template <class V>
+/// Interior block. RJ is the strict-row group size: kRowBlock in every
+/// dispatched instantiation, 1 only in unfused_panel_vtable().
+template <class V, std::size_t RJ>
 void interior_panel(const double* STTSV_RESTRICT data, std::size_t i0,
                     std::size_t i_end, std::size_t j0, std::size_t j_end,
                     std::size_t k0, std::size_t k_end,
@@ -89,31 +169,25 @@ void interior_panel(const double* STTSV_RESTRICT data, std::size_t i0,
                     double* STTSV_RESTRICT yk, std::size_t stride,
                     std::size_t chunks) {
   const std::size_t kb = k_end - k0;
-  const std::size_t width = chunks * simt::simd::kLanes;
+  const std::size_t width = chunks * V::kWidth;
   const V two = V::broadcast(2.0);
   for (std::size_t gi = i0; gi < i_end; ++gi) {
     const std::size_t li = gi - i0;
-    for (std::size_t v0 = 0; v0 < width; v0 += simt::simd::kLanes) {
+    const std::size_t gi_base = gi * (gi + 1) * (gi + 2) / 6;
+    for (std::size_t v0 = 0; v0 < width; v0 += V::kWidth) {
       const V xiv = V::load(xi + li * stride + v0);
       V yi_row = V::zero();
-      for (std::size_t gj = j0; gj < j_end; ++gj) {
-        const std::size_t lj = gj - j0;
-        const V xjv = V::load(xj + lj * stride + v0);
-        const double* row = data + packed_row_base(gi, gj) + k0;
-        const V cy = (two * xiv) * xjv;
-        const V acc =
-            panel_strict_row<V>(row, kb, cy, xk + v0, yk + v0, stride);
-        yi_row = yi_row + xjv * acc;
-        double* yp = yj + lj * stride + v0;
-        (V::load(yp) + (two * xiv) * acc).store(yp);
-      }
+      panel_strict_row_run<V, RJ>(data, gi_base, j0, j_end, j0, k0, kb, xiv,
+                                  xj + v0, xk + v0, yj + v0, yk + v0, stride,
+                                  yi_row);
       double* yp = yi + li * stride + v0;
       (V::load(yp) + two * yi_row).store(yp);
     }
   }
 }
 
-template <class V>
+/// Face block c.i == c.j > c.k; RJ as for interior_panel.
+template <class V, std::size_t RJ>
 void face_ij_panel(const double* STTSV_RESTRICT data, std::size_t i0,
                    std::size_t i_end, std::size_t k0, std::size_t k_end,
                    const double* STTSV_RESTRICT xij,
@@ -121,31 +195,24 @@ void face_ij_panel(const double* STTSV_RESTRICT data, std::size_t i0,
                    double* STTSV_RESTRICT yij, double* STTSV_RESTRICT yk,
                    std::size_t stride, std::size_t chunks) {
   const std::size_t kb = k_end - k0;
-  const std::size_t width = chunks * simt::simd::kLanes;
+  const std::size_t width = chunks * V::kWidth;
   const V two = V::broadcast(2.0);
   for (std::size_t gi = i0; gi < i_end; ++gi) {
     const std::size_t li = gi - i0;
-    for (std::size_t v0 = 0; v0 < width; v0 += simt::simd::kLanes) {
+    const std::size_t gi_base = gi * (gi + 1) * (gi + 2) / 6;
+    for (std::size_t v0 = 0; v0 < width; v0 += V::kWidth) {
       const V xiv = V::load(xij + li * stride + v0);
       V yi_row = V::zero();
-      for (std::size_t gj = i0; gj < gi; ++gj) {
-        const std::size_t lj = gj - i0;
-        const V xjv = V::load(xij + lj * stride + v0);
-        const double* row = data + packed_row_base(gi, gj) + k0;
-        const V cy = (two * xiv) * xjv;
-        const V acc =
-            panel_strict_row<V>(row, kb, cy, xk + v0, yk + v0, stride);
-        yi_row = yi_row + xjv * acc;
-        double* yp = yij + lj * stride + v0;
-        (V::load(yp) + (two * xiv) * acc).store(yp);
-      }
+      panel_strict_row_run<V, RJ>(data, gi_base, i0, gi, i0, k0, kb, xiv,
+                                  xij + v0, xk + v0, yij + v0, yk + v0,
+                                  stride, yi_row);
       // gj == gi diagonal row, hoisted exactly as in the single kernel.
-      const double* row = data + packed_row_base(gi, gi) + k0;
-      const V cy = xiv * xiv;
-      const V acc =
-          panel_strict_row<V>(row, kb, cy, xk + v0, yk + v0, stride);
+      const double* rows[1] = {data + gi_base + gi * (gi + 1) / 2 + k0};
+      const V cy[1] = {xiv * xiv};
+      V acc[1];
+      panel_strict_rows<V, 1>(rows, kb, cy, xk + v0, yk + v0, stride, acc);
       double* yp = yij + li * stride + v0;
-      (V::load(yp) + two * (yi_row + xiv * acc)).store(yp);
+      (V::load(yp) + two * (yi_row + xiv * acc[0])).store(yp);
     }
   }
 }
@@ -157,11 +224,11 @@ void face_jk_panel(const double* STTSV_RESTRICT data, std::size_t i0,
                    const double* STTSV_RESTRICT xjk,
                    double* STTSV_RESTRICT yi, double* STTSV_RESTRICT yjk,
                    std::size_t stride, std::size_t chunks) {
-  const std::size_t width = chunks * simt::simd::kLanes;
+  const std::size_t width = chunks * V::kWidth;
   for (std::size_t gi = i0; gi < i_end; ++gi) {
     const std::size_t li = gi - i0;
     const std::size_t gi_base = gi * (gi + 1) * (gi + 2) / 6;
-    for (std::size_t v0 = 0; v0 < width; v0 += simt::simd::kLanes) {
+    for (std::size_t v0 = 0; v0 < width; v0 += V::kWidth) {
       const V xiv = V::load(xi + li * stride + v0);
       V yi_row = V::zero();
       for (std::size_t gj = j0; gj < j_end; ++gj) {
@@ -185,12 +252,12 @@ void central_panel(const double* STTSV_RESTRICT data, std::size_t i0,
                    std::size_t i_end, const double* STTSV_RESTRICT x,
                    double* STTSV_RESTRICT y, std::size_t stride,
                    std::size_t chunks) {
-  const std::size_t width = chunks * simt::simd::kLanes;
+  const std::size_t width = chunks * V::kWidth;
   const V two = V::broadcast(2.0);
   for (std::size_t gi = i0; gi < i_end; ++gi) {
     const std::size_t li = gi - i0;
     const std::size_t gi_base = gi * (gi + 1) * (gi + 2) / 6;
-    for (std::size_t v0 = 0; v0 < width; v0 += simt::simd::kLanes) {
+    for (std::size_t v0 = 0; v0 < width; v0 += V::kWidth) {
       const V xiv = V::load(x + li * stride + v0);
       V yi_row = V::zero();
       for (std::size_t gj = i0; gj < gi; ++gj) {
@@ -199,20 +266,21 @@ void central_panel(const double* STTSV_RESTRICT data, std::size_t i0,
                              xiv, V::load(x + lj * stride + v0), x + v0,
                              y + v0, yi_row, stride);
       }
-      const double* row = data + gi_base + gi * (gi + 1) / 2 + i0;
-      const V cy = xiv * xiv;
-      const V acc = panel_strict_row<V>(row, li, cy, x + v0, y + v0, stride);
-      const V vt = V::broadcast(row[li]);
+      const double* rows[1] = {data + gi_base + gi * (gi + 1) / 2 + i0};
+      const V cy[1] = {xiv * xiv};
+      V acc[1];
+      panel_strict_rows<V, 1>(rows, li, cy, x + v0, y + v0, stride, acc);
+      const V vt = V::broadcast(rows[0][li]);
       double* yp = y + li * stride + v0;
-      (V::load(yp) + ((yi_row + (two * xiv) * acc) + (vt * xiv) * xiv))
+      (V::load(yp) + ((yi_row + (two * xiv) * acc[0]) + (vt * xiv) * xiv))
           .store(yp);
     }
   }
 }
 
 /// Function-pointer table of one ISA instantiation: one entry point per
-/// block class. Every entry ends with the panel stride and the number of
-/// whole lane chunks to run.
+/// block class, and the lanes per chunk. Every entry ends with the panel
+/// stride and the number of whole lane chunks to run.
 struct PanelVTable {
   using InteriorFn = void (*)(const double*, std::size_t, std::size_t,
                               std::size_t, std::size_t, std::size_t,
@@ -231,15 +299,31 @@ struct PanelVTable {
   FaceFn face_ij;
   FaceFn face_jk;
   CentralFn central;
+  std::size_t width;  ///< panel lanes per chunk (V::kWidth)
+
+  /// Runs `chunks` whole chunks of block c (edge b) on the lanes from
+  /// `first` on of a `lanes`-lane panel. Defined in panel_kernels.cpp.
+  void run(const tensor::SymTensor3& a, const partition::BlockCoord& c,
+           std::size_t b, std::size_t lanes, const PanelBuffers& buf,
+           std::size_t first, std::size_t chunks) const;
 };
 
-template <class V>
+template <class V, std::size_t RJ = kRowBlock>
 PanelVTable make_panel_vtable() {
-  return {&interior_panel<V>, &face_ij_panel<V>, &face_jk_panel<V>,
-          &central_panel<V>};
+  return {&interior_panel<V, RJ>, &face_ij_panel<V, RJ>, &face_jk_panel<V>,
+          &central_panel<V>, V::kWidth};
 }
+
+/// The scalar panel kernels with every strict row alone (RJ = 1): the
+/// unfused reference the register-block test compares the fused core and
+/// panel kernels against (DESIGN.md §13.3). Defined in panel_kernels.cpp,
+/// so it is compiled under the kernels' -ffp-contract=off.
+const PanelVTable& unfused_panel_vtable();
 
 /// Defined in panel_kernels_avx2.cpp when STTSV_HAVE_AVX2_KERNELS.
 const PanelVTable& avx2_panel_vtable();
+
+/// Defined in panel_kernels_avx512.cpp when STTSV_HAVE_AVX512_KERNELS.
+const PanelVTable& avx512_panel_vtable();
 
 }  // namespace sttsv::core::detail

@@ -63,6 +63,8 @@ const char* isa_name(KernelIsa isa) {
       return "scalar";
     case KernelIsa::kAvx2:
       return "avx2";
+    case KernelIsa::kAvx512:
+      return "avx512";
   }
   return "unknown";
 }
@@ -84,10 +86,13 @@ bool simd_enabled() {
 }
 
 KernelIsa preferred_isa() {
-  if (simd_compiled() && simd_enabled() && cpu_features().avx2) {
-    return KernelIsa::kAvx2;
+  if (!simd_compiled() || !simd_enabled() || !cpu_features().avx2) {
+    return KernelIsa::kScalar;
   }
-  return KernelIsa::kScalar;
+#ifdef STTSV_HAVE_AVX512_KERNELS
+  if (cpu_features().avx512f) return KernelIsa::kAvx512;
+#endif
+  return KernelIsa::kAvx2;
 }
 
 }  // namespace sttsv::simt

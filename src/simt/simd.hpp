@@ -5,22 +5,27 @@
 //
 //  1. Runtime CPU-feature detection and kernel-ISA selection. The build
 //     may compile AVX2 kernel translation units (STTSV_ENABLE_SIMD,
-//     defines STTSV_HAVE_AVX2_KERNELS); whether they are *used* is decided
-//     at runtime from a cached CPUID probe plus an explicit kill switch
-//     (set_simd_enabled / environment variable STTSV_SIMD=off). Scalar
-//     fallback kernels are always built, so a binary compiled with SIMD
-//     on still runs correctly on a machine without AVX2.
+//     defines STTSV_HAVE_AVX2_KERNELS) and, where the compiler accepts
+//     -mavx512f, an AVX-512 panel-kernel TU (STTSV_HAVE_AVX512_KERNELS);
+//     whether they are *used* is decided at runtime from a cached CPUID
+//     probe plus an explicit kill switch (set_simd_enabled / environment
+//     variable STTSV_SIMD=off). Scalar fallback kernels are always built,
+//     so a binary compiled with SIMD on still runs correctly on a machine
+//     without AVX2.
 //
-//  2. A 4-lane double vector abstraction. The kernel bodies are written
-//     once as templates over a vector type V and instantiated twice:
+//  2. Double vector types. The kernel bodies are written once as
+//     templates over a vector type V and instantiated up to three times:
 //     VecScalar (plain double[4], compiles everywhere) in the portable
-//     translation unit, and VecAvx2 (__m256d) in a TU compiled with
-//     -mavx2. Both types implement each operation with the same IEEE
-//     arithmetic per lane and the same combination order, so the two
-//     instantiations produce bitwise-identical results — the repo's
-//     bitwise-`y` invariant holds whichever path the dispatcher picks.
+//     translation units, VecAvx2 (__m256d) in TUs compiled with -mavx2,
+//     and VecAvx512 (__m512d, 8 lanes) in the panel-kernel TU compiled
+//     with -mavx512f. The core kernels' 4 k-partials are the canonical
+//     order, so only the panel kernels, whose vector lanes are panel
+//     lanes, take the 8-wide type. Every type implements each operation
+//     with the same IEEE arithmetic per lane, so all instantiations
+//     produce bitwise-identical results — the repo's bitwise-`y`
+//     invariant holds whichever path the dispatcher picks.
 //
-// Both kernel TUs are compiled with -ffp-contract=off so the compiler
+// All kernel TUs are compiled with -ffp-contract=off so the compiler
 // cannot fuse the mul/add pairs below behind our back and silently break
 // the bitwise contract.
 
@@ -31,6 +36,9 @@
 #if defined(__AVX2__) && (defined(__x86_64__) || defined(_M_X64))
 #include <immintrin.h>
 #define STTSV_SIMD_TU_HAS_AVX2 1
+#endif
+#if defined(__AVX512F__) && (defined(__x86_64__) || defined(_M_X64))
+#define STTSV_SIMD_TU_HAS_AVX512 1
 #endif
 
 namespace sttsv::simt {
@@ -52,8 +60,9 @@ const CpuFeatures& cpu_features();
 /// probe found nothing).
 std::string cpu_features_string();
 
-/// Which kernel implementation the dispatcher runs.
-enum class KernelIsa : std::uint8_t { kScalar = 0, kAvx2 = 1 };
+/// Which kernel implementation the dispatcher runs. kAvx512 runs the
+/// panel kernels 8 lanes wide and the core kernels as kAvx2 does.
+enum class KernelIsa : std::uint8_t { kScalar = 0, kAvx2 = 1, kAvx512 = 2 };
 
 const char* isa_name(KernelIsa isa);
 
@@ -67,22 +76,24 @@ bool simd_compiled();
 void set_simd_enabled(bool enabled);
 bool simd_enabled();
 
-/// The ISA the kernel dispatchers use by default: kAvx2 iff the AVX2
+/// The ISA the kernel dispatchers use by default: kScalar unless the AVX2
 /// kernels are compiled in, the CPU reports AVX2, and the runtime switch
-/// is on; kScalar otherwise.
+/// is on; then kAvx512 if the AVX-512 panel TU is compiled in and the CPU
+/// also reports AVX-512F, else kAvx2.
 KernelIsa preferred_isa();
 
 namespace simd {
 
-/// Number of lanes in the kernel vector type — also the number of
-/// partial accumulators in the canonical reduction order (DESIGN.md
-/// §13.1), so it is fixed at 4 for every instantiation.
+/// Number of partial accumulators in the canonical reduction order
+/// (DESIGN.md §13.1), fixed at 4 for every instantiation; also the lane
+/// count of the 4-wide types, the narrowest panel chunk.
 inline constexpr std::size_t kLanes = 4;
 
 /// Portable 4-lane vector: the scalar fallback instantiation. Each
 /// operation performs exactly one IEEE arithmetic op per lane, mirroring
 /// the AVX2 instructions lane-for-lane.
 struct VecScalar {
+  static constexpr std::size_t kWidth = kLanes;  ///< panel lanes per chunk
   double v[kLanes];
 
   static VecScalar zero() { return {{0.0, 0.0, 0.0, 0.0}}; }
@@ -117,8 +128,9 @@ struct VecScalar {
 #ifdef STTSV_SIMD_TU_HAS_AVX2
 
 /// AVX2 instantiation: one ymm register. Compiled only in TUs built with
-/// -mavx2; executed only when preferred_isa() == kAvx2.
+/// -mavx2; executed only when preferred_isa() is kAvx2 or kAvx512.
 struct VecAvx2 {
+  static constexpr std::size_t kWidth = kLanes;  ///< panel lanes per chunk
   __m256d v;
 
   static VecAvx2 zero() { return {_mm256_setzero_pd()}; }
@@ -156,6 +168,30 @@ struct VecAvx2 {
 };
 
 #endif  // STTSV_SIMD_TU_HAS_AVX2
+
+#ifdef STTSV_SIMD_TU_HAS_AVX512
+
+/// AVX-512 instantiation of the panel kernels: one zmm register holds 8
+/// panel lanes. Compiled only in the TU built with -mavx512f; executed
+/// only when preferred_isa() == kAvx512. It has no reduce and no masks,
+/// because the panel kernels use neither.
+struct VecAvx512 {
+  static constexpr std::size_t kWidth = 8;  ///< panel lanes per chunk
+  __m512d v;
+
+  static VecAvx512 zero() { return {_mm512_setzero_pd()}; }
+  static VecAvx512 broadcast(double s) { return {_mm512_set1_pd(s)}; }
+  static VecAvx512 load(const double* p) { return {_mm512_loadu_pd(p)}; }
+  void store(double* p) const { _mm512_storeu_pd(p, v); }
+  friend VecAvx512 operator+(VecAvx512 a, VecAvx512 b) {
+    return {_mm512_add_pd(a.v, b.v)};
+  }
+  friend VecAvx512 operator*(VecAvx512 a, VecAvx512 b) {
+    return {_mm512_mul_pd(a.v, b.v)};
+  }
+};
+
+#endif  // STTSV_SIMD_TU_HAS_AVX512
 
 }  // namespace simd
 }  // namespace sttsv::simt

@@ -296,8 +296,9 @@ TEST(BatchedRun, BitwiseEqualToSingleVectorLoop) {
 }
 
 TEST(BatchedRun, LaneWidthsOneThroughSixteen) {
-  // Whole 4-lane chunks run the panel kernels and the 1-3 lanes left
-  // over run the core kernels: every tail size, alone and after chunks.
+  // Whole 8- and 4-lane chunks run the panel kernels and the 1-3 lanes
+  // left over run the core kernels: every tail size, alone and after
+  // chunks (13 is 8 + 4 + 1 where the host has AVX-512).
   const auto plan = Plan::build(plan_key(60, Family::kSpherical, 2,
                                          simt::Transport::kPointToPoint));
   simt::Machine machine = plan->make_machine();

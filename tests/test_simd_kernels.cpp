@@ -1,8 +1,10 @@
-// SIMD kernel contract tests (DESIGN.md §13): the AVX2 instantiation,
-// the fused register-block rows of the core kernels, and the panel
-// kernels must produce output bitwise identical to the portable scalar
-// instantiation — across block classes, padded tails, and aliased
-// diagonal buffers.
+// SIMD kernel contract tests (DESIGN.md §13): the AVX2 and AVX-512
+// instantiations, the fused register-block rows of the core and panel
+// kernels, and the panel kernels' chunk tiers must produce output bitwise
+// identical to the portable scalar instantiation and to an unfused
+// (RJ = 1) reference — across block classes, padded tails, and aliased
+// diagonal buffers. Requesting an ISA the host lacks falls back, so every
+// ISA loop runs on any host and must still match bit for bit.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +14,7 @@
 
 #include "core/block_kernels.hpp"
 #include "core/panel_kernels.hpp"
+#include "core/panel_kernels_impl.hpp"
 #include "partition/blocks.hpp"
 #include "simt/simd.hpp"
 #include "support/rng.hpp"
@@ -19,6 +22,10 @@
 
 namespace sttsv {
 namespace {
+
+const simt::KernelIsa kAllIsas[] = {simt::KernelIsa::kScalar,
+                                    simt::KernelIsa::kAvx2,
+                                    simt::KernelIsa::kAvx512};
 
 // ---------------------------------------------------------------------------
 // CPU feature probing.
@@ -48,9 +55,14 @@ TEST(CpuFeatures, PreferredIsaRespectsRuntimeSwitch) {
   EXPECT_EQ(simt::preferred_isa(), simt::KernelIsa::kScalar);
   simt::set_simd_enabled(true);
   const simt::CpuFeatures& f = simt::cpu_features();
-  const simt::KernelIsa expect = simt::simd_compiled() && f.avx2
-                                     ? simt::KernelIsa::kAvx2
-                                     : simt::KernelIsa::kScalar;
+  simt::KernelIsa expect = simt::simd_compiled() && f.avx2
+                               ? simt::KernelIsa::kAvx2
+                               : simt::KernelIsa::kScalar;
+#ifdef STTSV_HAVE_AVX512_KERNELS
+  if (expect == simt::KernelIsa::kAvx2 && f.avx512f) {
+    expect = simt::KernelIsa::kAvx512;
+  }
+#endif
   EXPECT_EQ(simt::preferred_isa(), expect);
   simt::set_simd_enabled(was_enabled);
 }
@@ -58,10 +70,12 @@ TEST(CpuFeatures, PreferredIsaRespectsRuntimeSwitch) {
 TEST(CpuFeatures, IsaNames) {
   EXPECT_STREQ(simt::isa_name(simt::KernelIsa::kScalar), "scalar");
   EXPECT_STREQ(simt::isa_name(simt::KernelIsa::kAvx2), "avx2");
+  EXPECT_STREQ(simt::isa_name(simt::KernelIsa::kAvx512), "avx512");
 }
 
 // ---------------------------------------------------------------------------
-// Golden bitwise tests: AVX2 vs scalar, core vs panel kernels, all classes.
+// Golden bitwise tests: SIMD vs scalar, core vs panel kernels vs the unfused
+// reference, all classes.
 // ---------------------------------------------------------------------------
 
 /// Views of block c's row blocks in padded x/y. Buffer slots alias
@@ -105,10 +119,34 @@ void expect_bitwise_equal(const std::vector<double>& got,
   }
 }
 
-/// Runs block c on lane-interleaved panels (element l of lane v at
-/// l·lanes + v) through the panel kernels of `panel_isa`, then checks
-/// every lane bitwise against the core kernels of `core_isa` run on that
-/// lane alone from the same starting y, and the multiplication counts.
+/// Panel views of block c's row blocks in lane-interleaved x/y panels
+/// (element l of lane v at l·lanes + v), aliased like bind_block.
+core::PanelBuffers bind_panel(const partition::BlockCoord& c, std::size_t b,
+                              std::size_t lanes,
+                              const std::vector<double>& x_pan,
+                              std::vector<double>& y_pan) {
+  core::PanelBuffers pbuf;
+  pbuf.x[0] = x_pan.data() + c.i * b * lanes;
+  pbuf.x[1] = x_pan.data() + c.j * b * lanes;
+  pbuf.x[2] = x_pan.data() + c.k * b * lanes;
+  pbuf.y[0] = y_pan.data() + c.i * b * lanes;
+  pbuf.y[1] = y_pan.data() + c.j * b * lanes;
+  pbuf.y[2] = y_pan.data() + c.k * b * lanes;
+  return pbuf;
+}
+
+/// Lane v of a `lanes`-lane panel as a contiguous vector.
+std::vector<double> panel_lane(const std::vector<double>& pan,
+                               std::size_t lanes, std::size_t v) {
+  std::vector<double> out(pan.size() / lanes);
+  for (std::size_t l = 0; l < out.size(); ++l) out[l] = pan[l * lanes + v];
+  return out;
+}
+
+/// Runs block c on lane-interleaved panels through the panel kernels of
+/// `panel_isa`, then checks every lane bitwise against the core kernels
+/// of `core_isa` run on that lane alone from the same starting y, and the
+/// multiplication counts.
 void expect_panel_lanes_match_core(const tensor::SymTensor3& a,
                                    const partition::BlockCoord& c,
                                    std::size_t m, std::size_t b,
@@ -118,30 +156,41 @@ void expect_panel_lanes_match_core(const tensor::SymTensor3& a,
                                    simt::KernelIsa panel_isa,
                                    simt::KernelIsa core_isa) {
   std::vector<double> y_pan = y_start;
-  core::PanelBuffers pbuf;
-  pbuf.x[0] = x_pan.data() + c.i * b * lanes;
-  pbuf.x[1] = x_pan.data() + c.j * b * lanes;
-  pbuf.x[2] = x_pan.data() + c.k * b * lanes;
-  pbuf.y[0] = y_pan.data() + c.i * b * lanes;
-  pbuf.y[1] = y_pan.data() + c.j * b * lanes;
-  pbuf.y[2] = y_pan.data() + c.k * b * lanes;
-  const std::uint64_t pm =
-      core::apply_block_panel_isa(a, c, b, lanes, pbuf, panel_isa);
+  const std::uint64_t pm = core::apply_block_panel_isa(
+      a, c, b, lanes, bind_panel(c, b, lanes, x_pan, y_pan), panel_isa);
 
   std::uint64_t sm = 0;
   for (std::size_t v = 0; v < lanes; ++v) {
-    std::vector<double> x_pad(m * b), y_lane_start(m * b), y_lane(m * b);
-    for (std::size_t l = 0; l < m * b; ++l) {
-      x_pad[l] = x_pan[l * lanes + v];
-      y_lane_start[l] = y_start[l * lanes + v];
-      y_lane[l] = y_pan[l * lanes + v];
-    }
     const auto [y_ref, mults] =
-        run_block(a, c, m, b, x_pad, core_isa, y_lane_start);
+        run_block(a, c, m, b, panel_lane(x_pan, lanes, v), core_isa,
+                  panel_lane(y_start, lanes, v));
     sm += mults;
-    expect_bitwise_equal(y_lane, y_ref, "panel lane vs core");
+    expect_bitwise_equal(panel_lane(y_pan, lanes, v), y_ref,
+                         "panel lane vs core");
   }
   EXPECT_EQ(pm, sm);
+}
+
+/// The unfused reference (DESIGN.md §13.3): the panel kernels' own class
+/// bodies instantiated with every strict row alone (RJ = 1), scalar, one
+/// lane chunk. The lane runs as lane 0 of a panel whose other lanes are
+/// zero; returns that lane's y.
+std::vector<double> unfused_lane(const tensor::SymTensor3& a,
+                                 const partition::BlockCoord& c,
+                                 std::size_t b,
+                                 const std::vector<double>& x_pad,
+                                 const std::vector<double>& y_start) {
+  const core::detail::PanelVTable& unfused =
+      core::detail::unfused_panel_vtable();
+  const std::size_t w = unfused.width;
+  std::vector<double> x_pan(x_pad.size() * w, 0.0);
+  std::vector<double> y_pan(x_pan.size(), 0.0);
+  for (std::size_t l = 0; l < x_pad.size(); ++l) {
+    x_pan[l * w] = x_pad[l];
+    y_pan[l * w] = y_start[l];
+  }
+  unfused.run(a, c, b, w, bind_panel(c, b, w, x_pan, y_pan), 0, 1);
+  return panel_lane(y_pan, w, 0);
 }
 
 /// One representative block per class: interior, face_ij, face_jk,
@@ -172,23 +221,25 @@ TEST_P(SimdGolden, Avx2MatchesScalarBitwise) {
     for (const auto& c : kClassBlocks) {
       const auto [y_scalar, m_scalar] =
           run_block(a, c, m, b, x_pad, simt::KernelIsa::kScalar);
-      // kAvx2 falls back to scalar if unsupported.
-      const auto [y_simd, m_simd] =
-          run_block(a, c, m, b, x_pad, simt::KernelIsa::kAvx2);
-      EXPECT_EQ(m_scalar, m_simd);
-      expect_bitwise_equal(y_simd, y_scalar, "avx2 vs scalar");
+      // A SIMD ISA the host lacks falls back; kAvx512 runs the AVX2 core.
+      for (const simt::KernelIsa isa :
+           {simt::KernelIsa::kAvx2, simt::KernelIsa::kAvx512}) {
+        const auto [y_simd, m_simd] = run_block(a, c, m, b, x_pad, isa);
+        EXPECT_EQ(m_scalar, m_simd);
+        expect_bitwise_equal(y_simd, y_scalar, "simd vs scalar");
+      }
     }
   }
 }
 
-// The core kernels fuse strict rows (RJ = 4 for interior and face_ij
-// rows) and carry up to 3 lanes per walk of the block; the panel kernels
-// run every row alone (RJ = 1), for one whole chunk or for two chunks
-// sharing one walk. Every lane of 4 and 8 (whole chunks only), 2 and 3
-// (tail lanes alone) and 6 and 7 (tail lanes after a whole chunk) must
-// agree bit for bit with the one-lane core kernel — the contract that
-// lets the panel path hand left-over lanes to the core kernels
-// (panel_kernels.hpp).
+// The core and panel kernels both fuse the strict rows of interior and
+// face_ij blocks (RJ = 4); the core kernels carry up to 3 lanes per walk
+// of the block, and the panel kernels run 8- and 4-lane chunks in tiers.
+// On every ISA, the one-lane core kernel and every lane of 2 and 3 (tail
+// lanes alone), 4, 8, 12 and 16 (whole chunks: one tier or 8 + 4) and 6
+// and 7 (tail lanes after a whole chunk) must agree bit for bit with the
+// unfused RJ = 1 reference — so fusion on both sides cannot hide a change
+// of order, and the panel path can hand left-over lanes to the core.
 TEST_P(SimdGolden, RegisterBlockShapeIsBitwiseInvariant) {
   const std::size_t b = GetParam();
   const std::size_t m = 3;
@@ -197,7 +248,7 @@ TEST_P(SimdGolden, RegisterBlockShapeIsBitwiseInvariant) {
   const auto a = tensor::random_symmetric(n, rng);
   for (const std::size_t lanes :
        {std::size_t{2}, std::size_t{3}, std::size_t{4}, std::size_t{6},
-        std::size_t{7}, std::size_t{8}}) {
+        std::size_t{7}, std::size_t{8}, std::size_t{12}, std::size_t{16}}) {
     SCOPED_TRACE(testing::Message() << "lanes=" << lanes);
     std::vector<double> x_pan(m * b * lanes, 0.0);
     for (std::size_t i = 0; i < n * lanes; ++i) {
@@ -206,11 +257,29 @@ TEST_P(SimdGolden, RegisterBlockShapeIsBitwiseInvariant) {
     std::vector<double> y_start(m * b * lanes);
     for (double& e : y_start) e = rng.next_in(-1.0, 1.0);
 
-    for (const simt::KernelIsa isa :
-         {simt::KernelIsa::kScalar, simt::KernelIsa::kAvx2}) {
-      for (const auto& c : kClassBlocks) {
-        expect_panel_lanes_match_core(a, c, m, b, lanes, x_pan, y_start, isa,
-                                      isa);
+    for (const auto& c : kClassBlocks) {
+      std::vector<std::vector<double>> want(lanes);
+      for (std::size_t v = 0; v < lanes; ++v) {
+        want[v] = unfused_lane(a, c, b, panel_lane(x_pan, lanes, v),
+                               panel_lane(y_start, lanes, v));
+      }
+      for (const simt::KernelIsa isa : kAllIsas) {
+        SCOPED_TRACE(simt::isa_name(isa));
+        std::vector<double> y_pan = y_start;
+        const std::uint64_t pm = core::apply_block_panel_isa(
+            a, c, b, lanes, bind_panel(c, b, lanes, x_pan, y_pan), isa);
+        std::uint64_t sm = 0;
+        for (std::size_t v = 0; v < lanes; ++v) {
+          expect_bitwise_equal(panel_lane(y_pan, lanes, v), want[v],
+                               "panel lane vs unfused reference");
+          const auto [y_core, mults] =
+              run_block(a, c, m, b, panel_lane(x_pan, lanes, v), isa,
+                        panel_lane(y_start, lanes, v));
+          sm += mults;
+          expect_bitwise_equal(y_core, want[v],
+                               "core lane vs unfused reference");
+        }
+        EXPECT_EQ(pm, sm);
       }
     }
   }
@@ -238,8 +307,7 @@ TEST(SimdGolden, CoreLanesMatchOneLaneBitwise) {
   for (double& e : y_start) e = rng.next_in(-1.0, 1.0);
   for (std::size_t lanes = 1; lanes <= core::kMaxBlockLanes; ++lanes) {
     SCOPED_TRACE(testing::Message() << "lanes=" << lanes);
-    for (const simt::KernelIsa isa :
-         {simt::KernelIsa::kScalar, simt::KernelIsa::kAvx2}) {
+    for (const simt::KernelIsa isa : kAllIsas) {
       for (const auto& c : kClassBlocks) {
         std::vector<double> y_lanes = y_start;
         core::BlockBuffers buf = bind_block(c, b, x_lanes, y_lanes);
@@ -286,21 +354,23 @@ TEST(SimdGolden, DefaultOptionsMatchScalarBitwise) {
 
 // ---------------------------------------------------------------------------
 // Panel kernels: lane-interleaved panels vs the single-vector kernels,
-// both instantiations.
+// every instantiation.
 // ---------------------------------------------------------------------------
 
 TEST(PanelSimd, MatchesCoreBitwisePerLaneBothIsas) {
   const std::size_t m = 3, b = 13, n = m * b - 2;  // padded tail
   Rng rng(31);
   const auto a = tensor::random_symmetric(n, rng);
-  // Whole 4-chunks share one walk of the block (up to 4 chunks here);
-  // lanes past the last whole chunk run on the core kernels. Every lane
-  // must match the scalar core kernel either way.
+  // Whole chunks of one tier share one walk of the block (up to 4 chunks
+  // of 4 or 3 chunks of 8 here), then 4-lane chunks after 8-lane ones
+  // (12 = 8 + 4, 13 = 8 + 4 + 1, 15 = 8 + 4 + 3); lanes past the last
+  // whole chunk run on the core kernels. Every lane must match the scalar
+  // core kernel either way.
   for (const std::size_t lanes :
        {std::size_t{1}, std::size_t{2}, std::size_t{3}, std::size_t{4},
         std::size_t{5}, std::size_t{6}, std::size_t{7}, std::size_t{8},
-        std::size_t{11}, std::size_t{12}, std::size_t{16},
-        std::size_t{19}}) {
+        std::size_t{11}, std::size_t{12}, std::size_t{13}, std::size_t{15},
+        std::size_t{16}, std::size_t{19}, std::size_t{24}}) {
     SCOPED_TRACE(testing::Message() << "lanes=" << lanes);
     std::vector<double> x_pan(m * b * lanes, 0.0);
     for (std::size_t l = 0; l < n; ++l) {
@@ -312,8 +382,7 @@ TEST(PanelSimd, MatchesCoreBitwisePerLaneBothIsas) {
     std::vector<double> y_start(m * b * lanes);
     for (double& e : y_start) e = rng.next_in(-1.0, 1.0);
     for (const auto& c : kClassBlocks) {
-      for (const simt::KernelIsa isa :
-           {simt::KernelIsa::kScalar, simt::KernelIsa::kAvx2}) {
+      for (const simt::KernelIsa isa : kAllIsas) {
         expect_panel_lanes_match_core(a, c, m, b, lanes, x_pan, y_start, isa,
                                       simt::KernelIsa::kScalar);
       }
