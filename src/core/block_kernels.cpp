@@ -8,9 +8,10 @@
 
 // This translation unit instantiates the canonical kernels with the
 // portable scalar vector type. It is compiled with -ffp-contract=off
-// (see src/core/CMakeLists.txt) so the compiler cannot fuse the
-// mul/add pairs into FMAs and break the bitwise contract with the AVX2
-// instantiation (DESIGN.md §13.1).
+// (see src/core/CMakeLists.txt): the kernels fuse exactly where they call
+// fmadd / std::fma (here a libm call, correctly rounded like the AVX2
+// instruction), and the compiler must not fuse any other mul/add pair
+// here and not in the AVX2 instantiation (DESIGN.md §13.1).
 
 namespace sttsv::core {
 
@@ -27,14 +28,15 @@ const KernelVTable& scalar_vtable() {
 const KernelVTable& vtable_for(simt::KernelIsa isa) {
 #ifdef STTSV_HAVE_AVX2_KERNELS
   // The core kernels have no 8-wide form: kAvx512 runs them as kAvx2.
-  if (isa != simt::KernelIsa::kScalar && simt::cpu_features().avx2) {
+  if (simt::dispatch_isa(isa, simt::cpu_features()) !=
+      simt::KernelIsa::kScalar) {
     return detail::avx2_kernel_vtable();
   }
 #else
   (void)isa;
 #endif
-  // Requesting kAvx2 without compiled-in AVX2 kernels (or on a host
-  // without AVX2) silently falls back — bitwise identical anyway.
+  // An ISA the build or the host cannot run (no AVX2 kernels, no AVX2 or
+  // no FMA) silently falls back — bitwise identical anyway.
   return scalar_vtable();
 }
 

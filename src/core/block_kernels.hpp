@@ -31,7 +31,8 @@
 //
 // All kernels produce the same ternary-multiplication count as the
 // element-wise reference (Section 7.1 counting); floating-point sums may
-// differ from the reference by rounding only (reassociated accumulation).
+// differ from the reference by rounding only (reassociated accumulation,
+// fused multiply-adds).
 
 #include <cstddef>
 #include <cstdint>

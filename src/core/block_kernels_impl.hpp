@@ -5,8 +5,8 @@
 // type V (simt::simd::VecScalar or simt::simd::VecAvx2) and a lane count
 // L ∈ {1, 2, 3}, and instantiated in two translation units:
 // block_kernels.cpp (portable, always built) and block_kernels_avx2.cpp
-// (compiled with -mavx2, dispatched at runtime). Both TUs are compiled
-// with -ffp-contract=off.
+// (compiled with -mavx2 -mfma, dispatched at runtime). Both TUs are
+// compiled with -ffp-contract=off.
 //
 // §13.1 Canonical arithmetic order. The bitwise contract — scalar
 // fallback, AVX2 path, fused (RJ > 1) and single (RJ = 1) strict rows,
@@ -18,12 +18,22 @@
 //   * dot products over a k-run: 4 partial sums over the full 4-chunks
 //     (partial p accumulates elements lk ≡ p mod 4), combined as
 //     (p0 + p1) + (p2 + p3), then the <4 leftover elements appended
-//     sequentially;
-//   * elementwise y updates (y[lk] += c·v): one rounded multiply and one
-//     rounded add per element, applied in ascending j order for every
-//     element — register-blocking j (RJ > 1) keeps the y chunk in a
-//     register but applies the same per-element add sequence;
-//   * no FMA contraction anywhere.
+//     sequentially; every step is one fused multiply-add;
+//   * elementwise y updates (y[lk] += c·v): one fused multiply-add per
+//     element, applied in ascending j order for every element —
+//     register-blocking j (RJ > 1) keeps the y chunk in a register but
+//     applies the same per-element sequence;
+//   * the row sums after each strict row (yi_row += x_j·acc,
+//     y_j += 2x_i·acc, face_ij's yi_row + x_i·acc): one fused
+//     multiply-add each;
+//   * nothing else is fused: compound coefficients (2x_i·x_j, x_i²), the
+//     gk == gj tail and central-element formulas and the final adds into
+//     y_i keep separately rounded multiplies and adds, and
+//     -ffp-contract=off keeps the compiler from fusing them in one TU but
+//     not another.
+//
+// fmadd (vector) and std::fma (scalar) are IEEE fusedMultiplyAdd,
+// correctly rounded on every path, so the bits do not depend on the ISA.
 //
 // Lanes never mix: an L-lane call loads each tensor chunk once and
 // applies it to every lane in turn, and each lane keeps its own x_i, row
@@ -33,6 +43,7 @@
 // of RJ = 4 fused j-rows at every L; remainder rows and every other row
 // run at RJ = 1.
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 
@@ -85,8 +96,8 @@ inline void strict_rows(const double* const* rows,
       const V xv = V::load(xk + l * stride + lk);
       V yv = V::load(yk + l * stride + lk);
       for (std::size_t r = 0; r < RJ; ++r) {
-        accv[l][r] = accv[l][r] + vv[r] * xv;
-        yv = yv + cyv[l][r] * vv[r];
+        accv[l][r] = fmadd(vv[r], xv, accv[l][r]);
+        yv = fmadd(cyv[l][r], vv[r], yv);
       }
       yv.store(yk + l * stride + lk);
     }
@@ -107,9 +118,9 @@ inline void strict_rows(const double* const* rows,
       double* yl = yk + l * stride;
       V yv = V::load_partial(yl + lk, tail);
       for (std::size_t r = 0; r < RJ; ++r) {
-        yv = yv + cyv[l][r] * vv[r];
+        yv = fmadd(cyv[l][r], vv[r], yv);
         for (std::size_t t = 0; t < tail; ++t) {
-          acc[l][r] += rows[r][lk + t] * xl[lk + t];
+          acc[l][r] = std::fma(rows[r][lk + t], xl[lk + t], acc[l][r]);
         }
       }
       yv.store_partial(yl + lk, tail);
@@ -163,8 +174,9 @@ inline void strict_row_run(const double* STTSV_RESTRICT data,
     strict_rows<V, RJ, L>(rows, xk, yk, stride, cy, acc, kb);
     for (std::size_t l = 0; l < L; ++l) {
       for (std::size_t r = 0; r < RJ; ++r) {
-        yi_row[l] += xjv[l][r] * acc[l][r];
-        yj[l * stride + gj + r - j_base] += 2.0 * xiv[l] * acc[l][r];
+        yi_row[l] = std::fma(xjv[l][r], acc[l][r], yi_row[l]);
+        double& yjr = yj[l * stride + gj + r - j_base];
+        yjr = std::fma(2.0 * xiv[l], acc[l][r], yjr);
       }
     }
   }
@@ -260,7 +272,7 @@ void face_ij_kernel(const double* STTSV_RESTRICT data, std::size_t i0,
     const double* rows[1] = {data + gi_base + gi * (gi + 1) / 2 + k0};
     strict_rows<V, 1, L>(rows, xk, yk, stride, cy, acc, kb);
     for (std::size_t l = 0; l < L; ++l) {
-      yij[l * stride + li] += 2.0 * (yi_row[l] + xiv[l] * acc[l][0]);
+      yij[l * stride + li] += 2.0 * std::fma(xiv[l], acc[l][0], yi_row[l]);
     }
   }
 }

@@ -23,21 +23,22 @@ const PanelVTable& scalar_vtable() {
   return t;
 }
 
-/// The panel table of `isa`, falling back to the widest one that is
-/// compiled in and that the host runs (bitwise identical anyway).
-const PanelVTable& vtable_for([[maybe_unused]] simt::KernelIsa isa) {
-  [[maybe_unused]] const simt::CpuFeatures& cpu = simt::cpu_features();
+/// The panel table of `isa` as simt::dispatch_isa resolves it on this
+/// host: an ISA the build or the host cannot run falls back to the widest
+/// one it can (bitwise identical anyway).
+const PanelVTable& vtable_for(simt::KernelIsa isa) {
+  switch (simt::dispatch_isa(isa, simt::cpu_features())) {
 #ifdef STTSV_HAVE_AVX512_KERNELS
-  if (isa == simt::KernelIsa::kAvx512 && cpu.avx2 && cpu.avx512f) {
-    return detail::avx512_panel_vtable();
-  }
+    case simt::KernelIsa::kAvx512:
+      return detail::avx512_panel_vtable();
 #endif
 #ifdef STTSV_HAVE_AVX2_KERNELS
-  if (isa != simt::KernelIsa::kScalar && cpu.avx2) {
-    return detail::avx2_panel_vtable();
-  }
+    case simt::KernelIsa::kAvx2:
+      return detail::avx2_panel_vtable();
 #endif
-  return scalar_vtable();
+    default:
+      return scalar_vtable();
+  }
 }
 
 /// Runs the panel lanes from `first` on (fewer than simd::kLanes) in one

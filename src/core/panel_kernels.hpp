@@ -13,8 +13,12 @@
 // memory once for all of them; whole 4-lane chunks of the lanes left
 // over take one more walk (B = 12 is 8 + 4). The last 0–3 lanes (every
 // lane when B < 4) run together on the core kernels, in one more walk.
-// Interior and face_ij strict rows run in fused groups of 4, as in the
-// core kernels (DESIGN.md §13.3).
+// With a SIMD ISA, interior and face_ij strict rows run in fused groups
+// of 4, as in the core kernels, and face_jk and central rows in groups of
+// 4 that fuse the k-chunks their rows share, then finish each row alone;
+// the remainder rows and the diagonal rows of face_ij and central blocks
+// run alone, and so does every row of the scalar fallback (DESIGN.md
+// §13.3).
 //
 // Contract: lane v of the output is bitwise identical to running the
 // core kernels (core::apply_block_isa) on lane v alone. Both sides follow

@@ -85,14 +85,23 @@ bool simd_enabled() {
   return enabled_flag().load(std::memory_order_relaxed);
 }
 
-KernelIsa preferred_isa() {
-  if (!simd_compiled() || !simd_enabled() || !cpu_features().avx2) {
+KernelIsa dispatch_isa(KernelIsa requested, const CpuFeatures& host) {
+  // Every SIMD tier fuses its multiply-adds (DESIGN.md §13.1).
+  if (!simd_compiled() || requested == KernelIsa::kScalar || !host.avx2 ||
+      !host.fma) {
     return KernelIsa::kScalar;
   }
 #ifdef STTSV_HAVE_AVX512_KERNELS
-  if (cpu_features().avx512f) return KernelIsa::kAvx512;
+  if (requested == KernelIsa::kAvx512 && host.avx512f) {
+    return KernelIsa::kAvx512;
+  }
 #endif
   return KernelIsa::kAvx2;
+}
+
+KernelIsa preferred_isa() {
+  if (!simd_enabled()) return KernelIsa::kScalar;
+  return dispatch_isa(KernelIsa::kAvx512, cpu_features());
 }
 
 }  // namespace sttsv::simt

@@ -11,34 +11,41 @@
 //     probe plus an explicit kill switch (set_simd_enabled / environment
 //     variable STTSV_SIMD=off). Scalar fallback kernels are always built,
 //     so a binary compiled with SIMD on still runs correctly on a machine
-//     without AVX2.
+//     without AVX2 or FMA.
 //
 //  2. Double vector types. The kernel bodies are written once as
 //     templates over a vector type V and instantiated up to three times:
 //     VecScalar (plain double[4], compiles everywhere) in the portable
-//     translation units, VecAvx2 (__m256d) in TUs compiled with -mavx2,
-//     and VecAvx512 (__m512d, 8 lanes) in the panel-kernel TU compiled
-//     with -mavx512f. The core kernels' 4 k-partials are the canonical
-//     order, so only the panel kernels, whose vector lanes are panel
-//     lanes, take the 8-wide type. Every type implements each operation
-//     with the same IEEE arithmetic per lane, so all instantiations
-//     produce bitwise-identical results — the repo's bitwise-`y`
-//     invariant holds whichever path the dispatcher picks.
+//     translation units, VecAvx2 (__m256d) in TUs compiled with -mavx2
+//     -mfma, and VecAvx512 (__m512d, 8 lanes) in the panel-kernel TU
+//     compiled with -mavx512f (its fused multiply-add is part of
+//     AVX-512F). The core kernels' 4 k-partials are the canonical order,
+//     so only the panel kernels, whose vector lanes are panel lanes, take
+//     the 8-wide type. Every type implements each operation with the same
+//     IEEE arithmetic per lane — fmadd is the correctly rounded
+//     fusedMultiplyAdd in all three — so all instantiations produce
+//     bitwise-identical results: the repo's bitwise-`y` invariant holds
+//     whichever path the dispatcher picks.
 //
-// All kernel TUs are compiled with -ffp-contract=off so the compiler
-// cannot fuse the mul/add pairs below behind our back and silently break
-// the bitwise contract.
+// All kernel TUs are compiled with -ffp-contract=off, so the compiler
+// cannot fuse the remaining mul/add pairs (compound coefficients, tail
+// formulas) in one TU and not in another and silently break the bitwise
+// contract; the kernels fuse exactly where they call fmadd.
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <string>
 
-#if defined(__AVX2__) && (defined(__x86_64__) || defined(_M_X64))
-#include <immintrin.h>
+#if defined(__AVX2__) && defined(__FMA__) && \
+    (defined(__x86_64__) || defined(_M_X64))
 #define STTSV_SIMD_TU_HAS_AVX2 1
 #endif
 #if defined(__AVX512F__) && (defined(__x86_64__) || defined(_M_X64))
 #define STTSV_SIMD_TU_HAS_AVX512 1
+#endif
+#if defined(STTSV_SIMD_TU_HAS_AVX2) || defined(STTSV_SIMD_TU_HAS_AVX512)
+#include <immintrin.h>
 #endif
 
 namespace sttsv::simt {
@@ -76,10 +83,16 @@ bool simd_compiled();
 void set_simd_enabled(bool enabled);
 bool simd_enabled();
 
-/// The ISA the kernel dispatchers use by default: kScalar unless the AVX2
-/// kernels are compiled in, the CPU reports AVX2, and the runtime switch
-/// is on; then kAvx512 if the AVX-512 panel TU is compiled in and the CPU
-/// also reports AVX-512F, else kAvx2.
+/// The ISA the kernel dispatchers run when `requested` is asked for on a
+/// host with features `host`. kAvx512 needs the AVX-512 panel TU and
+/// CPUID AVX2, FMA and AVX-512F; kAvx2, and kAvx512 where that fails,
+/// needs the AVX2 TUs and CPUID AVX2 and FMA; everything else runs
+/// kScalar. The runtime switch is not consulted: an explicit request
+/// still runs.
+KernelIsa dispatch_isa(KernelIsa requested, const CpuFeatures& host);
+
+/// The ISA the kernel dispatchers use by default: kScalar when the
+/// runtime switch is off, else dispatch_isa(kAvx512, cpu_features()).
 KernelIsa preferred_isa();
 
 namespace simd {
@@ -91,7 +104,8 @@ inline constexpr std::size_t kLanes = 4;
 
 /// Portable 4-lane vector: the scalar fallback instantiation. Each
 /// operation performs exactly one IEEE arithmetic op per lane, mirroring
-/// the AVX2 instructions lane-for-lane.
+/// the AVX2 instructions lane-for-lane; fmadd is std::fma per lane (a
+/// libm call unless the TU is built with FMA).
 struct VecScalar {
   static constexpr std::size_t kWidth = kLanes;  ///< panel lanes per chunk
   double v[kLanes];
@@ -120,6 +134,13 @@ struct VecScalar {
     return {{a.v[0] * b.v[0], a.v[1] * b.v[1], a.v[2] * b.v[2],
              a.v[3] * b.v[3]}};
   }
+  /// c + a·b per lane with one rounding (IEEE fusedMultiplyAdd).
+  friend VecScalar fmadd(VecScalar a, VecScalar b, VecScalar c) {
+    return {{std::fma(a.v[0], b.v[0], c.v[0]),
+             std::fma(a.v[1], b.v[1], c.v[1]),
+             std::fma(a.v[2], b.v[2], c.v[2]),
+             std::fma(a.v[3], b.v[3], c.v[3])}};
+  }
   /// Canonical horizontal sum: (v0 + v1) + (v2 + v3). Every
   /// instantiation must combine in exactly this order.
   double reduce() const { return (v[0] + v[1]) + (v[2] + v[3]); }
@@ -128,7 +149,8 @@ struct VecScalar {
 #ifdef STTSV_SIMD_TU_HAS_AVX2
 
 /// AVX2 instantiation: one ymm register. Compiled only in TUs built with
-/// -mavx2; executed only when preferred_isa() is kAvx2 or kAvx512.
+/// -mavx2 -mfma; executed only when the dispatcher resolves kAvx2 or
+/// kAvx512 (dispatch_isa).
 struct VecAvx2 {
   static constexpr std::size_t kWidth = kLanes;  ///< panel lanes per chunk
   __m256d v;
@@ -157,6 +179,11 @@ struct VecAvx2 {
   friend VecAvx2 operator*(VecAvx2 a, VecAvx2 b) {
     return {_mm256_mul_pd(a.v, b.v)};
   }
+  /// c + a·b per lane with one rounding, bitwise identical to
+  /// VecScalar's fmadd.
+  friend VecAvx2 fmadd(VecAvx2 a, VecAvx2 b, VecAvx2 c) {
+    return {_mm256_fmadd_pd(a.v, b.v, c.v)};
+  }
   /// (v0 + v1) + (v2 + v3), bitwise identical to VecScalar::reduce.
   double reduce() const {
     const __m128d lo = _mm256_castpd256_pd128(v);
@@ -173,8 +200,8 @@ struct VecAvx2 {
 
 /// AVX-512 instantiation of the panel kernels: one zmm register holds 8
 /// panel lanes. Compiled only in the TU built with -mavx512f; executed
-/// only when preferred_isa() == kAvx512. It has no reduce and no masks,
-/// because the panel kernels use neither.
+/// only when the dispatcher resolves kAvx512. It has no reduce and no
+/// masks, because the panel kernels use neither.
 struct VecAvx512 {
   static constexpr std::size_t kWidth = 8;  ///< panel lanes per chunk
   __m512d v;
@@ -188,6 +215,11 @@ struct VecAvx512 {
   }
   friend VecAvx512 operator*(VecAvx512 a, VecAvx512 b) {
     return {_mm512_mul_pd(a.v, b.v)};
+  }
+  /// c + a·b per lane with one rounding (AVX-512F), bitwise identical to
+  /// VecScalar's fmadd.
+  friend VecAvx512 fmadd(VecAvx512 a, VecAvx512 b, VecAvx512 c) {
+    return {_mm512_fmadd_pd(a.v, b.v, c.v)};
   }
 };
 

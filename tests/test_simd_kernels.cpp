@@ -55,7 +55,8 @@ TEST(CpuFeatures, PreferredIsaRespectsRuntimeSwitch) {
   EXPECT_EQ(simt::preferred_isa(), simt::KernelIsa::kScalar);
   simt::set_simd_enabled(true);
   const simt::CpuFeatures& f = simt::cpu_features();
-  simt::KernelIsa expect = simt::simd_compiled() && f.avx2
+  // Every SIMD tier fuses its multiply-adds, so it needs FMA too.
+  simt::KernelIsa expect = simt::simd_compiled() && f.avx2 && f.fma
                                ? simt::KernelIsa::kAvx2
                                : simt::KernelIsa::kScalar;
 #ifdef STTSV_HAVE_AVX512_KERNELS
@@ -64,7 +65,37 @@ TEST(CpuFeatures, PreferredIsaRespectsRuntimeSwitch) {
   }
 #endif
   EXPECT_EQ(simt::preferred_isa(), expect);
+  if (simt::preferred_isa() != simt::KernelIsa::kScalar) {
+    EXPECT_TRUE(f.fma);
+  }
   simt::set_simd_enabled(was_enabled);
+}
+
+// Both kernel dispatchers resolve a requested ISA through dispatch_isa: an
+// explicit kAvx2 or kAvx512 on a host without FMA runs scalar, and kAvx512
+// without AVX-512F runs kAvx2. Read from the gate with hand-made feature
+// sets, so no test host has to lack them.
+TEST(CpuFeatures, SimdIsasRequireFma) {
+  const simt::CpuFeatures full{true, true, true, true, true};
+  simt::CpuFeatures no_fma = full;
+  no_fma.fma = false;
+  simt::CpuFeatures no_avx512 = full;
+  no_avx512.avx512f = false;
+  const simt::KernelIsa avx2 =
+      simt::simd_compiled() ? simt::KernelIsa::kAvx2 : simt::KernelIsa::kScalar;
+  simt::KernelIsa avx512 = avx2;
+#ifdef STTSV_HAVE_AVX512_KERNELS
+  avx512 = simt::KernelIsa::kAvx512;
+#endif
+  for (const simt::KernelIsa isa : kAllIsas) {
+    SCOPED_TRACE(simt::isa_name(isa));
+    EXPECT_EQ(simt::dispatch_isa(isa, no_fma), simt::KernelIsa::kScalar);
+  }
+  EXPECT_EQ(simt::dispatch_isa(simt::KernelIsa::kScalar, full),
+            simt::KernelIsa::kScalar);
+  EXPECT_EQ(simt::dispatch_isa(simt::KernelIsa::kAvx2, full), avx2);
+  EXPECT_EQ(simt::dispatch_isa(simt::KernelIsa::kAvx512, full), avx512);
+  EXPECT_EQ(simt::dispatch_isa(simt::KernelIsa::kAvx512, no_avx512), avx2);
 }
 
 TEST(CpuFeatures, IsaNames) {
@@ -233,13 +264,16 @@ TEST_P(SimdGolden, Avx2MatchesScalarBitwise) {
 }
 
 // The core and panel kernels both fuse the strict rows of interior and
-// face_ij blocks (RJ = 4); the core kernels carry up to 3 lanes per walk
-// of the block, and the panel kernels run 8- and 4-lane chunks in tiers.
-// On every ISA, the one-lane core kernel and every lane of 2 and 3 (tail
-// lanes alone), 4, 8, 12 and 16 (whole chunks: one tier or 8 + 4) and 6
-// and 7 (tail lanes after a whole chunk) must agree bit for bit with the
-// unfused RJ = 1 reference — so fusion on both sides cannot hide a change
-// of order, and the panel path can hand left-over lanes to the core.
+// face_ij blocks (RJ = 4), and the panel kernels also run face_jk and
+// central rows in groups (a fused prefix, then per-row completions); the
+// core kernels carry up to 3 lanes per walk of the block, and the panel
+// kernels run 8- and 4-lane chunks in tiers. On every ISA, the one-lane
+// core kernel and every lane of 2 and 3 (tail lanes alone), 4, 8, 12 and
+// 16 (whole chunks: one tier or 8 + 4) and 6 and 7 (tail lanes after a
+// whole chunk) must agree bit for bit with the unfused reference, which
+// runs every row of every class alone — so fusion on both sides cannot
+// hide a change of order, and the panel path can hand left-over lanes to
+// the core.
 TEST_P(SimdGolden, RegisterBlockShapeIsBitwiseInvariant) {
   const std::size_t b = GetParam();
   const std::size_t m = 3;
@@ -285,8 +319,10 @@ TEST_P(SimdGolden, RegisterBlockShapeIsBitwiseInvariant) {
   }
 }
 
+// b = 6 and 11 leave 2 and 3 rows after the last full group of a
+// face_jk block.
 INSTANTIATE_TEST_SUITE_P(BlockEdges, SimdGolden,
-                         ::testing::Values(1, 3, 8, 13, 16, 17));
+                         ::testing::Values(1, 3, 8, 13, 16, 17, 6, 11));
 
 // One core call carries 1–3 lanes of any stride: each lane must equal a
 // one-lane call on that lane alone, bit for bit, and the count must be
@@ -349,6 +385,71 @@ TEST(SimdGolden, DefaultOptionsMatchScalarBitwise) {
         core::apply_block(a, c, b, bind_block(c, b, x_pad, y_def));
     EXPECT_EQ(m_scalar, m_def);
     expect_bitwise_equal(y_def, y_scalar, "default dispatch vs scalar");
+  }
+}
+
+// Every kernel update is one fused multiply-add (DESIGN.md §13.1). The
+// other golden tests compare paths that share the vector types' fmadd, so
+// a change made to all of them at once — fmadd reverting to a multiply and
+// an add, say — would pass them. This one pins literal bits instead: an
+// interior block at b = 9 (two whole k-chunks and one leftover per row)
+// with two nonzero rows, whose inputs make each kind of fused update
+// (k-partials, y_k axpys over whole chunks, the leftover dot step, the
+// leftover axpy, the y_i and the y_j row sums) change y when it alone is
+// rounded twice. The expected bits come from exact rational arithmetic,
+// not from this TU, which is not built with -ffp-contract=off. Every lane
+// of every path, core and panel, on every ISA must reproduce them.
+TEST(SimdGolden, OneRoundingPerUpdate) {
+  const std::size_t m = 3, b = 9, n = m * b;
+  const partition::BlockCoord c{2, 1, 0};
+  const double row9[] = {-0.5, 0.35, 0.98, -0.07, 0.78,
+                         0.13, -0.7, -0.51, -0.95};
+  const double row10[] = {0.51, -0.93, 0.76, 0.43, -0.73,
+                          -0.21, 0.62, 0.74, -0.94};
+  tensor::SymTensor3 a(n);
+  for (std::size_t k = 0; k < b; ++k) {
+    a.at(18, 9, k) = row9[k];
+    a.at(18, 10, k) = row10[k];
+  }
+  std::vector<double> x = {0.9, -0.14, 0.76, 0.83, -0.74, 0.49,
+                           0.14, -0.78, 0.31, 0.97, 0.67};
+  x.resize(n, 0.0);
+  x[18] = -0.96;
+  std::vector<double> y_start = {0.07, 0.68, 0.41, -0.55, 0.39, 0.54,
+                                 0.53, -0.33, 0.85, -0.54, -0.88};
+  y_start.resize(n, 0.0);
+  y_start[18] = -0.94;
+  std::vector<double> want = {
+      0x1.616b54e2b063cp-2,  0x1.39799e518f3eep+0, -0x1.3247cb70ac3a8p+1,
+      -0x1.f210be9424e5ap-1, -0x1.fa43fe5c91d0cp-4, 0x1.22d5171e29b6bp-1,
+      0x1.093ea2d2fe3f2p+0,  -0x1.54152b0a6fc5ap-2, 0x1.ea0c282c6ef3dp+1,
+      0x1.34acaff6d3315p-4,  -0x1.9270b06c43f60p+1};
+  want.resize(n, 0.0);
+  want[18] = 0x1.2cc70867ad8c0p-6;
+
+  for (const simt::KernelIsa isa : kAllIsas) {
+    SCOPED_TRACE(simt::isa_name(isa));
+    expect_bitwise_equal(run_block(a, c, m, b, x, isa, y_start).first, want,
+                         "core kernel vs literal bits");
+    for (const std::size_t lanes :
+         {std::size_t{1}, std::size_t{2}, std::size_t{3}, std::size_t{4},
+          std::size_t{8}}) {
+      SCOPED_TRACE(testing::Message() << "lanes=" << lanes);
+      std::vector<double> x_pan(n * lanes);
+      std::vector<double> y_pan(n * lanes);
+      for (std::size_t l = 0; l < n; ++l) {
+        for (std::size_t v = 0; v < lanes; ++v) {
+          x_pan[l * lanes + v] = x[l];
+          y_pan[l * lanes + v] = y_start[l];
+        }
+      }
+      core::apply_block_panel_isa(a, c, b, lanes,
+                                  bind_panel(c, b, lanes, x_pan, y_pan), isa);
+      for (std::size_t v = 0; v < lanes; ++v) {
+        expect_bitwise_equal(panel_lane(y_pan, lanes, v), want,
+                             "panel lane vs literal bits");
+      }
+    }
   }
 }
 
