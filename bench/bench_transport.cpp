@@ -1,15 +1,15 @@
 // Transport comparison (DESIGN.md §16): the same STTSV runs driven over
-// all four exchange backends — Direct, Reliable, OneSidedPut, and
-// ActiveMessage — sweeping problem size n ∈ {128, 256, 384}, the three
-// Steiner families the repo constructs (P = 10, 14, 20), and batch width
-// B ∈ {1, 16}. For each cell the bench reports the α-term message count
-// (envelopes for two-sided transports; epoch fences + exposure
-// notifications for one-sided, since Puts pay bandwidth only), payload
-// words by channel, synchronization ops, rounds, and exchange-path
-// throughput (payload words per second of wall time).
+// the three flat exchange backends — Direct, Reliable and OneSidedPut —
+// sweeping problem size n ∈ {128, 256, 384}, the three Steiner families
+// the repo constructs (P = 10, 14, 20), and batch width B ∈ {1, 16}. For
+// each cell the bench reports the α-term message count (envelopes for
+// two-sided transports; epoch fences + exposure notifications for
+// one-sided, since Puts pay bandwidth only), payload words by channel,
+// synchronization ops, rounds, and exchange-path throughput (payload
+// words per second of wall time).
 //
-// Checks on every cell: y bitwise identical across all four backends,
-// four-way ledger conservation, equal payload words between Direct and
+// Checks on every cell: y bitwise identical across the three backends,
+// four-channel ledger conservation, equal payload words between Direct and
 // OneSidedPut, and — the headline — the one-sided message count strictly
 // below Direct's at every P ≥ 6 swept (sync ops scale with ranks, 2 per
 // rank per phase, while envelope counts scale with pairs).
@@ -47,9 +47,9 @@ using namespace sttsv;
 using simt::TransportKind;
 using Clock = std::chrono::steady_clock;
 
-constexpr TransportKind kKinds[] = {
-    TransportKind::kDirect, TransportKind::kReliable,
-    TransportKind::kOneSidedPut, TransportKind::kActiveMessage};
+constexpr TransportKind kKinds[] = {TransportKind::kDirect,
+                                    TransportKind::kReliable,
+                                    TransportKind::kOneSidedPut};
 
 struct Family {
   const char* name;
@@ -150,9 +150,8 @@ int main(int argc, char** argv) {
           cell.n = n;
           cell.B = B;
           cell.kind = kind;
-          const bool onesided = kind == TransportKind::kOneSidedPut ||
-                                kind == TransportKind::kActiveMessage;
-          cell.led = repro::ledger_rollup(machine.ledger(), onesided);
+          cell.led = repro::ledger_rollup(
+              machine.ledger(), kind == TransportKind::kOneSidedPut);
           cell.words_per_s =
               secs > 0.0 ? static_cast<double>(cell.led.payload_words +
                                                cell.led.overhead_words) /
@@ -176,9 +175,8 @@ int main(int argc, char** argv) {
         }
 
         // Per-cell cross-transport checks against the Direct baseline.
-        const Cell& direct = cells[cells.size() - 4];
-        const Cell& put = cells[cells.size() - 2];
-        const Cell& am = cells.back();
+        const Cell& direct = cells[cells.size() - 3];
+        const Cell& put = cells.back();
         const std::string tag = std::string(fam.name) +
                                 " n=" + std::to_string(n) +
                                 " B=" + std::to_string(B) + ": ";
@@ -187,8 +185,6 @@ int main(int argc, char** argv) {
         check.check(put.led.messages < direct.led.messages,
                     tag + "one-sided message count (sync ops) strictly "
                           "below direct envelopes");
-        check.check(am.led.messages == put.led.messages,
-                    tag + "active-message epoch pays the same sync ops");
         check.check(put.led.rounds == direct.led.rounds,
                     tag + "one-sided rounds follow the König schedule");
       }
@@ -245,7 +241,7 @@ int main(int argc, char** argv) {
       const auto a = tensor::random_symmetric(ns.back(), rng);
       const auto x = rng.uniform_vector(ns.back());
       simt::Machine machine(part.num_processors());
-      onesided::OneSidedExchange ex(machine, onesided::Mode::kPut);
+      onesided::OneSidedExchange ex(machine);
       (void)core::parallel_sttsv(ex, part, dist, a, x,
                                  simt::Transport::kPointToPoint);
       obs::MetricsRegistry registry;

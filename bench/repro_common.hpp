@@ -121,7 +121,7 @@ inline void write_ledger_channels(JsonWriter& w,
 /// One bench cell's view of a finished run's ledger — the per-backend
 /// rollup every transport-style bench (bench_transport, bench_hierarchy)
 /// extracts: the α-term "messages" count (envelopes for two-sided
-/// transports; sync ops for one-sided/AM/hierarchical, whose Puts pay
+/// transports; sync ops for one-sided and hierarchical, whose Puts pay
 /// bandwidth only), payload and overhead words, rounds across the
 /// channels a backend uses, and the per-level split.
 struct LedgerRollup {
@@ -137,8 +137,8 @@ struct LedgerRollup {
 };
 
 /// `onesided_alpha` selects the α-term rule: true for backends whose
-/// latency cost is epoch synchronization (one-sided, active-message,
-/// hierarchical), false for envelope-counting two-sided backends.
+/// latency cost is epoch synchronization (one-sided, hierarchical), false
+/// for envelope-counting two-sided backends.
 inline LedgerRollup ledger_rollup(const simt::CommLedger& led,
                                   bool onesided_alpha) {
   LedgerRollup r;

@@ -46,8 +46,8 @@ struct EngineOptions {
   simt::Exchanger* exchanger = nullptr;
   /// Transport backend when `exchanger` is unset (DESIGN.md §16): the
   /// engine builds and owns the exchanger via simt::make_exchanger, so
-  /// callers pick one-sided or active-message batches with a single enum
-  /// (serve::FrontendOptions and STTSV_TRANSPORT forward to this).
+  /// callers pick reliable, one-sided or hierarchical batches with a
+  /// single enum (serve::FrontendOptions forwards to this).
   /// Ignored when an explicit `exchanger` is supplied.
   simt::TransportKind transport = simt::TransportKind::kDirect;
   /// Rank -> node map (DESIGN.md §17). Non-empty: the engine installs it

@@ -40,7 +40,6 @@ HostSchedule::HostSchedule(const ExchangeWalk& w,
     STTSV_REQUIRE(h < P, "every role must be placed on a live rank");
     host_of[role] = h;
     roles[h].push_back(role);
-    identity = identity && h == role;
     contributions[role].reserve(w.exchanges(role).size());
   }
   // Lift the role-pair walk onto host pairs: co-hosted role pairs are
@@ -92,16 +91,6 @@ HostSchedule::HostSchedule(const ExchangeWalk& w,
   for (std::vector<Leg>& into : contributions) {
     std::ranges::sort(into, {}, &Leg::role);
   }
-}
-
-const HostSchedule::Route& HostSchedule::route_between(std::size_t from,
-                                                       std::size_t to) const {
-  const auto it = std::lower_bound(
-      routes[from].begin(), routes[from].end(), to,
-      [](const Route& r, std::size_t host) { return r.to < host; });
-  STTSV_CHECK(it != routes[from].end() && it->to == to,
-              "delivery from a host outside the walk");
-  return *it;
 }
 
 ParallelRunResult parallel_sttsv(simt::Machine& machine,
@@ -293,43 +282,6 @@ PanelRunResult parallel_sttsv_panel(simt::Exchanger& exchanger,
   PanelRunResult result;
   result.ternary_mults.assign(P, 0);
 
-  // Active-message transports run the reduction at the target instead of
-  // returning deliveries (DESIGN.md §16): local partials are seeded into
-  // y_pad as soon as each rank's kernels finish (disjoint own-share
-  // slices, so the host-threaded rank programs never collide), and a
-  // handler registered below replays the walk for every landed payload.
-  // Both happen in the local-first, senders-ascending order of the
-  // two-sided reduction, so y is bitwise identical. Only at the identity
-  // placement: there every host is one role, so landing order is role
-  // order.
-  const bool am_reduce =
-      schedule.identity && exchanger.supports_handler_delivery();
-  std::vector<double> y_pad(dist.padded_n() * B, 0.0);
-  const auto add_own_share = [&](std::size_t role) {
-    for (const std::size_t i : part.R(role)) {
-      const Share s = dist.share(i, role);
-      const double* src = at(y_blk, role, i, s.offset);
-      double* dst = pad(y_pad, i, s.offset);
-      for (std::size_t e = 0; e < s.length * B; ++e) dst[e] += src[e];
-    }
-  };
-  // Adds the receiver shares of the walk record `ex` from role `from`
-  // into y_pad, slices ascending: packed at `data` inside a delivery, or
-  // read in place from the sender's y blocks when `data` is null.
-  const auto add_contribution = [&](std::size_t from,
-                                    const ExchangeWalk::PeerExchange& ex,
-                                    const double* data) {
-    for (const ExchangeWalk::BlockSlice& s : ex.slices) {
-      const std::size_t words = s.receiver.length * B;
-      const double* src = data != nullptr
-                              ? data
-                              : at(y_blk, from, s.block, s.receiver.offset);
-      double* dst = pad(y_pad, s.block, s.receiver.offset);
-      for (std::size_t e = 0; e < words; ++e) dst[e] += src[e];
-      if (data != nullptr) data += words;
-    }
-  };
-
   obs::Span y_phase("sttsv.y-panel", obs::Category::kSuperstep, B);
   exchanger.set_phase("y-panel");
   machine.run_ranks(hosts, [&](std::size_t h) {
@@ -346,7 +298,6 @@ PanelRunResult parallel_sttsv_panel(simt::Exchanger& exchanger,
         result.ternary_mults[role] += apply_block_panel(a, coord, b, B, buf);
       }
       x_blk[role].release();  // frees the inputs early
-      if (am_reduce) add_own_share(role);
     }
   });
   std::vector<std::vector<Envelope>> y_out(P);
@@ -365,40 +316,34 @@ PanelRunResult parallel_sttsv_panel(simt::Exchanger& exchanger,
       y_out[hf].push_back(Envelope{r.to, std::move(buf)});
     }
   }
-  if (am_reduce) {
-    // Remote-reduce handler: ran once per landed payload, targets then
-    // origins ascending — the same walk as the two-sided loop below.
-    exchanger.set_delivery_handler(
-        [&](std::size_t target, std::size_t from, const double* data,
-            std::size_t words) {
-          const Route& r = schedule.route_between(from, target);
-          STTSV_CHECK(words == r.y_words * B,
-                      "delivery size differs from its route");
-          for (const Leg& leg : r.legs) {
-            add_contribution(leg.role, *leg.ex, data);
-            data += leg.ex->y_words * B;
-          }
-        });
-  }
   const std::vector<std::vector<Delivery>> y_in =
       exchanger.exchange(std::move(y_out), transport);
-  if (am_reduce) {
-    exchanger.set_delivery_handler({});
-  }
+  check_inboxes(y_in, true);
 
   // Own share = local partial + every contribution, sending roles
-  // ascending — wire-delivered and co-hosted alike. In AM mode the
-  // handler above already did both halves and y_in stays empty.
-  if (!am_reduce) {
-    check_inboxes(y_in, true);
-    for (std::size_t rp = 0; rp < P; ++rp) {
-      add_own_share(rp);
-      const std::vector<Delivery>& inbox = y_in[schedule.host_of[rp]];
-      for (const Leg& c : schedule.contributions[rp]) {
-        add_contribution(c.role, *c.ex,
-                         c.slot == HostSchedule::kInPlace
-                             ? nullptr
-                             : inbox[c.slot].data.data() + c.offset * B);
+  // ascending — wire-delivered (packed inside a delivery) and co-hosted
+  // (read in place from the sender's y blocks) alike.
+  std::vector<double> y_pad(dist.padded_n() * B, 0.0);
+  const auto add = [&](std::size_t i, std::size_t offset, std::size_t length,
+                       const double* src) {
+    double* dst = pad(y_pad, i, offset);
+    for (std::size_t e = 0; e < length * B; ++e) dst[e] += src[e];
+  };
+  for (std::size_t rp = 0; rp < P; ++rp) {
+    for (const std::size_t i : part.R(rp)) {
+      const Share s = dist.share(i, rp);
+      add(i, s.offset, s.length, at(y_blk, rp, i, s.offset));
+    }
+    const std::vector<Delivery>& inbox = y_in[schedule.host_of[rp]];
+    for (const Leg& c : schedule.contributions[rp]) {
+      const double* data = c.slot == HostSchedule::kInPlace
+                               ? nullptr
+                               : inbox[c.slot].data.data() + c.offset * B;
+      for (const ExchangeWalk::BlockSlice& s : c.ex->slices) {
+        const Share& r = s.receiver;
+        add(s.block, r.offset, r.length,
+            data != nullptr ? data : at(y_blk, c.role, s.block, r.offset));
+        if (data != nullptr) data += r.length * B;
       }
     }
   }

@@ -78,12 +78,7 @@ struct HostSchedule {
                         const std::vector<std::size_t>& placement = {});
   HostSchedule(const HostSchedule&) = delete;  // inboxes point at routes
 
-  /// The route from host `from` to host `to`; InternalError if none.
-  [[nodiscard]] const Route& route_between(std::size_t from,
-                                           std::size_t to) const;
-
   const partition::ExchangeWalk& walk;
-  bool identity = true;
   std::vector<std::size_t> hosts;               // ranks with a role, ascending
   std::vector<std::size_t> host_of;             // per role
   std::vector<std::vector<std::size_t>> roles;  // per host, ascending

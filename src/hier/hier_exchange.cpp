@@ -24,10 +24,6 @@ HierarchicalExchange::HierarchicalExchange(
                 "inner backend must wrap the same machine");
   STTSV_REQUIRE(topo_.num_ranks() == machine.num_ranks(),
                 "topology must cover every machine rank");
-  STTSV_REQUIRE(!inter_->supports_handler_delivery(),
-                "hierarchical transport cannot run an active-message inner "
-                "backend (handler order would interleave with shared "
-                "deliveries); use direct, reliable or onesided inside");
   machine.ledger().set_node_map(topo_.node_map());
 }
 

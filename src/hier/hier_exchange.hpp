@@ -28,10 +28,8 @@
 //
 // Limits, by design: no wire fault injection on the intra path (a node's
 // shared memory does not drop words; install faults under an inner
-// Reliable backend to exercise the fabric), and no handler delivery —
-// the drivers' sender-sorted reduction already pins the float order, and
-// interleaving an inner AM handler with shared deliveries would not.
-// Dead ranks are honoured on both paths.
+// Reliable backend to exercise the fabric). Dead ranks are honoured on
+// both paths.
 
 #include <cstddef>
 #include <cstdint>

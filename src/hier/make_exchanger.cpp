@@ -22,11 +22,7 @@ std::unique_ptr<Exchanger> make_flat(Machine& machine,
       return std::make_unique<ReliableExchange>(
           machine, config.retry, config.recovery, config.liveness);
     case TransportKind::kOneSidedPut:
-      return std::make_unique<onesided::OneSidedExchange>(
-          machine, onesided::Mode::kPut);
-    case TransportKind::kActiveMessage:
-      return std::make_unique<onesided::OneSidedExchange>(
-          machine, onesided::Mode::kActiveMessage);
+      return std::make_unique<onesided::OneSidedExchange>(machine);
     case TransportKind::kHierarchical:
       break;  // handled by the caller; rejected as an inner kind below
   }
@@ -45,8 +41,7 @@ std::unique_ptr<Exchanger> make_exchanger(Machine& machine,
   }
 
   if (config.kind == TransportKind::kHierarchical) {
-    STTSV_REQUIRE(config.hier_inter != TransportKind::kHierarchical &&
-                      config.hier_inter != TransportKind::kActiveMessage,
+    STTSV_REQUIRE(config.hier_inter != TransportKind::kHierarchical,
                   "hier_inter must be one of direct|reliable|onesided");
     hier::Topology topo =
         config.node_of.empty()
@@ -71,7 +66,7 @@ std::unique_ptr<Exchanger> make_exchanger(Machine& machine,
   // config) must fail loudly, naming what the factory accepts.
   STTSV_REQUIRE(flat != nullptr,
                 "unknown transport kind; accepted transports are "
-                "direct|reliable|onesided|am|hier");
+                "direct|reliable|onesided|hier");
   return flat;
 }
 

@@ -35,12 +35,10 @@ struct ExchangerConfig {
 
 /// Constructs the backend for `config.kind` over `machine`:
 /// kDirect -> DirectExchange, kReliable -> ReliableExchange,
-/// kOneSidedPut / kActiveMessage -> onesided::OneSidedExchange in the
-/// corresponding mode, kHierarchical -> hier::HierarchicalExchange over
-/// an inner `config.hier_inter` backend. Every bench and the serving
-/// stack select their transport through here (plus
-/// transport_kind_from_env for the STTSV_TRANSPORT override) instead of
-/// naming concrete backends. An unrecognized kind throws
+/// kOneSidedPut -> onesided::OneSidedExchange, kHierarchical ->
+/// hier::HierarchicalExchange over an inner `config.hier_inter` backend.
+/// Every bench and the serving stack select their transport through here
+/// instead of naming concrete backends. An unrecognized kind throws
 /// PreconditionError naming the accepted spellings — never a silent
 /// fallback.
 [[nodiscard]] std::unique_ptr<Exchanger> make_exchanger(

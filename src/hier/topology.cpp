@@ -12,9 +12,13 @@ namespace sttsv::hier {
 Topology::Topology(std::vector<std::uint32_t> node_of)
     : node_of_(std::move(node_of)) {
   STTSV_REQUIRE(!node_of_.empty(), "topology needs at least one rank");
+  // A dense map has at most one node per rank: checking that bound first
+  // keeps a huge label from sizing (or wrapping) ranks_on_.
   std::size_t nodes = 0;
   for (const std::uint32_t node : node_of_) {
-    nodes = std::max<std::size_t>(nodes, node + 1);
+    STTSV_REQUIRE(node < node_of_.size(),
+                  "topology node labels must be dense in [0, N)");
+    nodes = std::max<std::size_t>(nodes, std::size_t{node} + 1);
   }
   ranks_on_.assign(nodes, {});
   for (std::size_t p = 0; p < node_of_.size(); ++p) {

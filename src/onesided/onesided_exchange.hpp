@@ -22,19 +22,12 @@
 // (puts excluded, sync ops counted) drops below Direct whenever ranks
 // talk to more than one peer — the quantity bench_transport sweeps.
 //
-// Delivery modes:
-//
-//  * Mode::kPut — after the fence, each target's inbox holds zero-copy
-//    PooledBuffer *views* into its window, origin-ascending. Views stay
-//    valid until the next epoch opens; the drivers consume deliveries
-//    before starting another exchange, which the registry's epoch guard
-//    enforces.
-//  * Mode::kActiveMessage — a registered DeliveryHandler runs the
-//    reduction at the target (targets ascending, then origins ascending,
-//    multiple puts per origin in posting order). That is exactly the
-//    sender-sorted order the two-sided drivers reduce in, so y stays
-//    bitwise identical. With no handler installed the mode degrades to
-//    view deliveries (the x-gather phase needs none).
+// Delivery: after the fence, each target's inbox holds zero-copy
+// PooledBuffer *views* into its window, origin-ascending — the order the
+// mailbox path delivers in, so the drivers reduce y bitwise identically.
+// Views stay valid until the next epoch opens; the drivers consume
+// deliveries before starting another exchange, which the registry's
+// epoch guard enforces.
 //
 // Not supported: wire fault injection (the model is a reliable RDMA
 // fabric; install faults under Direct/Reliable instead). Dead ranks are
@@ -55,11 +48,6 @@ class MetricsRegistry;
 
 namespace sttsv::onesided {
 
-enum class Mode {
-  kPut,            // zero-copy view deliveries after the fence
-  kActiveMessage,  // remote-reduce handler at the target
-};
-
 class OneSidedExchange final : public simt::Exchanger {
  public:
   struct Stats {
@@ -68,29 +56,16 @@ class OneSidedExchange final : public simt::Exchanger {
     std::uint64_t put_words = 0;         ///< payload words written
     std::uint64_t fences = 0;            ///< origin-side epoch fences
     std::uint64_t notifications = 0;     ///< target-side exposure notices
-    std::uint64_t am_deliveries = 0;     ///< extents fed to the handler
     std::uint64_t view_deliveries = 0;   ///< extents returned as views
   };
 
-  explicit OneSidedExchange(simt::Machine& machine, Mode mode = Mode::kPut);
+  explicit OneSidedExchange(simt::Machine& machine);
 
-  /// One epoch: open, Put every envelope, fence, deliver (views or
-  /// handler runs). Inboxes are empty in active-message mode once a
-  /// handler is installed.
+  /// One epoch: open, Put every envelope, fence, deliver views.
   std::vector<std::vector<simt::Delivery>> exchange(
       std::vector<std::vector<simt::Envelope>> outboxes,
       simt::Transport transport) override;
 
-  void set_phase(const char* phase) override { phase_ = phase; }
-
-  [[nodiscard]] bool supports_handler_delivery() const override {
-    return mode_ == Mode::kActiveMessage;
-  }
-  void set_delivery_handler(DeliveryHandler handler) override {
-    handler_ = std::move(handler);
-  }
-
-  [[nodiscard]] Mode mode() const { return mode_; }
   [[nodiscard]] SegmentRegistry& registry() { return registry_; }
   [[nodiscard]] const SegmentRegistry& registry() const { return registry_; }
   [[nodiscard]] const Stats& stats() const { return stats_; }
@@ -101,10 +76,7 @@ class OneSidedExchange final : public simt::Exchanger {
                        const std::string& prefix = "onesided") const;
 
  private:
-  Mode mode_;
   SegmentRegistry registry_;
-  DeliveryHandler handler_;
-  const char* phase_ = "unlabeled";
   Stats stats_;
 };
 

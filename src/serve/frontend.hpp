@@ -70,7 +70,7 @@ struct FrontendOptions {
   simt::Exchanger* exchanger = nullptr;
   /// Transport backend when `exchanger` is unset, forwarded to
   /// batch::EngineOptions::transport (DESIGN.md §16): the engine builds
-  /// and owns a one-sided or active-message exchanger, and the front
+  /// and owns the exchanger, and under a one-sided backend the front
   /// end's per-tenant attribution picks up the one-sided channel.
   simt::TransportKind transport = simt::TransportKind::kDirect;
   /// Rank -> node map forwarded to batch::EngineOptions::topology

@@ -75,9 +75,13 @@ void CommLedger::set_node_map(std::vector<std::uint32_t> node_of) {
   if (node_of == node_of_) return;  // idempotent re-install
   STTSV_REQUIRE(node_of.size() == num_ranks_,
                 "node map must cover every rank");
+  // A dense map has at most one node per rank: checking that bound first
+  // keeps a huge label from sizing (or wrapping) the tables below.
   std::size_t nodes = 0;
   for (const std::uint32_t node : node_of) {
-    nodes = std::max<std::size_t>(nodes, node + 1);
+    STTSV_REQUIRE(node < node_of.size(),
+                  "node labels must be dense in [0, N)");
+    nodes = std::max<std::size_t>(nodes, std::size_t{node} + 1);
   }
   STTSV_REQUIRE(nodes >= 1, "node map needs at least one node");
   // Dense labels: every node in [0, nodes) must host at least one rank,

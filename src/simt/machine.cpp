@@ -1,7 +1,6 @@
 #include "simt/machine.hpp"
 
 #include <algorithm>
-#include <array>
 
 #include "obs/trace.hpp"
 #include "simt/fault_injector.hpp"
@@ -16,6 +15,39 @@ void sort_by_destination(std::vector<Envelope>& outbox) {
   };
   if (!std::is_sorted(outbox.begin(), outbox.end(), by_destination)) {
     std::stable_sort(outbox.begin(), outbox.end(), by_destination);
+  }
+}
+
+void charge_rounds(CommLedger& ledger, Channel channel, Transport transport,
+                   const LevelCounts& sends, const LevelCounts& recvs,
+                   std::size_t max_pair_words) {
+  const std::size_t P = sends[0].size();
+  switch (transport) {
+    case Transport::kPointToPoint:
+      // König: a bipartite multigraph with max degree Δ is Δ-edge-
+      // colorable, so each level's frames complete in its own Δ steps. A
+      // flat machine puts every frame on kIntra.
+      for (std::size_t lvl = 0; lvl < kNumLevels; ++lvl) {
+        std::size_t delta = 0;
+        for (std::size_t p = 0; p < P; ++p) {
+          delta = std::max({delta, sends[lvl][p], recvs[lvl][p]});
+        }
+        if (delta > 0) {
+          ledger.add_rounds(channel, static_cast<Level>(lvl), delta);
+        }
+      }
+      break;
+    case Transport::kAllToAll:
+      // Bandwidth-optimal All-to-All: P-1 steps, empty slots included.
+      if (P > 1) {
+        const auto& inter = sends[static_cast<std::size_t>(Level::kInter)];
+        const bool any_inter = std::any_of(
+            inter.begin(), inter.end(), [](std::size_t k) { return k > 0; });
+        ledger.add_rounds(channel, any_inter ? Level::kInter : Level::kIntra,
+                          P - 1);
+        ledger.add_modeled_collective_words((P - 1) * max_pair_words);
+      }
+      break;
   }
 }
 
@@ -90,8 +122,8 @@ std::vector<std::vector<Delivery>> Machine::exchange(
   // nodes and the inter-node network schedule independently, so each
   // level gets its own Δ. On a flat machine everything lands on kIntra
   // and the totals match the historical single-level charge.
-  std::array<std::vector<std::size_t>, kNumLevels> sends_per_rank;
-  std::array<std::vector<std::size_t>, kNumLevels> recvs_per_rank;
+  LevelCounts sends_per_rank;
+  LevelCounts recvs_per_rank;
   for (auto& level : sends_per_rank) level.assign(P_, 0);
   for (auto& level : recvs_per_rank) level.assign(P_, 0);
   std::size_t max_pair_words = 0;
@@ -196,45 +228,8 @@ std::vector<std::vector<Delivery>> Machine::exchange(
   const Channel round_channel = recovery_rounds ? Channel::kRecovery
                                 : overhead_only ? Channel::kOverhead
                                                 : Channel::kGoodput;
-  switch (transport) {
-    case Transport::kPointToPoint: {
-      // König: a bipartite multigraph with max degree Δ is Δ-edge-
-      // colorable, so the exchange completes in Δ steps where
-      // Δ = max over ranks of max(#sends, #receives). Each level is
-      // colored independently (DESIGN.md §17): node-local frames occupy
-      // intra steps, cross-node frames inter steps. A flat machine puts
-      // every frame on kIntra, reproducing the historical single charge.
-      for (std::size_t lvl = 0; lvl < kNumLevels; ++lvl) {
-        std::size_t delta = 0;
-        for (std::size_t p = 0; p < P_; ++p) {
-          delta = std::max(
-              {delta, sends_per_rank[lvl][p], recvs_per_rank[lvl][p]});
-        }
-        if (delta > 0) {
-          ledger_.add_rounds(round_channel, static_cast<Level>(lvl), delta);
-        }
-      }
-      break;
-    }
-    case Transport::kAllToAll: {
-      // Bandwidth-optimal All-to-All: P-1 steps, every step charged the
-      // largest per-pair buffer (empty slots still occupy the schedule).
-      // The collective is one machine-wide operation, so its steps are
-      // charged once, to the slowest level it touched (inter if any
-      // frame crossed nodes, intra otherwise).
-      if (P_ > 1) {
-        bool any_inter = false;
-        const std::size_t inter = static_cast<std::size_t>(Level::kInter);
-        for (std::size_t p = 0; p < P_; ++p) {
-          any_inter = any_inter || sends_per_rank[inter][p] > 0;
-        }
-        ledger_.add_rounds(round_channel,
-                           any_inter ? Level::kInter : Level::kIntra, P_ - 1);
-        ledger_.add_modeled_collective_words((P_ - 1) * max_pair_words);
-      }
-      break;
-    }
-  }
+  charge_rounds(ledger_, round_channel, transport, sends_per_rank,
+                recvs_per_rank, max_pair_words);
   return inboxes;
 }
 

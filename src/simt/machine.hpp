@@ -29,6 +29,7 @@
 // dead peer. Detected losses are recorded as RankLossReports here, and
 // each death bumps a membership epoch that invalidates cached plans.
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -96,6 +97,20 @@ enum class Transport {
   /// cost model at the end of Section 7.2.2).
   kAllToAll,
 };
+
+/// Per topology level, each rank's frames sent (or received) in one
+/// exchange.
+using LevelCounts = std::array<std::vector<std::size_t>, kNumLevels>;
+
+/// The round charge of one exchange, shared by every backend. Under
+/// kPointToPoint each level is König-colored on its own (DESIGN.md §17):
+/// Δ = max over ranks of max(sends, receives) on that level. Under
+/// kAllToAll one machine-wide collective takes P - 1 steps, charged to
+/// the slowest level it touched (inter if any rank sent across nodes),
+/// each step moving the largest per-pair buffer, `max_pair_words`.
+void charge_rounds(CommLedger& ledger, Channel channel, Transport transport,
+                   const LevelCounts& sends, const LevelCounts& recvs,
+                   std::size_t max_pair_words);
 
 class Machine {
  public:

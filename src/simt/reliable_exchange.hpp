@@ -100,26 +100,15 @@ class Exchanger {
   /// Labels subsequent exchanges for FaultReports; no-op by default.
   virtual void set_phase(const char* phase) { (void)phase; }
 
-  /// Active-message delivery seam (DESIGN.md §16). Runs at the *target*
-  /// for one landed payload: `target` is the receiving rank, `from` the
-  /// origin, [data, data+words) the payload inside the target's exposed
-  /// segment. A backend that supports handler delivery invokes the
-  /// handler — targets ascending, then origins ascending, matching the
-  /// sender-sorted reduction order of the two-sided drivers — *instead*
-  /// of returning those payloads as deliveries.
+  /// Handler-delivery hooks: no backend runs a handler and no driver
+  /// installs one, so every backend returns deliveries. Like Parts, they
+  /// stay only because perfbench's TimingExchanger overrides them.
   using DeliveryHandler = std::function<void(
       std::size_t target, std::size_t from, const double* data,
       std::size_t words)>;
-
-  /// True for backends that can run a DeliveryHandler at the target
-  /// (OneSidedExchange in active-message mode). Drivers that see `true`
-  /// register a reduction handler and skip their own unpack-and-reduce.
   [[nodiscard]] virtual bool supports_handler_delivery() const {
     return false;
   }
-
-  /// Installs (or with an empty function removes) the delivery handler.
-  /// Default backends ignore it: they always return deliveries.
   virtual void set_delivery_handler(DeliveryHandler handler) {
     (void)handler;
   }

@@ -14,8 +14,6 @@ const char* transport_kind_name(TransportKind kind) {
       return "reliable";
     case TransportKind::kOneSidedPut:
       return "onesided";
-    case TransportKind::kActiveMessage:
-      return "am";
     case TransportKind::kHierarchical:
       return "hier";
   }
@@ -26,7 +24,6 @@ std::optional<TransportKind> parse_transport_kind(std::string_view text) {
   if (text == "direct") return TransportKind::kDirect;
   if (text == "reliable") return TransportKind::kReliable;
   if (text == "onesided") return TransportKind::kOneSidedPut;
-  if (text == "am") return TransportKind::kActiveMessage;
   if (text == "hier") return TransportKind::kHierarchical;
   return std::nullopt;
 }
@@ -37,7 +34,7 @@ TransportKind transport_kind_from_env(TransportKind fallback) {
   const std::optional<TransportKind> parsed = parse_transport_kind(raw);
   STTSV_REQUIRE(parsed.has_value(),
                 std::string("STTSV_TRANSPORT must be one of "
-                            "direct|reliable|onesided|am|hier, got \"") +
+                            "direct|reliable|onesided|hier, got \"") +
                     raw + "\"");
   return *parsed;
 }

@@ -12,21 +12,19 @@
 
 namespace sttsv::simt {
 
-/// The five exchange backends a driver can run on. Spelled exactly like
-/// the STTSV_TRANSPORT environment values and bench CLI flags.
+/// The four exchange backends a driver can run on, spelled as the
+/// STTSV_TRANSPORT values below.
 enum class TransportKind {
-  kDirect,         // "direct":   raw machine semantics, zero overhead
-  kReliable,       // "reliable": framed/ACKed protocol (ReliableExchange)
-  kOneSidedPut,    // "onesided": Puts into registered segments, view
-                   //             deliveries, no framing round
-  kActiveMessage,  // "am":       onesided + remote-reduce handler at the
-                   //             target (no unpack-and-reduce at all)
-  kHierarchical,   // "hier":     topology-split — node-local traffic via
-                   //             shared segments, cross-node via an inner
-                   //             backend (DESIGN.md §17)
+  kDirect,        // "direct":   raw machine semantics, zero overhead
+  kReliable,      // "reliable": framed/ACKed protocol (ReliableExchange)
+  kOneSidedPut,   // "onesided": Puts into registered segments, view
+                  //             deliveries, no framing round
+  kHierarchical,  // "hier":     topology-split — node-local traffic via
+                  //             shared segments, cross-node via an inner
+                  //             backend (DESIGN.md §17)
 };
 
-/// Stable lowercase spelling: direct | reliable | onesided | am | hier.
+/// Stable lowercase spelling: direct | reliable | onesided | hier.
 [[nodiscard]] const char* transport_kind_name(TransportKind kind);
 
 /// Parses the spellings above; nullopt for anything else.
@@ -35,8 +33,7 @@ enum class TransportKind {
 
 /// Reads STTSV_TRANSPORT from the environment: unset or empty returns
 /// `fallback`; an unparsable value throws PreconditionError naming the
-/// accepted spellings. Benches and serving call this once at startup so
-/// one env var swaps the backend under every driver.
+/// accepted spellings.
 [[nodiscard]] TransportKind transport_kind_from_env(
     TransportKind fallback = TransportKind::kDirect);
 

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
@@ -25,7 +26,6 @@
 #include "hier/make_exchanger.hpp"
 #include "hier/topology.hpp"
 #include "obs/metrics.hpp"
-#include "onesided/onesided_exchange.hpp"
 #include "partition/tetra_partition.hpp"
 #include "partition/vector_distribution.hpp"
 #include "serve/frontend.hpp"
@@ -86,6 +86,9 @@ TEST(Topology, FromMapRequiresDenseLabels) {
   EXPECT_EQ(topo.ranks_on(1), (std::vector<std::size_t>{0, 2}));
   EXPECT_THROW((void)Topology::from_map({}), PreconditionError);
   EXPECT_THROW((void)Topology::from_map({0, 2, 0}), PreconditionError);
+  // UINT32_MAX + 1 wraps to 0 in 32-bit arithmetic: a label past the rank
+  // count must be rejected before it sizes the per-node table.
+  EXPECT_THROW((void)Topology::from_map({0, UINT32_MAX}), PreconditionError);
 }
 
 TEST(Topology, ParsesNxMAgainstTheRankCount) {
@@ -220,6 +223,16 @@ TEST(PerLevelLedger, ConservationIsCheckedPerLevel) {
   EXPECT_THROW(machine.ledger().verify_conservation(), InternalError);
 }
 
+TEST(PerLevelLedger, NodeMapRejectsALabelPastTheRankCount) {
+  // UINT32_MAX + 1 wraps to 0 in 32-bit arithmetic: the label must be
+  // rejected before it sizes the per-node table.
+  Machine machine(2);
+  EXPECT_THROW(machine.ledger().set_node_map({0, UINT32_MAX}),
+               PreconditionError);
+  EXPECT_THROW(machine.ledger().set_node_map({0, 2}), PreconditionError);
+  EXPECT_EQ(machine.ledger().num_nodes(), 1u);  // the flat map stays
+}
+
 TEST(PerLevelLedger, NodeMapRequiresAnEmptyLedger) {
   Machine machine(4);
   machine.ledger().record(Channel::kGoodput, 0, 1, 3);
@@ -247,15 +260,6 @@ TEST(HierExchange, CtorValidatesItsPieces) {
   EXPECT_THROW(HierarchicalExchange(m3, Topology::uniform(4, 2),
                                     direct_inner(other)),
                PreconditionError);
-  // An active-message inner would interleave handler deliveries with the
-  // shared path; the factory and the ctor both reject it.
-  Machine m4(4);
-  EXPECT_THROW(
-      HierarchicalExchange(
-          m4, Topology::uniform(4, 2),
-          std::make_unique<onesided::OneSidedExchange>(
-              m4, onesided::Mode::kActiveMessage)),
-      PreconditionError);
 }
 
 TEST(HierExchange, MergesSharedAndFabricDeliveriesByOrigin) {

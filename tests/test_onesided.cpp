@@ -1,9 +1,9 @@
 // One-sided transport subsystem tests (DESIGN.md §16): segment-registry
-// epoch semantics, PooledBuffer views, Put and active-message delivery
-// bitwise-equivalence against DirectExchange, the four-way cross-transport
-// property sweep, sync-op metering (the α-term the paper's message-count
-// bound prices), per-channel ledger conservation, the make_exchanger
-// factory and STTSV_TRANSPORT parsing, and the engine/serve plumbing.
+// epoch semantics, PooledBuffer views, Put delivery bitwise-equivalence
+// against DirectExchange, the three-way cross-transport property sweep,
+// sync-op metering (the α-term the paper's message-count bound prices),
+// per-channel ledger conservation, the make_exchanger factory and
+// STTSV_TRANSPORT parsing, and the engine/serve plumbing.
 
 #include <gtest/gtest.h>
 
@@ -38,7 +38,6 @@ namespace sttsv {
 namespace {
 
 using onesided::Extent;
-using onesided::Mode;
 using onesided::OneSidedExchange;
 using onesided::SegmentRegistry;
 using simt::Channel;
@@ -150,7 +149,7 @@ TEST(PooledBufferView, AliasesWithoutOwning) {
 
 TEST(OneSidedExchange, PutModeDeliversViewsSenderSorted) {
   Machine machine(3);
-  OneSidedExchange ex(machine, Mode::kPut);
+  OneSidedExchange ex(machine);
   EXPECT_FALSE(ex.supports_handler_delivery());
 
   std::vector<std::vector<Envelope>> out(3);
@@ -177,36 +176,10 @@ TEST(OneSidedExchange, PutModeDeliversViewsSenderSorted) {
   led.verify_conservation();
 }
 
-TEST(OneSidedExchange, ActiveMessageRunsHandlerInsteadOfDelivering) {
-  Machine machine(3);
-  OneSidedExchange ex(machine, Mode::kActiveMessage);
-  EXPECT_TRUE(ex.supports_handler_delivery());
-  std::vector<std::pair<std::size_t, std::size_t>> order;  // (target, from)
-  double sum = 0.0;
-  ex.set_delivery_handler([&](std::size_t target, std::size_t from,
-                              const double* data, std::size_t words) {
-    order.emplace_back(target, from);
-    for (std::size_t i = 0; i < words; ++i) sum += data[i];
-  });
-  std::vector<std::vector<Envelope>> out(3);
-  out[2].push_back(Envelope{0, PooledBuffer{1.0, 2.0}});
-  out[0].push_back(Envelope{1, PooledBuffer{4.0}});
-  out[1].push_back(Envelope{0, PooledBuffer{8.0}});
-  auto in = ex.exchange(std::move(out), simt::Transport::kPointToPoint);
-  for (const auto& inbox : in) EXPECT_TRUE(inbox.empty());
-  // Targets ascending, then origins ascending within each target.
-  const std::vector<std::pair<std::size_t, std::size_t>> want{
-      {0, 1}, {0, 2}, {1, 0}};
-  EXPECT_EQ(order, want);
-  EXPECT_EQ(sum, 15.0);
-  EXPECT_EQ(ex.stats().am_deliveries, 3u);
-  EXPECT_EQ(ex.stats().view_deliveries, 0u);
-}
-
 TEST(OneSidedExchange, DeadEndpointsDropUncharged) {
   Machine machine(3);
   machine.mark_dead(2);
-  OneSidedExchange ex(machine, Mode::kPut);
+  OneSidedExchange ex(machine);
   std::vector<std::vector<Envelope>> out(3);
   out[0].push_back(Envelope{2, PooledBuffer{1.0}});  // to the dead rank
   out[2].push_back(Envelope{0, PooledBuffer{2.0}});  // from the dead rank
@@ -221,7 +194,7 @@ TEST(OneSidedExchange, DeadEndpointsDropUncharged) {
 
 TEST(OneSidedExchange, RecoveryFlaggedPutsChargeRecoveryChannel) {
   Machine machine(2);
-  OneSidedExchange ex(machine, Mode::kPut);
+  OneSidedExchange ex(machine);
   std::vector<std::vector<Envelope>> out(2);
   out[0].push_back(Envelope{1, PooledBuffer{1.0, 2.0}, 0, /*recovery=*/true});
   (void)ex.exchange(std::move(out), simt::Transport::kPointToPoint);
@@ -234,7 +207,7 @@ TEST(OneSidedExchange, RecoveryFlaggedPutsChargeRecoveryChannel) {
 
 TEST(OneSidedExchange, RejectsFramedEnvelopesBeforeAnyPut) {
   Machine machine(2);
-  OneSidedExchange ex(machine, Mode::kPut);
+  OneSidedExchange ex(machine);
   std::vector<std::vector<Envelope>> out(2);
   out[0].push_back(Envelope{1, PooledBuffer{1.0, 2.0}, /*overhead_words=*/1});
   EXPECT_THROW(ex.exchange(std::move(out), simt::Transport::kPointToPoint),
@@ -272,24 +245,22 @@ std::vector<double> run_with(const DriverSetup& s, TransportKind kind,
   return core::parallel_sttsv(*ex, *s.part, *s.dist, s.a, s.x, transport).y;
 }
 
-TEST(DriverEquivalence, PutAndAmMatchDirectBitwise) {
+TEST(DriverEquivalence, PutMatchesDirectBitwise) {
   const DriverSetup s = make_setup(steiner::spherical_system(2), 61, 11);
   for (const simt::Transport transport :
        {simt::Transport::kPointToPoint, simt::Transport::kAllToAll}) {
     const auto want = run_with(s, TransportKind::kDirect, transport);
     const auto put = run_with(s, TransportKind::kOneSidedPut, transport);
-    const auto am = run_with(s, TransportKind::kActiveMessage, transport);
     ASSERT_EQ(want.size(), put.size());
     for (std::size_t i = 0; i < want.size(); ++i) {
       ASSERT_EQ(put[i], want[i]) << "put i=" << i;
-      ASSERT_EQ(am[i], want[i]) << "am i=" << i;
     }
   }
 }
 
 TEST(DriverEquivalence, ThirtyTwoSeedCrossTransportSweep) {
-  // 32 seeds, all four backends, y bitwise identical and per-channel
-  // conservation after every run.
+  // 32 seeds, the three flat backends, y bitwise identical and
+  // per-channel conservation after every run.
   const struct {
     steiner::SteinerSystem sys;
     std::size_t n;
@@ -303,7 +274,7 @@ TEST(DriverEquivalence, ThirtyTwoSeedCrossTransportSweep) {
     std::vector<double> want;
     for (const TransportKind kind :
          {TransportKind::kDirect, TransportKind::kReliable,
-          TransportKind::kOneSidedPut, TransportKind::kActiveMessage}) {
+          TransportKind::kOneSidedPut}) {
       Machine machine(s.part->num_processors());
       auto ex = simt::make_exchanger(machine, kind);
       const auto result = core::parallel_sttsv(
@@ -347,7 +318,7 @@ TEST(DriverEquivalence, OneSidedSyncOpsBelowDirectMessages) {
                              simt::Transport::kPointToPoint);
 
   Machine os_machine(s.part->num_processors());
-  OneSidedExchange put(os_machine, Mode::kPut);
+  OneSidedExchange put(os_machine);
   (void)core::parallel_sttsv(put, *s.part, *s.dist, s.a, s.x,
                              simt::Transport::kPointToPoint);
 
@@ -368,7 +339,7 @@ TEST(DriverEquivalence, OneSidedSyncOpsBelowDirectMessages) {
 TEST(DriverEquivalence, WarmedOneSidedRunIsAllocationFree) {
   const DriverSetup s = make_setup(steiner::spherical_system(2), 60, 31);
   Machine machine(s.part->num_processors());
-  OneSidedExchange ex(machine, Mode::kPut);
+  OneSidedExchange ex(machine);
   (void)core::parallel_sttsv(ex, *s.part, *s.dist, s.a, s.x,
                              simt::Transport::kPointToPoint);
   const std::uint64_t grows_after_warmup = ex.registry().stats().window_grows;
@@ -403,12 +374,6 @@ class CountingExchanger final : public simt::Exchanger {
     phases.push_back(phase);
     inner_.set_phase(phase);
   }
-  [[nodiscard]] bool supports_handler_delivery() const override {
-    return inner_.supports_handler_delivery();
-  }
-  void set_delivery_handler(DeliveryHandler handler) override {
-    inner_.set_delivery_handler(std::move(handler));
-  }
 
   std::vector<std::string> exchanges;
   std::vector<std::string> phases;
@@ -431,8 +396,7 @@ TEST(DriverEquivalence, OneExchangePerPhaseOnEveryBackend) {
   const std::vector<std::string> want = {"x-panel", "y-panel"};
   for (const TransportKind kind :
        {TransportKind::kDirect, TransportKind::kReliable,
-        TransportKind::kOneSidedPut, TransportKind::kActiveMessage,
-        TransportKind::kHierarchical}) {
+        TransportKind::kOneSidedPut, TransportKind::kHierarchical}) {
     SCOPED_TRACE(simt::transport_kind_name(kind));
     simt::ExchangerConfig config;
     config.kind = kind;
@@ -486,19 +450,18 @@ TEST(LedgerChannels, OneSidedMetricsExported) {
 
 // --- Factory and environment selection --------------------------------------
 
-TEST(TransportKindSelection, ParsesTheFiveSpellings) {
+TEST(TransportKindSelection, ParsesTheFourSpellings) {
   EXPECT_EQ(simt::parse_transport_kind("direct"), TransportKind::kDirect);
   EXPECT_EQ(simt::parse_transport_kind("reliable"), TransportKind::kReliable);
   EXPECT_EQ(simt::parse_transport_kind("onesided"),
             TransportKind::kOneSidedPut);
-  EXPECT_EQ(simt::parse_transport_kind("am"), TransportKind::kActiveMessage);
   EXPECT_EQ(simt::parse_transport_kind("hier"),
             TransportKind::kHierarchical);
   EXPECT_EQ(simt::parse_transport_kind("rdma"), std::nullopt);
+  EXPECT_EQ(simt::parse_transport_kind("am"), std::nullopt);
   for (const TransportKind kind :
        {TransportKind::kDirect, TransportKind::kReliable,
-        TransportKind::kOneSidedPut, TransportKind::kActiveMessage,
-        TransportKind::kHierarchical}) {
+        TransportKind::kOneSidedPut, TransportKind::kHierarchical}) {
     EXPECT_EQ(simt::parse_transport_kind(simt::transport_kind_name(kind)),
               kind);
   }
@@ -508,10 +471,19 @@ TEST(TransportKindSelection, EnvOverrideAndFallback) {
   ::unsetenv("STTSV_TRANSPORT");
   EXPECT_EQ(simt::transport_kind_from_env(TransportKind::kReliable),
             TransportKind::kReliable);
-  ::setenv("STTSV_TRANSPORT", "am", 1);
-  EXPECT_EQ(simt::transport_kind_from_env(), TransportKind::kActiveMessage);
-  ::setenv("STTSV_TRANSPORT", "bogus", 1);
-  EXPECT_THROW((void)simt::transport_kind_from_env(), PreconditionError);
+  ::setenv("STTSV_TRANSPORT", "onesided", 1);
+  EXPECT_EQ(simt::transport_kind_from_env(), TransportKind::kOneSidedPut);
+  for (const char* bad : {"bogus", "am"}) {
+    ::setenv("STTSV_TRANSPORT", bad, 1);
+    try {
+      (void)simt::transport_kind_from_env();
+      ADD_FAILURE() << bad << " was accepted";
+    } catch (const PreconditionError& e) {
+      EXPECT_NE(std::string(e.what()).find("direct|reliable|onesided|hier"),
+                std::string::npos)
+          << e.what();
+    }
+  }
   ::unsetenv("STTSV_TRANSPORT");
 }
 
@@ -520,13 +492,10 @@ TEST(TransportKindSelection, FactoryBuildsEachBackend) {
   auto direct = simt::make_exchanger(machine, TransportKind::kDirect);
   auto reliable = simt::make_exchanger(machine, TransportKind::kReliable);
   auto put = simt::make_exchanger(machine, TransportKind::kOneSidedPut);
-  auto am = simt::make_exchanger(machine, TransportKind::kActiveMessage);
   EXPECT_FALSE(direct->supports_handler_delivery());
   EXPECT_FALSE(reliable->supports_handler_delivery());
   EXPECT_FALSE(put->supports_handler_delivery());
-  EXPECT_TRUE(am->supports_handler_delivery());
   EXPECT_EQ(&direct->machine(), &machine);
-  EXPECT_EQ(&am->machine(), &machine);
 }
 
 TEST(TransportKindSelection, FactoryRejectsUnknownKindNamingTheTokens) {
@@ -538,7 +507,7 @@ TEST(TransportKindSelection, FactoryRejectsUnknownKindNamingTheTokens) {
     (void)simt::make_exchanger(machine, static_cast<TransportKind>(99));
   } catch (const PreconditionError& e) {
     threw = true;
-    EXPECT_NE(std::string(e.what()).find("direct|reliable|onesided|am|hier"),
+    EXPECT_NE(std::string(e.what()).find("direct|reliable|onesided|hier"),
               std::string::npos)
         << e.what();
   }
@@ -569,12 +538,11 @@ TEST(TransportKindSelection, HierarchicalNeedsATopology) {
   EXPECT_EQ(machine2.ledger().num_nodes(), 2u);
   ::unsetenv("STTSV_TOPOLOGY");
 
-  // An active-message fabric under the hierarchy is rejected: its handler
-  // order would interleave with shared deliveries.
+  // The inter-node backend must be a flat one.
   simt::ExchangerConfig config;
   config.kind = TransportKind::kHierarchical;
   config.node_of = {0, 0, 1, 1};
-  config.hier_inter = TransportKind::kActiveMessage;
+  config.hier_inter = TransportKind::kHierarchical;
   Machine machine3(4);
   EXPECT_THROW((void)simt::make_exchanger(machine3, config),
                PreconditionError);
@@ -614,10 +582,8 @@ TEST(EnginePlumbing, OneSidedTransportMatchesDirectBitwise) {
 
   const auto want = run(TransportKind::kDirect);
   const auto put = run(TransportKind::kOneSidedPut);
-  const auto am = run(TransportKind::kActiveMessage);
   for (std::size_t v = 0; v < want.size(); ++v) {
     ASSERT_EQ(put[v], want[v]) << "put v=" << v;
-    ASSERT_EQ(am[v], want[v]) << "am v=" << v;
   }
 }
 
@@ -630,7 +596,7 @@ TEST(ServePlumbing, TenantOneSidedAttributionSumsToLedger) {
   const auto a = tensor::random_symmetric(n, rng);
   serve::FrontendOptions opts;
   opts.batch_width = 4;
-  opts.transport = TransportKind::kActiveMessage;
+  opts.transport = TransportKind::kOneSidedPut;
   serve::Frontend fe(machine, plan, a, opts);
   const serve::TenantId t0 = fe.add_tenant("alpha");
   const serve::TenantId t1 = fe.add_tenant("beta");

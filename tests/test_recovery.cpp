@@ -295,13 +295,11 @@ TEST(Recovery, ShrunkenAssignmentsAreBitwiseInvariant) {
     for (const std::uint64_t m : ref.ternary_mults) ref_mults += m;
     EXPECT_EQ(mults, ref_mults);
 
-    // The same placement over every backend. At a non-identity
-    // placement AM installs no handler, so its results come back as Put
-    // views; hier splits the wire over two nodes.
+    // The same placement over every backend; hier splits the wire over
+    // two nodes.
     for (const TransportKind kind :
          {TransportKind::kDirect, TransportKind::kReliable,
-          TransportKind::kOneSidedPut, TransportKind::kActiveMessage,
-          TransportKind::kHierarchical}) {
+          TransportKind::kOneSidedPut, TransportKind::kHierarchical}) {
       simt::Machine m(P);
       simt::ExchangerConfig config;
       config.kind = kind;

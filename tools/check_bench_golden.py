@@ -5,8 +5,8 @@ Every exact field (words, messages, rounds, counts, pool counters, bitwise
 flags) of each named file in the current directory must equal the one in
 the committed copy at the repository root (the parent of this script's
 directory); only timing fields are skipped: names containing "seconds" or
-"speedup", or ending in "_per_s". A field present on one side only is a
-difference. Exits 1 on any difference.
+"speedup", or ending in "_per_s" or "_ms". A field present on one side
+only is a difference. Exits 1 on any difference.
 
 Run it in the directory the benches wrote their JSON to:
 
@@ -36,7 +36,8 @@ def fields(node, path=()):
 
 def timing(path):
     name = path[-1]
-    return "seconds" in name or "speedup" in name or name.endswith("_per_s")
+    return ("seconds" in name or "speedup" in name
+            or name.endswith(("_per_s", "_ms")))
 
 
 def check(name):
