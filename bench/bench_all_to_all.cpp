@@ -37,10 +37,12 @@ int main() {
     const partition::VectorDistribution dist(part, n);
 
     simt::Machine p2p(P);
-    core::simulate_communication(p2p, part, dist,
+    simt::DirectExchange p2p_direct(p2p);
+    core::simulate_communication(p2p_direct, part, dist,
                                  simt::Transport::kPointToPoint);
     simt::Machine a2a(P);
-    core::simulate_communication(a2a, part, dist,
+    simt::DirectExchange a2a_direct(a2a);
+    core::simulate_communication(a2a_direct, part, dist,
                                  simt::Transport::kAllToAll);
 
     const auto p2p_words = p2p.ledger().max_words_sent();

@@ -48,7 +48,8 @@ int main() {
   const auto seq = apps::hopm(a, hopts);
 
   simt::Machine machine(P);
-  const auto par = apps::hopm_parallel(machine, part, dist, a, hopts);
+  simt::DirectExchange direct(machine);
+  const auto par = apps::hopm_parallel(direct, part, dist, a, hopts);
 
   TextTable hopm_table({"driver", "eigenvalue", "iterations", "residual",
                         "converged"},
@@ -84,8 +85,9 @@ int main() {
   for (auto& ccol : cols) ccol = rng.uniform_vector(n, -0.5, 0.5);
   const auto g_seq = apps::cp_gradient(a, cols);
   simt::Machine gmachine(P);
+  simt::DirectExchange gmachine_direct(gmachine);
   const auto g_par =
-      apps::cp_gradient_parallel(gmachine, part, dist, a, cols);
+      apps::cp_gradient_parallel(gmachine_direct, part, dist, a, cols);
   double gdiff = 0.0;
   for (std::size_t l = 0; l < cols.size(); ++l) {
     for (std::size_t i = 0; i < n; ++i) {

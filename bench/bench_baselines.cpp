@@ -72,11 +72,13 @@ int main() {
 
     // Cubic dense baseline on the largest cube P' = c³ <= P.
     simt::Machine cubic(c * c * c);
-    const auto cubic_run = core::baseline_cubic(cubic, a, x);
+    simt::DirectExchange cubic_direct(cubic);
+    const auto cubic_run = core::baseline_cubic(cubic_direct, a, x);
 
     // 1D atomic baseline on the full P.
     simt::Machine oned(P);
-    const auto oned_run = core::baseline_1d_atomic(oned, a, x);
+    simt::DirectExchange oned_direct(oned);
+    const auto oned_run = core::baseline_1d_atomic(oned_direct, a, x);
 
     check.check(nearly_equal(tetra_run.y, y_ref, 1e-8),
                 "q=" + std::to_string(q) + ": Algorithm 5 output correct");

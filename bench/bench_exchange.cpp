@@ -109,13 +109,13 @@ void collect(std::vector<Arrival>& out,
 /// and grows as slices are appended — exactly the incremental
 /// std::vector packing the drivers used before the pool (no up-front
 /// reserve), so its realloc-and-copy churn is charged to the baseline.
-double baseline_superstep(simt::Machine& machine, const Workload& w,
+double baseline_superstep(simt::Exchanger& exchanger, const Workload& w,
                           std::vector<Arrival>* arrivals = nullptr) {
   auto outboxes = pack(w, [](std::size_t, std::size_t) {
     return simt::PooledBuffer();  // unpooled, grows on demand
   });
   auto in =
-      machine.exchange(std::move(outboxes), simt::Transport::kPointToPoint);
+      exchanger.exchange(std::move(outboxes), simt::Transport::kPointToPoint);
   if (arrivals != nullptr) collect(*arrivals, in);
   return consume_touch(in);
 }
@@ -170,13 +170,14 @@ int main(int argc, char** argv) {
 
   simt::Machine base_machine(P);
   simt::Machine pool_machine(P);
+  simt::DirectExchange base(base_machine);
   simt::DirectExchange pooled(pool_machine);
   plan->prewarm_pool(pool_machine.pool(), lanes);
 
   // --- Contract checks before any timing. ------------------------------
   std::vector<Arrival> base_arrivals;
   std::vector<Arrival> pool_arrivals;
-  (void)baseline_superstep(base_machine, w, &base_arrivals);
+  (void)baseline_superstep(base, w, &base_arrivals);
   (void)pooled_superstep(pooled, w, &pool_arrivals);
   std::sort(base_arrivals.begin(), base_arrivals.end());
   std::sort(pool_arrivals.begin(), pool_arrivals.end());
@@ -215,7 +216,7 @@ int main(int argc, char** argv) {
   {
     simt::AllocationGuard guard(pool_machine.pool());
     guard.dismiss();
-    (void)baseline_superstep(base_machine, w);
+    (void)baseline_superstep(base, w);
     baseline_allocs = guard.new_unpooled_allocations();
   }
   check.check(baseline_allocs > 0,
@@ -228,7 +229,7 @@ int main(int argc, char** argv) {
   for (std::size_t r = 0; r < reps; ++r) {
     Timer t;
     for (std::size_t s = 0; s < supersteps; ++s) {
-      sink = sink + baseline_superstep(base_machine, w);
+      sink = sink + baseline_superstep(base, w);
     }
     base_s = std::min(base_s, t.seconds());
 

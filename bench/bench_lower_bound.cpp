@@ -45,7 +45,8 @@ int main() {
         partition::TetraPartition::build(steiner::spherical_system(q));
     const partition::VectorDistribution dist(part, n);
     simt::Machine machine(P);
-    core::simulate_communication(machine, part, dist,
+    simt::DirectExchange direct(machine);
+    core::simulate_communication(direct, part, dist,
                                  simt::Transport::kPointToPoint);
 
     const auto measured = machine.ledger().max_words_sent();

@@ -54,8 +54,9 @@ int main() {
     for (auto& c : cols) c = rng.uniform_vector(n);
 
     simt::Machine machine(P);
+    simt::DirectExchange direct(machine);
     const auto y_par = core::parallel_symmetric_mttkrp(
-        machine, part, dist, a, cols, simt::Transport::kPointToPoint);
+        direct, part, dist, a, cols, simt::Transport::kPointToPoint);
     const auto y_seq = core::symmetric_mttkrp(a, cols);
     double max_err = 0.0;
     for (std::size_t l = 0; l < r; ++l) {

@@ -28,14 +28,13 @@
 #include "batch/batched_run.hpp"
 #include "batch/plan.hpp"
 #include "core/parallel_sttsv.hpp"
-#include "hier/make_exchanger.hpp"
 #include "obs/metrics.hpp"
 #include "onesided/onesided_exchange.hpp"
 #include "partition/tetra_partition.hpp"
 #include "partition/vector_distribution.hpp"
 #include "repro_common.hpp"
 #include "simt/machine.hpp"
-#include "simt/transport_kind.hpp"
+#include "simt/reliable_exchange.hpp"
 #include "steiner/constructions.hpp"
 #include "support/rng.hpp"
 #include "support/table.hpp"
@@ -44,12 +43,30 @@
 namespace {
 
 using namespace sttsv;
-using simt::TransportKind;
 using Clock = std::chrono::steady_clock;
 
-constexpr TransportKind kKinds[] = {TransportKind::kDirect,
-                                    TransportKind::kReliable,
-                                    TransportKind::kOneSidedPut};
+/// The three flat backends, Direct first (the bitwise reference) and
+/// OneSidedPut last (the per-cell checks read it there). A one-sided
+/// backend's α-term is its sync ops, not its Puts.
+struct Backend {
+  const char* name;
+  bool one_sided;
+  std::unique_ptr<simt::Exchanger> (*make)(simt::Machine&);
+};
+constexpr Backend kBackends[] = {
+    {"direct", false,
+     [](simt::Machine& m) -> std::unique_ptr<simt::Exchanger> {
+       return std::make_unique<simt::DirectExchange>(m);
+     }},
+    {"reliable", false,
+     [](simt::Machine& m) -> std::unique_ptr<simt::Exchanger> {
+       return std::make_unique<simt::ReliableExchange>(m);
+     }},
+    {"onesided", true,
+     [](simt::Machine& m) -> std::unique_ptr<simt::Exchanger> {
+       return std::make_unique<onesided::OneSidedExchange>(m);
+     }},
+};
 
 struct Family {
   const char* name;
@@ -62,7 +79,7 @@ struct Cell {
   std::size_t P = 0;
   std::size_t n = 0;
   std::size_t B = 0;
-  TransportKind kind = TransportKind::kDirect;
+  const Backend* backend = nullptr;
   repro::LedgerRollup led;  // shared per-backend rollup (repro_common)
   double words_per_s = 0.0;
   bool bitwise = false;
@@ -128,9 +145,9 @@ int main(int argc, char** argv) {
           xs.push_back(rng.uniform_vector(n));
         }
         std::vector<std::vector<double>> want;  // Direct's outputs
-        for (const TransportKind kind : kKinds) {
+        for (const Backend& backend : kBackends) {
           simt::Machine machine(P);
-          auto ex = simt::make_exchanger(machine, kind);
+          auto ex = backend.make(machine);
           std::vector<std::vector<double>> ys;
           const auto t0 = Clock::now();
           if (B == 1) {
@@ -149,9 +166,8 @@ int main(int argc, char** argv) {
           cell.P = P;
           cell.n = n;
           cell.B = B;
-          cell.kind = kind;
-          cell.led = repro::ledger_rollup(
-              machine.ledger(), kind == TransportKind::kOneSidedPut);
+          cell.backend = &backend;
+          cell.led = repro::ledger_rollup(machine.ledger(), backend.one_sided);
           cell.words_per_s =
               secs > 0.0 ? static_cast<double>(cell.led.payload_words +
                                                cell.led.overhead_words) /
@@ -169,8 +185,7 @@ int main(int argc, char** argv) {
           check.check(cell.bitwise,
                       std::string(fam.name) + " n=" + std::to_string(n) +
                           " B=" + std::to_string(B) + " " +
-                          simt::transport_kind_name(kind) +
-                          ": y bitwise identical to direct");
+                          backend.name + ": y bitwise identical to direct");
           cells.push_back(cell);
         }
 
@@ -197,8 +212,7 @@ int main(int argc, char** argv) {
                   std::vector<Align>(12, Align::kRight));
   for (const Cell& c : cells) {
     table.add_row({c.family, std::to_string(c.P), std::to_string(c.n),
-                   std::to_string(c.B),
-                   simt::transport_kind_name(c.kind),
+                   std::to_string(c.B), c.backend->name,
                    std::to_string(c.led.messages),
                    std::to_string(c.led.payload_words),
                    std::to_string(c.led.overhead_words),
@@ -224,7 +238,7 @@ int main(int argc, char** argv) {
       w.field("P", static_cast<std::uint64_t>(c.P));
       w.field("n", static_cast<std::uint64_t>(c.n));
       w.field("B", static_cast<std::uint64_t>(c.B));
-      w.field("transport", simt::transport_kind_name(c.kind));
+      w.field("transport", c.backend->name);
       repro::write_ledger_rollup(w, c.led);
       w.field("words_per_s", c.words_per_s);
       w.field("bitwise", c.bitwise);

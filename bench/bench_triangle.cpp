@@ -41,7 +41,8 @@ int main() {
     const auto a = matrix::random_symmetric_matrix(n, rng);
     const auto x = rng.uniform_vector(n);
     simt::Machine machine(part.num_processors());
-    (void)matrix::parallel_symv(machine, part, a, x,
+    simt::DirectExchange direct(machine);
+    (void)matrix::parallel_symv(direct, part, a, x,
                                 simt::Transport::kPointToPoint);
     const auto measured = machine.ledger().max_words_sent();
     const double formula = matrix::optimal_symv_words(n, q);
@@ -70,7 +71,8 @@ int main() {
         partition::TetraPartition::build(steiner::spherical_system(q));
     const partition::VectorDistribution dist(part, n);
     simt::Machine machine(P);
-    core::simulate_communication(machine, part, dist,
+    simt::DirectExchange direct(machine);
+    core::simulate_communication(direct, part, dist,
                                  simt::Transport::kPointToPoint);
     const auto measured = machine.ledger().max_words_sent();
     const double formula = core::optimal_algorithm_words(n, q);

@@ -33,8 +33,9 @@ int main() {
   opts.max_iterations = 2000;
 
   simt::Machine machine(part.num_processors());
+  simt::DirectExchange direct(machine);
   const auto res =
-      apps::hopm_fully_distributed(machine, part, dist, a, opts);
+      apps::hopm_fully_distributed(direct, part, dist, a, opts);
 
   std::cout << "fully distributed SS-HOPM, n = " << n << ", P = "
             << machine.num_ranks() << "\n";
@@ -60,7 +61,8 @@ int main() {
   std::vector<std::vector<double>> cols(4);
   for (auto& c : cols) c = rng.uniform_vector(n);
   simt::Machine mmach(part.num_processors());
-  (void)core::parallel_symmetric_mttkrp(mmach, part, dist, a, cols,
+  simt::DirectExchange mmach_direct(mmach);
+  (void)core::parallel_symmetric_mttkrp(mmach_direct, part, dist, a, cols,
                                         simt::Transport::kPointToPoint);
   std::cout << "\nbatched MTTKRP (r = 4): "
             << mmach.ledger().max_words_sent() << " words/rank in "

@@ -53,12 +53,13 @@ int main() {
       partition::TetraPartition::build(steiner::spherical_system(q));
   const partition::VectorDistribution dist(part, n);
   simt::Machine machine(part.num_processors());
+  simt::DirectExchange direct(machine);
 
   apps::HopmOptions opts;
   opts.seed = 1001;
   opts.shift = 1.0;
   opts.max_iterations = 3000;
-  const auto par = apps::hopm_parallel(machine, part, dist, a, opts);
+  const auto par = apps::hopm_parallel(direct, part, dist, a, opts);
 
   std::cout << "\nparallel run (P = " << machine.num_ranks()
             << "): eigenvalue " << par.eigenvalue << ", " << par.iterations

@@ -36,8 +36,9 @@ int main() {
     const auto x = rng.uniform_vector(n);
 
     simt::Machine machine(part.num_processors());
+    simt::DirectExchange direct(machine);
     const auto result = matrix::parallel_symv(
-        machine, part, a, x, simt::Transport::kPointToPoint);
+        direct, part, a, x, simt::Transport::kPointToPoint);
 
     const auto y_ref = matrix::symv(a, x);
     double max_diff = 0.0;

@@ -66,22 +66,22 @@ std::vector<std::vector<double>> cp_gradient(
 }
 
 std::vector<std::vector<double>> cp_gradient_parallel(
-    simt::Machine& machine, const partition::TetraPartition& part,
+    simt::Exchanger& exchanger, const partition::TetraPartition& part,
     const partition::VectorDistribution& dist, const tensor::SymTensor3& a,
     const std::vector<std::vector<double>>& columns,
     simt::Transport transport) {
   return gradient_impl(a, columns, [&](const std::vector<double>& x) {
-    return core::parallel_sttsv(machine, part, dist, a, x, transport).y;
+    return core::parallel_sttsv(exchanger, part, dist, a, x, transport).y;
   });
 }
 
 std::vector<std::vector<double>> cp_gradient_batched(
-    simt::Machine& machine, const batch::Plan& plan,
+    simt::Exchanger& exchanger, const batch::Plan& plan,
     const tensor::SymTensor3& a,
     const std::vector<std::vector<double>>& columns) {
   check_columns(a, columns);
   batch::BatchRunResult run =
-      batch::parallel_sttsv_batch(machine, plan, a, columns);
+      batch::parallel_sttsv_batch(exchanger, plan, a, columns);
   return gradient_from_ytilde(a.dim(), columns, run.y);
 }
 

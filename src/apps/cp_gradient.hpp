@@ -10,7 +10,7 @@
 #include "batch/plan.hpp"
 #include "partition/tetra_partition.hpp"
 #include "partition/vector_distribution.hpp"
-#include "simt/machine.hpp"
+#include "simt/reliable_exchange.hpp"
 #include "tensor/sym_tensor.hpp"
 
 namespace sttsv::apps {
@@ -21,7 +21,7 @@ std::vector<std::vector<double>> cp_gradient(
     const std::vector<std::vector<double>>& columns);
 
 std::vector<std::vector<double>> cp_gradient_parallel(
-    simt::Machine& machine, const partition::TetraPartition& part,
+    simt::Exchanger& exchanger, const partition::TetraPartition& part,
     const partition::VectorDistribution& dist, const tensor::SymTensor3& a,
     const std::vector<std::vector<double>>& columns,
     simt::Transport transport = simt::Transport::kPointToPoint);
@@ -31,7 +31,7 @@ std::vector<std::vector<double>> cp_gradient_parallel(
 /// per phase (words unchanged, messages ~r× fewer). Gradient values are
 /// bitwise identical to cp_gradient_parallel with the plan's transport.
 std::vector<std::vector<double>> cp_gradient_batched(
-    simt::Machine& machine, const batch::Plan& plan,
+    simt::Exchanger& exchanger, const batch::Plan& plan,
     const tensor::SymTensor3& a,
     const std::vector<std::vector<double>>& columns);
 

@@ -60,7 +60,7 @@ HopmResult hopm(const tensor::SymTensor3& a, const HopmOptions& opts) {
   });
 }
 
-HopmResult hopm_parallel(simt::Machine& machine,
+HopmResult hopm_parallel(simt::Exchanger& exchanger,
                          const partition::TetraPartition& part,
                          const partition::VectorDistribution& dist,
                          const tensor::SymTensor3& a,
@@ -69,11 +69,11 @@ HopmResult hopm_parallel(simt::Machine& machine,
   STTSV_REQUIRE(dist.logical_n() == a.dim(),
                 "distribution/tensor dimension mismatch");
   return hopm_loop(a, opts, [&](const std::vector<double>& x) {
-    return core::parallel_sttsv(machine, part, dist, a, x, transport).y;
+    return core::parallel_sttsv(exchanger, part, dist, a, x, transport).y;
   });
 }
 
-HopmResult hopm_fully_distributed(simt::Machine& machine,
+HopmResult hopm_fully_distributed(simt::Exchanger& exchanger,
                                   const partition::TetraPartition& part,
                                   const partition::VectorDistribution& dist,
                                   const tensor::SymTensor3& a,
@@ -91,19 +91,19 @@ HopmResult hopm_fully_distributed(simt::Machine& machine,
   std::vector<double> x0 = rng.uniform_vector(n, -1.0, 1.0);
   DistributedVector x = DistributedVector::scatter(dist, x0);
   {
-    const double norm2_x = DistributedVector::dot(machine, x, x);
+    const double norm2_x = DistributedVector::dot(exchanger, x, x);
     x.scale(1.0 / std::sqrt(norm2_x));
   }
 
   HopmResult result;
   for (std::size_t it = 1; it <= opts.max_iterations; ++it) {
     DistributedVector y =
-        core::parallel_sttsv_dist(machine, part, a, x, transport);
+        core::parallel_sttsv_dist(exchanger, part, a, x, transport);
     if (opts.shift != 0.0) y.axpy(opts.shift, x);
-    const double norm2_y = DistributedVector::dot(machine, y, y);
+    const double norm2_y = DistributedVector::dot(exchanger, y, y);
     STTSV_CHECK(norm2_y > 0.0, "HOPM iterate collapsed to zero");
     y.scale(1.0 / std::sqrt(norm2_y));
-    const auto [dm, dp] = DistributedVector::diff_norms2(machine, x, y);
+    const auto [dm, dp] = DistributedVector::diff_norms2(exchanger, x, y);
     const double delta = std::sqrt(std::min(dm, dp));
     x = std::move(y);
     result.iterations = it;
@@ -115,11 +115,11 @@ HopmResult hopm_fully_distributed(simt::Machine& machine,
 
   // λ = xᵀ(A ×₂x ×₃x), residual ||Ax² − λx|| — all in shares.
   DistributedVector ax =
-      core::parallel_sttsv_dist(machine, part, a, x, transport);
-  result.eigenvalue = DistributedVector::dot(machine, x, ax);
+      core::parallel_sttsv_dist(exchanger, part, a, x, transport);
+  result.eigenvalue = DistributedVector::dot(exchanger, x, ax);
   DistributedVector r = ax;
   r.axpy(-result.eigenvalue, x);
-  result.residual = std::sqrt(DistributedVector::dot(machine, r, r));
+  result.residual = std::sqrt(DistributedVector::dot(exchanger, r, r));
   result.eigenvector = x.gather();
   return result;
 }

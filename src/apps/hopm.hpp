@@ -15,7 +15,7 @@
 
 #include "partition/tetra_partition.hpp"
 #include "partition/vector_distribution.hpp"
-#include "simt/machine.hpp"
+#include "simt/reliable_exchange.hpp"
 #include "tensor/sym_tensor.hpp"
 
 namespace sttsv::apps {
@@ -38,8 +38,9 @@ struct HopmResult {
 
 HopmResult hopm(const tensor::SymTensor3& a, const HopmOptions& opts = {});
 
-/// Same iteration with each STTSV executed by Algorithm 5 on the machine.
-HopmResult hopm_parallel(simt::Machine& machine,
+/// Same iteration with each STTSV executed by Algorithm 5 over
+/// `exchanger`.
+HopmResult hopm_parallel(simt::Exchanger& exchanger,
                          const partition::TetraPartition& part,
                          const partition::VectorDistribution& dist,
                          const tensor::SymTensor3& a,
@@ -51,7 +52,7 @@ HopmResult hopm_parallel(simt::Machine& machine,
 /// Each iteration costs one STTSV exchange plus O(log P) words of scalar
 /// allreduces (norm + convergence test) — the message pattern a real MPI
 /// implementation of Algorithm 1 would have.
-HopmResult hopm_fully_distributed(simt::Machine& machine,
+HopmResult hopm_fully_distributed(simt::Exchanger& exchanger,
                                   const partition::TetraPartition& part,
                                   const partition::VectorDistribution& dist,
                                   const tensor::SymTensor3& a,

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "hier/make_exchanger.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "support/check.hpp"
@@ -22,18 +21,6 @@ Engine::Engine(simt::Machine& machine, std::shared_ptr<const Plan> plan,
   STTSV_REQUIRE(opts_.exchanger == nullptr ||
                     &opts_.exchanger->machine() == &machine_,
                 "engine exchanger must wrap the engine's machine");
-  if (opts_.exchanger == nullptr &&
-      (opts_.transport != simt::TransportKind::kDirect ||
-       !opts_.topology.empty())) {
-    // A bare topology (flat transport) still goes through the factory:
-    // it installs the node map so the ledger splits by level.
-    simt::ExchangerConfig config;
-    config.kind = opts_.transport;
-    config.node_of = opts_.topology;
-    config.hier_inter = opts_.hier_inter;
-    owned_exchanger_ = simt::make_exchanger(machine_, config);
-    opts_.exchanger = owned_exchanger_.get();
-  }
   // Size the pool for a full-width batch up front so even the first
   // batch's message path is allocation-free (DESIGN.md §12), then fault
   // the reserved slabs in from their consumer threads (DESIGN.md §17).

@@ -23,7 +23,6 @@
 #include "batch/plan.hpp"
 #include "simt/machine.hpp"
 #include "simt/reliable_exchange.hpp"
-#include "simt/transport_kind.hpp"
 #include "tensor/sym_tensor.hpp"
 
 namespace sttsv::obs {
@@ -36,29 +35,16 @@ struct EngineOptions {
   /// Auto-flush threshold: a batch runs as soon as this many requests
   /// are pending. flush() also cuts batches of at most this size.
   std::size_t max_batch_size = 16;
-  /// Optional resilience seam (DESIGN.md §10): when set, batches run
-  /// through this exchanger (it must wrap the engine's machine). With a
-  /// simt::ReliableExchange under kFailFast, a batch whose retry budget
-  /// is exhausted raises simt::FaultError out of submit()/flush() — the
-  /// batch's requests stay queued, so the caller may retry the flush;
-  /// under kDegrade the batch completes and the exchanger's reports()
-  /// record the degraded exchanges. Non-owning; must outlive the engine.
+  /// The backend batches run through (it must wrap the engine's
+  /// machine); null means a DirectExchange. Callers construct reliable,
+  /// one-sided or hierarchical backends themselves (DESIGN.md §10, §16,
+  /// §17). With a simt::ReliableExchange under kFailFast, a batch whose
+  /// retry budget is exhausted raises simt::FaultError out of
+  /// submit()/flush() — the batch's requests stay queued, so the caller
+  /// may retry the flush; under kDegrade the batch completes and the
+  /// exchanger's reports() record the degraded exchanges. Non-owning;
+  /// must outlive the engine.
   simt::Exchanger* exchanger = nullptr;
-  /// Transport backend when `exchanger` is unset (DESIGN.md §16): the
-  /// engine builds and owns the exchanger via simt::make_exchanger, so
-  /// callers pick reliable, one-sided or hierarchical batches with a
-  /// single enum (serve::FrontendOptions forwards to this).
-  /// Ignored when an explicit `exchanger` is supplied.
-  simt::TransportKind transport = simt::TransportKind::kDirect;
-  /// Rank -> node map (DESIGN.md §17). Non-empty: the engine installs it
-  /// on the machine's ledger (per-level accounting) and, when `transport`
-  /// is kHierarchical, builds the hierarchical backend over it. Empty
-  /// with kHierarchical: the STTSV_TOPOLOGY=NxM environment override
-  /// supplies the map. Ignored when an explicit `exchanger` is supplied.
-  std::vector<std::uint32_t> topology;
-  /// Inner backend for the inter-node traffic under kHierarchical
-  /// (direct, reliable or onesided).
-  simt::TransportKind hier_inter = simt::TransportKind::kDirect;
 };
 
 struct EngineStats {
@@ -146,9 +132,6 @@ class Engine {
   std::shared_ptr<const Plan> plan_;
   const tensor::SymTensor3& a_;
   EngineOptions opts_;
-  /// Backend built from opts_.transport when no explicit exchanger was
-  /// supplied; opts_.exchanger aliases it for the batch path.
-  std::unique_ptr<simt::Exchanger> owned_exchanger_;
   std::deque<Request> queue_;
   std::size_t next_id_ = 0;
   EngineStats stats_;

@@ -31,9 +31,10 @@ struct Ranges {
 
 }  // namespace
 
-ParallelRunResult baseline_1d_atomic(simt::Machine& machine,
+ParallelRunResult baseline_1d_atomic(simt::Exchanger& exchanger,
                                      const tensor::SymTensor3& a,
                                      const std::vector<double>& x) {
+  simt::Machine& machine = exchanger.machine();
   const std::size_t P = machine.num_ranks();
   const std::size_t n = a.dim();
   STTSV_REQUIRE(x.size() == n, "input vector length mismatch");
@@ -50,7 +51,9 @@ ParallelRunResult baseline_1d_atomic(simt::Machine& machine,
       outboxes[p].push_back(Envelope{peer, slice});
     }
   }
-  (void)machine.exchange(std::move(outboxes), simt::Transport::kPointToPoint);
+  exchanger.set_phase("allgather");
+  (void)exchanger.exchange(std::move(outboxes),
+                           simt::Transport::kPointToPoint);
   // Every rank now has the full x (we use the global copy; the exchange
   // above accounted the words an MPI allgather moves).
 
@@ -103,7 +106,9 @@ ParallelRunResult baseline_1d_atomic(simt::Machine& machine,
       y_out[p].push_back(std::move(env));
     }
   }
-  auto y_in = machine.exchange(std::move(y_out), simt::Transport::kPointToPoint);
+  exchanger.set_phase("reduce-scatter");
+  auto y_in =
+      exchanger.exchange(std::move(y_out), simt::Transport::kPointToPoint);
 
   result.y.assign(n, 0.0);
   for (std::size_t p = 0; p < P; ++p) {
@@ -123,9 +128,10 @@ ParallelRunResult baseline_1d_atomic(simt::Machine& machine,
   return result;
 }
 
-ParallelRunResult baseline_cubic(simt::Machine& machine,
+ParallelRunResult baseline_cubic(simt::Exchanger& exchanger,
                                  const tensor::SymTensor3& a,
                                  const std::vector<double>& x) {
+  simt::Machine& machine = exchanger.machine();
   const std::size_t P = machine.num_ranks();
   const std::size_t c = cube_side_for(P);
   STTSV_REQUIRE(c * c * c == P, "cubic baseline needs P == c³");
@@ -177,7 +183,9 @@ ParallelRunResult baseline_cubic(simt::Machine& machine,
       }
     }
   }
-  (void)machine.exchange(std::move(outboxes), simt::Transport::kPointToPoint);
+  exchanger.set_phase("allgather");
+  (void)exchanger.exchange(std::move(outboxes),
+                           simt::Transport::kPointToPoint);
 
   // Phase 2: dense cube kernels (no symmetry exploited). Each rank writes
   // only y_loc[p], so the cube sweep runs on host threads.
@@ -233,7 +241,9 @@ ParallelRunResult baseline_cubic(simt::Machine& machine,
       y_out[p].push_back(std::move(env));
     }
   }
-  auto y_in = machine.exchange(std::move(y_out), simt::Transport::kPointToPoint);
+  exchanger.set_phase("reduce-scatter");
+  auto y_in =
+      exchanger.exchange(std::move(y_out), simt::Transport::kPointToPoint);
 
   std::vector<double> y_pad(b * c, 0.0);
   for (std::size_t p = 0; p < P; ++p) {

@@ -10,24 +10,26 @@
 //    the arithmetic of the symmetric algorithm and a higher constant than
 //    Algorithm 5's 2n/P^{1/3}.
 //
-// Both run on the simulated machine and return the same result structure
-// as parallel_sttsv so benches can compare measured words directly.
+// Both run over an Exchanger and return the same result structure as
+// parallel_sttsv so benches can compare measured words directly.
 
 #include <vector>
 
 #include "core/parallel_sttsv.hpp"
-#include "simt/machine.hpp"
+#include "simt/reliable_exchange.hpp"
 #include "tensor/sym_tensor.hpp"
 
 namespace sttsv::core {
 
-/// 1D atomic baseline; any machine.num_ranks() >= 1 works.
-ParallelRunResult baseline_1d_atomic(simt::Machine& machine,
+/// 1D atomic baseline; any rank count >= 1 works. Its exchanges are
+/// labelled "allgather" and "reduce-scatter".
+ParallelRunResult baseline_1d_atomic(simt::Exchanger& exchanger,
                                      const tensor::SymTensor3& a,
                                      const std::vector<double>& x);
 
-/// Cubic baseline; requires machine.num_ranks() == c³ for some c >= 1.
-ParallelRunResult baseline_cubic(simt::Machine& machine,
+/// Cubic baseline; requires a rank count P == c³ for some c >= 1. Its
+/// exchanges are labelled "allgather" and "reduce-scatter".
+ParallelRunResult baseline_cubic(simt::Exchanger& exchanger,
                                  const tensor::SymTensor3& a,
                                  const std::vector<double>& x);
 

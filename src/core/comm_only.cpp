@@ -8,10 +8,11 @@
 
 namespace sttsv::core {
 
-void simulate_communication(simt::Machine& machine,
+void simulate_communication(simt::Exchanger& exchanger,
                             const partition::TetraPartition& part,
                             const partition::VectorDistribution& dist,
                             simt::Transport transport) {
+  simt::Machine& machine = exchanger.machine();
   const std::size_t P = part.num_processors();
   STTSV_REQUIRE(machine.num_ranks() == P,
                 "machine rank count must match partition");
@@ -20,6 +21,7 @@ void simulate_communication(simt::Machine& machine,
   // Phase 1 carries the sender's shares of the common blocks (x_words),
   // phase 3 the receiver's (y_words).
   for (const bool y_phase : {false, true}) {
+    exchanger.set_phase(y_phase ? "y-replay" : "x-replay");
     std::vector<std::vector<simt::Envelope>> out(P);
     for (std::size_t p = 0; p < P; ++p) {
       for (const partition::ExchangeWalk::PeerExchange& ex :
@@ -31,7 +33,7 @@ void simulate_communication(simt::Machine& machine,
         }
       }
     }
-    (void)machine.exchange(std::move(out), transport);
+    (void)exchanger.exchange(std::move(out), transport);
   }
   machine.ledger().verify_conservation();
 }

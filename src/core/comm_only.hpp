@@ -8,15 +8,16 @@
 
 #include "partition/tetra_partition.hpp"
 #include "partition/vector_distribution.hpp"
-#include "simt/machine.hpp"
+#include "simt/reliable_exchange.hpp"
 
 namespace sttsv::core {
 
-/// Executes the x-gather and y-reduce exchanges of Algorithm 5 with
-/// zero-filled payloads of the exact sizes the real run sends. After the
-/// call, machine.ledger() holds the same communication statistics a full
-/// parallel_sttsv run would produce.
-void simulate_communication(simt::Machine& machine,
+/// Executes the x-gather and y-reduce exchanges of Algorithm 5 over
+/// `exchanger` with zero-filled payloads of the exact sizes the real run
+/// sends, labelled "x-replay" and "y-replay". After the call, the
+/// machine's ledger holds the same communication statistics a full
+/// parallel_sttsv run over the same backend would produce.
+void simulate_communication(simt::Exchanger& exchanger,
                             const partition::TetraPartition& part,
                             const partition::VectorDistribution& dist,
                             simt::Transport transport);

@@ -86,12 +86,13 @@ std::vector<double>& DistributedVector::share(std::size_t rank,
       static_cast<const DistributedVector&>(*this).share(rank, row_block));
 }
 
-double DistributedVector::dot(simt::Machine& machine,
+double DistributedVector::dot(simt::Exchanger& exchanger,
                               const DistributedVector& a,
                               const DistributedVector& b) {
   STTSV_REQUIRE(a.dist_ == b.dist_, "distribution mismatch");
   const std::size_t P = a.shares_.size();
-  STTSV_REQUIRE(machine.num_ranks() == P, "machine rank count mismatch");
+  STTSV_REQUIRE(exchanger.machine().num_ranks() == P,
+                "machine rank count mismatch");
   std::vector<std::vector<double>> partials(P, std::vector<double>(1, 0.0));
   for (std::size_t p = 0; p < P; ++p) {
     double local = 0.0;
@@ -102,11 +103,11 @@ double DistributedVector::dot(simt::Machine& machine,
     }
     partials[p][0] = local;
   }
-  return simt::allreduce_sum(machine, partials)[0];
+  return simt::allreduce_sum(exchanger, partials)[0];
 }
 
 std::pair<double, double> DistributedVector::diff_norms2(
-    simt::Machine& machine, const DistributedVector& a,
+    simt::Exchanger& exchanger, const DistributedVector& a,
     const DistributedVector& b) {
   STTSV_REQUIRE(a.dist_ == b.dist_, "distribution mismatch");
   const std::size_t P = a.shares_.size();
@@ -124,7 +125,7 @@ std::pair<double, double> DistributedVector::diff_norms2(
     }
     partials[p] = {dm, dp};
   }
-  const auto sums = simt::allreduce_sum(machine, partials);
+  const auto sums = simt::allreduce_sum(exchanger, partials);
   return {sums[0], sums[1]};
 }
 
@@ -150,14 +151,14 @@ void DistributedVector::axpy(double alpha, const DistributedVector& other) {
 }
 
 DistributedVector parallel_sttsv_dist(
-    simt::Machine& machine, const TetraPartition& part,
+    simt::Exchanger& exchanger, const TetraPartition& part,
     const tensor::SymTensor3& a, const DistributedVector& x,
     simt::Transport transport, std::vector<std::uint64_t>* ternary_out) {
   // Gather and scatter are free in the paper's I/O model; all traffic is
   // the Algorithm-5 run in between.
   const VectorDistribution& dist = x.distribution();
   ParallelRunResult run =
-      parallel_sttsv(machine, part, dist, a, x.gather(), transport);
+      parallel_sttsv(exchanger, part, dist, a, x.gather(), transport);
   if (ternary_out != nullptr) *ternary_out = std::move(run.ternary_mults);
   return DistributedVector::scatter(dist, run.y);
 }

@@ -10,7 +10,7 @@
 
 #include "partition/tetra_partition.hpp"
 #include "partition/vector_distribution.hpp"
-#include "simt/machine.hpp"
+#include "simt/reliable_exchange.hpp"
 #include "tensor/sym_tensor.hpp"
 
 namespace sttsv::core {
@@ -42,17 +42,17 @@ class DistributedVector {
   std::vector<double>& share(std::size_t rank, std::size_t row_block);
 
   // --- distributed BLAS-1 (local arithmetic; reductions go through the
-  // machine so their words are counted) --------------------------------
+  // exchanger so their words are counted) ------------------------------
 
   /// Global dot product: local partial dots + allreduce (O(log P) words
   /// per rank).
-  static double dot(simt::Machine& machine, const DistributedVector& a,
+  static double dot(simt::Exchanger& exchanger, const DistributedVector& a,
                     const DistributedVector& b);
 
   /// Global squared distances min(||a-b||², ||a+b||²) computed with one
   /// fused allreduce of two partials (for sign-invariant convergence
   /// tests).
-  static std::pair<double, double> diff_norms2(simt::Machine& machine,
+  static std::pair<double, double> diff_norms2(simt::Exchanger& exchanger,
                                                const DistributedVector& a,
                                                const DistributedVector& b);
 
@@ -79,7 +79,7 @@ class DistributedVector {
 /// exactly parallel_sttsv's. Optionally reports per-rank ternary
 /// multiplication counts.
 DistributedVector parallel_sttsv_dist(
-    simt::Machine& machine, const partition::TetraPartition& part,
+    simt::Exchanger& exchanger, const partition::TetraPartition& part,
     const tensor::SymTensor3& a, const DistributedVector& x,
     simt::Transport transport,
     std::vector<std::uint64_t>* ternary_out = nullptr);

@@ -2,7 +2,6 @@
 
 #include "core/parallel_sttsv.hpp"
 #include "core/sttsv_seq.hpp"
-#include "simt/reliable_exchange.hpp"
 
 namespace sttsv::core {
 
@@ -18,12 +17,11 @@ std::vector<std::vector<double>> symmetric_mttkrp(
 }
 
 std::vector<std::vector<double>> parallel_symmetric_mttkrp(
-    simt::Machine& machine, const partition::TetraPartition& part,
+    simt::Exchanger& exchanger, const partition::TetraPartition& part,
     const partition::VectorDistribution& dist, const tensor::SymTensor3& a,
     const std::vector<std::vector<double>>& columns,
     simt::Transport transport) {
-  simt::DirectExchange direct(machine);
-  return parallel_sttsv_panel(direct, part, dist,
+  return parallel_sttsv_panel(exchanger, part, dist,
                               partition::ExchangeWalk(part, dist), a, columns,
                               transport)
       .y;

@@ -17,7 +17,7 @@
 
 #include "partition/tetra_partition.hpp"
 #include "partition/vector_distribution.hpp"
-#include "simt/machine.hpp"
+#include "simt/reliable_exchange.hpp"
 #include "tensor/sym_tensor.hpp"
 
 namespace sttsv::core {
@@ -27,11 +27,11 @@ std::vector<std::vector<double>> symmetric_mttkrp(
     const tensor::SymTensor3& a,
     const std::vector<std::vector<double>>& columns);
 
-/// Batched parallel MTTKRP on the simulated machine over DirectExchange.
-/// Requirements mirror parallel_sttsv (every rank alive); there must be
-/// at least one column, each of length dist.logical_n().
+/// Batched parallel MTTKRP over `exchanger`. Requirements mirror
+/// parallel_sttsv (every rank alive); there must be at least one column,
+/// each of length dist.logical_n().
 std::vector<std::vector<double>> parallel_symmetric_mttkrp(
-    simt::Machine& machine, const partition::TetraPartition& part,
+    simt::Exchanger& exchanger, const partition::TetraPartition& part,
     const partition::VectorDistribution& dist, const tensor::SymTensor3& a,
     const std::vector<std::vector<double>>& columns,
     simt::Transport transport);

@@ -50,9 +50,10 @@ RedistributionPlan plan_redistribution(
 }
 
 std::uint64_t execute_redistribution(
-    simt::Machine& machine, const partition::TetraPartition& part,
+    simt::Exchanger& exchanger, const partition::TetraPartition& part,
     const partition::VectorDistribution& dist, const std::vector<double>& x,
     const RedistributionPlan& plan) {
+  simt::Machine& machine = exchanger.machine();
   obs::Span span("recovery.redistribute", obs::Category::kRecovery,
                  plan.planned_words);
   const std::size_t b = dist.block_length_b();
@@ -90,8 +91,9 @@ std::uint64_t execute_redistribution(
     env.recovery = true;
     outboxes[plan.coordinator].push_back(std::move(env));
   }
+  exchanger.set_phase("redistribution");
   auto inboxes =
-      machine.exchange(std::move(outboxes), simt::Transport::kPointToPoint);
+      exchanger.exchange(std::move(outboxes), simt::Transport::kPointToPoint);
 
   // Verify delivery word-for-word against the source slices: the walk is
   // deterministic, so the adopting host's view must equal the donor's.
@@ -160,8 +162,10 @@ RecoveryOutcome run_with_recovery(simt::Machine& machine,
       next.validate();
       RedistributionPlan plan =
           plan_redistribution(part, dist, out.assignment, next);
+      // Direct, not `rex`: the protocol rejects recovery envelopes.
+      simt::DirectExchange direct(machine);
       const std::uint64_t measured =
-          execute_redistribution(machine, part, dist, x, plan);
+          execute_redistribution(direct, part, dist, x, plan);
       STTSV_CHECK(measured == plan.planned_words,
                   "measured redistribution diverges from the planned diff");
       out.redistribution_words += measured;

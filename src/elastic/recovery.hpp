@@ -66,13 +66,15 @@ struct RedistributionPlan {
     const partition::VectorDistribution& dist, const BlockAssignment& from,
     const BlockAssignment& to);
 
-/// Executes the plan through the pooled exchange path: one raw exchange
-/// of recovery-flagged envelopes (charged to the ledger's recovery
-/// channel), one aggregated payload per adopting host, slices in
-/// (role ascending, R_role order) walk. Verifies every delivered slice
-/// word-for-word against the source vector and returns the measured
-/// recovery-channel delta.
-std::uint64_t execute_redistribution(simt::Machine& machine,
+/// Executes the plan as one exchange over `exchanger`, labelled
+/// "redistribution", of recovery-flagged envelopes (charged to the
+/// ledger's recovery channel), one aggregated payload per adopting host,
+/// slices in (role ascending, R_role order) walk. Verifies every
+/// delivered slice word-for-word against the source vector and returns
+/// the measured recovery-channel delta. ReliableExchange rejects
+/// recovery envelopes with PreconditionError: how its framing would
+/// charge them is not defined yet.
+std::uint64_t execute_redistribution(simt::Exchanger& exchanger,
                                      const partition::TetraPartition& part,
                                      const partition::VectorDistribution& dist,
                                      const std::vector<double>& x,
@@ -97,7 +99,7 @@ struct RecoveryOutcome {
 /// The recovery loop. Runs core::parallel_sttsv at the assignment's
 /// placement under kFailFast + the given liveness policy; on
 /// RankLossError shrinks to the machine's survivor set, plans + executes
-/// + verifies redistribution, and retries. After
+/// (over a DirectExchange) + verifies redistribution, and retries. After
 /// `max_shrinks` verdicts the next RankLossError propagates. Other
 /// FaultErrors (link faults past the retry budget) always propagate.
 RecoveryOutcome run_with_recovery(

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdlib>
-#include <string>
 
 #include "support/check.hpp"
 
@@ -51,44 +49,6 @@ Topology Topology::uniform(std::size_t num_ranks, std::size_t num_nodes) {
 
 Topology Topology::from_map(std::vector<std::uint32_t> node_of) {
   return Topology(std::move(node_of));
-}
-
-Topology Topology::parse(std::string_view text, std::size_t num_ranks) {
-  const auto fail = [&](const char* why) {
-    STTSV_REQUIRE(false, std::string("STTSV_TOPOLOGY must be \"NxM\" with "
-                                     "N*M == num_ranks (") +
-                             why + ", got \"" + std::string(text) + "\" for " +
-                             std::to_string(num_ranks) + " ranks)");
-  };
-  const std::size_t x = text.find('x');
-  if (x == std::string_view::npos || x == 0 || x + 1 >= text.size()) {
-    fail("expected two x-separated integers");
-  }
-  const auto parse_int = [&](std::string_view part) -> std::size_t {
-    std::size_t value = 0;
-    if (part.empty()) fail("empty integer");
-    for (const char c : part) {
-      if (c < '0' || c > '9') fail("non-digit character");
-      const auto digit = static_cast<std::size_t>(c - '0');
-      if (value > (SIZE_MAX - digit) / 10) fail("integer overflow");
-      value = value * 10 + digit;
-    }
-    return value;
-  };
-  const std::size_t nodes = parse_int(text.substr(0, x));
-  const std::size_t per_node = parse_int(text.substr(x + 1));
-  if (nodes == 0 || per_node == 0) fail("zero dimension");
-  // Division, not N*M: the product can wrap.
-  if (num_ranks % per_node != 0 || nodes != num_ranks / per_node) {
-    fail("N*M != num_ranks");
-  }
-  return uniform(num_ranks, nodes);
-}
-
-std::optional<Topology> Topology::from_env(std::size_t num_ranks) {
-  const char* raw = std::getenv("STTSV_TOPOLOGY");
-  if (raw == nullptr || raw[0] == '\0') return std::nullopt;
-  return parse(raw, num_ranks);
 }
 
 std::uint32_t Topology::node_of(std::size_t rank) const {

@@ -15,8 +15,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
-#include <string_view>
 #include <vector>
 
 namespace sttsv::hier {
@@ -34,19 +32,6 @@ class Topology {
   /// Wraps an explicit rank -> node map. Requires a non-empty map with
   /// dense node labels in [0, N).
   [[nodiscard]] static Topology from_map(std::vector<std::uint32_t> node_of);
-
-  /// Reads STTSV_TOPOLOGY from the environment. Unset or empty returns
-  /// nullopt (flat machine). The accepted form is "NxM" — N nodes of M
-  /// ranks each, e.g. STTSV_TOPOLOGY=2x5 for 10 ranks on 2 nodes —
-  /// which must satisfy N*M == num_ranks; anything else throws
-  /// PreconditionError naming the expected shape.
-  [[nodiscard]] static std::optional<Topology> from_env(
-      std::size_t num_ranks);
-
-  /// Parses the "NxM" spelling against a rank count (the testable core of
-  /// from_env). Throws PreconditionError on malformed text or N*M != P.
-  [[nodiscard]] static Topology parse(std::string_view text,
-                                      std::size_t num_ranks);
 
   [[nodiscard]] std::size_t num_ranks() const { return node_of_.size(); }
   [[nodiscard]] std::size_t num_nodes() const { return ranks_on_.size(); }

@@ -70,11 +70,12 @@ void apply_matrix_block(const SymMatrix& a, const MatBlockCoord& c,
 
 }  // namespace
 
-SymvRunResult parallel_symv(simt::Machine& machine,
+SymvRunResult parallel_symv(simt::Exchanger& exchanger,
                             const TrianglePartition& part,
                             const SymMatrix& a,
                             const std::vector<double>& x,
                             simt::Transport transport) {
+  simt::Machine& machine = exchanger.machine();
   const std::size_t P = part.num_processors();
   const std::size_t b = part.block_length_b();
   const std::size_t n = part.logical_n();
@@ -100,7 +101,8 @@ SymvRunResult parallel_symv(simt::Machine& machine,
       outboxes[p].push_back(Envelope{peer, std::move(buf)});
     }
   }
-  auto inboxes = machine.exchange(std::move(outboxes), transport);
+  exchanger.set_phase("x-symv");
+  auto inboxes = exchanger.exchange(std::move(outboxes), transport);
 
   std::vector<std::map<std::size_t, std::vector<double>>> x_loc(P);
   for (std::size_t p = 0; p < P; ++p) {
@@ -153,7 +155,8 @@ SymvRunResult parallel_symv(simt::Machine& machine,
       y_out[p].push_back(Envelope{peer, std::move(buf)});
     }
   }
-  auto y_in = machine.exchange(std::move(y_out), transport);
+  exchanger.set_phase("y-symv");
+  auto y_in = exchanger.exchange(std::move(y_out), transport);
 
   std::vector<double> y_pad(part.padded_n(), 0.0);
   for (std::size_t p = 0; p < P; ++p) {

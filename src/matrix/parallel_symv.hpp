@@ -10,7 +10,7 @@
 
 #include "matrix/sym_matrix.hpp"
 #include "matrix/triangle_partition.hpp"
-#include "simt/machine.hpp"
+#include "simt/reliable_exchange.hpp"
 
 namespace sttsv::matrix {
 
@@ -19,7 +19,9 @@ struct SymvRunResult {
   std::uint64_t max_words_sent = 0;
 };
 
-SymvRunResult parallel_symv(simt::Machine& machine,
+/// Runs y = A·x over `exchanger`: one exchange per vector phase,
+/// labelled "x-symv" and "y-symv".
+SymvRunResult parallel_symv(simt::Exchanger& exchanger,
                             const TrianglePartition& part,
                             const SymMatrix& a,
                             const std::vector<double>& x,

@@ -25,10 +25,7 @@ Frontend::Frontend(simt::Machine& machine,
       opts_(opts),
       engine_(machine, plan_, a,
               batch::EngineOptions{.max_batch_size = opts.batch_width,
-                                   .exchanger = opts.exchanger,
-                                   .transport = opts.transport,
-                                   .topology = opts.topology,
-                                   .hier_inter = opts.hier_inter}),
+                                   .exchanger = opts.exchanger}),
       base_beta_ns_(opts.service_beta_ns) {
   STTSV_REQUIRE(opts_.batch_width >= 1, "batch width must be >= 1");
   STTSV_REQUIRE(opts_.global_queue_depth >= 1,

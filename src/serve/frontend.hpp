@@ -60,27 +60,16 @@ struct FrontendOptions {
   /// throughput of batch_width / (alpha + beta * batch_width) jobs/ns.
   std::uint64_t service_alpha_ns = 2'000'000;
   std::uint64_t service_beta_ns = 250'000;
-  /// Optional resilience seam forwarded to the engine (must wrap the
-  /// front end's machine; non-owning, must outlive the front end). With
-  /// a fail-fast ReliableExchange, a faulted batch raises simt::FaultError
-  /// out of submit()/advance_to()/drain() AFTER the front end has re-
-  /// parked the batch's jobs (same handles, lane-FIFO order preserved) —
-  /// no request is lost and no quota leaks; the caller recovers (e.g.
-  /// elastic shrink + rebind) and pumps again.
+  /// The backend forwarded to batch::EngineOptions::exchanger (must wrap
+  /// the front end's machine; non-owning, must outlive the front end);
+  /// null means a DirectExchange. Under a one-sided backend the per-tenant
+  /// attribution picks up the one-sided channel. With a fail-fast
+  /// ReliableExchange, a faulted batch raises simt::FaultError out of
+  /// submit()/advance_to()/drain() AFTER the front end has re-parked the
+  /// batch's jobs (same handles, lane-FIFO order preserved) — no request
+  /// is lost and no quota leaks; the caller recovers (e.g. elastic
+  /// shrink + rebind) and pumps again.
   simt::Exchanger* exchanger = nullptr;
-  /// Transport backend when `exchanger` is unset, forwarded to
-  /// batch::EngineOptions::transport (DESIGN.md §16): the engine builds
-  /// and owns the exchanger, and under a one-sided backend the front
-  /// end's per-tenant attribution picks up the one-sided channel.
-  simt::TransportKind transport = simt::TransportKind::kDirect;
-  /// Rank -> node map forwarded to batch::EngineOptions::topology
-  /// (DESIGN.md §17): non-empty splits the ledger's accounting by level
-  /// and, under TransportKind::kHierarchical, selects the composed
-  /// two-level backend. Ignored when an explicit `exchanger` is supplied.
-  std::vector<std::uint32_t> topology;
-  /// Inter-node backend under kHierarchical, forwarded to
-  /// batch::EngineOptions::hier_inter.
-  simt::TransportKind hier_inter = simt::TransportKind::kDirect;
 };
 
 /// One finished job as delivered to its submit callback.

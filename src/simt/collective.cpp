@@ -7,8 +7,9 @@
 namespace sttsv::simt {
 
 std::vector<double> allreduce_sum(
-    Machine& machine,
+    Exchanger& exchanger,
     const std::vector<std::vector<double>>& contributions) {
+  Machine& machine = exchanger.machine();
   const std::size_t P = machine.num_ranks();
   STTSV_REQUIRE(contributions.size() == P,
                 "one contribution per rank required");
@@ -23,6 +24,7 @@ std::vector<double> allreduce_sum(
   // to combine or replace its value; until then the rank's current value
   // is its caller-owned contribution, which is never written.
   std::vector<PooledBuffer> acc(P);
+  exchanger.set_phase("allreduce");
   const auto view = [&](std::size_t p) -> const double* {
     return acc[p].empty() ? contributions[p].data() : acc[p].data();
   };
@@ -38,7 +40,7 @@ std::vector<double> allreduce_sum(
         out[p].push_back(Envelope{p - s, std::move(msg)});
       }
     }
-    auto in = machine.exchange(std::move(out), Transport::kPointToPoint);
+    auto in = exchanger.exchange(std::move(out), Transport::kPointToPoint);
     for (std::size_t p = 0; p < P; ++p) {
       for (const Delivery& d : in[p]) {
         if (acc[p].empty()) {
@@ -50,7 +52,8 @@ std::vector<double> allreduce_sum(
     }
   }
 
-  // Binomial broadcast from rank 0; receivers adopt the delivered buffer.
+  // Binomial broadcast from rank 0; each receiver copies the delivery
+  // into its own lease (a view dies when the next exchange opens).
   std::size_t top = 1;
   while (top < P) top *= 2;
   for (std::size_t s = top / 2; s >= 1; s /= 2) {
@@ -62,9 +65,12 @@ std::vector<double> allreduce_sum(
         out[p].push_back(Envelope{p + s, std::move(msg)});
       }
     }
-    auto in = machine.exchange(std::move(out), Transport::kPointToPoint);
+    auto in = exchanger.exchange(std::move(out), Transport::kPointToPoint);
     for (std::size_t p = 0; p < P; ++p) {
-      for (Delivery& d : in[p]) acc[p] = std::move(d.data);
+      for (const Delivery& d : in[p]) {
+        acc[p] = machine.pool().acquire(p, L);
+        acc[p].append(d.data.data(), L);
+      }
     }
     if (s == 1) break;
   }

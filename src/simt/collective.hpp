@@ -10,14 +10,18 @@
 
 #include <vector>
 
-#include "simt/machine.hpp"
+#include "simt/reliable_exchange.hpp"
 
 namespace sttsv::simt {
 
 /// contributions[p] is rank p's local vector (all the same length L).
 /// Returns the elementwise global sum; every rank "ends" holding it
-/// (the broadcast phase is executed and counted).
+/// (the broadcast phase is executed and counted). Each of the
+/// 2·ceil(log₂ P) exchanges goes through `exchanger`, labelled
+/// "allreduce"; a delivery is copied into its rank's own buffer before
+/// the next exchange opens, so view-delivering backends work too.
 std::vector<double> allreduce_sum(
-    Machine& machine, const std::vector<std::vector<double>>& contributions);
+    Exchanger& exchanger,
+    const std::vector<std::vector<double>>& contributions);
 
 }  // namespace sttsv::simt

@@ -42,6 +42,8 @@
 namespace sttsv::simt {
 
 class FaultInjector;
+class DirectExchange;
+class ReliableExchange;
 
 /// One outgoing message: destination rank plus payload words. The first
 /// `overhead_words` words are protocol framing (sequence numbers,
@@ -123,18 +125,6 @@ class Machine {
 
   [[nodiscard]] std::size_t num_ranks() const { return P_; }
 
-  /// Executes one machine-wide exchange: outboxes[p] holds rank p's
-  /// outgoing messages. Returns inboxes[p]. Every outbox is validated
-  /// up front — destinations in range, no self-sends, overhead_words
-  /// within the payload — and a PreconditionError leaves the ledger and
-  /// all payloads untouched. Ledger records every word (split into
-  /// goodput and overhead channels); rounds/modeled cost depend on the
-  /// transport and are charged to the overhead channel when the exchange
-  /// carries no goodput at all (pure protocol traffic). The Algorithm-5
-  /// driver makes one such exchange per phase (DESIGN.md §12).
-  std::vector<std::vector<Delivery>> exchange(
-      std::vector<std::vector<Envelope>> outboxes, Transport transport);
-
   /// Runs body(p) once for every rank p — the local compute half of a
   /// superstep. Rank programs are independent between exchanges (each
   /// reads/writes only rank-p state), so they may execute on host threads
@@ -201,6 +191,22 @@ class Machine {
   void reset_ledger();
 
  private:
+  // The wire is reached only through an Exchanger (DESIGN.md §10.2):
+  // DirectExchange forwards verbatim, ReliableExchange frames and ACKs.
+  friend class DirectExchange;
+  friend class ReliableExchange;
+
+  /// Executes one machine-wide exchange: outboxes[p] holds rank p's
+  /// outgoing messages. Returns inboxes[p]. Every outbox is validated
+  /// up front — destinations in range, no self-sends, overhead_words
+  /// within the payload — and a PreconditionError leaves the ledger and
+  /// all payloads untouched. Ledger records every word (split into
+  /// goodput and overhead channels); rounds/modeled cost depend on the
+  /// transport and are charged to the overhead channel when the exchange
+  /// carries no goodput at all (pure protocol traffic).
+  std::vector<std::vector<Delivery>> exchange(
+      std::vector<std::vector<Envelope>> outboxes, Transport transport);
+
   std::size_t P_;
   CommLedger ledger_;
   FaultInjector* injector_ = nullptr;

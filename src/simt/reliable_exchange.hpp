@@ -60,10 +60,13 @@ class MetricsRegistry;
 
 namespace sttsv::simt {
 
-/// Seam between the Algorithm-5 drivers and the wire: callers hand over
-/// outboxes exactly as they would to Machine::exchange and receive the
+/// Seam between every algorithm and the wire, and the only way bytes
+/// leave a rank (Machine::exchange is private to DirectExchange and
+/// ReliableExchange): callers hand over outboxes and receive the
 /// logically delivered inboxes. DirectExchange forwards verbatim;
-/// ReliableExchange runs the recovery protocol.
+/// ReliableExchange runs the recovery protocol. Deliveries may be views
+/// (one-sided, hierarchical) valid only until the next exchange opens,
+/// so a caller copies what it keeps across exchanges.
 class Exchanger {
  public:
   explicit Exchanger(Machine& machine) : machine_(machine) {}

@@ -97,16 +97,17 @@ TEST(Hopm, NonFiniteShiftIsRejected) {
   auto part = partition::TetraPartition::build(steiner::spherical_system(2));
   partition::VectorDistribution dist(part, n);
   simt::Machine machine(part.num_processors());
+  simt::DirectExchange direct(machine);
   constexpr double kInf = std::numeric_limits<double>::infinity();
   for (const double shift :
        {std::numeric_limits<double>::quiet_NaN(), kInf, -kInf}) {
     HopmOptions opts;
     opts.shift = shift;
     EXPECT_THROW((void)hopm(a, opts), PreconditionError) << shift;
-    EXPECT_THROW((void)hopm_parallel(machine, part, dist, a, opts),
+    EXPECT_THROW((void)hopm_parallel(direct, part, dist, a, opts),
                  PreconditionError)
         << shift;
-    EXPECT_THROW((void)hopm_fully_distributed(machine, part, dist, a, opts),
+    EXPECT_THROW((void)hopm_fully_distributed(direct, part, dist, a, opts),
                  PreconditionError)
         << shift;
   }
@@ -120,12 +121,13 @@ TEST(Hopm, ParallelMatchesSequential) {
   auto part = partition::TetraPartition::build(steiner::spherical_system(2));
   partition::VectorDistribution dist(part, n);
   simt::Machine machine(part.num_processors());
+  simt::DirectExchange direct(machine);
 
   HopmOptions opts;
   opts.shift = 2.0;
   opts.max_iterations = 800;
   const auto seq = hopm(a, opts);
-  const auto par = hopm_parallel(machine, part, dist, a, opts);
+  const auto par = hopm_parallel(direct, part, dist, a, opts);
   // Identical arithmetic (deterministic exchange order) -> identical runs
   // up to floating-point reassociation in the reduction; compare loosely.
   EXPECT_EQ(seq.converged, par.converged);
@@ -181,9 +183,10 @@ TEST(CpGradient, ParallelMatchesSequential) {
   auto part = partition::TetraPartition::build(steiner::spherical_system(2));
   partition::VectorDistribution dist(part, n);
   simt::Machine machine(part.num_processors());
+  simt::DirectExchange direct(machine);
 
   const auto g_seq = cp_gradient(a, cols);
-  const auto g_par = cp_gradient_parallel(machine, part, dist, a, cols);
+  const auto g_par = cp_gradient_parallel(direct, part, dist, a, cols);
   ASSERT_EQ(g_seq.size(), g_par.size());
   for (std::size_t l = 0; l < g_seq.size(); ++l) {
     for (std::size_t i = 0; i < n; ++i) {

@@ -32,7 +32,8 @@ TEST_P(Baseline1d, MatchesReference) {
   const auto a = tensor::random_symmetric(n, rng);
   const auto x = rng.uniform_vector(n);
   simt::Machine machine(P);
-  const auto result = baseline_1d_atomic(machine, a, x);
+  simt::DirectExchange direct(machine);
+  const auto result = baseline_1d_atomic(direct, a, x);
   expect_equal(result.y, sttsv_packed(a, x));
 }
 
@@ -45,7 +46,8 @@ TEST(Baseline1d, CommunicationIsThetaN) {
   const auto a = tensor::random_symmetric(n, rng);
   const auto x = rng.uniform_vector(n);
   simt::Machine machine(P);
-  (void)baseline_1d_atomic(machine, a, x);
+  simt::DirectExchange direct(machine);
+  (void)baseline_1d_atomic(direct, a, x);
   // Divisible case: each rank sends exactly 2 * (n - n/P) words.
   const auto expected = static_cast<std::uint64_t>(2 * (n - n / P));
   for (std::size_t p = 0; p < P; ++p) {
@@ -62,7 +64,8 @@ TEST(Baseline1d, WorkIsBalanced) {
   const auto a = tensor::random_symmetric(n, rng);
   const auto x = rng.uniform_vector(n);
   simt::Machine machine(P);
-  const auto result = baseline_1d_atomic(machine, a, x);
+  simt::DirectExchange direct(machine);
+  const auto result = baseline_1d_atomic(direct, a, x);
   std::uint64_t lo = UINT64_MAX, hi = 0, total = 0;
   for (const auto t : result.ternary_mults) {
     lo = std::min(lo, t);
@@ -93,7 +96,8 @@ TEST_P(BaselineCubic, MatchesReference) {
     const auto a = tensor::random_symmetric(n, rng);
     const auto x = rng.uniform_vector(n);
     simt::Machine machine(c * c * c);
-    const auto result = baseline_cubic(machine, a, x);
+    simt::DirectExchange direct(machine);
+    const auto result = baseline_cubic(direct, a, x);
     expect_equal(result.y, sttsv_packed(a, x), 1e-9);
   }
 }
@@ -106,7 +110,8 @@ TEST(BaselineCubic, DoesDoubleTheArithmetic) {
   const auto a = tensor::random_symmetric(n, rng);
   const auto x = rng.uniform_vector(n);
   simt::Machine machine(8);
-  const auto result = baseline_cubic(machine, a, x);
+  simt::DirectExchange direct(machine);
+  const auto result = baseline_cubic(direct, a, x);
   std::uint64_t total = 0;
   for (const auto t : result.ternary_mults) total += t;
   // Dense: exactly n³ ternary mults (≈ 2× the symmetric algorithm).
@@ -120,7 +125,8 @@ TEST(BaselineCubic, CommunicationNearPrediction) {
   const auto a = tensor::random_symmetric(n, rng);
   const auto x = rng.uniform_vector(n);
   simt::Machine machine(c * c * c);
-  (void)baseline_cubic(machine, a, x);
+  simt::DirectExchange direct(machine);
+  (void)baseline_cubic(direct, a, x);
   const double predicted = baseline_cubic_words(n, c);
   const double measured =
       static_cast<double>(machine.ledger().max_words_sent());
@@ -130,7 +136,8 @@ TEST(BaselineCubic, CommunicationNearPrediction) {
 TEST(BaselineCubic, RejectsNonCubeP) {
   tensor::SymTensor3 a(4);
   simt::Machine machine(10);
-  EXPECT_THROW(baseline_cubic(machine, a, std::vector<double>(4, 1.0)),
+  simt::DirectExchange direct(machine);
+  EXPECT_THROW(baseline_cubic(direct, a, std::vector<double>(4, 1.0)),
                PreconditionError);
 }
 

@@ -494,14 +494,15 @@ TEST(CpGradientBatched, BitwiseEqualToParallelLoop) {
   const auto plan = Plan::build(plan_key(n, Family::kSpherical, 2,
                                          simt::Transport::kPointToPoint));
   simt::Machine machine = plan->make_machine();
+  simt::DirectExchange direct(machine);
   Rng rng(31);
   const auto a = tensor::random_symmetric(n, rng);
   const auto columns = make_panel(n, 3, 600);
 
   const auto want = apps::cp_gradient_parallel(
-      machine, plan->partition(), plan->distribution(), a, columns,
+      direct, plan->partition(), plan->distribution(), a, columns,
       plan->key().transport);
-  const auto got = apps::cp_gradient_batched(machine, *plan, a, columns);
+  const auto got = apps::cp_gradient_batched(direct, *plan, a, columns);
   ASSERT_EQ(got.size(), want.size());
   for (std::size_t l = 0; l < got.size(); ++l) {
     expect_bitwise(got[l], want[l], "gradient column");

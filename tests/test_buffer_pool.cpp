@@ -254,8 +254,8 @@ TEST(Exchange, ZeroWordMessagesTravelThePooledPath) {
   std::vector<std::vector<Envelope>> outboxes(3);
   outboxes[0].push_back(Envelope{1, machine.pool().acquire(0, 0)});
   outboxes[2].push_back(Envelope{1, machine.pool().acquire(2, 16)});
-  auto in = machine.exchange(std::move(outboxes),
-                             simt::Transport::kPointToPoint);
+  auto in = simt::DirectExchange(machine).exchange(
+      std::move(outboxes), simt::Transport::kPointToPoint);
   ASSERT_EQ(in[1].size(), 2u);
   EXPECT_EQ(in[1][0].from, 0u);
   EXPECT_TRUE(in[1][0].data.empty());
@@ -269,8 +269,8 @@ TEST(Exchange, ZeroWordMessagesTravelThePooledPath) {
 
 TEST(Exchange, EmptyOutboxesChargeScheduleSlotsButNoWords) {
   simt::Machine machine(4);
-  auto in = machine.exchange(std::vector<std::vector<Envelope>>(4),
-                             simt::Transport::kAllToAll);
+  auto in = simt::DirectExchange(machine).exchange(
+      std::vector<std::vector<Envelope>>(4), simt::Transport::kAllToAll);
   ASSERT_EQ(in.size(), 4u);
   for (const auto& inbox : in) EXPECT_TRUE(inbox.empty());
   // The collective still runs its P-1 schedule slots; no words move on

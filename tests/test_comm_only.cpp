@@ -64,7 +64,8 @@ TEST_P(CommOnlyEquivalence, LedgerIdenticalToFullRun) {
   (void)parallel_sttsv(full, part, dist, a, x, transport);
 
   simt::Machine replay(part.num_processors());
-  simulate_communication(replay, part, dist, transport);
+  simt::DirectExchange replay_direct(replay);
+  simulate_communication(replay_direct, part, dist, transport);
 
   expect_ledgers_equal(full.ledger(), replay.ledger());
 }
@@ -86,7 +87,8 @@ TEST(CommOnly, LargeQSweepRunsFast) {
   const std::size_t n = (q * q + 1) * q * (q + 1);
   const partition::VectorDistribution dist(part, n);
   simt::Machine machine(part.num_processors());
-  simulate_communication(machine, part, dist,
+  simt::DirectExchange direct(machine);
+  simulate_communication(direct, part, dist,
                          simt::Transport::kPointToPoint);
   const auto max_sent = machine.ledger().max_words_sent();
   EXPECT_GT(max_sent, 0u);

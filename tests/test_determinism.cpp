@@ -143,13 +143,15 @@ TEST(ThreadedExecutor, BaselinesBitwiseIdentical) {
 
   simt::ConcurrencyGuard serial(1);
   simt::Machine m1a(6), m1c(8);
-  const auto atomic1 = baseline_1d_atomic(m1a, a, x);
-  const auto cubic1 = baseline_cubic(m1c, a, x);
+  simt::DirectExchange d1a(m1a), d1c(m1c);
+  const auto atomic1 = baseline_1d_atomic(d1a, a, x);
+  const auto cubic1 = baseline_cubic(d1c, a, x);
 
   simt::ConcurrencyGuard guard(5);
   simt::Machine mta(6), mtc(8);
-  const auto atomict = baseline_1d_atomic(mta, a, x);
-  const auto cubict = baseline_cubic(mtc, a, x);
+  simt::DirectExchange dta(mta), dtc(mtc);
+  const auto atomict = baseline_1d_atomic(dta, a, x);
+  const auto cubict = baseline_cubic(dtc, a, x);
 
   expect_bitwise_equal(atomict.y, atomic1.y);
   EXPECT_EQ(atomict.ternary_mults, atomic1.ternary_mults);

@@ -26,6 +26,7 @@ namespace {
 TEST(Allreduce, SumsAcrossRanks) {
   for (const std::size_t P : {1u, 2u, 3u, 5u, 8u, 13u}) {
     simt::Machine machine(P);
+    simt::DirectExchange direct(machine);
     std::vector<std::vector<double>> contributions(P);
     double expected0 = 0.0;
     double expected1 = 0.0;
@@ -35,7 +36,7 @@ TEST(Allreduce, SumsAcrossRanks) {
       expected0 += static_cast<double>(p + 1);
       expected1 += static_cast<double>(p * p);
     }
-    const auto sum = simt::allreduce_sum(machine, contributions);
+    const auto sum = simt::allreduce_sum(direct, contributions);
     ASSERT_EQ(sum.size(), 2u);
     EXPECT_DOUBLE_EQ(sum[0], expected0);
     EXPECT_DOUBLE_EQ(sum[1], expected1);
@@ -51,9 +52,10 @@ TEST(Allreduce, SumsAcrossRanks) {
 TEST(Allreduce, LogarithmicWordsPerRank) {
   const std::size_t P = 64;
   simt::Machine machine(P);
+  simt::DirectExchange direct(machine);
   std::vector<std::vector<double>> contributions(P,
                                                  std::vector<double>(1, 1.0));
-  (void)simt::allreduce_sum(machine, contributions);
+  (void)simt::allreduce_sum(direct, contributions);
   // Max words any rank sends: <= 2 ceil(log2 P) single-word messages.
   EXPECT_LE(machine.ledger().max_words_sent(), 2 * 6);
 }
@@ -65,16 +67,17 @@ TEST(Allreduce, DoesNotMutateContributions) {
   // partial sums back into later rounds.
   for (const std::size_t P : {2u, 5u, 8u}) {
     simt::Machine machine(P);
+    simt::DirectExchange direct(machine);
     std::vector<std::vector<double>> contributions(P);
     for (std::size_t p = 0; p < P; ++p) {
       contributions[p] = {static_cast<double>(p) + 0.25, -1.0,
                           static_cast<double>(p * 3)};
     }
     const auto before = contributions;
-    const auto once = simt::allreduce_sum(machine, contributions);
+    const auto once = simt::allreduce_sum(direct, contributions);
     EXPECT_EQ(contributions, before);
     // Re-running with the untouched inputs must reproduce the sum bitwise.
-    const auto twice = simt::allreduce_sum(machine, contributions);
+    const auto twice = simt::allreduce_sum(direct, contributions);
     EXPECT_EQ(once, twice);
     EXPECT_EQ(contributions, before);
   }
@@ -103,7 +106,8 @@ TEST(DistributedVector, DotMatchesSequential) {
   const auto da = DistributedVector::scatter(dist, ga);
   const auto db = DistributedVector::scatter(dist, gb);
   simt::Machine machine(part.num_processors());
-  const double d = DistributedVector::dot(machine, da, db);
+  simt::DirectExchange direct(machine);
+  const double d = DistributedVector::dot(direct, da, db);
   EXPECT_NEAR(d, apps::dot(ga, gb), 1e-10);
   EXPECT_GT(machine.ledger().total_words(), 0u);  // reduction was counted
 }
@@ -140,10 +144,11 @@ TEST(ParallelSttsvDist, MatchesGatherBasedRun) {
                                      simt::Transport::kPointToPoint);
 
     simt::Machine m2(part.num_processors());
+    simt::DirectExchange m2_direct(m2);
     const auto dv_x = DistributedVector::scatter(dist, x);
     std::vector<std::uint64_t> ternary;
     const auto dv_y = parallel_sttsv_dist(
-        m2, part, a, dv_x, simt::Transport::kPointToPoint, &ternary);
+        m2_direct, part, a, dv_x, simt::Transport::kPointToPoint, &ternary);
     const auto y = dv_y.gather();
 
     ASSERT_EQ(y.size(), n);
@@ -171,7 +176,8 @@ TEST(HopmFullyDistributed, AgreesWithSequential) {
   const auto seq = apps::hopm(a, opts);
 
   simt::Machine machine(part.num_processors());
-  const auto par = apps::hopm_fully_distributed(machine, part, dist, a, opts);
+  simt::DirectExchange direct(machine);
+  const auto par = apps::hopm_fully_distributed(direct, part, dist, a, opts);
   EXPECT_TRUE(par.converged);
   EXPECT_NEAR(par.eigenvalue, seq.eigenvalue, 1e-7);
   EXPECT_LT(apps::sign_invariant_distance(par.eigenvector, seq.eigenvector),
@@ -193,7 +199,8 @@ TEST(HopmFullyDistributed, ReductionOverheadIsLogarithmic) {
   opts.max_iterations = 50;
   opts.tolerance = 0.0;  // force exactly max_iterations STTSVs
   simt::Machine machine(part.num_processors());
-  const auto res = apps::hopm_fully_distributed(machine, part, dist, a, opts);
+  simt::DirectExchange direct(machine);
+  const auto res = apps::hopm_fully_distributed(direct, part, dist, a, opts);
   EXPECT_EQ(res.iterations, 50u);
 
   const double sttsv_words = core::optimal_algorithm_words(n, 2);

@@ -81,10 +81,11 @@ TEST(EigenSearch, BatchedMatchesPerStartParallelLoop) {
   ASSERT_FALSE(pairs.empty());
 
   std::vector<HopmResult> loop;
+  simt::DirectExchange direct(machine);
   for (std::size_t s = 0; s < opts.num_starts; ++s) {
     HopmOptions run = opts.hopm;
     run.seed = opts.seed_base + s;
-    loop.push_back(hopm_parallel(machine, plan->partition(),
+    loop.push_back(hopm_parallel(direct, plan->partition(),
                                  plan->distribution(), a, run));
   }
 

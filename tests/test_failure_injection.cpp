@@ -12,6 +12,7 @@
 #include "schedule/comm_schedule.hpp"
 #include "simt/ledger.hpp"
 #include "simt/machine.hpp"
+#include "simt/reliable_exchange.hpp"
 #include "steiner/constructions.hpp"
 #include "steiner/steiner.hpp"
 #include "support/check.hpp"
@@ -77,9 +78,9 @@ TEST(FailureInjection, ExchangeRejectsDestinationOutOfRange) {
   // the ledger completely untouched (strong exception guarantee).
   outboxes[0].push_back({1, {1.0, 2.0}, 0});
   outboxes[2].push_back({3, {4.0}, 0});  // rank 3 does not exist
-  EXPECT_THROW(
-      machine.exchange(std::move(outboxes), simt::Transport::kPointToPoint),
-      PreconditionError);
+  EXPECT_THROW(simt::DirectExchange(machine).exchange(
+                   std::move(outboxes), simt::Transport::kPointToPoint),
+               PreconditionError);
   EXPECT_EQ(machine.ledger().total_words(), 0u);
   EXPECT_EQ(machine.ledger().total_messages(), 0u);
   EXPECT_EQ(machine.ledger().rounds(), 0u);
@@ -89,9 +90,9 @@ TEST(FailureInjection, ExchangeRejectsSelfSend) {
   simt::Machine machine(2);
   std::vector<std::vector<simt::Envelope>> outboxes(2);
   outboxes[1].push_back({1, {1.0}, 0});
-  EXPECT_THROW(
-      machine.exchange(std::move(outboxes), simt::Transport::kAllToAll),
-      PreconditionError);
+  EXPECT_THROW(simt::DirectExchange(machine).exchange(
+                   std::move(outboxes), simt::Transport::kAllToAll),
+               PreconditionError);
   EXPECT_EQ(machine.ledger().total_words(), 0u);
 }
 
@@ -99,9 +100,9 @@ TEST(FailureInjection, ExchangeRejectsOverheadExceedingPayload) {
   simt::Machine machine(2);
   std::vector<std::vector<simt::Envelope>> outboxes(2);
   outboxes[0].push_back({1, {1.0, 2.0}, 3});  // 3 overhead words of 2 total
-  EXPECT_THROW(
-      machine.exchange(std::move(outboxes), simt::Transport::kPointToPoint),
-      PreconditionError);
+  EXPECT_THROW(simt::DirectExchange(machine).exchange(
+                   std::move(outboxes), simt::Transport::kPointToPoint),
+               PreconditionError);
   EXPECT_EQ(machine.ledger().total_words(), 0u);
   EXPECT_EQ(machine.ledger().total_overhead_words(), 0u);
 }
@@ -109,9 +110,9 @@ TEST(FailureInjection, ExchangeRejectsOverheadExceedingPayload) {
 TEST(FailureInjection, ExchangeRejectsWrongOutboxCount) {
   simt::Machine machine(3);
   std::vector<std::vector<simt::Envelope>> outboxes(2);  // 2 != 3 ranks
-  EXPECT_THROW(
-      machine.exchange(std::move(outboxes), simt::Transport::kPointToPoint),
-      PreconditionError);
+  EXPECT_THROW(simt::DirectExchange(machine).exchange(
+                   std::move(outboxes), simt::Transport::kPointToPoint),
+               PreconditionError);
 }
 
 TEST(FailureInjection, PartitionRejectsSystemTooFewBlocks) {

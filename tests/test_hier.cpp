@@ -1,5 +1,5 @@
 // Hierarchical communication subsystem tests (DESIGN.md §17): the
-// Topology model and its STTSV_TOPOLOGY spelling, the composed two-level
+// Topology model, the composed two-level
 // partition (pair-traffic closed form, placement invariants, the
 // flat-never-wins guarantee), the HierarchicalExchange backend (bitwise
 // equivalence against DirectExchange across seeds, merged delivery
@@ -10,7 +10,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -23,7 +22,6 @@
 #include "core/parallel_sttsv.hpp"
 #include "hier/compose.hpp"
 #include "hier/hier_exchange.hpp"
-#include "hier/make_exchanger.hpp"
 #include "hier/topology.hpp"
 #include "obs/metrics.hpp"
 #include "partition/tetra_partition.hpp"
@@ -45,7 +43,6 @@ using simt::Delivery;
 using simt::Envelope;
 using simt::Level;
 using simt::Machine;
-using simt::TransportKind;
 
 std::unique_ptr<simt::DirectExchange> direct_inner(Machine& machine) {
   return std::make_unique<simt::DirectExchange>(machine);
@@ -89,36 +86,6 @@ TEST(Topology, FromMapRequiresDenseLabels) {
   // UINT32_MAX + 1 wraps to 0 in 32-bit arithmetic: a label past the rank
   // count must be rejected before it sizes the per-node table.
   EXPECT_THROW((void)Topology::from_map({0, UINT32_MAX}), PreconditionError);
-}
-
-TEST(Topology, ParsesNxMAgainstTheRankCount) {
-  const Topology topo = Topology::parse("2x5", 10);
-  EXPECT_EQ(topo.num_nodes(), 2u);
-  EXPECT_EQ(topo.node_of(4), 0u);
-  EXPECT_EQ(topo.node_of(5), 1u);
-  EXPECT_THROW((void)Topology::parse("2x4", 10), PreconditionError);
-  EXPECT_THROW((void)Topology::parse("0x5", 10), PreconditionError);
-  EXPECT_THROW((void)Topology::parse("2x", 10), PreconditionError);
-  EXPECT_THROW((void)Topology::parse("x5", 10), PreconditionError);
-  EXPECT_THROW((void)Topology::parse("ten", 10), PreconditionError);
-  EXPECT_THROW((void)Topology::parse("2x5x1", 10), PreconditionError);
-  // Neither the digit loop nor N*M may wrap to a valid 2x5.
-  EXPECT_THROW((void)Topology::parse("18446744073709551618x5", 10),
-               PreconditionError);
-  EXPECT_THROW((void)Topology::parse("2x9223372036854775813", 10),
-               PreconditionError);
-}
-
-TEST(Topology, EnvOverrideRoundTrip) {
-  ::unsetenv("STTSV_TOPOLOGY");
-  EXPECT_FALSE(Topology::from_env(10).has_value());
-  ::setenv("STTSV_TOPOLOGY", "5x2", 1);
-  const auto topo = Topology::from_env(10);
-  ASSERT_TRUE(topo.has_value());
-  EXPECT_EQ(topo->num_nodes(), 5u);
-  ::setenv("STTSV_TOPOLOGY", "3x5", 1);
-  EXPECT_THROW((void)Topology::from_env(10), PreconditionError);
-  ::unsetenv("STTSV_TOPOLOGY");
 }
 
 // --- Composed partition -----------------------------------------------------
@@ -405,7 +372,7 @@ TEST(HierCosts, AlphaBetaComposesPerLevel) {
 
 // --- Engine and serve plumbing ----------------------------------------------
 
-TEST(HierPlumbing, EngineTopologyOptionMatchesDirectBitwise) {
+TEST(HierPlumbing, EngineHierarchicalExchangerMatchesDirectBitwise) {
   const std::size_t n = 60;
   const auto plan = batch::Plan::build(batch::plan_key(
       n, batch::Family::kSpherical, 2, simt::Transport::kPointToPoint));
@@ -416,8 +383,17 @@ TEST(HierPlumbing, EngineTopologyOptionMatchesDirectBitwise) {
 
   const auto comp = hier::compose_assignment(plan->partition(),
                                              plan->distribution(), 2);
-  const auto run = [&](batch::EngineOptions opts) {
+  // `with_hier` runs the engine over a composed two-level backend; the
+  // default runs it over DirectExchange.
+  const auto run = [&](bool with_hier) {
     Machine machine(plan->num_processors());
+    std::unique_ptr<HierarchicalExchange> hx;
+    batch::EngineOptions opts;
+    if (with_hier) {
+      hx = std::make_unique<HierarchicalExchange>(
+          machine, Topology::from_map(comp.node_of), direct_inner(machine));
+      opts.exchanger = hx.get();
+    }
     batch::Engine engine(machine, plan, a, opts);
     std::vector<std::vector<double>> ys(xs.size());
     for (std::size_t k = 0; k < xs.size(); ++k) {
@@ -428,40 +404,39 @@ TEST(HierPlumbing, EngineTopologyOptionMatchesDirectBitwise) {
     engine.flush();
     return ys;
   };
-  const auto want = run({});
-  batch::EngineOptions hier_opts;
-  hier_opts.transport = TransportKind::kHierarchical;
-  hier_opts.topology = comp.node_of;
-  const auto got = run(hier_opts);
+  const auto want = run(false);
+  const auto got = run(true);
   ASSERT_EQ(got.size(), want.size());
   for (std::size_t k = 0; k < want.size(); ++k) {
     EXPECT_TRUE(bitwise_equal(got[k], want[k])) << "request " << k;
   }
 
-  // A bare topology under a flat transport still splits the ledger.
+  // A node map on the ledger splits a flat backend's accounting too.
   Machine machine(plan->num_processors());
-  batch::EngineOptions flat_opts;
-  flat_opts.topology = comp.node_of;
-  batch::Engine engine(machine, plan, a, flat_opts);
+  machine.ledger().set_node_map(comp.node_of);
+  batch::Engine engine(machine, plan, a);
   engine.submit(xs[0], [](std::size_t, std::vector<double>) {});
   engine.flush();
   EXPECT_EQ(machine.ledger().num_nodes(), 2u);
   EXPECT_GT(machine.ledger().total_payload_words(Level::kInter), 0u);
 }
 
-TEST(HierPlumbing, FrontendForwardsTopology) {
+TEST(HierPlumbing, FrontendForwardsHierarchicalExchanger) {
   const std::size_t n = 40;
   const auto plan = batch::Plan::build(batch::plan_key(
       n, batch::Family::kSpherical, 2, simt::Transport::kPointToPoint));
   Rng rng(44);
   const auto a = tensor::random_symmetric(n, rng);
   Machine machine(plan->num_processors());
+  HierarchicalExchange hx(
+      machine,
+      Topology::from_map(hier::compose_assignment(plan->partition(),
+                                                  plan->distribution(), 2)
+                             .node_of),
+      direct_inner(machine));
   serve::FrontendOptions opts;
   opts.batch_width = 2;
-  opts.transport = TransportKind::kHierarchical;
-  opts.topology = hier::compose_assignment(plan->partition(),
-                                           plan->distribution(), 2)
-                      .node_of;
+  opts.exchanger = &hx;
   serve::Frontend frontend(machine, plan, a, opts);
   const auto tenant = frontend.add_tenant("t0", {});
   std::size_t completed = 0;

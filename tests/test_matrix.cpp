@@ -99,7 +99,8 @@ TEST_P(ParallelSymv, MatchesSequential) {
     const auto a = random_symmetric_matrix(n, rng);
     const auto x = rng.uniform_vector(n);
     simt::Machine machine(part.num_processors());
-    const auto result = parallel_symv(machine, part, a, x,
+    simt::DirectExchange direct(machine);
+    const auto result = parallel_symv(direct, part, a, x,
                                       simt::Transport::kPointToPoint);
     const auto y_ref = symv(a, x);
     ASSERT_EQ(result.y.size(), n);
@@ -121,7 +122,8 @@ TEST(ParallelSymv, WordsMatchClosedForm) {
   const auto a = random_symmetric_matrix(n, rng);
   const auto x = rng.uniform_vector(n);
   simt::Machine machine(part.num_processors());
-  (void)parallel_symv(machine, part, a, x, simt::Transport::kPointToPoint);
+  simt::DirectExchange direct(machine);
+  (void)parallel_symv(direct, part, a, x, simt::Transport::kPointToPoint);
   const double predicted = optimal_symv_words(n, q);
   for (std::size_t p = 0; p < machine.num_ranks(); ++p) {
     EXPECT_DOUBLE_EQ(static_cast<double>(machine.ledger().words_sent(p)),

@@ -52,8 +52,9 @@ TEST_P(ParallelMttkrp, MatchesSequential) {
       partition::TetraPartition::build(steiner::spherical_system(2));
   const partition::VectorDistribution dist(part, n);
   simt::Machine machine(part.num_processors());
+  simt::DirectExchange direct(machine);
   const auto y_par = parallel_symmetric_mttkrp(
-      machine, part, dist, a, cols, simt::Transport::kPointToPoint);
+      direct, part, dist, a, cols, simt::Transport::kPointToPoint);
   const auto y_seq = symmetric_mttkrp(a, cols);
   ASSERT_EQ(y_par.size(), r);
   for (std::size_t l = 0; l < r; ++l) {
@@ -84,7 +85,8 @@ TEST(ParallelMttkrp, BatchingSavesMessagesNotWords) {
   (void)parallel_sttsv(single, part, dist, a, cols[0],
                        simt::Transport::kPointToPoint);
   simt::Machine batched(part.num_processors());
-  (void)parallel_symmetric_mttkrp(batched, part, dist, a, cols,
+  simt::DirectExchange batched_direct(batched);
+  (void)parallel_symmetric_mttkrp(batched_direct, part, dist, a, cols,
                                   simt::Transport::kPointToPoint);
 
   EXPECT_EQ(batched.ledger().total_messages(),
@@ -104,8 +106,9 @@ TEST(ParallelMttkrp, PaddedSizes) {
       partition::TetraPartition::build(steiner::spherical_system(2));
   const partition::VectorDistribution dist(part, n);
   simt::Machine machine(part.num_processors());
+  simt::DirectExchange direct(machine);
   const auto y_par = parallel_symmetric_mttkrp(
-      machine, part, dist, a, cols, simt::Transport::kPointToPoint);
+      direct, part, dist, a, cols, simt::Transport::kPointToPoint);
   const auto y_seq = symmetric_mttkrp(a, cols);
   for (std::size_t l = 0; l < 3; ++l) {
     for (std::size_t i = 0; i < n; ++i) {
@@ -126,8 +129,9 @@ TEST(ParallelMttkrp, ColumnsMatchReferenceBitwise) {
       partition::TetraPartition::build(steiner::spherical_system(2));
   const partition::VectorDistribution dist(part, n);
   simt::Machine machine(part.num_processors());
+  simt::DirectExchange direct(machine);
   const auto y_par = parallel_symmetric_mttkrp(
-      machine, part, dist, a, cols, simt::Transport::kPointToPoint);
+      direct, part, dist, a, cols, simt::Transport::kPointToPoint);
   ASSERT_EQ(y_par.size(), cols.size());
   const auto same_bits = [](const std::vector<double>& u,
                             const std::vector<double>& v) {
@@ -153,18 +157,19 @@ TEST(ParallelMttkrp, RejectsBadInputs) {
       partition::TetraPartition::build(steiner::spherical_system(2));
   const partition::VectorDistribution dist(part, 10);
   simt::Machine machine(part.num_processors());
-  EXPECT_THROW(parallel_symmetric_mttkrp(machine, part, dist, a, {},
+  simt::DirectExchange direct(machine);
+  EXPECT_THROW(parallel_symmetric_mttkrp(direct, part, dist, a, {},
                                          simt::Transport::kPointToPoint),
                PreconditionError);
   EXPECT_THROW(
-      parallel_symmetric_mttkrp(machine, part, dist, a,
+      parallel_symmetric_mttkrp(direct, part, dist, a,
                                 {std::vector<double>(9, 0.0)},
                                 simt::Transport::kPointToPoint),
       PreconditionError);
   // A dead rank is rejected at entry, before anything moves.
   machine.mark_dead(3);
   EXPECT_THROW(
-      parallel_symmetric_mttkrp(machine, part, dist, a,
+      parallel_symmetric_mttkrp(direct, part, dist, a,
                                 {std::vector<double>(10, 1.0)},
                                 simt::Transport::kPointToPoint),
       PreconditionError);

@@ -366,13 +366,15 @@ TEST(Tracer, ExchangeSpansClassifyOverheadOnlyTrafficAsRetry) {
     // Goodput exchange: plain payload.
     std::vector<std::vector<simt::Envelope>> out(2);
     out[0].push_back(simt::Envelope{1, {1.0, 2.0}, 0});
-    machine.exchange(std::move(out), simt::Transport::kPointToPoint);
+    simt::DirectExchange(machine).exchange(std::move(out),
+                                           simt::Transport::kPointToPoint);
   }
   {
     // Overhead-only exchange (an ACK round's shape).
     std::vector<std::vector<simt::Envelope>> out(2);
     out[1].push_back(simt::Envelope{0, {3.0}, 1});
-    machine.exchange(std::move(out), simt::Transport::kPointToPoint);
+    simt::DirectExchange(machine).exchange(std::move(out),
+                                           simt::Transport::kPointToPoint);
   }
 
   const auto spans = tracer().snapshot();

@@ -2,24 +2,22 @@
 // epoch semantics, PooledBuffer views, Put delivery bitwise-equivalence
 // against DirectExchange, the three-way cross-transport property sweep,
 // sync-op metering (the α-term the paper's message-count bound prices),
-// per-channel ledger conservation, the make_exchanger factory and
-// STTSV_TRANSPORT parsing, and the engine/serve plumbing.
+// per-channel ledger conservation, the phase labels every backend sees,
+// and the engine/serve plumbing.
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <memory>
 #include <numeric>
 #include <string>
 #include <vector>
 
+#include "backends.hpp"
 #include "batch/batched_run.hpp"
 #include "batch/engine.hpp"
 #include "batch/plan.hpp"
 #include "core/parallel_sttsv.hpp"
 #include "core/sttsv_seq.hpp"
-#include "hier/make_exchanger.hpp"
-#include "hier/topology.hpp"
 #include "obs/metrics.hpp"
 #include "onesided/onesided_exchange.hpp"
 #include "onesided/segment_registry.hpp"
@@ -27,8 +25,8 @@
 #include "partition/vector_distribution.hpp"
 #include "serve/frontend.hpp"
 #include "simt/buffer_pool.hpp"
+#include "simt/collective.hpp"
 #include "simt/machine.hpp"
-#include "simt/transport_kind.hpp"
 #include "steiner/constructions.hpp"
 #include "support/check.hpp"
 #include "support/rng.hpp"
@@ -45,7 +43,6 @@ using simt::Delivery;
 using simt::Envelope;
 using simt::Machine;
 using simt::PooledBuffer;
-using simt::TransportKind;
 
 // --- Segment registry -------------------------------------------------------
 
@@ -238,10 +235,10 @@ DriverSetup make_setup(steiner::SteinerSystem sys, std::size_t n,
   return DriverSetup{std::move(part), std::move(dist), std::move(a), std::move(x)};
 }
 
-std::vector<double> run_with(const DriverSetup& s, TransportKind kind,
+std::vector<double> run_with(const DriverSetup& s, const char* backend,
                              simt::Transport transport) {
   Machine machine(s.part->num_processors());
-  auto ex = simt::make_exchanger(machine, kind);
+  auto ex = test::make_backend(backend, machine);
   return core::parallel_sttsv(*ex, *s.part, *s.dist, s.a, s.x, transport).y;
 }
 
@@ -249,8 +246,8 @@ TEST(DriverEquivalence, PutMatchesDirectBitwise) {
   const DriverSetup s = make_setup(steiner::spherical_system(2), 61, 11);
   for (const simt::Transport transport :
        {simt::Transport::kPointToPoint, simt::Transport::kAllToAll}) {
-    const auto want = run_with(s, TransportKind::kDirect, transport);
-    const auto put = run_with(s, TransportKind::kOneSidedPut, transport);
+    const auto want = run_with(s, "direct", transport);
+    const auto put = run_with(s, "onesided", transport);
     ASSERT_EQ(want.size(), put.size());
     for (std::size_t i = 0; i < want.size(); ++i) {
       ASSERT_EQ(put[i], want[i]) << "put i=" << i;
@@ -272,11 +269,9 @@ TEST(DriverEquivalence, ThirtyTwoSeedCrossTransportSweep) {
     const auto& c = cases[seed % 2];
     const DriverSetup s = make_setup(c.sys, c.n, 1000 + seed);
     std::vector<double> want;
-    for (const TransportKind kind :
-         {TransportKind::kDirect, TransportKind::kReliable,
-          TransportKind::kOneSidedPut}) {
+    for (const char* backend : {"direct", "reliable", "onesided"}) {
       Machine machine(s.part->num_processors());
-      auto ex = simt::make_exchanger(machine, kind);
+      auto ex = test::make_backend(backend, machine);
       const auto result = core::parallel_sttsv(
           *ex, *s.part, *s.dist, s.a, s.x, simt::Transport::kPointToPoint);
       machine.ledger().verify_conservation();
@@ -297,8 +292,7 @@ TEST(DriverEquivalence, ThirtyTwoSeedCrossTransportSweep) {
         ASSERT_EQ(result.y.size(), want.size());
         for (std::size_t i = 0; i < want.size(); ++i) {
           ASSERT_EQ(result.y[i], want[i])
-              << "seed=" << seed << " kind="
-              << simt::transport_kind_name(kind) << " i=" << i;
+              << "seed=" << seed << " backend=" << backend << " i=" << i;
         }
       }
     }
@@ -394,19 +388,12 @@ TEST(DriverEquivalence, OneExchangePerPhaseOnEveryBackend) {
   std::vector<std::vector<double>> panel(3);
   for (auto& xv : panel) xv = rng.uniform_vector(n);
   const std::vector<std::string> want = {"x-panel", "y-panel"};
-  for (const TransportKind kind :
-       {TransportKind::kDirect, TransportKind::kReliable,
-        TransportKind::kOneSidedPut, TransportKind::kHierarchical}) {
-    SCOPED_TRACE(simt::transport_kind_name(kind));
-    simt::ExchangerConfig config;
-    config.kind = kind;
-    if (kind == TransportKind::kHierarchical) {
-      config.node_of = hier::Topology::uniform(P, 2).node_map();
-    }
+  for (const char* backend : test::kBackends) {
+    SCOPED_TRACE(backend);
     for (const bool batched : {false, true}) {
       SCOPED_TRACE(batched ? "parallel_sttsv_batch" : "parallel_sttsv");
       Machine machine(P);
-      const auto inner = simt::make_exchanger(machine, config);
+      const auto inner = test::make_backend(backend, machine);
       CountingExchanger counting(*inner);
       if (batched) {
         (void)batch::parallel_sttsv_batch(counting, *plan, s.a, panel);
@@ -418,6 +405,16 @@ TEST(DriverEquivalence, OneExchangePerPhaseOnEveryBackend) {
       EXPECT_EQ(counting.phases, want);
       EXPECT_EQ(counting.begin_parts_calls, 0u);
     }
+
+    // The allreduce behind HOPM's norms: 2·ceil(log2 P) exchanges (8 at
+    // P = 10), each labelled by the allreduce itself.
+    Machine machine(P);
+    const auto inner = test::make_backend(backend, machine);
+    CountingExchanger counting(*inner);
+    (void)simt::allreduce_sum(counting,
+                              std::vector<std::vector<double>>(P, {1.0}));
+    EXPECT_EQ(counting.exchanges, std::vector<std::string>(8, "allreduce"));
+    EXPECT_EQ(counting.begin_parts_calls, 0u);
   }
 }
 
@@ -448,106 +445,6 @@ TEST(LedgerChannels, OneSidedMetricsExported) {
   EXPECT_EQ(reg.counter("ledger.goodput.total_words"), 0u);
 }
 
-// --- Factory and environment selection --------------------------------------
-
-TEST(TransportKindSelection, ParsesTheFourSpellings) {
-  EXPECT_EQ(simt::parse_transport_kind("direct"), TransportKind::kDirect);
-  EXPECT_EQ(simt::parse_transport_kind("reliable"), TransportKind::kReliable);
-  EXPECT_EQ(simt::parse_transport_kind("onesided"),
-            TransportKind::kOneSidedPut);
-  EXPECT_EQ(simt::parse_transport_kind("hier"),
-            TransportKind::kHierarchical);
-  EXPECT_EQ(simt::parse_transport_kind("rdma"), std::nullopt);
-  EXPECT_EQ(simt::parse_transport_kind("am"), std::nullopt);
-  for (const TransportKind kind :
-       {TransportKind::kDirect, TransportKind::kReliable,
-        TransportKind::kOneSidedPut, TransportKind::kHierarchical}) {
-    EXPECT_EQ(simt::parse_transport_kind(simt::transport_kind_name(kind)),
-              kind);
-  }
-}
-
-TEST(TransportKindSelection, EnvOverrideAndFallback) {
-  ::unsetenv("STTSV_TRANSPORT");
-  EXPECT_EQ(simt::transport_kind_from_env(TransportKind::kReliable),
-            TransportKind::kReliable);
-  ::setenv("STTSV_TRANSPORT", "onesided", 1);
-  EXPECT_EQ(simt::transport_kind_from_env(), TransportKind::kOneSidedPut);
-  for (const char* bad : {"bogus", "am"}) {
-    ::setenv("STTSV_TRANSPORT", bad, 1);
-    try {
-      (void)simt::transport_kind_from_env();
-      ADD_FAILURE() << bad << " was accepted";
-    } catch (const PreconditionError& e) {
-      EXPECT_NE(std::string(e.what()).find("direct|reliable|onesided|hier"),
-                std::string::npos)
-          << e.what();
-    }
-  }
-  ::unsetenv("STTSV_TRANSPORT");
-}
-
-TEST(TransportKindSelection, FactoryBuildsEachBackend) {
-  Machine machine(4);
-  auto direct = simt::make_exchanger(machine, TransportKind::kDirect);
-  auto reliable = simt::make_exchanger(machine, TransportKind::kReliable);
-  auto put = simt::make_exchanger(machine, TransportKind::kOneSidedPut);
-  EXPECT_FALSE(direct->supports_handler_delivery());
-  EXPECT_FALSE(reliable->supports_handler_delivery());
-  EXPECT_FALSE(put->supports_handler_delivery());
-  EXPECT_EQ(&direct->machine(), &machine);
-}
-
-TEST(TransportKindSelection, FactoryRejectsUnknownKindNamingTheTokens) {
-  // An out-of-enum kind (casted int, stale config) must fail loudly with
-  // the accepted spellings — never fall back to direct silently.
-  Machine machine(4);
-  bool threw = false;
-  try {
-    (void)simt::make_exchanger(machine, static_cast<TransportKind>(99));
-  } catch (const PreconditionError& e) {
-    threw = true;
-    EXPECT_NE(std::string(e.what()).find("direct|reliable|onesided|hier"),
-              std::string::npos)
-        << e.what();
-  }
-  EXPECT_TRUE(threw);
-}
-
-TEST(TransportKindSelection, HierarchicalNeedsATopology) {
-  ::unsetenv("STTSV_TOPOLOGY");
-  Machine machine(4);
-  // No node_of and no STTSV_TOPOLOGY: the factory must say what to set.
-  bool threw = false;
-  try {
-    (void)simt::make_exchanger(machine, TransportKind::kHierarchical);
-  } catch (const PreconditionError& e) {
-    threw = true;
-    const std::string what = e.what();
-    EXPECT_NE(what.find("node_of"), std::string::npos) << what;
-    EXPECT_NE(what.find("STTSV_TOPOLOGY"), std::string::npos) << what;
-  }
-  EXPECT_TRUE(threw);
-
-  // With the env override set, the same call builds the backend (and the
-  // ledger now splits by level).
-  ::setenv("STTSV_TOPOLOGY", "2x2", 1);
-  Machine machine2(4);
-  auto hier = simt::make_exchanger(machine2, TransportKind::kHierarchical);
-  EXPECT_FALSE(hier->supports_handler_delivery());
-  EXPECT_EQ(machine2.ledger().num_nodes(), 2u);
-  ::unsetenv("STTSV_TOPOLOGY");
-
-  // The inter-node backend must be a flat one.
-  simt::ExchangerConfig config;
-  config.kind = TransportKind::kHierarchical;
-  config.node_of = {0, 0, 1, 1};
-  config.hier_inter = TransportKind::kHierarchical;
-  Machine machine3(4);
-  EXPECT_THROW((void)simt::make_exchanger(machine3, config),
-               PreconditionError);
-}
-
 // --- Engine and serve plumbing ----------------------------------------------
 
 TEST(EnginePlumbing, OneSidedTransportMatchesDirectBitwise) {
@@ -559,11 +456,12 @@ TEST(EnginePlumbing, OneSidedTransportMatchesDirectBitwise) {
   std::vector<std::vector<double>> xs;
   for (int k = 0; k < 5; ++k) xs.push_back(rng.uniform_vector(n));
 
-  const auto run = [&](TransportKind kind) {
+  const auto run = [&](const char* backend) {
     Machine machine(plan->num_processors());
+    const auto ex = test::make_backend(backend, machine);
     batch::EngineOptions opts;
     opts.max_batch_size = 4;
-    opts.transport = kind;
+    opts.exchanger = ex.get();
     batch::Engine engine(machine, plan, a, opts);
     std::vector<std::vector<double>> ys(xs.size());
     for (const auto& x : xs) {
@@ -572,7 +470,7 @@ TEST(EnginePlumbing, OneSidedTransportMatchesDirectBitwise) {
       });
     }
     engine.flush();
-    if (kind != TransportKind::kDirect) {
+    if (std::string(backend) != "direct") {
       EXPECT_GT(machine.ledger().total_onesided_words(), 0u) << "engine";
       EXPECT_EQ(machine.ledger().total_words(), 0u);
     }
@@ -580,8 +478,8 @@ TEST(EnginePlumbing, OneSidedTransportMatchesDirectBitwise) {
     return ys;
   };
 
-  const auto want = run(TransportKind::kDirect);
-  const auto put = run(TransportKind::kOneSidedPut);
+  const auto want = run("direct");
+  const auto put = run("onesided");
   for (std::size_t v = 0; v < want.size(); ++v) {
     ASSERT_EQ(put[v], want[v]) << "put v=" << v;
   }
@@ -594,9 +492,10 @@ TEST(ServePlumbing, TenantOneSidedAttributionSumsToLedger) {
   Machine machine(plan->num_processors());
   Rng rng(2026);
   const auto a = tensor::random_symmetric(n, rng);
+  OneSidedExchange put(machine);
   serve::FrontendOptions opts;
   opts.batch_width = 4;
-  opts.transport = TransportKind::kOneSidedPut;
+  opts.exchanger = &put;
   serve::Frontend fe(machine, plan, a, opts);
   const serve::TenantId t0 = fe.add_tenant("alpha");
   const serve::TenantId t1 = fe.add_tenant("beta");

@@ -13,19 +13,17 @@
 #include <memory>
 #include <vector>
 
+#include "backends.hpp"
 #include "batch/engine.hpp"
 #include "batch/plan.hpp"
 #include "core/parallel_sttsv.hpp"
 #include "elastic/assignment.hpp"
 #include "elastic/recovery.hpp"
-#include "hier/make_exchanger.hpp"
-#include "hier/topology.hpp"
 #include "partition/tetra_partition.hpp"
 #include "partition/vector_distribution.hpp"
 #include "simt/fault_injector.hpp"
 #include "simt/machine.hpp"
 #include "simt/reliable_exchange.hpp"
-#include "simt/transport_kind.hpp"
 #include "steiner/constructions.hpp"
 #include "support/check.hpp"
 #include "support/rng.hpp"
@@ -43,7 +41,6 @@ using simt::RecoveryPolicy;
 using simt::ReliableExchange;
 using simt::RetryPolicy;
 using simt::Transport;
-using simt::TransportKind;
 
 struct Fixture {
   std::unique_ptr<partition::TetraPartition> part_ptr;
@@ -159,7 +156,8 @@ TEST(Recovery, MachineDropsDeadEndpointTrafficUncharged) {
   send(0, 1);  // live -> live: delivered and charged
   send(0, 3);  // live -> dead: dropped below the injector, uncharged
   send(3, 1);  // dead -> live: dropped, uncharged
-  auto in = machine.exchange(std::move(out), Transport::kPointToPoint);
+  auto in = simt::DirectExchange(machine).exchange(std::move(out),
+                                                   Transport::kPointToPoint);
   ASSERT_EQ(in[1].size(), 1u);
   EXPECT_EQ(in[1][0].from, 0u);
   EXPECT_TRUE(in[3].empty());
@@ -184,7 +182,8 @@ TEST(Recovery, RecoveryChannelConservesAndSkewFires) {
   env.data = std::move(buf);
   env.recovery = true;
   out[0].push_back(std::move(env));
-  auto in = machine.exchange(std::move(out), Transport::kPointToPoint);
+  auto in = simt::DirectExchange(machine).exchange(std::move(out),
+                                                   Transport::kPointToPoint);
   ASSERT_EQ(in[2].size(), 1u);
 
   const simt::CommLedger& led = machine.ledger();
@@ -297,20 +296,13 @@ TEST(Recovery, ShrunkenAssignmentsAreBitwiseInvariant) {
 
     // The same placement over every backend; hier splits the wire over
     // two nodes.
-    for (const TransportKind kind :
-         {TransportKind::kDirect, TransportKind::kReliable,
-          TransportKind::kOneSidedPut, TransportKind::kHierarchical}) {
+    for (const char* backend : test::kBackends) {
       simt::Machine m(P);
-      simt::ExchangerConfig config;
-      config.kind = kind;
-      if (kind == TransportKind::kHierarchical) {
-        config.node_of = hier::Topology::uniform(P, 2).node_map();
-      }
-      const auto ex = simt::make_exchanger(m, config);
+      const auto ex = test::make_backend(backend, m);
       const auto run = core::parallel_sttsv(*ex, s.part(), s.dist(), s.a, s.x,
                                             Transport::kPointToPoint,
                                             shrunk.hosts());
-      SCOPED_TRACE(simt::transport_kind_name(kind));
+      SCOPED_TRACE(backend);
       expect_bitwise(run.y, ref.y);
       m.ledger().verify_conservation();
     }

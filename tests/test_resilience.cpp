@@ -430,9 +430,10 @@ TEST(Resilience, ManyFramesPerPairMatchRawDelivery) {
     ReliableExchange rex(machine, RetryPolicy{64, 1, 64},
                          RecoveryPolicy::kFailFast);
     simt::Machine clean(P);
+    simt::DirectExchange clean_wire(clean);
     for (std::size_t k = 0; k < 3; ++k) {
       const auto want =
-          clean.exchange(make_outboxes(k), Transport::kPointToPoint);
+          clean_wire.exchange(make_outboxes(k), Transport::kPointToPoint);
       const auto got = rex.exchange(make_outboxes(k), Transport::kPointToPoint);
       expect_same_inboxes(got, want);
     }

@@ -40,7 +40,8 @@ TEST(SphericalAlpha3, Q3CommunicationReplayBalanced) {
   const std::size_t n = 28 * 117;
   const partition::VectorDistribution dist(part, n);
   simt::Machine machine(part.num_processors());
-  core::simulate_communication(machine, part, dist,
+  simt::DirectExchange direct(machine);
+  core::simulate_communication(direct, part, dist,
                                simt::Transport::kPointToPoint);
   machine.ledger().verify_conservation();
   const auto max_sent = machine.ledger().max_words_sent();

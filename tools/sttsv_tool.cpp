@@ -322,7 +322,8 @@ int cmd_symv(const ArgParser& args) {
   const auto a = matrix::random_symmetric_matrix(n, rng);
   const auto x = rng.uniform_vector(n);
   simt::Machine machine(part.num_processors());
-  const auto result = matrix::parallel_symv(machine, part, a, x,
+  simt::DirectExchange direct(machine);
+  const auto result = matrix::parallel_symv(direct, part, a, x,
                                             simt::Transport::kPointToPoint);
   const auto y_ref = matrix::symv(a, x);
   double max_diff = 0.0;
