@@ -7,7 +7,6 @@
 //   * ledger words identical (words/vector stays the paper's optimum),
 //   * ledger messages and rounds divided by ~B (one aggregated message
 //     per rank pair per phase, independent of B),
-//   * plan-cache warm lookups orders of magnitude under a cold build,
 //
 // and times both paths. The full sweep requires >= 2x vectors/s at the
 // widest panel (the panel kernels walk each tensor block once for all of
@@ -48,7 +47,6 @@
 #include "simt/simd.hpp"
 #include "support/rng.hpp"
 #include "support/table.hpp"
-#include "support/timer.hpp"
 #include "tensor/generators.hpp"
 
 namespace {
@@ -125,7 +123,7 @@ SweepPoint run_point(simt::Machine& machine, const batch::Plan& plan,
   pt.batched_words = machine.ledger().total_words();
   pt.batched_messages = machine.ledger().total_messages();
   pt.batched_rounds = machine.ledger().rounds();
-  pt.batched_max_words_sent = batched.maxima.words_sent;
+  pt.batched_max_words_sent = machine.ledger().max_words_sent();
 
   pt.bitwise = batched.y.size() == lanes;
   for (std::size_t v = 0; pt.bitwise && v < lanes; ++v) {
@@ -181,25 +179,9 @@ int main(int argc, char** argv) {
             : std::vector<std::size_t>{1, 2, 3, 4, 6, 8, 16};
   const std::size_t max_b = widths.back();
 
-  // --- Plan cache: cold build vs warm lookup. --------------------------
-  batch::PlanCache cache;
-  const batch::PlanKey key = batch::plan_key(
-      n, batch::Family::kSpherical, q, simt::Transport::kPointToPoint);
-
-  Timer t;
-  const std::shared_ptr<const batch::Plan> plan = cache.get(key);
-  const double cold_s = t.seconds();
-  t.reset();
-  const std::shared_ptr<const batch::Plan> again = cache.get(key);
-  const double warm_s = t.seconds();
-
-  check.check(plan == again, "plan-cache hit returns the identical plan");
-  check.check(cache.hits() == 1 && cache.misses() == 1,
-              "plan-cache counters: one miss (cold), one hit (warm)");
-  std::cout << "  plan build (cold): " << format_double(cold_s * 1e3, 3)
-            << " ms,  cache hit (warm): " << format_double(warm_s * 1e6, 3)
-            << " us\n\n";
-
+  const std::shared_ptr<const batch::Plan> plan = batch::Plan::build(
+      batch::plan_key(n, batch::Family::kSpherical, q,
+                      simt::Transport::kPointToPoint));
   const std::size_t P = plan->num_processors();
 
   // --- Inputs: one tensor, max_b deterministic panel columns. ----------
@@ -260,7 +242,6 @@ int main(int argc, char** argv) {
                       format_double(min_ratio, 1) + "x the single-vector loop");
     }
   }
-  check.check(warm_s < cold_s, "warm plan lookup cheaper than cold build");
 
   // --- Engine smoke: FIFO admission + deterministic auto-flush. --------
   batch::EngineOptions opts;
@@ -327,12 +308,6 @@ int main(int argc, char** argv) {
     w.field("q", static_cast<std::uint64_t>(q));
     w.field("P", static_cast<std::uint64_t>(P));
     w.field("transport", "point_to_point");
-    w.begin_object("plan_cache");
-    w.field("cold_build_seconds", cold_s);
-    w.field("warm_lookup_seconds", warm_s);
-    w.field("hits", cache.hits());
-    w.field("misses", cache.misses());
-    w.end_object();
     w.begin_array("sweep");
     for (const SweepPoint& pt : points) {
       const double lanes = static_cast<double>(pt.lanes);
@@ -367,7 +342,6 @@ int main(int argc, char** argv) {
     {
       obs::MetricsRegistry registry;
       machine.ledger().to_metrics(registry);
-      cache.publish_metrics(registry);
       engine.publish_metrics(registry);
       repro::write_observability(w, machine.ledger(), registry);
     }

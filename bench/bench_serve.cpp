@@ -12,8 +12,7 @@
 //     bounded by construction),
 //   * equal quotas under 2x overload share goodput fairly (Jain >= 0.95,
 //     per-tenant spread within 10%),
-//   * per-tenant ledger attribution sums exactly to the machine ledger,
-//   * repeated-shape plan lookups hit the sharded cache >= 90%.
+//   * per-tenant ledger attribution sums exactly to the machine ledger.
 //
 // Everything runs on the front end's virtual clock, so every number here
 // is deterministic in the traffic seed; only wall-clock timings would
@@ -31,7 +30,6 @@
 #include "obs/metrics.hpp"
 #include "repro_common.hpp"
 #include "serve/frontend.hpp"
-#include "serve/sharded_plan_cache.hpp"
 #include "serve/tenant.hpp"
 #include "serve/traffic.hpp"
 #include "simt/machine.hpp"
@@ -217,17 +215,11 @@ int main(int argc, char** argv) {
   const std::vector<double> load_factors = {0.5, 1.0, 1.5, 2.0};
   const std::size_t tenants = 4;
 
-  // --- Sharded plan cache: the serving-layer lookup path. --------------
-  // Model the steady state of a serving deployment: every (mix, load)
-  // point re-resolves each tenant's shape through the shared cache, and
-  // all tenants serve the same hot shape — lookups after the first hit.
-  serve::ShardedPlanCache cache(8, 8);
-  const batch::PlanKey key =
+  const std::shared_ptr<const batch::Plan> plan = batch::Plan::build(
       quick ? batch::plan_key(n, batch::Family::kTrivial, 5,
                               simt::Transport::kPointToPoint)
             : batch::plan_key(n, batch::Family::kSpherical, 2,
-                              simt::Transport::kPointToPoint);
-  std::shared_ptr<const batch::Plan> plan = cache.get(key);
+                              simt::Transport::kPointToPoint));
 
   Rng rng(2025);
   const tensor::SymTensor3 a = tensor::random_symmetric(n, rng);
@@ -238,21 +230,12 @@ int main(int argc, char** argv) {
   };
 
   std::vector<SweepPoint> points;
-  bool cache_identical = true;
   for (const auto& [mix, weights] : mixes) {
     for (const double load : load_factors) {
-      for (std::size_t t = 0; t < tenants; ++t) {
-        // Per-tenant shape resolution on every point, as a serving
-        // deployment would do per session.
-        cache_identical =
-            cache_identical && cache.get(key).get() == plan.get();
-      }
       points.push_back(
           run_point(plan, a, mix, weights, load, duration_s, seed));
     }
   }
-  check.check(cache_identical,
-              "every plan-cache hit returned the identical plan pointer");
 
   TextTable table({"mix", "load", "offered/s", "arrivals", "goodput/s",
                    "reject", "p50 ms", "p99 ms", "jain"},
@@ -324,15 +307,9 @@ int main(int argc, char** argv) {
                 "uniform @2x: per-tenant goodput within 10%");
   }
 
-  check.check(cache.hit_rate() >= 0.90,
-              "sharded plan cache hit rate >= 90% for the repeated-shape "
-              "mix (got " +
-                  format_double(cache.hit_rate() * 100.0, 1) + "%)");
-
   // --- Machine-readable artifact. --------------------------------------
   // One extra instrumented point (uniform @2x) supplies the shared
-  // observability block: its machine ledger plus front-end and cache
-  // metrics.
+  // observability block: its machine ledger plus front-end metrics.
   {
     simt::Machine machine = plan->make_machine();
     serve::FrontendOptions opts;
@@ -371,12 +348,6 @@ int main(int argc, char** argv) {
     w.field("duration_virtual_s", duration_s);
     w.field("seed", seed);
     w.field("saturation_jobs_per_s", saturation);
-    w.begin_object("plan_cache");
-    w.field("shards", static_cast<std::uint64_t>(cache.num_shards()));
-    w.field("hits", cache.hits());
-    w.field("misses", cache.misses());
-    w.field("hit_rate", cache.hit_rate());
-    w.end_object();
     w.begin_array("sweep");
     for (const SweepPoint& pt : points) {
       w.begin_object();
@@ -420,7 +391,6 @@ int main(int argc, char** argv) {
       obs::MetricsRegistry registry;
       machine.ledger().to_metrics(registry);
       fe.publish_metrics(registry);
-      cache.publish_metrics(registry);
       repro::write_observability(w, machine.ledger(), registry);
     }
     w.end_object();

@@ -35,7 +35,6 @@
 #include "repro_common.hpp"
 #include "simt/machine.hpp"
 #include "simt/reliable_exchange.hpp"
-#include "steiner/constructions.hpp"
 #include "support/rng.hpp"
 #include "support/table.hpp"
 #include "tensor/generators.hpp"
@@ -85,16 +84,9 @@ struct Cell {
   bool bitwise = false;
 };
 
-steiner::SteinerSystem make_system(const Family& f) {
-  switch (f.batch_family) {
-    case batch::Family::kSpherical:
-      return steiner::spherical_system(f.param);
-    case batch::Family::kBoolean:
-      return steiner::boolean_quadruple_system(f.param);
-    case batch::Family::kTrivial:
-      return steiner::trivial_triple_system(f.param);
-  }
-  throw PreconditionError("unknown family");
+std::shared_ptr<const batch::Plan> make_plan(const Family& f, std::size_t n) {
+  return batch::Plan::build(batch::plan_key(n, f.batch_family, f.param,
+                                            simt::Transport::kPointToPoint));
 }
 
 bool bitwise_equal(const std::vector<double>& a,
@@ -131,14 +123,13 @@ int main(int argc, char** argv) {
 
   std::vector<Cell> cells;
   for (const Family& fam : families) {
-    const auto part = partition::TetraPartition::build(make_system(fam));
-    const std::size_t P = part.num_processors();
     for (const std::size_t n : ns) {
-      const partition::VectorDistribution dist(part, n);
+      const auto plan = make_plan(fam, n);
+      const partition::TetraPartition& part = plan->partition();
+      const partition::VectorDistribution& dist = plan->distribution();
+      const std::size_t P = plan->num_processors();
       Rng rng(9000 + n + P);
       const tensor::SymTensor3 a = tensor::random_symmetric(n, rng);
-      const auto plan = batch::Plan::build(batch::plan_key(
-          n, fam.batch_family, fam.param, simt::Transport::kPointToPoint));
       for (const std::size_t B : Bs) {
         std::vector<std::vector<double>> xs;
         for (std::size_t v = 0; v < B; ++v) {
@@ -248,16 +239,14 @@ int main(int argc, char** argv) {
     // Four-channel observability block from one representative one-sided
     // run (largest swept configuration).
     {
-      const Family& fam = families.back();
-      const auto part = partition::TetraPartition::build(make_system(fam));
-      const partition::VectorDistribution dist(part, ns.back());
+      const auto plan = make_plan(families.back(), ns.back());
       Rng rng(77);
       const auto a = tensor::random_symmetric(ns.back(), rng);
       const auto x = rng.uniform_vector(ns.back());
-      simt::Machine machine(part.num_processors());
+      simt::Machine machine = plan->make_machine();
       onesided::OneSidedExchange ex(machine);
-      (void)core::parallel_sttsv(ex, part, dist, a, x,
-                                 simt::Transport::kPointToPoint);
+      (void)core::parallel_sttsv(ex, plan->partition(), plan->distribution(),
+                                 a, x, simt::Transport::kPointToPoint);
       obs::MetricsRegistry registry;
       machine.ledger().to_metrics(registry);
       ex.publish_metrics(registry);

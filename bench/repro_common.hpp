@@ -174,7 +174,7 @@ inline void write_ledger_rollup(JsonWriter& w, const LedgerRollup& r) {
 /// The one observability block every bench artifact shares: the ledger's
 /// two-channel summary ("ledger") followed by the full metrics registry
 /// ("metrics"). Callers publish whatever they have into `registry`
-/// (CommLedger::to_metrics, ReliableExchange/FaultInjector/PlanCache/
+/// (CommLedger::to_metrics, ReliableExchange/FaultInjector/
 /// Engine::publish_metrics) before calling.
 inline void write_observability(JsonWriter& w, const simt::CommLedger& ledger,
                                 const obs::MetricsRegistry& registry) {

@@ -24,8 +24,8 @@
 
 namespace sttsv::batch {
 
-/// y[v] per input vector, ternary multiplications per rank summed over
-/// the batch, and the ledger maxima after the run.
+/// y[v] per input vector and ternary multiplications per rank summed over
+/// the batch; words moved are on the machine's ledger.
 using BatchRunResult = core::PanelRunResult;
 
 /// Runs the batch {x_0..x_{B-1}} (B >= 1) through one aggregated

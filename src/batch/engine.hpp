@@ -92,9 +92,8 @@ class Engine {
 
   /// Swaps in a new plan mid-life (same n, same machine width) — the
   /// elastic-shrink hook: after a membership change the caller rebuilds
-  /// the plan under a fresh PlanKey::epoch and rebinds without tearing
-  /// the engine (and its queue/stats/ids) down. Prewarms the pool for
-  /// the new plan's walk.
+  /// the plan and rebinds without tearing the engine (and its
+  /// queue/stats/ids) down. Prewarms the pool for the new plan's walk.
   void rebind_plan(std::shared_ptr<const Plan> plan);
 
   [[nodiscard]] std::size_t pending() const {

@@ -1,9 +1,9 @@
 #include "batch/plan.hpp"
 
 #include <algorithm>
+#include <unordered_map>
 
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
+#include "core/costs.hpp"
 #include "steiner/constructions.hpp"
 #include "support/check.hpp"
 
@@ -53,17 +53,39 @@ PlanKey plan_key(std::size_t n, Family family, std::uint64_t param,
   return key;
 }
 
-std::size_t PlanKeyHash::operator()(const PlanKey& k) const noexcept {
-  std::size_t h = k.n;
-  const auto mix = [&h](std::size_t v) {
-    h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
+PlanKey plan_key_for_budget(std::size_t budget, std::size_t n,
+                            simt::Transport transport) {
+  STTSV_REQUIRE(n >= 1, "problem size must be >= 1");
+  STTSV_REQUIRE(budget >= 4,
+                "need a budget of at least 4 processors (trivial m=4)");
+  struct Candidate {
+    Family family;
+    std::uint64_t param;
+    std::size_t P;
+    double words;
   };
-  mix(k.processors);
-  mix(static_cast<std::size_t>(k.family));
-  mix(static_cast<std::size_t>(k.param));
-  mix(static_cast<std::size_t>(k.transport));
-  mix(static_cast<std::size_t>(k.epoch));
-  return h;
+  std::vector<Candidate> candidates;
+  for (const auto& f : steiner::admissible_processor_counts(budget)) {
+    const bool spherical = f.family == "spherical";
+    candidates.push_back({spherical ? Family::kSpherical : Family::kBoolean,
+                          spherical ? f.q : f.k, f.P,
+                          core::steiner_algorithm_words(n, f.m, f.r)});
+  }
+  for (std::size_t m = 4; m * (m - 1) * (m - 2) / 6 <= budget; ++m) {
+    candidates.push_back({Family::kTrivial, m, m * (m - 1) * (m - 2) / 6,
+                          core::steiner_algorithm_words(n, m, 3)});
+  }
+  const Candidate best = *std::min_element(
+      candidates.begin(), candidates.end(),
+      [](const Candidate& a, const Candidate& b) {
+        if (a.words != b.words) return a.words < b.words;
+        if ((a.family == Family::kSpherical) !=
+            (b.family == Family::kSpherical)) {
+          return a.family == Family::kSpherical;
+        }
+        return a.P > b.P;
+      });
+  return plan_key(n, best.family, best.param, transport);
 }
 
 Plan::Plan(PlanKey key, std::unique_ptr<partition::TetraPartition> part,
@@ -124,44 +146,6 @@ std::shared_ptr<const Plan> Plan::build(const PlanKey& key) {
       std::make_unique<partition::VectorDistribution>(*part, key.n);
   return std::shared_ptr<const Plan>(
       new Plan(key, std::move(part), std::move(dist)));
-}
-
-PlanCache::PlanCache(std::size_t capacity) : capacity_(capacity) {
-  STTSV_REQUIRE(capacity >= 1, "plan cache needs capacity >= 1");
-}
-
-std::shared_ptr<const Plan> PlanCache::get(const PlanKey& key) {
-  const auto it = index_.find(key);
-  if (it != index_.end()) {
-    ++hits_;
-    obs::Span span("plan.cache-hit", obs::Category::kPlanCache,
-                   key.processors);
-    entries_.splice(entries_.begin(), entries_, it->second);
-    return it->second->second;
-  }
-  ++misses_;
-  obs::Span span("plan.build", obs::Category::kPlanCache, key.processors);
-  auto plan = Plan::build(key);
-  entries_.emplace_front(key, plan);
-  index_[key] = entries_.begin();
-  if (entries_.size() > capacity_) {
-    index_.erase(entries_.back().first);
-    entries_.pop_back();
-  }
-  return plan;
-}
-
-void PlanCache::clear() {
-  entries_.clear();
-  index_.clear();
-}
-
-void PlanCache::publish_metrics(obs::MetricsRegistry& out,
-                                const std::string& prefix) const {
-  out.set_counter(prefix + ".hits", hits_);
-  out.set_counter(prefix + ".misses", misses_);
-  out.set_counter(prefix + ".size", entries_.size());
-  out.set_counter(prefix + ".capacity", capacity_);
 }
 
 }  // namespace sttsv::batch

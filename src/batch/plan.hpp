@@ -1,20 +1,18 @@
 #pragma once
-// Memoized execution plans for repeated STTSV runs against one tensor
-// shape (DESIGN.md §9). Building a run's combinatorial state — the
-// Steiner system, the tetrahedral partition, the vector distribution and
-// the per-pair exchange walk — costs far more than a single apply once
-// the tensor is resident, and none of it depends on the vector values.
-// A Plan captures all of it immutably; a PlanCache memoizes Plans by
-// (n, P, Steiner family, transport) with LRU eviction so serving
-// workloads (batch::Engine, multi-start HOPM, CP sweeps) pay setup once.
+// Execution plans for repeated STTSV runs against one tensor shape
+// (DESIGN.md §9). Building a run's combinatorial state — the Steiner
+// system, the tetrahedral partition, the vector distribution and the
+// per-pair exchange walk — costs far more than a single apply once the
+// tensor is resident, and none of it depends on the vector values. A Plan
+// captures all of it immutably, once per (n, Steiner family, parameter,
+// transport); callers that serve many vectors (batch::Engine,
+// serve::Frontend, multi-start HOPM, CP sweeps) share one Plan through a
+// shared_ptr. Plan::build is the only way to get one; plan_key_for_budget
+// picks the key for a processor budget.
 
 #include <cstddef>
 #include <cstdint>
-#include <list>
 #include <memory>
-#include <string>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "core/parallel_sttsv.hpp"
@@ -22,10 +20,6 @@
 #include "partition/tetra_partition.hpp"
 #include "partition/vector_distribution.hpp"
 #include "simt/machine.hpp"
-
-namespace sttsv::obs {
-class MetricsRegistry;
-}  // namespace sttsv::obs
 
 namespace sttsv::batch {
 
@@ -36,23 +30,15 @@ enum class Family : std::uint8_t {
   kTrivial,    // S(m, 3, 3),      param = m >= 4
 };
 
-/// Cache key: everything a plan's structure depends on. `processors` is
-/// derived from (family, param) — plan_key() fills it — but stays in the
-/// key so lookups are self-describing and mismatches fail loudly.
+/// Everything a plan's structure depends on. `processors` is derived
+/// from (family, param) — plan_key() fills it — but stays in the key so
+/// it is self-describing and a mismatch fails loudly in Plan::build.
 struct PlanKey {
   std::size_t n = 0;           // logical vector/tensor dimension
   std::size_t processors = 0;  // P = number of Steiner blocks
   Family family = Family::kSpherical;
   std::uint64_t param = 0;     // q / k / m, per Family
   simt::Transport transport = simt::Transport::kPointToPoint;
-  /// Membership epoch the plan was built for (Machine::membership_epoch).
-  /// Plans are structurally identical across epochs, but keying on the
-  /// epoch invalidates cached plans after an elastic shrink: stale
-  /// entries age out of the LRU instead of being served to a machine
-  /// whose live set no longer matches.
-  std::uint64_t epoch = 0;
-
-  friend bool operator==(const PlanKey&, const PlanKey&) = default;
 };
 
 /// Builds a key with `processors` computed from the family formulas
@@ -60,9 +46,16 @@ struct PlanKey {
 PlanKey plan_key(std::size_t n, Family family, std::uint64_t param,
                  simt::Transport transport);
 
-struct PlanKeyHash {
-  std::size_t operator()(const PlanKey& k) const noexcept;
-};
+/// The key of the plan with the fewest predicted words within `budget`
+/// ranks: over the spherical and Boolean systems with P <= budget
+/// (steiner::admissible_processor_counts) and the trivial S(m, 3, 3) for
+/// every m >= 4 with C(m, 3) <= budget, the lowest predicted per-rank
+/// words core::steiner_algorithm_words(n, m, r). More ranks alone do not
+/// win: a high-replication family can cost more words than a smaller
+/// spherical one. Ties prefer spherical, then the larger P. Throws
+/// PreconditionError for n == 0 or a budget below 4 (trivial m = 4).
+PlanKey plan_key_for_budget(std::size_t budget, std::size_t n,
+                            simt::Transport transport);
 
 /// An immutable, shareable plan: partition + distribution + the exchange
 /// walk of Algorithm 5 (partition::ExchangeWalk) and its identity host
@@ -130,36 +123,6 @@ class Plan {
   std::unique_ptr<partition::VectorDistribution> dist_;
   partition::ExchangeWalk walk_;  // built from *part_, *dist_
   core::HostSchedule schedule_;   // built from walk_
-};
-
-/// LRU-memoized Plan::build. Hits return the cached shared_ptr (pointer
-/// identity); misses build, insert, and evict the least recently used
-/// entry beyond `capacity`. Not thread-safe: the simulated machine is
-/// driven from one thread (host threads live below run_ranks only).
-class PlanCache {
- public:
-  explicit PlanCache(std::size_t capacity = 8);
-
-  std::shared_ptr<const Plan> get(const PlanKey& key);
-
-  [[nodiscard]] std::size_t size() const { return entries_.size(); }
-  [[nodiscard]] std::size_t capacity() const { return capacity_; }
-  [[nodiscard]] std::uint64_t hits() const { return hits_; }
-  [[nodiscard]] std::uint64_t misses() const { return misses_; }
-  void clear();
-
-  /// Publishes hit/miss/size/capacity into `out` as "<prefix>.*" counters,
-  /// set absolutely so re-export is idempotent.
-  void publish_metrics(obs::MetricsRegistry& out,
-                       const std::string& prefix = "plan_cache") const;
-
- private:
-  using Entry = std::pair<PlanKey, std::shared_ptr<const Plan>>;
-  std::size_t capacity_;
-  std::list<Entry> entries_;  // front = most recently used
-  std::unordered_map<PlanKey, std::list<Entry>::iterator, PlanKeyHash> index_;
-  std::uint64_t hits_ = 0;
-  std::uint64_t misses_ = 0;
 };
 
 }  // namespace sttsv::batch

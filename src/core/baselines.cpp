@@ -123,8 +123,6 @@ ParallelRunResult baseline_1d_atomic(simt::Exchanger& exchanger,
     }
   }
   machine.ledger().verify_conservation();
-  result.max_words_sent = machine.ledger().max_words_sent();
-  result.max_words_received = machine.ledger().max_words_received();
   return result;
 }
 
@@ -261,8 +259,6 @@ ParallelRunResult baseline_cubic(simt::Exchanger& exchanger,
   }
   machine.ledger().verify_conservation();
   result.y.assign(y_pad.begin(), y_pad.begin() + static_cast<long>(n));
-  result.max_words_sent = machine.ledger().max_words_sent();
-  result.max_words_received = machine.ledger().max_words_received();
   return result;
 }
 

@@ -21,6 +21,15 @@ double optimal_algorithm_words(std::size_t n, std::size_t q) {
   return 2.0 * (nn * (qq + 1.0) / (qq * qq + 1.0) - nn / P);
 }
 
+double steiner_algorithm_words(std::size_t n, std::size_t m, std::size_t r) {
+  STTSV_REQUIRE(r >= 3 && m >= r,
+                "a Steiner (m, r, 3) system needs m >= r >= 3");
+  const double lambda1 =
+      static_cast<double>((m - 1) * (m - 2) / ((r - 1) * (r - 2)));
+  const double b = std::ceil(static_cast<double>(n) / static_cast<double>(m));
+  return 2.0 * static_cast<double>(r) * b * (lambda1 - 1.0) / lambda1;
+}
+
 double all_to_all_words(std::size_t n, std::size_t q) {
   const double nn = static_cast<double>(n);
   const double qq = static_cast<double>(q);

@@ -16,6 +16,14 @@ double lower_bound_words(std::size_t n, std::size_t P);
 /// 2 (n (q+1)/(q²+1) - n/P) with P = q(q²+1). Exact when q(q+1) | b.
 double optimal_algorithm_words(std::size_t n, std::size_t q);
 
+/// Per-rank words of Algorithm 5 on a Steiner (m, r, 3) partition, both
+/// vectors: each rank owns shares of r row blocks of length b = ⌈n/m⌉
+/// and receives the rest of each block from the other λ₁ - 1 owners,
+/// 2·r·b·(λ₁-1)/λ₁ with λ₁ = (m-1)(m-2)/((r-1)(r-2)). Exact when every
+/// share divides evenly; for the spherical family (r = q+1, m = q²+1) it
+/// equals optimal_algorithm_words when m | n.
+double steiner_algorithm_words(std::size_t n, std::size_t m, std::size_t r);
+
 /// Section 7.2.2 (All-to-All variant): 4n/(q+1) · (1 - 1/P),
 /// asymptotically twice the lower bound's leading term.
 double all_to_all_words(std::size_t n, std::size_t q);

@@ -116,8 +116,6 @@ ParallelRunResult parallel_sttsv(simt::Exchanger& exchanger,
   ParallelRunResult result;
   result.y = std::move(run.y[0]);
   result.ternary_mults = std::move(run.ternary_mults);
-  result.max_words_sent = run.maxima.words_sent;
-  result.max_words_received = run.maxima.words_received;
   return result;
 }
 
@@ -353,7 +351,6 @@ PanelRunResult parallel_sttsv_panel(simt::Exchanger& exchanger,
   for (std::size_t v = 0; v < B; ++v) {
     for (std::size_t g = 0; g < n; ++g) result.y[v][g] = y_pad[g * B + v];
   }
-  result.maxima = machine.ledger().maxima();
   return result;
 }
 

@@ -20,7 +20,6 @@
 #include "partition/exchange_walk.hpp"
 #include "partition/tetra_partition.hpp"
 #include "partition/vector_distribution.hpp"
-#include "simt/ledger.hpp"
 #include "simt/machine.hpp"
 #include "simt/reliable_exchange.hpp"
 #include "tensor/sym_tensor.hpp"
@@ -31,12 +30,8 @@ struct ParallelRunResult {
   /// Assembled output, logical length n (padding dropped).
   std::vector<double> y;
   /// Ternary multiplications per rank — per role under a placement
-  /// (Section 7.1 load balance).
+  /// (Section 7.1 load balance). Words moved are on the machine's ledger.
   std::vector<std::uint64_t> ternary_mults;
-  /// Convenience: max over ranks of words sent during this run
-  /// (the quantity bounded by Theorem 5.2). Also available via the ledger.
-  std::uint64_t max_words_sent = 0;
-  std::uint64_t max_words_received = 0;
 };
 
 struct PanelRunResult {
@@ -44,8 +39,6 @@ struct PanelRunResult {
   std::vector<std::vector<double>> y;
   /// Ternary multiplications per role, summed over the panel.
   std::vector<std::uint64_t> ternary_mults;
-  /// Ledger maxima after this run (CommLedger::maxima()).
-  simt::LedgerMaxima maxima;
 };
 
 /// Algorithm 5's message pattern lifted from roles onto hosts (DESIGN.md

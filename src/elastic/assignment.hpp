@@ -54,8 +54,7 @@ class BlockAssignment {
     return live_;
   }
 
-  /// Monotone shrink counter; the serving stack keys plan-cache entries
-  /// on it so a membership change can never hit a stale plan.
+  /// Monotone shrink counter.
   [[nodiscard]] std::uint64_t epoch() const { return epoch_; }
 
   /// Every host is live, every live rank hosts at least one role, and

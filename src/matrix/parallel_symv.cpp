@@ -183,7 +183,6 @@ SymvRunResult parallel_symv(simt::Exchanger& exchanger,
 
   SymvRunResult result;
   result.y.assign(y_pad.begin(), y_pad.begin() + static_cast<long>(n));
-  result.max_words_sent = machine.ledger().max_words_sent();
   return result;
 }
 

@@ -5,7 +5,6 @@
 // Same three phases as Algorithm 5: gather x shares, owner-compute block
 // kernels, reduce partial y shares. Only vector data moves.
 
-#include <cstdint>
 #include <vector>
 
 #include "matrix/sym_matrix.hpp"
@@ -15,8 +14,7 @@
 namespace sttsv::matrix {
 
 struct SymvRunResult {
-  std::vector<double> y;  // logical length n
-  std::uint64_t max_words_sent = 0;
+  std::vector<double> y;  // logical length n; words moved are on the ledger
 };
 
 /// Runs y = A·x over `exchanger`: one exchange per vector phase,

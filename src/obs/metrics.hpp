@@ -2,13 +2,13 @@
 // Named metrics registry (DESIGN.md §11): counters, gauges and scalar
 // histograms that the instrumented subsystems publish into — the
 // CommLedger's two channels (CommLedger::to_metrics), ReliableExchange
-// and FaultInjector protocol stats, PlanCache hit rates, batch::Engine
-// throughput counters. Benches snapshot a registry into their JSON
-// artifacts via obs::write_metrics_json, so every run's breakdown is a
-// queryable artifact instead of hand-rolled fields.
+// and FaultInjector protocol stats, batch::Engine throughput counters.
+// Benches snapshot a registry into their JSON artifacts via
+// obs::write_metrics_json, so every run's breakdown is a queryable
+// artifact instead of hand-rolled fields.
 //
 // Names are flat dotted paths ("ledger.goodput.max_words_sent",
-// "rex.retransmitted_frames", "plan_cache.hits"); storage is ordered by
+// "rex.retransmitted_frames", "engine.batches_run"); storage is ordered by
 // name so exports are deterministic. Recording takes a mutex — metrics
 // publication happens at run boundaries, never inside kernels, so the
 // lock is not on any hot path.

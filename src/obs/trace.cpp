@@ -65,8 +65,6 @@ const char* category_name(Category c) {
       return "kernel";
     case Category::kRetry:
       return "retry";
-    case Category::kPlanCache:
-      return "plan-cache";
     case Category::kEngineFlush:
       return "engine-flush";
     case Category::kServe:

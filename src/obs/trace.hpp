@@ -45,7 +45,6 @@ enum class Category : std::uint8_t {
   kExchange,
   kKernel,
   kRetry,
-  kPlanCache,
   kEngineFlush,
   kServe,
   kRecovery,

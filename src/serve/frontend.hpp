@@ -105,7 +105,7 @@ struct FrontendStats {
 
 /// Single-threaded like the engine it drives (the simulated machine has
 /// one driver); concurrent tenants are multiplexed by the caller feeding
-/// one merged arrival sequence. ShardedPlanCache is the concurrent piece.
+/// one merged arrival sequence.
 class Frontend {
  public:
   using Callback = std::function<void(JobResult)>;

@@ -27,7 +27,7 @@
 // is exactly what the liveness detector in ReliableExchange keys on, and
 // degraded-mode replays (which bypass the injector) cannot resurrect a
 // dead peer. Detected losses are recorded as RankLossReports here, and
-// each death bumps a membership epoch that invalidates cached plans.
+// each death bumps a membership epoch.
 
 #include <array>
 #include <cstddef>
@@ -174,7 +174,7 @@ class Machine {
   [[nodiscard]] std::size_t num_alive() const { return num_alive_; }
   /// Sorted ranks marked dead so far.
   [[nodiscard]] std::vector<std::size_t> dead_ranks() const;
-  /// Bumped once per newly-dead rank; plan caches key on it.
+  /// Bumped once per newly-dead rank.
   [[nodiscard]] std::uint64_t membership_epoch() const {
     return membership_epoch_;
   }

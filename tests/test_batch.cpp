@@ -3,12 +3,14 @@
 // are independent) and to the message-free reference of
 // algorithm5_reference.hpp (both sides of the loop comparison run the
 // one driver) for every Steiner family (covering every block-kernel
-// class), both transports, padded and divisible sizes; the plan cache
-// must memoize with pointer identity and rebuild after eviction; the
-// engine must cut deterministic batches and preserve submission order.
+// class), both transports, padded and divisible sizes; the budget
+// chooser must pick the least-words family and its plan must run
+// end to end; the engine must cut deterministic batches and preserve
+// submission order.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <map>
@@ -22,6 +24,7 @@
 #include "batch/batched_run.hpp"
 #include "batch/engine.hpp"
 #include "batch/plan.hpp"
+#include "core/costs.hpp"
 #include "core/parallel_sttsv.hpp"
 #include "core/sttsv_seq.hpp"
 #include "support/check.hpp"
@@ -376,52 +379,94 @@ TEST(Plan, KeyComputesProcessorCount) {
             10u);  // C(5,3)
 }
 
-TEST(PlanCacheTest, HitReturnsPointerIdenticalPlan) {
-  PlanCache cache;
-  const PlanKey key = plan_key(60, Family::kSpherical, 2,
-                               simt::Transport::kPointToPoint);
-  const auto first = cache.get(key);
-  const auto second = cache.get(key);
-  EXPECT_EQ(first.get(), second.get());
-  EXPECT_EQ(cache.misses(), 1u);
-  EXPECT_EQ(cache.hits(), 1u);
-  EXPECT_EQ(cache.size(), 1u);
+// --- plan_key_for_budget: the least-words plan within a rank budget ------
 
-  // A different transport is a different plan.
-  const auto other = cache.get(
-      plan_key(60, Family::kSpherical, 2, simt::Transport::kAllToAll));
-  EXPECT_NE(other.get(), first.get());
-  EXPECT_EQ(cache.misses(), 2u);
+constexpr simt::Transport kP2P = simt::Transport::kPointToPoint;
+
+TEST(PlanKeyForBudget, MinimizesPredictedCommunication) {
+  // Budget 35: trivial m=7 offers more processors (P=35) but its
+  // replication λ₁ = 15 makes it costlier than spherical q=3 (P=30,
+  // λ₁ = 12, predicted 220 words at n = 300): spherical must win.
+  const PlanKey key = plan_key_for_budget(35, 300, kP2P);
+  EXPECT_EQ(key.processors, 30u);
+  EXPECT_EQ(key.family, Family::kSpherical);
+  EXPECT_EQ(key.param, 3u);
+
+  // Budget 100: spherical q=4 (P=68) beats trivial m=9 (P=84).
+  const PlanKey key100 = plan_key_for_budget(100, 680, kP2P);
+  EXPECT_EQ(key100.family, Family::kSpherical);
+  EXPECT_EQ(key100.param, 4u);
 }
 
-TEST(PlanCacheTest, EvictionRebuildsLeastRecentlyUsed) {
-  PlanCache cache(2);
-  const PlanKey a = plan_key(40, Family::kSpherical, 2,
-                             simt::Transport::kPointToPoint);
-  const PlanKey b = plan_key(60, Family::kSpherical, 2,
-                             simt::Transport::kPointToPoint);
-  const PlanKey c = plan_key(48, Family::kBoolean, 3,
-                             simt::Transport::kPointToPoint);
+TEST(PlanKeyForBudget, PrefersSphericalOnTies) {
+  // Budget 10: spherical q=2 (P=10) vs trivial m=5 (P=10): spherical wins.
+  const PlanKey key = plan_key_for_budget(10, 100, kP2P);
+  EXPECT_EQ(key.processors, 10u);
+  EXPECT_EQ(key.family, Family::kSpherical);
+}
 
-  const auto pa = cache.get(a);
-  cache.get(b);
-  cache.get(c);  // evicts a (LRU)
-  EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(cache.misses(), 3u);
+TEST(PlanKeyForBudget, SmallBudgetsFallBackToTrivial) {
+  const PlanKey key = plan_key_for_budget(5, 50, kP2P);  // only m=4 fits
+  EXPECT_EQ(key.processors, 4u);
+  EXPECT_EQ(key.family, Family::kTrivial);
+  EXPECT_THROW(plan_key_for_budget(3, 50, kP2P), PreconditionError);
+}
 
-  const auto pa2 = cache.get(a);  // rebuilt, evicts b
-  EXPECT_EQ(cache.misses(), 4u);
-  EXPECT_EQ(cache.hits(), 0u);
-  EXPECT_EQ(pa2->key(), a);
-  EXPECT_NE(pa2.get(), pa.get()) << "eviction must drop the cached entry";
+TEST(PlanKeyForBudget, SummaryConsistent) {
+  const std::size_t n = 480;
+  const auto plan = Plan::build(plan_key_for_budget(30, n, kP2P));
+  const partition::TetraPartition& part = plan->partition();
+  const partition::VectorDistribution& dist = plan->distribution();
+  EXPECT_EQ(plan->num_processors(), 30u);
+  EXPECT_EQ(part.num_row_blocks(), 10u);
+  EXPECT_EQ(dist.block_length_b(), 48u);
+  // The estimate the chooser ranks by is the Section 7.2.2 closed form
+  // on the spherical plan when m | n.
+  EXPECT_NEAR(core::steiner_algorithm_words(n, part.num_row_blocks(),
+                                            part.steiner_block_size()),
+              core::optimal_algorithm_words(n, 3), 1e-9);
+  std::size_t tensor_words = 0;
+  std::size_t vector_words = 0;
+  for (std::size_t p = 0; p < plan->num_processors(); ++p) {
+    tensor_words = std::max(tensor_words,
+                            part.stored_entries(p, dist.block_length_b()));
+    vector_words = std::max(vector_words, dist.local_elements(p));
+  }
+  EXPECT_GT(tensor_words, 0u);
+  EXPECT_EQ(vector_words, n / 30);
+}
 
-  cache.get(c);  // still resident
-  EXPECT_EQ(cache.hits(), 1u);
-  cache.get(b);  // was evicted by the a rebuild
-  EXPECT_EQ(cache.misses(), 5u);
+TEST(PlanKeyForBudget, EndToEndRunMatchesReference) {
+  const std::size_t n = 120;
+  Rng rng(1);
+  const auto a = tensor::random_symmetric(n, rng);
+  const auto x = rng.uniform_vector(n);
+  const auto y_ref = core::sttsv_packed(a, x);
+  for (const std::size_t budget : {10u, 14u, 30u, 40u}) {
+    const auto plan = Plan::build(plan_key_for_budget(budget, n, kP2P));
+    simt::Machine machine = plan->make_machine();
+    const auto y = parallel_sttsv_batch(machine, *plan, a, {x}).y[0];
+    ASSERT_EQ(y.size(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_NEAR(y[i], y_ref[i], 1e-9) << "budget=" << budget << " i=" << i;
+    }
+    EXPECT_LE(machine.num_ranks(), budget);
+  }
+}
 
-  cache.clear();
-  EXPECT_EQ(cache.size(), 0u);
+TEST(PlanKeyForBudget, PredictionMatchesMeasurementDivisible) {
+  // Divisible spherical case: measured == predicted exactly.
+  const std::size_t n = 10 * 12 * 3;  // m=10, |Q_i|=12 divisible
+  Rng rng(2);
+  const auto a = tensor::random_symmetric(n, rng);
+  const auto x = rng.uniform_vector(n);
+  const auto plan = Plan::build(plan_key_for_budget(30, n, kP2P));
+  simt::Machine machine = plan->make_machine();
+  parallel_sttsv_batch(machine, *plan, a, {x});
+  const auto measured =
+      static_cast<double>(machine.ledger().max_words_sent());
+  EXPECT_DOUBLE_EQ(measured, core::optimal_algorithm_words(n, 3));
+  EXPECT_DOUBLE_EQ(measured, core::steiner_algorithm_words(n, 10, 4));
 }
 
 TEST(EngineTest, AutoFlushPreservesSubmissionOrder) {

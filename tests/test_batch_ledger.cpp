@@ -72,7 +72,7 @@ void check_invariants(Family family, std::uint64_t param, std::size_t n,
     const std::vector<std::vector<double>> x(
         panel.begin(), panel.begin() + static_cast<std::ptrdiff_t>(lanes));
     machine.reset_ledger();
-    const BatchRunResult result = parallel_sttsv_batch(machine, *plan, a, x);
+    parallel_sttsv_batch(machine, *plan, a, x);
     const RankCounters batched = snapshot(machine.ledger());
 
     for (std::size_t p = 0; p < P; ++p) {
@@ -91,10 +91,8 @@ void check_invariants(Family family, std::uint64_t param, std::size_t n,
     EXPECT_EQ(batched.modeled_collective_words,
               lanes * single.modeled_collective_words);
 
-    // The reported maxima are the ledger maxima are the rank maxima.
+    // The ledger maxima are the rank maxima.
     const simt::LedgerMaxima maxima = machine.ledger().maxima();
-    EXPECT_EQ(result.maxima.words_sent, maxima.words_sent);
-    EXPECT_EQ(result.maxima.words_received, maxima.words_received);
     std::uint64_t max_sent = 0;
     std::uint64_t max_received = 0;
     for (std::size_t p = 0; p < P; ++p) {
@@ -141,15 +139,16 @@ TEST(BatchLedger, MaxWordsSentIsBTimesSingleVectorMax) {
   const auto panel = make_panel(60, 6, 8000);
 
   machine.reset_ledger();
-  const auto single = core::parallel_sttsv(
-      machine, plan->partition(), plan->distribution(), a, panel[0],
-      simt::Transport::kPointToPoint);
+  core::parallel_sttsv(machine, plan->partition(), plan->distribution(), a,
+                       panel[0], simt::Transport::kPointToPoint);
+  const simt::LedgerMaxima single = machine.ledger().maxima();
 
   machine.reset_ledger();
-  const BatchRunResult batched =
-      parallel_sttsv_batch(machine, *plan, a, panel);
-  EXPECT_EQ(batched.maxima.words_sent, 6u * single.max_words_sent);
-  EXPECT_EQ(batched.maxima.words_received, 6u * single.max_words_received);
+  parallel_sttsv_batch(machine, *plan, a, panel);
+  const simt::LedgerMaxima batched = machine.ledger().maxima();
+  EXPECT_GT(single.words_sent, 0u);
+  EXPECT_EQ(batched.words_sent, 6u * single.words_sent);
+  EXPECT_EQ(batched.words_received, 6u * single.words_received);
 }
 
 }  // namespace

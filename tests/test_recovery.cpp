@@ -524,25 +524,8 @@ TEST(Recovery, ShrinkBudgetExhaustionRethrows) {
 }
 
 // ---------------------------------------------------------------------
-// Serving-stack plumbing: epoch-keyed plans, parked-batch recovery
+// Serving-stack plumbing: plan rebinding, parked-batch recovery
 // ---------------------------------------------------------------------
-
-TEST(Recovery, PlanKeyEpochInvalidatesCache) {
-  const auto key0 = batch::plan_key(60, batch::Family::kSpherical, 2,
-                                    Transport::kPointToPoint);
-  batch::PlanKey key1 = key0;
-  key1.epoch = 1;
-  EXPECT_FALSE(key0 == key1);
-  EXPECT_NE(batch::PlanKeyHash{}(key0), batch::PlanKeyHash{}(key1));
-
-  batch::PlanCache cache(4);
-  const auto p0 = cache.get(key0);
-  const auto p1 = cache.get(key1);
-  EXPECT_EQ(cache.misses(), 2u) << "a new epoch must never hit a stale plan";
-  EXPECT_NE(p0.get(), p1.get());
-  cache.get(key1);
-  EXPECT_EQ(cache.hits(), 1u);
-}
 
 TEST(Recovery, EngineCancelPendingReturnsInputsInOrder) {
   const auto key = batch::plan_key(60, batch::Family::kSpherical, 2,
@@ -593,12 +576,14 @@ TEST(Recovery, EngineRebindPlanKeepsServingAfterEpochBump) {
   });
   ref_engine.flush();
 
+  // After a membership change the caller rebuilds the plan and rebinds
+  // it; the engine must serve from the new plan, not the one it was
+  // constructed with.
   simt::Machine machine(plan->num_processors());
   batch::Engine engine(machine, plan, a);
-  batch::PlanKey bumped = key;
-  bumped.epoch = machine.membership_epoch() + 1;
-  engine.rebind_plan(batch::Plan::build(bumped));
-  EXPECT_EQ(engine.plan().key().epoch, bumped.epoch);
+  const auto rebuilt = batch::Plan::build(key);
+  engine.rebind_plan(rebuilt);
+  EXPECT_EQ(&engine.plan(), rebuilt.get());
 
   std::vector<double> got;
   engine.submit(x, [&](std::size_t, std::vector<double> y) {

@@ -2,11 +2,10 @@
 // scheduler's fairness and FIFO guarantees, deterministic token-bucket
 // admission, the open-loop traffic generator's reproducibility and
 // per-tenant stream independence, explicit (never silent) rejects under
-// every quota, the sharded plan cache's pointer identity under
-// concurrency and per-shard LRU eviction, and the two serving-layer
-// invariants: every tenant's outputs bitwise identical to running its
-// jobs alone through batch::Engine, and per-tenant ledger attribution
-// summing exactly to the global ledger.
+// every quota, and the two serving-layer invariants: every tenant's
+// outputs bitwise identical to running its jobs alone through
+// batch::Engine, and per-tenant ledger attribution summing exactly to
+// the global ledger.
 
 #include <gtest/gtest.h>
 
@@ -22,7 +21,6 @@
 #include "obs/metrics.hpp"
 #include "serve/drr.hpp"
 #include "serve/frontend.hpp"
-#include "serve/sharded_plan_cache.hpp"
 #include "serve/tenant.hpp"
 #include "serve/traffic.hpp"
 #include "simt/fault_injector.hpp"
@@ -658,77 +656,6 @@ TEST(EngineOwnership, DebugCheckRejectsCrossThreadUse) {
   EXPECT_TRUE(ok);
 }
 #endif
-
-// --- Sharded plan cache ----------------------------------------------------
-
-TEST(ShardedPlanCache, ConcurrentSameShapeHitsOnePointerIdenticalPlan) {
-  ShardedPlanCache cache(4, 4);
-  const batch::PlanKey key = batch::plan_key(
-      36, batch::Family::kTrivial, 5, simt::Transport::kPointToPoint);
-  constexpr std::size_t kThreads = 8;
-  std::vector<std::shared_ptr<const batch::Plan>> got(kThreads);
-  {
-    std::vector<std::thread> workers;
-    workers.reserve(kThreads);
-    for (std::size_t i = 0; i < kThreads; ++i) {
-      workers.emplace_back(
-          [&cache, &key, &got, i] { got[i] = cache.get(key); });
-    }
-    for (auto& w : workers) w.join();
-  }
-  for (std::size_t i = 1; i < kThreads; ++i) {
-    EXPECT_EQ(got[0].get(), got[i].get()) << "plan not pointer-identical";
-  }
-  EXPECT_EQ(cache.misses(), 1u);
-  EXPECT_EQ(cache.hits(), kThreads - 1);
-  EXPECT_EQ(cache.size(), 1u);
-}
-
-TEST(ShardedPlanCache, DistinctShapesLandOnDistinctShards) {
-  ShardedPlanCache cache(8, 4);
-  // A handful of distinct shapes must spread over more than one shard
-  // (PlanKeyHash mixes n, family and param).
-  std::vector<batch::PlanKey> keys;
-  for (std::uint64_t m = 4; m <= 9; ++m) {
-    keys.push_back(batch::plan_key(24 + m, batch::Family::kTrivial, m,
-                                   simt::Transport::kPointToPoint));
-  }
-  std::map<std::size_t, std::size_t> shard_use;
-  for (const auto& key : keys) ++shard_use[cache.shard_of(key)];
-  EXPECT_GT(shard_use.size(), 1u) << "all shapes hashed to one shard";
-  // Concurrent gets of distinct shapes: every lookup is a miss, every
-  // shard's counters stay consistent (TSan exercises the locking).
-  {
-    std::vector<std::thread> workers;
-    for (const auto& key : keys) {
-      workers.emplace_back([&cache, key] { (void)cache.get(key); });
-    }
-    for (auto& w : workers) w.join();
-  }
-  EXPECT_EQ(cache.misses(), keys.size());
-  EXPECT_EQ(cache.hits(), 0u);
-}
-
-TEST(ShardedPlanCache, LruEvictionFiresPerShard) {
-  // One shard, capacity 2: the oldest of three shapes must be rebuilt.
-  ShardedPlanCache cache(1, 2);
-  const auto key = [](std::uint64_t m) {
-    return batch::plan_key(24, batch::Family::kTrivial, m,
-                           simt::Transport::kPointToPoint);
-  };
-  (void)cache.get(key(4));
-  (void)cache.get(key(5));
-  (void)cache.get(key(6));  // evicts m=4
-  EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(cache.misses(), 3u);
-  (void)cache.get(key(6));  // hit
-  EXPECT_EQ(cache.hits(), 1u);
-  (void)cache.get(key(4));  // miss again: it was evicted
-  EXPECT_EQ(cache.misses(), 4u);
-  const ShardedPlanCache::ShardStats stats = cache.shard_stats(0);
-  EXPECT_EQ(stats.capacity, 2u);
-  EXPECT_EQ(stats.size, 2u);
-}
 
 }  // namespace
 }  // namespace sttsv::serve

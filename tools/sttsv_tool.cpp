@@ -20,8 +20,9 @@
 
 #include "apps/eigensearch.hpp"
 #include "apps/hopm.hpp"
+#include "batch/batched_run.hpp"
+#include "batch/plan.hpp"
 #include "core/baselines.hpp"
-#include "core/planner.hpp"
 #include "iosim/sequential_io.hpp"
 #include "matrix/pair_system.hpp"
 #include "matrix/parallel_symv.hpp"
@@ -253,30 +254,58 @@ int cmd_hopm(const ArgParser& args) {
   return res.converged ? 0 : 1;
 }
 
+const char* family_name(batch::Family family) {
+  switch (family) {
+    case batch::Family::kSpherical:
+      return "spherical";
+    case batch::Family::kBoolean:
+      return "boolean";
+    case batch::Family::kTrivial:
+      return "triples";
+  }
+  return "unknown";
+}
+
 int cmd_auto(const ArgParser& args) {
   const std::size_t budget = args.get_u64("budget");
   const std::size_t n = args.get_u64("n");
   const std::uint64_t seed = args.get_u64_or("seed", 1);
 
-  const core::Planner plan(budget, n);
-  const auto& s = plan.summary();
-  std::cout << "plan: family = " << s.family
-            << (s.q > 0 ? " (q = " + std::to_string(s.q) + ")" : "")
-            << ", P = " << s.processors << " of budget " << budget
-            << ", m = " << s.row_blocks << ", b = " << s.block_length
+  const auto plan = batch::Plan::build(batch::plan_key_for_budget(
+      budget, n, simt::Transport::kPointToPoint));
+  const batch::PlanKey& key = plan->key();
+  const auto& part = plan->partition();
+  const auto& dist = plan->distribution();
+  const std::size_t b = dist.block_length_b();
+  const bool spherical = key.family == batch::Family::kSpherical;
+  std::size_t tensor_words = 0;
+  std::size_t vector_words = 0;
+  for (std::size_t p = 0; p < key.processors; ++p) {
+    tensor_words = std::max(tensor_words, part.stored_entries(p, b));
+    vector_words = std::max(vector_words, dist.local_elements(p));
+  }
+  std::cout << "plan: family = " << family_name(key.family)
+            << (spherical ? " (q = " + std::to_string(key.param) + ")" : "")
+            << ", P = " << key.processors << " of budget " << budget
+            << ", m = " << part.num_row_blocks() << ", b = " << b << "\n";
+  // Spherical plans print the Section 7.2.2 closed form; the others the
+  // Steiner estimate the chooser ranked them by.
+  std::cout << "  predicted words/rank  = "
+            << (spherical ? core::optimal_algorithm_words(n, key.param)
+                          : core::steiner_algorithm_words(
+                                n, part.num_row_blocks(),
+                                part.steiner_block_size()))
             << "\n";
-  std::cout << "  predicted words/rank  = " << s.predicted_words << "\n";
-  std::cout << "  lower bound           = " << s.lower_bound_words << "\n";
-  std::cout << "  tensor words/rank     = " << s.tensor_words_per_rank
-            << "\n";
-  std::cout << "  vector words/rank     = " << s.vector_words_per_rank
-            << "\n";
+  std::cout << "  lower bound           = "
+            << core::lower_bound_words(n, key.processors) << "\n";
+  std::cout << "  tensor words/rank     = " << tensor_words << "\n";
+  std::cout << "  vector words/rank     = " << vector_words << "\n";
 
   Rng rng(seed);
   const auto a = tensor::random_symmetric(n, rng);
   const auto x = rng.uniform_vector(n);
-  auto machine = plan.make_machine();
-  const auto y = plan.run(machine, a, x);
+  auto machine = plan->make_machine();
+  const auto y = batch::parallel_sttsv_batch(machine, *plan, a, {x}).y[0];
   const auto y_ref = core::sttsv_packed(a, x);
   double max_diff = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
