@@ -152,8 +152,7 @@ int main(int argc, char** argv) {
           for (std::size_t v = 0; v < B; ++v) {
             xs.push_back(rng.uniform_vector(n));
           }
-          const auto run = [&](simt::Machine& machine,
-                               simt::Exchanger& ex) {
+          const auto run = [&](simt::Exchanger& ex) {
             std::vector<std::vector<double>> ys;
             if (B == 1) {
               ys.push_back(
@@ -176,7 +175,7 @@ int main(int argc, char** argv) {
           simt::Machine flat_machine(P);
           flat_machine.ledger().set_node_map(flat.node_of);
           simt::DirectExchange direct(flat_machine);
-          const auto want = run(flat_machine, direct);
+          const auto want = run(direct);
           Cell fc;
           fc.family = fam.name;
           fc.P = P;
@@ -202,7 +201,7 @@ int main(int argc, char** argv) {
           hier::HierarchicalExchange hx(
               hier_machine, hier::Topology::from_map(composed.node_of),
               std::make_unique<simt::DirectExchange>(hier_machine));
-          const auto got = run(hier_machine, hx);
+          const auto got = run(hx);
           Cell hc;
           hc.family = fam.name;
           hc.P = P;

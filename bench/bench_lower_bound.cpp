@@ -72,7 +72,8 @@ int main() {
     // communication balance in the divisible case).
     bool uniform = true;
     for (std::size_t p = 0; p < P; ++p) {
-      uniform = uniform && machine.ledger().words_sent(p) == measured;
+      uniform = uniform && machine.ledger().words_sent(simt::Channel::kGoodput,
+                                                       p) == measured;
     }
     check.check(uniform, "q=" + std::to_string(q) +
                              ": all ranks communicate equally");

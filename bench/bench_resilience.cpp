@@ -150,9 +150,10 @@ int main(int argc, char** argv) {
           machine.ledger().rounds() == clean.ledger().rounds();
       for (std::size_t p = 0; goodput_exact && p < P; ++p) {
         goodput_exact =
-            machine.ledger().words_sent(p) == clean.ledger().words_sent(p) &&
-            machine.ledger().messages_sent(p) ==
-                clean.ledger().messages_sent(p);
+            machine.ledger().words_sent(simt::Channel::kGoodput, p) ==
+                clean.ledger().words_sent(simt::Channel::kGoodput, p) &&
+            machine.ledger().messages_sent(simt::Channel::kGoodput, p) ==
+                clean.ledger().messages_sent(simt::Channel::kGoodput, p);
       }
       if (goodput_exact) ++pt.seeds_goodput_exact;
 
@@ -165,8 +166,8 @@ int main(int argc, char** argv) {
       pt.duplicate_frames_ignored += rex.stats().duplicate_frames_ignored;
       pt.corrupt_frames_detected += rex.stats().corrupt_frames_detected;
       pt.goodput_words = machine.ledger().total_words();
-      overhead_sum += machine.ledger().total_overhead_words();
-      overhead_rounds_sum += machine.ledger().overhead_rounds();
+      overhead_sum += machine.ledger().total_words(simt::Channel::kOverhead);
+      overhead_rounds_sum += machine.ledger().rounds(simt::Channel::kOverhead);
     }
     pt.overhead_words = overhead_sum / num_seeds;
     pt.overhead_rounds = overhead_rounds_sum / num_seeds;
@@ -276,7 +277,7 @@ int main(int argc, char** argv) {
                         std::to_string(seed) + ": bitwise recovery");
         machine.ledger().verify_conservation();
         kp.faults_injected += injector.log().size();
-        overhead_sum += machine.ledger().total_overhead_words();
+        overhead_sum += machine.ledger().total_words(simt::Channel::kOverhead);
       }
       kp.mean_overhead_words = overhead_sum / kind_seeds;
       kinds.push_back(kp);
@@ -314,8 +315,8 @@ int main(int argc, char** argv) {
       machine.ledger().verify_conservation();
       crash.faults_injected += injector.log().size();
       crash.shrinks += out.shrinks;
-      overhead_sum += machine.ledger().total_overhead_words();
-      recovery_sum += machine.ledger().total_recovery_words();
+      overhead_sum += machine.ledger().total_words(simt::Channel::kOverhead);
+      recovery_sum += machine.ledger().total_words(simt::Channel::kRecovery);
       detection_sum += out.detection_attempts;
     }
     crash.mean_overhead_words = overhead_sum / kind_seeds;
@@ -399,25 +400,25 @@ int main(int argc, char** argv) {
 
     // The exported metrics must reproduce the ledger exactly: the maxima
     // and every per-rank goodput word count, word for word.
-    const simt::LedgerMaxima m = machine.ledger().maxima();
+    const simt::CommLedger& led = machine.ledger();
     check.check(registry.counter("ledger.goodput.max_words_sent") ==
-                        m.words_sent &&
+                        led.max_words_sent() &&
                     registry.counter("ledger.goodput.max_words_received") ==
-                        m.words_received &&
+                        led.max_words_received() &&
                     registry.counter("ledger.overhead.max_words_sent") ==
-                        m.overhead_words_sent &&
+                        led.max_words_sent(simt::Channel::kOverhead) &&
                     registry.counter("ledger.overhead.max_words_received") ==
-                        m.overhead_words_received,
-                "exported metrics reproduce CommLedger::maxima() exactly");
+                        led.max_words_received(simt::Channel::kOverhead),
+                "exported metrics reproduce the ledger's maxima exactly");
     bool per_rank_exact = true;
     for (std::size_t p = 0; p < P; ++p) {
       const std::string r = ".r" + std::to_string(p);
       per_rank_exact =
           per_rank_exact &&
           registry.counter("ledger.goodput.words_sent" + r) ==
-              machine.ledger().words_sent(p) &&
+              led.words_sent(simt::Channel::kGoodput, p) &&
           registry.counter("ledger.goodput.words_received" + r) ==
-              machine.ledger().words_received(p);
+              led.words_received(simt::Channel::kGoodput, p);
     }
     check.check(per_rank_exact,
                 "per-rank goodput word counters match the ledger");

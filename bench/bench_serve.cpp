@@ -185,10 +185,10 @@ SweepPoint run_point(const std::shared_ptr<const batch::Plan>& plan,
   pt.latency_p99_ns = latency.percentile(0.99);
   pt.jain = jain_index(goodput_shares);
   const simt::CommLedger& ledger = machine.ledger();
-  pt.ledger_conserved = words == ledger.total_words() &&
-                        overhead == ledger.total_overhead_words() &&
-                        messages == ledger.total_messages() &&
-                        rounds == ledger.rounds();
+  pt.ledger_conserved =
+      words == ledger.total_words() &&
+      overhead == ledger.total_words(simt::Channel::kOverhead) &&
+      messages == ledger.total_messages() && rounds == ledger.rounds();
   return pt;
 }
 

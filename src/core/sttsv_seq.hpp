@@ -36,13 +36,6 @@ std::vector<double> sttsv_packed(const tensor::SymTensor3& a,
                                  const std::vector<double>& x,
                                  OpCount* ops = nullptr);
 
-/// Shared-memory parallel Algorithm 4 (OpenMP over the i loop, one
-/// private y accumulator per thread because updates scatter to y[j] and
-/// y[k]). Built without STTSV_WITH_OPENMP this is the sequential kernel.
-std::vector<double> sttsv_packed_parallel(const tensor::SymTensor3& a,
-                                          const std::vector<double>& x,
-                                          OpCount* ops = nullptr);
-
 /// Full contraction λ = A ×₁ x ×₂ x ×₃ x (line 8 of Algorithm 1),
 /// computed symmetry-aware in one pass.
 double full_contraction(const tensor::SymTensor3& a,

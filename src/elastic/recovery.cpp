@@ -60,7 +60,8 @@ std::uint64_t execute_redistribution(
   std::vector<double> x_pad(dist.padded_n(), 0.0);
   std::copy(x.begin(), x.end(), x_pad.begin());
 
-  const std::uint64_t before = machine.ledger().total_recovery_words();
+  const std::uint64_t before =
+      machine.ledger().total_words(simt::Channel::kRecovery);
 
   // One aggregated payload per adopting host: moved roles ascending,
   // blocks in R_role order, the role's share slice of each.
@@ -123,7 +124,7 @@ std::uint64_t execute_redistribution(
     STTSV_CHECK(got == expect, "redistribution delivery incomplete");
   }
 
-  return machine.ledger().total_recovery_words() - before;
+  return machine.ledger().total_words(simt::Channel::kRecovery) - before;
 }
 
 RecoveryOutcome run_with_recovery(simt::Machine& machine,

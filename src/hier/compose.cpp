@@ -85,22 +85,6 @@ std::vector<std::uint32_t> greedy_seed(
   return node_of;
 }
 
-/// Round-robin seed: rank p -> node p mod N, legal for balanced caps.
-std::vector<std::uint32_t> cyclic_seed(std::size_t P,
-                                       const std::vector<std::size_t>& cap) {
-  const std::size_t N = cap.size();
-  std::vector<std::uint32_t> node_of(P, 0);
-  std::vector<std::size_t> filled(N, 0);
-  for (std::size_t p = 0; p < P; ++p) {
-    // p mod N, skipping nodes already at capacity (tail of an uneven P).
-    std::size_t v = p % N;
-    while (filled[v] >= cap[v]) v = (v + 1) % N;
-    node_of[p] = static_cast<std::uint32_t>(v);
-    ++filled[v];
-  }
-  return node_of;
-}
-
 /// Kernighan–Lin-style refinement: sweep all rank pairs on different
 /// nodes, take any swap that strictly reduces inter-node words, repeat
 /// until a full sweep finds none. Swaps preserve node sizes exactly, and
@@ -200,7 +184,7 @@ NodeAssignment flat_assignment(const TetraPartition& part,
 
 NodeAssignment compose_assignment(const TetraPartition& part,
                                   const VectorDistribution& dist,
-                                  std::size_t num_nodes, IntraLayout layout) {
+                                  std::size_t num_nodes) {
   const std::size_t P = part.num_processors();
   STTSV_REQUIRE(num_nodes >= 1 && num_nodes <= P,
                 "composed partition needs 1 <= nodes <= ranks");
@@ -210,9 +194,7 @@ NodeAssignment compose_assignment(const TetraPartition& part,
 
   std::vector<std::vector<std::uint32_t>> candidates;
   candidates.push_back(Topology::uniform(P, num_nodes).node_map());
-  candidates.push_back(layout == IntraLayout::kCyclic
-                           ? cyclic_seed(P, cap)
-                           : greedy_seed(w, cap));
+  candidates.push_back(greedy_seed(w, cap));
   for (auto& candidate : candidates) refine_swaps(w, candidate);
   // The unrefined flat map closes the <= guarantee even if refinement
   // were ever a no-op.

@@ -39,18 +39,6 @@
 
 namespace sttsv::hier {
 
-/// Layout of ranks within a node for the seeded candidate.
-enum class IntraLayout {
-  /// Affinity clusters: nodes are packed greedily with the heaviest
-  /// remaining pair traffic (triangle blocks of the Steiner pair graph).
-  /// The default, and the one that actually chases inter-word minima.
-  kTriangleBlock,
-  /// Round-robin: rank p seeds node p mod N. A deliberately spread-out
-  /// seed — the contrast case for tests and the bench; refinement still
-  /// guarantees the result never loses to flat.
-  kCyclic,
-};
-
 /// Closed-form per-level word counts for one STTSV under an assignment.
 struct LevelWords {
   std::uint64_t intra = 0;
@@ -94,7 +82,6 @@ struct NodeAssignment {
 /// inter_words <= flat_assignment(...).inter_words.
 [[nodiscard]] NodeAssignment compose_assignment(
     const partition::TetraPartition& part,
-    const partition::VectorDistribution& dist, std::size_t num_nodes,
-    IntraLayout layout = IntraLayout::kTriangleBlock);
+    const partition::VectorDistribution& dist, std::size_t num_nodes);
 
 }  // namespace sttsv::hier

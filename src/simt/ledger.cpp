@@ -7,17 +7,6 @@
 
 namespace sttsv::simt {
 
-namespace {
-
-constexpr std::array<Channel, kNumChannels> kAllChannels = {
-    Channel::kGoodput, Channel::kOverhead, Channel::kRecovery,
-    Channel::kOneSided};
-
-constexpr std::array<Level, kNumLevels> kAllLevels = {Level::kIntra,
-                                                      Level::kInter};
-
-}  // namespace
-
 const char* channel_name(Channel c) {
   switch (c) {
     case Channel::kGoodput:
@@ -148,20 +137,20 @@ std::uint64_t CommLedger::words_received(Channel channel, Level level,
   return c.received[rank];
 }
 
-std::uint64_t CommLedger::messages_sent(std::size_t rank) const {
+std::uint64_t CommLedger::messages_sent(Channel channel,
+                                        std::size_t rank) const {
   STTSV_REQUIRE(rank < num_ranks_, "rank out of range");
   std::uint64_t total = 0;
-  for (const Level lv : kAllLevels) {
-    total += chan(Channel::kGoodput, lv).msg_sent[rank];
-  }
+  for (const Level lv : kAllLevels) total += chan(channel, lv).msg_sent[rank];
   return total;
 }
 
-std::uint64_t CommLedger::messages_received(std::size_t rank) const {
+std::uint64_t CommLedger::messages_received(Channel channel,
+                                            std::size_t rank) const {
   STTSV_REQUIRE(rank < num_ranks_, "rank out of range");
   std::uint64_t total = 0;
   for (const Level lv : kAllLevels) {
-    total += chan(Channel::kGoodput, lv).msg_received[rank];
+    total += chan(channel, lv).msg_received[rank];
   }
   return total;
 }
@@ -230,17 +219,6 @@ std::uint64_t CommLedger::total_payload_words(Level level) const {
          total_words(Channel::kOneSided, level);
 }
 
-LedgerMaxima CommLedger::maxima() const {
-  return LedgerMaxima{max_words_sent(Channel::kGoodput),
-                      max_words_received(Channel::kGoodput),
-                      max_words_sent(Channel::kOverhead),
-                      max_words_received(Channel::kOverhead),
-                      max_words_sent(Channel::kRecovery),
-                      max_words_received(Channel::kRecovery),
-                      max_words_sent(Channel::kOneSided),
-                      max_words_received(Channel::kOneSided)};
-}
-
 std::uint64_t CommLedger::pair_words(std::size_t from, std::size_t to) const {
   STTSV_REQUIRE(from < num_ranks_ && to < num_ranks_, "rank out of range");
   return pair_[from * num_ranks_ + to].words;
@@ -266,7 +244,7 @@ void CommLedger::to_metrics(obs::MetricsRegistry& out,
       out.set_counter(base + ".words_sent" + rank, words_sent(ch, p));
       out.set_counter(base + ".words_received" + rank, words_received(ch, p));
       if (ch == Channel::kGoodput) {
-        out.set_counter(base + ".messages_sent" + rank, messages_sent(p));
+        out.set_counter(base + ".messages_sent" + rank, messages_sent(ch, p));
       }
     }
   }

@@ -72,6 +72,10 @@ enum class Channel : std::uint8_t {
 
 inline constexpr std::size_t kNumChannels = 4;
 
+inline constexpr std::array<Channel, kNumChannels> kAllChannels = {
+    Channel::kGoodput, Channel::kOverhead, Channel::kRecovery,
+    Channel::kOneSided};
+
 /// The two topology levels of DESIGN.md §17. A flat machine (no node map)
 /// classifies everything kIntra — one node holds all ranks.
 enum class Level : std::uint8_t {
@@ -81,26 +85,14 @@ enum class Level : std::uint8_t {
 
 inline constexpr std::size_t kNumLevels = 2;
 
+inline constexpr std::array<Level, kNumLevels> kAllLevels = {Level::kIntra,
+                                                             Level::kInter};
+
 /// Stable lowercase name, used for metric keys and error messages.
 [[nodiscard]] const char* channel_name(Channel c);
 
 /// Stable lowercase name: "intra" | "inter".
 [[nodiscard]] const char* level_name(Level level);
-
-/// The per-run maxima bounded by the paper's Theorem 5.2: max over ranks
-/// of words sent and of words received (equal for symmetric exchanges).
-/// The overhead/recovery/onesided maxima cover the channels the bound
-/// does not constrain but the benches plot.
-struct LedgerMaxima {
-  std::uint64_t words_sent = 0;
-  std::uint64_t words_received = 0;
-  std::uint64_t overhead_words_sent = 0;
-  std::uint64_t overhead_words_received = 0;
-  std::uint64_t recovery_words_sent = 0;
-  std::uint64_t recovery_words_received = 0;
-  std::uint64_t onesided_words_sent = 0;
-  std::uint64_t onesided_words_received = 0;
-};
 
 class CommLedger {
  public:
@@ -141,47 +133,12 @@ class CommLedger {
   /// disjoint resources).
   void add_rounds(Channel channel, Level level, std::size_t k);
 
-  /// Level-agnostic overload for flat call sites: charges the default
-  /// level (kIntra on a flat machine, kInter once a topology is
-  /// installed — protocol rounds with no per-pair attribution are
+  /// Level-agnostic overload for rounds with no per-pair attribution
+  /// (ReliableExchange's backoff): charges the default level (kIntra on a
+  /// flat machine, kInter once a topology is installed — such rounds are
   /// network-side work).
   void add_rounds(Channel channel, std::size_t k) {
     add_rounds(channel, default_level(), k);
-  }
-
-  // Named per-channel entry points, kept for the existing call sites.
-  void record_message(std::size_t from, std::size_t to, std::size_t words) {
-    record(Channel::kGoodput, from, to, words);
-  }
-
-  /// Records protocol-overhead words from -> to (framing, ACKs,
-  /// retransmissions, duplicates). Kept out of the goodput counters so
-  /// the Theorem 5.2 check stays phrased on goodput alone.
-  void record_overhead(std::size_t from, std::size_t to, std::size_t words) {
-    record(Channel::kOverhead, from, to, words);
-  }
-
-  /// Records rank-loss redistribution words from -> to (x-share slices
-  /// re-homed onto survivors, DESIGN.md §15).
-  void record_recovery(std::size_t from, std::size_t to, std::size_t words) {
-    record(Channel::kRecovery, from, to, words);
-  }
-
-  /// Records a one-sided Put of `words` payload words landing directly in
-  /// `to`'s registered segment (DESIGN.md §16).
-  void record_onesided(std::size_t from, std::size_t to, std::size_t words) {
-    record(Channel::kOneSided, from, to, words);
-  }
-
-  void add_rounds(std::size_t k) { add_rounds(Channel::kGoodput, k); }
-  void add_overhead_rounds(std::size_t k) {
-    add_rounds(Channel::kOverhead, k);
-  }
-  void add_recovery_rounds(std::size_t k) {
-    add_rounds(Channel::kRecovery, k);
-  }
-  void add_onesided_rounds(std::size_t k) {
-    add_rounds(Channel::kOneSided, k);
   }
 
   /// Counts k one-sided synchronization operations at the given level:
@@ -194,7 +151,6 @@ class CommLedger {
   void add_sync_ops(Level level, std::size_t k) {
     sync_ops_[static_cast<std::size_t>(level)] += k;
   }
-  void add_sync_ops(std::size_t k) { add_sync_ops(default_level(), k); }
 
   /// Adds modeled collective cost: per-rank words the paper's model charges
   /// for a collective phase (e.g. (P-1) * max message size for All-to-All).
@@ -202,16 +158,27 @@ class CommLedger {
 
   [[nodiscard]] std::size_t num_ranks() const { return num_ranks_; }
 
-  // Generic per-channel accessors (aggregated over both levels).
+  // Per-channel accessors, summed over both levels. Goodput, the
+  // quantity Theorem 5.2 bounds ("words sent or received by any
+  // processor": max over ranks, equal both ways for symmetric exchanges),
+  // is the default channel.
   [[nodiscard]] std::uint64_t words_sent(Channel channel,
                                          std::size_t rank) const;
   [[nodiscard]] std::uint64_t words_received(Channel channel,
                                              std::size_t rank) const;
-  [[nodiscard]] std::uint64_t max_words_sent(Channel channel) const;
-  [[nodiscard]] std::uint64_t max_words_received(Channel channel) const;
-  [[nodiscard]] std::uint64_t total_words(Channel channel) const;
-  [[nodiscard]] std::uint64_t total_messages(Channel channel) const;
-  [[nodiscard]] std::uint64_t rounds(Channel channel) const;
+  [[nodiscard]] std::uint64_t messages_sent(Channel channel,
+                                            std::size_t rank) const;
+  [[nodiscard]] std::uint64_t messages_received(Channel channel,
+                                                std::size_t rank) const;
+  [[nodiscard]] std::uint64_t max_words_sent(
+      Channel channel = Channel::kGoodput) const;
+  [[nodiscard]] std::uint64_t max_words_received(
+      Channel channel = Channel::kGoodput) const;
+  [[nodiscard]] std::uint64_t total_words(
+      Channel channel = Channel::kGoodput) const;
+  [[nodiscard]] std::uint64_t total_messages(
+      Channel channel = Channel::kGoodput) const;
+  [[nodiscard]] std::uint64_t rounds(Channel channel = Channel::kGoodput) const;
 
   // Per-(channel, level) accessors — the DESIGN.md §17 split.
   [[nodiscard]] std::uint64_t words_sent(Channel channel, Level level,
@@ -229,109 +196,34 @@ class CommLedger {
   [[nodiscard]] std::uint64_t sync_ops(Level level) const {
     return sync_ops_[static_cast<std::size_t>(level)];
   }
+  [[nodiscard]] std::uint64_t sync_ops() const {
+    return sync_ops_[0] + sync_ops_[1];
+  }
 
   /// Payload words (goodput + onesided + recovery, no protocol framing)
   /// at one level, summed over ranks — the quantity the hierarchy bench
   /// compares against the composed partition's closed-form prediction.
   [[nodiscard]] std::uint64_t total_payload_words(Level level) const;
 
-  // Goodput shorthands (the Theorem 5.2 quantities).
-  [[nodiscard]] std::uint64_t words_sent(std::size_t rank) const {
-    return words_sent(Channel::kGoodput, rank);
-  }
-  [[nodiscard]] std::uint64_t words_received(std::size_t rank) const {
-    return words_received(Channel::kGoodput, rank);
-  }
-  [[nodiscard]] std::uint64_t messages_sent(std::size_t rank) const;
-  [[nodiscard]] std::uint64_t messages_received(std::size_t rank) const;
-  [[nodiscard]] std::uint64_t overhead_words_sent(std::size_t rank) const {
-    return words_sent(Channel::kOverhead, rank);
-  }
-  [[nodiscard]] std::uint64_t overhead_words_received(std::size_t rank) const {
-    return words_received(Channel::kOverhead, rank);
-  }
-  [[nodiscard]] std::uint64_t recovery_words_sent(std::size_t rank) const {
-    return words_sent(Channel::kRecovery, rank);
-  }
-  [[nodiscard]] std::uint64_t recovery_words_received(std::size_t rank) const {
-    return words_received(Channel::kRecovery, rank);
-  }
-  [[nodiscard]] std::uint64_t onesided_words_sent(std::size_t rank) const {
-    return words_sent(Channel::kOneSided, rank);
-  }
-  [[nodiscard]] std::uint64_t onesided_words_received(std::size_t rank) const {
-    return words_received(Channel::kOneSided, rank);
-  }
-
-  /// max_p (words sent by p + nothing else): the paper's "number of words
-  /// sent or received by any processor" uses max over ranks of send (==
-  /// receive for our symmetric exchanges); expose both.
-  [[nodiscard]] std::uint64_t max_words_sent() const {
-    return max_words_sent(Channel::kGoodput);
-  }
-  [[nodiscard]] std::uint64_t max_words_received() const {
-    return max_words_received(Channel::kGoodput);
-  }
-  [[nodiscard]] std::uint64_t max_overhead_words_sent() const {
-    return max_words_sent(Channel::kOverhead);
-  }
-  [[nodiscard]] std::uint64_t max_overhead_words_received() const {
-    return max_words_received(Channel::kOverhead);
-  }
-  [[nodiscard]] std::uint64_t max_recovery_words_sent() const {
-    return max_words_sent(Channel::kRecovery);
-  }
-  [[nodiscard]] std::uint64_t max_recovery_words_received() const {
-    return max_words_received(Channel::kRecovery);
-  }
-  [[nodiscard]] std::uint64_t max_onesided_words_sent() const {
-    return max_words_sent(Channel::kOneSided);
-  }
-  [[nodiscard]] std::uint64_t max_onesided_words_received() const {
-    return max_words_received(Channel::kOneSided);
-  }
-
-  /// All channel maxima in one reduction — the set every run result reports.
-  [[nodiscard]] LedgerMaxima maxima() const;
-  [[nodiscard]] std::uint64_t total_words() const {
-    return total_words(Channel::kGoodput);
-  }
-  [[nodiscard]] std::uint64_t total_messages() const {
-    return total_messages(Channel::kGoodput);
-  }
+  /// Same as total_words(Channel::kOverhead). Kept only because
+  /// perfbench/workloads.cpp still calls it; it goes when perfbench moves
+  /// to the indexed call.
   [[nodiscard]] std::uint64_t total_overhead_words() const {
     return total_words(Channel::kOverhead);
   }
-  [[nodiscard]] std::uint64_t total_recovery_words() const {
-    return total_words(Channel::kRecovery);
-  }
-  [[nodiscard]] std::uint64_t total_onesided_words() const {
-    return total_words(Channel::kOneSided);
-  }
+  /// Same as total_messages(Channel::kOverhead). Kept only because
+  /// perfbench/workloads.cpp still calls it; it goes when perfbench moves
+  /// to the indexed call.
   [[nodiscard]] std::uint64_t overhead_messages() const {
     return total_messages(Channel::kOverhead);
   }
-  [[nodiscard]] std::uint64_t recovery_messages() const {
-    return total_messages(Channel::kRecovery);
-  }
-  [[nodiscard]] std::uint64_t onesided_messages() const {
-    return total_messages(Channel::kOneSided);
-  }
-  [[nodiscard]] std::uint64_t rounds() const {
-    return rounds(Channel::kGoodput);
-  }
+  /// Same as rounds(Channel::kOverhead). Kept only because
+  /// perfbench/workloads.cpp still calls it; it goes when perfbench moves
+  /// to the indexed call.
   [[nodiscard]] std::uint64_t overhead_rounds() const {
     return rounds(Channel::kOverhead);
   }
-  [[nodiscard]] std::uint64_t recovery_rounds() const {
-    return rounds(Channel::kRecovery);
-  }
-  [[nodiscard]] std::uint64_t onesided_rounds() const {
-    return rounds(Channel::kOneSided);
-  }
-  [[nodiscard]] std::uint64_t sync_ops() const {
-    return sync_ops_[0] + sync_ops_[1];
-  }
+
   [[nodiscard]] std::uint64_t modeled_collective_words() const {
     return modeled_words_;
   }
@@ -366,17 +258,6 @@ class CommLedger {
   /// fires on every channel at every level. Never call outside tests.
   void debug_skew_sent_for_test(Channel channel, Level level,
                                 std::size_t rank, std::uint64_t words);
-  void debug_skew_sent_for_test(Channel channel, std::size_t rank,
-                                std::uint64_t words) {
-    debug_skew_sent_for_test(channel, default_level(), rank, words);
-  }
-  void debug_skew_sent_for_test(std::size_t rank, std::uint64_t words) {
-    debug_skew_sent_for_test(Channel::kGoodput, rank, words);
-  }
-  void debug_skew_recovery_sent_for_test(std::size_t rank,
-                                         std::uint64_t words) {
-    debug_skew_sent_for_test(Channel::kRecovery, rank, words);
-  }
 
  private:
   /// One (channel, level)'s complete account: per-rank words and messages
@@ -399,9 +280,8 @@ class CommLedger {
                 [static_cast<std::size_t>(level)];
   }
 
-  /// Where level-agnostic charges (rounds, sync ops, legacy skew hooks)
-  /// land: the single level of a flat machine, the network level of a
-  /// topology-mapped one.
+  /// Where level-agnostic rounds land: the single level of a flat
+  /// machine, the network level of a topology-mapped one.
   [[nodiscard]] Level default_level() const {
     return num_nodes_ <= 1 ? Level::kIntra : Level::kInter;
   }

@@ -145,37 +145,28 @@ std::vector<std::vector<Delivery>> Machine::exchange(
     for (auto& env : outboxes[from]) {
       // Dead endpoints: the frame silently vanishes, charging nothing and
       // holding no round slot. Skipping both the send and the receive
-      // side together preserves ledger conservation (record_message
-      // increments sender and receiver atomically). This sits below the
-      // injector, so a degraded replay with the injector detached still
-      // cannot reach a dead peer.
+      // side together preserves ledger conservation (record() increments
+      // sender and receiver atomically). This sits below the injector, so
+      // a degraded replay with the injector detached still cannot reach a
+      // dead peer.
       if (dead_flags_[from] != 0 || dead_flags_[env.to] != 0) continue;
-      if (env.recovery) {
-        ledger_.record_recovery(from, env.to, env.data.size());
-        total_recovery += env.data.size();
-        max_pair_words = std::max(max_pair_words, env.data.size());
-        count_slot(from, env.to);
-        if (injector_ != nullptr) {
-          switch (injector_->on_frame(from, env.to, env.data)) {
-            case FaultInjector::Action::kDrop:
-              continue;
-            case FaultInjector::Action::kDuplicate:
-              ledger_.record_recovery(from, env.to, env.data.size());
-              inboxes[env.to].push_back(Delivery{from, env.data.clone()});
-              break;
-            case FaultInjector::Action::kDeliver:
-              break;
-          }
-        }
-        inboxes[env.to].push_back(Delivery{from, std::move(env.data)});
-        continue;
+      // A recovery envelope is all payload on the recovery channel and is
+      // charged even when empty; a data envelope splits its goodput from
+      // its protocol framing and charges only the nonempty parts. An
+      // injected duplicate is charged whole to the envelope's extra
+      // traffic channel: recovery, or overhead for data.
+      const Channel payload_channel =
+          env.recovery ? Channel::kRecovery : Channel::kGoodput;
+      const Channel duplicate_channel =
+          env.recovery ? Channel::kRecovery : Channel::kOverhead;
+      const std::size_t payload = env.data.size() - env.overhead_words;
+      if (payload > 0 || env.recovery) {
+        ledger_.record(payload_channel, from, env.to, payload);
       }
-      const std::size_t goodput = env.data.size() - env.overhead_words;
-      if (goodput > 0) ledger_.record_message(from, env.to, goodput);
       if (env.overhead_words > 0) {
-        ledger_.record_overhead(from, env.to, env.overhead_words);
+        ledger_.record(Channel::kOverhead, from, env.to, env.overhead_words);
       }
-      total_goodput += goodput;
+      (env.recovery ? total_recovery : total_goodput) += payload;
       total_overhead += env.overhead_words;
       max_pair_words = std::max(max_pair_words, env.data.size());
       // Rounds reflect the intended schedule: a dropped frame still held
@@ -187,7 +178,7 @@ std::vector<std::vector<Delivery>> Machine::exchange(
           case FaultInjector::Action::kDrop:
             continue;  // charged, never delivered
           case FaultInjector::Action::kDuplicate:
-            ledger_.record_overhead(from, env.to, env.data.size());
+            ledger_.record(duplicate_channel, from, env.to, env.data.size());
             inboxes[env.to].push_back(Delivery{from, env.data.clone()});
             break;
           case FaultInjector::Action::kDeliver:

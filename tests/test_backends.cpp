@@ -37,6 +37,7 @@
 namespace sttsv {
 namespace {
 
+using simt::Channel;
 using simt::Machine;
 using simt::Transport;
 
@@ -65,7 +66,7 @@ auto over_backends(std::size_t P, Body body) {
 /// Payload words on every channel that carries them: goodput for the
 /// two-sided paths, onesided for Puts and node-local hand-offs.
 std::uint64_t payload_words(const simt::CommLedger& led) {
-  return led.total_words() + led.total_onesided_words();
+  return led.total_words() + led.total_words(Channel::kOneSided);
 }
 
 /// The per-rank payload maximum, the Theorem 5.2 quantity on any backend:
@@ -73,7 +74,8 @@ std::uint64_t payload_words(const simt::CommLedger& led) {
 std::uint64_t max_payload_words_sent(const simt::CommLedger& led) {
   std::uint64_t most = 0;
   for (std::size_t p = 0; p < led.num_ranks(); ++p) {
-    most = std::max(most, led.words_sent(p) + led.onesided_words_sent(p));
+    most = std::max(most, led.words_sent(Channel::kGoodput, p) +
+                              led.words_sent(Channel::kOneSided, p));
   }
   return most;
 }
@@ -248,13 +250,14 @@ TEST(Backends, RedistributionMovesThePlannedWords) {
         EXPECT_THROW((void)elastic::execute_redistribution(*ex, s.part,
                                                            s.dist, x, plan),
                      PreconditionError);
-        EXPECT_EQ(machine.ledger().total_recovery_words(), 0u);
+        EXPECT_EQ(machine.ledger().total_words(Channel::kRecovery), 0u);
         continue;
       }
       const std::uint64_t measured =
           elastic::execute_redistribution(*ex, s.part, s.dist, x, plan);
       EXPECT_EQ(measured, plan.planned_words);
-      EXPECT_EQ(machine.ledger().total_recovery_words(), plan.planned_words);
+      EXPECT_EQ(machine.ledger().total_words(Channel::kRecovery),
+                plan.planned_words);
       EXPECT_EQ(payload_words(machine.ledger()), 0u);
       machine.ledger().verify_conservation();
     }

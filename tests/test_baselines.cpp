@@ -51,7 +51,8 @@ TEST(Baseline1d, CommunicationIsThetaN) {
   // Divisible case: each rank sends exactly 2 * (n - n/P) words.
   const auto expected = static_cast<std::uint64_t>(2 * (n - n / P));
   for (std::size_t p = 0; p < P; ++p) {
-    EXPECT_EQ(machine.ledger().words_sent(p), expected);
+    EXPECT_EQ(machine.ledger().words_sent(simt::Channel::kGoodput, p),
+              expected);
   }
   EXPECT_NEAR(static_cast<double>(machine.ledger().max_words_sent()),
               baseline_1d_words(n, P), 1e-9);

@@ -277,7 +277,7 @@ TEST(Exchange, EmptyOutboxesChargeScheduleSlotsButNoWords) {
   // any channel.
   EXPECT_EQ(machine.ledger().rounds(), 3u);
   EXPECT_EQ(machine.ledger().total_words(), 0u);
-  EXPECT_EQ(machine.ledger().total_overhead_words(), 0u);
+  EXPECT_EQ(machine.ledger().total_words(simt::Channel::kOverhead), 0u);
   EXPECT_EQ(machine.ledger().modeled_collective_words(), 0u);
   machine.ledger().verify_conservation();
 }

@@ -17,14 +17,24 @@
 namespace sttsv::core {
 namespace {
 
+using simt::Channel;
+
 void expect_ledgers_equal(const simt::CommLedger& a,
                           const simt::CommLedger& b) {
   ASSERT_EQ(a.num_ranks(), b.num_ranks());
   for (std::size_t p = 0; p < a.num_ranks(); ++p) {
-    EXPECT_EQ(a.words_sent(p), b.words_sent(p)) << "p=" << p;
-    EXPECT_EQ(a.words_received(p), b.words_received(p)) << "p=" << p;
-    EXPECT_EQ(a.messages_sent(p), b.messages_sent(p)) << "p=" << p;
-    EXPECT_EQ(a.messages_received(p), b.messages_received(p)) << "p=" << p;
+    EXPECT_EQ(a.words_sent(Channel::kGoodput, p),
+              b.words_sent(Channel::kGoodput, p))
+        << "p=" << p;
+    EXPECT_EQ(a.words_received(Channel::kGoodput, p),
+              b.words_received(Channel::kGoodput, p))
+        << "p=" << p;
+    EXPECT_EQ(a.messages_sent(Channel::kGoodput, p),
+              b.messages_sent(Channel::kGoodput, p))
+        << "p=" << p;
+    EXPECT_EQ(a.messages_received(Channel::kGoodput, p),
+              b.messages_received(Channel::kGoodput, p))
+        << "p=" << p;
   }
   EXPECT_EQ(a.rounds(), b.rounds());
   EXPECT_EQ(a.modeled_collective_words(), b.modeled_collective_words());
@@ -93,7 +103,7 @@ TEST(CommOnly, LargeQSweepRunsFast) {
   const auto max_sent = machine.ledger().max_words_sent();
   EXPECT_GT(max_sent, 0u);
   for (std::size_t p = 0; p < part.num_processors(); ++p) {
-    EXPECT_EQ(machine.ledger().words_sent(p), max_sent);
+    EXPECT_EQ(machine.ledger().words_sent(Channel::kGoodput, p), max_sent);
   }
 }
 

@@ -28,6 +28,8 @@
 namespace sttsv::core {
 namespace {
 
+using simt::Channel;
+
 void expect_same_ledger(const simt::CommLedger& a, const simt::CommLedger& b) {
   ASSERT_EQ(a.num_ranks(), b.num_ranks());
   EXPECT_EQ(a.rounds(), b.rounds());
@@ -36,10 +38,18 @@ void expect_same_ledger(const simt::CommLedger& a, const simt::CommLedger& b) {
   EXPECT_EQ(a.modeled_collective_words(), b.modeled_collective_words());
   EXPECT_EQ(a.active_pairs(), b.active_pairs());
   for (std::size_t p = 0; p < a.num_ranks(); ++p) {
-    EXPECT_EQ(a.words_sent(p), b.words_sent(p)) << "p=" << p;
-    EXPECT_EQ(a.words_received(p), b.words_received(p)) << "p=" << p;
-    EXPECT_EQ(a.messages_sent(p), b.messages_sent(p)) << "p=" << p;
-    EXPECT_EQ(a.messages_received(p), b.messages_received(p)) << "p=" << p;
+    EXPECT_EQ(a.words_sent(Channel::kGoodput, p),
+              b.words_sent(Channel::kGoodput, p))
+        << "p=" << p;
+    EXPECT_EQ(a.words_received(Channel::kGoodput, p),
+              b.words_received(Channel::kGoodput, p))
+        << "p=" << p;
+    EXPECT_EQ(a.messages_sent(Channel::kGoodput, p),
+              b.messages_sent(Channel::kGoodput, p))
+        << "p=" << p;
+    EXPECT_EQ(a.messages_received(Channel::kGoodput, p),
+              b.messages_received(Channel::kGoodput, p))
+        << "p=" << p;
     for (std::size_t q = 0; q < a.num_ranks(); ++q) {
       if (p != q) {
         EXPECT_EQ(a.pair_words(p, q), b.pair_words(p, q));

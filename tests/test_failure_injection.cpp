@@ -20,6 +20,8 @@
 namespace sttsv {
 namespace {
 
+using simt::Channel;
+
 TEST(FailureInjection, SteinerVerifyCatchesMissingTriple) {
   // Swap one point in one block of a valid system: some triple becomes
   // uncovered and another doubly covered.
@@ -62,12 +64,14 @@ TEST(FailureInjection, ScheduleValidatorCatchesDroppedRound) {
 
 TEST(FailureInjection, LedgerConservationCatchesManualImbalance) {
   simt::CommLedger ledger(3);
-  ledger.record_message(0, 1, 5);
+  ledger.record(Channel::kGoodput, 0, 1, 5);
   ledger.verify_conservation();  // records keep balance by construction
-  EXPECT_EQ(ledger.words_sent(0), ledger.words_received(1));
+  EXPECT_EQ(ledger.words_sent(Channel::kGoodput, 0),
+            ledger.words_received(Channel::kGoodput, 1));
   // Skew one rank's sent counter without a matching receive — the
   // validator must actually fire, not just hold by construction.
-  ledger.debug_skew_sent_for_test(0, 3);
+  ledger.debug_skew_sent_for_test(Channel::kGoodput, simt::Level::kIntra,
+                                  0, 3);
   EXPECT_THROW(ledger.verify_conservation(), InternalError);
 }
 
@@ -104,7 +108,7 @@ TEST(FailureInjection, ExchangeRejectsOverheadExceedingPayload) {
                    std::move(outboxes), simt::Transport::kPointToPoint),
                PreconditionError);
   EXPECT_EQ(machine.ledger().total_words(), 0u);
-  EXPECT_EQ(machine.ledger().total_overhead_words(), 0u);
+  EXPECT_EQ(machine.ledger().total_words(Channel::kOverhead), 0u);
 }
 
 TEST(FailureInjection, ExchangeRejectsWrongOutboxCount) {

@@ -116,7 +116,7 @@ TEST_F(ComposeTest, PairTrafficMatrixIsSymmetricZeroDiagonal) {
 
 TEST_F(ComposeTest, TotalWordsAreAPlacementInvariant) {
   // Placement moves words between levels; the total is fixed by the
-  // partition. Check flat, composed (both seeds), and a hand-rolled map.
+  // partition. Check flat and composed.
   const auto w = hier::pair_traffic_matrix(part_, dist_);
   const std::size_t P = part_.num_processors();
   std::uint64_t total = 0;
@@ -124,11 +124,8 @@ TEST_F(ComposeTest, TotalWordsAreAPlacementInvariant) {
     for (std::size_t q = p + 1; q < P; ++q) total += w[p][q];
   }
   const auto flat = hier::flat_assignment(part_, dist_, 3);
-  const auto tri = hier::compose_assignment(part_, dist_, 3,
-                                            hier::IntraLayout::kTriangleBlock);
-  const auto cyc = hier::compose_assignment(part_, dist_, 3,
-                                            hier::IntraLayout::kCyclic);
-  for (const auto& asg : {flat, tri, cyc}) {
+  const auto comp = hier::compose_assignment(part_, dist_, 3);
+  for (const auto& asg : {flat, comp}) {
     const auto lw = hier::predict_level_words(part_, dist_, asg.node_of);
     EXPECT_EQ(lw.total(), total);
     EXPECT_EQ(lw.inter, asg.inter_words);
@@ -138,17 +135,14 @@ TEST_F(ComposeTest, TotalWordsAreAPlacementInvariant) {
 TEST_F(ComposeTest, ComposedNeverLosesToFlat) {
   for (const std::size_t N : {2u, 3u, 5u}) {
     const auto flat = hier::flat_assignment(part_, dist_, N);
-    for (const auto layout :
-         {hier::IntraLayout::kTriangleBlock, hier::IntraLayout::kCyclic}) {
-      const auto comp = hier::compose_assignment(part_, dist_, N, layout);
-      EXPECT_LE(comp.inter_words, flat.inter_words);
-      // Same balanced node sizes as the flat baseline.
-      const Topology ft = Topology::from_map(flat.node_of);
-      const Topology ct = Topology::from_map(comp.node_of);
-      ASSERT_EQ(ct.num_nodes(), ft.num_nodes());
-      for (std::size_t node = 0; node < ft.num_nodes(); ++node) {
-        EXPECT_EQ(ct.ranks_on(node).size(), ft.ranks_on(node).size());
-      }
+    const auto comp = hier::compose_assignment(part_, dist_, N);
+    EXPECT_LE(comp.inter_words, flat.inter_words);
+    // Same balanced node sizes as the flat baseline.
+    const Topology ft = Topology::from_map(flat.node_of);
+    const Topology ct = Topology::from_map(comp.node_of);
+    ASSERT_EQ(ct.num_nodes(), ft.num_nodes());
+    for (std::size_t node = 0; node < ft.num_nodes(); ++node) {
+      EXPECT_EQ(ct.ranks_on(node).size(), ft.ranks_on(node).size());
     }
   }
 }

@@ -126,7 +126,8 @@ TEST(ParallelSymv, WordsMatchClosedForm) {
   (void)parallel_symv(direct, part, a, x, simt::Transport::kPointToPoint);
   const double predicted = optimal_symv_words(n, q);
   for (std::size_t p = 0; p < machine.num_ranks(); ++p) {
-    EXPECT_DOUBLE_EQ(static_cast<double>(machine.ledger().words_sent(p)),
+    EXPECT_DOUBLE_EQ(static_cast<double>(machine.ledger().words_sent(
+                         simt::Channel::kGoodput, p)),
                      predicted);
   }
 }

@@ -31,6 +31,8 @@
 namespace sttsv::obs {
 namespace {
 
+using simt::Channel;
+
 /// RAII reset: every test leaves the process-wide tracer disabled and
 /// empty, whatever it did.
 struct TracerGuard {
@@ -210,45 +212,74 @@ TEST(MetricsRegistry, CountersGaugesHistograms) {
 // ---------------------------------------------------------------------------
 
 TEST(LedgerMetrics, ExportMatchesLedgerExactly) {
-  simt::CommLedger ledger(3);
-  ledger.record_message(0, 1, 10);
-  ledger.record_message(1, 2, 4);
-  ledger.record_message(2, 0, 6);
-  ledger.record_message(0, 2, 1);
-  ledger.record_overhead(1, 0, 5);
-  ledger.record_overhead(2, 1, 2);
-  ledger.add_rounds(3);
-  ledger.add_overhead_rounds(2);
+  // Two nodes, {0, 1} and {2, 3}: every channel carries traffic, rounds
+  // and (one-sided) sync ops at both levels.
+  simt::CommLedger ledger(4);
+  ledger.set_node_map({0, 0, 1, 1});
+  std::size_t salt = 1;
+  for (const Channel ch : simt::kAllChannels) {
+    ledger.record(ch, 0, 1, 10 + salt);  // intra
+    ledger.record(ch, 1, 2, 4 * salt);   // inter
+    ledger.record(ch, 2, 0, 6 + salt);   // inter
+    ledger.record(ch, 3, 2, salt);       // intra
+    ledger.record(ch, 0, 2, 2 * salt);   // inter
+    ledger.add_rounds(ch, simt::Level::kIntra, salt);
+    ledger.add_rounds(ch, simt::Level::kInter, 2 * salt);
+    ++salt;
+  }
+  ledger.add_sync_ops(simt::Level::kIntra, 3);
+  ledger.add_sync_ops(simt::Level::kInter, 5);
   ledger.add_modeled_collective_words(44);
 
   MetricsRegistry reg;
   ledger.to_metrics(reg);
 
-  const simt::LedgerMaxima m = ledger.maxima();
-  EXPECT_EQ(reg.counter("ledger.goodput.max_words_sent"), m.words_sent);
-  EXPECT_EQ(reg.counter("ledger.goodput.max_words_received"),
-            m.words_received);
-  EXPECT_EQ(reg.counter("ledger.overhead.max_words_sent"),
-            m.overhead_words_sent);
-  EXPECT_EQ(reg.counter("ledger.overhead.max_words_received"),
-            m.overhead_words_received);
-  EXPECT_EQ(reg.counter("ledger.goodput.total_words"), ledger.total_words());
-  EXPECT_EQ(reg.counter("ledger.goodput.rounds"), ledger.rounds());
-  EXPECT_EQ(reg.counter("ledger.overhead.rounds"), ledger.overhead_rounds());
-  EXPECT_EQ(reg.counter("ledger.modeled_collective_words"), 44u);
-  EXPECT_EQ(reg.counter("ledger.active_pairs"), ledger.active_pairs());
-  for (std::size_t p = 0; p < 3; ++p) {
-    const std::string r = ".r" + std::to_string(p);
-    EXPECT_EQ(reg.counter("ledger.goodput.words_sent" + r),
-              ledger.words_sent(p))
-        << "p=" << p;
-    EXPECT_EQ(reg.counter("ledger.goodput.words_received" + r),
-              ledger.words_received(p))
-        << "p=" << p;
-    EXPECT_EQ(reg.counter("ledger.overhead.words_sent" + r),
-              ledger.overhead_words_sent(p))
-        << "p=" << p;
+  // counter() reads a missing name as 0, so look every name up in the
+  // export itself, and count them: every exported counter is checked.
+  std::map<std::string, std::uint64_t> exported;
+  for (const auto& [name, value] : reg.counters()) exported[name] = value;
+  std::size_t checked = 0;
+  const auto expect = [&](const std::string& name, std::uint64_t want) {
+    ++checked;
+    const auto it = exported.find(name);
+    if (it == exported.end()) {
+      ADD_FAILURE() << name << " not exported";
+      return;
+    }
+    EXPECT_EQ(it->second, want) << name;
+  };
+  for (const Channel ch : simt::kAllChannels) {
+    const std::string base = std::string("ledger.") + simt::channel_name(ch);
+    expect(base + ".max_words_sent", ledger.max_words_sent(ch));
+    expect(base + ".max_words_received", ledger.max_words_received(ch));
+    expect(base + ".total_words", ledger.total_words(ch));
+    expect(base + ".total_messages", ledger.total_messages(ch));
+    expect(base + ".rounds", ledger.rounds(ch));
+    for (const simt::Level lv : simt::kAllLevels) {
+      EXPECT_GT(ledger.total_words(ch, lv), 0u);
+      const std::string lvl = base + "." + simt::level_name(lv);
+      expect(lvl + ".total_words", ledger.total_words(ch, lv));
+      expect(lvl + ".total_messages", ledger.total_messages(ch, lv));
+      expect(lvl + ".rounds", ledger.rounds(ch, lv));
+    }
+    for (std::size_t p = 0; p < ledger.num_ranks(); ++p) {
+      const std::string r = ".r" + std::to_string(p);
+      expect(base + ".words_sent" + r, ledger.words_sent(ch, p));
+      expect(base + ".words_received" + r, ledger.words_received(ch, p));
+      if (ch == Channel::kGoodput) {
+        expect(base + ".messages_sent" + r, ledger.messages_sent(ch, p));
+      }
+    }
   }
+  for (const simt::Level lv : simt::kAllLevels) {
+    expect(std::string("ledger.sync_ops.") + simt::level_name(lv),
+           ledger.sync_ops(lv));
+  }
+  expect("ledger.onesided.sync_ops", 8u);
+  expect("ledger.num_nodes", 2u);
+  expect("ledger.modeled_collective_words", 44u);
+  expect("ledger.active_pairs", ledger.active_pairs());
+  EXPECT_EQ(checked, exported.size());
 
   // Re-export is idempotent: values are set absolutely.
   ledger.to_metrics(reg);
@@ -256,7 +287,7 @@ TEST(LedgerMetrics, ExportMatchesLedgerExactly) {
 }
 
 /// The acceptance-criterion shape: a real parallel run's exported per-rank
-/// goodput maxima equal maxima() exactly.
+/// goodput maxima equal the ledger's maxima exactly.
 TEST(LedgerMetrics, ParallelRunGoodputMaximaRoundTrip) {
   const auto part =
       partition::TetraPartition::build(steiner::spherical_system(2));
@@ -270,19 +301,20 @@ TEST(LedgerMetrics, ParallelRunGoodputMaximaRoundTrip) {
 
   MetricsRegistry reg;
   machine.ledger().to_metrics(reg);
-  const simt::LedgerMaxima m = machine.ledger().maxima();
-  EXPECT_GT(m.words_sent, 0u);
-  EXPECT_EQ(reg.counter("ledger.goodput.max_words_sent"), m.words_sent);
+  const std::uint64_t max_sent = machine.ledger().max_words_sent();
+  EXPECT_GT(max_sent, 0u);
+  EXPECT_EQ(reg.counter("ledger.goodput.max_words_sent"), max_sent);
   EXPECT_EQ(reg.counter("ledger.goodput.max_words_received"),
-            m.words_received);
+            machine.ledger().max_words_received());
   std::uint64_t max_seen = 0;
   for (std::size_t p = 0; p < machine.num_ranks(); ++p) {
     const std::uint64_t words =
         reg.counter("ledger.goodput.words_sent.r" + std::to_string(p));
-    EXPECT_EQ(words, machine.ledger().words_sent(p)) << "p=" << p;
+    EXPECT_EQ(words, machine.ledger().words_sent(Channel::kGoodput, p))
+        << "p=" << p;
     max_seen = std::max(max_seen, words);
   }
-  EXPECT_EQ(max_seen, m.words_sent);
+  EXPECT_EQ(max_seen, max_sent);
 }
 
 // ---------------------------------------------------------------------------
@@ -552,8 +584,8 @@ TEST(Determinism, TracingOnVsOffBitwiseIdentical) {
             off_machine.ledger().total_messages());
   EXPECT_EQ(on_machine.ledger().rounds(), off_machine.ledger().rounds());
   for (std::size_t p = 0; p < P; ++p) {
-    EXPECT_EQ(on_machine.ledger().words_sent(p),
-              off_machine.ledger().words_sent(p))
+    EXPECT_EQ(on_machine.ledger().words_sent(Channel::kGoodput, p),
+              off_machine.ledger().words_sent(Channel::kGoodput, p))
         << "p=" << p;
   }
 }
@@ -600,8 +632,8 @@ TEST(Determinism, TracedResilientRunMatchesUntracedAndAttributesOverhead) {
   for (std::size_t i = 0; i < on.y.size(); ++i) {
     EXPECT_EQ(on.y[i], off.y[i]) << "i=" << i;
   }
-  EXPECT_EQ(on_machine.ledger().total_overhead_words(),
-            off_machine.ledger().total_overhead_words());
+  EXPECT_EQ(on_machine.ledger().total_words(Channel::kOverhead),
+            off_machine.ledger().total_words(Channel::kOverhead));
 
   // The protocol's recovery work shows up as overhead-channel spans.
   std::size_t retry_spans = 0;

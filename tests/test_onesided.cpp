@@ -164,8 +164,8 @@ TEST(OneSidedExchange, PutModeDeliversViewsSenderSorted) {
   // holds per channel.
   const simt::CommLedger& led = machine.ledger();
   EXPECT_EQ(led.total_words(), 0u);
-  EXPECT_EQ(led.total_onesided_words(), 3u);
-  EXPECT_EQ(led.onesided_messages(), 2u);
+  EXPECT_EQ(led.total_words(Channel::kOneSided), 3u);
+  EXPECT_EQ(led.total_messages(Channel::kOneSided), 2u);
   // α-term: two origins fenced, one target notified.
   EXPECT_EQ(led.sync_ops(), 3u);
   EXPECT_EQ(ex.stats().fences, 2u);
@@ -184,7 +184,7 @@ TEST(OneSidedExchange, DeadEndpointsDropUncharged) {
   auto in = ex.exchange(std::move(out), simt::Transport::kPointToPoint);
   EXPECT_TRUE(in[0].empty());
   ASSERT_EQ(in[1].size(), 1u);
-  EXPECT_EQ(machine.ledger().total_onesided_words(), 1u);
+  EXPECT_EQ(machine.ledger().total_words(Channel::kOneSided), 1u);
   EXPECT_EQ(ex.stats().puts, 1u);
   machine.ledger().verify_conservation();
 }
@@ -196,9 +196,10 @@ TEST(OneSidedExchange, RecoveryFlaggedPutsChargeRecoveryChannel) {
   out[0].push_back(Envelope{1, PooledBuffer{1.0, 2.0}, 0, /*recovery=*/true});
   (void)ex.exchange(std::move(out), simt::Transport::kPointToPoint);
   const simt::CommLedger& led = machine.ledger();
-  EXPECT_EQ(led.total_onesided_words(), 0u);
-  EXPECT_EQ(led.total_recovery_words(), 2u);
-  EXPECT_EQ(led.recovery_rounds(), 1u);  // pure-recovery epoch's rounds
+  EXPECT_EQ(led.total_words(Channel::kOneSided), 0u);
+  EXPECT_EQ(led.total_words(Channel::kRecovery), 2u);
+  // The pure-recovery epoch's rounds.
+  EXPECT_EQ(led.rounds(Channel::kRecovery), 1u);
   led.verify_conservation();
 }
 
@@ -210,7 +211,7 @@ TEST(OneSidedExchange, RejectsFramedEnvelopesBeforeAnyPut) {
   EXPECT_THROW(ex.exchange(std::move(out), simt::Transport::kPointToPoint),
                PreconditionError);
   // Strong guarantee: nothing landed, nothing charged, epoch settled.
-  EXPECT_EQ(machine.ledger().total_onesided_words(), 0u);
+  EXPECT_EQ(machine.ledger().total_words(Channel::kOneSided), 0u);
   EXPECT_EQ(machine.ledger().sync_ops(), 0u);
   EXPECT_FALSE(ex.registry().epoch_open());
 }
@@ -275,8 +276,7 @@ TEST(DriverEquivalence, ThirtyTwoSeedCrossTransportSweep) {
       const auto result = core::parallel_sttsv(
           *ex, *s.part, *s.dist, s.a, s.x, simt::Transport::kPointToPoint);
       machine.ledger().verify_conservation();
-      for (const Channel ch : {Channel::kGoodput, Channel::kOverhead,
-                               Channel::kRecovery, Channel::kOneSided}) {
+      for (const Channel ch : simt::kAllChannels) {
         std::uint64_t sent = 0;
         std::uint64_t received = 0;
         for (std::size_t p = 0; p < machine.num_ranks(); ++p) {
@@ -317,7 +317,7 @@ TEST(DriverEquivalence, OneSidedSyncOpsBelowDirectMessages) {
                              simt::Transport::kPointToPoint);
 
   // Equal payload words, just accounted on different channels.
-  EXPECT_EQ(os_machine.ledger().total_onesided_words(),
+  EXPECT_EQ(os_machine.ledger().total_words(Channel::kOneSided),
             direct_machine.ledger().total_words());
   EXPECT_LT(os_machine.ledger().sync_ops(),
             direct_machine.ledger().total_messages());
@@ -326,7 +326,7 @@ TEST(DriverEquivalence, OneSidedSyncOpsBelowDirectMessages) {
   EXPECT_LE(os_machine.ledger().sync_ops(),
             2 * 2 * os_machine.num_ranks());
   // Rounds match the same König schedule on the onesided channel.
-  EXPECT_EQ(os_machine.ledger().onesided_rounds(),
+  EXPECT_EQ(os_machine.ledger().rounds(Channel::kOneSided),
             direct_machine.ledger().rounds());
 }
 
@@ -421,11 +421,10 @@ TEST(DriverEquivalence, OneExchangePerPhaseOnEveryBackend) {
 // --- Ledger channels --------------------------------------------------------
 
 TEST(LedgerChannels, ConservationFiresOnEveryChannel) {
-  for (const Channel ch : {Channel::kGoodput, Channel::kOverhead,
-                           Channel::kRecovery, Channel::kOneSided}) {
+  for (const Channel ch : simt::kAllChannels) {
     Machine machine(3);
     machine.ledger().verify_conservation();
-    machine.ledger().debug_skew_sent_for_test(ch, 1, 5);
+    machine.ledger().debug_skew_sent_for_test(ch, simt::Level::kIntra, 1, 5);
     EXPECT_THROW(machine.ledger().verify_conservation(), InternalError)
         << simt::channel_name(ch);
   }
@@ -433,9 +432,9 @@ TEST(LedgerChannels, ConservationFiresOnEveryChannel) {
 
 TEST(LedgerChannels, OneSidedMetricsExported) {
   Machine machine(2);
-  machine.ledger().record_onesided(0, 1, 7);
-  machine.ledger().add_onesided_rounds(2);
-  machine.ledger().add_sync_ops(3);
+  machine.ledger().record(Channel::kOneSided, 0, 1, 7);
+  machine.ledger().add_rounds(Channel::kOneSided, 2);
+  machine.ledger().add_sync_ops(simt::Level::kIntra, 3);
   obs::MetricsRegistry reg;
   machine.ledger().to_metrics(reg);
   EXPECT_EQ(reg.counter("ledger.onesided.total_words"), 7u);
@@ -471,7 +470,8 @@ TEST(EnginePlumbing, OneSidedTransportMatchesDirectBitwise) {
     }
     engine.flush();
     if (std::string(backend) != "direct") {
-      EXPECT_GT(machine.ledger().total_onesided_words(), 0u) << "engine";
+      EXPECT_GT(machine.ledger().total_words(Channel::kOneSided), 0u)
+          << "engine";
       EXPECT_EQ(machine.ledger().total_words(), 0u);
     }
     machine.ledger().verify_conservation();
@@ -508,7 +508,7 @@ TEST(ServePlumbing, TenantOneSidedAttributionSumsToLedger) {
   const std::uint64_t attributed = fe.tenant_stats(t0).onesided_words +
                                    fe.tenant_stats(t1).onesided_words;
   EXPECT_GT(attributed, 0u);
-  EXPECT_EQ(attributed, machine.ledger().total_onesided_words());
+  EXPECT_EQ(attributed, machine.ledger().total_words(Channel::kOneSided));
   EXPECT_EQ(machine.ledger().total_words(), 0u);  // no mailbox goodput
   obs::MetricsRegistry reg;
   fe.publish_metrics(reg);

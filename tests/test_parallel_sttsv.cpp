@@ -21,6 +21,8 @@
 namespace sttsv::core {
 namespace {
 
+using simt::Channel;
+
 // The distribution references the partition, so the partition lives in a
 // unique_ptr: moving the fixture must not relocate it.
 struct Fixture {
@@ -71,11 +73,13 @@ TEST(ParallelSttsv, SphericalQ2DivisibleExact) {
   // 2(n(q+1)/(q²+1) - n/P) words across the two vector phases.
   const double predicted = optimal_algorithm_words(60, 2);
   for (std::size_t p = 0; p < machine.num_ranks(); ++p) {
-    EXPECT_DOUBLE_EQ(static_cast<double>(machine.ledger().words_sent(p)),
-                     predicted)
-        << "p=" << p;
     EXPECT_DOUBLE_EQ(
-        static_cast<double>(machine.ledger().words_received(p)), predicted);
+        static_cast<double>(machine.ledger().words_sent(Channel::kGoodput, p)),
+        predicted)
+        << "p=" << p;
+    EXPECT_DOUBLE_EQ(static_cast<double>(
+                         machine.ledger().words_received(Channel::kGoodput, p)),
+                     predicted);
   }
 }
 

@@ -33,6 +33,7 @@ namespace sttsv {
 namespace {
 
 using elastic::BlockAssignment;
+using simt::Channel;
 using simt::FaultConfig;
 using simt::FaultInjector;
 using simt::FaultKind;
@@ -162,7 +163,7 @@ TEST(Recovery, MachineDropsDeadEndpointTrafficUncharged) {
   EXPECT_EQ(in[1][0].from, 0u);
   EXPECT_TRUE(in[3].empty());
   EXPECT_EQ(machine.ledger().total_words(), 2u);
-  EXPECT_EQ(machine.ledger().words_sent(3), 0u);
+  EXPECT_EQ(machine.ledger().words_sent(Channel::kGoodput, 3), 0u);
   machine.ledger().verify_conservation();
 
   // The last live rank cannot be killed.
@@ -187,18 +188,19 @@ TEST(Recovery, RecoveryChannelConservesAndSkewFires) {
   ASSERT_EQ(in[2].size(), 1u);
 
   const simt::CommLedger& led = machine.ledger();
-  EXPECT_EQ(led.total_recovery_words(), 3u);
-  EXPECT_EQ(led.recovery_words_sent(0), 3u);
-  EXPECT_EQ(led.recovery_words_received(2), 3u);
-  EXPECT_EQ(led.recovery_messages(), 1u);
-  EXPECT_GE(led.recovery_rounds(), 1u);
+  EXPECT_EQ(led.total_words(Channel::kRecovery), 3u);
+  EXPECT_EQ(led.words_sent(Channel::kRecovery, 0), 3u);
+  EXPECT_EQ(led.words_received(Channel::kRecovery, 2), 3u);
+  EXPECT_EQ(led.total_messages(Channel::kRecovery), 1u);
+  EXPECT_GE(led.rounds(Channel::kRecovery), 1u);
   // Recovery traffic never leaks into goodput or overhead.
   EXPECT_EQ(led.total_words(), 0u);
-  EXPECT_EQ(led.total_overhead_words(), 0u);
+  EXPECT_EQ(led.total_words(Channel::kOverhead), 0u);
   EXPECT_EQ(led.rounds(), 0u);
   led.verify_conservation();
 
-  machine.ledger().debug_skew_recovery_sent_for_test(1, 5);
+  machine.ledger().debug_skew_sent_for_test(Channel::kRecovery,
+                                            simt::Level::kIntra, 1, 5);
   EXPECT_THROW(machine.ledger().verify_conservation(), InternalError);
 }
 
@@ -469,7 +471,7 @@ TEST(Recovery, CrashRecoveryPropertySweep) {
         // Three-way ledger conservation, and the recovery channel holds
         // exactly the planned redistribution diff.
         machine.ledger().verify_conservation();
-        EXPECT_EQ(machine.ledger().total_recovery_words(),
+        EXPECT_EQ(machine.ledger().total_words(Channel::kRecovery),
                   out.redistribution_words);
         std::uint64_t planned = 0;
         std::uint64_t from_scratch = 0;

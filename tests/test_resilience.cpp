@@ -31,6 +31,7 @@
 namespace sttsv {
 namespace {
 
+using simt::Channel;
 using simt::FaultConfig;
 using simt::FaultInjector;
 using simt::RecoveryPolicy;
@@ -106,18 +107,19 @@ TEST(Resilience, SeedSweepBitwiseAndGoodputInvariant) {
 
     // Goodput channel: exactly the fault-free ledger, rank by rank.
     for (std::size_t p = 0; p < P; ++p) {
-      EXPECT_EQ(machine.ledger().words_sent(p), clean.ledger().words_sent(p))
+      EXPECT_EQ(machine.ledger().words_sent(Channel::kGoodput, p),
+                clean.ledger().words_sent(Channel::kGoodput, p))
           << "seed=" << seed << " p=" << p;
-      EXPECT_EQ(machine.ledger().words_received(p),
-                clean.ledger().words_received(p));
-      EXPECT_EQ(machine.ledger().messages_sent(p),
-                clean.ledger().messages_sent(p));
+      EXPECT_EQ(machine.ledger().words_received(Channel::kGoodput, p),
+                clean.ledger().words_received(Channel::kGoodput, p));
+      EXPECT_EQ(machine.ledger().messages_sent(Channel::kGoodput, p),
+                clean.ledger().messages_sent(Channel::kGoodput, p));
     }
     EXPECT_EQ(machine.ledger().rounds(), clean.ledger().rounds())
         << "goodput rounds must match the fault-free schedule";
     // Protocol cost is real and lands on the overhead channel.
-    EXPECT_GT(machine.ledger().total_overhead_words(), 0u);
-    EXPECT_GT(machine.ledger().overhead_rounds(), 0u);
+    EXPECT_GT(machine.ledger().total_words(Channel::kOverhead), 0u);
+    EXPECT_GT(machine.ledger().rounds(Channel::kOverhead), 0u);
     machine.ledger().verify_conservation();
     faults_seen += injector.log().size();
   }
@@ -219,7 +221,8 @@ TEST(Resilience, DegradedModeRecoversBitwise) {
   EXPECT_GT(rex.stats().degraded_deliveries, 0u);
   // Degraded replays are overhead; goodput still matches fault-free.
   for (std::size_t p = 0; p < P; ++p) {
-    EXPECT_EQ(machine.ledger().words_sent(p), clean.ledger().words_sent(p));
+    EXPECT_EQ(machine.ledger().words_sent(Channel::kGoodput, p),
+              clean.ledger().words_sent(Channel::kGoodput, p));
   }
   machine.ledger().verify_conservation();
 }
@@ -252,7 +255,8 @@ TEST(Resilience, DegradeSeedSweep) {
                                           Transport::kPointToPoint);
     expect_bitwise(got.y, ref.y);
     for (std::size_t p = 0; p < P; ++p) {
-      EXPECT_EQ(machine.ledger().words_sent(p), clean.ledger().words_sent(p))
+      EXPECT_EQ(machine.ledger().words_sent(Channel::kGoodput, p),
+                clean.ledger().words_sent(Channel::kGoodput, p))
           << "seed=" << seed << " p=" << p;
     }
     EXPECT_EQ(machine.ledger().rounds(), clean.ledger().rounds());
@@ -282,11 +286,12 @@ TEST(Resilience, InjectorIsDeterministicPerSeed) {
                          RecoveryPolicy::kFailFast);
     core::parallel_sttsv(rex, s.part(), s.dist(), s.a, s.x,
                          Transport::kPointToPoint);
-    return std::make_pair(injector.log(), machine.ledger().maxima());
+    return std::make_pair(injector.log(),
+                          machine.ledger().max_words_sent(Channel::kOverhead));
   };
 
-  const auto [log1, maxima1] = run(cfg);
-  const auto [log2, maxima2] = run(cfg);
+  const auto [log1, max_overhead1] = run(cfg);
+  const auto [log2, max_overhead2] = run(cfg);
   ASSERT_EQ(log1.size(), log2.size());
   for (std::size_t i = 0; i < log1.size(); ++i) {
     EXPECT_EQ(log1[i].exchange_index, log2[i].exchange_index);
@@ -295,12 +300,12 @@ TEST(Resilience, InjectorIsDeterministicPerSeed) {
     EXPECT_EQ(log1[i].to, log2[i].to);
     EXPECT_EQ(log1[i].detail, log2[i].detail);
   }
-  EXPECT_EQ(maxima1.overhead_words_sent, maxima2.overhead_words_sent);
+  EXPECT_EQ(max_overhead1, max_overhead2);
 
   FaultConfig other = cfg;
   other.seed = 43;
-  const auto [log3, maxima3] = run(other);
-  (void)maxima3;
+  const auto [log3, max_overhead3] = run(other);
+  (void)max_overhead3;
   EXPECT_GT(log1.size(), 0u);
   EXPECT_GT(log3.size(), 0u);
 }
@@ -332,8 +337,9 @@ TEST(Resilience, MeasuredRoundsWithinRetryModel) {
                                          retry.backoff_base_rounds,
                                          retry.backoff_cap_rounds) +
            data_rounds);
-  EXPECT_LE(machine.ledger().rounds() + machine.ledger().overhead_rounds(),
-            bound);
+  EXPECT_LE(
+      machine.ledger().rounds() + machine.ledger().rounds(Channel::kOverhead),
+      bound);
 }
 
 // Fault-free through the protocol: goodput identical to the raw run and
@@ -352,7 +358,7 @@ TEST(Resilience, FaultFreeProtocolOverheadIsAccounted) {
                                         Transport::kPointToPoint);
   expect_bitwise(got.y, ref.y);
   EXPECT_EQ(machine.ledger().total_words(), clean.ledger().total_words());
-  EXPECT_GT(machine.ledger().total_overhead_words(), 0u);
+  EXPECT_GT(machine.ledger().total_words(Channel::kOverhead), 0u);
   EXPECT_EQ(rex.stats().retransmitted_frames, 0u);
   EXPECT_EQ(rex.stats().duplicate_frames_ignored, 0u);
 }
@@ -369,10 +375,10 @@ TEST(Resilience, RejectsRecoveryEnvelopes) {
                PreconditionError);
   const simt::CommLedger& ledger = machine.ledger();
   EXPECT_EQ(ledger.total_words(), 0u);
-  EXPECT_EQ(ledger.total_overhead_words(), 0u);
-  EXPECT_EQ(ledger.total_recovery_words(), 0u);
-  EXPECT_EQ(ledger.rounds() + ledger.overhead_rounds() +
-                ledger.recovery_rounds(),
+  EXPECT_EQ(ledger.total_words(Channel::kOverhead), 0u);
+  EXPECT_EQ(ledger.total_words(Channel::kRecovery), 0u);
+  EXPECT_EQ(ledger.rounds() + ledger.rounds(Channel::kOverhead) +
+                ledger.rounds(Channel::kRecovery),
             0u);
   EXPECT_EQ(rex.stats().data_frames, 0u);
 }
@@ -438,7 +444,8 @@ TEST(Resilience, ManyFramesPerPairMatchRawDelivery) {
       expect_same_inboxes(got, want);
     }
     for (std::size_t p = 0; p < P; ++p) {
-      EXPECT_EQ(machine.ledger().words_sent(p), clean.ledger().words_sent(p));
+      EXPECT_EQ(machine.ledger().words_sent(Channel::kGoodput, p),
+                clean.ledger().words_sent(Channel::kGoodput, p));
     }
     retransmits += rex.stats().retransmitted_frames;
     duplicates += rex.stats().duplicate_frames_ignored;
@@ -473,12 +480,12 @@ TEST(Resilience, BatchedRunSurvivesFaultsBitwise) {
                        RecoveryPolicy::kFailFast);
   const auto got = batch::parallel_sttsv_batch(rex, *plan, a, xs);
   for (std::size_t v = 0; v < B; ++v) expect_bitwise(got.y[v], ref.y[v]);
-  const simt::LedgerMaxima want = clean.ledger().maxima();
-  const simt::LedgerMaxima faulty = machine.ledger().maxima();
-  EXPECT_EQ(faulty.words_sent, want.words_sent);
-  EXPECT_EQ(faulty.words_received, want.words_received);
-  EXPECT_GT(faulty.overhead_words_sent, 0u);
-  EXPECT_EQ(want.overhead_words_sent, 0u);
+  const simt::CommLedger& want = clean.ledger();
+  const simt::CommLedger& faulty = machine.ledger();
+  EXPECT_EQ(faulty.max_words_sent(), want.max_words_sent());
+  EXPECT_EQ(faulty.max_words_received(), want.max_words_received());
+  EXPECT_GT(faulty.max_words_sent(Channel::kOverhead), 0u);
+  EXPECT_EQ(want.max_words_sent(Channel::kOverhead), 0u);
 }
 
 TEST(Resilience, EngineFailFastKeepsRequestsQueuedForRetry) {

@@ -32,6 +32,8 @@
 namespace sttsv::serve {
 namespace {
 
+using simt::Channel;
+
 void expect_bitwise(const std::vector<double>& got,
                     const std::vector<double>& want, const char* what) {
   ASSERT_EQ(got.size(), want.size()) << what;
@@ -462,7 +464,7 @@ TEST(Frontend, LedgerAttributionConservesExactly) {
     rounds += ts.rounds;
   }
   EXPECT_EQ(words, ledger.total_words());
-  EXPECT_EQ(overhead, ledger.total_overhead_words());
+  EXPECT_EQ(overhead, ledger.total_words(Channel::kOverhead));
   EXPECT_EQ(messages, ledger.total_messages());
   EXPECT_EQ(rounds, ledger.rounds());
   EXPECT_GT(words, 0u);
@@ -595,7 +597,7 @@ TEST(Frontend, RequeuesBatchIntactWhenDispatchFaults) {
     messages += fe.tenant_stats(t).messages;
   }
   EXPECT_EQ(words, ledger.total_words());
-  EXPECT_EQ(overhead, ledger.total_overhead_words());
+  EXPECT_EQ(overhead, ledger.total_words(Channel::kOverhead));
   EXPECT_EQ(messages, ledger.total_messages());
   EXPECT_GT(overhead, 0u) << "faulted attempt left no overhead trace";
 

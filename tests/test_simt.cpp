@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "simt/fault_injector.hpp"
 #include "simt/machine.hpp"
 #include "simt/reliable_exchange.hpp"
 #include "support/check.hpp"
@@ -39,19 +40,53 @@ TEST(Machine, LedgerCountsWordsAndMessages) {
   out[3].push_back(Envelope{0, {5, 6}});
   (void)wire(m, std::move(out), Transport::kPointToPoint);
   const auto& L = m.ledger();
-  EXPECT_EQ(L.words_sent(0), 4u);
-  EXPECT_EQ(L.words_received(1), 3u);
-  EXPECT_EQ(L.words_received(2), 1u);
-  EXPECT_EQ(L.words_sent(3), 2u);
-  EXPECT_EQ(L.words_received(0), 2u);
-  EXPECT_EQ(L.messages_sent(0), 2u);
-  EXPECT_EQ(L.messages_received(0), 1u);
+  EXPECT_EQ(L.words_sent(Channel::kGoodput, 0), 4u);
+  EXPECT_EQ(L.words_received(Channel::kGoodput, 1), 3u);
+  EXPECT_EQ(L.words_received(Channel::kGoodput, 2), 1u);
+  EXPECT_EQ(L.words_sent(Channel::kGoodput, 3), 2u);
+  EXPECT_EQ(L.words_received(Channel::kGoodput, 0), 2u);
+  EXPECT_EQ(L.messages_sent(Channel::kGoodput, 0), 2u);
+  EXPECT_EQ(L.messages_received(Channel::kGoodput, 0), 1u);
   EXPECT_EQ(L.total_words(), 6u);
   EXPECT_EQ(L.total_messages(), 3u);
   EXPECT_EQ(L.pair_words(0, 1), 3u);
   EXPECT_EQ(L.pair_words(1, 0), 0u);
   EXPECT_EQ(L.active_pairs(), 3u);
   L.verify_conservation();
+}
+
+/// Each envelope kind's charge: a data envelope splits its goodput from
+/// its framing and charges only the nonempty parts; a recovery envelope
+/// charges its whole payload to recovery, even when empty. An injected
+/// duplicate is charged whole, to overhead for data and to recovery for
+/// recovery traffic, and holds no round slot.
+TEST(Machine, ChargesEachEnvelopeKindOnItsChannel) {
+  for (const bool duplicate : {false, true}) {
+    Machine m(4);
+    FaultInjector injector({.duplicate = duplicate ? 1.0 : 0.0});
+    m.set_fault_injector(&injector);
+    std::vector<std::vector<Envelope>> out(4);
+    out[0].push_back(Envelope{1, {1, 2, 3, 4, 5}, 2});  // 3 goodput words
+    out[1].push_back(Envelope{2, {}});                  // empty data
+    out[2].push_back(Envelope{3, {6, 7}, 0, true});     // recovery
+    out[3].push_back(Envelope{0, {}, 0, true});         // empty recovery
+    const auto in = wire(m, std::move(out), Transport::kPointToPoint);
+    m.set_fault_injector(nullptr);
+    for (std::size_t p = 0; p < 4; ++p) {
+      EXPECT_EQ(in[p].size(), duplicate ? 2u : 1u) << "p=" << p;
+    }
+    const CommLedger& L = m.ledger();
+    EXPECT_EQ(L.total_words(), 3u);
+    EXPECT_EQ(L.total_messages(), 1u);
+    EXPECT_EQ(L.total_words(Channel::kOverhead), duplicate ? 7u : 2u);
+    EXPECT_EQ(L.total_messages(Channel::kOverhead), duplicate ? 3u : 1u);
+    EXPECT_EQ(L.total_words(Channel::kRecovery), duplicate ? 4u : 2u);
+    EXPECT_EQ(L.total_messages(Channel::kRecovery), duplicate ? 4u : 2u);
+    EXPECT_EQ(L.rounds(), 1u);
+    EXPECT_EQ(L.rounds(Channel::kOverhead) + L.rounds(Channel::kRecovery),
+              0u);
+    L.verify_conservation();
+  }
 }
 
 TEST(Machine, SelfSendRejected) {
@@ -107,8 +142,9 @@ TEST(Machine, EmptyExchangeIsFree) {
 
 TEST(Ledger, RanksOutOfRangeRejected) {
   CommLedger L(2);
-  EXPECT_THROW(L.record_message(0, 2, 1), PreconditionError);
-  EXPECT_THROW(static_cast<void>(L.words_sent(5)), PreconditionError);
+  EXPECT_THROW(L.record(Channel::kGoodput, 0, 2, 1), PreconditionError);
+  EXPECT_THROW(static_cast<void>(L.words_sent(Channel::kGoodput, 5)),
+               PreconditionError);
 }
 
 }  // namespace

@@ -47,7 +47,9 @@ TEST(SphericalAlpha3, Q3CommunicationReplayBalanced) {
   const auto max_sent = machine.ledger().max_words_sent();
   EXPECT_GT(max_sent, 0u);
   for (std::size_t p = 0; p < part.num_processors(); ++p) {
-    EXPECT_EQ(machine.ledger().words_sent(p), max_sent) << "p=" << p;
+    EXPECT_EQ(machine.ledger().words_sent(simt::Channel::kGoodput, p),
+              max_sent)
+        << "p=" << p;
   }
 }
 
