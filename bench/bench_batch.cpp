@@ -36,7 +36,6 @@
 #include <vector>
 
 #include "batch/batched_run.hpp"
-#include "batch/engine.hpp"
 #include "batch/plan.hpp"
 #include "core/parallel_sttsv.hpp"
 #include "obs/export.hpp"
@@ -243,38 +242,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  // --- Engine smoke: FIFO admission + deterministic auto-flush. --------
-  batch::EngineOptions opts;
-  opts.max_batch_size = 4;
-  batch::Engine engine(machine, plan, a, opts);
-  std::vector<std::vector<double>> served(10);
-  for (std::size_t v = 0; v < 10; ++v) {
-    engine.submit(std::vector<double>(panel[v % max_b]),
-                  [&served](std::size_t id, std::vector<double> y) {
-                    served[id] = std::move(y);
-                  });
-  }
-  engine.flush();
-  const batch::EngineStats& stats = engine.stats();
-  check.check(stats.requests_completed == 10 && engine.pending() == 0,
-              "engine served all submitted requests");
-  check.check(stats.batches_run == 3 && stats.largest_batch == 4,
-              "engine cut batches at max_batch_size (4 + 4 + flush 2)");
-  {
-    machine.reset_ledger();
-    bool engine_matches = true;
-    for (std::size_t v = 0; v < 10 && engine_matches; ++v) {
-      const auto single = core::parallel_sttsv(
-          machine, plan->partition(), plan->distribution(), a,
-          panel[v % max_b], plan->key().transport);
-      engine_matches = served[v].size() == single.y.size() &&
-                       std::memcmp(served[v].data(), single.y.data(),
-                                   single.y.size() * sizeof(double)) == 0;
-    }
-    check.check(engine_matches,
-                "engine outputs bitwise equal to single-vector runs");
-  }
-
   // --- Optional traced batched run (--trace <path>). -------------------
   if (!trace_path.empty()) {
     obs::tracer().clear();
@@ -329,20 +296,11 @@ int main(int argc, char** argv) {
       w.end_object();
     }
     w.end_array();
-    w.begin_object("engine");
-    w.field("max_batch_size",
-            static_cast<std::uint64_t>(opts.max_batch_size));
-    w.field("requests_submitted", stats.requests_submitted);
-    w.field("requests_completed", stats.requests_completed);
-    w.field("batches_run", stats.batches_run);
-    w.field("largest_batch", static_cast<std::uint64_t>(stats.largest_batch));
-    w.end_object();
-    // Shared observability block: the machine's ledger (as left by the
-    // engine-verification runs) plus every publisher this bench touched.
+    // Shared observability block: the machine's ledger holds one batched
+    // run at the widest sweep width (its sweep row's batched_* totals).
     {
       obs::MetricsRegistry registry;
       machine.ledger().to_metrics(registry);
-      engine.publish_metrics(registry);
       repro::write_observability(w, machine.ledger(), registry);
     }
     w.end_object();

@@ -383,15 +383,13 @@ int main(int argc, char** argv) {
                     std::memcmp(traced.y.data(), ref.y.data(),
                                 ref.y.size() * sizeof(double)) == 0,
                 "traced run stays bitwise identical to fault-free");
-    if (obs::kTracingCompiledIn) {
-      std::size_t overhead_spans = 0;
-      for (const auto& s : spans) {
-        if (s.category == obs::Category::kRetry) ++overhead_spans;
-      }
-      check.check(!spans.empty(), "tracer captured spans of the faulty run");
-      check.check(overhead_spans > 0,
-                  "retry/ACK spans attributed to the overhead channel");
+    std::size_t overhead_spans = 0;
+    for (const auto& s : spans) {
+      if (s.category == obs::Category::kRetry) ++overhead_spans;
     }
+    check.check(!spans.empty(), "tracer captured spans of the faulty run");
+    check.check(overhead_spans > 0,
+                "retry/ACK spans attributed to the overhead channel");
 
     obs::MetricsRegistry registry;
     machine.ledger().to_metrics(registry);

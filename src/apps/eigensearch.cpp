@@ -4,7 +4,7 @@
 #include <cmath>
 
 #include "apps/vec_ops.hpp"
-#include "batch/engine.hpp"
+#include "batch/batched_run.hpp"
 #include "support/check.hpp"
 #include "support/rng.hpp"
 
@@ -72,11 +72,12 @@ std::vector<Eigenpair> find_eigenpairs(const tensor::SymTensor3& a,
 }
 
 std::vector<Eigenpair> find_eigenpairs_batched(
-    simt::Machine& machine, std::shared_ptr<const batch::Plan> plan,
+    simt::Machine& machine, const batch::Plan& plan,
     const tensor::SymTensor3& a, const EigenSearchOptions& opts) {
-  STTSV_REQUIRE(plan != nullptr, "batched search needs a plan");
-  STTSV_REQUIRE(plan->key().n == a.dim(),
+  STTSV_REQUIRE(plan.key().n == a.dim(),
                 "plan dimension must match the tensor");
+  STTSV_REQUIRE(machine.num_ranks() == plan.num_processors(),
+                "machine rank count must match plan");
   const std::size_t n = a.dim();
   const HopmOptions& hopts = opts.hopm;
 
@@ -93,21 +94,23 @@ std::vector<Eigenpair> find_eigenpairs_batched(
     normalize(starts[s].x);
   }
 
-  batch::EngineOptions eopts;
-  eopts.max_batch_size = std::max<std::size_t>(opts.num_starts, 1);
-  batch::Engine engine(machine, plan, a, eopts);
+  // Size the pool for the widest wave (every start) so even the first
+  // wave's message path is allocation-free (DESIGN.md §12).
+  plan.prewarm_pool(machine.pool(), std::max<std::size_t>(opts.num_starts, 1));
+  machine.first_touch();
 
-  // One batched apply of the iterates of every start in `active`;
-  // results land in ys[s] (callbacks fire in submission order).
+  // One batched apply of the iterates of every start in `wave`; results
+  // land in ys[s].
   std::vector<std::vector<double>> ys(opts.num_starts);
   const auto batched_wave = [&](const std::vector<std::size_t>& wave) {
-    for (const std::size_t s : wave) {
-      engine.submit(starts[s].x,
-                    [&ys, s](std::size_t, std::vector<double> y) {
-                      ys[s] = std::move(y);
-                    });
+    std::vector<std::vector<double>> xs;
+    xs.reserve(wave.size());
+    for (const std::size_t s : wave) xs.push_back(starts[s].x);
+    batch::BatchRunResult run =
+        batch::parallel_sttsv_batch(machine, plan, a, xs);
+    for (std::size_t k = 0; k < wave.size(); ++k) {
+      ys[wave[k]] = std::move(run.y[k]);
     }
-    engine.flush();
   };
 
   // Lockstep iteration waves: each wave is one aggregated exchange for

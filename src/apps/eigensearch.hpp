@@ -6,7 +6,6 @@
 // couples, which we canonicalize before deduplication.
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "apps/hopm.hpp"
@@ -38,14 +37,15 @@ std::vector<Eigenpair> find_eigenpairs(const tensor::SymTensor3& a,
                                        const EigenSearchOptions& opts = {});
 
 /// Multi-start search on the simulated machine through the batched STTSV
-/// engine: the starts iterate in lockstep waves, each wave submitting all
-/// active iterates as one engine batch, so every Algorithm-5 exchange is
-/// aggregated across starts (per-rank message count independent of the
-/// number of active starts). Per start, the iteration is arithmetically
-/// identical to hopm_parallel with seed opts.seed_base + start, so the
-/// returned eigenpairs match a start-by-start parallel loop bitwise.
+/// driver: the starts iterate in lockstep waves, each wave running all
+/// active iterates as one batch::parallel_sttsv_batch call, so every
+/// Algorithm-5 exchange is aggregated across starts (per-rank message
+/// count independent of the number of active starts). Per start, the
+/// iteration is arithmetically identical to hopm_parallel with seed
+/// opts.seed_base + start, so the returned eigenpairs match a
+/// start-by-start parallel loop bitwise. The machine must match the plan.
 std::vector<Eigenpair> find_eigenpairs_batched(
-    simt::Machine& machine, std::shared_ptr<const batch::Plan> plan,
+    simt::Machine& machine, const batch::Plan& plan,
     const tensor::SymTensor3& a, const EigenSearchOptions& opts = {});
 
 }  // namespace sttsv::apps

@@ -5,10 +5,10 @@
 // per-pair exchange walk — costs far more than a single apply once the
 // tensor is resident, and none of it depends on the vector values. A Plan
 // captures all of it immutably, once per (n, Steiner family, parameter,
-// transport); callers that serve many vectors (batch::Engine,
-// serve::Frontend, multi-start HOPM, CP sweeps) share one Plan through a
-// shared_ptr. Plan::build is the only way to get one; plan_key_for_budget
-// picks the key for a processor budget.
+// transport); callers that serve many vectors (serve::Frontend,
+// multi-start HOPM, CP sweeps) share one Plan. Plan::build is the only
+// way to get one; plan_key_for_budget picks the key for a processor
+// budget.
 
 #include <cstddef>
 #include <cstdint>

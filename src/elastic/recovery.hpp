@@ -48,8 +48,9 @@ struct RoleMove {
 struct RedistributionPlan {
   std::vector<RoleMove> moves;
   /// Donor of every moved share: the lowest live rank. Honest because
-  /// the submitting layer retains x (batch::Engine copies it; serve
-  /// holds the job) — the coordinator re-slices from the retained input.
+  /// the submitting layer retains x (parallel_sttsv_batch takes it by
+  /// const reference; serve holds the job) — the coordinator re-slices
+  /// from the retained input.
   std::size_t coordinator = 0;
   /// Σ move words: the minimal diff, checked against measured traffic.
   std::uint64_t planned_words = 0;

@@ -145,9 +145,4 @@ void MetricsRegistry::clear() {
   histograms_.clear();
 }
 
-MetricsRegistry& metrics() {
-  static MetricsRegistry m;
-  return m;
-}
-
 }  // namespace sttsv::obs

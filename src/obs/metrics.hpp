@@ -1,14 +1,14 @@
 #pragma once
 // Named metrics registry (DESIGN.md §11): counters, gauges and scalar
 // histograms that the instrumented subsystems publish into — the
-// CommLedger's two channels (CommLedger::to_metrics), ReliableExchange
-// and FaultInjector protocol stats, batch::Engine throughput counters.
+// CommLedger's channels (CommLedger::to_metrics), ReliableExchange and
+// FaultInjector protocol stats, serve::Frontend per-tenant counters.
 // Benches snapshot a registry into their JSON artifacts via
 // obs::write_metrics_json, so every run's breakdown is a queryable
 // artifact instead of hand-rolled fields.
 //
 // Names are flat dotted paths ("ledger.goodput.max_words_sent",
-// "rex.retransmitted_frames", "engine.batches_run"); storage is ordered by
+// "rex.retransmitted_frames", "serve.batches_run"); storage is ordered by
 // name so exports are deterministic. Recording takes a mutex — metrics
 // publication happens at run boundaries, never inside kernels, so the
 // lock is not on any hot path.
@@ -97,9 +97,5 @@ class MetricsRegistry {
   std::map<std::string, double> gauges_;
   std::map<std::string, HistogramStats> histograms_;
 };
-
-/// The process-wide registry instrumented subsystems default to when the
-/// caller does not pass one explicitly.
-MetricsRegistry& metrics();
 
 }  // namespace sttsv::obs

@@ -65,8 +65,6 @@ const char* category_name(Category c) {
       return "kernel";
     case Category::kRetry:
       return "retry";
-    case Category::kEngineFlush:
-      return "engine-flush";
     case Category::kServe:
       return "serve";
     case Category::kRecovery:
@@ -82,8 +80,7 @@ const char* category_name(Category c) {
 Tracer::Tracer() = default;
 
 void Tracer::configure(const Config& config) {
-  enabled_.store(kTracingCompiledIn && config.tracing,
-                 std::memory_order_relaxed);
+  enabled_.store(config.tracing, std::memory_order_relaxed);
 }
 
 Config Tracer::config() const { return Config{enabled()}; }
@@ -160,12 +157,6 @@ ScopedRank::ScopedRank(std::size_t rank) {
 ScopedRank::~ScopedRank() { thread_state().rank = saved_; }
 
 Span::Span(const char* name, Category category, std::uint64_t arg) {
-  if constexpr (!kTracingCompiledIn) {
-    (void)name;
-    (void)category;
-    (void)arg;
-    return;
-  }
   if (!tracer().enabled()) return;
   name_ = name;
   category_ = category;

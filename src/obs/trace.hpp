@@ -9,11 +9,9 @@
 // state (ScopedRank) so every span is attributed to its rank's track.
 //
 // Overhead model:
-//  * compiled out (STTSV_ENABLE_TRACING=OFF): Span is an empty object,
-//    every instrumentation site folds to nothing;
-//  * compiled in, runtime-disabled (the default): one relaxed atomic load
-//    per span site, no clock reads, no allocation — the state every
-//    production run and every tier-1 test measures;
+//  * disabled (the default): one relaxed atomic load per span site, no
+//    clock reads, no allocation — the state every production run and
+//    every tier-1 test measures;
 //  * enabled: two steady_clock reads plus one amortized push_back per
 //    span. Tracing reads clocks and writes side buffers only, so the
 //    computed y and the communication ledger are bitwise identical with
@@ -25,12 +23,6 @@
 #include <vector>
 
 namespace sttsv::obs {
-
-#if defined(STTSV_OBS_TRACING) && STTSV_OBS_TRACING
-inline constexpr bool kTracingCompiledIn = true;
-#else
-inline constexpr bool kTracingCompiledIn = false;
-#endif
 
 /// Rank value for spans recorded outside any rank program (the driver
 /// thread running exchanges and packing); rendered as its own track.
@@ -45,7 +37,6 @@ enum class Category : std::uint8_t {
   kExchange,
   kKernel,
   kRetry,
-  kEngineFlush,
   kServe,
   kRecovery,
   kOneSided,
@@ -67,7 +58,7 @@ struct SpanRecord {
 };
 
 struct Config {
-  /// Master switch. Ignored (forced false) when tracing is compiled out.
+  /// Master switch.
   bool tracing = false;
 };
 

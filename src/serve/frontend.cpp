@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "batch/batched_run.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "support/check.hpp"
@@ -22,16 +23,40 @@ Frontend::Frontend(simt::Machine& machine,
                    const tensor::SymTensor3& a, FrontendOptions opts)
     : machine_(machine),
       plan_(std::move(plan)),
+      a_(a),
       opts_(opts),
-      engine_(machine, plan_, a,
-              batch::EngineOptions{.max_batch_size = opts.batch_width,
-                                   .exchanger = opts.exchanger}),
       base_beta_ns_(opts.service_beta_ns) {
+  STTSV_REQUIRE(plan_ != nullptr, "front end needs a plan");
   STTSV_REQUIRE(opts_.batch_width >= 1, "batch width must be >= 1");
+  STTSV_REQUIRE(machine_.num_ranks() == plan_->num_processors(),
+                "machine rank count must match plan");
+  STTSV_REQUIRE(a_.dim() == plan_->key().n,
+                "tensor dimension must match plan");
+  STTSV_REQUIRE(opts_.exchanger == nullptr ||
+                    &opts_.exchanger->machine() == &machine_,
+                "front end exchanger must wrap the front end's machine");
   STTSV_REQUIRE(opts_.global_queue_depth >= 1,
                 "global queue depth must be >= 1");
   STTSV_REQUIRE(opts_.service_alpha_ns + opts_.service_beta_ns >= 1,
                 "service model must cost at least 1 ns per batch");
+  // Size the pool for a full-width batch up front so even the first
+  // batch's message path is allocation-free (DESIGN.md §12), then fault
+  // the reserved slabs in from their consumer threads (DESIGN.md §17).
+  plan_->prewarm_pool(machine_.pool(), opts_.batch_width);
+  machine_.first_touch();
+}
+
+void Frontend::assert_owner() const {
+#ifdef STTSV_DEBUG_CHECKS
+  std::thread::id expected{};
+  const std::thread::id self = std::this_thread::get_id();
+  if (!owner_.compare_exchange_strong(expected, self,
+                                      std::memory_order_relaxed)) {
+    STTSV_DCHECK(expected == self,
+                 "serve::Frontend is single-threaded: pump from the owning "
+                 "thread or rebind_owner() first");
+  }
+#endif
 }
 
 TenantId Frontend::add_tenant(std::string name, TenantQuota quota) {
@@ -77,6 +102,7 @@ std::size_t Frontend::in_flight(TenantId tenant) {
 
 Admission Frontend::submit(TenantId tenant, std::vector<double> x,
                            Callback cb) {
+  assert_owner();
   STTSV_REQUIRE(tenant < tenants_.size(), "unknown tenant");
   TenantStats& ts = tenants_[tenant];
   const auto reject = [&](RejectReason reason) {
@@ -121,6 +147,7 @@ Admission Frontend::submit(TenantId tenant, std::vector<double> x,
 }
 
 void Frontend::advance_to(std::uint64_t now_ns) {
+  assert_owner();
   STTSV_REQUIRE(now_ns >= now_ns_, "virtual clock must not go backwards");
   // After any submit/pump, backlog > 0 implies the server is busy; each
   // completion at or before the target time starts the next batch.
@@ -132,6 +159,7 @@ void Frontend::advance_to(std::uint64_t now_ns) {
 }
 
 void Frontend::drain() {
+  assert_owner();
   while (drr_.backlog() > 0) {
     now_ns_ = std::max(now_ns_, busy_until_ns_);
     run_batch(now_ns_);
@@ -146,12 +174,17 @@ void Frontend::run_batch(std::uint64_t start_ns) {
   const std::size_t B = picks.size();
   obs::Span batch_span("serve.batch", obs::Category::kServe, B);
 
+  // The picked jobs' inputs move into one panel; lane order is the DRR
+  // pick order.
   std::vector<PendingJob> jobs;
   jobs.reserve(B);
+  std::vector<std::vector<double>> xs;
+  xs.reserve(B);
   for (const auto& [lane, handle] : picks) {
     auto it = jobs_.find(handle);
     STTSV_CHECK(it != jobs_.end(), "scheduled job missing from the store");
     STTSV_CHECK(it->second.tenant == lane, "lane/tenant mismatch");
+    xs.push_back(std::move(it->second.x));
     jobs.push_back(std::move(it->second));
     jobs_.erase(it);
   }
@@ -173,26 +206,20 @@ void Frontend::run_batch(std::uint64_t start_ns) {
     return total / B + (v < total % B ? 1 : 0);
   };
 
-  // The engine queue is empty between serve batches and B <= the engine's
-  // max_batch_size, so flush() runs exactly one aggregated batch whose
-  // lane order is the DRR pick order. A simt::FaultError (fail-fast
-  // exchanger, retry budget spent) leaves that batch queued in the
-  // engine; we reclaim the inputs, re-park the jobs under their ORIGINAL
-  // handles and seq numbers, and put the handles back at the front of
-  // their lanes in reverse pick order — so per-lane FIFO order, in-flight
+  // One aggregated Algorithm-5 pass over the panel. A simt::FaultError
+  // (fail-fast exchanger, retry budget spent) leaves the inputs intact in
+  // xs: they move back into the job store under their ORIGINAL handles
+  // and seq numbers, and the handles go back at the front of their lanes
+  // in reverse pick order — so per-lane FIFO order, in-flight
   // accounting, and admission quotas are exactly as before the dispatch.
   // The faulted attempt's ledger delta (retries are real traffic) is
   // still attributed to the picked lanes so per-tenant shares keep
   // summing exactly to the machine ledger.
-  std::vector<std::vector<double>> ys(B);
+  batch::BatchRunResult run;
   try {
-    for (std::size_t v = 0; v < B; ++v) {
-      engine_.submit(std::move(jobs[v].x),
-                     [&ys, v](std::size_t, std::vector<double> y) {
-                       ys[v] = std::move(y);
-                     });
-    }
-    engine_.flush();
+    run = opts_.exchanger != nullptr
+              ? batch::parallel_sttsv_batch(*opts_.exchanger, *plan_, a_, xs)
+              : batch::parallel_sttsv_batch(machine_, *plan_, a_, xs);
   } catch (const simt::FaultError&) {
     const simt::CommLedger& led = machine_.ledger();
     const std::uint64_t dw = led.total_words() - words0;
@@ -210,8 +237,6 @@ void Frontend::run_batch(std::uint64_t start_ns) {
       ts.messages += share(dm, v);
       ts.rounds += share(dr, v);
     }
-    std::vector<std::vector<double>> xs = engine_.cancel_pending();
-    STTSV_CHECK(xs.size() == B, "faulted batch did not stay queued intact");
     for (std::size_t v = 0; v < B; ++v) {
       jobs[v].x = std::move(xs[v]);
       jobs_.emplace(picks[v].second, std::move(jobs[v]));
@@ -267,7 +292,7 @@ void Frontend::run_batch(std::uint64_t start_ns) {
     JobResult result;
     result.tenant = jobs[v].tenant;
     result.seq = jobs[v].seq;
-    result.y = std::move(ys[v]);
+    result.y = std::move(run.y[v]);
     result.arrival_ns = jobs[v].arrival_ns;
     result.start_ns = start_ns;
     result.completion_ns = completion_ns;

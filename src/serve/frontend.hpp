@@ -1,24 +1,26 @@
 #pragma once
-// Multi-tenant serving front end over batch::Engine (DESIGN.md §14).
+// Multi-tenant serving front end over batch::parallel_sttsv_batch
+// (DESIGN.md §14).
 //
 // Tenants register lanes and submit independent STTSV requests against
 // one resident tensor; the front end admits or rejects each request
 // (bounded queues, in-flight quotas, token-bucket rates — rejects are
 // explicit and attributed, never silent drops), schedules admitted jobs
 // with deficit round-robin into mixed-tenant batches of up to
-// batch_width, and runs each batch through the engine. Because every
-// lane of a batched run is bitwise identical to its single-vector run
-// (DESIGN.md §9), a tenant's outputs are bitwise identical to running
-// its jobs alone — batch composition is unobservable in the numbers, the
-// serving-layer extension of the repo's determinism invariant.
+// batch_width, and runs each batch as one batch::parallel_sttsv_batch
+// call. Because every lane of a batched run is bitwise identical to its
+// single-vector run (DESIGN.md §9), a tenant's outputs are bitwise
+// identical to running its jobs alone — batch composition is
+// unobservable in the numbers, the serving-layer extension of the repo's
+// determinism invariant.
 //
 // Time: the front end runs on a VIRTUAL clock (nanoseconds) advanced by
 // the caller (advance_to), with a deterministic service-time model —
 // a batch of B jobs occupies the server for alpha + beta·B virtual ns.
 // Admission, scheduling, batch composition, and every latency number are
-// therefore pure functions of the seeded arrival sequence; the engine
-// still performs the real computation for every admitted job. A batch
-// starts as soon as the server is free and jobs are queued (greedy
+// therefore pure functions of the seeded arrival sequence; the batched
+// driver still performs the real computation for every admitted job. A
+// batch starts as soon as the server is free and jobs are queued (greedy
 // dispatch: width-1 batches at light load, full batches under backlog).
 //
 // Ledger attribution: each batch's ledger delta (goodput words, overhead
@@ -27,20 +29,22 @@
 // shares sum EXACTLY to the machine ledger — conservation holds with
 // per-tenant resolution (tests/test_serve.cpp).
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
 #include <string>
+#include <thread>
 #include <unordered_map>
 #include <vector>
 
-#include "batch/engine.hpp"
 #include "batch/plan.hpp"
 #include "serve/drr.hpp"
 #include "serve/tenant.hpp"
 #include "simt/machine.hpp"
+#include "simt/reliable_exchange.hpp"
 #include "tensor/sym_tensor.hpp"
 
 namespace sttsv::obs {
@@ -50,7 +54,8 @@ class MetricsRegistry;
 namespace sttsv::serve {
 
 struct FrontendOptions {
-  /// Largest mixed-tenant batch (also the engine's max_batch_size).
+  /// Largest mixed-tenant batch; the construction prewarms the machine's
+  /// pool for a batch this wide.
   std::size_t batch_width = 16;
   /// Total queued jobs across all lanes; arrivals beyond this are
   /// rejected kGlobalQueueFull.
@@ -60,15 +65,16 @@ struct FrontendOptions {
   /// throughput of batch_width / (alpha + beta * batch_width) jobs/ns.
   std::uint64_t service_alpha_ns = 2'000'000;
   std::uint64_t service_beta_ns = 250'000;
-  /// The backend forwarded to batch::EngineOptions::exchanger (must wrap
-  /// the front end's machine; non-owning, must outlive the front end);
-  /// null means a DirectExchange. Under a one-sided backend the per-tenant
-  /// attribution picks up the one-sided channel. With a fail-fast
-  /// ReliableExchange, a faulted batch raises simt::FaultError out of
+  /// The backend every batch runs through (must wrap the front end's
+  /// machine; non-owning, must outlive the front end); null means a
+  /// DirectExchange. Under a one-sided backend the per-tenant attribution
+  /// picks up the one-sided channel. With a fail-fast ReliableExchange, a
+  /// faulted batch raises simt::FaultError out of
   /// submit()/advance_to()/drain() AFTER the front end has re-parked the
   /// batch's jobs (same handles, lane-FIFO order preserved) — no request
-  /// is lost and no quota leaks; the caller recovers (e.g. elastic
-  /// shrink + rebind) and pumps again.
+  /// is lost and no quota leaks; the caller heals the wire and pumps
+  /// again. A lost rank is not recoverable here: batches run the plan's
+  /// identity schedule, so every later batch raises PreconditionError.
   simt::Exchanger* exchanger = nullptr;
 };
 
@@ -103,15 +109,22 @@ struct FrontendStats {
   std::uint64_t dispatch_failures = 0;
 };
 
-/// Single-threaded like the engine it drives (the simulated machine has
-/// one driver); concurrent tenants are multiplexed by the caller feeding
-/// one merged arrival sequence.
+/// Threading contract: single-threaded by design — batches run inline on
+/// the pumping thread and the simulated machine has one driver (host
+/// parallelism lives below run_ranks); concurrent tenants are multiplexed
+/// by the caller feeding one merged arrival sequence. The first thread to
+/// call submit()/advance_to()/drain() becomes the owner; Debug builds
+/// (STTSV_DEBUG_CHECKS) assert every later pump arrives on that thread
+/// unless rebind_owner() hands ownership over.
 class Frontend {
  public:
   using Callback = std::function<void(JobResult)>;
 
   /// Machine, plan and tensor must outlive the front end; the machine
-  /// must match the plan and the tensor dimension must equal plan n.
+  /// must match the plan, the tensor dimension must equal plan n, and
+  /// opts.exchanger (if set) must wrap the machine. Prewarms the
+  /// machine's pool for a batch_width-wide batch, so even the first
+  /// batch's message path is allocation-free (DESIGN.md §12).
   Frontend(simt::Machine& machine, std::shared_ptr<const batch::Plan> plan,
            const tensor::SymTensor3& a, FrontendOptions opts = {});
 
@@ -131,6 +144,14 @@ class Frontend {
   /// clock through each batch; returns with an empty backlog.
   void drain();
 
+  /// Deliberate ownership handoff: the next submit/advance_to/drain may
+  /// come from any thread (which then becomes the new owner). The caller
+  /// is responsible for the happens-before edge between the old owner's
+  /// last call and the new owner's first.
+  void rebind_owner() {
+    owner_.store(std::thread::id{}, std::memory_order_relaxed);
+  }
+
   [[nodiscard]] std::uint64_t now_ns() const { return now_ns_; }
   [[nodiscard]] std::uint64_t busy_until_ns() const { return busy_until_ns_; }
   [[nodiscard]] std::size_t backlog() const { return drr_.backlog(); }
@@ -138,7 +159,6 @@ class Frontend {
   [[nodiscard]] const TenantStats& tenant_stats(TenantId tenant) const;
   [[nodiscard]] const FrontendStats& stats() const { return stats_; }
   [[nodiscard]] const FrontendOptions& options() const { return opts_; }
-  [[nodiscard]] const batch::Engine& engine() const { return engine_; }
 
   /// Saturation throughput of the service model (jobs per virtual
   /// second at full batches) — the benchmarks sweep offered load
@@ -172,11 +192,14 @@ class Frontend {
   void run_batch(std::uint64_t start_ns);
   /// Queued + not-yet-complete jobs of a tenant at the current time.
   [[nodiscard]] std::size_t in_flight(TenantId tenant);
+  /// Debug-only single-threaded-use assertion (see class comment): binds
+  /// the owner on first call, then STTSV_DCHECKs every later caller.
+  void assert_owner() const;
 
   simt::Machine& machine_;
   std::shared_ptr<const batch::Plan> plan_;
+  const tensor::SymTensor3& a_;
   FrontendOptions opts_;
-  batch::Engine engine_;
   DrrScheduler drr_;
   std::vector<TenantStats> tenants_;
   std::vector<TokenBucket> buckets_;
@@ -190,6 +213,8 @@ class Frontend {
   /// Construction-time service beta, the degrade_capacity() baseline.
   std::uint64_t base_beta_ns_ = 0;
   FrontendStats stats_;
+  /// Single-threaded-use witness; id{} until the first pump.
+  mutable std::atomic<std::thread::id> owner_{};
 };
 
 }  // namespace sttsv::serve

@@ -5,8 +5,7 @@
 // one driver) for every Steiner family (covering every block-kernel
 // class), both transports, padded and divisible sizes; the budget
 // chooser must pick the least-words family and its plan must run
-// end to end; the engine must cut deterministic batches and preserve
-// submission order.
+// end to end.
 
 #include <gtest/gtest.h>
 
@@ -22,7 +21,6 @@
 #include "algorithm5_reference.hpp"
 #include "apps/cp_gradient.hpp"
 #include "batch/batched_run.hpp"
-#include "batch/engine.hpp"
 #include "batch/plan.hpp"
 #include "core/costs.hpp"
 #include "core/parallel_sttsv.hpp"
@@ -467,71 +465,6 @@ TEST(PlanKeyForBudget, PredictionMatchesMeasurementDivisible) {
       static_cast<double>(machine.ledger().max_words_sent());
   EXPECT_DOUBLE_EQ(measured, core::optimal_algorithm_words(n, 3));
   EXPECT_DOUBLE_EQ(measured, core::steiner_algorithm_words(n, 10, 4));
-}
-
-TEST(EngineTest, AutoFlushPreservesSubmissionOrder) {
-  const auto plan = Plan::build(plan_key(60, Family::kSpherical, 2,
-                                         simt::Transport::kPointToPoint));
-  simt::Machine machine = plan->make_machine();
-  Rng rng(21);
-  const auto a = tensor::random_symmetric(60, rng);
-  const auto panel = make_panel(60, 5, 70);
-
-  EngineOptions opts;
-  opts.max_batch_size = 2;
-  Engine engine(machine, plan, a, opts);
-
-  std::vector<std::size_t> completed;
-  std::vector<std::vector<double>> served(5);
-  const auto cb = [&](std::size_t id, std::vector<double> y) {
-    completed.push_back(id);
-    served[id] = std::move(y);
-  };
-
-  EXPECT_EQ(engine.submit(panel[0], cb), 0u);
-  EXPECT_EQ(engine.pending(), 1u);
-  EXPECT_TRUE(completed.empty());
-
-  engine.submit(panel[1], cb);  // hits max_batch_size: auto-flush
-  EXPECT_EQ(engine.pending(), 0u);
-  EXPECT_EQ(completed, (std::vector<std::size_t>{0, 1}));
-
-  engine.submit(panel[2], cb);
-  engine.submit(panel[3], cb);
-  engine.submit(panel[4], cb);
-  EXPECT_EQ(engine.pending(), 1u);
-  engine.flush();
-  EXPECT_EQ(engine.pending(), 0u);
-  EXPECT_EQ(completed, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
-
-  const EngineStats& stats = engine.stats();
-  EXPECT_EQ(stats.requests_submitted, 5u);
-  EXPECT_EQ(stats.requests_completed, 5u);
-  EXPECT_EQ(stats.batches_run, 3u);
-  EXPECT_EQ(stats.largest_batch, 2u);
-
-  // Each served vector is bitwise the single-vector Algorithm-5 result.
-  const auto want = run_loop(machine, *plan, a, panel);
-  for (std::size_t v = 0; v < 5; ++v) {
-    expect_bitwise(served[v], want[v], "engine output");
-  }
-}
-
-TEST(EngineTest, ValidatesRequests) {
-  const auto plan = Plan::build(plan_key(60, Family::kSpherical, 2,
-                                         simt::Transport::kPointToPoint));
-  simt::Machine machine = plan->make_machine();
-  Rng rng(2);
-  const auto a = tensor::random_symmetric(60, rng);
-
-  Engine engine(machine, plan, a);
-  EXPECT_THROW(engine.submit(std::vector<double>(59, 0.0), nullptr),
-               PreconditionError);
-
-  EngineOptions bad;
-  bad.max_batch_size = 0;
-  EXPECT_THROW(Engine(machine, plan, a, bad), PreconditionError);
-  EXPECT_THROW(Engine(machine, nullptr, a), PreconditionError);
 }
 
 TEST(CpGradientBatched, BitwiseEqualToParallelLoop) {

@@ -77,7 +77,7 @@ TEST(EigenSearch, BatchedMatchesPerStartParallelLoop) {
       batch::plan_key(n, batch::Family::kSpherical, 2,
                       simt::Transport::kPointToPoint));
   simt::Machine machine = plan->make_machine();
-  const auto pairs = find_eigenpairs_batched(machine, plan, a, opts);
+  const auto pairs = find_eigenpairs_batched(machine, *plan, a, opts);
   ASSERT_FALSE(pairs.empty());
 
   std::vector<HopmResult> loop;

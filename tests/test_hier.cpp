@@ -5,7 +5,7 @@
 // equivalence against DirectExchange across seeds, merged delivery
 // order, node-fence α accounting, dead ranks), the per-level ledger
 // split with its conservation check,
-// and the engine/serve topology plumbing.
+// and the batch/serve topology plumbing.
 
 #include <gtest/gtest.h>
 
@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "batch/batched_run.hpp"
-#include "batch/engine.hpp"
 #include "batch/plan.hpp"
 #include "core/costs.hpp"
 #include "core/parallel_sttsv.hpp"
@@ -364,7 +363,7 @@ TEST(HierCosts, AlphaBetaComposesPerLevel) {
                           core::alpha_beta_time_s(model.inter, 2, 100));
 }
 
-// --- Engine and serve plumbing ----------------------------------------------
+// --- Batch and serve plumbing -----------------------------------------------
 
 TEST(HierPlumbing, EngineHierarchicalExchangerMatchesDirectBitwise) {
   const std::size_t n = 60;
@@ -377,26 +376,16 @@ TEST(HierPlumbing, EngineHierarchicalExchangerMatchesDirectBitwise) {
 
   const auto comp = hier::compose_assignment(plan->partition(),
                                              plan->distribution(), 2);
-  // `with_hier` runs the engine over a composed two-level backend; the
+  // `with_hier` runs the batch over a composed two-level backend; the
   // default runs it over DirectExchange.
   const auto run = [&](bool with_hier) {
     Machine machine(plan->num_processors());
-    std::unique_ptr<HierarchicalExchange> hx;
-    batch::EngineOptions opts;
-    if (with_hier) {
-      hx = std::make_unique<HierarchicalExchange>(
-          machine, Topology::from_map(comp.node_of), direct_inner(machine));
-      opts.exchanger = hx.get();
+    if (!with_hier) {
+      return batch::parallel_sttsv_batch(machine, *plan, a, xs).y;
     }
-    batch::Engine engine(machine, plan, a, opts);
-    std::vector<std::vector<double>> ys(xs.size());
-    for (std::size_t k = 0; k < xs.size(); ++k) {
-      engine.submit(xs[k], [&ys, k](std::size_t, std::vector<double> y) {
-        ys[k] = std::move(y);
-      });
-    }
-    engine.flush();
-    return ys;
+    HierarchicalExchange hx(machine, Topology::from_map(comp.node_of),
+                            direct_inner(machine));
+    return batch::parallel_sttsv_batch(hx, *plan, a, xs).y;
   };
   const auto want = run(false);
   const auto got = run(true);
@@ -408,9 +397,7 @@ TEST(HierPlumbing, EngineHierarchicalExchangerMatchesDirectBitwise) {
   // A node map on the ledger splits a flat backend's accounting too.
   Machine machine(plan->num_processors());
   machine.ledger().set_node_map(comp.node_of);
-  batch::Engine engine(machine, plan, a);
-  engine.submit(xs[0], [](std::size_t, std::vector<double>) {});
-  engine.flush();
+  batch::parallel_sttsv_batch(machine, *plan, a, {xs[0]});
   EXPECT_EQ(machine.ledger().num_nodes(), 2u);
   EXPECT_GT(machine.ledger().total_payload_words(Level::kInter), 0u);
 }

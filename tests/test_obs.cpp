@@ -335,9 +335,6 @@ TEST(Tracer, DisabledPathRecordsNothingAndAllocatesNoBuffers) {
 }
 
 TEST(Tracer, SpanNestingAndPerRankOrdering) {
-  if (!kTracingCompiledIn) {
-    GTEST_SKIP() << "tracing compiled out (STTSV_ENABLE_TRACING=OFF)";
-  }
   TracerGuard guard;
   tracer().configure({.tracing = true});
 
@@ -387,9 +384,6 @@ TEST(Tracer, SpanNestingAndPerRankOrdering) {
 }
 
 TEST(Tracer, ExchangeSpansClassifyOverheadOnlyTrafficAsRetry) {
-  if (!kTracingCompiledIn) {
-    GTEST_SKIP() << "tracing compiled out (STTSV_ENABLE_TRACING=OFF)";
-  }
   TracerGuard guard;
   tracer().configure({.tracing = true});
 
@@ -422,9 +416,6 @@ TEST(Tracer, ExchangeSpansClassifyOverheadOnlyTrafficAsRetry) {
 }
 
 TEST(Tracer, ClearDropsSpansAndSurvivesReuse) {
-  if (!kTracingCompiledIn) {
-    GTEST_SKIP() << "tracing compiled out (STTSV_ENABLE_TRACING=OFF)";
-  }
   TracerGuard guard;
   tracer().configure({.tracing = true});
   { Span s("test.one", Category::kOther); }
@@ -443,9 +434,6 @@ TEST(Tracer, ClearDropsSpansAndSurvivesReuse) {
 // ---------------------------------------------------------------------------
 
 TEST(Exporters, ChromeTraceRoundTripsThroughAParser) {
-  if (!kTracingCompiledIn) {
-    GTEST_SKIP() << "tracing compiled out (STTSV_ENABLE_TRACING=OFF)";
-  }
   TracerGuard guard;
   tracer().configure({.tracing = true});
 
@@ -530,9 +518,6 @@ TEST(Exporters, MetricsJsonRoundTripsThroughAParser) {
 }
 
 TEST(Exporters, RankSummaryListsEveryTrack) {
-  if (!kTracingCompiledIn) {
-    GTEST_SKIP() << "tracing compiled out (STTSV_ENABLE_TRACING=OFF)";
-  }
   TracerGuard guard;
   EXPECT_EQ(rank_summary({}), "");
 
@@ -568,9 +553,7 @@ TEST(Determinism, TracingOnVsOffBitwiseIdentical) {
   simt::Machine on_machine(P);
   const auto on = core::parallel_sttsv(on_machine, part, dist, a, x,
                                        simt::Transport::kPointToPoint);
-  if (kTracingCompiledIn) {
-    EXPECT_GT(tracer().total_spans(), 0u);
-  }
+  EXPECT_GT(tracer().total_spans(), 0u);
   tracer().configure({.tracing = false});
 
   ASSERT_EQ(on.y.size(), off.y.size());
@@ -591,9 +574,6 @@ TEST(Determinism, TracingOnVsOffBitwiseIdentical) {
 }
 
 TEST(Determinism, TracedResilientRunMatchesUntracedAndAttributesOverhead) {
-  if (!kTracingCompiledIn) {
-    GTEST_SKIP() << "tracing compiled out (STTSV_ENABLE_TRACING=OFF)";
-  }
   const auto part =
       partition::TetraPartition::build(steiner::spherical_system(2));
   const partition::VectorDistribution dist(part, 60);

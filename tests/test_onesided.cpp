@@ -3,10 +3,11 @@
 // against DirectExchange, the three-way cross-transport property sweep,
 // sync-op metering (the α-term the paper's message-count bound prices),
 // per-channel ledger conservation, the phase labels every backend sees,
-// and the engine/serve plumbing.
+// and the batch/serve plumbing.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <numeric>
 #include <string>
@@ -14,7 +15,6 @@
 
 #include "backends.hpp"
 #include "batch/batched_run.hpp"
-#include "batch/engine.hpp"
 #include "batch/plan.hpp"
 #include "core/parallel_sttsv.hpp"
 #include "core/sttsv_seq.hpp"
@@ -444,7 +444,7 @@ TEST(LedgerChannels, OneSidedMetricsExported) {
   EXPECT_EQ(reg.counter("ledger.goodput.total_words"), 0u);
 }
 
-// --- Engine and serve plumbing ----------------------------------------------
+// --- Batch and serve plumbing -----------------------------------------------
 
 TEST(EnginePlumbing, OneSidedTransportMatchesDirectBitwise) {
   const std::size_t n = 60;
@@ -458,20 +458,19 @@ TEST(EnginePlumbing, OneSidedTransportMatchesDirectBitwise) {
   const auto run = [&](const char* backend) {
     Machine machine(plan->num_processors());
     const auto ex = test::make_backend(backend, machine);
-    batch::EngineOptions opts;
-    opts.max_batch_size = 4;
-    opts.exchanger = ex.get();
-    batch::Engine engine(machine, plan, a, opts);
-    std::vector<std::vector<double>> ys(xs.size());
-    for (const auto& x : xs) {
-      engine.submit(x, [&ys](std::size_t id, std::vector<double> y) {
-        ys[id] = std::move(y);
-      });
+    // Batches of at most 4: a full 4-lane panel and a 1-lane tail.
+    std::vector<std::vector<double>> ys;
+    for (std::size_t v = 0; v < xs.size(); v += 4) {
+      std::vector<std::vector<double>> panel;
+      for (std::size_t k = v; k < std::min(v + 4, xs.size()); ++k) {
+        panel.push_back(xs[k]);
+      }
+      for (auto& y : batch::parallel_sttsv_batch(*ex, *plan, a, panel).y) {
+        ys.push_back(std::move(y));
+      }
     }
-    engine.flush();
     if (std::string(backend) != "direct") {
-      EXPECT_GT(machine.ledger().total_words(Channel::kOneSided), 0u)
-          << "engine";
+      EXPECT_GT(machine.ledger().total_words(Channel::kOneSided), 0u);
       EXPECT_EQ(machine.ledger().total_words(), 0u);
     }
     machine.ledger().verify_conservation();

@@ -14,8 +14,6 @@
 #include <vector>
 
 #include "backends.hpp"
-#include "batch/engine.hpp"
-#include "batch/plan.hpp"
 #include "core/parallel_sttsv.hpp"
 #include "elastic/assignment.hpp"
 #include "elastic/recovery.hpp"
@@ -523,82 +521,6 @@ TEST(Recovery, ShrinkBudgetExhaustionRethrows) {
   EXPECT_THROW(
       elastic::run_with_recovery(machine, s.part(), s.dist(), s.a, s.x, opts),
       simt::RankLossError);
-}
-
-// ---------------------------------------------------------------------
-// Serving-stack plumbing: plan rebinding, parked-batch recovery
-// ---------------------------------------------------------------------
-
-TEST(Recovery, EngineCancelPendingReturnsInputsInOrder) {
-  const auto key = batch::plan_key(60, batch::Family::kSpherical, 2,
-                                   Transport::kPointToPoint);
-  const auto plan = batch::Plan::build(key);
-  Rng rng(47);
-  const auto a = tensor::random_symmetric(60, rng);
-  const auto x0 = rng.uniform_vector(60);
-  const auto x1 = rng.uniform_vector(60);
-
-  simt::Machine machine(plan->num_processors());
-  batch::Engine engine(machine, plan, a);
-  bool fired = false;
-  engine.submit(x0, [&](std::size_t, std::vector<double>) { fired = true; });
-  engine.submit(x1, [&](std::size_t, std::vector<double>) { fired = true; });
-  ASSERT_EQ(engine.pending(), 2u);
-
-  const auto xs = engine.cancel_pending();
-  EXPECT_EQ(engine.pending(), 0u);
-  ASSERT_EQ(xs.size(), 2u);
-  expect_bitwise(xs[0], x0);
-  expect_bitwise(xs[1], x1);
-  EXPECT_FALSE(fired) << "cancelled callbacks must never fire";
-  EXPECT_EQ(engine.stats().requests_completed, 0u);
-
-  // The engine keeps serving after a cancel.
-  std::vector<double> y;
-  engine.submit(x0, [&](std::size_t, std::vector<double> out) {
-    y = std::move(out);
-  });
-  engine.flush();
-  EXPECT_EQ(y.size(), std::size_t{60});
-}
-
-TEST(Recovery, EngineRebindPlanKeepsServingAfterEpochBump) {
-  const auto key = batch::plan_key(60, batch::Family::kSpherical, 2,
-                                   Transport::kPointToPoint);
-  const auto plan = batch::Plan::build(key);
-  Rng rng(53);
-  const auto a = tensor::random_symmetric(60, rng);
-  const auto x = rng.uniform_vector(60);
-
-  simt::Machine reference(plan->num_processors());
-  batch::Engine ref_engine(reference, plan, a);
-  std::vector<double> want;
-  ref_engine.submit(x, [&](std::size_t, std::vector<double> y) {
-    want = std::move(y);
-  });
-  ref_engine.flush();
-
-  // After a membership change the caller rebuilds the plan and rebinds
-  // it; the engine must serve from the new plan, not the one it was
-  // constructed with.
-  simt::Machine machine(plan->num_processors());
-  batch::Engine engine(machine, plan, a);
-  const auto rebuilt = batch::Plan::build(key);
-  engine.rebind_plan(rebuilt);
-  EXPECT_EQ(&engine.plan(), rebuilt.get());
-
-  std::vector<double> got;
-  engine.submit(x, [&](std::size_t, std::vector<double> y) {
-    got = std::move(y);
-  });
-  engine.flush();
-  expect_bitwise(got, want);
-
-  // Dimension mismatches are rejected before the swap.
-  const auto other = batch::Plan::build(batch::plan_key(
-      55, batch::Family::kSpherical, 2, Transport::kPointToPoint));
-  EXPECT_THROW(engine.rebind_plan(other), PreconditionError);
-  EXPECT_THROW(engine.rebind_plan(nullptr), PreconditionError);
 }
 
 }  // namespace

@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "batch/batched_run.hpp"
-#include "batch/engine.hpp"
 #include "batch/plan.hpp"
 #include "core/parallel_sttsv.hpp"
 #include "partition/tetra_partition.hpp"
@@ -498,38 +497,21 @@ TEST(Resilience, EngineFailFastKeepsRequestsQueuedForRetry) {
   const auto x0 = rng.uniform_vector(n);
   const auto x1 = rng.uniform_vector(n);
 
+  const std::vector<std::vector<double>> xs{x0, x1};
   simt::Machine clean(plan->num_processors());
-  batch::Engine reference(clean, plan, a);
-  std::vector<std::vector<double>> want(2);
-  reference.submit(x0, [&](std::size_t, std::vector<double> y) {
-    want[0] = std::move(y);
-  });
-  reference.submit(x1, [&](std::size_t, std::vector<double> y) {
-    want[1] = std::move(y);
-  });
-  reference.flush();
+  const auto want = batch::parallel_sttsv_batch(clean, *plan, a, xs).y;
 
   FaultInjector injector({.drop = 1.0, .seed = 4});
   simt::Machine machine(plan->num_processors());
   machine.set_fault_injector(&injector);
   ReliableExchange rex(machine, RetryPolicy{2, 1, 4},
                        RecoveryPolicy::kFailFast);
-  batch::EngineOptions opts;
-  opts.exchanger = &rex;
-  batch::Engine engine(machine, plan, a, opts);
-  std::vector<std::vector<double>> got(2);
-  engine.submit(x0, [&](std::size_t, std::vector<double> y) {
-    got[0] = std::move(y);
-  });
-  engine.submit(x1, [&](std::size_t, std::vector<double> y) {
-    got[1] = std::move(y);
-  });
-  EXPECT_THROW(engine.flush(), simt::FaultError);
-  // The failed batch is still queued; heal the network and retry.
-  EXPECT_EQ(engine.pending(), 2u);
+  EXPECT_THROW(batch::parallel_sttsv_batch(rex, *plan, a, xs),
+               simt::FaultError);
+  // The inputs stay with the caller: heal the network and retry the batch.
   machine.set_fault_injector(nullptr);
-  engine.flush();
-  EXPECT_EQ(engine.pending(), 0u);
+  const auto got = batch::parallel_sttsv_batch(rex, *plan, a, xs).y;
+  ASSERT_EQ(got.size(), 2u);
   expect_bitwise(got[0], want[0]);
   expect_bitwise(got[1], want[1]);
 }
@@ -544,27 +526,16 @@ TEST(Resilience, EngineDegradedModeCompletesBatches) {
   const auto x0 = rng.uniform_vector(n);
 
   simt::Machine clean(plan->num_processors());
-  batch::Engine reference(clean, plan, a);
-  std::vector<double> want;
-  reference.submit(x0, [&](std::size_t, std::vector<double> y) {
-    want = std::move(y);
-  });
-  reference.flush();
+  const auto want = batch::parallel_sttsv_batch(clean, *plan, a, {x0}).y;
 
   FaultInjector injector({.drop = 0.9, .seed = 6});
   simt::Machine machine(plan->num_processors());
   machine.set_fault_injector(&injector);
   ReliableExchange rex(machine, RetryPolicy{2, 1, 4},
                        RecoveryPolicy::kDegrade);
-  batch::EngineOptions opts;
-  opts.exchanger = &rex;
-  batch::Engine engine(machine, plan, a, opts);
-  std::vector<double> got;
-  engine.submit(x0, [&](std::size_t, std::vector<double> y) {
-    got = std::move(y);
-  });
-  engine.flush();
-  expect_bitwise(got, want);
+  const auto got = batch::parallel_sttsv_batch(rex, *plan, a, {x0}).y;
+  ASSERT_EQ(got.size(), 1u);
+  expect_bitwise(got[0], want[0]);
   EXPECT_FALSE(rex.reports().empty());
 }
 

@@ -4,11 +4,12 @@
 // per-tenant stream independence, explicit (never silent) rejects under
 // every quota, and the two serving-layer invariants: every tenant's
 // outputs bitwise identical to running its jobs alone through
-// batch::Engine, and per-tenant ledger attribution summing exactly to
-// the global ledger.
+// batch::parallel_sttsv_batch, and per-tenant ledger attribution summing
+// exactly to the global ledger.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <map>
@@ -16,7 +17,7 @@
 #include <thread>
 #include <vector>
 
-#include "batch/engine.hpp"
+#include "batch/batched_run.hpp"
 #include "batch/plan.hpp"
 #include "obs/metrics.hpp"
 #include "serve/drr.hpp"
@@ -244,6 +245,50 @@ std::vector<double> job_vector(std::size_t n, std::size_t tenant,
   return rng.uniform_vector(n, -1.0, 1.0);
 }
 
+/// y of every input run alone on a fresh machine, in batches of at most
+/// `width` in input order: the reference a served job must match bitwise.
+std::vector<std::vector<double>> solo_outputs(
+    const Fixture& f, const std::vector<std::vector<double>>& xs,
+    std::size_t width) {
+  simt::Machine solo(f.plan->num_processors());
+  std::vector<std::vector<double>> ys;
+  for (std::size_t v = 0; v < xs.size(); v += width) {
+    std::vector<std::vector<double>> panel;
+    for (std::size_t k = v; k < std::min(v + width, xs.size()); ++k) {
+      panel.push_back(xs[k]);
+    }
+    for (auto& y : batch::parallel_sttsv_batch(solo, *f.plan, f.a, panel).y) {
+      ys.push_back(std::move(y));
+    }
+  }
+  return ys;
+}
+
+// --- Construction ----------------------------------------------------------
+
+TEST(Frontend, ValidatesConstruction) {
+  Fixture f;
+  FrontendOptions zero_width;
+  zero_width.batch_width = 0;
+  EXPECT_THROW(Frontend(*f.machine, f.plan, f.a, zero_width),
+               PreconditionError);
+  EXPECT_THROW(Frontend(*f.machine, nullptr, f.a), PreconditionError);
+
+  simt::Machine wider(f.plan->num_processors() + 1);
+  EXPECT_THROW(Frontend(wider, f.plan, f.a), PreconditionError);
+
+  simt::Machine other(f.plan->num_processors());
+  simt::DirectExchange foreign(other);
+  FrontendOptions foreign_opts;
+  foreign_opts.exchanger = &foreign;
+  EXPECT_THROW(Frontend(*f.machine, f.plan, f.a, foreign_opts),
+               PreconditionError);
+
+  Rng rng(3);
+  const auto small = tensor::random_symmetric(f.plan->key().n - 1, rng);
+  EXPECT_THROW(Frontend(*f.machine, f.plan, small), PreconditionError);
+}
+
 // --- Admission control -----------------------------------------------------
 
 TEST(Frontend, RejectsShapeMismatch) {
@@ -354,7 +399,8 @@ struct WorkloadResult {
   std::vector<std::vector<Served>> served;
 };
 
-WorkloadResult run_mixed_workload(Frontend& fe, std::size_t tenants,
+WorkloadResult run_mixed_workload(Frontend& fe, std::size_t n,
+                                  std::size_t tenants,
                                   double overload_factor,
                                   std::uint64_t seed) {
   WorkloadResult result;
@@ -369,7 +415,6 @@ WorkloadResult run_mixed_workload(Frontend& fe, std::size_t tenants,
   const auto arrivals = generate_open_loop(spec);
   EXPECT_GT(arrivals.size(), 20u);
 
-  const std::size_t n = fe.engine().plan().key().n;
   for (const Arrival& arr : arrivals) {
     fe.advance_to(arr.time_ns);
     std::vector<double> x = job_vector(n, arr.tenant, arr.seq);
@@ -400,7 +445,7 @@ TEST(Frontend, BitwiseIsolationUnderOverload) {
     fe.add_tenant("tenant" + std::to_string(t), quota);
   }
   // 2.5x saturation: queues stay full, every tenant sees rejects.
-  WorkloadResult result = run_mixed_workload(fe, tenants, 2.5, 99);
+  WorkloadResult result = run_mixed_workload(fe, 36, tenants, 2.5, 99);
 
   std::uint64_t total_rejected = 0;
   for (std::size_t t = 0; t < tenants; ++t) {
@@ -416,19 +461,10 @@ TEST(Frontend, BitwiseIsolationUnderOverload) {
       EXPECT_LT(served[i - 1].seq, served[i].seq) << "tenant " << t;
     }
     // ...and every y is bitwise identical to running this tenant's jobs
-    // alone through batch::Engine on a fresh machine.
-    simt::Machine solo(f.plan->num_processors());
-    batch::Engine engine(solo, f.plan, f.a,
-                         batch::EngineOptions{.max_batch_size =
-                                                  opts.batch_width});
-    std::vector<std::vector<double>> solo_y(served.size());
-    for (std::size_t i = 0; i < served.size(); ++i) {
-      engine.submit(std::vector<double>(result.admitted_x[t][i]),
-                    [&solo_y, i](std::size_t, std::vector<double> y) {
-                      solo_y[i] = std::move(y);
-                    });
-    }
-    engine.flush();
+    // alone on a fresh machine.
+    const auto solo_y =
+        solo_outputs(f, result.admitted_x[t], opts.batch_width);
+    ASSERT_EQ(solo_y.size(), served.size());
     for (std::size_t i = 0; i < served.size(); ++i) {
       expect_bitwise(served[i].y, solo_y[i], "tenant isolation");
     }
@@ -448,7 +484,7 @@ TEST(Frontend, LedgerAttributionConservesExactly) {
     quota.max_queue_depth = 8;
     fe.add_tenant("tenant" + std::to_string(t), quota);
   }
-  (void)run_mixed_workload(fe, tenants, 2.0, 123);
+  (void)run_mixed_workload(fe, 36, tenants, 2.0, 123);
 
   const simt::CommLedger& ledger = f.machine->ledger();
   ledger.verify_conservation();
@@ -483,7 +519,7 @@ TEST(Frontend, EqualQuotasServeFairlyUnderOverload) {
     quota.max_queue_depth = 8;
     fe.add_tenant("tenant" + std::to_string(t), quota);
   }
-  (void)run_mixed_workload(fe, tenants, 2.0, 2024);
+  (void)run_mixed_workload(fe, 36, tenants, 2.0, 2024);
 
   std::uint64_t lo = UINT64_MAX;
   std::uint64_t hi = 0;
@@ -568,17 +604,13 @@ TEST(Frontend, RequeuesBatchIntactWhenDispatchFaults) {
   ASSERT_EQ(seq_a.size(), 3u);
   EXPECT_TRUE(std::is_sorted(seq_a.begin(), seq_a.end()));
 
-  simt::Machine solo(f.plan->num_processors());
-  batch::Engine ref(solo, f.plan, f.a,
-                    batch::EngineOptions{.max_batch_size = opts.batch_width});
+  std::vector<std::vector<double>> inputs;
   for (const JobResult& r : done) {
-    std::vector<double> want;
-    ref.submit(job_vector(36, r.tenant == ta ? 0u : 1u, r.seq),
-               [&want](std::size_t, std::vector<double> y) {
-                 want = std::move(y);
-               });
-    ref.flush();
-    expect_bitwise(r.y, want, "requeued job output");
+    inputs.push_back(job_vector(36, r.tenant == ta ? 0u : 1u, r.seq));
+  }
+  const auto want = solo_outputs(f, inputs, opts.batch_width);
+  for (std::size_t k = 0; k < done.size(); ++k) {
+    expect_bitwise(done[k].y, want[k], "requeued job output");
   }
 
   // No quota leaked and ledger attribution survived the faulted attempt:
@@ -629,33 +661,41 @@ TEST(Frontend, DegradeCapacityRescalesServiceModel) {
   EXPECT_THROW(fe.degrade_capacity(P + 1), PreconditionError);
 }
 
-// --- Engine threading contract ---------------------------------------------
+// --- Threading contract ----------------------------------------------------
 
 #ifdef STTSV_DEBUG_CHECKS
-TEST(EngineOwnership, DebugCheckRejectsCrossThreadUse) {
+TEST(FrontendOwnership, DebugCheckRejectsCrossThreadUse) {
   Fixture f;
-  batch::Engine engine(*f.machine, f.plan, f.a, {});
-  (void)engine.pending();  // binds the owner to this thread
-  bool threw = false;
-  std::thread other([&engine, &threw] {
-    try {
-      (void)engine.pending();
-    } catch (const InternalError&) {
-      threw = true;
-    }
+  Frontend fe(*f.machine, f.plan, f.a, {});
+  const TenantId t = fe.add_tenant("t0");
+  fe.drain();  // binds the owner to this thread
+  std::size_t rejected = 0;
+  std::thread other([&] {
+    const auto attempt = [&rejected](const auto& call) {
+      try {
+        call();
+      } catch (const InternalError&) {
+        ++rejected;
+      }
+    };
+    attempt([&] { (void)fe.submit(t, job_vector(36, 0, 0), nullptr); });
+    attempt([&] { fe.advance_to(fe.now_ns()); });
+    attempt([&] { fe.drain(); });
   });
   other.join();
-  EXPECT_TRUE(threw) << "cross-thread engine use passed the owner check";
-  // rebind_owner() is the sanctioned handoff: the next thread to touch
-  // the engine becomes the owner.
-  engine.rebind_owner();
+  EXPECT_EQ(rejected, 3u) << "cross-thread pump passed the owner check";
+  EXPECT_EQ(fe.stats().admitted, 0u);
+  // rebind_owner() is the sanctioned handoff: the next thread to pump the
+  // front end becomes the owner.
+  fe.rebind_owner();
   bool ok = false;
-  std::thread next([&engine, &ok] {
-    (void)engine.pending();
-    ok = true;
+  std::thread next([&] {
+    ok = fe.submit(t, job_vector(36, 0, 0), nullptr).admitted;
+    fe.drain();
   });
   next.join();
   EXPECT_TRUE(ok);
+  EXPECT_EQ(fe.stats().completed, 1u);
 }
 #endif
 
