@@ -206,21 +206,24 @@ void Frontend::run_batch(std::uint64_t start_ns) {
     return total / B + (v < total % B ? 1 : 0);
   };
 
-  // One aggregated Algorithm-5 pass over the panel. A simt::FaultError
-  // (fail-fast exchanger, retry budget spent) leaves the inputs intact in
-  // xs: they move back into the job store under their ORIGINAL handles
-  // and seq numbers, and the handles go back at the front of their lanes
-  // in reverse pick order — so per-lane FIFO order, in-flight
-  // accounting, and admission quotas are exactly as before the dispatch.
-  // The faulted attempt's ledger delta (retries are real traffic) is
-  // still attributed to the picked lanes so per-tenant shares keep
-  // summing exactly to the machine ledger.
+  // One aggregated Algorithm-5 pass over the panel. The batch call takes
+  // the panel by const reference, so whatever it throws — a
+  // simt::FaultError (fail-fast exchanger, retry budget spent), the
+  // PreconditionError of a plan placed on a dead rank, anything else —
+  // leaves the inputs intact in xs: they move back into the job store
+  // under their ORIGINAL handles and seq numbers, and the handles go back
+  // at the front of their lanes in reverse pick order — so per-lane FIFO
+  // order, in-flight accounting, and admission quotas are exactly as
+  // before the dispatch. The failed attempt's ledger delta (retries are
+  // real traffic) is still attributed to the picked lanes so per-tenant
+  // shares keep summing exactly to the machine ledger. The exception then
+  // propagates to the caller.
   batch::BatchRunResult run;
   try {
     run = opts_.exchanger != nullptr
               ? batch::parallel_sttsv_batch(*opts_.exchanger, *plan_, a_, xs)
               : batch::parallel_sttsv_batch(machine_, *plan_, a_, xs);
-  } catch (const simt::FaultError&) {
+  } catch (...) {
     const simt::CommLedger& led = machine_.ledger();
     const std::uint64_t dw = led.total_words() - words0;
     const std::uint64_t doh =

@@ -74,7 +74,8 @@ struct FrontendOptions {
   /// batch's jobs (same handles, lane-FIFO order preserved) — no request
   /// is lost and no quota leaks; the caller heals the wire and pumps
   /// again. A lost rank is not recoverable here: batches run the plan's
-  /// identity schedule, so every later batch raises PreconditionError.
+  /// identity schedule, so every later batch raises PreconditionError,
+  /// again after re-parking its jobs.
   simt::Exchanger* exchanger = nullptr;
 };
 
@@ -105,7 +106,8 @@ struct FrontendStats {
   std::uint64_t batches_run = 0;
   std::uint64_t batched_jobs = 0;  // sum of batch sizes
   std::size_t largest_batch = 0;
-  /// Batches that raised simt::FaultError mid-run and were re-parked.
+  /// Batches whose batch call threw (simt::FaultError, or any other
+  /// error) and were re-parked.
   std::uint64_t dispatch_failures = 0;
 };
 

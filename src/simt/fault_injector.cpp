@@ -24,8 +24,8 @@ FaultInjector::FaultInjector(FaultConfig config)
 
 void FaultInjector::begin_exchange() {
   ++exchange_;
-  stall_this_exchange_.clear();
-  crash_rolled_.clear();
+  std::fill(stall_fate_.begin(), stall_fate_.end(), Fate::kUnrolled);
+  std::fill(crash_fate_.begin(), crash_fate_.end(), Fate::kUnrolled);
   for (const auto& [rank, at] : scheduled_crashes_) {
     if (at == exchange_) kill(rank);
   }
@@ -49,25 +49,30 @@ void FaultInjector::kill(std::size_t rank) {
 }
 
 bool FaultInjector::stalled(std::size_t rank) {
-  const auto it = stall_this_exchange_.find(rank);
-  if (it != stall_this_exchange_.end()) return it->second;
-  const bool s = config_.stall > 0.0 && rng_.next_unit() < config_.stall;
-  stall_this_exchange_.emplace(rank, s);
-  return s;
+  if (stall_fate_[rank] == Fate::kUnrolled) {
+    stall_fate_[rank] =
+        rng_.next_unit() < config_.stall ? Fate::kHit : Fate::kSpared;
+  }
+  return stall_fate_[rank] == Fate::kHit;
 }
 
 FaultInjector::Action FaultInjector::on_frame(std::size_t from,
                                               std::size_t to,
                                               PooledBuffer& data) {
   if (is_dead(from) || is_dead(to)) return Action::kDrop;
-  if (config_.crash > 0.0 && !crash_rolled_.count(from)) {
-    crash_rolled_.emplace(from, true);
-    if (rng_.next_unit() < config_.crash) {
+  if (from >= stall_fate_.size()) {
+    stall_fate_.resize(from + 1, Fate::kUnrolled);
+    crash_fate_.resize(from + 1, Fate::kUnrolled);
+  }
+  if (config_.crash > 0.0 && crash_fate_[from] == Fate::kUnrolled) {
+    crash_fate_[from] =
+        rng_.next_unit() < config_.crash ? Fate::kHit : Fate::kSpared;
+    if (crash_fate_[from] == Fate::kHit) {
       kill(from);
       return Action::kDrop;
     }
   }
-  if (stalled(from)) {
+  if (config_.stall > 0.0 && stalled(from)) {
     log_.push_back(
         {exchange_, FaultKind::kStall, from, to, data.size()});
     return Action::kDrop;

@@ -126,14 +126,18 @@ class FaultInjector {
   [[nodiscard]] bool stalled(std::size_t rank);
   void kill(std::size_t rank);
 
+  // A sending rank's fate in the current exchange.
+  enum class Fate : std::uint8_t { kUnrolled, kSpared, kHit };
+
   FaultConfig config_;
   Rng rng_;
   std::uint64_t exchange_ = 0;
-  // Stall fate of each sending rank, rolled once per exchange on first use.
-  std::unordered_map<std::size_t, bool> stall_this_exchange_;
-  // Crash fate of each sending rank, rolled once per exchange on first use
-  // (only when config_.crash > 0).
-  std::unordered_map<std::size_t, bool> crash_rolled_;
+  // Per sending rank, its stall and crash fates in the current exchange,
+  // each rolled on the rank's first frame (and only when its probability
+  // is above 0). Both grow to the highest sender seen and begin_exchange
+  // resets them, so a steady-state exchange allocates nothing here.
+  std::vector<Fate> stall_fate_;
+  std::vector<Fate> crash_fate_;
   // Sorted, permanently dead ranks.
   std::vector<std::size_t> dead_;
   // rank -> exchange index at which a scheduled crash fires.

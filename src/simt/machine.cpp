@@ -56,8 +56,11 @@ Machine::Machine(std::size_t num_ranks)
       ledger_(num_ranks),
       pool_(num_ranks == 0 ? 1 : num_ranks),
       dead_flags_(num_ranks, 0),
-      num_alive_(num_ranks) {
+      num_alive_(num_ranks),
+      inbound_(num_ranks, 0) {
   STTSV_REQUIRE(num_ranks >= 1, "machine needs at least one rank");
+  for (auto& level : sends_per_rank_) level.assign(num_ranks, 0);
+  for (auto& level : recvs_per_rank_) level.assign(num_ranks, 0);
 }
 
 void Machine::mark_dead(std::size_t rank) {
@@ -81,8 +84,9 @@ void Machine::record_rank_loss(RankLossReport report) {
   rank_loss_reports_.push_back(std::move(report));
 }
 
-std::vector<std::vector<Delivery>> Machine::exchange(
-    std::vector<std::vector<Envelope>> outboxes, Transport transport) {
+void Machine::exchange_into(std::vector<std::vector<Envelope>>& outboxes,
+                            std::vector<std::vector<Delivery>>& inboxes,
+                            Transport transport) {
   // The span's category is settled below: an exchange moving no goodput
   // is pure protocol traffic and lands on the overhead channel (kRetry)
   // in any exported trace.
@@ -91,7 +95,7 @@ std::vector<std::vector<Delivery>> Machine::exchange(
 
   // Validate every envelope before touching the ledger or moving any
   // payload: a malformed outbox must fail with the machine state intact.
-  std::vector<std::size_t> inbound(P_, 0);  // per inbox, to reserve once
+  std::fill(inbound_.begin(), inbound_.end(), 0);
   for (std::size_t from = 0; from < P_; ++from) {
     for (const Envelope& env : outboxes[from]) {
       STTSV_REQUIRE(env.to < P_, "envelope destination out of range");
@@ -101,7 +105,7 @@ std::vector<std::vector<Delivery>> Machine::exchange(
                     "envelope overhead exceeds payload size");
       STTSV_REQUIRE(!env.recovery || env.overhead_words == 0,
                     "recovery envelopes carry no protocol overhead");
-      ++inbound[env.to];
+      ++inbound_[env.to];
     }
   }
 
@@ -116,16 +120,17 @@ std::vector<std::vector<Delivery>> Machine::exchange(
     for (const std::size_t r : injector_->dead_ranks()) mark_dead(r);
   }
 
-  std::vector<std::vector<Delivery>> inboxes(P_);
-  for (std::size_t p = 0; p < P_; ++p) inboxes[p].reserve(inbound[p]);
+  inboxes.resize(P_);
+  for (std::size_t p = 0; p < P_; ++p) {
+    inboxes[p].clear();
+    inboxes[p].reserve(inbound_[p]);
+  }
   // Per-level König degrees (DESIGN.md §17): the intra networks of the
   // nodes and the inter-node network schedule independently, so each
   // level gets its own Δ. On a flat machine everything lands on kIntra
   // and the totals match the historical single-level charge.
-  LevelCounts sends_per_rank;
-  LevelCounts recvs_per_rank;
-  for (auto& level : sends_per_rank) level.assign(P_, 0);
-  for (auto& level : recvs_per_rank) level.assign(P_, 0);
+  for (auto& level : sends_per_rank_) std::fill(level.begin(), level.end(), 0);
+  for (auto& level : recvs_per_rank_) std::fill(level.begin(), level.end(), 0);
   std::size_t max_pair_words = 0;
   std::size_t total_goodput = 0;
   std::size_t total_overhead = 0;
@@ -135,8 +140,8 @@ std::vector<std::vector<Delivery>> Machine::exchange(
   // own network (node-local crossbar or inter-node fabric).
   const auto count_slot = [&](std::size_t from, std::size_t to) {
     const auto lvl = static_cast<std::size_t>(ledger_.level_of(from, to));
-    ++sends_per_rank[lvl][from];
-    ++recvs_per_rank[lvl][to];
+    ++sends_per_rank_[lvl][from];
+    ++recvs_per_rank_[lvl][to];
   };
 
   for (std::size_t from = 0; from < P_; ++from) {
@@ -204,6 +209,9 @@ std::vector<std::vector<Delivery>> Machine::exchange(
       injector_->maybe_reorder(p, inboxes[p]);
     }
   }
+  // What was not delivered (dropped, or to or from a dead rank) goes back
+  // to its pool shard here, as when the outboxes were a by-value argument.
+  for (auto& outbox : outboxes) outbox.clear();
 
   // Round classification follows the dominant channel: an exchange that
   // moves goodput is an algorithm step; one that moves only recovery
@@ -219,9 +227,8 @@ std::vector<std::vector<Delivery>> Machine::exchange(
   const Channel round_channel = recovery_rounds ? Channel::kRecovery
                                 : overhead_only ? Channel::kOverhead
                                                 : Channel::kGoodput;
-  charge_rounds(ledger_, round_channel, transport, sends_per_rank,
-                recvs_per_rank, max_pair_words);
-  return inboxes;
+  charge_rounds(ledger_, round_channel, transport, sends_per_rank_,
+                recvs_per_rank_, max_pair_words);
 }
 
 void Machine::run_ranks(const std::function<void(std::size_t)>& body) const {

@@ -197,15 +197,28 @@ class Machine {
   friend class ReliableExchange;
 
   /// Executes one machine-wide exchange: outboxes[p] holds rank p's
-  /// outgoing messages. Returns inboxes[p]. Every outbox is validated
-  /// up front — destinations in range, no self-sends, overhead_words
-  /// within the payload — and a PreconditionError leaves the ledger and
-  /// all payloads untouched. Ledger records every word (split into
-  /// goodput and overhead channels); rounds/modeled cost depend on the
-  /// transport and are charged to the overhead channel when the exchange
-  /// carries no goodput at all (pure protocol traffic).
+  /// outgoing messages, and inboxes[p] receives rank p's deliveries.
+  /// Both sets are the caller's: the inboxes are cleared and refilled,
+  /// the outboxes emptied before return, each keeping its capacity, so
+  /// a caller that keeps them across exchanges allocates no container.
+  /// Every outbox is validated up front — destinations in range, no
+  /// self-sends, overhead_words within the payload — and a
+  /// PreconditionError leaves the ledger, the inboxes and all payloads
+  /// untouched. Ledger records every word (split into goodput and
+  /// overhead channels); rounds/modeled cost depend on the transport and
+  /// are charged to the overhead channel when the exchange carries no
+  /// goodput at all (pure protocol traffic).
+  void exchange_into(std::vector<std::vector<Envelope>>& outboxes,
+                     std::vector<std::vector<Delivery>>& inboxes,
+                     Transport transport);
+
+  /// exchange_into over a fresh inbox set.
   std::vector<std::vector<Delivery>> exchange(
-      std::vector<std::vector<Envelope>> outboxes, Transport transport);
+      std::vector<std::vector<Envelope>> outboxes, Transport transport) {
+    std::vector<std::vector<Delivery>> inboxes;
+    exchange_into(outboxes, inboxes, transport);
+    return inboxes;
+  }
 
   std::size_t P_;
   CommLedger ledger_;
@@ -215,6 +228,11 @@ class Machine {
   std::size_t num_alive_;
   std::uint64_t membership_epoch_ = 0;
   std::vector<RankLossReport> rank_loss_reports_;
+  // exchange_into's per-exchange counters, sized once: deliveries per
+  // inbox (to reserve each inbox once) and per-level König degrees.
+  std::vector<std::size_t> inbound_;
+  LevelCounts sends_per_rank_;
+  LevelCounts recvs_per_rank_;
 };
 
 }  // namespace sttsv::simt

@@ -57,34 +57,20 @@ std::uint64_t data_header_checksum(std::uint64_t seq, std::uint64_t len,
   return finalize(h);
 }
 
-/// One logical frame of an exchange. The exchange's frames sit in one
-/// vector in (sender, destination, sequence) order with consecutive
-/// sequence numbers per pair, so that order is the index for ACK
-/// settlement, duplicate detection and inbox assembly.
-struct PendingFrame {
-  std::size_t from = 0;
-  std::size_t to = 0;
-  std::uint64_t seq = 0;
-  PooledBuffer payload;    // the sender's copy, kept for retransmission
-  PooledBuffer delivered;  // the receiver's accepted copy
-  bool acked = false;
-  bool accepted = false;
-  std::size_t attempts = 0;
-};
-
-/// Wire buffers are leased from the sender's pool shard with the exact
-/// frame size, so framing neither reallocates nor over-reserves.
-PooledBuffer encode_data(BufferPool& pool, const PendingFrame& f) {
-  const std::uint64_t psum =
-      payload_checksum(f.payload.data(), f.payload.size());
-  PooledBuffer wire = pool.acquire(f.from, kDataHeaderWords + f.payload.size());
+/// Frames `payload` as (from, to, seq). Wire buffers are leased from the
+/// sender's pool shard with the exact frame size, so framing neither
+/// reallocates nor over-reserves.
+PooledBuffer encode_data(BufferPool& pool, std::size_t from, std::size_t to,
+                         std::uint64_t seq, const PooledBuffer& payload) {
+  const std::uint64_t psum = payload_checksum(payload.data(), payload.size());
+  PooledBuffer wire = pool.acquire(from, kDataHeaderWords + payload.size());
   wire.push_back(enc(kMagicData));
-  wire.push_back(enc(f.seq));
-  wire.push_back(enc(f.payload.size()));
+  wire.push_back(enc(seq));
+  wire.push_back(enc(payload.size()));
   wire.push_back(enc(psum));
   wire.push_back(
-      enc(data_header_checksum(f.seq, f.payload.size(), psum, f.from, f.to)));
-  wire.append(f.payload.data(), f.payload.size());
+      enc(data_header_checksum(seq, payload.size(), psum, from, to)));
+  wire.append(payload.data(), payload.size());
   return wire;
 }
 
@@ -146,6 +132,25 @@ bool decode_ack(const Delivery& d, std::size_t to) {
     h = mix(h, dec(d.data[kAckHeaderWords + i]));
   }
   return finalize(h) == dec(d.data[2]);
+}
+
+/// Runs `release` when the scope ends, however it ends.
+template <class F>
+class ScopeExit {
+ public:
+  explicit ScopeExit(F release) : release_(std::move(release)) {}
+  ~ScopeExit() { release_(); }
+  ScopeExit(const ScopeExit&) = delete;
+  ScopeExit& operator=(const ScopeExit&) = delete;
+
+ private:
+  F release_;
+};
+
+/// Empties every box of a set, keeping each one's capacity.
+template <class Item>
+void clear_each(std::vector<std::vector<Item>>& boxes) {
+  for (std::vector<Item>& box : boxes) box.clear();
 }
 
 std::string describe(const FaultReport& report) {
@@ -222,7 +227,16 @@ ReliableExchange::ReliableExchange(Machine& machine, RetryPolicy retry,
       retry_(retry),
       recovery_(recovery),
       liveness_(liveness),
-      next_seq_(machine.num_ranks() * machine.num_ranks(), 0) {
+      next_seq_(machine.num_ranks() * machine.num_ranks(), 0),
+      sender_begin_(machine.num_ranks() + 1, 0),
+      silent_(machine.num_ranks(), 0),
+      probed_(machine.num_ranks(), 0),
+      heard_(machine.num_ranks(), 0),
+      accepted_(machine.num_ranks(), 0),
+      wire_out_(machine.num_ranks()),
+      wire_in_(machine.num_ranks()),
+      ack_out_(machine.num_ranks()),
+      ack_in_(machine.num_ranks()) {
   STTSV_REQUIRE(retry_.max_attempts >= 1,
                 "retry policy needs at least one attempt");
   STTSV_REQUIRE(!liveness_.enabled || liveness_.suspect_after_attempts >= 1,
@@ -258,35 +272,45 @@ std::vector<std::vector<Delivery>> ReliableExchange::exchange(
     num_frames += outboxes[from].size();
   }
 
+  // Every exit, a FaultError or RankLossError included, empties the frame
+  // table and the boxes but keeps their capacity, so each slab goes back
+  // to its pool shard when the exchange ends, as it did when they were
+  // locals of this call.
+  const ScopeExit release([this] {
+    frames_.clear();
+    unacked_.clear();
+    clear_each(wire_out_);
+    clear_each(wire_in_);
+    clear_each(ack_out_);
+    clear_each(ack_in_);
+  });
+
   // Frame the outboxes in the raw machine's deterministic order (stable
   // by destination) so per-pair sequence numbers reproduce the fault-free
-  // delivery order exactly. Sender s owns frames [sender_begin[s],
-  // sender_begin[s + 1]).
-  std::vector<PendingFrame> frames;
-  frames.reserve(num_frames);
-  std::vector<std::size_t> sender_begin(P + 1, 0);
+  // delivery order exactly.
+  frames_.reserve(num_frames);
   for (std::size_t from = 0; from < P; ++from) {
     sort_by_destination(outboxes[from]);
-    sender_begin[from] = frames.size();
+    sender_begin_[from] = frames_.size();
     for (Envelope& env : outboxes[from]) {
-      PendingFrame& f = frames.emplace_back();
+      PendingFrame& f = frames_.emplace_back();
       f.from = from;
       f.to = env.to;
       f.seq = next_seq_[from * P + env.to]++;
       f.payload = std::move(env.data);
     }
   }
-  sender_begin[P] = frames.size();
-  stats_.data_frames += frames.size();
-  protocol_span.set_arg(frames.size());
+  sender_begin_[P] = frames_.size();
+  stats_.data_frames += frames_.size();
+  protocol_span.set_arg(frames_.size());
 
   // The frame (from, to, seq) of this exchange, or nullptr: the pair's
   // frames start at the lower bound of `to` in the sender's range and
   // carry consecutive sequence numbers.
   const auto find_frame = [&](std::size_t from, std::size_t to,
                               std::uint64_t seq) -> PendingFrame* {
-    PendingFrame* const first = frames.data() + sender_begin[from];
-    PendingFrame* const last = frames.data() + sender_begin[from + 1];
+    PendingFrame* const first = frames_.data() + sender_begin_[from];
+    PendingFrame* const last = frames_.data() + sender_begin_[from + 1];
     PendingFrame* const pair = std::lower_bound(
         first, last, to,
         [](const PendingFrame& f, std::size_t t) { return f.to < t; });
@@ -307,66 +331,69 @@ std::vector<std::vector<Delivery>> ReliableExchange::exchange(
     f.accepted = true;
     f.delivered = std::move(d.data);
     f.delivered.consume_front(kDataHeaderWords);
+    ++accepted_[f.to];
   };
+  std::fill(accepted_.begin(), accepted_.end(), 0);
 
   // Liveness evidence: consecutive protocol attempts in which a probed
   // peer (endpoint of a pending frame) produced no delivery at all. Any
   // observed frame from a rank — data, ACK, even one too damaged to
   // decode — proves it alive, because wire metadata (Delivery::from) is
   // trustworthy in the simulator.
-  std::vector<std::size_t> silent(P, 0);
-  std::vector<char> probed(P);
-  std::vector<char> heard(P);
-  std::vector<AckWord> ack_words;
+  std::fill(silent_.begin(), silent_.end(), 0);
 
   // One protocol attempt: transmit the given frames, then run an ACK/NACK
   // round. Both wire trips pass through the fault injector.
   auto run_attempt = [&](const std::vector<std::size_t>& send_idx,
                          bool first, Transport t) {
-    std::fill(probed.begin(), probed.end(), 0);
-    std::fill(heard.begin(), heard.end(), 0);
+    // Deliveries the protocol did not keep (damaged, duplicate, ACKs) go
+    // back to their shards when the attempt ends.
+    const ScopeExit end_attempt([this] {
+      clear_each(wire_in_);
+      clear_each(ack_in_);
+    });
+    std::fill(probed_.begin(), probed_.end(), 0);
+    std::fill(heard_.begin(), heard_.end(), 0);
     for (const std::size_t idx : send_idx) {
-      probed[frames[idx].from] = 1;
-      probed[frames[idx].to] = 1;
+      probed_[frames_[idx].from] = 1;
+      probed_[frames_[idx].to] = 1;
     }
     const auto settle_silence = [&] {
       if (!liveness_.enabled) return;
       for (std::size_t r = 0; r < P; ++r) {
-        if (probed[r] == 0) continue;
-        if (heard[r] != 0) {
-          silent[r] = 0;
+        if (probed_[r] == 0) continue;
+        if (heard_[r] != 0) {
+          silent_[r] = 0;
         } else {
-          ++silent[r];
+          ++silent_[r];
         }
       }
     };
 
-    std::vector<std::vector<Envelope>> wire_out(P);
     for (const std::size_t idx : send_idx) {
-      PendingFrame& f = frames[idx];
+      PendingFrame& f = frames_[idx];
       ++f.attempts;
       if (!first) ++stats_.retransmitted_frames;
       Envelope env;
       env.to = f.to;
-      env.data = encode_data(machine_.pool(), f);
+      env.data = encode_data(machine_.pool(), f.from, f.to, f.seq, f.payload);
       // The payload is goodput exactly once, on its first transmission;
       // headers always — and whole retransmissions — are overhead.
       env.overhead_words = first ? kDataHeaderWords : env.data.size();
-      wire_out[f.from].push_back(std::move(env));
+      wire_out_[f.from].push_back(std::move(env));
     }
-    auto wire_in = machine_.exchange(std::move(wire_out), t);
+    machine_.exchange_into(wire_out_, wire_in_, t);
 
     // Each receiver answers every sender it heard a decodable frame from
     // with one ACK frame, senders ascending, entries in arrival order.
-    std::vector<std::vector<Envelope>> ack_out(P);
     bool any_acks = false;
     const auto by_sender = [](const AckWord& a, const AckWord& b) {
       return a.first < b.first;
     };
     for (std::size_t r = 0; r < P; ++r) {
-      ack_words.clear();
-      for (Delivery& d : wire_in[r]) {
-        heard[d.from] = 1;
+      ack_words_.clear();
+      for (Delivery& d : wire_in_[r]) {
+        heard_[d.from] = 1;
         DataHeader h;
         PendingFrame* f =
             decode_data(d, r, h) ? find_frame(d.from, r, h.seq) : nullptr;
@@ -380,27 +407,27 @@ std::vector<std::vector<Delivery>> ReliableExchange::exchange(
         if (!h.payload_ok) {
           ++stats_.corrupt_frames_detected;
           ++stats_.nack_entries;
-          ack_words.emplace_back(d.from, h.seq << 1);
+          ack_words_.emplace_back(d.from, h.seq << 1);
           continue;
         }
         accept_frame(*f, d);
         // Accept and duplicate alike are (re-)ACKed, so a lost ACK heals.
-        ack_words.emplace_back(d.from, (h.seq << 1) | 1ULL);
+        ack_words_.emplace_back(d.from, (h.seq << 1) | 1ULL);
       }
       // Only a reordered inbox leaves the senders out of order.
-      if (!std::is_sorted(ack_words.begin(), ack_words.end(), by_sender)) {
-        std::stable_sort(ack_words.begin(), ack_words.end(), by_sender);
+      if (!std::is_sorted(ack_words_.begin(), ack_words_.end(), by_sender)) {
+        std::stable_sort(ack_words_.begin(), ack_words_.end(), by_sender);
       }
-      for (auto run = ack_words.begin(); run != ack_words.end();) {
+      for (auto run = ack_words_.begin(); run != ack_words_.end();) {
         const std::size_t sender = run->first;
         const auto run_end = std::find_if(
-            run, ack_words.end(),
+            run, ack_words_.end(),
             [sender](const AckWord& w) { return w.first != sender; });
         Envelope env;
         env.to = sender;
         env.data = encode_ack(machine_.pool(), r, sender, {run, run_end});
         env.overhead_words = env.data.size();
-        ack_out[r].push_back(std::move(env));
+        ack_out_[r].push_back(std::move(env));
         ++stats_.ack_frames;
         any_acks = true;
         run = run_end;
@@ -414,11 +441,10 @@ std::vector<std::vector<Delivery>> ReliableExchange::exchange(
     // ACK/NACK traffic is pure protocol: the round lands on the overhead
     // channel in any exported trace.
     obs::Span ack_span("rex.ack-round", obs::Category::kRetry);
-    auto ack_in = machine_.exchange(std::move(ack_out),
-                                    Transport::kPointToPoint);
+    machine_.exchange_into(ack_out_, ack_in_, Transport::kPointToPoint);
     for (std::size_t s = 0; s < P; ++s) {
-      for (const Delivery& d : ack_in[s]) {
-        heard[d.from] = 1;
+      for (const Delivery& d : ack_in_[s]) {
+        heard_[d.from] = 1;
         if (!decode_ack(d, s)) {
           ++stats_.corrupt_frames_detected;
           continue;
@@ -435,16 +461,15 @@ std::vector<std::vector<Delivery>> ReliableExchange::exchange(
     settle_silence();
   };
 
-  std::vector<std::size_t> unacked;
-  unacked.reserve(frames.size());
+  unacked_.reserve(frames_.size());
   const auto collect_unacked = [&] {
-    unacked.clear();
-    for (std::size_t i = 0; i < frames.size(); ++i) {
-      if (!frames[i].acked) unacked.push_back(i);
+    unacked_.clear();
+    for (std::size_t i = 0; i < frames_.size(); ++i) {
+      if (!frames_[i].acked) unacked_.push_back(i);
     }
   };
   std::size_t attempt = 0;
-  for (collect_unacked(); !unacked.empty() && attempt < retry_.max_attempts;
+  for (collect_unacked(); !unacked_.empty() && attempt < retry_.max_attempts;
        collect_unacked()) {
     if (attempt > 0) {
       // Exponential backoff: base << (attempt-1), saturating at the cap.
@@ -459,23 +484,23 @@ std::vector<std::vector<Delivery>> ReliableExchange::exchange(
       stats_.backoff_rounds += backoff;
     }
     if (attempt == 0) {
-      run_attempt(unacked, true, transport);
+      run_attempt(unacked_, true, transport);
     } else {
       obs::Span retry_span("rex.retry", obs::Category::kRetry,
-                           unacked.size());
-      run_attempt(unacked, false, Transport::kPointToPoint);
+                           unacked_.size());
+      run_attempt(unacked_, false, Transport::kPointToPoint);
     }
     ++attempt;
   }
 
-  const std::vector<std::size_t>& undelivered = unacked;
+  const std::vector<std::size_t>& undelivered = unacked_;
   if (!undelivered.empty()) {
     FaultReport report;
     report.phase = phase_;
     report.exchange_index = exchange_counter_;
     report.attempts_used = attempt;
     for (const std::size_t idx : undelivered) {
-      const PendingFrame& f = frames[idx];
+      const PendingFrame& f = frames_[idx];
       report.undelivered.push_back(
           FrameFault{f.from, f.to, f.seq, f.payload.size(), f.attempts});
       report.affected_ranks.push_back(f.from);
@@ -503,10 +528,10 @@ std::vector<std::vector<Delivery>> ReliableExchange::exchange(
       std::vector<std::size_t> suspects;
       std::size_t max_silent = 0;
       for (const std::size_t r : report.affected_ranks) {
-        if (silent[r] >= liveness_.suspect_after_attempts &&
+        if (silent_[r] >= liveness_.suspect_after_attempts &&
             !machine_.alive(r)) {
           suspects.push_back(r);
-          max_silent = std::max(max_silent, silent[r]);
+          max_silent = std::max(max_silent, silent_[r]);
         }
       }
       if (!suspects.empty()) {
@@ -537,20 +562,18 @@ std::vector<std::vector<Delivery>> ReliableExchange::exchange(
     obs::Span replay_span("rex.degraded-replay", obs::Category::kRetry,
                           undelivered.size());
     machine_.set_fault_injector(nullptr);
-    std::vector<std::vector<Envelope>> replay_out(P);
     for (const std::size_t idx : undelivered) {
-      const PendingFrame& f = frames[idx];
+      const PendingFrame& f = frames_[idx];
       Envelope env;
       env.to = f.to;
-      env.data = encode_data(machine_.pool(), f);
+      env.data = encode_data(machine_.pool(), f.from, f.to, f.seq, f.payload);
       env.overhead_words = env.data.size();
-      replay_out[f.from].push_back(std::move(env));
+      wire_out_[f.from].push_back(std::move(env));
     }
-    auto replay_in =
-        machine_.exchange(std::move(replay_out), Transport::kPointToPoint);
+    machine_.exchange_into(wire_out_, wire_in_, Transport::kPointToPoint);
     machine_.set_fault_injector(injector);
     for (std::size_t r = 0; r < P; ++r) {
-      for (Delivery& d : replay_in[r]) {
+      for (Delivery& d : wire_in_[r]) {
         DataHeader h;
         PendingFrame* f =
             decode_data(d, r, h) ? find_frame(d.from, r, h.seq) : nullptr;
@@ -570,13 +593,14 @@ std::vector<std::vector<Delivery>> ReliableExchange::exchange(
   // table hands each receiver its senders ascending and, per sender,
   // sequence numbers ascending (== the sender's post-sort envelope order).
   std::vector<std::vector<Delivery>> inboxes(P);
+  for (std::size_t r = 0; r < P; ++r) inboxes[r].reserve(accepted_[r]);
   std::size_t delivered = 0;
-  for (PendingFrame& f : frames) {
+  for (PendingFrame& f : frames_) {
     if (!f.accepted) continue;
     inboxes[f.to].push_back(Delivery{f.from, std::move(f.delivered)});
     ++delivered;
   }
-  if (delivered != frames.size()) {
+  if (delivered != frames_.size()) {
     // Only reachable when a dead endpoint swallowed frames on the clean
     // degraded channel (the machine drops them below the protocol): a
     // replay cannot heal rank loss, so surface a structured failure
@@ -586,7 +610,7 @@ std::vector<std::vector<Delivery>> ReliableExchange::exchange(
     incomplete.exchange_index = exchange_counter_;
     incomplete.attempts_used = retry_.max_attempts;
     incomplete.degraded = true;
-    for (const PendingFrame& f : frames) {
+    for (const PendingFrame& f : frames_) {
       if (!f.accepted) {
         incomplete.undelivered.push_back(
             FrameFault{f.from, f.to, f.seq, f.payload.size(), f.attempts});

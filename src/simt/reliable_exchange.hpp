@@ -50,6 +50,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "simt/machine.hpp"
@@ -250,6 +251,21 @@ class ReliableExchange final : public Exchanger {
                        const std::string& prefix = "rex") const;
 
  private:
+  /// One logical frame of an exchange. The exchange's frames sit in one
+  /// table in (sender, destination, sequence) order with consecutive
+  /// sequence numbers per pair, so that order is the index for ACK
+  /// settlement, duplicate detection and inbox assembly.
+  struct PendingFrame {
+    std::size_t from = 0;
+    std::size_t to = 0;
+    std::uint64_t seq = 0;
+    PooledBuffer payload;    // the sender's copy, kept for retransmission
+    PooledBuffer delivered;  // the receiver's accepted copy
+    bool acked = false;
+    bool accepted = false;
+    std::size_t attempts = 0;
+  };
+
   RetryPolicy retry_;
   RecoveryPolicy recovery_;
   LivenessPolicy liveness_;
@@ -260,6 +276,30 @@ class ReliableExchange final : public Exchanger {
   std::vector<std::uint64_t> next_seq_;
   Stats stats_;
   std::vector<FaultReport> reports_;
+
+  // Per-exchange bookkeeping, kept across exchanges so a warmed exchange
+  // allocates only the inboxes it returns. Sized from P at construction;
+  // every exit from exchange() empties the frame table and the boxes, so
+  // each slab goes back to its pool shard when the exchange ends.
+  std::vector<PendingFrame> frames_;
+  // Sender s owns frames_[sender_begin_[s], sender_begin_[s + 1]).
+  std::vector<std::size_t> sender_begin_;
+  // Liveness evidence per rank: consecutive silent attempts, and whether
+  // the current attempt probed it or heard from it.
+  std::vector<std::size_t> silent_;
+  std::vector<char> probed_;
+  std::vector<char> heard_;
+  // Frames accepted per receiver, to reserve each returned inbox once.
+  std::vector<std::size_t> accepted_;
+  // One receiver's (sender, ACK entry word) scratch.
+  std::vector<std::pair<std::size_t, std::uint64_t>> ack_words_;
+  // Table indices of the frames still unacknowledged.
+  std::vector<std::size_t> unacked_;
+  // The wire and ACK trips' outbox and inbox sets.
+  std::vector<std::vector<Envelope>> wire_out_;
+  std::vector<std::vector<Delivery>> wire_in_;
+  std::vector<std::vector<Envelope>> ack_out_;
+  std::vector<std::vector<Delivery>> ack_in_;
 };
 
 }  // namespace sttsv::simt

@@ -1,7 +1,8 @@
 // Buffer pool tests (DESIGN.md §12): PooledBuffer semantics, slab
 // recycling and exhaustion, zero-word messages through the pooled wire,
 // the allocation guard's proof that warmed supersteps allocate no slab,
-// and a bound on the resilient protocol's remaining heap allocations.
+// and bounds on a warmed batch's remaining heap allocations over the
+// Direct and the resilient exchange.
 
 #include <gtest/gtest.h>
 
@@ -19,6 +20,7 @@
 #include "partition/tetra_partition.hpp"
 #include "partition/vector_distribution.hpp"
 #include "simt/buffer_pool.hpp"
+#include "simt/fault_injector.hpp"
 #include "simt/machine.hpp"
 #include "simt/reliable_exchange.hpp"
 #include "steiner/constructions.hpp"
@@ -333,41 +335,51 @@ TEST(AllocationGuard, WarmedResilientRunIsAllocationFree) {
   EXPECT_EQ(guard.new_unpooled_allocations(), 0u);
 }
 
-// Beyond pool slabs: the protocol's own bookkeeping (frame table, ACK
-// scratch, wire and ACK outboxes, the ACK exchange) must stay a small
-// constant per data frame on a warmed, fault-free batch.
-TEST(AllocationGuard, ResilientBatchHeapAllocationsPerFrameAreBounded) {
-  const std::size_t n = 60;
-  const std::size_t B = 4;
-  const auto plan = batch::Plan::build(batch::plan_key(
-      n, batch::Family::kSpherical, 2, simt::Transport::kPointToPoint));
-  Rng rng(12);
-  const auto a = tensor::random_symmetric(n, rng);
-  std::vector<std::vector<double>> x(B);
-  for (auto& xv : x) xv = rng.uniform_vector(n);
-
-  // Heap allocations of the second batch on a fresh machine.
-  const auto warmed_batch_allocations = [&](simt::Exchanger& exchanger) {
-    (void)batch::parallel_sttsv_batch(exchanger, *plan, a, x);
-    const std::uint64_t before = g_heap_allocations.load();
-    (void)batch::parallel_sttsv_batch(exchanger, *plan, a, x);
-    return g_heap_allocations.load() - before;
+// Beyond pool slabs: the protocol keeps its frame table, liveness
+// vectors and wire and ACK boxes across exchanges, so a warmed reliable
+// batch allocates only what a Direct batch does — O(P) containers of the
+// seam and the B returned lanes — fault-free and under perfbench's
+// reliable-p20 fault mix alike, not a constant per data frame. (Under
+// faults a retry may still miss the pool: a fault pattern the warm-up did
+// not see can hold more slabs at once, and each new slab is one heap
+// allocation.)
+TEST(AllocationGuard, ResilientBatchHeapAllocationsScaleWithRanks) {
+  const std::size_t n_lanes = 4;
+  struct Shape {
+    batch::Family family;
+    std::uint64_t param;
+    std::size_t n;
   };
-  simt::Machine direct_machine = plan->make_machine();
-  simt::DirectExchange direct(direct_machine);
-  const std::uint64_t direct_allocs = warmed_batch_allocations(direct);
-
-  simt::Machine rex_machine = plan->make_machine();
-  simt::ReliableExchange rex(rex_machine);
-  const std::uint64_t rex_allocs = warmed_batch_allocations(rex);
-  const std::uint64_t frames = rex.stats().data_frames / 2;  // per batch
-
-  EXPECT_GT(direct_allocs, 0u) << "allocation counter not linked in";
-  ASSERT_GT(frames, 0u);
-  ASSERT_GE(rex_allocs, direct_allocs);
-  EXPECT_LT(rex_allocs - direct_allocs, 4 * frames)
-      << "direct=" << direct_allocs << " reliable=" << rex_allocs
-      << " frames=" << frames;
+  for (const Shape& shape : {Shape{batch::Family::kSpherical, 2, 60},
+                             Shape{batch::Family::kTrivial, 6, 120}}) {
+    const auto plan = batch::Plan::build(batch::plan_key(
+        shape.n, shape.family, shape.param, simt::Transport::kPointToPoint));
+    Rng rng(12);
+    const auto a = tensor::random_symmetric(shape.n, rng);
+    std::vector<std::vector<double>> x(n_lanes);
+    for (auto& xv : x) xv = rng.uniform_vector(shape.n);
+    const std::size_t P = plan->num_processors();
+    for (const bool faulty : {false, true}) {
+      simt::Machine machine = plan->make_machine();
+      simt::FaultInjector injector(
+          {.drop = 0.02, .corrupt = 0.01, .seed = 29});
+      if (faulty) machine.set_fault_injector(&injector);
+      simt::ReliableExchange rex(machine, simt::RetryPolicy{},
+                                 simt::RecoveryPolicy::kFailFast);
+      (void)batch::parallel_sttsv_batch(rex, *plan, a, x);
+      const std::uint64_t retransmitted = rex.stats().retransmitted_frames;
+      const std::uint64_t before = g_heap_allocations.load();
+      (void)batch::parallel_sttsv_batch(rex, *plan, a, x);
+      const std::uint64_t allocs = g_heap_allocations.load() - before;
+      EXPECT_GT(allocs, 0u) << "allocation counter not linked in";
+      EXPECT_LE(allocs, 6 * P + n_lanes + 16)
+          << "P=" << P << (faulty ? " under faults" : " fault-free");
+      if (faulty) {
+        // The measured batch itself went through the retry path.
+        EXPECT_GT(rex.stats().retransmitted_frames, retransmitted);
+      }
+    }
+  }
 }
 
 // The plan's host schedule is built once, role blocks come from the pool

@@ -516,6 +516,55 @@ TEST(Resilience, EngineFailFastKeepsRequestsQueuedForRetry) {
   expect_bitwise(got[1], want[1]);
 }
 
+// The exchanger keeps its frame table and boxes across exchanges and
+// empties them on every exit, a FaultError included: after a failed batch
+// the same machine and exchanger run the next one bitwise, conserving
+// and with no new slab, and no slab of a failed batch stays leased.
+TEST(Resilience, ExchangerReusableAfterFaultError) {
+  const std::size_t n = 60;
+  const auto plan = batch::Plan::build(batch::plan_key(
+      n, batch::Family::kSpherical, 2, Transport::kPointToPoint));
+  Rng rng(43);
+  const auto a = tensor::random_symmetric(n, rng);
+  std::vector<std::vector<double>> xs;
+  for (std::size_t v = 0; v < 4; ++v) xs.push_back(rng.uniform_vector(n));
+
+  simt::Machine clean(plan->num_processors());
+  const auto want = batch::parallel_sttsv_batch(clean, *plan, a, xs).y;
+
+  simt::Machine machine(plan->num_processors());
+  ReliableExchange rex(machine, RetryPolicy{.max_attempts = 1},
+                       RecoveryPolicy::kFailFast);
+  (void)batch::parallel_sttsv_batch(rex, *plan, a, xs);  // warm-up
+
+  FaultInjector injector({.drop = 1.0, .seed = 12});
+  machine.set_fault_injector(&injector);
+  EXPECT_THROW(batch::parallel_sttsv_batch(rex, *plan, a, xs),
+               simt::FaultError);
+  machine.set_fault_injector(nullptr);
+
+  {
+    simt::AllocationGuard guard(machine.pool());
+    const auto got = batch::parallel_sttsv_batch(rex, *plan, a, xs).y;
+    EXPECT_EQ(guard.new_slab_allocations(), 0u);
+    ASSERT_EQ(got.size(), xs.size());
+    for (std::size_t v = 0; v < xs.size(); ++v) {
+      expect_bitwise(got[v], want[v]);
+    }
+    machine.ledger().verify_conservation();
+  }
+
+  // The pool's slack can absorb slabs held past the failure, so fail once
+  // more and look directly: trimming the idle slabs leaves none owned,
+  // so nothing of the failed batch is still leased.
+  machine.set_fault_injector(&injector);
+  EXPECT_THROW(batch::parallel_sttsv_batch(rex, *plan, a, xs),
+               simt::FaultError);
+  machine.set_fault_injector(nullptr);
+  machine.pool().trim();
+  EXPECT_EQ(machine.pool().stats().slabs_live, 0u);
+}
+
 TEST(Resilience, EngineDegradedModeCompletesBatches) {
   const std::size_t n = 60;
   const auto key = batch::plan_key(n, batch::Family::kSpherical, 2,

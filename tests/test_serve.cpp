@@ -638,6 +638,39 @@ TEST(Frontend, RequeuesBatchIntactWhenDispatchFaults) {
   EXPECT_EQ(reg.counter("serve.dispatch_failures"), 1u);
 }
 
+// Any exception from the batch call re-parks the batch, not only a
+// FaultError: a plan placed on a dead rank makes the driver throw
+// PreconditionError before anything is sent, and the queued job must
+// come back to the backlog rather than vanish without its callback.
+TEST(Frontend, RequeuesBatchWhenTheBatchCallThrows) {
+  Fixture f;
+  Frontend fe(*f.machine, f.plan, f.a);
+  const TenantId t = fe.add_tenant("t");
+  std::size_t callbacks = 0;
+  auto cb = [&callbacks](JobResult) { ++callbacks; };
+
+  // The first job runs inline; the second queues behind the busy virtual
+  // server.
+  ASSERT_TRUE(fe.submit(t, job_vector(36, 0, 0), cb).admitted);
+  ASSERT_TRUE(fe.submit(t, job_vector(36, 0, 1), cb).admitted);
+  ASSERT_EQ(fe.backlog(), 1u);
+  ASSERT_EQ(callbacks, 1u);
+
+  f.machine->mark_dead(3);
+  EXPECT_THROW(fe.drain(), PreconditionError);
+
+  EXPECT_EQ(fe.stats().dispatch_failures, 1u);
+  EXPECT_EQ(fe.backlog(), 1u);
+  EXPECT_EQ(fe.stats().completed + fe.backlog(), fe.stats().admitted);
+  EXPECT_EQ(fe.stats().completed, 1u);
+  EXPECT_EQ(callbacks, 1u);
+  // The re-parked batch fails the same way on the next pump, and is
+  // re-parked again.
+  EXPECT_THROW(fe.drain(), PreconditionError);
+  EXPECT_EQ(fe.stats().dispatch_failures, 2u);
+  EXPECT_EQ(fe.backlog(), 1u);
+}
+
 TEST(Frontend, DegradeCapacityRescalesServiceModel) {
   Fixture f;
   FrontendOptions opts;
