@@ -46,14 +46,15 @@ struct PlanKey {
 PlanKey plan_key(std::size_t n, Family family, std::uint64_t param,
                  simt::Transport transport);
 
-/// The key of the plan with the fewest predicted words within `budget`
+/// The key of the plan with the fewest words per rank within `budget`
 /// ranks: over the spherical and Boolean systems with P <= budget
 /// (steiner::admissible_processor_counts) and the trivial S(m, 3, 3) for
-/// every m >= 4 with C(m, 3) <= budget, the lowest predicted per-rank
-/// words core::steiner_algorithm_words(n, m, r). More ranks alone do not
-/// win: a high-replication family can cost more words than a smaller
-/// spherical one. Ties prefer spherical, then the larger P. Throws
-/// PreconditionError for n == 0 or a budget below 4 (trivial m = 4).
+/// every m >= 4 with C(m, 3) <= budget, the fewest words the busiest rank
+/// sends, core::steiner_algorithm_words(n, m, r) (exact for every n).
+/// More ranks alone do not win: a high-replication family can cost more
+/// words than a smaller spherical one. Ties prefer spherical, then the
+/// larger P. Throws PreconditionError for n == 0 or a budget below 4
+/// (trivial m = 4).
 PlanKey plan_key_for_budget(std::size_t budget, std::size_t n,
                             simt::Transport transport);
 

@@ -24,10 +24,12 @@ double optimal_algorithm_words(std::size_t n, std::size_t q) {
 double steiner_algorithm_words(std::size_t n, std::size_t m, std::size_t r) {
   STTSV_REQUIRE(r >= 3 && m >= r,
                 "a Steiner (m, r, 3) system needs m >= r >= 3");
-  const double lambda1 =
-      static_cast<double>((m - 1) * (m - 2) / ((r - 1) * (r - 2)));
-  const double b = std::ceil(static_cast<double>(n) / static_cast<double>(m));
-  return 2.0 * static_cast<double>(r) * b * (lambda1 - 1.0) / lambda1;
+  const std::size_t lambda1 = (m - 1) * (m - 2) / ((r - 1) * (r - 2));
+  const std::size_t b = (n + m - 1) / m;
+  const std::size_t share = (b + lambda1 - 1) / lambda1;
+  // Per row block: the share of x to each other requirer, the rest of
+  // the block as partial y to its owners.
+  return static_cast<double>(r * (share * (lambda1 - 1) + (b - share)));
 }
 
 double all_to_all_words(std::size_t n, std::size_t q) {

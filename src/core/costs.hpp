@@ -16,12 +16,16 @@ double lower_bound_words(std::size_t n, std::size_t P);
 /// 2 (n (q+1)/(q²+1) - n/P) with P = q(q²+1). Exact when q(q+1) | b.
 double optimal_algorithm_words(std::size_t n, std::size_t q);
 
-/// Per-rank words of Algorithm 5 on a Steiner (m, r, 3) partition, both
-/// vectors: each rank owns shares of r row blocks of length b = ⌈n/m⌉
-/// and receives the rest of each block from the other λ₁ - 1 owners,
-/// 2·r·b·(λ₁-1)/λ₁ with λ₁ = (m-1)(m-2)/((r-1)(r-2)). Exact when every
-/// share divides evenly; for the spherical family (r = q+1, m = q²+1) it
-/// equals optimal_algorithm_words when m | n.
+/// Words the busiest rank sends in Algorithm 5 on a Steiner (m, r, 3)
+/// partition, both vectors: the max over ranks of the exchange walk.
+/// Each rank requires r row blocks of length b = ⌈n/m⌉, each split over
+/// its λ₁ = (m-1)(m-2)/((r-1)(r-2)) requirers. Rank 0 is the first
+/// requirer of each of its blocks, so it holds the largest share,
+/// s = ⌈b/λ₁⌉, of each: it sends s words of x to each of the other λ₁-1
+/// requirers and b - s words of partial y, r·(b + s·(λ₁-2)) in all. When
+/// λ₁ | b that is 2·r·b·(λ₁-1)/λ₁; for the spherical family (r = q+1,
+/// m = q²+1, λ₁ = q(q+1)) it then equals optimal_algorithm_words when
+/// m | n.
 double steiner_algorithm_words(std::size_t n, std::size_t m, std::size_t r);
 
 /// Section 7.2.2 (All-to-All variant): 4n/(q+1) · (1 - 1/P),

@@ -53,6 +53,8 @@ std::uint64_t execute_redistribution(
     simt::Exchanger& exchanger, const partition::TetraPartition& part,
     const partition::VectorDistribution& dist, const std::vector<double>& x,
     const RedistributionPlan& plan) {
+  STTSV_REQUIRE(x.size() == dist.logical_n(),
+                "x must have the distribution's logical length");
   simt::Machine& machine = exchanger.machine();
   obs::Span span("recovery.redistribute", obs::Category::kRecovery,
                  plan.planned_words);

@@ -11,13 +11,43 @@ namespace sttsv::hier {
 using simt::Delivery;
 using simt::Envelope;
 
+namespace {
+
+/// Merges the node-local deliveries into the inner inboxes,
+/// origin-ascending per target (both inputs arrive origin-sorted).
+std::vector<std::vector<Delivery>> merge_deliveries(
+    std::vector<std::vector<Delivery>> intra_inboxes,
+    std::vector<std::vector<Delivery>> inter_inboxes) {
+  const std::size_t P = intra_inboxes.size();
+  STTSV_CHECK(inter_inboxes.size() == P,
+              "inner backend must return one inbox per rank");
+  std::vector<std::vector<Delivery>> merged(P);
+  for (std::size_t p = 0; p < P; ++p) {
+    auto& intra = intra_inboxes[p];
+    auto& inter = inter_inboxes[p];
+    merged[p].reserve(intra.size() + inter.size());
+    // Both inputs arrive origin-sorted, and a given origin is exactly one
+    // level away from p, so origins never tie across the two lists.
+    std::size_t si = 0;
+    std::size_t ii = 0;
+    while (si < intra.size() || ii < inter.size()) {
+      const bool take_intra =
+          ii == inter.size() ||
+          (si < intra.size() && intra[si].from < inter[ii].from);
+      merged[p].push_back(std::move(take_intra ? intra[si++] : inter[ii++]));
+    }
+  }
+  return merged;
+}
+
+}  // namespace
+
 HierarchicalExchange::HierarchicalExchange(
     simt::Machine& machine, Topology topology,
     std::unique_ptr<simt::Exchanger> inter)
     : Exchanger(machine),
       topo_(std::move(topology)),
-      inter_(std::move(inter)),
-      registry_(machine) {
+      inter_(std::move(inter)) {
   STTSV_REQUIRE(inter_ != nullptr,
                 "hierarchical transport needs an inner backend");
   STTSV_REQUIRE(&inter_->machine() == &machine,
@@ -31,49 +61,14 @@ void HierarchicalExchange::set_phase(const char* phase) {
   inter_->set_phase(phase);
 }
 
-std::vector<std::vector<Delivery>> HierarchicalExchange::merge_deliveries(
-    std::vector<std::vector<Delivery>> inter_inboxes) {
-  const std::size_t P = machine_.num_ranks();
-  STTSV_CHECK(inter_inboxes.size() == P,
-              "inner backend must return one inbox per rank");
-  std::vector<std::vector<Delivery>> merged(P);
-  for (std::size_t p = 0; p < P; ++p) {
-    auto& shared = registry_.shared(p);
-    auto& inter = inter_inboxes[p];
-    merged[p].reserve(shared.size() + inter.size());
-    // Both inputs arrive origin-sorted, and a given origin is exactly one
-    // level away from p, so origins never tie across the two lists.
-    std::size_t si = 0;
-    std::size_t ii = 0;
-    while (si < shared.size() || ii < inter.size()) {
-      const bool take_shared =
-          ii == inter.size() ||
-          (si < shared.size() && shared[si].from < inter[ii].from);
-      if (take_shared) {
-        // Zero-copy view onto the handed-off slab; the registry keeps it
-        // alive until the next epoch opens.
-        merged[p].push_back(Delivery{
-            shared[si].from,
-            simt::PooledBuffer::attach_view(shared[si].payload.data(),
-                                            shared[si].payload.size())});
-        ++si;
-      } else {
-        merged[p].push_back(std::move(inter[ii]));
-        ++ii;
-      }
-    }
-  }
-  return merged;
-}
-
 std::vector<std::vector<Delivery>> HierarchicalExchange::exchange(
     std::vector<std::vector<Envelope>> outboxes, simt::Transport transport) {
   obs::Span span("hier.epoch", obs::Category::kExchange);
   const std::size_t P = machine_.num_ranks();
   STTSV_REQUIRE(outboxes.size() == P,
                 "outboxes must cover every rank exactly once");
-  // Validate every envelope before the epoch opens, so a precondition
-  // failure leaves segments and ledger untouched.
+  // Validate every envelope before the first hand-off, so a precondition
+  // failure leaves the ledger untouched.
   for (std::size_t from = 0; from < P; ++from) {
     for (const Envelope& env : outboxes[from]) {
       STTSV_REQUIRE(env.to < P, "envelope destination out of range");
@@ -88,9 +83,10 @@ std::vector<std::vector<Delivery>> HierarchicalExchange::exchange(
     }
   }
 
-  // Intra envelopes land in the shared segments (and on the ledger) right
-  // away; inter envelopes are collected for the inner backend.
-  registry_.open_epoch();
+  // Intra envelopes go to their targets (and on the ledger) right away,
+  // origins ascending, so each target's list is origin-sorted; inter
+  // envelopes are collected for the inner backend.
+  std::vector<std::vector<Delivery>> intra_in(P);
   std::vector<char> node_touched(topo_.num_nodes(), 0);
   std::uint64_t onesided_words = 0;
   std::uint64_t recovery_words = 0;
@@ -119,14 +115,13 @@ std::vector<std::vector<Delivery>> HierarchicalExchange::exchange(
       node_touched[topo_.node_of(from)] = 1;
       ++stats_.shared_puts;
       stats_.shared_words += words;
-      registry_.put_shared(from, env.to, std::move(env.data));
+      intra_in[env.to].push_back(Delivery{from, std::move(env.data)});
     }
   }
 
-  // Fences the shared segments: one sync op per touched node, one intra
-  // round for the epoch's hand-off step.
+  // Fences the node-local hand-offs: one sync op per touched node, one
+  // intra round for the epoch's hand-off step.
   const auto settle_intra = [&]() {
-    registry_.close_epoch();
     ++stats_.epochs;
     std::size_t fences = 0;
     for (const char touched : node_touched) {
@@ -155,7 +150,7 @@ std::vector<std::vector<Delivery>> HierarchicalExchange::exchange(
   }
   settle_intra();
   span.set_arg(onesided_words + recovery_words);
-  return merge_deliveries(std::move(inter_in));
+  return merge_deliveries(std::move(intra_in), std::move(inter_in));
 }
 
 void HierarchicalExchange::publish_metrics(obs::MetricsRegistry& out,

@@ -2,7 +2,7 @@
 // Topology-aware Exchanger (DESIGN.md §17): the hierarchical transport.
 //
 // Every envelope is classified by the Topology: node-local traffic takes
-// the shared-segment fast path, cross-node traffic rides an inner
+// the shared-memory fast path, cross-node traffic rides an inner
 // Exchanger (Direct, Reliable, or OneSided — whatever the caller picked
 // for the fabric). The split is invisible to the drivers: deliveries
 // come back merged per target, origin-ascending, exactly as the flat
@@ -11,15 +11,15 @@
 //
 // The intra-node path is the simulator's PSHM: peers on one node share
 // an address space, so a node-local transfer is an ownership hand-off of
-// the sender's pool slab (SegmentRegistry::put_shared — zero copies),
-// followed by one exposure fence per *node* per epoch. That is the
-// α-term win the per-level ledger makes visible: N fences instead of one
-// envelope per communicating pair. Word counts are unchanged — the
-// ledger charges every intra payload to the onesided channel at the
-// intra level (recovery-flagged envelopes to the recovery channel), so
-// total payload words match the flat run to the word while the
-// *inter-node* words shrink to exactly what the composed partition
-// predicts.
+// the sender's pool slab to the target (zero copies; the receiver owns
+// the delivery like a fabric one), followed by one exposure fence per
+// *node* per epoch. That is the α-term win the per-level ledger makes
+// visible: N fences instead of one envelope per communicating pair.
+// Word counts are unchanged — the ledger charges every intra payload to
+// the onesided channel at the intra level (recovery-flagged envelopes
+// to the recovery channel), so total payload words match the flat run
+// to the word while the *inter-node* words shrink to exactly what the
+// composed partition predicts.
 //
 // Rounds: the intra hand-off of an epoch is one parallel step of each
 // node's crossbar — charged as a single intra-level round; the inner
@@ -38,7 +38,6 @@
 #include <vector>
 
 #include "hier/topology.hpp"
-#include "onesided/segment_registry.hpp"
 #include "simt/reliable_exchange.hpp"
 
 namespace sttsv::obs {
@@ -65,10 +64,10 @@ class HierarchicalExchange final : public simt::Exchanger {
   HierarchicalExchange(simt::Machine& machine, Topology topology,
                        std::unique_ptr<simt::Exchanger> inter);
 
-  /// One epoch: route every envelope by level, fence the shared segments,
-  /// run the inner exchange, and return the merged (origin-ascending)
-  /// inboxes. Intra deliveries are zero-copy views into the handed-off
-  /// slabs, valid until the next exchange begins.
+  /// One epoch: route every envelope by level, hand the node-local ones
+  /// to their targets, fence, run the inner exchange, and return the
+  /// merged (origin-ascending) inboxes. Intra deliveries are the senders'
+  /// slabs themselves, owned by the receiver like the fabric's.
   std::vector<std::vector<simt::Delivery>> exchange(
       std::vector<std::vector<simt::Envelope>> outboxes,
       simt::Transport transport) override;
@@ -85,14 +84,8 @@ class HierarchicalExchange final : public simt::Exchanger {
                        const std::string& prefix = "hier") const;
 
  private:
-  /// Merges the fenced shared deliveries into the inner inboxes,
-  /// origin-ascending per target (both inputs arrive origin-sorted).
-  std::vector<std::vector<simt::Delivery>> merge_deliveries(
-      std::vector<std::vector<simt::Delivery>> inter_inboxes);
-
   Topology topo_;
   std::unique_ptr<simt::Exchanger> inter_;
-  onesided::SegmentRegistry registry_;
   Stats stats_;
 };
 

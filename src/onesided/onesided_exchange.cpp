@@ -1,6 +1,7 @@
 #include "onesided/onesided_exchange.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -9,7 +10,7 @@
 namespace sttsv::onesided {
 
 OneSidedExchange::OneSidedExchange(simt::Machine& machine)
-    : Exchanger(machine), registry_(machine) {}
+    : Exchanger(machine) {}
 
 std::vector<std::vector<simt::Delivery>> OneSidedExchange::exchange(
     std::vector<std::vector<simt::Envelope>> outboxes,
@@ -18,8 +19,8 @@ std::vector<std::vector<simt::Delivery>> OneSidedExchange::exchange(
   const std::size_t P = machine_.num_ranks();
   STTSV_REQUIRE(outboxes.size() == P,
                 "outboxes must cover every rank exactly once");
-  // Validate every envelope before the epoch opens, so a precondition
-  // failure leaves windows and ledger untouched.
+  // Validate every envelope before the first Put, so a precondition
+  // failure leaves the ledger untouched.
   for (std::size_t from = 0; from < P; ++from) {
     for (const simt::Envelope& env : outboxes[from]) {
       STTSV_REQUIRE(env.to < P, "envelope destination out of range");
@@ -43,10 +44,11 @@ std::vector<std::vector<simt::Delivery>> OneSidedExchange::exchange(
   std::uint64_t onesided_words = 0;
   std::uint64_t recovery_words = 0;
 
-  registry_.open_epoch();
+  std::vector<std::vector<simt::Delivery>> inboxes(P);
   // Deterministic landing order: origins ascending, each origin's
   // envelopes by destination (insertion order kept), like the mailbox
-  // path. A pair's Puts are then adjacent, so its words are a running sum.
+  // path. Every inbox is then origin-ascending, and a pair's Puts are
+  // adjacent, so its words are a running sum.
   for (std::size_t from = 0; from < P; ++from) {
     simt::sort_by_destination(outboxes[from]);
     std::size_t pair_to = P;
@@ -56,7 +58,6 @@ std::vector<std::vector<simt::Delivery>> OneSidedExchange::exchange(
       // is dropped uncharged.
       if (!machine_.alive(from) || !machine_.alive(env.to)) continue;
       const std::size_t words = env.data.size();
-      registry_.put(from, env.to, env.data.data(), words);
       if (env.recovery) {
         machine_.ledger().record(simt::Channel::kRecovery, from, env.to,
                                  words);
@@ -78,15 +79,13 @@ std::vector<std::vector<simt::Delivery>> OneSidedExchange::exchange(
       max_pair_words = std::max(max_pair_words, pair_words);
       ++stats_.puts;
       stats_.put_words += words;
-      // The sender's slab frees here (back to its shard) — the window
-      // now owns the only live copy, the zero-copy end of the path.
-      env.data.release();
+      // The Put itself: the sender's slab changes hands, no copy.
+      inboxes[env.to].push_back(simt::Delivery{from, std::move(env.data)});
     }
   }
   span.set_arg(onesided_words + recovery_words);
 
-  // The fence: close the epoch, charge sync ops and rounds.
-  registry_.close_epoch();
+  // The fence: charge sync ops and rounds.
   ++stats_.epochs;
   if (onesided_words + recovery_words > 0) {  // every Put carries words
     // The α-term: one fence per active origin, one exposure notification
@@ -112,17 +111,6 @@ std::vector<std::vector<simt::Delivery>> OneSidedExchange::exchange(
                                            : simt::Channel::kRecovery,
                         transport, puts_issued, puts_received, max_pair_words);
   }
-
-  std::vector<std::vector<simt::Delivery>> inboxes(P);
-  for (std::size_t p = 0; p < P; ++p) {
-    double* base = registry_.window_data(p);
-    for (const Extent& e : registry_.extents(p)) {
-      inboxes[p].push_back(simt::Delivery{
-          e.from, simt::PooledBuffer::attach_view(base + e.offset,
-                                                  e.words)});
-      ++stats_.view_deliveries;
-    }
-  }
   return inboxes;
 }
 
@@ -133,8 +121,6 @@ void OneSidedExchange::publish_metrics(obs::MetricsRegistry& out,
   out.set_counter(prefix + ".put_words", stats_.put_words);
   out.set_counter(prefix + ".fences", stats_.fences);
   out.set_counter(prefix + ".notifications", stats_.notifications);
-  out.set_counter(prefix + ".view_deliveries", stats_.view_deliveries);
-  out.set_counter(prefix + ".window_grows", registry_.stats().window_grows);
 }
 
 }  // namespace sttsv::onesided

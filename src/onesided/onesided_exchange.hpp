@@ -2,12 +2,10 @@
 // One-sided Exchanger backend (DESIGN.md §16): the third transport beside
 // DirectExchange and ReliableExchange.
 //
-// Instead of mailbox envelopes, every payload is Put straight from the
-// sender's pool slab into the destination's registered segment window —
-// one copy, no mailbox hop, no per-pair framing round. A logical exchange
-// is one access epoch on the SegmentRegistry:
-//
-//   begin (open_epoch) -> Puts -> fence (close_epoch)
+// Instead of mailbox envelopes, every payload is a Put: the sender's pool
+// slab is handed to the destination whole — no copy, no mailbox hop, no
+// per-pair framing round. A logical exchange is one access epoch: every
+// Put, then the fence that exposes them to their targets.
 //
 // Accounting (CommLedger, DESIGN.md §16): every Put's payload words go to
 // the ledger's onesided channel (recovery-flagged envelopes to the
@@ -22,12 +20,12 @@
 // (puts excluded, sync ops counted) drops below Direct whenever ranks
 // talk to more than one peer — the quantity bench_transport sweeps.
 //
-// Delivery: after the fence, each target's inbox holds zero-copy
-// PooledBuffer *views* into its window, origin-ascending — the order the
-// mailbox path delivers in, so the drivers reduce y bitwise identically.
-// Views stay valid until the next epoch opens; the drivers consume
-// deliveries before starting another exchange, which the registry's
-// epoch guard enforces.
+// Delivery: after the fence, each target's inbox holds the Put buffers
+// themselves, origin-ascending and in posting order within an origin —
+// the order the mailbox path delivers in, so the drivers reduce y
+// bitwise identically. Like every backend's, a delivery is owned: it
+// outlives later exchanges, and its slab returns to the sender's pool
+// shard when the receiver drops it.
 //
 // Not supported: wire fault injection (the model is a reliable RDMA
 // fabric; install faults under Direct/Reliable instead). Dead ranks are
@@ -39,7 +37,6 @@
 #include <string>
 #include <vector>
 
-#include "onesided/segment_registry.hpp"
 #include "simt/reliable_exchange.hpp"
 
 namespace sttsv::obs {
@@ -56,27 +53,23 @@ class OneSidedExchange final : public simt::Exchanger {
     std::uint64_t put_words = 0;         ///< payload words written
     std::uint64_t fences = 0;            ///< origin-side epoch fences
     std::uint64_t notifications = 0;     ///< target-side exposure notices
-    std::uint64_t view_deliveries = 0;   ///< extents returned as views
   };
 
   explicit OneSidedExchange(simt::Machine& machine);
 
-  /// One epoch: open, Put every envelope, fence, deliver views.
+  /// One epoch: Put every envelope into its target's inbox, then fence.
   std::vector<std::vector<simt::Delivery>> exchange(
       std::vector<std::vector<simt::Envelope>> outboxes,
       simt::Transport transport) override;
 
-  [[nodiscard]] SegmentRegistry& registry() { return registry_; }
-  [[nodiscard]] const SegmentRegistry& registry() const { return registry_; }
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
-  /// Publishes Stats plus the registry's counters into `out` as
-  /// "<prefix>.*", set absolutely so re-export is idempotent.
+  /// Publishes Stats into `out` as "<prefix>.*", set absolutely so
+  /// re-export is idempotent.
   void publish_metrics(obs::MetricsRegistry& out,
                        const std::string& prefix = "onesided") const;
 
  private:
-  SegmentRegistry registry_;
   Stats stats_;
 };
 

@@ -45,17 +45,6 @@ PooledBuffer::PooledBuffer(std::size_t count, double value) {
   std::fill(begin(), end(), value);
 }
 
-PooledBuffer PooledBuffer::attach_view(double* storage, std::size_t words) {
-  STTSV_REQUIRE(storage != nullptr || words == 0,
-                "view needs storage unless empty");
-  PooledBuffer buf;
-  buf.base_ = storage;
-  buf.size_ = words;
-  buf.capacity_ = words;
-  buf.view_ = true;
-  return buf;
-}
-
 void PooledBuffer::free_storage() {
   if (pool_ != nullptr) {
     pool_->release_slab(shard_, bucket_, base_);
@@ -79,12 +68,10 @@ void PooledBuffer::grow(std::size_t min_capacity) {
   double* fresh = allocate_aligned(want);
   g_unpooled_allocations.fetch_add(1, std::memory_order_relaxed);
   if (size_ > 0) std::memcpy(fresh, data(), size_ * sizeof(double));
-  // A view's storage belongs to someone else: detach instead of freeing.
-  if (base_ != nullptr && !view_) free_aligned(base_);
+  if (base_ != nullptr) free_aligned(base_);
   base_ = fresh;
   offset_ = 0;
   capacity_ = want;
-  view_ = false;
 }
 
 void PooledBuffer::reserve(std::size_t capacity_words) {

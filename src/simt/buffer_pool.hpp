@@ -42,18 +42,6 @@ class PooledBuffer {
   PooledBuffer(std::size_t count, double value);
   ~PooledBuffer() { release(); }
 
-  /// Non-owning window onto externally owned storage — how one-sided
-  /// deliveries expose a slice of a registered segment without copying
-  /// (DESIGN.md §16). The view reads and writes the caller's words in
-  /// place; destruction and release() drop the reference without freeing,
-  /// while any growing operation (reserve/append past `words`) detaches
-  /// into owned storage first, so a view can never free or realloc memory
-  /// it does not own. The caller keeps the storage alive for the view's
-  /// useful lifetime (segment windows: until the next exchange epoch).
-  [[nodiscard]] static PooledBuffer attach_view(double* storage,
-                                                std::size_t words);
-  [[nodiscard]] bool is_view() const { return view_; }
-
   // Moves and release() are inline: every Envelope and Delivery sort or
   // vector growth moves these handles. Only freeing storage is out of line.
   PooledBuffer(PooledBuffer&& other) noexcept
@@ -63,8 +51,7 @@ class PooledBuffer {
         capacity_(other.capacity_),
         pool_(other.pool_),
         shard_(other.shard_),
-        bucket_(other.bucket_),
-        view_(other.view_) {
+        bucket_(other.bucket_) {
     other.reset();
   }
   PooledBuffer& operator=(PooledBuffer&& other) noexcept {
@@ -77,7 +64,6 @@ class PooledBuffer {
       pool_ = other.pool_;
       shard_ = other.shard_;
       bucket_ = other.bucket_;
-      view_ = other.view_;
       other.reset();
     }
     return *this;
@@ -124,7 +110,7 @@ class PooledBuffer {
   /// Releases the storage immediately (pooled slabs go back to their
   /// shard); the buffer becomes empty and unpooled.
   void release() {
-    if (base_ != nullptr && !view_) free_storage();
+    if (base_ != nullptr) free_storage();
     reset();
   }
 
@@ -144,7 +130,6 @@ class PooledBuffer {
     base_ = nullptr;
     offset_ = size_ = capacity_ = 0;
     pool_ = nullptr;
-    view_ = false;
   }
   [[noreturn]] static void insert_position_error();
 
@@ -155,7 +140,6 @@ class PooledBuffer {
   BufferPool* pool_ = nullptr;  ///< nullptr: privately allocated storage
   std::uint32_t shard_ = 0;
   std::uint32_t bucket_ = 0;
-  bool view_ = false;  ///< storage is borrowed; never freed or pooled
 };
 
 /// Per-rank arena of size-bucketed, 64-byte-aligned slabs. Shard s serves

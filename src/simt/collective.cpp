@@ -1,6 +1,7 @@
 #include "simt/collective.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "support/check.hpp"
 
@@ -20,9 +21,10 @@ std::vector<double> allreduce_sum(
   if (L == 0) return {};
 
   // Accumulate in place instead of deep-copying all P contributions:
-  // `acc[p]` materializes (from the pool) only once rank p actually has
-  // to combine or replace its value; until then the rank's current value
-  // is its caller-owned contribution, which is never written.
+  // `acc[p]` materializes only once rank p actually has to combine (a
+  // pool lease) or replace (the delivered buffer) its value; until then
+  // the rank's current value is its caller-owned contribution, which is
+  // never written.
   std::vector<PooledBuffer> acc(P);
   exchanger.set_phase("allreduce");
   const auto view = [&](std::size_t p) -> const double* {
@@ -52,8 +54,8 @@ std::vector<double> allreduce_sum(
     }
   }
 
-  // Binomial broadcast from rank 0; each receiver copies the delivery
-  // into its own lease (a view dies when the next exchange opens).
+  // Binomial broadcast from rank 0; each receiver keeps the delivered
+  // buffer as its value.
   std::size_t top = 1;
   while (top < P) top *= 2;
   for (std::size_t s = top / 2; s >= 1; s /= 2) {
@@ -67,10 +69,7 @@ std::vector<double> allreduce_sum(
     }
     auto in = exchanger.exchange(std::move(out), Transport::kPointToPoint);
     for (std::size_t p = 0; p < P; ++p) {
-      for (const Delivery& d : in[p]) {
-        acc[p] = machine.pool().acquire(p, L);
-        acc[p].append(d.data.data(), L);
-      }
+      for (Delivery& d : in[p]) acc[p] = std::move(d.data);
     }
     if (s == 1) break;
   }

@@ -18,8 +18,7 @@ namespace sttsv::simt {
 /// Returns the elementwise global sum; every rank "ends" holding it
 /// (the broadcast phase is executed and counted). Each of the
 /// 2·ceil(log₂ P) exchanges goes through `exchanger`, labelled
-/// "allreduce"; a delivery is copied into its rank's own buffer before
-/// the next exchange opens, so view-delivering backends work too.
+/// "allreduce".
 std::vector<double> allreduce_sum(
     Exchanger& exchanger,
     const std::vector<std::vector<double>>& contributions);

@@ -65,9 +65,9 @@ namespace sttsv::simt {
 /// leave a rank (Machine::exchange is private to DirectExchange and
 /// ReliableExchange): callers hand over outboxes and receive the
 /// logically delivered inboxes. DirectExchange forwards verbatim;
-/// ReliableExchange runs the recovery protocol. Deliveries may be views
-/// (one-sided, hierarchical) valid only until the next exchange opens,
-/// so a caller copies what it keeps across exchanges.
+/// ReliableExchange runs the recovery protocol. Every backend delivers
+/// owned buffers: a caller may keep a delivery across later exchanges,
+/// and its slab returns to the sender's pool shard when dropped.
 class Exchanger {
  public:
   explicit Exchanger(Machine& machine) : machine_(machine) {}

@@ -2,7 +2,8 @@
 // CP gradient (both drivers), the 2D SYMV, the communication replay, both
 // E5 baselines and the elastic redistribution each take an Exchanger,
 // and each result over "reliable", "onesided" and "hier" must be bitwise
-// equal to "direct" with the ledger conserved on every channel.
+// equal to "direct" with the ledger conserved on every channel. Every
+// backend's deliveries outlive the exchanges after theirs.
 
 #include <gtest/gtest.h>
 
@@ -28,6 +29,7 @@
 #include "matrix/triangle_partition.hpp"
 #include "partition/tetra_partition.hpp"
 #include "partition/vector_distribution.hpp"
+#include "simt/buffer_pool.hpp"
 #include "simt/machine.hpp"
 #include "steiner/constructions.hpp"
 #include "support/check.hpp"
@@ -101,6 +103,49 @@ TEST(Backends, EachWrapsItsMachineAndRunsNoDeliveryHandler) {
     const auto ex = test::make_backend(name, machine);
     EXPECT_EQ(&ex->machine(), &machine);
     EXPECT_FALSE(ex->supports_handler_delivery());
+  }
+}
+
+TEST(Backends, DeliveriesOutliveTheNextExchange) {
+  // Ranks 1 and 3 send leased slabs to rank 0 in each of three exchanges;
+  // 1 -> 0 is node-local under "hier" (nodes {0, 1} and {2, 3}), 3 -> 0
+  // crosses its fabric. The first exchange's inbox is read only after the
+  // third returns: every backend delivers owned buffers, so it still
+  // holds the first exchange's words, not whatever later reused a slab.
+  constexpr std::size_t kWords = 8;
+  const auto word = [](std::size_t exchange, std::size_t from,
+                       std::size_t i) {
+    return static_cast<double>(100 * exchange + 10 * from + i);
+  };
+  for (const char* name : test::kBackends) {
+    SCOPED_TRACE(name);
+    Machine machine(4);
+    const auto ex = test::make_backend(name, machine);
+    const auto exchange = [&](std::size_t k) {
+      std::vector<std::vector<simt::Envelope>> out(4);
+      for (const std::size_t from : {std::size_t{1}, std::size_t{3}}) {
+        simt::PooledBuffer payload = machine.pool().acquire(from, kWords);
+        for (std::size_t i = 0; i < kWords; ++i) {
+          payload.push_back(word(k, from, i));
+        }
+        out[from].push_back(simt::Envelope{0, std::move(payload)});
+      }
+      return ex->exchange(std::move(out), Transport::kPointToPoint);
+    };
+    const auto first = exchange(1);
+    (void)exchange(2);
+    (void)exchange(3);
+    ASSERT_EQ(first[0].size(), 2u);
+    EXPECT_EQ(first[0][0].from, 1u);
+    EXPECT_EQ(first[0][1].from, 3u);
+    for (const simt::Delivery& d : first[0]) {
+      ASSERT_EQ(d.data.size(), kWords);
+      for (std::size_t i = 0; i < kWords; ++i) {
+        EXPECT_EQ(d.data[i], word(1, d.from, i))
+            << "from " << d.from << ", word " << i;
+      }
+    }
+    machine.ledger().verify_conservation();
   }
 }
 

@@ -384,7 +384,7 @@ constexpr simt::Transport kP2P = simt::Transport::kPointToPoint;
 TEST(PlanKeyForBudget, MinimizesPredictedCommunication) {
   // Budget 35: trivial m=7 offers more processors (P=35) but its
   // replication λ₁ = 15 makes it costlier than spherical q=3 (P=30,
-  // λ₁ = 12, predicted 220 words at n = 300): spherical must win.
+  // λ₁ = 12, predicted 240 words at n = 300): spherical must win.
   const PlanKey key = plan_key_for_budget(35, 300, kP2P);
   EXPECT_EQ(key.processors, 30u);
   EXPECT_EQ(key.family, Family::kSpherical);
@@ -397,10 +397,46 @@ TEST(PlanKeyForBudget, MinimizesPredictedCommunication) {
 }
 
 TEST(PlanKeyForBudget, PrefersSphericalOnTies) {
-  // Budget 10: spherical q=2 (P=10) vs trivial m=5 (P=10): spherical wins.
-  const PlanKey key = plan_key_for_budget(10, 100, kP2P);
+  // Budget 10 at n = 120: spherical q=2 (P=10), trivial m=4 (P=4) and
+  // trivial m=5 (P=10) each move 120 words: spherical wins.
+  ASSERT_EQ(core::steiner_algorithm_words(120, 5, 3), 120.0);
+  ASSERT_EQ(core::steiner_algorithm_words(120, 4, 3), 120.0);
+  const PlanKey key = plan_key_for_budget(10, 120, kP2P);
   EXPECT_EQ(key.processors, 10u);
   EXPECT_EQ(key.family, Family::kSpherical);
+}
+
+TEST(PlanKeyForBudget, PredictedWordsMatchTheExchangeWalk) {
+  // The chooser's estimate is the busiest rank's words in the plan's own
+  // exchange walk, padding or not.
+  const struct {
+    Family family;
+    std::uint64_t param;
+  } families[] = {
+      {Family::kSpherical, 2}, {Family::kSpherical, 3},
+      {Family::kSpherical, 4}, {Family::kBoolean, 3},
+      {Family::kTrivial, 4},   {Family::kTrivial, 5},
+      {Family::kTrivial, 8},   {Family::kTrivial, 9},
+  };
+  for (const std::size_t n :
+       {10u, 17u, 38u, 100u, 120u, 240u, 241u, 300u, 333u, 384u, 680u}) {
+    for (const auto& f : families) {
+      const auto plan = Plan::build(plan_key(n, f.family, f.param, kP2P));
+      std::size_t busiest = 0;
+      for (std::size_t p = 0; p < plan->num_processors(); ++p) {
+        std::size_t words = 0;
+        for (const auto& ex : plan->exchanges(p)) {
+          words += ex.x_words + ex.y_words;
+        }
+        busiest = std::max(busiest, words);
+      }
+      EXPECT_EQ(core::steiner_algorithm_words(
+                    n, plan->partition().num_row_blocks(),
+                    plan->partition().steiner_block_size()),
+                static_cast<double>(busiest))
+          << "n=" << n << " P=" << plan->num_processors();
+    }
+  }
 }
 
 TEST(PlanKeyForBudget, SmallBudgetsFallBackToTrivial) {

@@ -1,5 +1,5 @@
-// One-sided transport subsystem tests (DESIGN.md §16): segment-registry
-// epoch semantics, PooledBuffer views, Put delivery bitwise-equivalence
+// One-sided transport subsystem tests (DESIGN.md §16): Puts hand the
+// sender's slab over sender-sorted, Put delivery bitwise-equivalence
 // against DirectExchange, the three-way cross-transport property sweep,
 // sync-op metering (the α-term the paper's message-count bound prices),
 // per-channel ledger conservation, the phase labels every backend sees,
@@ -9,7 +9,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <numeric>
 #include <string>
 #include <vector>
 
@@ -20,7 +19,6 @@
 #include "core/sttsv_seq.hpp"
 #include "obs/metrics.hpp"
 #include "onesided/onesided_exchange.hpp"
-#include "onesided/segment_registry.hpp"
 #include "partition/tetra_partition.hpp"
 #include "partition/vector_distribution.hpp"
 #include "serve/frontend.hpp"
@@ -35,116 +33,16 @@
 namespace sttsv {
 namespace {
 
-using onesided::Extent;
 using onesided::OneSidedExchange;
-using onesided::SegmentRegistry;
 using simt::Channel;
 using simt::Delivery;
 using simt::Envelope;
 using simt::Machine;
 using simt::PooledBuffer;
 
-// --- Segment registry -------------------------------------------------------
-
-TEST(SegmentRegistry, EpochGatingAndDisjointExtents) {
-  Machine machine(4);
-  SegmentRegistry reg(machine);
-  EXPECT_EQ(reg.num_ranks(), 4u);
-  EXPECT_FALSE(reg.epoch_open());
-
-  const std::vector<double> a{1.0, 2.0, 3.0};
-  const std::vector<double> b{4.0};
-  EXPECT_THROW(reg.put(0, 1, a.data(), a.size()), PreconditionError);
-
-  reg.open_epoch();
-  EXPECT_TRUE(reg.epoch_open());
-  EXPECT_THROW(reg.open_epoch(), PreconditionError);  // no nesting
-  // Reads are illegal while the epoch is open: no half-landed exposure.
-  EXPECT_THROW((void)reg.extents(1), PreconditionError);
-  EXPECT_THROW((void)reg.window_data(1), PreconditionError);
-
-  const Extent e1 = reg.put(2, 1, a.data(), a.size());
-  const Extent e2 = reg.put(0, 1, b.data(), b.size());
-  // Bump allocation: extents are disjoint by construction.
-  EXPECT_EQ(e1.offset, 0u);
-  EXPECT_EQ(e1.words, 3u);
-  EXPECT_EQ(e2.offset, 3u);
-  EXPECT_EQ(e2.words, 1u);
-  EXPECT_THROW(reg.put(1, 1, a.data(), a.size()), PreconditionError);  // self
-  EXPECT_THROW(reg.put(0, 9, a.data(), a.size()), PreconditionError);
-
-  reg.close_epoch();
-  EXPECT_FALSE(reg.epoch_open());
-  EXPECT_EQ(reg.epoch(), 1u);
-  // The fence sorted extents by origin (0 before 2) but the data stayed
-  // where it landed.
-  const std::vector<Extent>& landed = reg.extents(1);
-  ASSERT_EQ(landed.size(), 2u);
-  EXPECT_EQ(landed[0].from, 0u);
-  EXPECT_EQ(landed[1].from, 2u);
-  const double* win = reg.window_data(1);
-  EXPECT_EQ(win[landed[0].offset], 4.0);
-  EXPECT_EQ(win[landed[1].offset], 1.0);
-  EXPECT_EQ(win[landed[1].offset + 2], 3.0);
-  EXPECT_TRUE(reg.extents(0).empty());
-}
-
-TEST(SegmentRegistry, WindowGrowthPreservesLandedContents) {
-  Machine machine(2);
-  SegmentRegistry reg(machine);
-  reg.open_epoch();
-  std::vector<double> chunk(100);
-  std::iota(chunk.begin(), chunk.end(), 0.0);
-  // Land enough traffic to force at least one mid-epoch growth.
-  for (int k = 0; k < 40; ++k) reg.put(0, 1, chunk.data(), chunk.size());
-  reg.close_epoch();
-  EXPECT_GE(reg.stats().window_grows, 1u);
-  EXPECT_GE(reg.window_words(1), 4000u);
-  const double* win = reg.window_data(1);
-  for (const Extent& e : reg.extents(1)) {
-    for (std::size_t i = 0; i < e.words; ++i) {
-      ASSERT_EQ(win[e.offset + i], static_cast<double>(i));
-    }
-  }
-}
-
-TEST(SegmentRegistry, EnsureWindowPreSizesBetweenEpochs) {
-  Machine machine(2);
-  SegmentRegistry reg(machine);
-  reg.ensure_window(1, 512);
-  EXPECT_GE(reg.window_words(1), 512u);
-  reg.open_epoch();
-  EXPECT_THROW(reg.ensure_window(1, 1024), PreconditionError);
-  std::vector<double> payload(512, 7.0);
-  reg.put(0, 1, payload.data(), payload.size());
-  reg.close_epoch();
-  // The pre-sized window absorbed the full epoch without growing.
-  EXPECT_EQ(reg.stats().window_grows, 0u);
-}
-
-// --- PooledBuffer views -----------------------------------------------------
-
-TEST(PooledBufferView, AliasesWithoutOwning) {
-  std::vector<double> storage{1.0, 2.0, 3.0, 4.0};
-  {
-    PooledBuffer view = PooledBuffer::attach_view(storage.data(), 3);
-    EXPECT_TRUE(view.is_view());
-    EXPECT_EQ(view.size(), 3u);
-    EXPECT_EQ(view.data(), storage.data());
-    view[1] = 20.0;  // writes land in the caller's storage
-    PooledBuffer moved = std::move(view);
-    EXPECT_TRUE(moved.is_view());
-    EXPECT_EQ(moved.data(), storage.data());
-    moved.release();  // must not free the borrowed words
-    EXPECT_FALSE(moved.is_view());
-  }  // nor may the destructor
-  EXPECT_EQ(storage[1], 20.0);
-  EXPECT_EQ(storage[3], 4.0);
-}
-
 // --- Exchanger semantics ----------------------------------------------------
 
-TEST(OneSidedExchange, PutModeDeliversViewsSenderSorted) {
+TEST(OneSidedExchange, PutsHandOverTheSendersSlabSenderSorted) {
   Machine machine(3);
   OneSidedExchange ex(machine);
   EXPECT_FALSE(ex.supports_handler_delivery());
@@ -152,11 +50,15 @@ TEST(OneSidedExchange, PutModeDeliversViewsSenderSorted) {
   std::vector<std::vector<Envelope>> out(3);
   out[2].push_back(Envelope{0, PooledBuffer{5.0, 6.0}});
   out[1].push_back(Envelope{0, PooledBuffer{7.0}});
+  const double* sent_by_1 = out[1][0].data.data();
+  const double* sent_by_2 = out[2][0].data.data();
   auto in = ex.exchange(std::move(out), simt::Transport::kPointToPoint);
   ASSERT_EQ(in[0].size(), 2u);
   EXPECT_EQ(in[0][0].from, 1u);  // origin-ascending like the mailbox path
   EXPECT_EQ(in[0][1].from, 2u);
-  EXPECT_TRUE(in[0][0].data.is_view());
+  // No copy: each delivery is the sender's buffer itself.
+  EXPECT_EQ(in[0][0].data.data(), sent_by_1);
+  EXPECT_EQ(in[0][1].data.data(), sent_by_2);
   EXPECT_EQ(in[0][0].data[0], 7.0);
   EXPECT_EQ(in[0][1].data[1], 6.0);
 
@@ -210,10 +112,9 @@ TEST(OneSidedExchange, RejectsFramedEnvelopesBeforeAnyPut) {
   out[0].push_back(Envelope{1, PooledBuffer{1.0, 2.0}, /*overhead_words=*/1});
   EXPECT_THROW(ex.exchange(std::move(out), simt::Transport::kPointToPoint),
                PreconditionError);
-  // Strong guarantee: nothing landed, nothing charged, epoch settled.
+  // Strong guarantee: nothing charged.
   EXPECT_EQ(machine.ledger().total_words(Channel::kOneSided), 0u);
   EXPECT_EQ(machine.ledger().sync_ops(), 0u);
-  EXPECT_FALSE(ex.registry().epoch_open());
 }
 
 // --- Driver equivalence -----------------------------------------------------
@@ -336,13 +237,10 @@ TEST(DriverEquivalence, WarmedOneSidedRunIsAllocationFree) {
   OneSidedExchange ex(machine);
   (void)core::parallel_sttsv(ex, *s.part, *s.dist, s.a, s.x,
                              simt::Transport::kPointToPoint);
-  const std::uint64_t grows_after_warmup = ex.registry().stats().window_grows;
   simt::AllocationGuard guard(machine.pool());
   (void)core::parallel_sttsv(ex, *s.part, *s.dist, s.a, s.x,
                              simt::Transport::kPointToPoint);
   EXPECT_EQ(guard.new_slab_allocations(), 0u);
-  // Windows reached steady state during warm-up: no mid-epoch growth.
-  EXPECT_EQ(ex.registry().stats().window_grows, grows_after_warmup);
 }
 
 /// Forwards every call to `inner` and records what the driver asked of

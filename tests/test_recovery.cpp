@@ -351,6 +351,29 @@ TEST(Recovery, DeadHostIsRejectedAtEntry) {
   expect_bitwise(got.y, ref.y);
 }
 
+TEST(Recovery, RedistributionRejectsAnXOfTheWrongLength) {
+  // x must be the distribution's logical vector: a long one would overrun
+  // the padded copy, and a short one would be zero-padded and then
+  // "verified" against that padding.
+  Fixture s = make_setup(60, 41);
+  const std::size_t P = s.part().num_processors();
+  const BlockAssignment id = BlockAssignment::identity(P);
+  const auto plan = elastic::plan_redistribution(s.part(), s.dist(), id,
+                                                 id.shrink({2, 5}));
+  ASSERT_GT(plan.planned_words, 0u);
+  for (const std::size_t length : {std::size_t{600}, std::size_t{59}}) {
+    SCOPED_TRACE(length);
+    simt::Machine machine(P);
+    simt::DirectExchange dex(machine);
+    const std::vector<double> x(length, 1.0);
+    EXPECT_THROW((void)elastic::execute_redistribution(dex, s.part(),
+                                                       s.dist(), x, plan),
+                 PreconditionError);
+    EXPECT_EQ(machine.ledger().total_words(Channel::kRecovery), 0u);
+    EXPECT_EQ(machine.pool().stats().acquires, 0u);
+  }
+}
+
 // ---------------------------------------------------------------------
 // Failure detection
 // ---------------------------------------------------------------------

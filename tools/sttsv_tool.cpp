@@ -289,7 +289,7 @@ int cmd_auto(const ArgParser& args) {
             << ", P = " << key.processors << " of budget " << budget
             << ", m = " << part.num_row_blocks() << ", b = " << b << "\n";
   // Spherical plans print the Section 7.2.2 closed form; the others the
-  // Steiner estimate the chooser ranked them by.
+  // busiest rank's words the chooser ranked them by.
   std::cout << "  predicted words/rank  = "
             << (spherical ? core::optimal_algorithm_words(n, key.param)
                           : core::steiner_algorithm_words(
