@@ -249,7 +249,6 @@ int main(int argc, char** argv) {
                                  a, x, simt::Transport::kPointToPoint);
       obs::MetricsRegistry registry;
       machine.ledger().to_metrics(registry);
-      ex.publish_metrics(registry);
       repro::write_observability(w, machine.ledger(), registry);
     }
     w.end_object();

@@ -1,8 +1,8 @@
 #include "hier/hier_exchange.hpp"
 
+#include <algorithm>
 #include <utility>
 
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "support/check.hpp"
 
@@ -67,101 +67,51 @@ std::vector<std::vector<Delivery>> HierarchicalExchange::exchange(
   const std::size_t P = machine_.num_ranks();
   STTSV_REQUIRE(outboxes.size() == P,
                 "outboxes must cover every rank exactly once");
-  // Validate every envelope before the first hand-off, so a precondition
-  // failure leaves the ledger untouched.
+  // Route by level, checking every envelope before the first hand-off so
+  // a precondition failure leaves the ledger untouched.
+  std::vector<std::vector<Envelope>> shared_out(P);
+  std::vector<std::vector<Envelope>> fabric_out(P);
   for (std::size_t from = 0; from < P; ++from) {
-    for (const Envelope& env : outboxes[from]) {
+    for (Envelope& env : outboxes[from]) {
       STTSV_REQUIRE(env.to < P, "envelope destination out of range");
-      STTSV_REQUIRE(env.to != from,
-                    "self-messages are local copies, not comm");
-      if (topo_.same_node(from, env.to)) {
+      const bool shared = topo_.same_node(from, env.to);
+      if (shared) {
         STTSV_REQUIRE(env.overhead_words == 0,
                       "shared-segment transfers carry no protocol framing");
         STTSV_REQUIRE(!env.data.empty(),
                       "shared-segment transfers need a payload");
       }
+      (shared ? shared_out : fabric_out)[from].push_back(std::move(env));
     }
   }
 
-  // Intra envelopes go to their targets (and on the ledger) right away,
-  // origins ascending, so each target's list is origin-sorted; inter
-  // envelopes are collected for the inner backend.
-  std::vector<std::vector<Delivery>> intra_in(P);
-  std::vector<char> node_touched(topo_.num_nodes(), 0);
-  std::uint64_t onesided_words = 0;
-  std::uint64_t recovery_words = 0;
-  std::vector<std::vector<Envelope>> inter_out(P);
-  for (std::size_t from = 0; from < P; ++from) {
-    for (Envelope& env : outboxes[from]) {
-      if (!topo_.same_node(from, env.to)) {
-        stats_.inter_words += env.data.size() - env.overhead_words;
-        ++stats_.inter_envelopes;
-        inter_out[from].push_back(std::move(env));
-        continue;
-      }
-      // Membership truth mirrors Machine: traffic touching a dead rank
-      // is dropped uncharged — shared memory or not, a corpse neither
-      // posts nor fences.
-      if (!machine_.alive(from) || !machine_.alive(env.to)) continue;
-      const std::size_t words = env.data.size();
-      const simt::Channel channel = env.recovery ? simt::Channel::kRecovery
-                                                 : simt::Channel::kOneSided;
-      machine_.ledger().record(channel, from, env.to, words);
-      if (env.recovery) {
-        recovery_words += words;
-      } else {
-        onesided_words += words;
-      }
-      node_touched[topo_.node_of(from)] = 1;
-      ++stats_.shared_puts;
-      stats_.shared_words += words;
-      intra_in[env.to].push_back(Delivery{from, std::move(env.data)});
-    }
+  // The node-local hand-offs, then their fence: one sync op per node that
+  // moved anything, regardless of how many pairs inside it communicated,
+  // and one intra round, the hand-off step of each node's crossbar.
+  std::vector<std::vector<Delivery>> shared_in;
+  const simt::WalkTally& tally =
+      deliver(shared_out, shared_in, simt::Channel::kOneSided, nullptr);
+  const auto& intra_sends =
+      tally.sends[static_cast<std::size_t>(simt::Level::kIntra)];
+  std::vector<char> node_fenced(topo_.num_nodes(), 0);
+  for (std::size_t p = 0; p < P; ++p) {
+    if (intra_sends[p] > 0) node_fenced[topo_.node_of(p)] = 1;
   }
-
-  // Fences the node-local hand-offs: one sync op per touched node, one
-  // intra round for the epoch's hand-off step.
-  const auto settle_intra = [&]() {
-    ++stats_.epochs;
-    std::size_t fences = 0;
-    for (const char touched : node_touched) {
-      if (touched != 0) ++fences;
-    }
-    if (fences == 0) return;
-    // The whole α-term of the intra path: one exposure fence per node
-    // that moved anything, regardless of how many pairs inside it
-    // communicated.
+  const auto fences = static_cast<std::size_t>(
+      std::count(node_fenced.begin(), node_fenced.end(), 1));
+  const std::size_t onesided_words =
+      tally.words[static_cast<std::size_t>(simt::Channel::kOneSided)];
+  span.set_arg(onesided_words +
+               tally.words[static_cast<std::size_t>(simt::Channel::kRecovery)]);
+  if (fences > 0) {
     machine_.ledger().add_sync_ops(simt::Level::kIntra, fences);
-    stats_.node_fences += fences;
-    // The hand-off itself is one parallel step of each node's crossbar.
-    const simt::Channel channel = onesided_words > 0
-                                      ? simt::Channel::kOneSided
-                                      : simt::Channel::kRecovery;
-    machine_.ledger().add_rounds(channel, simt::Level::kIntra, 1);
-  };
-  std::vector<std::vector<Delivery>> inter_in;
-  try {
-    inter_in = inter_->exchange(std::move(inter_out), transport);
-  } catch (...) {
-    // The fabric failed mid-exchange; the intra epoch still settles its
-    // accounting (those hand-offs happened) before the fault propagates.
-    settle_intra();
-    throw;
+    machine_.ledger().add_rounds(onesided_words > 0 ? simt::Channel::kOneSided
+                                                    : simt::Channel::kRecovery,
+                                 simt::Level::kIntra, 1);
   }
-  settle_intra();
-  span.set_arg(onesided_words + recovery_words);
-  return merge_deliveries(std::move(intra_in), std::move(inter_in));
-}
 
-void HierarchicalExchange::publish_metrics(obs::MetricsRegistry& out,
-                                           const std::string& prefix) const {
-  out.set_counter(prefix + ".epochs", stats_.epochs);
-  out.set_counter(prefix + ".shared_puts", stats_.shared_puts);
-  out.set_counter(prefix + ".shared_words", stats_.shared_words);
-  out.set_counter(prefix + ".node_fences", stats_.node_fences);
-  out.set_counter(prefix + ".inter_envelopes", stats_.inter_envelopes);
-  out.set_counter(prefix + ".inter_words", stats_.inter_words);
-  out.set_counter(prefix + ".num_nodes", topo_.num_nodes());
+  return merge_deliveries(std::move(shared_in),
+                          inter_->exchange(std::move(fabric_out), transport));
 }
 
 }  // namespace sttsv::hier

@@ -21,7 +21,7 @@
 // triple always produces the identical fault pattern — the injection log
 // records every event for replay and for FaultReport references.
 //
-// The raw Machine::exchange makes no attempt to hide these faults; the
+// The raw machine exchange makes no attempt to hide these faults; the
 // recovery protocol lives one layer up in simt::ReliableExchange.
 
 #include <cstddef>
@@ -85,7 +85,7 @@ class FaultInjector {
   /// in place.
   enum class Action { kDeliver, kDrop, kDuplicate };
 
-  /// Called by Machine::exchange before each exchange's frames flow.
+  /// Called by the machine's delivery walk before each exchange's frames flow.
   /// Applies any crash scheduled for the new exchange index.
   void begin_exchange();
 

@@ -56,11 +56,10 @@ Machine::Machine(std::size_t num_ranks)
       ledger_(num_ranks),
       pool_(num_ranks == 0 ? 1 : num_ranks),
       dead_flags_(num_ranks, 0),
-      num_alive_(num_ranks),
-      inbound_(num_ranks, 0) {
+      num_alive_(num_ranks) {
   STTSV_REQUIRE(num_ranks >= 1, "machine needs at least one rank");
-  for (auto& level : sends_per_rank_) level.assign(num_ranks, 0);
-  for (auto& level : recvs_per_rank_) level.assign(num_ranks, 0);
+  for (auto& level : tally_.sends) level.assign(num_ranks, 0);
+  for (auto& level : tally_.recvs) level.assign(num_ranks, 0);
 }
 
 void Machine::mark_dead(std::size_t rank) {
@@ -84,18 +83,22 @@ void Machine::record_rank_loss(RankLossReport report) {
   rank_loss_reports_.push_back(std::move(report));
 }
 
-void Machine::exchange_into(std::vector<std::vector<Envelope>>& outboxes,
-                            std::vector<std::vector<Delivery>>& inboxes,
-                            Transport transport) {
-  // The span's category is settled below: an exchange moving no goodput
-  // is pure protocol traffic and lands on the overhead channel (kRetry)
-  // in any exported trace.
-  obs::Span span("machine.exchange", obs::Category::kExchange);
+const WalkTally& Machine::deliver(std::vector<std::vector<Envelope>>& outboxes,
+                                  std::vector<std::vector<Delivery>>& inboxes,
+                                  Channel payload, FaultInjector* wire) {
   STTSV_REQUIRE(outboxes.size() == P_, "one outbox per rank required");
+  // Per-level König degrees (DESIGN.md §17): the intra networks of the
+  // nodes and the inter-node network schedule independently, so each
+  // level gets its own Δ. On a flat machine everything lands on kIntra.
+  for (auto& level : tally_.sends) std::fill(level.begin(), level.end(), 0);
+  for (auto& level : tally_.recvs) std::fill(level.begin(), level.end(), 0);
+  tally_.words.fill(0);
+  tally_.max_pair_words = 0;
 
   // Validate every envelope before touching the ledger or moving any
   // payload: a malformed outbox must fail with the machine state intact.
-  std::fill(inbound_.begin(), inbound_.end(), 0);
+  // Each frame's round slot is counted here, which also sizes its inbox;
+  // the walk gives back the slots of frames a dead endpoint swallows.
   for (std::size_t from = 0; from < P_; ++from) {
     for (const Envelope& env : outboxes[from]) {
       STTSV_REQUIRE(env.to < P_, "envelope destination out of range");
@@ -105,48 +108,35 @@ void Machine::exchange_into(std::vector<std::vector<Envelope>>& outboxes,
                     "envelope overhead exceeds payload size");
       STTSV_REQUIRE(!env.recovery || env.overhead_words == 0,
                     "recovery envelopes carry no protocol overhead");
-      ++inbound_[env.to];
+      const auto lvl = static_cast<std::size_t>(ledger_.level_of(from, env.to));
+      ++tally_.sends[lvl][from];
+      ++tally_.recvs[lvl][env.to];
     }
   }
 
-  if (injector_ != nullptr) {
+  if (wire != nullptr) {
     // One injector epoch per exchange: stall rolls and the injection-log
     // window cover the whole exchange.
-    injector_->begin_exchange();
+    wire->begin_exchange();
     // Sync injector-rolled crashes into machine membership. Deaths rolled
     // mid-exchange by on_frame are picked up here at the next exchange:
     // death is detected at exchange granularity (interim frames are still
     // dropped by the injector's own is_dead check).
-    for (const std::size_t r : injector_->dead_ranks()) mark_dead(r);
+    for (const std::size_t r : wire->dead_ranks()) mark_dead(r);
   }
 
   inboxes.resize(P_);
   for (std::size_t p = 0; p < P_; ++p) {
     inboxes[p].clear();
-    inboxes[p].reserve(inbound_[p]);
+    inboxes[p].reserve(tally_.recvs[0][p] + tally_.recvs[1][p]);
   }
-  // Per-level König degrees (DESIGN.md §17): the intra networks of the
-  // nodes and the inter-node network schedule independently, so each
-  // level gets its own Δ. On a flat machine everything lands on kIntra
-  // and the totals match the historical single-level charge.
-  for (auto& level : sends_per_rank_) std::fill(level.begin(), level.end(), 0);
-  for (auto& level : recvs_per_rank_) std::fill(level.begin(), level.end(), 0);
-  std::size_t max_pair_words = 0;
-  std::size_t total_goodput = 0;
-  std::size_t total_overhead = 0;
-  std::size_t total_recovery = 0;
-
-  // Round slots accumulate per level: the frame occupies a step of its
-  // own network (node-local crossbar or inter-node fabric).
-  const auto count_slot = [&](std::size_t from, std::size_t to) {
-    const auto lvl = static_cast<std::size_t>(ledger_.level_of(from, to));
-    ++sends_per_rank_[lvl][from];
-    ++recvs_per_rank_[lvl][to];
-  };
 
   for (std::size_t from = 0; from < P_; ++from) {
-    // Deterministic delivery order: by destination, then insertion order.
+    // Deterministic delivery order: by destination, then insertion order,
+    // so a pair's frames are adjacent and its words a running sum.
     sort_by_destination(outboxes[from]);
+    std::size_t pair_to = P_;
+    std::size_t pair_words = 0;
     for (auto& env : outboxes[from]) {
       // Dead endpoints: the frame silently vanishes, charging nothing and
       // holding no round slot. Skipping both the send and the receive
@@ -154,32 +144,43 @@ void Machine::exchange_into(std::vector<std::vector<Envelope>>& outboxes,
       // sender and receiver atomically). This sits below the injector, so
       // a degraded replay with the injector detached still cannot reach a
       // dead peer.
-      if (dead_flags_[from] != 0 || dead_flags_[env.to] != 0) continue;
+      if (dead_flags_[from] != 0 || dead_flags_[env.to] != 0) {
+        const auto lvl =
+            static_cast<std::size_t>(ledger_.level_of(from, env.to));
+        --tally_.sends[lvl][from];
+        --tally_.recvs[lvl][env.to];
+        continue;
+      }
       // A recovery envelope is all payload on the recovery channel and is
-      // charged even when empty; a data envelope splits its goodput from
-      // its protocol framing and charges only the nonempty parts. An
-      // injected duplicate is charged whole to the envelope's extra
-      // traffic channel: recovery, or overhead for data.
+      // charged even when empty; any other splits its payload from its
+      // protocol framing and charges only the nonempty parts. An injected
+      // duplicate is charged whole to the envelope's extra traffic
+      // channel: recovery, or overhead for the rest.
       const Channel payload_channel =
-          env.recovery ? Channel::kRecovery : Channel::kGoodput;
+          env.recovery ? Channel::kRecovery : payload;
       const Channel duplicate_channel =
           env.recovery ? Channel::kRecovery : Channel::kOverhead;
-      const std::size_t payload = env.data.size() - env.overhead_words;
-      if (payload > 0 || env.recovery) {
-        ledger_.record(payload_channel, from, env.to, payload);
+      const std::size_t payload_words = env.data.size() - env.overhead_words;
+      if (payload_words > 0 || env.recovery) {
+        ledger_.record(payload_channel, from, env.to, payload_words);
       }
       if (env.overhead_words > 0) {
         ledger_.record(Channel::kOverhead, from, env.to, env.overhead_words);
       }
-      (env.recovery ? total_recovery : total_goodput) += payload;
-      total_overhead += env.overhead_words;
-      max_pair_words = std::max(max_pair_words, env.data.size());
+      tally_.words[static_cast<std::size_t>(payload_channel)] += payload_words;
+      tally_.words[static_cast<std::size_t>(Channel::kOverhead)] +=
+          env.overhead_words;
+      if (env.to != pair_to) {
+        pair_to = env.to;
+        pair_words = 0;
+      }
+      pair_words += env.data.size();
+      tally_.max_pair_words = std::max(tally_.max_pair_words, pair_words);
+
       // Rounds reflect the intended schedule: a dropped frame still held
       // its slot, an injected duplicate rides along without one.
-      count_slot(from, env.to);
-
-      if (injector_ != nullptr) {
-        switch (injector_->on_frame(from, env.to, env.data)) {
+      if (wire != nullptr) {
+        switch (wire->on_frame(from, env.to, env.data)) {
           case FaultInjector::Action::kDrop:
             continue;  // charged, never delivered
           case FaultInjector::Action::kDuplicate:
@@ -204,31 +205,45 @@ void Machine::exchange_into(std::vector<std::vector<Envelope>>& outboxes,
                                  });
                            }),
                "inbox out of sender order");
-  if (injector_ != nullptr) {
-    for (std::size_t p = 0; p < P_; ++p) {
-      injector_->maybe_reorder(p, inboxes[p]);
-    }
+  if (wire != nullptr) {
+    for (std::size_t p = 0; p < P_; ++p) wire->maybe_reorder(p, inboxes[p]);
   }
   // What was not delivered (dropped, or to or from a dead rank) goes back
   // to its pool shard here, as when the outboxes were a by-value argument.
   for (auto& outbox : outboxes) outbox.clear();
+  return tally_;
+}
+
+void Machine::exchange_into(std::vector<std::vector<Envelope>>& outboxes,
+                            std::vector<std::vector<Delivery>>& inboxes,
+                            Transport transport) {
+  // The span's category is settled below: an exchange moving no goodput
+  // is pure protocol traffic and lands on the overhead channel (kRetry)
+  // in any exported trace.
+  obs::Span span("machine.exchange", obs::Category::kExchange);
+  const WalkTally& tally =
+      deliver(outboxes, inboxes, Channel::kGoodput, injector_);
+  const auto words = [&tally](Channel c) {
+    return tally.words[static_cast<std::size_t>(c)];
+  };
 
   // Round classification follows the dominant channel: an exchange that
   // moves goodput is an algorithm step; one that moves only recovery
   // traffic is a redistribution step; one that moves only protocol
   // overhead (ACK rounds, retransmissions) is resilience overhead.
-  const bool goodput_rounds = total_goodput > 0;
-  const bool recovery_rounds = !goodput_rounds && total_recovery > 0;
-  const bool overhead_only =
-      !goodput_rounds && !recovery_rounds && total_overhead > 0;
-  span.set_arg(total_goodput + total_overhead + total_recovery);
+  const bool goodput_rounds = words(Channel::kGoodput) > 0;
+  const bool recovery_rounds = !goodput_rounds && words(Channel::kRecovery) > 0;
+  const bool overhead_only = !goodput_rounds && !recovery_rounds &&
+                             words(Channel::kOverhead) > 0;
+  span.set_arg(words(Channel::kGoodput) + words(Channel::kOverhead) +
+               words(Channel::kRecovery));
   if (recovery_rounds) span.set_category(obs::Category::kRecovery);
   if (overhead_only) span.set_category(obs::Category::kRetry);
   const Channel round_channel = recovery_rounds ? Channel::kRecovery
                                 : overhead_only ? Channel::kOverhead
                                                 : Channel::kGoodput;
-  charge_rounds(ledger_, round_channel, transport, sends_per_rank_,
-                recvs_per_rank_, max_pair_words);
+  charge_rounds(ledger_, round_channel, transport, tally.sends, tally.recvs,
+                tally.max_pair_words);
 }
 
 void Machine::run_ranks(const std::function<void(std::size_t)>& body) const {

@@ -9,15 +9,23 @@
 // The semantics (who knows what, when) are identical to the per-rank MPI
 // program, and the ledger counts exactly the words the α-β-γ model counts.
 //
-// Payloads live in PooledBuffers drawn from the machine's per-rank
-// BufferPool (DESIGN.md §12): mailbox traffic moves slabs, never copies,
-// and a steady-state superstep allocates no slab.
+// Traffic crosses the machine in one place, the private delivery walk
+// (DESIGN.md §10.2): every backend reaches it through the protected
+// forwarders of Exchanger, the machine's one friend. The walk validates,
+// charges each envelope's words and moves its slab; the mailbox exchange
+// and the one-sided and hierarchical backends each price it with their
+// own rounds and sync ops.
 //
-// An optional FaultInjector (DESIGN.md §10) sits on the wire: frames may
-// be dropped, corrupted, duplicated, delayed by a stalled sender, or
-// reordered within an inbox. The ledger charges traffic at send time, so
-// its conservation invariant holds under every fault pattern; recovering
-// the delivered data is the job of simt::ReliableExchange one layer up.
+// Payloads live in PooledBuffers drawn from the machine's per-rank
+// BufferPool (DESIGN.md §12): the walk moves slabs, never copies, and a
+// steady-state superstep allocates no slab.
+//
+// An optional FaultInjector (DESIGN.md §10) sits on the mailbox wire:
+// frames may be dropped, corrupted, duplicated, delayed by a stalled
+// sender, or reordered within an inbox. The ledger charges traffic at
+// send time, so its conservation invariant holds under every fault
+// pattern; recovering the delivered data is the job of
+// simt::ReliableExchange one layer up.
 //
 // The machine also owns membership truth (DESIGN.md §15): once a rank is
 // marked dead — by the injector's crash model, synced at exchange start —
@@ -42,8 +50,7 @@
 namespace sttsv::simt {
 
 class FaultInjector;
-class DirectExchange;
-class ReliableExchange;
+class Exchanger;
 
 /// One outgoing message: destination rank plus payload words. The first
 /// `overhead_words` words are protocol framing (sequence numbers,
@@ -113,6 +120,17 @@ using LevelCounts = std::array<std::vector<std::size_t>, kNumLevels>;
 void charge_rounds(CommLedger& ledger, Channel channel, Transport transport,
                    const LevelCounts& sends, const LevelCounts& recvs,
                    std::size_t max_pair_words);
+
+/// What one delivery walk moved. Per level, each rank's frames sent and
+/// received; per channel, the words charged (injected duplicates aside);
+/// and the largest per-pair sum of frame words, the step size of an
+/// All-to-All.
+struct WalkTally {
+  LevelCounts sends;
+  LevelCounts recvs;
+  std::array<std::size_t, kNumChannels> words{};
+  std::size_t max_pair_words = 0;
+};
 
 class Machine {
  public:
@@ -191,34 +209,34 @@ class Machine {
   void reset_ledger();
 
  private:
-  // The wire is reached only through an Exchanger (DESIGN.md §10.2):
-  // DirectExchange forwards verbatim, ReliableExchange frames and ACKs.
-  friend class DirectExchange;
-  friend class ReliableExchange;
+  // The wire is reached only through an Exchanger (DESIGN.md §10.2), whose
+  // protected forwarders are every backend's one way onto it.
+  friend class Exchanger;
 
-  /// Executes one machine-wide exchange: outboxes[p] holds rank p's
-  /// outgoing messages, and inboxes[p] receives rank p's deliveries.
-  /// Both sets are the caller's: the inboxes are cleared and refilled,
-  /// the outboxes emptied before return, each keeping its capacity, so
-  /// a caller that keeps them across exchanges allocates no container.
-  /// Every outbox is validated up front — destinations in range, no
-  /// self-sends, overhead_words within the payload — and a
-  /// PreconditionError leaves the ledger, the inboxes and all payloads
-  /// untouched. Ledger records every word (split into goodput and
-  /// overhead channels); rounds/modeled cost depend on the transport and
-  /// are charged to the overhead channel when the exchange carries no
-  /// goodput at all (pure protocol traffic).
+  /// The delivery walk, the one place traffic crosses the machine. It
+  /// validates every outbox up front — destinations in range, no
+  /// self-sends, overhead_words within the payload, none on a recovery
+  /// envelope — so a PreconditionError leaves the ledger, the inboxes and
+  /// all payloads untouched. Then it walks origins ascending, each outbox
+  /// sorted by destination, drops traffic to or from a dead rank
+  /// uncharged, records each envelope's payload on `payload` (recovery
+  /// envelopes on kRecovery, even when empty) and its framing on
+  /// kOverhead, and moves its slab into the target's inbox. Both sets are
+  /// the caller's: the inboxes are cleared and refilled, the outboxes
+  /// emptied, each keeping its capacity. With a non-null `wire` every
+  /// frame passes that injector. It charges no rounds and no sync ops;
+  /// the caller prices the walk from the returned tally, which lives
+  /// until the next walk.
+  const WalkTally& deliver(std::vector<std::vector<Envelope>>& outboxes,
+                           std::vector<std::vector<Delivery>>& inboxes,
+                           Channel payload, FaultInjector* wire);
+
+  /// The mailbox exchange: the walk on the goodput channel through the
+  /// installed injector, then its rounds, charged to the dominant channel
+  /// (goodput, else recovery, else overhead for pure protocol traffic).
   void exchange_into(std::vector<std::vector<Envelope>>& outboxes,
                      std::vector<std::vector<Delivery>>& inboxes,
                      Transport transport);
-
-  /// exchange_into over a fresh inbox set.
-  std::vector<std::vector<Delivery>> exchange(
-      std::vector<std::vector<Envelope>> outboxes, Transport transport) {
-    std::vector<std::vector<Delivery>> inboxes;
-    exchange_into(outboxes, inboxes, transport);
-    return inboxes;
-  }
 
   std::size_t P_;
   CommLedger ledger_;
@@ -228,11 +246,8 @@ class Machine {
   std::size_t num_alive_;
   std::uint64_t membership_epoch_ = 0;
   std::vector<RankLossReport> rank_loss_reports_;
-  // exchange_into's per-exchange counters, sized once: deliveries per
-  // inbox (to reserve each inbox once) and per-level König degrees.
-  std::vector<std::size_t> inbound_;
-  LevelCounts sends_per_rank_;
-  LevelCounts recvs_per_rank_;
+  // The last walk's tally, sized once so a walk allocates nothing.
+  WalkTally tally_;
 };
 
 }  // namespace sttsv::simt

@@ -382,7 +382,7 @@ std::vector<std::vector<Delivery>> ReliableExchange::exchange(
       env.overhead_words = first ? kDataHeaderWords : env.data.size();
       wire_out_[f.from].push_back(std::move(env));
     }
-    machine_.exchange_into(wire_out_, wire_in_, t);
+    exchange_into(wire_out_, wire_in_, t);
 
     // Each receiver answers every sender it heard a decodable frame from
     // with one ACK frame, senders ascending, entries in arrival order.
@@ -441,7 +441,7 @@ std::vector<std::vector<Delivery>> ReliableExchange::exchange(
     // ACK/NACK traffic is pure protocol: the round lands on the overhead
     // channel in any exported trace.
     obs::Span ack_span("rex.ack-round", obs::Category::kRetry);
-    machine_.exchange_into(ack_out_, ack_in_, Transport::kPointToPoint);
+    exchange_into(ack_out_, ack_in_, Transport::kPointToPoint);
     for (std::size_t s = 0; s < P; ++s) {
       for (const Delivery& d : ack_in_[s]) {
         heard_[d.from] = 1;
@@ -495,24 +495,7 @@ std::vector<std::vector<Delivery>> ReliableExchange::exchange(
 
   const std::vector<std::size_t>& undelivered = unacked_;
   if (!undelivered.empty()) {
-    FaultReport report;
-    report.phase = phase_;
-    report.exchange_index = exchange_counter_;
-    report.attempts_used = attempt;
-    for (const std::size_t idx : undelivered) {
-      const PendingFrame& f = frames_[idx];
-      report.undelivered.push_back(
-          FrameFault{f.from, f.to, f.seq, f.payload.size(), f.attempts});
-      report.affected_ranks.push_back(f.from);
-      report.affected_ranks.push_back(f.to);
-    }
-    std::sort(report.affected_ranks.begin(), report.affected_ranks.end());
-    report.affected_ranks.erase(std::unique(report.affected_ranks.begin(),
-                                            report.affected_ranks.end()),
-                                report.affected_ranks.end());
-    report.injection_log_begin = log_begin;
-    report.injection_log_end =
-        injector != nullptr ? injector->log().size() : 0;
+    FaultReport report = fault_report(&PendingFrame::acked, attempt, log_begin);
 
     if (liveness_.enabled) {
       // Verdict: an undelivered frame's peer that never produced a single
@@ -570,7 +553,7 @@ std::vector<std::vector<Delivery>> ReliableExchange::exchange(
       env.overhead_words = env.data.size();
       wire_out_[f.from].push_back(std::move(env));
     }
-    machine_.exchange_into(wire_out_, wire_in_, Transport::kPointToPoint);
+    exchange_into(wire_out_, wire_in_, Transport::kPointToPoint);
     machine_.set_fault_injector(injector);
     for (std::size_t r = 0; r < P; ++r) {
       for (Delivery& d : wire_in_[r]) {
@@ -605,31 +588,36 @@ std::vector<std::vector<Delivery>> ReliableExchange::exchange(
     // degraded channel (the machine drops them below the protocol): a
     // replay cannot heal rank loss, so surface a structured failure
     // instead of an internal-invariant crash.
-    FaultReport incomplete;
-    incomplete.phase = phase_;
-    incomplete.exchange_index = exchange_counter_;
-    incomplete.attempts_used = retry_.max_attempts;
+    FaultReport incomplete = fault_report(&PendingFrame::accepted,
+                                          retry_.max_attempts, log_begin);
     incomplete.degraded = true;
-    for (const PendingFrame& f : frames_) {
-      if (!f.accepted) {
-        incomplete.undelivered.push_back(
-            FrameFault{f.from, f.to, f.seq, f.payload.size(), f.attempts});
-        incomplete.affected_ranks.push_back(f.from);
-        incomplete.affected_ranks.push_back(f.to);
-      }
-    }
-    std::sort(incomplete.affected_ranks.begin(),
-              incomplete.affected_ranks.end());
-    incomplete.affected_ranks.erase(
-        std::unique(incomplete.affected_ranks.begin(),
-                    incomplete.affected_ranks.end()),
-        incomplete.affected_ranks.end());
-    incomplete.injection_log_begin = log_begin;
-    incomplete.injection_log_end =
-        injector != nullptr ? injector->log().size() : 0;
     throw FaultError(std::move(incomplete));
   }
   return inboxes;
+}
+
+FaultReport ReliableExchange::fault_report(bool PendingFrame::*done,
+                                           std::size_t attempts_used,
+                                           std::size_t log_begin) const {
+  FaultReport report;
+  report.phase = phase_;
+  report.exchange_index = exchange_counter_;
+  report.attempts_used = attempts_used;
+  for (const PendingFrame& f : frames_) {
+    if (f.*done) continue;
+    report.undelivered.push_back(
+        FrameFault{f.from, f.to, f.seq, f.payload.size(), f.attempts});
+    report.affected_ranks.push_back(f.from);
+    report.affected_ranks.push_back(f.to);
+  }
+  std::sort(report.affected_ranks.begin(), report.affected_ranks.end());
+  report.affected_ranks.erase(std::unique(report.affected_ranks.begin(),
+                                          report.affected_ranks.end()),
+                              report.affected_ranks.end());
+  const FaultInjector* injector = machine_.fault_injector();
+  report.injection_log_begin = log_begin;
+  report.injection_log_end = injector != nullptr ? injector->log().size() : 0;
+  return report;
 }
 
 void ReliableExchange::publish_metrics(obs::MetricsRegistry& out,

@@ -1,7 +1,7 @@
 #pragma once
 // Resilient exchange protocol over the simulated machine (DESIGN.md §10).
 //
-// The raw Machine::exchange delivers whatever the (possibly faulty) wire
+// The raw machine exchange delivers whatever the (possibly faulty) wire
 // produced. ReliableExchange layers a protocol on top that makes the
 // delivered inboxes bitwise identical to a fault-free run:
 //
@@ -62,12 +62,15 @@ class MetricsRegistry;
 namespace sttsv::simt {
 
 /// Seam between every algorithm and the wire, and the only way bytes
-/// leave a rank (Machine::exchange is private to DirectExchange and
-/// ReliableExchange): callers hand over outboxes and receive the
-/// logically delivered inboxes. DirectExchange forwards verbatim;
-/// ReliableExchange runs the recovery protocol. Every backend delivers
-/// owned buffers: a caller may keep a delivery across later exchanges,
-/// and its slab returns to the sender's pool shard when dropped.
+/// leave a rank: callers hand over outboxes and receive the logically
+/// delivered inboxes. Exchanger is the machine's one friend, and its two
+/// protected forwarders below are every backend's only way onto the
+/// wire. DirectExchange forwards verbatim; ReliableExchange runs the
+/// recovery protocol; the one-sided and hierarchical backends run the
+/// machine's delivery walk and charge their own synchronization. Every
+/// backend delivers owned buffers: a caller may keep a delivery across
+/// later exchanges, and its slab returns to the sender's pool shard when
+/// dropped.
 class Exchanger {
  public:
   explicit Exchanger(Machine& machine) : machine_(machine) {}
@@ -120,6 +123,19 @@ class Exchanger {
   [[nodiscard]] Machine& machine() const { return machine_; }
 
  protected:
+  /// Machine::deliver: the delivery walk alone, priced by the caller.
+  const WalkTally& deliver(std::vector<std::vector<Envelope>>& outboxes,
+                           std::vector<std::vector<Delivery>>& inboxes,
+                           Channel payload, FaultInjector* wire) {
+    return machine_.deliver(outboxes, inboxes, payload, wire);
+  }
+  /// Machine::exchange_into: the mailbox walk and its rounds.
+  void exchange_into(std::vector<std::vector<Envelope>>& outboxes,
+                     std::vector<std::vector<Delivery>>& inboxes,
+                     Transport transport) {
+    machine_.exchange_into(outboxes, inboxes, transport);
+  }
+
   Machine& machine_;
 };
 
@@ -130,7 +146,9 @@ class DirectExchange final : public Exchanger {
   std::vector<std::vector<Delivery>> exchange(
       std::vector<std::vector<Envelope>> outboxes,
       Transport transport) override {
-    return machine_.exchange(std::move(outboxes), transport);
+    std::vector<std::vector<Delivery>> inboxes;
+    exchange_into(outboxes, inboxes, transport);
+    return inboxes;
   }
 };
 
@@ -223,7 +241,7 @@ class ReliableExchange final : public Exchanger {
                             LivenessPolicy liveness = {});
 
   /// Runs the protocol until every frame is delivered exactly once, then
-  /// returns inboxes bitwise identical to a fault-free Machine::exchange
+  /// returns inboxes bitwise identical to a fault-free DirectExchange
   /// of the same outboxes. Throws FaultError (kFailFast) or degrades
   /// (kDegrade, see reports()) when the retry budget runs out.
   std::vector<std::vector<Delivery>> exchange(
@@ -265,6 +283,14 @@ class ReliableExchange final : public Exchanger {
     bool accepted = false;
     std::size_t attempts = 0;
   };
+
+  /// The report over this exchange's frames whose `done` flag is unset:
+  /// phase, exchange index, `attempts_used`, each frame's fault, the
+  /// sorted unique affected ranks, and the injection-log window from
+  /// `log_begin` to now.
+  [[nodiscard]] FaultReport fault_report(bool PendingFrame::*done,
+                                         std::size_t attempts_used,
+                                         std::size_t log_begin) const;
 
   RetryPolicy retry_;
   RecoveryPolicy recovery_;

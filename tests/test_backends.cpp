@@ -149,6 +149,28 @@ TEST(Backends, DeliveriesOutliveTheNextExchange) {
   }
 }
 
+TEST(Backends, AllToAllChargesEachPairsSummedFrames) {
+  // Rank 3 sends rank 0 envelopes of 2 and 3 words in one All-to-All
+  // exchange; 3 -> 0 crosses the fabric under "hier". Each of the P - 1 = 3
+  // steps is charged the pair's summed frames, not its largest one: 5
+  // words, and 15 under "reliable", whose two frames carry a 5-word
+  // header each.
+  for (const char* name : test::kBackends) {
+    SCOPED_TRACE(name);
+    Machine machine(4);
+    const auto ex = test::make_backend(name, machine);
+    std::vector<std::vector<simt::Envelope>> out(4);
+    out[3].push_back(simt::Envelope{0, simt::PooledBuffer{1.0, 2.0}});
+    out[3].push_back(simt::Envelope{0, simt::PooledBuffer{3.0, 4.0, 5.0}});
+    const auto in = ex->exchange(std::move(out), Transport::kAllToAll);
+    ASSERT_EQ(in[0].size(), 2u);
+    const std::uint64_t pair_words =
+        std::string(name) == "reliable" ? 15 : 5;
+    EXPECT_EQ(machine.ledger().modeled_collective_words(), 3 * pair_words);
+    machine.ledger().verify_conservation();
+  }
+}
+
 TEST(Backends, HopmDriversMatchDirectBitwise) {
   const TetraSetup s(30, 51);
   apps::HopmOptions opts;

@@ -26,7 +26,9 @@
 #include "partition/tetra_partition.hpp"
 #include "partition/vector_distribution.hpp"
 #include "serve/frontend.hpp"
+#include "simt/fault_injector.hpp"
 #include "simt/machine.hpp"
+#include "simt/reliable_exchange.hpp"
 #include "steiner/constructions.hpp"
 #include "support/check.hpp"
 #include "support/rng.hpp"
@@ -252,18 +254,18 @@ TEST(HierExchange, MergesSharedAndFabricDeliveriesByOrigin) {
   EXPECT_EQ(in[2][0].from, 3u);
   EXPECT_EQ(in[2][0].data[1], 40.5);
 
-  // Accounting: two intra hand-offs (one per node) cost one fence each;
-  // fabric words and shared words split exactly.
-  EXPECT_EQ(hx.stats().epochs, 1u);
-  EXPECT_EQ(hx.stats().node_fences, 2u);
-  EXPECT_EQ(hx.stats().shared_puts, 2u);
-  EXPECT_EQ(hx.stats().shared_words, 4u);
-  EXPECT_EQ(hx.stats().inter_envelopes, 2u);
-  EXPECT_EQ(hx.stats().inter_words, 4u);
-  EXPECT_EQ(machine.ledger().sync_ops(Level::kIntra), 2u);
-  EXPECT_EQ(machine.ledger().total_payload_words(Level::kIntra), 4u);
-  EXPECT_EQ(machine.ledger().total_payload_words(Level::kInter), 4u);
-  machine.ledger().verify_conservation();
+  // Accounting: two intra hand-offs (one per node) cost one fence each
+  // and one intra round; fabric words and shared words split exactly.
+  const simt::CommLedger& led = machine.ledger();
+  EXPECT_EQ(led.sync_ops(Level::kIntra), 2u);
+  EXPECT_EQ(led.rounds(Channel::kOneSided, Level::kIntra), 1u);
+  EXPECT_EQ(led.total_messages(Channel::kOneSided, Level::kIntra), 2u);
+  EXPECT_EQ(led.total_words(Channel::kOneSided, Level::kIntra), 4u);
+  EXPECT_EQ(led.total_messages(Channel::kGoodput, Level::kInter), 2u);
+  EXPECT_EQ(led.total_words(Channel::kGoodput, Level::kInter), 4u);
+  EXPECT_EQ(led.total_payload_words(Level::kIntra), 4u);
+  EXPECT_EQ(led.total_payload_words(Level::kInter), 4u);
+  led.verify_conservation();
 }
 
 TEST(HierExchange, DeadRanksDropSharedTrafficUncharged) {
@@ -278,10 +280,35 @@ TEST(HierExchange, DeadRanksDropSharedTrafficUncharged) {
   out[0].push_back(Envelope{1, std::move(buf)});
   auto in = hx.exchange(std::move(out), simt::Transport::kPointToPoint);
   EXPECT_TRUE(in[1].empty());
-  EXPECT_EQ(hx.stats().shared_puts, 0u);
+  EXPECT_EQ(machine.ledger().total_messages(Channel::kOneSided), 0u);
   EXPECT_EQ(machine.ledger().total_payload_words(Level::kIntra), 0u);
   // No surviving intra traffic: no fence either.
   EXPECT_EQ(machine.ledger().sync_ops(Level::kIntra), 0u);
+}
+
+TEST(HierExchange, SharedHandOffsStayChargedWhenTheFabricThrows) {
+  // A fail-fast fabric that loses every frame throws; the node-local
+  // hand-off made before it stays charged, its fence and round included,
+  // and the ledger still conserves.
+  Machine machine(4);
+  simt::FaultInjector injector(simt::FaultConfig{.drop = 1.0});
+  machine.set_fault_injector(&injector);
+  HierarchicalExchange hx(
+      machine, Topology::from_map({0, 0, 1, 1}),
+      std::make_unique<simt::ReliableExchange>(
+          machine, simt::RetryPolicy{.max_attempts = 1},
+          simt::RecoveryPolicy::kFailFast));
+  std::vector<std::vector<Envelope>> out(4);
+  out[0].push_back(Envelope{1, simt::PooledBuffer{1.0, 2.0}});  // node-local
+  out[2].push_back(Envelope{0, simt::PooledBuffer{3.0}});  // across the fabric
+  EXPECT_THROW(hx.exchange(std::move(out), simt::Transport::kPointToPoint),
+               simt::FaultError);
+  const simt::CommLedger& led = machine.ledger();
+  EXPECT_EQ(led.total_words(Channel::kOneSided, Level::kIntra), 2u);
+  EXPECT_EQ(led.sync_ops(Level::kIntra), 1u);
+  EXPECT_EQ(led.rounds(Channel::kOneSided, Level::kIntra), 1u);
+  EXPECT_EQ(led.total_words(Channel::kGoodput, Level::kInter), 1u);
+  led.verify_conservation();
 }
 
 // --- Bitwise sweep (S3) -----------------------------------------------------
@@ -343,8 +370,8 @@ TEST(HierBitwise, BatchedRunsMatchAndMeetTheClosedForm) {
   const auto& led = hier_machine.ledger();
   EXPECT_EQ(led.total_payload_words(Level::kIntra), pred.intra * xs.size());
   EXPECT_EQ(led.total_payload_words(Level::kInter), pred.inter * xs.size());
-  // α: at most one fence per node per epoch (2 phases = 2 epochs).
-  EXPECT_LE(led.sync_ops(Level::kIntra), hx.stats().epochs * 2);
+  // α: at most one fence per node per phase (2 phases, 2 nodes).
+  EXPECT_LE(led.sync_ops(Level::kIntra), 2u * 2u);
   EXPECT_EQ(led.sync_ops(Level::kInter), 0u);
 }
 

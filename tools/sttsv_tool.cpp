@@ -288,13 +288,9 @@ int cmd_auto(const ArgParser& args) {
             << (spherical ? " (q = " + std::to_string(key.param) + ")" : "")
             << ", P = " << key.processors << " of budget " << budget
             << ", m = " << part.num_row_blocks() << ", b = " << b << "\n";
-  // Spherical plans print the Section 7.2.2 closed form; the others the
-  // busiest rank's words the chooser ranked them by.
   std::cout << "  predicted words/rank  = "
-            << (spherical ? core::optimal_algorithm_words(n, key.param)
-                          : core::steiner_algorithm_words(
-                                n, part.num_row_blocks(),
-                                part.steiner_block_size()))
+            << core::steiner_algorithm_words(n, part.num_row_blocks(),
+                                             part.steiner_block_size())
             << "\n";
   std::cout << "  lower bound           = "
             << core::lower_bound_words(n, key.processors) << "\n";
